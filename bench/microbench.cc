@@ -4,8 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <thread>
-
 #include "src/aspects/spec_parser.h"
 #include "src/crypto/cipher.h"
 #include "src/crypto/merkle.h"
@@ -14,9 +12,7 @@
 #include "src/net/fabric.h"
 #include "src/obs/span.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/legacy_event_queue.h"
 #include "src/sim/simulation.h"
-#include "src/sim/spsc_channel.h"
 #include "src/workload/medical.h"
 
 namespace udc {
@@ -71,14 +67,10 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000);
 
-// The kernel fast path head-to-head: schedule+fire through the legacy
-// std::function queue (range 0) vs the slot-slab InlineCallback queue
-// (range 1), with the capture shape of a fabric delivery (24 bytes — heap
-// allocated by std::function, inline for InlineCallback).
+// Bare schedule+fire through the slot-slab InlineCallback queue, with the
+// capture shape of a fabric delivery (24 bytes, held inline).
 void BM_EventScheduleFire(benchmark::State& state) {
-  const bool fast = state.range(0) != 0;
-  EventQueue fast_q;
-  LegacyEventQueue legacy_q;
+  EventQueue q;
   uint64_t sink = 0;
   constexpr int kBatch = 1024;
   int64_t t = 0;
@@ -89,27 +81,16 @@ void BM_EventScheduleFire(benchmark::State& state) {
       const auto cb = [&sink, a, b] {
         sink += a + (b != nullptr ? 1 : 0);
       };
-      const SimTime when = SimTime(t + i % 97);
-      if (fast) {
-        fast_q.Schedule(when, cb);
-      } else {
-        legacy_q.Schedule(when, cb);
-      }
+      q.Schedule(SimTime(t + i % 97), cb);
     }
-    if (fast) {
-      while (!fast_q.empty()) {
-        t = fast_q.PopAndRun().micros();
-      }
-    } else {
-      while (!legacy_q.empty()) {
-        t = legacy_q.PopAndRun().micros();
-      }
+    while (!q.empty()) {
+      t = q.PopAndRun().micros();
     }
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
-BENCHMARK(BM_EventScheduleFire)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventScheduleFire);
 
 // Fabric message throughput: interned type, pooled Message, inline delivery
 // closure. The span tracer is capped so the steady state measured here is
@@ -239,38 +220,6 @@ void BM_ParseMedicalSpec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParseMedicalSpec);
-
-// Cross-shard channel round-trip: two threads ping-pong a token through a
-// pair of SPSC rings using the strict TryPush/TryPop protocol. One
-// iteration is one full round trip (two hops), so items/s is twice the
-// per-hop rate. This bounds the per-event cost the parallel kernel pays
-// whenever an event crosses a shard boundary.
-void BM_SpscChannelPingPong(benchmark::State& state) {
-  SpscChannel<uint64_t> there(64);
-  SpscChannel<uint64_t> back(64);
-  std::atomic<bool> stop{false};
-  std::thread echo([&] {
-    uint64_t token;
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (there.TryPop(&token)) {
-        while (!back.TryPush(std::move(token))) {
-        }
-      }
-    }
-  });
-  uint64_t token = 1;
-  for (auto _ : state) {
-    while (!there.TryPush(std::move(token))) {
-    }
-    while (!back.TryPop(&token)) {
-    }
-    benchmark::DoNotOptimize(token);
-  }
-  stop.store(true, std::memory_order_relaxed);
-  echo.join();
-  state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_SpscChannelPingPong);
 
 void BM_SpanBeginEnd(benchmark::State& state) {
   // Cost of one labeled span open/close — the per-boundary overhead the

@@ -1,63 +1,33 @@
 // Simulation-kernel macro-benchmark: the event loop itself under a
-// kernel-bound workload, on the legacy std::function queue, the slot-slab
-// InlineCallback fast path, and the parallel sharded kernel.
+// kernel-bound workload.
 //
-// Phase 1 (legacy vs fast) is shaped like the simulator's real steady state
-// — fabric message chains (pooled Message objects, interned types, 24-byte
-// delivery captures), timer churn with ~half the timers cancelled before
-// they fire (slab cancellation via generation bumps), and self-rescheduling
-// ticks — with nothing else on the hot path, so events/sec measures the
-// kernel rather than placement or crypto.
+// The workload is shaped like the simulator's real steady state — fabric
+// message chains (pooled Message objects, interned types, 24-byte delivery
+// captures), timer churn with ~half the timers cancelled before they fire
+// (slab cancellation via generation bumps), and self-rescheduling ticks —
+// with nothing else on the hot path, so events/sec measures the kernel
+// rather than placement or crypto.
 //
-// Phase 2 (parallel) runs a sharded fan-out: independent self-rescheduling
-// event chains pinned to worker shards, with a cross-shard pulse riding the
-// SPSC channels, swept across worker thread counts. The identical workload
-// runs once under kFast and that single measurement is the baseline every
-// speedup_vs_fast divides by — it is a different workload from phase 1, so
-// it is reported as parallel.baseline, never as a second "fast" number.
-// The window width is adaptive: the kernel starts at the declared floor and
-// the controller widens it toward lookahead_bound_us as it observes the
-// sparse cross-shard traffic, so the barrier rate the sweep pays is the one
-// the controller found, not a hand-tuned constant.
+// Every round executes the same events, so the measured phase must
+// reproduce fixed event, delivery and timer-fire counts; and the counting
+// allocator (bench_common.h) must see ZERO heap allocations once warm. The
+// benchmark exits non-zero if either fails.
 //
-// Phase 3 (skewed) reruns the fan-out with one hot shard owning several
-// times the chains of the others: the worklist's heaviest-first claim order
-// is what keeps the hot shard from serializing behind whatever else a
-// static stripe would have pinned to its thread. per_shard_events and
-// imbalance_ratio in the report make the skew visible; barrier_stall_pct
-// shows what the coordinator paid waiting for it.
-//
-// On a host with enough cores (>= 5: four workers plus the coordinator) the
-// uniform sweep must reach 2x the kFast events/sec by 4 threads; the report
-// records host_cores either way so scaling numbers carry their context.
-//
-// The counting allocator (bench_common.h) reports allocations per executed
-// event; after warm-up both the fast and the parallel measured phases must
-// run with ZERO heap allocations, and the benchmark exits non-zero if not.
-//
-// Writes BENCH_simkernel.json into the working directory. `--smoke` runs a
-// small configuration in well under a second; CI wires it up as a ctest so
-// the benchmark and the zero-alloc invariant cannot rot.
+// Writes BENCH_simkernel.json (with host_cores) into the working
+// directory. `--smoke` runs a small configuration in well under a second;
+// CI wires it up as a ctest so the benchmark and both invariants cannot
+// rot.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/common/units.h"
-#include "src/net/fabric.h"
 #include "src/hw/topology.h"
-#include "src/obs/slo.h"
-#include "src/sim/inline_callback.h"
-#include "src/sim/parallel_kernel.h"
+#include "src/net/fabric.h"
 #include "src/sim/simulation.h"
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Phase 1: legacy vs fast, single-threaded.
 
 struct KernelConfig {
   int warmup_rounds = 5000;
@@ -65,6 +35,11 @@ struct KernelConfig {
   int hops = 32;    // fabric chain length per round
   int timers = 16;  // churn timers per round (every other one cancelled)
   int ticks = 8;    // self-rescheduling tick events per round
+  // What the measured rounds execute: per round, hops + 1 deliveries,
+  // timers / 2 timer fires and `ticks` tick events — 49 events.
+  long long expected_events = 4'900'000;
+  long long expected_delivered = 3'300'000;
+  long long expected_timer_fires = 800'000;
 };
 
 struct KernelResult {
@@ -79,7 +54,7 @@ struct KernelResult {
 
 // A tick that re-arms itself until its budget runs out: the classic
 // heartbeat shape (actor wakeups, replication timers). The 8-byte [this]
-// capture stays inline in both kernels.
+// capture stays inline.
 struct Ticker {
   udc::Simulation* sim = nullptr;
   int remaining = 0;
@@ -92,8 +67,8 @@ struct Ticker {
   }
 };
 
-KernelResult RunKernel(udc::SimKernel kernel, const KernelConfig& config) {
-  udc::Simulation sim(/*seed=*/42, kernel);
+KernelResult RunKernel(const KernelConfig& config) {
+  udc::Simulation sim(/*seed=*/42);
   // Small span budget: the warm-up exhausts it, so the measured phase runs
   // in the long-lived regime where Begin() drops instead of recording.
   sim.spans().set_max_spans(1 << 10);
@@ -173,452 +148,37 @@ KernelResult RunKernel(udc::SimKernel kernel, const KernelConfig& config) {
   return result;
 }
 
-void PrintResult(const char* label, const KernelResult& r) {
+void PrintResult(const KernelResult& r) {
   std::printf(
-      "%-8s %12.0f events/s  %lld events in %.3fs  allocs/event=%.4f "
+      "%12.0f events/s  %lld events in %.3fs  allocs/event=%.4f "
       "(%lld allocs, %lld delivered, %lld timer fires)\n",
-      label, r.events_per_sec, r.events, r.wall_seconds, r.allocs_per_event,
+      r.events_per_sec, r.events, r.wall_seconds, r.allocs_per_event,
       r.allocs, r.messages_delivered, r.timer_fires);
 }
 
-// ---------------------------------------------------------------------------
-// Phases 2 and 3: the parallel kernel on a sharded fan-out, swept across
-// worker thread counts, with kFast running the identical workload once as
-// the single baseline.
-
-struct FanoutConfig {
-  int shards = 8;
-  int chains_per_shard = 8;
-  // Worker shard 1 gets this many chains instead of chains_per_shard when
-  // nonzero: the skewed phase's hot shard.
-  int hot_shard_chains = 0;
-  int64_t step_us = 1;        // chain self-reschedule period
-  int64_t horizon_us = 512;   // chain lifetime per round
-  int64_t lookahead_us = 16;  // guaranteed-safe window floor
-  // Adaptive ceiling; also the cross-shard pulse delay, which keeps every
-  // pulse legal at any window width the controller picks.
-  int64_t lookahead_bound_us = 128;
-  int pulse_every = 64;  // chain firings between cross-shard pulses
-  int warmup_rounds = 10;
-  int rounds = 50;
-};
-
-// One self-rescheduling event chain pinned to a worker shard. Each firing
-// does a fixed slice of LCG work (so the threads have computation to
-// overlap, as real sim events do) and every pulse_every-th firing emits a
-// cross-shard pulse that rides the SPSC channels. The [this] capture stays
-// inline, so the steady state schedules with zero heap allocation.
-struct FanoutChain {
-  udc::Simulation* sim = nullptr;
-  udc::ParallelKernel* kernel = nullptr;  // null under the kFast baseline
-  uint32_t shard = 0;                     // owning worker shard
-  uint32_t next_shard = 0;                // pulse destination
-  uint32_t pulse_mask = 63;               // pulse_every - 1 (power of two)
-  udc::SimTime step;
-  udc::SimTime pulse_delay;
-  int fires_left = 0;
-  uint64_t acc = 1;
-  uint64_t fires = 0;
-
-  void Fire() {
-    for (int i = 0; i < 24; ++i) {
-      acc = acc * 6364136223846793005ull + 1442695040888963407ull;
-    }
-    if ((++fires & pulse_mask) == 0) {
-      // Cross-shard pulse: delay = lookahead_bound, so the schedule clears
-      // the window at any width the adaptive controller may have reached.
-      // Under kFast it is just another timer.
-      if (kernel != nullptr) {
-        kernel->ScheduleOnShard(next_shard, sim->now() + pulse_delay,
-                                udc::InlineCallback([] {}));
-      } else {
-        sim->After(pulse_delay, [] {});
-      }
-    }
-    if (--fires_left > 0) {
-      sim->After(step, [this] { Fire(); });
-    }
-  }
-};
-
-struct FanoutResult {
-  int threads = 0;  // 0 = the kFast baseline
-  long long events = 0;
-  double wall_seconds = 0;
-  double events_per_sec = 0;
-  long long allocs = 0;
-  double allocs_per_event = 0;
-  long long windows = 0;
-  long long flushes = 0;
-  long long channel_spills = 0;
-  long long cross_shard_events = 0;
-  long long steal_claims = 0;
-  long long rebalances = 0;
-  double imbalance_ratio = 0;   // lifetime max/mean worker-shard events
-  double barrier_stall_pct = 0; // coordinator wait at pooled-window barriers
-  int64_t eff_lookahead_us = 0; // window width the controller settled on
-  std::vector<uint64_t> per_shard_events;
-  uint64_t work_acc = 0;  // keeps the LCG work observable
-  // Parallel only: verdicts of the kernel-health probe objectives (flush
-  // records per window p99, barrier stall fraction), evaluated after the
-  // measured rounds.
-  bool slo_evaluated = false;
-  bool slo_ok = true;
-  double slo_measured = 0;
-};
-
-int ChainsOnShard(const FanoutConfig& config, int shard_index) {
-  return shard_index == 0 && config.hot_shard_chains > 0
-             ? config.hot_shard_chains
-             : config.chains_per_shard;
-}
-
-FanoutResult RunFanout(udc::SimKernel sim_kernel, int threads,
-                       const FanoutConfig& config) {
-  udc::ParallelConfig parallel;
-  parallel.shards = config.shards;
-  parallel.threads = threads;
-  parallel.lookahead = udc::SimTime::Micros(config.lookahead_us);
-  parallel.lookahead_bound = udc::SimTime::Micros(config.lookahead_bound_us);
-  udc::Simulation sim(/*seed=*/42, sim_kernel, parallel);
-  udc::ParallelKernel* kernel = sim.parallel();
-
-  std::vector<std::unique_ptr<FanoutChain>> chains;
-  for (int s = 0; s < config.shards; ++s) {
-    const int count = ChainsOnShard(config, s);
-    for (int k = 0; k < count; ++k) {
-      auto chain = std::make_unique<FanoutChain>();
-      chain->sim = &sim;
-      chain->kernel = kernel;
-      chain->shard = static_cast<uint32_t>(s) + 1;
-      chain->next_shard = static_cast<uint32_t>((s + 1) % config.shards) + 1;
-      chain->pulse_mask = static_cast<uint32_t>(config.pulse_every) - 1;
-      chain->step = udc::SimTime::Micros(config.step_us);
-      chain->pulse_delay = udc::SimTime::Micros(config.lookahead_bound_us);
-      chains.push_back(std::move(chain));
-    }
-  }
-
-  const int fires_per_round =
-      static_cast<int>(config.horizon_us / config.step_us);
-  const auto run_round = [&] {
-    // Seed every chain from the serial phase; under kParallel the direct
-    // insert lands in the chain's shard queue, under kFast in the one queue.
-    const udc::SimTime base = sim.now();
-    int k_on_shard = 0;
-    uint32_t last_shard = 0;
-    for (const auto& chain_ptr : chains) {
-      FanoutChain* chain = chain_ptr.get();
-      k_on_shard = chain->shard == last_shard ? k_on_shard + 1 : 0;
-      last_shard = chain->shard;
-      chain->fires_left = fires_per_round;
-      const udc::SimTime start = base + udc::SimTime::Micros(1 + k_on_shard);
-      if (kernel != nullptr) {
-        kernel->ScheduleOnShard(chain->shard, start,
-                                udc::InlineCallback([chain] { chain->Fire(); }));
-      } else {
-        sim.At(start, [chain] { chain->Fire(); });
-      }
-    }
-    sim.RunToCompletion();
-  };
-
-  uint64_t events_before = 0;
-  udc::ParallelKernelStats stats_before;
-  const udc::bench::MeasureResult timed = udc::bench::Measure(
-      config.warmup_rounds, config.rounds, run_round, [&] {
-        events_before = sim.events_executed();
-        if (kernel != nullptr) {
-          stats_before = kernel->Stats();
-        }
-      });
-
-  FanoutResult result;
-  result.threads = kernel != nullptr ? kernel->threads() : 0;
-  result.events =
-      static_cast<long long>(sim.events_executed() - events_before);
-  result.wall_seconds = timed.wall_seconds;
-  result.allocs = timed.allocs;
-  if (result.wall_seconds > 0) {
-    result.events_per_sec =
-        static_cast<double>(result.events) / result.wall_seconds;
-  }
-  if (result.events > 0) {
-    result.allocs_per_event =
-        static_cast<double>(result.allocs) / static_cast<double>(result.events);
-  }
-  if (kernel != nullptr) {
-    const udc::ParallelKernelStats stats = kernel->Stats();
-    result.windows = static_cast<long long>(stats.windows -
-                                            stats_before.windows);
-    result.flushes = static_cast<long long>(stats.flushes -
-                                            stats_before.flushes);
-    result.cross_shard_events = static_cast<long long>(
-        stats.cross_shard_events - stats_before.cross_shard_events);
-    result.steal_claims = static_cast<long long>(stats.steal_claims -
-                                                 stats_before.steal_claims);
-    result.rebalances = static_cast<long long>(stats.rebalances);
-    result.channel_spills = static_cast<long long>(kernel->channel_spills());
-    result.imbalance_ratio = stats.imbalance_ratio;
-    result.barrier_stall_pct = stats.barrier_stall_pct;
-    result.eff_lookahead_us = stats.effective_lookahead.micros();
-    result.per_shard_events = kernel->PerShardEvents();
-  }
-  for (const auto& chain : chains) {
-    result.work_acc ^= chain->acc;
-  }
-  if (kernel != nullptr) {
-    // Kernel-health objectives, consumed as machine-checked gates by main:
-    // the per-flush obs batch must stay bounded (a runaway p99 means worker
-    // buffers are ballooning — the always-on story breaks down), and the
-    // coordinator must not spend the run parked at barriers. kProbe is the
-    // sanctioned reader for kernel-internal stats: none of these are
-    // registry series, so single-thread and multi-thread expositions stay
-    // byte-identical. Registered after the measured rounds, so the
-    // zero-alloc phase never sees the engine.
-    udc::SloSpec spec;
-    spec.name = "slo.kernel.flush_records_per_window_p99";
-    spec.kind = udc::SloSpec::SourceKind::kProbe;
-    spec.probe = [kernel] {
-      return kernel->flush_records_per_window().Quantile(0.99);
-    };
-    spec.threshold = 100'000.0;  // records per flush; generous
-    sim.slos().AddObjective(std::move(spec));
-    udc::SloSpec stall;
-    stall.name = "slo.kernel.barrier_stall_pct";
-    stall.kind = udc::SloSpec::SourceKind::kProbe;
-    stall.probe = [kernel] { return kernel->Stats().barrier_stall_pct; };
-    // Observational ceiling, not a perf target: near-100% means the pooled
-    // path degenerated to the coordinator watching workers one at a time.
-    stall.threshold = 99.0;
-    sim.slos().AddObjective(std::move(stall));
-    sim.slos().EvaluateNow(sim.now());
-    const udc::SloVerdict* verdict =
-        sim.slos().Find("slo.kernel.flush_records_per_window_p99");
-    result.slo_evaluated = verdict != nullptr;
-    if (verdict != nullptr) {
-      result.slo_ok = verdict->state != udc::SloState::kBreach;
-      result.slo_measured = verdict->measured;
-    }
-  }
-  return result;
-}
-
-void PrintFanout(const char* label, const FanoutResult& r) {
-  std::printf(
-      "%-12s %12.0f events/s  %lld events in %.3fs  allocs/event=%.4f  "
-      "(%lld windows, %lld flushes, %lld spills, imbalance=%.2f, "
-      "stall=%.1f%%, eff_lookahead=%lldus)\n",
-      label, r.events_per_sec, r.events, r.wall_seconds, r.allocs_per_event,
-      r.windows, r.flushes, r.channel_spills, r.imbalance_ratio,
-      r.barrier_stall_pct, static_cast<long long>(r.eff_lookahead_us));
-}
-
-// Runs the parallel sweep for one fan-out shape against its kFast baseline,
-// enforcing the identity and zero-alloc invariants at every point. Returns
-// false on a hard failure.
-bool RunSweep(const FanoutConfig& config, const char* phase,
-              FanoutResult* baseline, std::vector<FanoutResult>* sweep) {
-  *baseline = RunFanout(udc::SimKernel::kFast, /*threads=*/1, config);
-  char label[48];
-  std::snprintf(label, sizeof(label), "%s/fast", phase);
-  PrintFanout(label, *baseline);
-
-  for (int threads : {1, 2, 4, 8}) {
-    if (threads > config.shards) {
-      break;
-    }
-    FanoutResult r = RunFanout(udc::SimKernel::kParallel, threads, config);
-    std::snprintf(label, sizeof(label), "%s/%d", phase, threads);
-    PrintFanout(label, r);
-    // Every sweep point must run the exact same event stream as the kFast
-    // baseline, allocation-free once warm.
-    if (r.events != baseline->events || r.work_acc != baseline->work_acc) {
-      std::fprintf(stderr,
-                   "FAIL: %s/%d diverged from fast (%lld vs %lld events)\n",
-                   phase, threads, r.events, baseline->events);
-      return false;
-    }
-    if (r.allocs != 0) {
-      std::fprintf(stderr,
-                   "FAIL: %s/%d allocated %lld times in the measured phase "
-                   "(expected 0)\n",
-                   phase, threads, r.allocs);
-      return false;
-    }
-    if (!r.slo_evaluated || !r.slo_ok) {
-      std::fprintf(stderr,
-                   "FAIL: %s/%d kernel-health SLO %s (flush records per "
-                   "flush p99 = %.0f)\n",
-                   phase, threads,
-                   r.slo_evaluated ? "breached" : "did not evaluate",
-                   r.slo_measured);
-      return false;
-    }
-    sweep->push_back(std::move(r));
-  }
-  return true;
-}
-
-// Same-machine deploy_churn events/sec from the PR that introduced the
-// indexed placement path: the reference point the kernel speedup is quoted
-// against in BENCH_simkernel.json.
-constexpr double kDeployChurnBaselineEventsPerSec = 105073.0;
-
-void EmitThreadEntries(FILE* f, const FanoutResult& baseline,
-                       const std::vector<FanoutResult>& sweep,
-                       const char* indent) {
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const FanoutResult& r = sweep[i];
-    const double vs_fast = baseline.events_per_sec > 0
-                               ? r.events_per_sec / baseline.events_per_sec
-                               : 0;
-    std::fprintf(f,
-                 "%s{\"threads\": %d, \"events\": %lld, "
-                 "\"wall_seconds\": %.4f, \"events_per_sec\": %.0f, "
-                 "\"allocs_per_event\": %.4f, \"windows\": %lld, "
-                 "\"flushes\": %lld, \"channel_spills\": %lld, "
-                 "\"cross_shard_events\": %lld, \"steal_claims\": %lld, "
-                 "\"rebalances\": %lld, \"eff_lookahead_us\": %lld, "
-                 "\"imbalance_ratio\": %.3f, \"barrier_stall_pct\": %.2f, "
-                 "\"per_shard_events\": [",
-                 indent, r.threads, r.events, r.wall_seconds,
-                 r.events_per_sec, r.allocs_per_event, r.windows, r.flushes,
-                 r.channel_spills, r.cross_shard_events, r.steal_claims,
-                 r.rebalances, static_cast<long long>(r.eff_lookahead_us),
-                 r.imbalance_ratio, r.barrier_stall_pct);
-    for (size_t s = 0; s < r.per_shard_events.size(); ++s) {
-      std::fprintf(f, "%s%llu", s == 0 ? "" : ", ",
-                   static_cast<unsigned long long>(r.per_shard_events[s]));
-    }
-    std::fprintf(f, "], \"speedup_vs_fast\": %.2f}%s\n", vs_fast,
-                 i + 1 < sweep.size() ? "," : "");
-  }
-}
-
-double BestSpeedup(const FanoutResult& baseline,
-                   const std::vector<FanoutResult>& sweep, int* best_threads) {
-  double best = 0;
-  for (const FanoutResult& r : sweep) {
-    if (baseline.events_per_sec <= 0) {
-      continue;
-    }
-    const double vs = r.events_per_sec / baseline.events_per_sec;
-    if (vs > best) {
-      best = vs;
-      if (best_threads != nullptr) {
-        *best_threads = r.threads;
-      }
-    }
-  }
-  return best;
-}
-
-void WriteJson(const KernelConfig& config, const FanoutConfig& fanout,
-               const FanoutConfig& skewed, bool smoke,
-               const KernelResult& legacy, const KernelResult& fast,
-               const FanoutResult& fanout_baseline,
-               const std::vector<FanoutResult>& sweep,
-               const FanoutResult& skewed_baseline,
-               const std::vector<FanoutResult>& skewed_sweep) {
+void WriteJson(const KernelConfig& config, bool smoke, const KernelResult& r) {
   udc::bench::JsonFile json("BENCH_simkernel.json");
   if (!json) {
     return;
   }
-  FILE* f = json.get();
-  auto emit_mode = [f](const char* name, const KernelResult& r) {
-    std::fprintf(f,
-                 "  \"%s\": {\n"
-                 "    \"events\": %lld,\n"
-                 "    \"wall_seconds\": %.4f,\n"
-                 "    \"events_per_sec\": %.0f,\n"
-                 "    \"allocs\": %lld,\n"
-                 "    \"allocs_per_event\": %.4f,\n"
-                 "    \"messages_delivered\": %lld,\n"
-                 "    \"timer_fires\": %lld\n"
-                 "  }",
-                 name, r.events, r.wall_seconds, r.events_per_sec, r.allocs,
-                 r.allocs_per_event, r.messages_delivered, r.timer_fires);
-  };
-  std::fprintf(f, "{\n  \"benchmark\": \"sim_kernel\",\n");
-  std::fprintf(f,
+  std::fprintf(json.get(),
+               "{\n  \"benchmark\": \"sim_kernel\",\n"
                "  \"config\": {\"rounds\": %d, \"warmup_rounds\": %d, "
                "\"hops\": %d, \"timers\": %d, \"ticks\": %d, "
-               "\"host_cores\": %d, \"parallel_shards\": %d, "
-               "\"parallel_threads_swept\": [",
-               config.rounds, config.warmup_rounds, config.hops, config.timers,
-               config.ticks, udc::bench::HostCores(), fanout.shards);
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    std::fprintf(f, "%s%d", i == 0 ? "" : ", ", sweep[i].threads);
-  }
-  std::fprintf(f, "], \"smoke\": %s},\n", smoke ? "true" : "false");
-  emit_mode("legacy", legacy);
-  std::fprintf(f, ",\n");
-  emit_mode("fast", fast);
-  const double speedup = legacy.events_per_sec > 0
-                             ? fast.events_per_sec / legacy.events_per_sec
-                             : 0;
-  std::fprintf(f, ",\n  \"speedup_events_per_sec\": %.2f,\n", speedup);
-  std::fprintf(f, "  \"deploy_churn_baseline_events_per_sec\": %.0f,\n",
-               kDeployChurnBaselineEventsPerSec);
-  std::fprintf(f, "  \"vs_deploy_churn_baseline\": %.2f,\n",
-               fast.events_per_sec / kDeployChurnBaselineEventsPerSec);
-
-  // The parallel section. `baseline` is the one kFast measurement of the
-  // fan-out workload — every speedup_vs_fast below divides by this number
-  // and nothing else (the top-level "fast" section is phase 1's different
-  // workload; quoting it here is the confusion this layout replaces).
-  int best_threads = 0;
-  const double best_speedup = BestSpeedup(fanout_baseline, sweep,
-                                          &best_threads);
-  std::fprintf(f,
-               "  \"parallel\": {\n"
-               "    \"shards\": %d,\n"
-               "    \"chains_per_shard\": %d,\n"
-               "    \"horizon_us\": %lld,\n"
-               "    \"lookahead_floor_us\": %lld,\n"
-               "    \"lookahead_bound_us\": %lld,\n"
-               "    \"pulse_every\": %d,\n"
-               "    \"host_cores\": %d,\n"
-               "    \"baseline\": {\"kernel\": \"fast\", \"events\": %lld, "
-               "\"wall_seconds\": %.4f, \"events_per_sec\": %.0f},\n"
-               "    \"threads\": [\n",
-               fanout.shards, fanout.chains_per_shard,
-               static_cast<long long>(fanout.horizon_us),
-               static_cast<long long>(fanout.lookahead_us),
-               static_cast<long long>(fanout.lookahead_bound_us),
-               fanout.pulse_every, udc::bench::HostCores(),
-               fanout_baseline.events, fanout_baseline.wall_seconds,
-               fanout_baseline.events_per_sec);
-  EmitThreadEntries(f, fanout_baseline, sweep, "      ");
-  std::fprintf(f,
-               "    ],\n"
-               "    \"best_threads\": %d,\n"
-               "    \"best_speedup_vs_fast\": %.2f,\n",
-               best_threads, best_speedup);
-
-  // The skewed phase: one hot shard, same invariants, stealing visible in
-  // the imbalance/stall columns.
-  int skewed_best_threads = 0;
-  const double skewed_best = BestSpeedup(skewed_baseline, skewed_sweep,
-                                         &skewed_best_threads);
-  std::fprintf(f,
-               "    \"skewed\": {\n"
-               "      \"hot_shard_chains\": %d,\n"
-               "      \"cold_shard_chains\": %d,\n"
-               "      \"baseline\": {\"kernel\": \"fast\", \"events\": %lld, "
-               "\"events_per_sec\": %.0f},\n"
-               "      \"threads\": [\n",
-               skewed.hot_shard_chains, skewed.chains_per_shard,
-               skewed_baseline.events, skewed_baseline.events_per_sec);
-  EmitThreadEntries(f, skewed_baseline, skewed_sweep, "        ");
-  std::fprintf(f,
-               "      ],\n"
-               "      \"best_threads\": %d,\n"
-               "      \"best_speedup_vs_fast\": %.2f\n"
-               "    }\n"
+               "\"host_cores\": %d, \"smoke\": %s},\n"
+               "  \"fast\": {\n"
+               "    \"events\": %lld,\n"
+               "    \"wall_seconds\": %.4f,\n"
+               "    \"events_per_sec\": %.0f,\n"
+               "    \"allocs\": %lld,\n"
+               "    \"allocs_per_event\": %.4f,\n"
+               "    \"messages_delivered\": %lld,\n"
+               "    \"timer_fires\": %lld\n"
                "  }\n}\n",
-               skewed_best_threads, skewed_best);
+               config.rounds, config.warmup_rounds, config.hops, config.timers,
+               config.ticks, udc::bench::HostCores(), smoke ? "true" : "false",
+               r.events, r.wall_seconds, r.events_per_sec, r.allocs,
+               r.allocs_per_event, r.messages_delivered, r.timer_fires);
 }
 
 }  // namespace
@@ -627,95 +187,44 @@ int main(int argc, char** argv) {
   const bool smoke = udc::bench::ParseSmokeFlag(argc, argv);
 
   KernelConfig config;
-  FanoutConfig fanout;
   if (smoke) {
     config.warmup_rounds = 500;
     config.rounds = 2000;
-    fanout.warmup_rounds = 2;
-    fanout.rounds = 5;
+    config.expected_events = 98'000;
+    config.expected_delivered = 66'000;
+    config.expected_timer_fires = 16'000;
   }
 
   std::printf("sim_kernel: %d rounds (%d warmup), %d hops + %d timers + "
-              "%d ticks per round%s\n",
+              "%d ticks per round, host_cores=%d%s\n",
               config.rounds, config.warmup_rounds, config.hops, config.timers,
-              config.ticks, smoke ? " (smoke)" : "");
+              config.ticks, udc::bench::HostCores(), smoke ? " (smoke)" : "");
 
-  const KernelResult legacy = RunKernel(udc::SimKernel::kLegacy, config);
-  PrintResult("legacy", legacy);
-  const KernelResult fast = RunKernel(udc::SimKernel::kFast, config);
-  PrintResult("fast", fast);
+  const KernelResult result = RunKernel(config);
+  PrintResult(result);
 
-  // Both kernels must execute the identical workload — same event count,
-  // same deliveries, same timer fires — or the comparison is meaningless.
-  if (legacy.events != fast.events ||
-      legacy.messages_delivered != fast.messages_delivered ||
-      legacy.timer_fires != fast.timer_fires) {
+  // The workload is fixed, so the kernel must execute exactly its events —
+  // no lost, duplicated or leaked-past-cancel callbacks.
+  if (result.events != config.expected_events ||
+      result.messages_delivered != config.expected_delivered ||
+      result.timer_fires != config.expected_timer_fires) {
     std::fprintf(stderr,
-                 "FAIL: kernels diverged (legacy %lld/%lld/%lld, "
-                 "fast %lld/%lld/%lld)\n",
-                 legacy.events, legacy.messages_delivered, legacy.timer_fires,
-                 fast.events, fast.messages_delivered, fast.timer_fires);
+                 "FAIL: executed %lld events / %lld deliveries / %lld timer "
+                 "fires, expected %lld / %lld / %lld\n",
+                 result.events, result.messages_delivered, result.timer_fires,
+                 config.expected_events, config.expected_delivered,
+                 config.expected_timer_fires);
     return 1;
   }
-  // The headline invariant: after warm-up the fast path allocates nothing.
-  if (fast.allocs != 0) {
+  // The headline invariant: after warm-up the kernel allocates nothing.
+  if (result.allocs != 0) {
     std::fprintf(stderr,
-                 "FAIL: fast kernel allocated %lld times in the measured "
-                 "phase (expected 0)\n",
-                 fast.allocs);
+                 "FAIL: kernel allocated %lld times in the measured phase "
+                 "(expected 0)\n",
+                 result.allocs);
     return 1;
   }
 
-  const int host_cores = udc::bench::HostCores();
-  std::printf("\nparallel fan-out: %d shards x %d chains, horizon %lldus, "
-              "lookahead %lld..%lldus (adaptive), host_cores=%d\n",
-              fanout.shards, fanout.chains_per_shard,
-              static_cast<long long>(fanout.horizon_us),
-              static_cast<long long>(fanout.lookahead_us),
-              static_cast<long long>(fanout.lookahead_bound_us), host_cores);
-
-  FanoutResult fanout_baseline;
-  std::vector<FanoutResult> sweep;
-  if (!RunSweep(fanout, "parallel", &fanout_baseline, &sweep)) {
-    return 1;
-  }
-
-  // Skewed phase: worker shard 1 owns 4x the chains of the others. The
-  // heaviest-first claim order has to pull the hot shard forward; a static
-  // stripe would have made it the tail of whichever thread owned it.
-  FanoutConfig skewed = fanout;
-  skewed.chains_per_shard = 4;
-  skewed.hot_shard_chains = 16;
-  std::printf("\nskewed fan-out: hot shard %d chains, others %d\n",
-              skewed.hot_shard_chains, skewed.chains_per_shard);
-  FanoutResult skewed_baseline;
-  std::vector<FanoutResult> skewed_sweep;
-  if (!RunSweep(skewed, "skewed", &skewed_baseline, &skewed_sweep)) {
-    return 1;
-  }
-
-  const double best_speedup = BestSpeedup(fanout_baseline, sweep, nullptr);
-  // The scaling target needs cores to scale onto: four workers plus the
-  // coordinator. On smaller hosts (or in smoke mode) the sweep still runs
-  // and the report still records it, but the gate would only measure the
-  // scheduler's oversubscription behavior.
-  if (!smoke && host_cores >= 5 && best_speedup < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: parallel kernel peaked at %.2fx the fast kernel "
-                 "(expected >= 2x with %d cores)\n",
-                 best_speedup, host_cores);
-    return 1;
-  }
-
-  WriteJson(config, fanout, skewed, smoke, legacy, fast, fanout_baseline,
-            sweep, skewed_baseline, skewed_sweep);
-  if (legacy.events_per_sec > 0) {
-    std::printf("\nspeedup: %.2fx events/sec over legacy kernel, %.2fx over "
-                "deploy_churn baseline (%.0f events/s); parallel best %.2fx "
-                "over fast\n",
-                fast.events_per_sec / legacy.events_per_sec,
-                fast.events_per_sec / kDeployChurnBaselineEventsPerSec,
-                kDeployChurnBaselineEventsPerSec, best_speedup);
-  }
+  WriteJson(config, smoke, result);
   return 0;
 }

@@ -1,6 +1,5 @@
 #include "src/actor/actor_system.h"
 
-#include <cassert>
 #include <utility>
 
 namespace udc {
@@ -16,83 +15,9 @@ ActorSystem::ActorSystem(Simulation* sim, const Topology* topology)
           sim->metrics().CounterSeries("actor.messages_processed")),
       messages_dropped_metric_(
           sim->metrics().CounterSeries("actor.messages_dropped")),
-      recoveries_metric_(sim->metrics().CounterSeries("actor.recoveries")) {
-  ParallelKernel* kernel = sim->parallel();
-  if (kernel != nullptr) {
-    shard_states_.resize(kernel->shards() + 1);
-    barrier_hook_ = kernel->AddBarrierHook([this] { FoldShardCounters(); });
-  }
-}
-
-void ActorSystem::AssertSerialPhase() const {
-  // Worker shards read actors_ concurrently while a window is executing;
-  // an insert (or a Kill/Recover touching a record another shard owns) is
-  // only safe between windows.
-#ifndef NDEBUG
-  const ParallelKernel* kernel = sim_->parallel();
-  assert(kernel == nullptr || !kernel->InWindow());
-#endif
-}
-
-uint32_t ActorSystem::ShardOfActor(ActorId to) const {
-  const ParallelKernel* kernel = sim_->parallel();
-  if (kernel == nullptr) {
-    return 0;
-  }
-  const auto it = actors_.find(to);
-  if (it == actors_.end()) {
-    return 0;  // unknown actors drop on the unsharded path
-  }
-  return kernel->ShardOfRack(topology_->RackOf(it->second.node));
-}
-
-MessageId ActorSystem::NextMessageId(uint32_t src_shard) {
-  if (src_shard == 0) {
-    return message_ids_.Next();
-  }
-  // Striped namespace: deterministic without the shared generator, and
-  // disjoint from it (shard 0 counts from 1, far below 2^48).
-  ShardState& state = shard_states_[src_shard];
-  return MessageId((uint64_t{src_shard} << 48) | ++state.next_message_seq);
-}
-
-void ActorSystem::CountProcessed() {
-  const uint32_t shard = ParallelKernel::CurrentShard();
-  if (shard == 0) {
-    ++messages_processed_;
-    sim_->metrics().Increment(messages_processed_metric_);
-  } else {
-    ++shard_states_[shard].processed;
-  }
-}
-
-void ActorSystem::CountDropped() {
-  const uint32_t shard = ParallelKernel::CurrentShard();
-  if (shard == 0) {
-    sim_->metrics().Increment(messages_dropped_metric_);
-  } else {
-    ++shard_states_[shard].dropped;
-  }
-}
-
-void ActorSystem::FoldShardCounters() {
-  for (ShardState& state : shard_states_) {
-    if (state.processed != 0) {
-      messages_processed_ += state.processed;
-      sim_->metrics().Increment(messages_processed_metric_,
-                                static_cast<int64_t>(state.processed));
-      state.processed = 0;
-    }
-    if (state.dropped != 0) {
-      sim_->metrics().Increment(messages_dropped_metric_,
-                                static_cast<int64_t>(state.dropped));
-      state.dropped = 0;
-    }
-  }
-}
+      recoveries_metric_(sim->metrics().CounterSeries("actor.recoveries")) {}
 
 ActorId ActorSystem::Spawn(NodeId node, Behavior behavior, bool log_messages) {
-  AssertSerialPhase();
   const ActorId id = actor_ids_.Next();
   ActorRecord record;
   record.node = node;
@@ -104,38 +29,20 @@ ActorId ActorSystem::Spawn(NodeId node, Behavior behavior, bool log_messages) {
 
 void ActorSystem::Inject(ActorId to, std::string name, std::string payload,
                          Bytes size) {
-  const uint32_t src_shard = ParallelKernel::CurrentShard();
-  const uint32_t dest_shard = ShardOfActor(to);
   ActorMessage msg;
-  msg.id = NextMessageId(src_shard);
+  msg.id = message_ids_.Next();
   msg.from = ActorId::Invalid();
   msg.to = to;
   msg.name = std::move(name);
   msg.payload = std::move(payload);
   msg.size = size;
-  if (dest_shard != src_shard) {
-    // The actor lives on another shard: deliver there at the current time.
-    // Cross-shard injection is a serial-phase (workload seeding) operation;
-    // inside a window it would land before the window's end.
-    sim_->parallel()->ScheduleOnShard(
-        dest_shard, sim_->now(),
-        InlineCallback([this, to, msg = std::move(msg)]() mutable {
-          Deliver(to, std::move(msg), /*replay=*/false);
-        }));
-    return;
-  }
   Deliver(to, std::move(msg), /*replay=*/false);
 }
 
 void ActorSystem::Send(ActorId from, ActorId to, std::string name,
                        std::string payload, Bytes size) {
-  ParallelKernel* kernel = sim_->parallel();
-  const uint32_t src_shard =
-      kernel != nullptr ? ParallelKernel::CurrentShard() : 0;
-  const uint32_t dest_shard = kernel != nullptr ? ShardOfActor(to) : 0;
-
   ActorMessage msg;
-  msg.id = NextMessageId(src_shard);
+  msg.id = message_ids_.Next();
   msg.from = from;
   msg.to = to;
   msg.name = std::move(name);
@@ -150,28 +57,6 @@ void ActorSystem::Send(ActorId from, ActorId to, std::string name,
     delay = topology_->TransferTime(from_it->second.node, to_it->second.node,
                                     size);
   }
-  if (kernel != nullptr && to_it == actors_.end()) {
-    // Unknown destination: no shard owns it, so routing the delivery to
-    // dest_shard (0) with zero delay from a worker shard would land inside
-    // the current window. Count the drop on the sending shard instead, via
-    // a local zero-delay event so the event count matches the unsharded
-    // schedule-then-drop shape.
-    sim_->After(delay, [this] { CountDropped(); });
-    return;
-  }
-  if (kernel != nullptr && (src_shard != 0 || dest_shard != 0)) {
-    // Deliver on the destination actor's shard. A cross-shard hop spans
-    // racks, so `delay` >= the kernel lookahead and the event lands beyond
-    // the current window, as ScheduleOnShard requires. The destination
-    // rack rides along for the rebalancer's per-rack load attribution.
-    kernel->ScheduleOnShard(
-        dest_shard, sim_->now() + delay,
-        InlineCallback([this, to, msg = std::move(msg)]() mutable {
-          Deliver(to, std::move(msg), /*replay=*/false);
-        }),
-        topology_->RackOf(to_it->second.node));
-    return;
-  }
   // The capture holds the ActorMessage (two strings, ~104 bytes), past the
   // event queue's inline buffer — it rides the pooled callback slab.
   sim_->After(delay, [this, to, msg = std::move(msg)]() mutable {
@@ -182,7 +67,7 @@ void ActorSystem::Send(ActorId from, ActorId to, std::string name,
 void ActorSystem::Deliver(ActorId to, ActorMessage msg, bool replay) {
   const auto it = actors_.find(to);
   if (it == actors_.end() || it->second.state == ActorState::kDead) {
-    CountDropped();
+    sim_->metrics().Increment(messages_dropped_metric_);
     return;
   }
   ActorRecord& record = it->second;
@@ -206,7 +91,8 @@ void ActorSystem::DrainMailbox(ActorId actor, ActorRecord& record) {
 
   ActorContext ctx(this, actor, sim_->now());
   record.behavior(ctx, msg);
-  CountProcessed();
+  ++messages_processed_;
+  sim_->metrics().Increment(messages_processed_metric_);
   record.draining = false;
 
   const SimTime busy = ctx.work();
@@ -222,7 +108,6 @@ void ActorSystem::DrainMailbox(ActorId actor, ActorRecord& record) {
 }
 
 Status ActorSystem::Kill(ActorId actor) {
-  AssertSerialPhase();
   auto it = actors_.find(actor);
   if (it == actors_.end()) {
     return NotFoundError("unknown actor");
@@ -233,7 +118,6 @@ Status ActorSystem::Kill(ActorId actor) {
 }
 
 Result<size_t> ActorSystem::Recover(ActorId actor, NodeId node) {
-  AssertSerialPhase();
   auto it = actors_.find(actor);
   if (it == actors_.end()) {
     return Status(NotFoundError("unknown actor"));
@@ -249,20 +133,8 @@ Result<size_t> ActorSystem::Recover(ActorId actor, NodeId node) {
   record.node = node;
   record.state = ActorState::kIdle;
   const size_t replayed = record.log.size();
-  const uint32_t dest_shard = ShardOfActor(actor);
   for (const ActorMessage& logged : record.log) {
-    ActorMessage copy = logged;
-    if (dest_shard != ParallelKernel::CurrentShard()) {
-      // Recovery onto a worker shard replays on that shard; same-time
-      // events keep log order (queue insertion order breaks the tie).
-      sim_->parallel()->ScheduleOnShard(
-          dest_shard, sim_->now(),
-          InlineCallback([this, actor, copy = std::move(copy)]() mutable {
-            Deliver(actor, std::move(copy), /*replay=*/true);
-          }));
-    } else {
-      Deliver(actor, std::move(copy), /*replay=*/true);
-    }
+    Deliver(actor, logged, /*replay=*/true);
   }
   sim_->metrics().Increment(recoveries_metric_);
   return replayed;

@@ -9,19 +9,6 @@
 // message at a time in delivery order. Every delivered message is appended
 // to a per-actor durable log; RecoverActor replays the log into a fresh
 // incarnation, which is the fast-recovery path the paper describes.
-//
-// Under SimKernel::kParallel an actor belongs to its node's shard domain
-// and every delivery executes on that shard, so an actor's record is only
-// ever touched by the thread running its shard. Sends and injections whose
-// source and destination both sit in shard 0 take the unsharded path
-// (byte-identical to kFast); anything touching a worker shard routes
-// through ParallelKernel::ScheduleOnShard with a striped message id and
-// per-shard counter deltas folded at the window barrier. Spawn / Kill /
-// Recover are control-plane operations that mutate the actor map the
-// worker shards read concurrently, so they are legal only in the serial
-// phase — never from an event inside a lookahead window, not even a
-// shard-0 one (an insert can rehash under a concurrent reader). Debug
-// builds assert this.
 
 #ifndef UDC_SRC_ACTOR_ACTOR_SYSTEM_H_
 #define UDC_SRC_ACTOR_ACTOR_SYSTEM_H_
@@ -128,36 +115,16 @@ class ActorSystem {
     bool draining = false;
   };
 
-  // Per-worker-shard counters and id stripe (kParallel only; entry 0
-  // unused). Touched only by the thread executing the shard.
-  struct ShardState {
-    uint64_t next_message_seq = 0;
-    uint64_t processed = 0;
-    uint64_t dropped = 0;
-  };
-
   void Deliver(ActorId to, ActorMessage msg, bool replay);
   // `record` must be the live record for `actor` (single lookup at the
   // call site; unordered_map references are stable across inserts).
   void DrainMailbox(ActorId actor, ActorRecord& record);
-  // The shard owning `to`'s node; 0 when unknown or not parallel.
-  uint32_t ShardOfActor(ActorId to) const;
-  MessageId NextMessageId(uint32_t src_shard);
-  void CountProcessed();
-  void CountDropped();
-  // Control-plane mutations are serial-phase only (see header comment).
-  void AssertSerialPhase() const;
-  // Barrier hook: folds worker-shard deltas into the shared totals.
-  void FoldShardCounters();
 
   Simulation* sim_;
   const Topology* topology_;
   IdGenerator<ActorId> actor_ids_;
   IdGenerator<MessageId> message_ids_;
   std::unordered_map<ActorId, ActorRecord> actors_;
-  std::vector<ShardState> shard_states_;  // kParallel only; empty otherwise
-  // Deregisters the FoldShardCounters barrier hook when this system dies.
-  BarrierHookRegistration barrier_hook_;
   uint64_t messages_processed_ = 0;
   // Interned metric series for the per-message hot path.
   CounterHandle messages_processed_metric_;

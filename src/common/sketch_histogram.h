@@ -10,7 +10,7 @@
 // periodic cumulative snapshots and diff, instead of retaining samples.
 //
 // The exact Histogram stays available as the differential oracle (repo idiom:
-// kLegacy is to kFast what Histogram is to SketchHistogram); see the
+// a simple exact implementation is kept to check the fast one); see the
 // randomized differential in tests/slo_test.cc.
 
 #ifndef UDC_SRC_COMMON_SKETCH_HISTOGRAM_H_

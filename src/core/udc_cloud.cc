@@ -3,7 +3,7 @@
 namespace udc {
 
 UdcCloud::UdcCloud(const UdcCloudConfig& config)
-    : sim_(config.seed, config.kernel, config.parallel),
+    : sim_(config.seed),
       datacenter_(config.datacenter),
       fabric_(&sim_, &datacenter_.topology()),
       sequencer_(&sim_, &fabric_, datacenter_.topology().AggSwitch()),

@@ -34,12 +34,6 @@ namespace udc {
 
 struct UdcCloudConfig {
   uint64_t seed = 42;
-  // Event-queue implementation; kLegacy exists for the determinism
-  // differential tests, kParallel shards the topology across worker
-  // threads (see SimKernel).
-  SimKernel kernel = SimKernel::kFast;
-  // Shard/thread/lookahead settings; applies only under kParallel.
-  ParallelConfig parallel;
   DatacenterConfig datacenter;
   SchedulerConfig scheduler;
   BillingConfig billing;

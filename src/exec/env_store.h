@@ -35,7 +35,7 @@
 // Determinism contract: all state lives in std::map keyed by digest,
 // eviction picks the lowest LRU tick, and the tepid source is the
 // lowest-indexed rack holding a slot — no iteration-order or wall-clock
-// dependence anywhere, so parallel-kernel runs replay identically.
+// dependence anywhere, so runs replay identically.
 //
 // Attestation binding: the owner (EnvManager via UdcCloud) installs a
 // content-live hook; the store fires it on 0 <-> 1 transitions of a

@@ -14,26 +14,9 @@ Fabric::Fabric(Simulation* sim, const Topology* topology)
       messages_delivered_metric_(
           sim->metrics().CounterSeries("net.messages_delivered")),
       messages_dropped_metric_(
-          sim->metrics().CounterSeries("net.messages_dropped")) {
-  ParallelKernel* kernel = sim->parallel();
-  if (kernel != nullptr) {
-    shard_states_.resize(kernel->shards() + 1);
-    barrier_hook_ = kernel->AddBarrierHook([this] { FoldShardCounters(); });
-  }
-}
-
-void Fabric::AssertSerialPhase() const {
-  // Worker shards read handlers_ and down_ concurrently while a window is
-  // executing; an insert/erase can rehash under those readers, so
-  // control-plane mutation is legal only between windows.
-#ifndef NDEBUG
-  const ParallelKernel* kernel = sim_->parallel();
-  assert(kernel == nullptr || !kernel->InWindow());
-#endif
-}
+          sim->metrics().CounterSeries("net.messages_dropped")) {}
 
 void Fabric::ConfigureWan(const WanLinkParams& default_link) {
-  AssertSerialPhase();
   const int regions = topology_->region_count();
   assert(regions > 0 && "ConfigureWan needs a regioned topology");
   wan_regions_ = regions;
@@ -48,7 +31,6 @@ void Fabric::ConfigureWan(const WanLinkParams& default_link) {
 
 void Fabric::SetWanLink(int src_region, int dst_region,
                         const WanLinkParams& link) {
-  AssertSerialPhase();
   assert(wan_regions_ > 0);
   assert(src_region >= 0 && src_region < wan_regions_);
   assert(dst_region >= 0 && dst_region < wan_regions_);
@@ -71,7 +53,6 @@ int64_t Fabric::wan_bytes_in(int region) const {
 }
 
 SimTime Fabric::WanTransferTime(int src_region, int dst_region, Bytes size) {
-  AssertSerialPhase();
   assert(src_region >= 0 && src_region < wan_regions_);
   assert(dst_region >= 0 && dst_region < wan_regions_);
   WanLinkState& link =
@@ -109,39 +90,23 @@ SimTime Fabric::WanPrice(int src_region, int dst_region, Bytes size) const {
          SimTime(static_cast<int64_t>(std::llround(serialization_us)));
 }
 
-SimTime Fabric::WanExtraDelay(NodeId from, NodeId to, Bytes size,
-                              bool allow_queue) {
+SimTime Fabric::WanExtraDelay(NodeId from, NodeId to, Bytes size) {
   const int src = topology_->RegionOfRack(topology_->RackOf(from));
   const int dst = topology_->RegionOfRack(topology_->RackOf(to));
   if (src < 0 || dst < 0 || src == dst || src >= wan_regions_ ||
       dst >= wan_regions_) {
     return SimTime(0);
   }
-  if (allow_queue) {
-    return WanTransferTime(src, dst, size);
-  }
-  // Worker-shard send: stateless price (propagation + serialization, no
-  // FIFO queue) so the hot path never mutates shared link state. Counter
-  // deltas ride the shard state and fold at the barrier.
-  const WanLinkState& link =
-      wan_links_[static_cast<size_t>(src) * wan_regions_ + dst];
-  const double serialization_us = size.mib() / link.params.bw_mbps * 1e6;
-  return link.params.latency +
-         SimTime(static_cast<int64_t>(std::llround(serialization_us)));
+  return WanTransferTime(src, dst, size);
 }
 
 void Fabric::Bind(NodeId node, Handler handler) {
-  AssertSerialPhase();
   handlers_[node] = std::move(handler);
 }
 
-void Fabric::Unbind(NodeId node) {
-  AssertSerialPhase();
-  handlers_.erase(node);
-}
+void Fabric::Unbind(NodeId node) { handlers_.erase(node); }
 
 void Fabric::SetNodeUp(NodeId node, bool up) {
-  AssertSerialPhase();
   if (up) {
     // Erase rather than store `false`: long-running churn (devices failing
     // and recovering) must not grow the map with entries for healthy nodes.
@@ -162,13 +127,6 @@ uint32_t Fabric::InternType(std::string_view type) {
     return it->second;
   }
   if (types_.size() >= kMaxInternedTypes) {
-    return 0;
-  }
-  ParallelKernel* kernel = sim_->parallel();
-  if (kernel != nullptr && kernel->InWindow()) {
-    // Worker shards read the table concurrently; first-seen types inside a
-    // window stay uninterned for this send. PreinternType during setup (or
-    // any serial-phase send) avoids this cold path.
     return 0;
   }
   TypeInfo info;
@@ -200,18 +158,6 @@ void Fabric::ReleaseMessage(Message* msg) {
 MessageId Fabric::Send(NodeId from, NodeId to, std::string_view type,
                        std::string payload, Bytes size, uint64_t tag,
                        int64_t tag2) {
-  ParallelKernel* kernel = sim_->parallel();
-  if (kernel != nullptr) {
-    const uint32_t src_shard = ParallelKernel::CurrentShard();
-    const int dest_rack = topology_->RackOf(to);
-    const uint32_t dest_shard = kernel->ShardOfRack(dest_rack);
-    if (src_shard != 0 || dest_shard != 0) {
-      return SendSharded(kernel, src_shard, dest_shard, dest_rack, from, to,
-                         type, std::move(payload), size, tag, tag2);
-    }
-    // Both ends in the unsharded domain: fall through to the exact
-    // single-threaded path, byte-compatible with kFast.
-  }
   const MessageId id = message_ids_.Next();
   ++messages_sent_;
   bytes_sent_ += size.bytes();
@@ -246,174 +192,11 @@ MessageId Fabric::Send(NodeId from, NodeId to, std::string_view type,
 
   SimTime delay = topology_->TransferTime(from, to, size);
   if (wan_regions_ > 0) {
-    delay = delay + WanExtraDelay(from, to, size, /*allow_queue=*/true);
+    delay = delay + WanExtraDelay(from, to, size);
   }
   // 24-byte capture: stays in InlineCallback's inline buffer.
   sim_->After(delay, [this, msg, span] { Deliver(msg, span); });
   return id;
-}
-
-MessageId Fabric::SendSharded(ParallelKernel* kernel, uint32_t src_shard,
-                              uint32_t dest_shard, int dest_rack, NodeId from,
-                              NodeId to, std::string_view type,
-                              std::string payload, Bytes size, uint64_t tag,
-                              int64_t tag2) {
-  MessageId id;
-  if (src_shard == 0) {
-    // Coordinator thread: shared counters and the shared id space are safe.
-    id = message_ids_.Next();
-    ++messages_sent_;
-    bytes_sent_ += size.bytes();
-    sim_->metrics().Increment(messages_sent_metric_);
-    sim_->metrics().Increment(bytes_sent_metric_, size.bytes());
-  } else {
-    ShardState& state = shard_states_[src_shard];
-    // Striped id namespace: unique and deterministic without touching the
-    // shared generator. Shard 0's generator counts from 1, far below 2^48.
-    id = MessageId((uint64_t{src_shard} << 48) | ++state.next_message_seq);
-    ++state.sent;
-    state.bytes += size.bytes();
-  }
-
-  Message* msg = AcquireMessageFor(src_shard);
-  msg->id = id;
-  msg->from = from;
-  msg->to = to;
-  msg->type_id = InternType(type);
-  msg->type.assign(type);
-  if (payload.empty()) {
-    msg->payload.clear();
-  } else {
-    msg->payload = std::move(payload);
-  }
-  msg->size = size;
-  msg->sent_at = sim_->now();
-  msg->delivered_at = SimTime();
-  msg->tag = tag;
-  msg->tag2 = tag2;
-
-  // No span opens here: the interval is recorded whole at delivery and
-  // merged at the window barrier in canonical order. A cross-shard hop's
-  // transfer time is >= the kernel lookahead by construction (sharding is
-  // rack-granular), satisfying ScheduleOnShard's window constraint.
-  // The destination rack rides along so the kernel's rebalancer can
-  // attribute per-rack load and pick migration candidates.
-  SimTime delay = topology_->TransferTime(from, to, size);
-  if (wan_regions_ > 0) {
-    // Coordinator sends may queue on the FIFO link; worker-shard sends take
-    // the stateless WAN price (never mutate shared link state).
-    delay = delay + WanExtraDelay(from, to, size,
-                                  /*allow_queue=*/src_shard == 0);
-  }
-  kernel->ScheduleOnShard(dest_shard, msg->sent_at + delay,
-                          InlineCallback([this, msg] { DeliverSharded(msg); }),
-                          dest_rack);
-  return id;
-}
-
-void Fabric::DeliverSharded(Message* msg) {
-  const uint32_t shard = ParallelKernel::CurrentShard();
-  const SimTime now = sim_->now();
-  const auto it = handlers_.find(msg->to);
-  const bool dropped = !IsNodeUp(msg->to) || it == handlers_.end();
-
-  ShardObsBuffer* buffer = ParallelKernel::CurrentObsBuffer();
-  if (buffer != nullptr) {
-    if (msg->type_id != 0) {
-      buffer->CompletedSpan(msg->sent_at, now, "net", "net.message",
-                            types_[msg->type_id - 1].span_label_set, dropped);
-    } else {
-      buffer->CompletedSpanDynamic(msg->sent_at, now, "net", "net.message",
-                                   msg->type, dropped);
-    }
-  } else {
-    // Delivery landed on shard 0: write the shared tracer directly.
-    const uint64_t span =
-        msg->type_id != 0
-            ? sim_->spans().BeginWithSetAt(
-                  msg->sent_at, "net", "net.message",
-                  types_[msg->type_id - 1].span_label_set)
-            : sim_->spans().BeginAt(msg->sent_at, "net", "net.message",
-                                    {{"type", msg->type}});
-    if (dropped) {
-      sim_->spans().AddLabel(span, "dropped", "true");
-    }
-    sim_->spans().EndAt(span, now);
-  }
-
-  if (shard == 0) {
-    if (dropped) {
-      ++messages_dropped_;
-      sim_->metrics().Increment(messages_dropped_metric_);
-    } else {
-      ++messages_delivered_;
-      sim_->metrics().Increment(messages_delivered_metric_);
-    }
-  } else {
-    ShardState& state = shard_states_[shard];
-    if (dropped) {
-      ++state.dropped;
-    } else {
-      ++state.delivered;
-    }
-  }
-
-  if (!dropped) {
-    msg->delivered_at = now;
-    it->second(*msg);
-  }
-  ReleaseMessageFor(shard, msg);
-}
-
-Message* Fabric::AcquireMessageFor(uint32_t shard) {
-  if (shard == 0) {
-    return AcquireMessage();
-  }
-  ShardState& state = shard_states_[shard];
-  if (!state.free_messages.empty()) {
-    Message* msg = state.free_messages.back();
-    state.free_messages.pop_back();
-    return msg;
-  }
-  state.arena.emplace_back();
-  return &state.arena.back();
-}
-
-void Fabric::ReleaseMessageFor(uint32_t shard, Message* msg) {
-  if (shard == 0) {
-    ReleaseMessage(msg);
-    return;
-  }
-  msg->payload.clear();
-  shard_states_[shard].free_messages.push_back(msg);
-}
-
-void Fabric::FoldShardCounters() {
-  for (ShardState& state : shard_states_) {
-    if (state.sent != 0) {
-      messages_sent_ += state.sent;
-      sim_->metrics().Increment(messages_sent_metric_,
-                                static_cast<int64_t>(state.sent));
-      state.sent = 0;
-    }
-    if (state.bytes != 0) {
-      bytes_sent_ += state.bytes;
-      sim_->metrics().Increment(bytes_sent_metric_, state.bytes);
-      state.bytes = 0;
-    }
-    if (state.delivered != 0) {
-      messages_delivered_ += state.delivered;
-      sim_->metrics().Increment(messages_delivered_metric_,
-                                static_cast<int64_t>(state.delivered));
-      state.delivered = 0;
-    }
-    if (state.dropped != 0) {
-      messages_dropped_ += state.dropped;
-      sim_->metrics().Increment(messages_dropped_metric_,
-                                static_cast<int64_t>(state.dropped));
-      state.dropped = 0;
-    }
-  }
 }
 
 void Fabric::Deliver(Message* msg, uint64_t span) {

@@ -18,31 +18,6 @@
 //     take the uninterned path.
 //   * The delivery closure captures 24 bytes, well inside InlineCallback's
 //     inline buffer — no std::function, no heap.
-//
-// Under SimKernel::kParallel the fabric is shard-aware. Sends whose source
-// and destination both live in shard 0 (the unsharded domain) take the
-// exact single-threaded path above, so unsharded runs stay byte-identical
-// to kFast. Any send touching a worker shard takes the sharded path:
-//   * delivery is scheduled on the destination node's shard
-//     (ParallelKernel::ScheduleOnShard), riding an SPSC channel when it
-//     crosses shards inside a window;
-//   * each worker shard owns a private message pool and a striped message
-//     id namespace (shard << 48 | seq), so the hot path never touches
-//     another shard's state — messages released on the delivering shard
-//     simply migrate between free lists;
-//   * counters accumulate in per-shard deltas folded into the shared
-//     registry at the window barrier; the net.message span is recorded as a
-//     completed interval (sent_at -> delivered_at) in the delivering
-//     shard's ShardObsBuffer and replayed canonically at the barrier.
-// The type intern table is read-only while a window is executing: unknown
-// types seen inside a window stay uninterned for that send (cold path).
-// Bind/Unbind/SetNodeUp are control-plane operations that mutate maps the
-// worker shards read concurrently (handlers_, down_), so they are legal
-// only in the serial phase — between Run* calls or from serial-fast-path
-// events, never from an event executing inside a lookahead window (not
-// even a shard-0 event: an insert can rehash under a concurrent reader).
-// Debug builds assert this; schedule failure injection and rebinds on an
-// unsharded simulation phase or widen them to window boundaries.
 
 #ifndef UDC_SRC_NET_FABRIC_H_
 #define UDC_SRC_NET_FABRIC_H_
@@ -102,8 +77,7 @@ class Fabric {
   // ConfigureWan arms the cross-region path: sends whose endpoints live in
   // different topology regions pay a WAN delay on top of the intra-DC
   // transfer time. Intra-region sends are byte-for-byte unchanged — the
-  // WAN branch is a single integer compare when unconfigured. Serial phase
-  // only (interns per-region metric labels).
+  // WAN branch is a single integer compare when unconfigured.
   void ConfigureWan(const WanLinkParams& default_link);
   // Overrides one directed link; ConfigureWan must have run first.
   void SetWanLink(int src_region, int dst_region, const WanLinkParams& link);
@@ -114,9 +88,8 @@ class Fabric {
   // with deterministic FIFO bandwidth sharing: concurrent bulk transfers on
   // the same directed link serialize behind each other, so the k-th
   // simultaneous transfer sees k times the serialization delay. Advances
-  // the link's busy-horizon; serial phase only (the bulk movers — env-store
-  // replication, data migration — are control-plane operations). Returns
-  // queue wait + serialization + propagation.
+  // the link's busy-horizon. Returns queue wait + serialization +
+  // propagation.
   SimTime WanTransferTime(int src_region, int dst_region, Bytes size);
   // The uncongested price of the same transfer — serialization +
   // propagation with no queueing, no byte accounting, no link mutation.
@@ -152,40 +125,16 @@ class Fabric {
   uint64_t messages_dropped() const { return messages_dropped_; }
   int64_t bytes_sent() const { return bytes_sent_; }
 
-  // Interns `type` ahead of time (serial phase only). Sharded workloads
-  // call this during setup so their steady-state sends hit the interned
-  // path — the table is read-only while a window executes.
-  void PreinternType(std::string_view type) { InternType(type); }
-
   // Introspection for tests/benches.
   size_t down_node_count() const { return down_.size(); }
   size_t interned_type_count() const { return types_.size(); }
   size_t message_arena_size() const { return arena_.size(); }
   size_t message_pool_size() const { return free_messages_.size(); }
-  size_t shard_arena_size(uint32_t shard) const {
-    return shard < shard_states_.size() ? shard_states_[shard].arena.size()
-                                        : 0;
-  }
 
  private:
   struct TypeInfo {
     std::string name;
     uint32_t span_label_set = 0;  // SpanTracer::InternLabelSet handle
-  };
-
-  // Per-worker-shard fabric state; index = shard id (entry 0 unused — the
-  // unsharded domain uses the Fabric's own members). Each entry is touched
-  // only by the thread executing its shard; the window barrier provides the
-  // cross-window happens-before edges.
-  struct ShardState {
-    std::deque<Message> arena;
-    std::vector<Message*> free_messages;
-    uint64_t next_message_seq = 0;
-    // Counter deltas, folded into the shared registry at the barrier.
-    uint64_t sent = 0;
-    uint64_t delivered = 0;
-    uint64_t dropped = 0;
-    int64_t bytes = 0;
   };
 
   struct WanLinkState {
@@ -195,37 +144,16 @@ class Fabric {
     SimTime busy_until;
   };
 
-  // Extra delay a cross-region send pays, or zero for intra-region /
-  // unconfigured sends. `allow_queue` selects the FIFO bandwidth-sharing
-  // model (serial phase); worker-shard sends take the stateless
-  // latency+serialization price so they never mutate shared link state.
-  SimTime WanExtraDelay(NodeId from, NodeId to, Bytes size, bool allow_queue);
+  // Extra delay a cross-region send pays (FIFO-queued on the directed
+  // link), or zero for intra-region / unconfigured sends.
+  SimTime WanExtraDelay(NodeId from, NodeId to, Bytes size);
 
   // Returns the interned id for `type` (creating one if the table is not
-  // full), or 0 when the type must stay uninterned. Inside a window the
-  // table is read-only and unknown types return 0.
+  // full), or 0 when the type must stay uninterned.
   uint32_t InternType(std::string_view type);
-  // Control-plane mutations are serial-phase only (see header comment).
-  void AssertSerialPhase() const;
   Message* AcquireMessage();
   void ReleaseMessage(Message* msg);
   void Deliver(Message* msg, uint64_t span);
-
-  // Sharded path (kParallel with a worker shard on either end). `dest_rack`
-  // attributes the delivery to a topology rack for the kernel's rebalancer.
-  MessageId SendSharded(ParallelKernel* kernel, uint32_t src_shard,
-                        uint32_t dest_shard, int dest_rack, NodeId from,
-                        NodeId to, std::string_view type, std::string payload,
-                        Bytes size, uint64_t tag, int64_t tag2);
-  void DeliverSharded(Message* msg);
-  // Pool access for shard `shard`; 0 routes to the member pool. Released
-  // messages join the releasing shard's free list even when their storage
-  // lives in another shard's arena (deque addresses are stable).
-  Message* AcquireMessageFor(uint32_t shard);
-  void ReleaseMessageFor(uint32_t shard, Message* msg);
-  // Barrier hook: folds every worker shard's counter deltas into the
-  // member totals and the metrics registry. Coordinator-only.
-  void FoldShardCounters();
 
   // Distinct interned types are expected to be protocol constants (a few
   // dozen); the cap keeps adversarial/unbounded type families (per-seqno
@@ -268,10 +196,6 @@ class Fabric {
   HistogramHandle wan_queue_metric_;
   uint64_t wan_messages_sent_ = 0;
   int64_t wan_bytes_sent_ = 0;
-  // kParallel only; empty otherwise. Sized shards+1 at construction.
-  std::vector<ShardState> shard_states_;
-  // Deregisters the FoldShardCounters barrier hook when this fabric dies.
-  BarrierHookRegistration barrier_hook_;
 };
 
 }  // namespace udc

@@ -33,42 +33,25 @@ Status WriteFile(const std::string& path, const std::string& body) {
 }  // namespace
 
 FlightRecorder::FlightRecorder(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+    : slots_(capacity == 0 ? 1 : capacity) {}
 
-void FlightRecorder::EnsureRings(uint32_t shard_count) {
-  if (rings_.size() >= shard_count) {
-    return;
-  }
-  rings_.resize(shard_count);
-  for (Ring& ring : rings_) {
-    // Eager: the ring exists before the first append, so the record hot
-    // path (including zero-allocation bench phases) never allocates.
-    if (ring.slots.size() != capacity_) {
-      ring.slots.resize(capacity_);
-    }
-  }
-}
-
-FlightRecorder::Record* FlightRecorder::Append(uint32_t shard,
-                                               Record::Kind kind, SimTime at) {
-  if (!enabled_ || shard >= rings_.size()) {
+FlightRecorder::Record* FlightRecorder::Append(Record::Kind kind, SimTime at) {
+  if (!enabled_) {
     return nullptr;
   }
-  Ring& ring = rings_[shard];
-  Record& rec = ring.slots[ring.next];
-  ring.next = (ring.next + 1) % capacity_;
+  Record& rec = slots_[next_];
+  next_ = (next_ + 1) % slots_.size();
   rec.kind = kind;
-  rec.shard = shard;
-  rec.seq = ring.written++;
+  rec.seq = written_++;
   rec.time = at;
   rec.start = at;
   return &rec;
 }
 
-void FlightRecorder::RecordSpan(uint32_t shard, SimTime start, SimTime end,
+void FlightRecorder::RecordSpan(SimTime start, SimTime end,
                                 std::string_view category,
                                 std::string_view name) {
-  Record* rec = Append(shard, Record::kSpan, end);
+  Record* rec = Append(Record::kSpan, end);
   if (rec == nullptr) {
     return;
   }
@@ -77,10 +60,9 @@ void FlightRecorder::RecordSpan(uint32_t shard, SimTime start, SimTime end,
   CopyTruncated(rec->name, sizeof(rec->name), name);
 }
 
-void FlightRecorder::RecordTrace(uint32_t shard, SimTime at,
-                                 std::string_view category,
+void FlightRecorder::RecordTrace(SimTime at, std::string_view category,
                                  std::string_view detail) {
-  Record* rec = Append(shard, Record::kTrace, at);
+  Record* rec = Append(Record::kTrace, at);
   if (rec == nullptr) {
     return;
   }
@@ -88,10 +70,9 @@ void FlightRecorder::RecordTrace(uint32_t shard, SimTime at,
   CopyTruncated(rec->name, sizeof(rec->name), detail);
 }
 
-void FlightRecorder::RecordEvent(uint32_t shard, SimTime at,
-                                 std::string_view category,
+void FlightRecorder::RecordEvent(SimTime at, std::string_view category,
                                  std::string_view detail) {
-  Record* rec = Append(shard, Record::kEvent, at);
+  Record* rec = Append(Record::kEvent, at);
   if (rec == nullptr) {
     return;
   }
@@ -99,25 +80,18 @@ void FlightRecorder::RecordEvent(uint32_t shard, SimTime at,
   CopyTruncated(rec->name, sizeof(rec->name), detail);
 }
 
-std::vector<FlightRecorder::Record> FlightRecorder::MergedRecords() const {
+std::vector<FlightRecorder::Record> FlightRecorder::SortedRecords() const {
+  const size_t kept = retained();
+  // Oldest retained record sits at `next_` once the ring has wrapped.
+  const size_t oldest = written_ > slots_.size() ? next_ : 0;
   std::vector<Record> out;
-  out.reserve(retained());
-  for (const Ring& ring : rings_) {
-    const size_t kept = std::min<uint64_t>(ring.written, capacity_);
-    // Oldest retained record sits at `next` once the ring has wrapped.
-    const size_t oldest = ring.written > capacity_ ? ring.next : 0;
-    for (size_t i = 0; i < kept; ++i) {
-      out.push_back(ring.slots[(oldest + i) % capacity_]);
-    }
+  out.reserve(kept);
+  for (size_t i = 0; i < kept; ++i) {
+    out.push_back(slots_[(oldest + i) % slots_.size()]);
   }
-  // Canonical (time, shard, seq) order — identical to the parallel kernel's
-  // ObsFlusher merge, so a dump reads like the live trace would have.
   std::sort(out.begin(), out.end(), [](const Record& a, const Record& b) {
     if (a.time != b.time) {
       return a.time < b.time;
-    }
-    if (a.shard != b.shard) {
-      return a.shard < b.shard;
     }
     return a.seq < b.seq;
   });
@@ -125,33 +99,17 @@ std::vector<FlightRecorder::Record> FlightRecorder::MergedRecords() const {
 }
 
 size_t FlightRecorder::retained() const {
-  size_t n = 0;
-  for (const Ring& ring : rings_) {
-    n += static_cast<size_t>(std::min<uint64_t>(ring.written, capacity_));
-  }
-  return n;
-}
-
-uint64_t FlightRecorder::total_recorded() const {
-  uint64_t n = 0;
-  for (const Ring& ring : rings_) {
-    n += ring.written;
-  }
-  return n;
+  return static_cast<size_t>(std::min<uint64_t>(written_, slots_.size()));
 }
 
 uint64_t FlightRecorder::overwritten() const {
-  uint64_t n = 0;
-  for (const Ring& ring : rings_) {
-    n += ring.written > capacity_ ? ring.written - capacity_ : 0;
-  }
-  return n;
+  return written_ > slots_.size() ? written_ - slots_.size() : 0;
 }
 
 std::string FlightRecorder::ChromeTraceJson() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (const Record& rec : MergedRecords()) {
+  for (const Record& rec : SortedRecords()) {
     const double ts = static_cast<double>(rec.start.micros());
     const double dur =
         static_cast<double>(rec.time.micros()) - static_cast<double>(rec.start.micros());
@@ -160,15 +118,15 @@ std::string FlightRecorder::ChromeTraceJson() const {
     if (rec.kind == Record::kSpan) {
       out += StrFormat(
           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,"
-          "\"dur\":%.3f,\"pid\":1,\"tid\":%u,\"args\":{\"seq\":%llu}}",
+          "\"dur\":%.3f,\"pid\":1,\"tid\":0,\"args\":{\"seq\":%llu}}",
           JsonEscape(rec.name).c_str(), JsonEscape(rec.category).c_str(), ts,
-          dur, rec.shard, static_cast<unsigned long long>(rec.seq));
+          dur, static_cast<unsigned long long>(rec.seq));
     } else {
       out += StrFormat(
           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,"
-          "\"pid\":1,\"tid\":%u,\"s\":\"t\",\"args\":{\"seq\":%llu}}",
+          "\"pid\":1,\"tid\":0,\"s\":\"t\",\"args\":{\"seq\":%llu}}",
           JsonEscape(rec.name).c_str(), JsonEscape(rec.category).c_str(), ts,
-          rec.shard, static_cast<unsigned long long>(rec.seq));
+          static_cast<unsigned long long>(rec.seq));
     }
   }
   out += "\n]}\n";
@@ -194,10 +152,8 @@ Status FlightRecorder::Dump(const std::string& path,
 }
 
 void FlightRecorder::Clear() {
-  for (Ring& ring : rings_) {
-    ring.next = 0;
-    ring.written = 0;
-  }
+  next_ = 0;
+  written_ = 0;
 }
 
 }  // namespace udc

@@ -1,23 +1,17 @@
-// Always-on flight recorder: a fixed-size per-shard ring of recent
-// observability records.
+// Always-on flight recorder: a fixed-size ring of recent observability
+// records.
 //
 // The simulator's full telemetry (SpanTracer, TraceRecorder) is unbounded
 // and export-at-the-end; a run that dies mid-flight leaves nothing behind.
 // The flight recorder is the post-mortem black box: every closed span and
-// trace line also lands in a small ring (one per shard domain, so parallel
-// worker threads never contend), overwriting the oldest record when full.
-// Records are fixed-width PODs — appending is a couple of stores, no
-// allocation after the ring exists — so it stays on at near-zero cost.
+// trace line also lands in a small ring, overwriting the oldest record when
+// full. Records are fixed-width PODs — appending is a couple of stores, no
+// allocation after construction — so it stays on at near-zero cost.
 //
 // On a UDC_CHECK failure (via the crash-dump hooks in src/common/logging.h),
-// an SLO breach, or an explicit trigger, Dump() merges the rings in the
-// kernel's canonical (time, shard, seq) order and writes a Chrome
-// trace_event JSON (chrome://tracing, https://ui.perfetto.dev) plus a
-// metrics snapshot alongside.
-//
-// Threading contract mirrors ShardObsBuffer: ring `s` is written only by the
-// thread executing shard `s` (ring 0 by the coordinator); merges and dumps
-// run with all producers quiesced.
+// an SLO breach, or an explicit trigger, Dump() sorts the retained records
+// by (time, seq) and writes a Chrome trace_event JSON (chrome://tracing,
+// https://ui.perfetto.dev) plus a metrics snapshot alongside.
 
 #ifndef UDC_SRC_OBS_FLIGHT_RECORDER_H_
 #define UDC_SRC_OBS_FLIGHT_RECORDER_H_
@@ -43,9 +37,8 @@ class FlightRecorder {
       kEvent,  // ad-hoc marker at `time` (SLO breach, explicit annotations)
     };
     Kind kind = kTrace;
-    uint32_t shard = 0;
-    uint64_t seq = 0;  // per-ring emission order; merge tiebreaker
-    SimTime time;      // span end / event time — primary merge key
+    uint64_t seq = 0;  // emission order; sort tiebreaker
+    SimTime time;      // span end / event time — primary sort key
     SimTime start;     // span start (== time for non-spans)
     // Truncated copies: a ring record must not point into caller memory
     // that may be gone by dump time.
@@ -53,47 +46,33 @@ class FlightRecorder {
     char name[96] = {0};
   };
 
-  // `capacity` is per ring. Rings are created by EnsureRings and sized
-  // eagerly so steady-state appends never allocate.
+  // The ring holds `capacity` records and is sized here, so appends never
+  // allocate.
   explicit FlightRecorder(size_t capacity = 1024);
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  // Creates rings for shard ids [0, shard_count). Existing rings (and their
-  // contents) are kept. Serial phase only.
-  void EnsureRings(uint32_t shard_count);
-  uint32_t ring_count() const { return static_cast<uint32_t>(rings_.size()); }
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return slots_.size(); }
 
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  // --- Producer side (the thread owning `shard`'s ring).
-  void RecordSpan(uint32_t shard, SimTime start, SimTime end,
-                  std::string_view category, std::string_view name);
-  void RecordTrace(uint32_t shard, SimTime at, std::string_view category,
+  void RecordSpan(SimTime start, SimTime end, std::string_view category,
+                  std::string_view name);
+  void RecordTrace(SimTime at, std::string_view category,
                    std::string_view detail);
-  void RecordEvent(uint32_t shard, SimTime at, std::string_view category,
+  void RecordEvent(SimTime at, std::string_view category,
                    std::string_view detail);
 
-  // While the parallel kernel's barrier flush replays worker-shard spans
-  // into the shared SpanTracer, the tracer's end-sink must not re-record
-  // them (the owning shard already did, with the right shard id). The
-  // flusher brackets the replay with this flag.
-  void set_in_flush_replay(bool v) { in_flush_replay_ = v; }
-  bool in_flush_replay() const { return in_flush_replay_; }
-
-  // --- Consumer side (producers quiesced).
-
-  // All retained records, merged in canonical (time, shard, seq) order —
-  // the same total order the parallel kernel's ObsFlusher applies.
-  std::vector<Record> MergedRecords() const;
+  // All retained records, sorted by (time, seq). Analytic spans (EndAt) can
+  // close out of time order, so emission order alone is not time order.
+  std::vector<Record> SortedRecords() const;
   // Records currently retained / ever recorded / overwritten by wraparound.
   size_t retained() const;
-  uint64_t total_recorded() const;
+  uint64_t total_recorded() const { return written_; }
   uint64_t overwritten() const;
 
-  // The merged rings as Chrome trace_event JSON (one track per shard).
+  // The sorted records as Chrome trace_event JSON.
   std::string ChromeTraceJson() const;
   // Writes ChromeTraceJson() to `path`; when `metrics` is non-null, also
   // writes its JsonSnapshot to `path + ".metrics.json"`. `reason` lands in
@@ -104,18 +83,12 @@ class FlightRecorder {
   void Clear();
 
  private:
-  struct Ring {
-    std::vector<Record> slots;  // capacity_-sized once first used
-    size_t next = 0;            // next write position
-    uint64_t written = 0;       // total appends (>= slots when wrapped)
-  };
+  Record* Append(Record::Kind kind, SimTime at);
 
-  Record* Append(uint32_t shard, Record::Kind kind, SimTime at);
-
-  size_t capacity_;
+  std::vector<Record> slots_;
+  size_t next_ = 0;       // next write position
+  uint64_t written_ = 0;  // total appends (> capacity once wrapped)
   bool enabled_ = true;
-  bool in_flush_replay_ = false;
-  std::vector<Ring> rings_;
 };
 
 }  // namespace udc

@@ -118,7 +118,6 @@ class MetricsRegistry {
 
    private:
     friend class MetricsRegistry;
-    friend class ShardObsBuffer;  // parallel kernel: buffered deltas
     static constexpr uint32_t kUnset = ~uint32_t{0};
     uint32_t idx_ = kUnset;
   };
@@ -128,7 +127,6 @@ class MetricsRegistry {
 
    private:
     friend class MetricsRegistry;
-    friend class ShardObsBuffer;  // parallel kernel: buffered deltas
     static constexpr uint32_t kUnset = ~uint32_t{0};
     uint32_t idx_ = kUnset;
   };
@@ -232,12 +230,6 @@ class MetricsRegistry {
   void Clear();
 
  private:
-  // The parallel kernel's barrier flush applies buffered shard deltas
-  // directly to the series stores (src/obs/shard_buffer.h). It runs on the
-  // coordinator thread with all workers quiesced, so it needs no locking —
-  // just index access.
-  friend class ObsFlusher;
-
   struct TransparentHash {
     using is_transparent = void;
     size_t operator()(std::string_view s) const {

@@ -93,12 +93,6 @@ uint32_t SpanTracer::InternLabelSet(SpanLabels labels) {
 uint64_t SpanTracer::BeginWithSet(std::string_view category,
                                   std::string_view name, uint32_t label_set,
                                   uint64_t parent) {
-  return BeginWithSetAt(clock_(), category, name, label_set, parent);
-}
-
-uint64_t SpanTracer::BeginWithSetAt(SimTime start, std::string_view category,
-                                    std::string_view name, uint32_t label_set,
-                                    uint64_t parent) {
   if (spans_.size() >= max_spans_) {
     ++dropped_;
     return 0;
@@ -117,8 +111,8 @@ uint64_t SpanTracer::BeginWithSetAt(SimTime start, std::string_view category,
   if (label_set != 0 && label_set <= label_sets_.size()) {
     span.shared_labels = &label_sets_[label_set - 1];
   }
-  span.start = start;
-  span.end = start;
+  span.start = clock_();
+  span.end = span.start;
   spans_.push_back(std::move(span));
   return spans_.back().span_id;
 }
@@ -168,6 +162,7 @@ void SpanTracer::Clear() {
   scope_stack_.clear();
   next_trace_id_ = 1;
   dropped_ = 0;
+  ++clears_;
 }
 
 std::vector<const Span*> SpanTracer::SpansInCategory(

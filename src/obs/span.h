@@ -82,12 +82,6 @@ class SpanTracer {
   // by pointer. `category`/`name` should be literals (SSO; no allocation).
   uint64_t BeginWithSet(std::string_view category, std::string_view name,
                         uint32_t label_set, uint64_t parent = 0);
-  // BeginWithSet with an explicit start time instead of the tracer clock;
-  // used by the parallel kernel's barrier flush, which replays spans whose
-  // interval was recorded on a worker shard earlier in the window.
-  uint64_t BeginWithSetAt(SimTime start, std::string_view category,
-                          std::string_view name, uint32_t label_set,
-                          uint64_t parent = 0);
 
   void AddLabel(uint64_t span_id, std::string key, std::string value);
   void End(uint64_t span_id);
@@ -102,6 +96,9 @@ class SpanTracer {
   size_t size() const { return spans_.size(); }
   uint64_t dropped() const { return dropped_; }
   void Clear();
+  // Number of Clear() calls so far. A consumer holding a cursor into
+  // closed_order() restarts it whenever this changes.
+  uint64_t clears() const { return clears_; }
 
   // Span ids in the order they closed. The per-close cost is one integer
   // append; consumers that want a rendered view (e.g. the legacy-trace
@@ -134,6 +131,7 @@ class SpanTracer {
   uint64_t next_trace_id_ = 1;
   size_t max_spans_ = 1 << 20;
   uint64_t dropped_ = 0;
+  uint64_t clears_ = 0;
 };
 
 // RAII span: opens on construction, pushes itself as the current scope, and

@@ -8,51 +8,11 @@
 
 namespace udc {
 
-Simulation::Simulation(uint64_t seed, SimKernel kernel, ParallelConfig parallel)
-    : kernel_(kernel),
-      now_(SimTime(0)),
-      legacy_queue_(kernel == SimKernel::kLegacy
-                        ? std::make_unique<LegacyEventQueue>()
-                        : nullptr),
-      parallel_(kernel == SimKernel::kParallel
-                    ? std::make_unique<ParallelKernel>(&queue_, &now_, parallel)
-                    : nullptr),
-      rng_(seed),
-      spans_([this] { return now_; }) {
-  // The flight recorder is always on: ring 0 for the coordinator plus one
-  // ring per worker shard, sized eagerly so recording never allocates.
-  flight_recorder_.EnsureRings(1);
-  if (parallel_ != nullptr) {
-    // Buffered worker-shard observability lands in the shared sinks at every
-    // window barrier. The trace target mirrors Trace(): render any spans
-    // closed earlier in the flush first, so line order matches kFast.
-    // `recorder` lets the flush suppress the span end-sink below while it
-    // replays worker spans their own shard already taped.
-    parallel_->SetObsTargets(ObsFlushTargets{
-        &metrics_, &spans_,
-        [this](SimTime t, std::string_view category, std::string_view detail) {
-          MirrorSpans();
-          trace_.Record(t, category, detail);
-        },
-        &flight_recorder_});
-    parallel_->SetFlightRecorder(&flight_recorder_);
-    breach_barrier_hook_ = parallel_->AddBarrierHook([this] {
-      if (pending_breach_dump_reason_.empty()) {
-        return;
-      }
-      const Status status = flight_recorder_.Dump(
-          breach_dump_path_, &metrics_, pending_breach_dump_reason_);
-      if (!status.ok()) {
-        UDC_LOG(Error) << "breach dump failed: " << status.ToString();
-      }
-      pending_breach_dump_reason_.clear();
-    });
-  }
+Simulation::Simulation(uint64_t seed)
+    : now_(SimTime(0)), rng_(seed), spans_([this] { return now_; }) {
   spans_.set_on_end([this](const Span& span) {
-    if (!flight_recorder_.in_flush_replay()) {
-      flight_recorder_.RecordSpan(0, span.start, span.end, span.category,
-                                  span.name);
-    }
+    flight_recorder_.RecordSpan(span.start, span.end, span.category,
+                                span.name);
   });
   slos_.set_on_breach([this](const SloVerdict& v) { OnSloBreach(v); });
 }
@@ -90,32 +50,25 @@ void Simulation::ArmSloTicks(SimTime period, SimTime until) {
 }
 
 void Simulation::OnSloBreach(const SloVerdict& verdict) {
-  flight_recorder_.RecordEvent(0, verdict.evaluated_at, "slo",
+  flight_recorder_.RecordEvent(verdict.evaluated_at, "slo",
                                verdict.name + " BREACH");
   if (breach_dump_path_.empty()) {
     return;
   }
-  const std::string reason = "slo breach: " + verdict.name;
-  if (parallel_ != nullptr && parallel_->InWindow()) {
-    // An SLO tick can fire while shard 0 executes its half of a window;
-    // worker rings are being written concurrently, so reading them here
-    // would race. Defer to the next window barrier (workers quiesced) via
-    // the hook registered in the constructor.
-    pending_breach_dump_reason_ = reason;
-    return;
-  }
-  const Status status =
-      flight_recorder_.Dump(breach_dump_path_, &metrics_, reason);
+  const Status status = flight_recorder_.Dump(
+      breach_dump_path_, &metrics_, "slo breach: " + verdict.name);
   if (!status.ok()) {
     UDC_LOG(Error) << "breach dump failed: " << status.ToString();
   }
 }
 
 void Simulation::MirrorSpans() const {
-  const std::vector<uint64_t>& closed = spans_.closed_order();
-  if (mirrored_closed_ > closed.size()) {
-    mirrored_closed_ = closed.size();  // spans were cleared externally
+  if (mirrored_clears_ != spans_.clears()) {
+    // Cleared since the last walk: every span now listed closed after it.
+    mirrored_clears_ = spans_.clears();
+    mirrored_closed_ = 0;
   }
+  const std::vector<uint64_t>& closed = spans_.closed_order();
   for (; mirrored_closed_ < closed.size(); ++mirrored_closed_) {
     const Span* span = spans_.SpanById(closed[mirrored_closed_]);
     if (span != nullptr) {
@@ -125,17 +78,6 @@ void Simulation::MirrorSpans() const {
 }
 
 SimTime Simulation::RunToCompletion() {
-  if (parallel_ != nullptr) {
-    return parallel_->RunToCompletion();
-  }
-  if (legacy_queue_ != nullptr) {
-    while (!legacy_queue_->empty()) {
-      now_ = legacy_queue_->NextTime();
-      legacy_queue_->PopAndRun();
-      ++events_executed_;
-    }
-    return now_;
-  }
   while (!queue_.empty()) {
     // Advance the clock before dispatch so callbacks observe their own time.
     now_ = queue_.NextTime();
@@ -146,21 +88,10 @@ SimTime Simulation::RunToCompletion() {
 }
 
 SimTime Simulation::RunUntil(SimTime deadline) {
-  if (parallel_ != nullptr) {
-    return parallel_->RunUntil(deadline);
-  }
-  if (legacy_queue_ != nullptr) {
-    while (!legacy_queue_->empty() && legacy_queue_->NextTime() <= deadline) {
-      now_ = legacy_queue_->NextTime();
-      legacy_queue_->PopAndRun();
-      ++events_executed_;
-    }
-  } else {
-    while (!queue_.empty() && queue_.NextTime() <= deadline) {
-      now_ = queue_.NextTime();
-      queue_.PopAndRun();
-      ++events_executed_;
-    }
+  while (!queue_.empty() && queue_.NextTime() <= deadline) {
+    now_ = queue_.NextTime();
+    queue_.PopAndRun();
+    ++events_executed_;
   }
   if (now_ < deadline) {
     now_ = deadline;
@@ -169,18 +100,6 @@ SimTime Simulation::RunUntil(SimTime deadline) {
 }
 
 bool Simulation::Step() {
-  if (parallel_ != nullptr) {
-    return parallel_->Step();
-  }
-  if (legacy_queue_ != nullptr) {
-    if (legacy_queue_->empty()) {
-      return false;
-    }
-    now_ = legacy_queue_->NextTime();
-    legacy_queue_->PopAndRun();
-    ++events_executed_;
-    return true;
-  }
   if (queue_.empty()) {
     return false;
   }

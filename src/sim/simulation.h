@@ -9,12 +9,9 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <utility>
-
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
@@ -23,48 +20,18 @@
 #include "src/obs/slo.h"
 #include "src/obs/span.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/legacy_event_queue.h"
-#include "src/sim/parallel_kernel.h"
 #include "src/sim/trace.h"
 
 namespace udc {
 
-// Which event-queue implementation drives the run. kFast is the slot-slab
-// zero-allocation kernel and the default everywhere; kLegacy is the
-// pre-fast-path queue (std::function + hash-set cancellation) kept as a
-// differential-test oracle — semantics are identical, so a run's trace must
-// match byte for byte across kernels for the same seed. kParallel partitions
-// the topology into shard domains executed by worker threads in conservative
-// lookahead windows (src/sim/parallel_kernel.h); kFast doubles as its
-// differential oracle.
-enum class SimKernel {
-  kFast,
-  kLegacy,
-  kParallel,
-};
-
 class Simulation {
  public:
-  // `parallel` only applies under SimKernel::kParallel.
-  explicit Simulation(uint64_t seed = 42, SimKernel kernel = SimKernel::kFast,
-                      ParallelConfig parallel = {});
+  explicit Simulation(uint64_t seed = 42);
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
   ~Simulation();
 
-  // Under kParallel, the executing worker shard's local clock when called
-  // from one, else the shard-0 (coordinator) clock.
-  SimTime now() const {
-    // &now_ (not now_): on a worker shard CurrentNow returns the shard
-    // clock without touching the shard-0 clock, which the coordinator may
-    // be writing concurrently.
-    return parallel_ != nullptr ? parallel_->CurrentNow(&now_) : now_;
-  }
-  SimKernel kernel() const { return kernel_; }
-  // The parallel kernel, or nullptr unless kernel() == kParallel. Shard
-  // setup (AssignRack, lookahead) and shard-aware layers go through this.
-  ParallelKernel* parallel() { return parallel_.get(); }
-  const ParallelKernel* parallel() const { return parallel_.get(); }
+  SimTime now() const { return now_; }
   Rng& rng() { return rng_; }
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
@@ -81,7 +48,7 @@ class Simulation {
   SpanTracer& spans() { return spans_; }
   const SpanTracer& spans() const { return spans_; }
   // Always-on black box: every closed span and trace line also lands in a
-  // per-shard ring (see src/obs/flight_recorder.h). Dumped on SLO breach
+  // fixed-size ring (see src/obs/flight_recorder.h). Dumped on SLO breach
   // (set_breach_dump_path), UDC_CHECK failure (set_crash_dump_path), or
   // explicitly via flight_recorder().Dump(...).
   FlightRecorder& flight_recorder() { return flight_recorder_; }
@@ -105,20 +72,9 @@ class Simulation {
   // simulation's flight recorder to the path before aborting.
   void set_crash_dump_path(std::string path);
 
-  // Convenience: record a trace event at the current simulated time. On a
-  // parallel worker shard the line is buffered and merged into the shared
-  // recorder at the window barrier, in canonical order.
+  // Convenience: record a trace event at the current simulated time.
   void Trace(std::string_view category, std::string_view detail) {
-    if (parallel_ != nullptr) {
-      ShardObsBuffer* buffer = ParallelKernel::CurrentObsBuffer();
-      if (buffer != nullptr) {
-        // The buffer tees into the flight ring for its own shard.
-        buffer->TraceLine(parallel_->CurrentNow(&now_), std::string(category),
-                          std::string(detail));
-        return;
-      }
-    }
-    flight_recorder_.RecordTrace(0, now_, category, detail);
+    flight_recorder_.RecordTrace(now_, category, detail);
     MirrorSpans();
     trace_.Record(now_, category, detail);
   }
@@ -133,23 +89,10 @@ class Simulation {
   }
 
   // Schedules `cb` at absolute simulated time `when` (>= now). Templated so
-  // the caller's closure is constructed directly into the active kernel's
-  // callback type — InlineCallback on the fast path (zero heap allocation
-  // for captures up to 64 bytes, pooled slab beyond), std::function on the
-  // legacy oracle.
+  // the caller's closure is constructed directly into an InlineCallback
+  // (zero heap allocation for captures up to 64 bytes, pooled slab beyond).
   template <typename F>
   EventHandle At(SimTime when, F&& cb) {
-    if (legacy_queue_ != nullptr) {
-      assert(when >= now_);
-      return legacy_queue_->Schedule(
-          when, LegacyEventQueue::Callback(std::forward<F>(cb)));
-    }
-    if (parallel_ != nullptr) {
-      // Routes to the shard executing on this thread; the shard queue's own
-      // monotonicity assert covers the when >= now check.
-      return parallel_->ScheduleCurrent(when,
-                                        InlineCallback(std::forward<F>(cb)));
-    }
     assert(when >= now_);
     return queue_.Schedule(when, InlineCallback(std::forward<F>(cb)));
   }
@@ -161,15 +104,7 @@ class Simulation {
     return At(now() + delay, std::forward<F>(cb));
   }
 
-  bool Cancel(EventHandle handle) {
-    if (legacy_queue_ != nullptr) {
-      return legacy_queue_->Cancel(handle);
-    }
-    if (parallel_ != nullptr) {
-      return parallel_->Cancel(handle);
-    }
-    return queue_.Cancel(handle);
-  }
+  bool Cancel(EventHandle handle) { return queue_.Cancel(handle); }
 
   // Runs events until the queue is empty. Returns the final time.
   SimTime RunToCompletion();
@@ -181,17 +116,15 @@ class Simulation {
   // Runs a single event if one is pending. Returns false when idle.
   bool Step();
 
-  uint64_t events_executed() const {
-    return parallel_ != nullptr ? parallel_->events_executed()
-                                : events_executed_;
-  }
+  uint64_t events_executed() const { return events_executed_; }
 
  private:
   // Renders every span closed since the last mirror into the legacy trace
   // (as "category: name k=v ... dur=..." at the span's start time). Closed
   // spans double as legacy trace events so string-based assertions and
   // timeline dumps keep working on top of the structured layer, but the
-  // rendering cost is paid here — at read time — not per event.
+  // rendering cost is paid here — at read time — not per event. Every
+  // SpanTracer::Clear() restarts the walk at the first span closed after it.
   void MirrorSpans() const;
 
   // Fired on an objective's OK/WARN -> BREACH transition (SloEngine wiring
@@ -199,28 +132,20 @@ class Simulation {
   // path is set, writes the black box out.
   void OnSloBreach(const SloVerdict& verdict);
 
-  SimKernel kernel_;
   SimTime now_;
   EventQueue queue_;
-  // Non-null only under SimKernel::kLegacy (differential tests/benches);
-  // the fast queue above then stays empty and unused.
-  std::unique_ptr<LegacyEventQueue> legacy_queue_;
-  // Non-null only under SimKernel::kParallel. Shard 0 runs on `queue_`
-  // above, so unsharded execution matches kFast exactly.
-  std::unique_ptr<ParallelKernel> parallel_;
   Rng rng_;
   MetricsRegistry metrics_;
   mutable TraceRecorder trace_;
+  // Mirror cursor into spans_.closed_order(), valid for the tracer's
+  // `mirrored_clears_`-th generation (see SpanTracer::clears()).
   mutable size_t mirrored_closed_ = 0;
+  mutable uint64_t mirrored_clears_ = 0;
   SpanTracer spans_;
   FlightRecorder flight_recorder_;
   SloEngine slos_{&metrics_};
   std::string breach_dump_path_;
   std::string crash_dump_path_;
-  // A breach noticed mid-window defers its dump to the next barrier (the
-  // hook below), when every worker ring is quiescent.
-  std::string pending_breach_dump_reason_;
-  BarrierHookRegistration breach_barrier_hook_;
   uint64_t crash_hook_id_ = 0;
   uint64_t events_executed_ = 0;
 };

@@ -124,6 +124,20 @@ TEST_F(ActorTest, PipelineAcrossThreeActors) {
   EXPECT_EQ(result, "data-processed!");
 }
 
+TEST_F(ActorTest, SendToUnknownActorDropsOnce) {
+  const ActorId ghost = ActorId(999999);  // never spawned
+  const ActorId talker =
+      system_->Spawn(n0_, [&](ActorContext& ctx, const ActorMessage&) {
+        ctx.Send(ghost, "into.the.void", "", Bytes::B(0));
+      });
+  system_->Inject(talker, "go", "", Bytes::B(0));
+  sim_.RunToCompletion();
+  // Only the talker's own message is processed; the send to the ghost
+  // counts exactly one drop.
+  EXPECT_EQ(system_->messages_processed(), 1u);
+  EXPECT_EQ(sim_.metrics().counter("actor.messages_dropped"), 1);
+}
+
 TEST_F(ActorTest, QueueDepthReflectsBacklog) {
   const ActorId a = system_->Spawn(n0_, [](ActorContext& ctx,
                                            const ActorMessage&) {

@@ -444,57 +444,52 @@ TEST(MetricsTest, LabelCardinalityBudgetFoldsIntoOverflowSeries) {
 }
 
 TEST(FlightRecorderTest, RingWraparoundKeepsNewestRecords) {
-  FlightRecorder rec(4);  // 4 slots per ring
-  rec.EnsureRings(1);
+  FlightRecorder rec(4);  // 4 slots
   for (int i = 0; i < 6; ++i) {
-    rec.RecordTrace(0, SimTime::Millis(i), "test",
-                    "line " + std::to_string(i));
+    rec.RecordTrace(SimTime::Millis(i), "test", "line " + std::to_string(i));
   }
   EXPECT_EQ(rec.total_recorded(), 6u);
   EXPECT_EQ(rec.retained(), 4u);
   EXPECT_EQ(rec.overwritten(), 2u);
 
-  const std::vector<FlightRecorder::Record> merged = rec.MergedRecords();
-  ASSERT_EQ(merged.size(), 4u);
+  const std::vector<FlightRecorder::Record> sorted = rec.SortedRecords();
+  ASSERT_EQ(sorted.size(), 4u);
   // The two oldest records were overwritten; the survivors come out in
   // emission order even though the ring's storage wrapped mid-way.
-  for (size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i].time, SimTime::Millis(2 + i));
-    EXPECT_EQ(std::string(merged[i].name),
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    EXPECT_EQ(sorted[i].time, SimTime::Millis(2 + i));
+    EXPECT_EQ(std::string(sorted[i].name),
               "line " + std::to_string(2 + i));
   }
 }
 
-TEST(FlightRecorderTest, MergeOrdersByTimeShardSeq) {
+TEST(FlightRecorderTest, RecordsSortByTimeThenSeq) {
   FlightRecorder rec(8);
-  rec.EnsureRings(3);
-  // Emit out of time order across shards, with collisions on both time
-  // (shards 1 and 2 at t=5ms) and (time, shard) (two shard-0 records at
-  // t=7ms, disambiguated by per-ring seq).
-  rec.RecordTrace(2, SimTime::Millis(5), "test", "shard2 t5");
-  rec.RecordTrace(0, SimTime::Millis(7), "test", "shard0 t7 first");
-  rec.RecordTrace(1, SimTime::Millis(5), "test", "shard1 t5");
-  rec.RecordTrace(0, SimTime::Millis(3), "test", "shard0 t3");
-  rec.RecordTrace(0, SimTime::Millis(7), "test", "shard0 t7 second");
+  // Emit out of time order (an analytic span closing before a later-dated
+  // one), with two collisions on time disambiguated by emission seq.
+  rec.RecordTrace(SimTime::Millis(5), "test", "t5 first");
+  rec.RecordTrace(SimTime::Millis(7), "test", "t7 first");
+  rec.RecordSpan(SimTime::Millis(1), SimTime::Millis(5), "test", "t5 second");
+  rec.RecordTrace(SimTime::Millis(3), "test", "t3");
+  rec.RecordEvent(SimTime::Millis(7), "test", "t7 second");
 
-  const std::vector<FlightRecorder::Record> merged = rec.MergedRecords();
-  ASSERT_EQ(merged.size(), 5u);
-  EXPECT_EQ(std::string(merged[0].name), "shard0 t3");
-  EXPECT_EQ(std::string(merged[1].name), "shard1 t5");
-  EXPECT_EQ(std::string(merged[2].name), "shard2 t5");
-  EXPECT_EQ(std::string(merged[3].name), "shard0 t7 first");
-  EXPECT_EQ(std::string(merged[4].name), "shard0 t7 second");
+  const std::vector<FlightRecorder::Record> sorted = rec.SortedRecords();
+  ASSERT_EQ(sorted.size(), 5u);
+  EXPECT_EQ(std::string(sorted[0].name), "t3");
+  EXPECT_EQ(std::string(sorted[1].name), "t5 first");
+  EXPECT_EQ(std::string(sorted[2].name), "t5 second");
+  EXPECT_EQ(std::string(sorted[3].name), "t7 first");
+  EXPECT_EQ(std::string(sorted[4].name), "t7 second");
 }
 
 TEST(FlightRecorderTest, DisabledRecorderDropsAppends) {
   FlightRecorder rec(4);
-  rec.EnsureRings(1);
   rec.set_enabled(false);
-  rec.RecordTrace(0, SimTime::Millis(1), "test", "dropped");
+  rec.RecordTrace(SimTime::Millis(1), "test", "dropped");
   EXPECT_EQ(rec.total_recorded(), 0u);
   EXPECT_EQ(rec.retained(), 0u);
   rec.set_enabled(true);
-  rec.RecordSpan(0, SimTime::Millis(1), SimTime::Millis(2), "test", "kept");
+  rec.RecordSpan(SimTime::Millis(1), SimTime::Millis(2), "test", "kept");
   EXPECT_EQ(rec.retained(), 1u);
   const std::string json = rec.ChromeTraceJson();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);

@@ -1,19 +1,21 @@
 // Simulation-kernel fast path: InlineCallback storage/move/destruction, the
 // slot-slab event queue's generation handles (cancel-after-fire, handle
 // reuse ABA, stale heap entries), and — the load-bearing property — that the
-// fast kernel is indistinguishable from the legacy queue: a randomized
-// queue-level differential plus full-scenario runs (medical pipeline,
-// replication under failures) whose traces must match byte for byte across
-// kernels.
+// kernel is indistinguishable from the retired legacy queue: a randomized
+// queue-level differential against LegacyEventQueue, plus two full
+// scenarios (medical pipeline, replication under failures) whose event
+// counts, traces and metrics must match the legacy kernel's frozen output.
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/core/runtime.h"
 #include "src/core/udc_cloud.h"
 #include "src/dist/replication.h"
@@ -22,9 +24,9 @@
 #include "src/obs/exposition.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/inline_callback.h"
-#include "src/sim/legacy_event_queue.h"
 #include "src/sim/simulation.h"
 #include "src/workload/medical.h"
+#include "tests/legacy_event_queue.h"
 
 namespace udc {
 namespace {
@@ -242,18 +244,43 @@ TEST(KernelDifferentialTest, RandomScheduleCancelMatchesLegacyQueue) {
   EXPECT_EQ(fast.total_scheduled(), legacy.total_scheduled());
 }
 
-// Scenario-level determinism: the same seed must produce byte-identical
-// trace output, metrics and event counts under both kernels.
+// Scenario-level determinism: the same seed must reproduce, event for event
+// and byte for byte, what the legacy kernel (std::function queue with
+// hash-set cancellation) produced for it. The legacy kernel is retired; its
+// output on these two scenarios is frozen below as event counts and FNV-1a
+// 64 hashes of trace().Dump() and the Prometheus exposition, recorded while
+// both kernels still ran side by side and agreed.
 struct ScenarioResult {
   std::string trace;
   std::string metrics;
   uint64_t events_executed = 0;
 };
 
-ScenarioResult RunMedicalScenario(SimKernel kernel, int threads = 1) {
+struct FrozenScenario {
+  uint64_t events_executed;
+  const char* trace_fnv;
+  const char* metrics_fnv;
+};
+
+std::string Fnv1aHex(std::string_view bytes) {
+  uint64_t hash = 1469598103934665603ull;  // FNV-1a 64 offset basis
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ull;  // FNV-1a 64 prime
+  }
+  return StrFormat("0x%016llx", static_cast<unsigned long long>(hash));
+}
+
+// String comparison, so a mismatch prints the actual hash ready to paste.
+void ExpectMatchesFrozen(const ScenarioResult& actual,
+                         const FrozenScenario& frozen) {
+  EXPECT_EQ(actual.events_executed, frozen.events_executed);
+  EXPECT_EQ(Fnv1aHex(actual.trace), frozen.trace_fnv) << actual.trace;
+  EXPECT_EQ(Fnv1aHex(actual.metrics), frozen.metrics_fnv) << actual.metrics;
+}
+
+ScenarioResult RunMedicalScenario() {
   UdcCloudConfig config;
-  config.kernel = kernel;
-  config.parallel.threads = threads;  // ignored unless kernel == kParallel
   config.datacenter.racks = 4;
   UdcCloud cloud(config);
   const TenantId tenant = cloud.RegisterTenant("hospital");
@@ -271,18 +298,12 @@ ScenarioResult RunMedicalScenario(SimKernel kernel, int threads = 1) {
 }
 
 TEST(KernelDifferentialTest, MedicalPipelineIsKernelInvariant) {
-  const ScenarioResult fast = RunMedicalScenario(SimKernel::kFast);
-  const ScenarioResult legacy = RunMedicalScenario(SimKernel::kLegacy);
-  EXPECT_GT(fast.events_executed, 0u);
-  EXPECT_EQ(fast.events_executed, legacy.events_executed);
-  EXPECT_EQ(fast.trace, legacy.trace);
-  EXPECT_EQ(fast.metrics, legacy.metrics);
+  ExpectMatchesFrozen(RunMedicalScenario(),
+                      {6, "0x83ddde5c8cca89af", "0xcf53f232b9ac4e61"});
 }
 
-ScenarioResult RunReplicationScenario(SimKernel kernel, int threads = 1) {
-  ParallelConfig parallel;
-  parallel.threads = threads;  // ignored unless kernel == kParallel
-  Simulation sim(7, kernel, parallel);
+ScenarioResult RunReplicationScenario() {
+  Simulation sim(7);
   Topology topo;
   const int r0 = topo.AddRack();
   const int r1 = topo.AddRack();
@@ -322,224 +343,8 @@ ScenarioResult RunReplicationScenario(SimKernel kernel, int threads = 1) {
 }
 
 TEST(KernelDifferentialTest, ReplicationUnderFailuresIsKernelInvariant) {
-  const ScenarioResult fast = RunReplicationScenario(SimKernel::kFast);
-  const ScenarioResult legacy = RunReplicationScenario(SimKernel::kLegacy);
-  EXPECT_GT(fast.events_executed, 0u);
-  EXPECT_EQ(fast.events_executed, legacy.events_executed);
-  EXPECT_EQ(fast.trace, legacy.trace);
-  EXPECT_EQ(fast.metrics, legacy.metrics);
-}
-
-// A run that never assigns a rack to a worker shard stays in the parallel
-// kernel's serial fast path — the kFast inner loop verbatim — so the full
-// medical scenario must match kFast byte for byte at every thread count.
-TEST(ParallelDifferentialTest, MedicalPipelineMatchesFastAtEveryThreadCount) {
-  const ScenarioResult fast = RunMedicalScenario(SimKernel::kFast);
-  EXPECT_GT(fast.events_executed, 0u);
-  for (int threads : {1, 2, 4, 8}) {
-    const ScenarioResult parallel =
-        RunMedicalScenario(SimKernel::kParallel, threads);
-    EXPECT_EQ(parallel.events_executed, fast.events_executed)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.trace, fast.trace) << "threads=" << threads;
-    EXPECT_EQ(parallel.metrics, fast.metrics) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelDifferentialTest, ReplicationMatchesFastAtEveryThreadCount) {
-  const ScenarioResult fast = RunReplicationScenario(SimKernel::kFast);
-  EXPECT_GT(fast.events_executed, 0u);
-  for (int threads : {1, 2, 4, 8}) {
-    const ScenarioResult parallel =
-        RunReplicationScenario(SimKernel::kParallel, threads);
-    EXPECT_EQ(parallel.events_executed, fast.events_executed)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.trace, fast.trace) << "threads=" << threads;
-    EXPECT_EQ(parallel.metrics, fast.metrics) << "threads=" << threads;
-  }
-}
-
-// Genuinely sharded traffic: five message chains hopping rack-to-rack
-// around four racks, each rack its own worker shard. Chain c starts at
-// (1 + c) us and every hop costs the 6 us inter-rack latency, so no two
-// events anywhere in the run share a timestamp across shards (offsets
-// differ by 1..4 us, never a multiple of the hop) — the condition under
-// which kParallel is byte-identical to kFast, not merely to itself.
-ScenarioResult RunShardedFanoutScenario(SimKernel kernel, int threads) {
-  constexpr int kRacks = 4;
-  constexpr int kChains = 5;
-  constexpr int kHops = 60;
-  ParallelConfig parallel;
-  parallel.shards = kRacks;
-  parallel.threads = threads;
-  Simulation sim(11, kernel, parallel);
-  Topology topo;
-  std::vector<NodeId> nodes;
-  for (int r = 0; r < kRacks; ++r) {
-    const int rack = topo.AddRack();
-    nodes.push_back(topo.AddNode(rack, NodeRole::kDevice));
-    if (sim.parallel() != nullptr) {
-      sim.parallel()->AssignRack(rack, static_cast<uint32_t>(r + 1));
-    }
-  }
-  Fabric fabric(&sim, &topo);
-  fabric.PreinternType("fanout.hop");
-  // hops_left[c] is only ever touched by the shard holding chain c's
-  // in-flight message (one per chain; the window barrier publishes the
-  // update before the next hop runs on the neighbouring shard).
-  std::vector<int> hops_left(kChains, kHops);
-  for (int r = 0; r < kRacks; ++r) {
-    const NodeId self = nodes[r];
-    const NodeId next = nodes[(r + 1) % kRacks];
-    fabric.Bind(self, [&fabric, &hops_left, self, next](const Message& msg) {
-      const int chain = static_cast<int>(msg.tag);
-      if (--hops_left[chain] > 0) {
-        fabric.Send(self, next, "fanout.hop", "", Bytes::B(0), msg.tag);
-      }
-    });
-  }
-  for (int c = 0; c < kChains; ++c) {
-    sim.At(SimTime::Micros(1 + c), [&fabric, &nodes, c] {
-      const NodeId from = nodes[c % kRacks];
-      const NodeId to = nodes[(c + 1) % kRacks];
-      fabric.Send(from, to, "fanout.hop", "", Bytes::B(0),
-                  static_cast<uint64_t>(c));
-    });
-  }
-  sim.RunToCompletion();
-  EXPECT_EQ(fabric.messages_delivered(),
-            static_cast<uint64_t>(kChains) * kHops);
-  for (int c = 0; c < kChains; ++c) {
-    EXPECT_EQ(hops_left[c], 0) << "chain " << c;
-  }
-  ScenarioResult result;
-  result.trace = sim.trace().Dump();
-  result.metrics = PrometheusExposition(sim.metrics());
-  result.events_executed = sim.events_executed();
-  return result;
-}
-
-TEST(ParallelDifferentialTest, ShardedFanoutMatchesFastAtEveryThreadCount) {
-  const ScenarioResult fast = RunShardedFanoutScenario(SimKernel::kFast, 1);
-  EXPECT_GT(fast.events_executed, 0u);
-  EXPECT_NE(fast.trace.find("fanout.hop"), std::string::npos);
-  for (int threads : {1, 2, 4, 8}) {
-    const ScenarioResult parallel =
-        RunShardedFanoutScenario(SimKernel::kParallel, threads);
-    EXPECT_EQ(parallel.events_executed, fast.events_executed)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.trace, fast.trace) << "threads=" << threads;
-    EXPECT_EQ(parallel.metrics, fast.metrics) << "threads=" << threads;
-  }
-}
-
-// Deliberately skewed topology for the barrier-time rebalancer: worker
-// shard 1 owns two racks (r0, r1) and carries three ping-pong chains
-// between them, while shards 2 and 3 see only the two ring chains passing
-// through. The rebalancer's first check (window 64) finds shard 1 above
-// 2x the mean with r0 attributed cross-shard load (ring arrivals from r3),
-// migrates r0 to the coldest shard mid-run, and links the two shards until
-// the source drains. Chain c starts at (1 + c) us and every hop costs the
-// 6 us inter-rack latency, so all timestamps are distinct mod 6 across
-// chains — the condition for byte-identity to kFast.
-struct SkewedScenario {
-  ScenarioResult result;
-  uint64_t rebalances = 0;
-  uint32_t final_shard_of_r0 = 0;
-};
-
-SkewedScenario RunSkewedRebalanceScenario(SimKernel kernel, int threads) {
-  constexpr int kPingPongChains = 3;
-  constexpr int kChains = 5;  // 3 ping-pong + 2 ring
-  constexpr int kHops = 220;
-  ParallelConfig parallel;
-  parallel.shards = 3;
-  parallel.threads = threads;
-  Simulation sim(13, kernel, parallel);
-  Topology topo;
-  std::vector<int> racks;
-  std::vector<NodeId> nodes;
-  for (int r = 0; r < 4; ++r) {
-    racks.push_back(topo.AddRack());
-    nodes.push_back(topo.AddNode(racks.back(), NodeRole::kDevice));
-  }
-  if (sim.parallel() != nullptr) {
-    sim.parallel()->AssignRack(racks[0], 1);  // hot shard owns two racks
-    sim.parallel()->AssignRack(racks[1], 1);
-    sim.parallel()->AssignRack(racks[2], 2);
-    sim.parallel()->AssignRack(racks[3], 3);
-  }
-  Fabric fabric(&sim, &topo);
-  fabric.PreinternType("skew.hop");
-  std::vector<int> hops_left(kChains, kHops);
-  // Ring route for chains 3..4: n1 -> n2 -> n3 -> n0 -> n1.
-  const int ring_next[] = {1, 2, 3, 0};
-  for (int i = 0; i < 4; ++i) {
-    const NodeId self = nodes[i];
-    fabric.Bind(self, [&fabric, &nodes, &hops_left, &ring_next, self,
-                       i](const Message& msg) {
-      const int chain = static_cast<int>(msg.tag);
-      if (--hops_left[chain] <= 0) {
-        return;
-      }
-      if (chain < kPingPongChains) {
-        const NodeId peer = self == nodes[0] ? nodes[1] : nodes[0];
-        fabric.Send(self, peer, "skew.hop", "", Bytes::B(0), msg.tag);
-      } else {
-        fabric.Send(self, nodes[ring_next[i]], "skew.hop", "", Bytes::B(0),
-                    msg.tag);
-      }
-    });
-  }
-  for (int c = 0; c < kChains; ++c) {
-    sim.At(SimTime::Micros(1 + c), [&fabric, &nodes, c] {
-      const NodeId from = c < kPingPongChains ? nodes[0] : nodes[1];
-      const NodeId to = c < kPingPongChains ? nodes[1] : nodes[2];
-      fabric.Send(from, to, "skew.hop", "", Bytes::B(0),
-                  static_cast<uint64_t>(c));
-    });
-  }
-  sim.RunToCompletion();
-  EXPECT_EQ(fabric.messages_delivered(),
-            static_cast<uint64_t>(kChains) * kHops);
-  for (int c = 0; c < kChains; ++c) {
-    EXPECT_EQ(hops_left[c], 0) << "chain " << c;
-  }
-  SkewedScenario out;
-  out.result.trace = sim.trace().Dump();
-  out.result.metrics = PrometheusExposition(sim.metrics());
-  out.result.events_executed = sim.events_executed();
-  if (sim.parallel() != nullptr) {
-    out.rebalances = sim.parallel()->Stats().rebalances;
-    out.final_shard_of_r0 = sim.parallel()->ShardOfRack(racks[0]);
-  }
-  return out;
-}
-
-TEST(ParallelDifferentialTest, SkewedTopologyRebalanceMatchesFast) {
-  const SkewedScenario fast =
-      RunSkewedRebalanceScenario(SimKernel::kFast, 1);
-  EXPECT_GT(fast.result.events_executed, 0u);
-  for (int threads : {1, 2, 4, 8}) {
-    const SkewedScenario parallel =
-        RunSkewedRebalanceScenario(SimKernel::kParallel, threads);
-    // The rebalance must actually happen (the scenario is built so shard 1
-    // trips the trigger at the first check), it must move rack 0 off the
-    // hot shard, and its trajectory must not depend on the thread count.
-    EXPECT_GE(parallel.rebalances, 1u) << "threads=" << threads;
-    EXPECT_NE(parallel.final_shard_of_r0, 1u) << "threads=" << threads;
-    EXPECT_EQ(parallel.rebalances,
-              RunSkewedRebalanceScenario(SimKernel::kParallel, 1).rebalances)
-        << "threads=" << threads;
-    // And the output is still byte-identical to kFast across the mid-run
-    // shard-map change.
-    EXPECT_EQ(parallel.result.events_executed, fast.result.events_executed)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.result.trace, fast.result.trace)
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.result.metrics, fast.result.metrics)
-        << "threads=" << threads;
-  }
+  ExpectMatchesFrozen(RunReplicationScenario(),
+                      {100, "0x536208006f0ca9ae", "0xb26cc81ada57d015"});
 }
 
 TEST(FabricFastPathTest, SetNodeUpDoesNotGrowDownMap) {

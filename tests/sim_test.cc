@@ -168,6 +168,23 @@ TEST(SimulationTest, StepExecutesOne) {
   EXPECT_FALSE(sim.Step());
 }
 
+// The trace mirror keeps a cursor into the tracer's closed-span list; a
+// Clear() must restart it, or spans closing after the clear (up to the old
+// cursor) never reach trace().
+TEST(SimulationTest, TraceMirrorsSpansClosedAfterClear) {
+  Simulation sim;
+  for (int i = 0; i < 3; ++i) {
+    sim.Scope("before", "span");
+  }
+  EXPECT_EQ(sim.trace().size(), 3u);
+  sim.spans().Clear();
+  for (int i = 0; i < 5; ++i) {
+    sim.Scope("after", "span");
+  }
+  EXPECT_EQ(sim.trace().EventsInCategory("before").size(), 3u);
+  EXPECT_EQ(sim.trace().EventsInCategory("after").size(), 5u);
+}
+
 TEST(SimulationTest, DeterministicWithSeed) {
   Simulation a(99);
   Simulation b(99);

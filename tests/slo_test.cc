@@ -1,8 +1,9 @@
 // SLO engine, sketch-vs-exact differential, and black-box dump tests.
 //
-// The differential follows the repo idiom (kLegacy is to kFast what
-// Histogram is to SketchHistogram): the exact Histogram keeps every sample
-// and is the oracle; the sketch must agree on every quantile to within its
+// The differential follows the repo idiom of keeping a simple exact
+// implementation as the oracle of a fast one (LegacyEventQueue is to
+// EventQueue what Histogram is to SketchHistogram): the exact Histogram
+// keeps every sample; the sketch must agree on every quantile to within its
 // advertised relative error across several sample distributions.
 
 #include "src/obs/slo.h"

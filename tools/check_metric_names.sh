@@ -9,8 +9,8 @@
 #   - SLO objective names: any "slo.<...>" string literal must be
 #     slo.<layer>.<objective> (three dot-separated lowercase segments,
 #     e.g. "slo.sched.place_latency_p99").
-#   - Span categories: the literal first argument of Scope( / Begin( /
-#     BeginWithSetAt( must be a bare lowercase word (^[a-z_][a-z0-9_.]*$) —
+#   - Span categories: the literal first argument of Scope( / Begin( must
+#     be a bare lowercase word (^[a-z_][a-z0-9_.]*$) —
 #     categories become Chrome-trace pids and flight-recorder fields, so
 #     they stay short and greppable.
 #
@@ -58,7 +58,7 @@ done < <(grep -rnoE '"slo\.[^"]*"' \
            --exclude=check_metric_names.sh src tools bench tests \
          | sed -E 's/:"/:/; s/"$//')
 
-# Span categories: literal first argument of Scope(/Begin(/BeginWithSetAt(.
+# Span categories: literal first argument of Scope(/Begin(.
 cat_found=0
 while IFS=: read -r file line name; do
   cat_found=$((cat_found + 1))
@@ -66,9 +66,9 @@ while IFS=: read -r file line name; do
     echo "bad span category: $file:$line: \"$name\"" >&2
     bad=1
   fi
-done < <(grep -rnoE '(->|\.)(Scope|Begin|BeginWithSetAt)\("[^"]*"' \
+done < <(grep -rnoE '(->|\.)(Scope|Begin)\("[^"]*"' \
            src tools bench tests \
-         | sed -E 's/:(->|\.)(Scope|Begin|BeginWithSetAt)\("/:/' \
+         | sed -E 's/:(->|\.)(Scope|Begin)\("/:/' \
          | sed -E 's/"$//')
 
 if [[ "$slo_found" -eq 0 ]]; then
