@@ -98,10 +98,11 @@ int64_t RegionRouter::region_fallbacks() const {
 
 int RegionRouter::RouteRegion(const AppSpec& spec) const {
   // A declared affinity pins the home region (data sovereignty beats load
-  // spreading); the first module with one wins, matching the per-module
-  // candidate filter below.
-  for (const auto& [module, aspects] : spec.aspects) {
-    const int r = aspects.dist.region_affinity;
+  // spreading); the first module in declaration order with one wins.
+  for (const ModuleId module : spec.graph.ModuleIds()) {
+    const auto it = spec.aspects.find(module);
+    const int r = it == spec.aspects.end() ? -1
+                                           : it->second.dist.region_affinity;
     if (r >= 0 && r < region_count_) {
       return r;
     }
@@ -131,9 +132,9 @@ int RegionRouter::RouteCellInRegion(int region) const {
   return best;
 }
 
-std::vector<int> RegionRouter::CandidateCells(int home_region, int home_cell,
-                                              int affinity,
-                                              int anti_affinity) const {
+std::vector<int> RegionRouter::FallbackCells(int home_region, int home_cell,
+                                             int affinity,
+                                             int anti_affinity) const {
   const Topology& topology = datacenter_->topology();
   const std::vector<int64_t>& cell_free = CellFreeSummary(kRoutingKind);
   const std::vector<int64_t>& region_free = RegionFreeSummary(kRoutingKind);
@@ -157,20 +158,15 @@ std::vector<int> RegionRouter::CandidateCells(int home_region, int home_cell,
 
   std::vector<int> out;
   out.reserve(static_cast<size_t>(topology.cell_count()));
-  // Home region first: home cell, then its siblings by free capacity.
+  // Home region first: the home cell's siblings by free capacity.
   if (admissible(home_region)) {
-    if (affinity < 0 || affinity == home_region) {
-      out.push_back(home_cell);
-    }
-    std::vector<int> siblings;
     for (int c = topology.RegionCellBegin(home_region);
          c < topology.RegionCellEnd(home_region); ++c) {
       if (c != home_cell) {
-        siblings.push_back(c);
+        out.push_back(c);
       }
     }
-    cell_order(siblings);
-    out.insert(out.end(), siblings.begin(), siblings.end());
+    cell_order(out);
   }
   // Remote regions by (free desc, region asc), each region's cells by
   // (free desc, cell asc).
@@ -293,39 +289,60 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
     return status;
   };
 
-  // Places one module across the candidate cell ladder. Each cell attempt
-  // stages into the shared root txn; a rejection unwinds exactly that
-  // attempt's sub-plan (AbortTo) before the next cell — earlier modules'
-  // staged sub-plans stay intact, so the deploy remains one transaction
-  // even when its legs land in three regions.
+  // Stages one module into cell `c`. Each attempt stages into the shared
+  // root txn; a rejection unwinds exactly that attempt's sub-plan (AbortTo)
+  // before the next cell — earlier modules' staged sub-plans stay intact,
+  // so the deploy remains one transaction even when its legs land in three
+  // regions.
+  const auto attempt = [&](int c, ModuleId module, bool is_data) -> Status {
+    const size_t mark = txn.staged_ops();
+    Status status = cells_[static_cast<size_t>(c)]->PlaceModuleInTxn(
+        tenant, spec, module, is_data, deployment.get(), txn, batch);
+    if (!status.ok()) {
+      txn.AbortTo(mark);
+      if (batch != nullptr) {
+        // The failed attempt's cached rack debits were just undone.
+        batch->free_by_rack_valid.fill(false);
+      }
+    }
+    return status;
+  };
+
+  // Places one module: the home cell first whenever the module may run in
+  // the home region, then — only after a rejection — the fallback ladder.
+  // AbortTo restores the free summaries exactly, so the ladder built after
+  // the home attempt is the one that would have been built before it.
   const auto place = [&](ModuleId module, bool is_data) -> Status {
     const AspectSet aspects = spec.AspectsFor(module);
     int affinity = aspects.dist.region_affinity;
     if (affinity >= region_count_) {
       affinity = -1;  // out-of-range affinity cannot be honored; any region
     }
-    const std::vector<int> candidates = CandidateCells(
-        home_region, home_cell, affinity, aspects.dist.region_anti_affinity);
-    if (candidates.empty()) {
+    const int anti_affinity = aspects.dist.region_anti_affinity;
+    const bool home_admissible =
+        home_region != anti_affinity &&
+        (affinity < 0 || affinity == home_region);
+    Status status = OkStatus();
+    if (home_admissible) {
+      status = attempt(home_cell, module, is_data);
+      if (status.ok()) {
+        return status;
+      }
+    }
+    const std::vector<int> ladder =
+        FallbackCells(home_region, home_cell, affinity, anti_affinity);
+    if (!home_admissible && ladder.empty()) {
       return InvalidArgumentError(
           "region constraints leave no admissible region");
     }
-    Status status = OkStatus();
-    for (const int c : candidates) {
-      const size_t mark = txn.staged_ops();
-      status = cells_[static_cast<size_t>(c)]->PlaceModuleInTxn(
-          tenant, spec, module, is_data, deployment.get(), txn, batch);
+    for (const int c : ladder) {
+      status = attempt(c, module, is_data);
       if (status.ok()) {
         if (topology.RegionOf(c) != home_region) {
           spanned_regions = true;
           sim_->metrics().Increment(region_fallbacks_);
         }
         return status;
-      }
-      txn.AbortTo(mark);
-      if (batch != nullptr) {
-        // The failed attempt's cached rack debits were just undone.
-        batch->free_by_rack_valid.fill(false);
       }
     }
     return status;  // the last candidate's rejection

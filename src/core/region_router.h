@@ -76,19 +76,19 @@ class RegionRouter {
   int64_t region_fallbacks() const;
 
  private:
-  // Home region: the spec's first region affinity when one is declared,
-  // else the region with the most healthy free capacity of the routing
-  // kind; ties to the lowest region.
+  // Home region: the region affinity of the first module, in declaration
+  // order, that declares one; else the region with the most healthy free
+  // capacity of the routing kind; ties to the lowest region.
   int RouteRegion(const AppSpec& spec) const;
   // The cell with the most free capacity among `region`'s cells; ties low.
   int RouteCellInRegion(int region) const;
-  // Candidate cells for one module: home cell, then the home region's
-  // other cells (free desc, cell asc), then other regions in (free desc,
-  // region asc) order, each region's cells in (free desc, cell asc) order.
-  // Cells in the module's avoid_region are struck; a module affinity
-  // restricts the list to that region's cells.
-  std::vector<int> CandidateCells(int home_region, int home_cell,
-                                  int affinity, int anti_affinity) const;
+  // Fallback cells for a module the home cell rejected (or may not use):
+  // the home region's other cells (free desc, cell asc), then other
+  // regions in (free desc, region asc) order, each region's cells in (free
+  // desc, cell asc) order. Cells in the module's avoid_region are struck;
+  // a module affinity restricts the list to that region's cells.
+  std::vector<int> FallbackCells(int home_region, int home_cell,
+                                 int affinity, int anti_affinity) const;
 
   Result<std::unique_ptr<Deployment>> DeployOneRouted(
       TenantId tenant, std::shared_ptr<const AppSpec> spec,

@@ -59,11 +59,63 @@ const Sha256Digest& EnvStore::Intern(EnvKind kind, TenancyMode tenancy,
 }
 
 EnvStore::RackCache& EnvStore::Rack(int rack) {
-  const size_t idx = rack < 0 ? 0 : static_cast<size_t>(rack);
+  const auto idx = static_cast<size_t>(RackIndex(rack));
   if (idx >= racks_.size()) {
     racks_.resize(idx + 1);
   }
   return racks_[idx];
+}
+
+void EnvStore::BankSlot(GlobalEntry& global, int rack, RackEntry& entry,
+                        uint64_t tenant) {
+  if (entry.slot_tenants.empty()) {
+    const int idx = RackIndex(rack);
+    const auto region = static_cast<size_t>(RegionOfRack(idx));
+    if (global.holders.size() <= region) {
+      global.holders.resize(region + 1);
+    }
+    global.holders[region].insert(idx);
+  }
+  entry.slot_tenants.push_back(tenant);
+  ++global.warm_slots;
+  ++total_warm_slots_;
+}
+
+uint64_t EnvStore::TakeSlot(GlobalEntry& global, int rack, RackEntry& entry) {
+  const uint64_t tenant = entry.slot_tenants.back();
+  entry.slot_tenants.pop_back();
+  if (entry.slot_tenants.empty()) {
+    DropHolder(global, rack);
+  }
+  --global.warm_slots;
+  --total_warm_slots_;
+  return tenant;
+}
+
+void EnvStore::DropHolder(GlobalEntry& global, int rack) {
+  const int idx = RackIndex(rack);
+  global.holders[static_cast<size_t>(RegionOfRack(idx))].erase(idx);
+}
+
+int EnvStore::SlotSource(const GlobalEntry& global, int rack) const {
+  const int local = RackIndex(rack);
+  const auto local_region = static_cast<size_t>(RegionOfRack(local));
+  if (local_region < global.holders.size()) {
+    for (const int r : global.holders[local_region]) {
+      if (r != local) {
+        return r;  // same region: the tepid tier
+      }
+    }
+  }
+  int source = -1;  // the lowest-indexed holder elsewhere: the remote tier
+  for (size_t region = 0; region < global.holders.size(); ++region) {
+    const std::set<int>& holders = global.holders[region];
+    if (region != local_region && !holders.empty() &&
+        (source < 0 || *holders.begin() < source)) {
+      source = *holders.begin();
+    }
+  }
+  return source;
 }
 
 SimTime EnvStore::FetchLatency(Bytes size) const {
@@ -151,6 +203,9 @@ void EnvStore::EvictIfNeeded(int rack, const Sha256Digest& pinned) {
     GlobalEntry& global = contents_.at(victim->first);
     const auto dropped =
         static_cast<int64_t>(victim->second.slot_tenants.size());
+    if (dropped > 0) {
+      DropHolder(global, rack);
+    }
     for (int64_t i = 0; i < dropped; ++i) {
       DropRef(victim->first, global);
     }
@@ -181,10 +236,7 @@ EnvStore::AcquireResult EnvStore::AcquireForLaunch(const Sha256Digest& digest,
       // Rack hit: consume the most recently banked slot.
       result.mode = EnvStartMode::kWarm;
       result.source_rack = rack;
-      result.slot_tenant = it->second.slot_tenants.back();
-      it->second.slot_tenants.pop_back();
-      --global.warm_slots;
-      --total_warm_slots_;
+      result.slot_tenant = TakeSlot(global, rack, it->second);
       ++local.hits;
       ++hits_;
       // The env ref replaces the slot ref: add before drop so the content
@@ -198,31 +250,30 @@ EnvStore::AcquireResult EnvStore::AcquireForLaunch(const Sha256Digest& digest,
       ++live_env_refs_;
       return result;
     }
-    // Rack miss: lowest-indexed rack holding a slot is the source, searched
-    // in two region tiers (deterministic by construction). The same-region
-    // pass is the PR-9 tepid tier — with no region map every rack is region
-    // 0 and this pass is byte-identical to the old single loop. The
-    // cross-region pass is the remote tier: the slot is consumed in the
-    // source region and the image pull-through-replicates into the local
-    // rack's cache, priced over the WAN model.
-    const int local_region = RegionOfRack(rack);
-    const auto consume_from = [&](size_t r, EnvStartMode mode) {
-      auto remote = racks_[r].entries.find(digest);
-      result.mode = mode;
-      result.source_rack = static_cast<int>(r);
-      result.slot_tenant = remote->second.slot_tenants.back();
-      remote->second.slot_tenants.pop_back();
-      --global.warm_slots;
-      --total_warm_slots_;
-      if (mode == EnvStartMode::kTepid) {
+    // Rack miss: a same-region source is the tepid tier. A cross-region
+    // source is the remote tier: the slot is consumed in the source region
+    // and the image pull-through-replicates into the local rack's cache,
+    // priced over the WAN model. With no region map every rack is region 0
+    // and only the tepid tier exists.
+    const int source = SlotSource(global, rack);
+    if (source >= 0) {
+      const int local_region = RegionOfRack(RackIndex(rack));
+      const int source_region = RegionOfRack(source);
+      RackEntry& remote =
+          racks_[static_cast<size_t>(source)].entries.find(digest)->second;
+      result.source_rack = source;
+      result.slot_tenant = TakeSlot(global, source, remote);
+      if (source_region == local_region) {
+        result.mode = EnvStartMode::kTepid;
         result.fetch_latency = FetchLatency(global.size);
         ++local.tepid_hits;
         ++tepid_hits_;
       } else {
+        result.mode = EnvStartMode::kRemote;
         result.fetch_latency =
             FetchLatency(global.size) +
-            WanFetchLatency(RegionOfRack(static_cast<int>(r)), local_region,
-                            global.size, /*commit=*/true);
+            WanFetchLatency(source_region, local_region, global.size,
+                            /*commit=*/true);
         ++local.remote_hits;
         ++remote_hits_;
       }
@@ -234,28 +285,7 @@ EnvStore::AcquireResult EnvStore::AcquireForLaunch(const Sha256Digest& digest,
       RackEntry& entry = EnsureResident(rack, digest, global);
       ++entry.live;
       ++live_env_refs_;
-    };
-    const auto has_slot = [&](size_t r) {
-      if (static_cast<int>(r) == rack) {
-        return false;
-      }
-      const auto remote = racks_[r].entries.find(digest);
-      return remote != racks_[r].entries.end() &&
-             !remote->second.slot_tenants.empty();
-    };
-    for (size_t r = 0; r < racks_.size(); ++r) {
-      if (has_slot(r) && RegionOfRack(static_cast<int>(r)) == local_region) {
-        consume_from(r, EnvStartMode::kTepid);
-        return result;
-      }
-    }
-    if (!rack_regions_.empty()) {
-      for (size_t r = 0; r < racks_.size(); ++r) {
-        if (has_slot(r) && RegionOfRack(static_cast<int>(r)) != local_region) {
-          consume_from(r, EnvStartMode::kRemote);
-          return result;
-        }
-      }
+      return result;
     }
   }
 
@@ -273,10 +303,12 @@ EnvStore::AcquireResult EnvStore::AcquireForLaunch(const Sha256Digest& digest,
 EnvStore::PeekResult EnvStore::Peek(const Sha256Digest& digest, int rack,
                                     bool allow_warm) const {
   PeekResult result;
-  if (!allow_warm) {
-    return result;
+  const auto content = contents_.find(digest);
+  if (!allow_warm || content == contents_.end()) {
+    return result;  // an unknown content has no slot anywhere
   }
-  const size_t idx = rack < 0 ? 0 : static_cast<size_t>(rack);
+  const GlobalEntry& global = content->second;
+  const auto idx = static_cast<size_t>(RackIndex(rack));
   if (idx < racks_.size()) {
     auto it = racks_[idx].entries.find(digest);
     if (it != racks_[idx].entries.end() && !it->second.slot_tenants.empty()) {
@@ -284,39 +316,21 @@ EnvStore::PeekResult EnvStore::Peek(const Sha256Digest& digest, int rack,
       return result;
     }
   }
-  // Mirror AcquireForLaunch's two region tiers (same-region tepid first,
-  // then cross-region remote) so the preview names the mode and the
-  // uncongested price the launch would pay.
-  const int local_region = RegionOfRack(static_cast<int>(idx));
-  const auto has_slot = [&](size_t r) {
-    if (r == idx) {
-      return false;
-    }
-    const auto it = racks_[r].entries.find(digest);
-    return it != racks_[r].entries.end() && !it->second.slot_tenants.empty();
-  };
-  const Bytes size = [&] {
-    const auto content = contents_.find(digest);
-    return content == contents_.end() ? Bytes(0) : content->second.size;
-  }();
-  for (size_t r = 0; r < racks_.size(); ++r) {
-    if (has_slot(r) && RegionOfRack(static_cast<int>(r)) == local_region) {
-      result.mode = EnvStartMode::kTepid;
-      result.fetch_latency = FetchLatency(size);
-      return result;
-    }
+  // The source AcquireForLaunch would take, so the preview names the mode
+  // and the uncongested price the launch would pay.
+  const int source = SlotSource(global, rack);
+  if (source < 0) {
+    return result;
   }
-  if (!rack_regions_.empty()) {
-    for (size_t r = 0; r < racks_.size(); ++r) {
-      if (has_slot(r) && RegionOfRack(static_cast<int>(r)) != local_region) {
-        result.mode = EnvStartMode::kRemote;
-        result.fetch_latency =
-            FetchLatency(size) +
-            WanFetchLatency(RegionOfRack(static_cast<int>(r)), local_region,
-                            size, /*commit=*/false);
-        return result;
-      }
-    }
+  const int local_region = RegionOfRack(static_cast<int>(idx));
+  const int source_region = RegionOfRack(source);
+  result.fetch_latency = FetchLatency(global.size);
+  if (source_region == local_region) {
+    result.mode = EnvStartMode::kTepid;
+  } else {
+    result.mode = EnvStartMode::kRemote;
+    result.fetch_latency += WanFetchLatency(source_region, local_region,
+                                            global.size, /*commit=*/false);
   }
   return result;
 }
@@ -328,10 +342,8 @@ void EnvStore::ReleaseEnv(const Sha256Digest& digest, int rack,
     // Bank the slot before dropping the env ref so the content's refcount
     // never dips to zero across the hand-off.
     AddRef(digest, global);
-    RackEntry& entry = EnsureResident(rack, digest, global);
-    entry.slot_tenants.push_back(tenant.value());
-    ++global.warm_slots;
-    ++total_warm_slots_;
+    BankSlot(global, rack, EnsureResident(rack, digest, global),
+             tenant.value());
   }
   auto it = Rack(rack).entries.find(digest);
   if (it != Rack(rack).entries.end() && it->second.live > 0) {
@@ -349,10 +361,8 @@ void EnvStore::RefundCancelled(const Sha256Digest& digest, EnvStartMode mode,
     // Return the consumed slot to the rack it came from, with its original
     // provenance — exactly undoing AcquireForLaunch's consumption.
     AddRef(digest, global);
-    RackEntry& entry = EnsureResident(source_rack, digest, global);
-    entry.slot_tenants.push_back(slot_tenant);
-    ++global.warm_slots;
-    ++total_warm_slots_;
+    BankSlot(global, source_rack,
+             EnsureResident(source_rack, digest, global), slot_tenant);
   }
   auto it = Rack(local_rack).entries.find(digest);
   if (it != Rack(local_rack).entries.end() && it->second.live > 0) {
@@ -365,14 +375,11 @@ void EnvStore::RefundCancelled(const Sha256Digest& digest, EnvStartMode mode,
 void EnvStore::Prewarm(const Sha256Digest& digest, int rack, TenantId tenant,
                        int count) {
   GlobalEntry& global = contents_.at(digest);
-  RackEntry* entry = nullptr;
   for (int i = 0; i < count; ++i) {
     AddRef(digest, global);
-    entry = &EnsureResident(rack, digest, global);
-    entry->slot_tenants.push_back(tenant.value());
+    BankSlot(global, rack, EnsureResident(rack, digest, global),
+             tenant.value());
   }
-  global.warm_slots += count;
-  total_warm_slots_ += count;
 }
 
 int64_t EnvStore::TotalSlots(const Sha256Digest& digest) const {
@@ -381,7 +388,7 @@ int64_t EnvStore::TotalSlots(const Sha256Digest& digest) const {
 }
 
 int64_t EnvStore::SlotsOnRack(const Sha256Digest& digest, int rack) const {
-  const size_t idx = rack < 0 ? 0 : static_cast<size_t>(rack);
+  const auto idx = static_cast<size_t>(RackIndex(rack));
   if (idx >= racks_.size()) {
     return 0;
   }

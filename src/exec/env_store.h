@@ -33,9 +33,14 @@
 // deploy_churn warm-store phase gate on that equivalence.
 //
 // Determinism contract: all state lives in std::map keyed by digest,
-// eviction picks the lowest LRU tick, and the tepid source is the
-// lowest-indexed rack holding a slot — no iteration-order or wall-clock
-// dependence anywhere, so runs replay identically.
+// eviction picks the lowest LRU tick, and a rack miss takes its slot from
+// the lowest-indexed other holder in the local region, else from the
+// lowest-indexed holder in any other region. Each content keeps those
+// holders in an ordered set per region (GlobalEntry::holders), updated
+// whenever a rack's slot list turns empty or non-empty, so the pick is a
+// set lookup rather than a walk over every rack and equals what that walk
+// would return. No iteration-order or wall-clock dependence anywhere, so
+// runs replay identically.
 //
 // Attestation binding: the owner (EnvManager via UdcCloud) installs a
 // content-live hook; the store fires it on 0 <-> 1 transitions of a
@@ -46,9 +51,11 @@
 #ifndef UDC_SRC_EXEC_ENV_STORE_H_
 #define UDC_SRC_EXEC_ENV_STORE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -127,7 +134,10 @@ class EnvStore {
   }
   // Region federation: rack index -> region id. Unset (or empty) = one
   // region; the remote tier never fires and PR-9 behavior is unchanged.
+  // Must run before any slot is banked: the holder index files each rack
+  // under the region it had when its first slot arrived.
   void set_rack_regions(std::vector<int> rack_regions) {
+    assert(total_warm_slots_ == 0 && "set_rack_regions after slots exist");
     rack_regions_ = std::move(rack_regions);
   }
   void set_wan_cost_hook(WanCostFn hook) { wan_cost_hook_ = std::move(hook); }
@@ -214,6 +224,8 @@ class EnvStore {
     Bytes size;
     int64_t refs = 0;        // live envs + warm slots, all racks
     int64_t warm_slots = 0;  // slots across all racks
+    // holders[region]: the racks of that region holding >= 1 banked slot.
+    std::vector<std::set<int>> holders;
   };
   struct RackEntry {
     uint64_t lru_tick = 0;
@@ -232,6 +244,17 @@ class EnvStore {
   };
 
   RackCache& Rack(int rack);
+  // Banks / consumes one slot on `rack`'s entry, keeping the slot counters
+  // and the content's holder index in step.
+  void BankSlot(GlobalEntry& global, int rack, RackEntry& entry,
+                uint64_t tenant);
+  uint64_t TakeSlot(GlobalEntry& global, int rack, RackEntry& entry);
+  // Unfiles `rack` from the content's holder index (its last slot is gone).
+  void DropHolder(GlobalEntry& global, int rack);
+  // The rack a miss on `rack` takes its slot from (the lowest-indexed other
+  // holder in its region, else the lowest-indexed holder elsewhere); -1
+  // when no other rack holds one.
+  int SlotSource(const GlobalEntry& global, int rack) const;
   // Inserts the image into `rack`'s cache (evicting LRU entries past the
   // capacity bound, never the entry itself) or touches it if resident.
   RackEntry& EnsureResident(int rack, const Sha256Digest& digest,
@@ -241,6 +264,8 @@ class EnvStore {
   void DropRef(const Sha256Digest& digest, GlobalEntry& global);
   void Touch(RackEntry& entry) { entry.lru_tick = ++lru_clock_; }
   SimTime FetchLatency(Bytes size) const;
+  // Index of `rack`'s cache in racks_ (negative racks share rack 0's).
+  static int RackIndex(int rack) { return rack < 0 ? 0 : rack; }
   // The region `rack` belongs to; 0 when no region map is set.
   int RegionOfRack(int rack) const {
     return rack >= 0 && static_cast<size_t>(rack) < rack_regions_.size()

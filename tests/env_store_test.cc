@@ -1,7 +1,8 @@
 // Content-addressed warm-environment store (src/exec/env_store.h):
 // cross-tenant sharing, tepid cross-rack fetches, eviction under cache
-// pressure, exact rollback refunds, and the randomized differential
-// against the legacy (kind, tenant) pool.
+// pressure, exact rollback refunds, and two randomized differentials:
+// against the legacy (kind, tenant) pool, and the rack-miss source pick
+// against a brute-force scan of every rack.
 
 #include <gtest/gtest.h>
 
@@ -415,6 +416,157 @@ TEST(EnvStoreDifferentialTest, SharingOffMatchesLegacyPoolAcrossSeeds) {
     EXPECT_EQ(store_sim.metrics().counter("exec.tepid_starts"), 0);
     EXPECT_EQ(store.store()->live_env_refs(),
               static_cast<int64_t>(store.live_count()));
+  }
+}
+
+// The rack-miss source pick against the fleet walk it replaced: before
+// every acquire, a brute-force scan over SlotsOnRack names the tier and
+// source rack — warm on the local rack, else the lowest-indexed other
+// holder in the local region (tepid), else the lowest-indexed holder in any
+// other region (remote), else cold — and the store's holder index must
+// agree, in AcquireForLaunch and in Peek. The region map interleaves four
+// regions so a same-region holder often sits above a lower-indexed holder
+// elsewhere, and the cache budget fits two images, so evictions keep
+// taking holders out of the index.
+TEST(EnvStoreDifferentialTest, SourcePickMatchesFleetScanAcrossSeeds) {
+  const std::vector<int> kRackRegions = {2, 0, 1, 0, 3, 1, 2, 0, 3, 1};
+  const int kRacks = static_cast<int>(kRackRegions.size());
+  struct Expected {
+    EnvStartMode mode = EnvStartMode::kCold;
+    int source = -1;
+  };
+  struct Live {
+    Sha256Digest digest{};
+    int rack = 0;
+    TenantId tenant;
+    EnvStore::AcquireResult acq;
+  };
+  for (const uint64_t seed : {0x5EEDull, 0xD1CEull, 0xF1EE7ull}) {
+    MetricsRegistry metrics;
+    EnvStoreConfig config = SharedStore();
+    config.rack_cache_capacity = Bytes::MiB(40);  // two 16 MiB images
+    EnvStore store(&metrics, config);
+    store.set_rack_regions(kRackRegions);
+    std::vector<Sha256Digest> digests;
+    for (int i = 0; i < 4; ++i) {
+      digests.push_back(store.Intern(EnvKind::kContainer, TenancyMode::kShared,
+                                     TenantId(1), "img-" + std::to_string(i),
+                                     Bytes::MiB(16)));
+    }
+    const auto scan = [&](const Sha256Digest& digest, int rack) {
+      Expected expected;
+      if (store.SlotsOnRack(digest, rack) > 0) {
+        return Expected{EnvStartMode::kWarm, rack};
+      }
+      const int local_region = kRackRegions[static_cast<size_t>(rack)];
+      for (const bool same_region : {true, false}) {
+        for (int r = 0; r < kRacks; ++r) {
+          const bool same =
+              kRackRegions[static_cast<size_t>(r)] == local_region;
+          if (r != rack && same == same_region &&
+              store.SlotsOnRack(digest, r) > 0) {
+            return Expected{
+                same ? EnvStartMode::kTepid : EnvStartMode::kRemote, r};
+          }
+        }
+      }
+      return expected;
+    };
+
+    Rng rng(seed);
+    std::vector<Live> live;
+    int64_t modes[4] = {};
+    int64_t same_region_over_lower_index = 0;
+    int64_t slots_evicted = 0;
+    for (int step = 0; step < 1500; ++step) {
+      const Sha256Digest& digest = digests[rng.NextUint64(digests.size())];
+      const int rack = static_cast<int>(rng.NextUint64(kRacks));
+      const TenantId tenant(1 + rng.NextUint64(3));
+      const uint64_t op = rng.NextUint64(100);
+      const int64_t slots_before = store.total_warm_slots();
+      int64_t slots_banked = 0;  // the op's own net change to the slots
+      if (op < 45 || live.empty()) {
+        const bool allow_warm = rng.NextUint64(10) != 0;
+        const Expected expected =
+            allow_warm ? scan(digest, rack) : Expected{};
+        const EnvStore::PeekResult peek = store.Peek(digest, rack, allow_warm);
+        const EnvStore::AcquireResult acq =
+            store.AcquireForLaunch(digest, rack, tenant, allow_warm);
+        ASSERT_EQ(peek.mode, expected.mode)
+            << "seed " << seed << " step " << step;
+        ASSERT_EQ(acq.mode, expected.mode)
+            << "seed " << seed << " step " << step;
+        ASSERT_EQ(acq.source_rack, expected.source)
+            << "seed " << seed << " step " << step;
+        slots_banked = acq.mode == EnvStartMode::kCold ? 0 : -1;
+        // No WAN hook: the preview's uncongested price is the price paid.
+        ASSERT_EQ(peek.fetch_latency, acq.fetch_latency);
+        ++modes[static_cast<int>(acq.mode)];
+        if (acq.mode == EnvStartMode::kTepid) {
+          for (int r = 0; r < acq.source_rack; ++r) {
+            if (store.SlotsOnRack(digest, r) > 0 &&
+                kRackRegions[static_cast<size_t>(r)] !=
+                    kRackRegions[static_cast<size_t>(rack)]) {
+              ++same_region_over_lower_index;
+              break;
+            }
+          }
+        }
+        live.push_back(Live{digest, rack, tenant, acq});
+      } else if (op < 70) {
+        const size_t idx = rng.NextUint64(live.size());
+        const Live& env = live[idx];
+        const bool keep_warm = rng.NextUint64(3) != 0;
+        store.ReleaseEnv(env.digest, env.rack, env.tenant, keep_warm);
+        slots_banked = keep_warm ? 1 : 0;
+        live.erase(live.begin() + static_cast<long>(idx));
+      } else if (op < 85) {
+        const size_t idx = rng.NextUint64(live.size());
+        const Live& env = live[idx];
+        const int64_t before =
+            env.acq.source_rack < 0
+                ? 0
+                : store.SlotsOnRack(env.digest, env.acq.source_rack);
+        store.RefundCancelled(env.digest, env.acq.mode, env.acq.source_rack,
+                              env.acq.slot_tenant, env.rack);
+        if (env.acq.mode != EnvStartMode::kCold) {
+          // The slot is back on its source rack (re-inserting the image
+          // there never evicts the image itself).
+          ASSERT_EQ(store.SlotsOnRack(env.digest, env.acq.source_rack),
+                    before + 1);
+          slots_banked = 1;
+        }
+        live.erase(live.begin() + static_cast<long>(idx));
+      } else {
+        const int count = 1 + static_cast<int>(rng.NextUint64(2));
+        store.Prewarm(digest, rack, tenant, count);
+        slots_banked = count;
+      }
+      // Whatever the op did not bank or consume itself died in an eviction.
+      slots_evicted +=
+          slots_before + slots_banked - store.total_warm_slots();
+      // The per-rack slot lists and the global counters stay in step.
+      int64_t slots = 0;
+      for (const Sha256Digest& d : digests) {
+        int64_t per_content = 0;
+        for (int r = 0; r < kRacks; ++r) {
+          per_content += store.SlotsOnRack(d, r);
+        }
+        ASSERT_EQ(per_content, store.TotalSlots(d));
+        slots += per_content;
+      }
+      ASSERT_EQ(slots, store.total_warm_slots());
+    }
+    // Every tier, the cross-region preference and holder-removing
+    // evictions were exercised: none of the comparisons above is vacuous.
+    for (const EnvStartMode mode :
+         {EnvStartMode::kCold, EnvStartMode::kWarm, EnvStartMode::kTepid,
+          EnvStartMode::kRemote}) {
+      EXPECT_GT(modes[static_cast<int>(mode)], 0)
+          << "seed " << seed << " mode " << EnvStartModeName(mode);
+    }
+    EXPECT_GT(same_region_over_lower_index, 0) << "seed " << seed;
+    EXPECT_GT(slots_evicted, 0) << "seed " << seed;
   }
 }
 

@@ -1,11 +1,13 @@
 // Region-federation tests: region partitioning (cell -> region mapping,
 // per-region free summaries), the router's balanced home-region choice,
-// the region-affinity aspect, cross-region deploys that span regions
-// inside one transaction, multi-region abort atomicity, the env store's
-// remote (cross-region) tier with exact CancelLaunch refunds, and a
-// randomized differential asserting the region-federated control plane
-// with one region makes byte-identical admit/reject decisions to the
-// cell-partitioned router on the same deploy/teardown sequence.
+// the region-affinity aspect (the home region follows declaration order),
+// cross-region deploys that span regions inside one transaction,
+// multi-region abort atomicity, the env store's remote (cross-region) tier
+// with exact CancelLaunch refunds, a randomized differential asserting the
+// region-federated control plane with one region makes byte-identical
+// admit/reject decisions to the cell-partitioned router on the same
+// deploy/teardown sequence, and frozen hashes of where modules land under
+// 2-, 3- and 4-region churn with pins and avoids.
 //
 // As in cell_router_test, the specs have uniform explicit demands (every
 // task is exactly a quarter of a cpu blade), so admission is count-based
@@ -19,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -171,6 +174,39 @@ TEST(RegionRouterTest, HonorsRegionAffinityAspect) {
   }
   EXPECT_EQ(cloud.region_router()->RegionDeploys(0), 0);
   EXPECT_EQ(cloud.region_router()->RegionDeploys(1), 3);
+}
+
+TEST(RegionRouterTest, HomeRegionFollowsDeclarationOrderNotMapOrder) {
+  // Task 0 is pinned to region 1, task 1 to region 0. The home region is
+  // task 0's pin however the aspect map happens to be filled, so task 1 is
+  // the leg that leaves home.
+  for (const bool reverse : {false, true}) {
+    UdcCloud cloud(RegionConfig(/*racks=*/4, /*cells=*/4, /*regions=*/2));
+    AppSpec spec = MakeUniformSpec("split", 2);
+    const std::vector<ModuleId> ids = spec.graph.ModuleIds();
+    spec.aspects[ids[0]].dist.region_affinity = 1;
+    spec.aspects[ids[1]].dist.region_affinity = 0;
+    if (reverse) {
+      std::unordered_map<ModuleId, AspectSet> refilled;
+      refilled.emplace(ids[1], spec.aspects.at(ids[1]));
+      refilled.emplace(ids[0], spec.aspects.at(ids[0]));
+      spec.aspects = std::move(refilled);
+    }
+    auto deployment = cloud.Deploy(cloud.RegisterTenant("split"), spec);
+    ASSERT_TRUE(deployment.ok());
+    cloud.sim()->RunToCompletion();
+    RegionRouter* router = cloud.region_router();
+    EXPECT_EQ(router->RegionDeploys(1), 1) << "reverse " << reverse;
+    EXPECT_EQ(router->RegionDeploys(0), 0) << "reverse " << reverse;
+    EXPECT_EQ(router->cross_region_deploys(), 1) << "reverse " << reverse;
+    const auto& placements = (*deployment)->placements();
+    EXPECT_EQ(cloud.datacenter().topology().RegionOfRack(
+                  placements.at(ids[0]).rack),
+              1);
+    EXPECT_EQ(cloud.datacenter().topology().RegionOfRack(
+                  placements.at(ids[1]).rack),
+              0);
+  }
 }
 
 // Fills a 2-region cloud until each region has exactly
@@ -400,6 +436,105 @@ TEST(RegionRouterDifferentialTest, OneRegionMatchesCellsOnlyRouter) {
                         false),
               cells.decisions.end())
         << "seed " << seed << " never hit capacity";
+  }
+}
+
+// --- Frozen fallback placements at regions > 1: seeded churn over a
+// catalog of free, pinned, avoiding and pin-plus-avoid specs on 2, 3 and 4
+// regions. The hash covers each admit/reject and every admitted module's
+// rack, so it pins where a spilled module lands, not only whether the
+// deploy fits. The constants were recorded with the eager candidate
+// ladder (every cell of every region sorted before the home attempt); the
+// lazy ladder must land every module on the same rack.
+
+std::vector<std::shared_ptr<const AppSpec>> FallbackCatalog(int regions) {
+  std::vector<std::shared_ptr<const AppSpec>> catalog;
+  catalog.push_back(
+      std::make_shared<const AppSpec>(MakeUniformSpec("free", 2)));
+  for (int r = 0; r < regions; ++r) {
+    const std::string suffix = std::to_string(r);
+    catalog.push_back(std::make_shared<const AppSpec>(
+        PinnedSpec("pin" + suffix, 3, r)));
+    AppSpec avoid = MakeUniformSpec("avoid" + suffix, 2);
+    for (auto& [id, aspects] : avoid.aspects) {
+      aspects.dist.region_anti_affinity = r;
+    }
+    catalog.push_back(std::make_shared<const AppSpec>(std::move(avoid)));
+    // Homed in r by task 0's pin; task 1 must leave r, task 2 is free.
+    AppSpec split = MakeUniformSpec("split" + suffix, 3);
+    const std::vector<ModuleId> ids = split.graph.ModuleIds();
+    split.aspects[ids[0]].dist.region_affinity = r;
+    split.aspects[ids[1]].dist.region_anti_affinity = r;
+    catalog.push_back(std::make_shared<const AppSpec>(std::move(split)));
+  }
+  return catalog;
+}
+
+struct FallbackRun {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  int64_t rejects = 0;
+  int64_t region_fallbacks = 0;
+  int64_t cross_region_deploys = 0;
+};
+
+FallbackRun RunFallbackChurn(int regions, uint64_t seed, int steps) {
+  UdcCloud cloud(RegionConfig(/*racks=*/2 * regions, /*cells=*/2 * regions,
+                              regions));
+  const auto catalog = FallbackCatalog(regions);
+  FallbackRun run;
+  const auto mix = [&](uint64_t value) {
+    run.hash ^= value;
+    run.hash *= 0x100000001b3ull;
+  };
+  Rng rng(seed);
+  std::vector<std::unique_ptr<Deployment>> live;
+  for (int step = 0; step < steps; ++step) {
+    const uint64_t pick = rng.NextUint64(1u << 30);
+    if (rng.NextUint64(100) < 65 || live.empty()) {
+      auto deployment = cloud.Deploy(
+          cloud.RegisterTenant("c" + std::to_string(step)),
+          catalog[pick % catalog.size()]);
+      mix(deployment.ok() ? 1 : 0);
+      if (!deployment.ok()) {
+        ++run.rejects;
+        continue;
+      }
+      for (const auto& [module, placement] : (*deployment)->placements()) {
+        mix(module.value());
+        mix(static_cast<uint64_t>(placement.rack));
+      }
+      live.push_back(std::move(*deployment));
+    } else {
+      live.erase(live.begin() + static_cast<long>(pick % live.size()));
+    }
+    cloud.sim()->RunToCompletion();
+  }
+  run.region_fallbacks = cloud.region_router()->region_fallbacks();
+  run.cross_region_deploys = cloud.region_router()->cross_region_deploys();
+  return run;
+}
+
+TEST(RegionRouterGoldenTest, FallbackPlacementsMatchFrozenHashes) {
+  struct Golden {
+    int regions;
+    uint64_t hash;
+  };
+  const Golden kGoldens[] = {
+      {2, 0xf38f22336dfc21eeull},
+      {3, 0xf1cb71dfa348118eull},
+      {4, 0xd25ec3dc4020f7f4ull},
+  };
+  for (const Golden& golden : kGoldens) {
+    const FallbackRun run = RunFallbackChurn(
+        golden.regions, /*seed=*/0xFA11BAC0ull + golden.regions,
+        /*steps=*/2000);
+    EXPECT_EQ(run.hash, golden.hash)
+        << "regions " << golden.regions << ": actual hash 0x" << std::hex
+        << run.hash;
+    // Not vacuous: modules spilled across regions and deploys were refused.
+    EXPECT_GT(run.region_fallbacks, 100) << "regions " << golden.regions;
+    EXPECT_GT(run.cross_region_deploys, 50) << "regions " << golden.regions;
+    EXPECT_GT(run.rejects, 0) << "regions " << golden.regions;
   }
 }
 
