@@ -79,21 +79,21 @@ Result<Quote> AttestationService::QuoteEnvironment(const ExecEnvironment& env) {
                    report);
 }
 
-Result<std::vector<Quote>> AttestationService::QuoteResources(
-    const ResourcePool& pool, TenantId tenant) {
-  std::vector<Quote> quotes;
-  for (const LedgerEntry& row : pool.LedgerSnapshot()) {
-    if (row.tenant != tenant) {
-      continue;
-    }
-    UDC_ASSIGN_OR_RETURN(const RootOfTrust* rot, RotFor(row.device.value()));
-    const std::string report =
-        ResourceReport(row.device.value(), ResourceKindName(pool.resource_kind()),
-                       tenant.value(), row.amount);
-    quotes.push_back(rot->Sign(quote_ids_.Next(), QuoteSubject::kResources,
-                               sim_->now(), report));
+Result<Quote> AttestationService::QuoteResource(const ResourcePool& pool,
+                                                DeviceId device,
+                                                TenantId tenant) {
+  const Device* d = pool.FindDevice(device);
+  if (d == nullptr) {
+    return Status(NotFoundError(
+        StrFormat("device %llu is not in the %s pool",
+                  static_cast<unsigned long long>(device.value()),
+                  std::string(DeviceKindName(pool.device_kind())).c_str())));
   }
-  return quotes;
+  UDC_ASSIGN_OR_RETURN(const RootOfTrust* rot, RotFor(device.value()));
+  return rot->Sign(quote_ids_.Next(), QuoteSubject::kResources, sim_->now(),
+                   ResourceReport(device.value(),
+                                  ResourceKindName(pool.resource_kind()),
+                                  tenant.value(), d->AllocatedBy(tenant)));
 }
 
 Result<Quote> AttestationService::QuoteReplica(uint64_t replica_device,

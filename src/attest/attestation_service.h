@@ -1,7 +1,7 @@
 // Provider-side attestation service.
 //
 // Issues quotes on behalf of device roots of trust: environment quotes at
-// launch, resource quotes from pool-ledger snapshots, replication quotes
+// launch, resource quotes from per-device ledger rows, replication quotes
 // from replica hosts. The user-side FulfillmentVerifier (src/core) replays
 // these against the user's aspect specification.
 
@@ -12,7 +12,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/attest/quote.h"
 #include "src/exec/environment.h"
@@ -48,11 +47,13 @@ class AttestationService {
   // Quote over a launched environment's measurement and isolation claim.
   Result<Quote> QuoteEnvironment(const ExecEnvironment& env);
 
-  // Quotes over every ledger row of `pool` belonging to `tenant`: one quote
-  // per device, signed by that device's RoT. This is UDC's answer to
-  // "whether or not resources were provided as specified" (paper sec. 4).
-  Result<std::vector<Quote>> QuoteResources(const ResourcePool& pool,
-                                            TenantId tenant);
+  // Quote over `tenant`'s ledger row on `device` of `pool`: the amount the
+  // device itself records for the tenant, signed by the device's RoT. This
+  // is UDC's answer to "whether or not resources were provided as
+  // specified" (paper sec. 4). Costs one device lookup, whatever the pool
+  // size.
+  Result<Quote> QuoteResource(const ResourcePool& pool, DeviceId device,
+                              TenantId tenant);
 
   // Quote from one replica host acknowledging it stores `object`.
   Result<Quote> QuoteReplica(uint64_t replica_device, const std::string& object,

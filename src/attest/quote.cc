@@ -1,5 +1,6 @@
 #include "src/attest/quote.h"
 
+#include <charconv>
 #include <cstring>
 
 #include "src/common/strings.h"
@@ -14,14 +15,15 @@ Key256 DeviceKeyFor(const Key256& vendor_root, uint64_t device_identity) {
                              static_cast<unsigned long long>(device_identity)));
 }
 
-Sha256Digest SignatureOver(const Key256& device_key, const Quote& quote) {
+Sha256Digest SignatureOver(const HmacSha256Key& device_key,
+                           const Quote& quote) {
   std::string bound = StrFormat(
       "subject=%d signer=%llu issued=%lld digest=%s",
       static_cast<int>(quote.subject),
       static_cast<unsigned long long>(quote.signer_device),
       static_cast<long long>(quote.issued_at.micros()),
       DigestToHex(quote.report_digest).c_str());
-  return HmacSha256(device_key, bound);
+  return device_key.Mac(bound);
 }
 
 }  // namespace
@@ -60,21 +62,27 @@ Quote RootOfTrust::Sign(QuoteId id, QuoteSubject subject, SimTime now,
 QuoteVerifier::QuoteVerifier(const Key256& vendor_root)
     : vendor_root_(vendor_root) {}
 
-Status QuoteVerifier::Verify(const Quote& quote) const {
+Status QuoteVerifier::Verify(const Quote& quote) {
   const Sha256Digest digest = Sha256::Hash(quote.report);
   if (!DigestEqual(digest, quote.report_digest)) {
     return VerificationFailedError("quote report digest mismatch");
   }
-  const Key256 device_key = DeviceKeyFor(vendor_root_, quote.signer_device);
-  const Sha256Digest expected = SignatureOver(device_key, quote);
-  if (!DigestEqual(expected, quote.signature)) {
+  const auto memo = signer_keys_.find(quote.signer_device);
+  const HmacSha256Key device_key =
+      memo != signer_keys_.end()
+          ? memo->second
+          : HmacSha256Key(DeviceKeyFor(vendor_root_, quote.signer_device));
+  if (!DigestEqual(SignatureOver(device_key, quote), quote.signature)) {
     return VerificationFailedError("quote signature invalid");
+  }
+  if (memo == signer_keys_.end()) {
+    signer_keys_.emplace(quote.signer_device, device_key);
   }
   return OkStatus();
 }
 
 Status QuoteVerifier::VerifyClaim(const Quote& quote,
-                                  std::string_view expected_report) const {
+                                  std::string_view expected_report) {
   UDC_RETURN_IF_ERROR(Verify(quote));
   if (quote.report != expected_report) {
     return VerificationFailedError(
@@ -101,6 +109,22 @@ std::string ResourceReport(uint64_t device, std::string_view resource_kind,
                    std::string(resource_kind).c_str(),
                    static_cast<unsigned long long>(tenant),
                    static_cast<long long>(amount));
+}
+
+Result<int64_t> ParseResourceReport(std::string_view report) {
+  constexpr std::string_view kAmount = " amount=";
+  const size_t at = report.rfind(kAmount);
+  if (!report.starts_with("resources ") || at == std::string_view::npos) {
+    return Status(InvalidArgumentError("not a resource report"));
+  }
+  const char* first = report.data() + at + kAmount.size();
+  const char* last = report.data() + report.size();
+  int64_t amount = 0;
+  const auto [end, ec] = std::from_chars(first, last, amount);
+  if (ec != std::errc() || end != last) {
+    return Status(InvalidArgumentError("resource report amount unreadable"));
+  }
+  return amount;
 }
 
 std::string ReplicationReport(std::string_view object, uint64_t replica_device,

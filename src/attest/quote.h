@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -77,7 +78,7 @@ class RootOfTrust {
 
  private:
   uint64_t device_identity_;
-  Key256 device_key_;
+  HmacSha256Key device_key_;
 };
 
 // User-side verifier holding only the vendor root key.
@@ -86,13 +87,21 @@ class QuoteVerifier {
   explicit QuoteVerifier(const Key256& vendor_root);
 
   // Checks the signature chain and the report digest.
-  Status Verify(const Quote& quote) const;
+  Status Verify(const Quote& quote);
 
   // Verify + check the report text matches `expected_report` exactly.
-  Status VerifyClaim(const Quote& quote, std::string_view expected_report) const;
+  Status VerifyClaim(const Quote& quote, std::string_view expected_report);
+
+  // Signers whose derived key is memoized.
+  size_t memoized_signers() const { return signer_keys_.size(); }
 
  private:
   Key256 vendor_root_;
+  // Each signer's key, derived from the vendor root on its first quote and
+  // kept once that quote verifies: a forged signer id never verifies, so it
+  // never grows the memo. Derivation is deterministic, so the memo only
+  // skips work.
+  std::unordered_map<uint64_t, HmacSha256Key> signer_keys_;
 };
 
 // Canonical report builders shared by issuer (provider side) and verifier
@@ -102,6 +111,10 @@ std::string EnvironmentReport(const Sha256Digest& env_measurement,
                               std::string_view tenancy, uint64_t tenant);
 std::string ResourceReport(uint64_t device, std::string_view resource_kind,
                            uint64_t tenant, int64_t amount);
+// The amount a ResourceReport claims. Only the amount is read: a verifier
+// re-renders the whole report from what it knows plus this amount and
+// checks the quote against it, which checks every other field.
+Result<int64_t> ParseResourceReport(std::string_view report);
 std::string ReplicationReport(std::string_view object, uint64_t replica_device,
                               uint64_t tenant);
 std::string SoftwareReport(const Sha256Digest& code_measurement,

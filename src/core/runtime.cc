@@ -247,7 +247,7 @@ Result<RunReport> DagRuntime::RunOnce() {
   spans.EndAt(run_span, makespan_end);
   const Span* root = spans.SpanById(run_span);
   report.trace_id = root != nullptr ? root->trace_id : 0;
-  report.breakdown = BreakdownFromSpans(spans, report.trace_id);
+  report.breakdown = BreakdownFromSpans(spans, run_span);
   report.breakdown.total = report.end_to_end;
 
   sim_->metrics().Observe("core.run_end_to_end_ms", report.end_to_end.millis());

@@ -1,5 +1,7 @@
 #include "src/core/verifier.h"
 
+#include <algorithm>
+
 #include "src/common/strings.h"
 
 namespace udc {
@@ -60,45 +62,52 @@ Status FulfillmentVerifier::CheckResources(Deployment* deployment,
   if (unit == nullptr) {
     return FailedPreconditionError("no resource unit");
   }
-  // For each allocation, fetch the signed ledger quotes of its pool and
-  // check the per-device amounts the provider claims add up to the unit's
-  // holdings for this tenant.
+  // For each device an allocation holds slices on, fetch that device's
+  // signed ledger row for this tenant and check the quoted amount covers
+  // the allocation's slices there. The row may aggregate this tenant's
+  // other units on the device, so it must be at least, not equal to, the
+  // slices.
   for (const PoolAllocation& alloc : unit->allocations) {
-    for (int i = 0; i < kNumDeviceKinds; ++i) {
-      ResourcePool& pool =
-          deployment->datacenter()->pool(static_cast<DeviceKind>(i));
-      if (pool.id() != alloc.pool) {
-        continue;
+    const ResourcePool* pool = deployment->datacenter()->PoolById(alloc.pool);
+    if (pool == nullptr) {
+      return FailedPreconditionError("allocation names an unknown pool");
+    }
+    const std::string_view kind = ResourceKindName(pool->resource_kind());
+    // The allocation's holding per device: slices on one device add up.
+    std::vector<AllocationSlice> held;
+    for (const AllocationSlice& slice : alloc.slices) {
+      const auto same = std::find_if(
+          held.begin(), held.end(),
+          [&slice](const AllocationSlice& h) { return h.device == slice.device; });
+      if (same == held.end()) {
+        held.push_back(slice);
+      } else {
+        same->amount += slice.amount;
       }
+    }
+    for (const AllocationSlice& holding : held) {
+      const DeviceId device = holding.device;
       UDC_ASSIGN_OR_RETURN(
-          const std::vector<Quote> quotes,
-          attestation_->QuoteResources(pool, deployment->tenant()));
-      int64_t attested_on_my_devices = 0;
-      for (const Quote& q : quotes) {
-        UDC_RETURN_IF_ERROR(verifier_.Verify(q));
-        for (const AllocationSlice& slice : alloc.slices) {
-          const std::string expected =
-              ResourceReport(slice.device.value(),
-                             ResourceKindName(pool.resource_kind()),
-                             deployment->tenant().value(), slice.amount);
-          // Amounts may be aggregated across this tenant's units on the same
-          // device; accept quotes claiming >= the slice.
-          if (q.report.find(StrFormat(
-                  "device=%llu",
-                  static_cast<unsigned long long>(slice.device.value()))) !=
-              std::string::npos) {
-            attested_on_my_devices += slice.amount;
-            (void)expected;
-            break;
-          }
-        }
+          const Quote quote,
+          attestation_->QuoteResource(*pool, device, deployment->tenant()));
+      UDC_ASSIGN_OR_RETURN(const int64_t quoted,
+                           ParseResourceReport(quote.report));
+      if (quote.signer_device != device.value()) {
+        return VerificationFailedError("resource quote signed by another device");
       }
-      if (attested_on_my_devices < alloc.total()) {
+      // The claim is re-rendered from what the user knows (device, kind,
+      // tenant) plus the quoted amount, so only the amount is taken on
+      // the quote's word, and then checked against the holding.
+      UDC_RETURN_IF_ERROR(verifier_.VerifyClaim(
+          quote, ResourceReport(device.value(), kind,
+                                deployment->tenant().value(), quoted)));
+      if (quoted < holding.amount) {
         return VerificationFailedError(StrFormat(
-            "resource quotes cover %lld of %lld %s",
-            static_cast<long long>(attested_on_my_devices),
-            static_cast<long long>(alloc.total()),
-            std::string(ResourceKindName(alloc.kind)).c_str()));
+            "device %llu quotes %lld of %lld %s",
+            static_cast<unsigned long long>(device.value()),
+            static_cast<long long>(quoted),
+            static_cast<long long>(holding.amount),
+            std::string(kind).c_str()));
       }
     }
   }

@@ -7,8 +7,9 @@
 // The verifier holds only the vendor root key. For each module it checks:
 //   - environment: the quoted measurement/isolation/tenancy matches the
 //     exec-env aspect (only for user-verifiable isolation levels);
-//   - resources: the signed pool-ledger quotes sum to at least the resolved
-//     demand (the paper's open problem, solved with device-local ledgers);
+//   - resources: each device the module holds slices on signs the amount
+//     its own ledger records for the tenant, and that amount covers the
+//     slices (the paper's open problem, solved with device-local ledgers);
 //   - replication: one valid replica quote per declared replica.
 
 #ifndef UDC_SRC_CORE_VERIFIER_H_

@@ -31,6 +31,19 @@ Sha256::Sha256()
       buffer_len_(0),
       finalized_(false) {}
 
+Sha256::Sha256(const Sha256State& state, uint64_t absorbed_bytes)
+    : state_(state),
+      total_bytes_(absorbed_bytes),
+      buffer_len_(0),
+      finalized_(false) {
+  assert(absorbed_bytes % 64 == 0);
+}
+
+const Sha256State& Sha256::state() const {
+  assert(buffer_len_ == 0 && !finalized_);
+  return state_;
+}
+
 void Sha256::ProcessBlock(const uint8_t* block) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {

@@ -17,16 +17,26 @@ namespace udc {
 
 using Sha256Digest = std::array<uint8_t, 32>;
 
+// The eight chaining words between 64-byte blocks.
+using Sha256State = std::array<uint32_t, 8>;
+
 // Incremental hasher.
 class Sha256 {
  public:
   Sha256();
+  // Resumes a hash whose first `absorbed_bytes` (a whole number of 64-byte
+  // blocks) left the chaining value `state`.
+  Sha256(const Sha256State& state, uint64_t absorbed_bytes);
 
   void Update(std::span<const uint8_t> data);
   void Update(std::string_view data);
 
   // Finalizes and returns the digest. The hasher must not be reused after.
   Sha256Digest Finalize();
+
+  // The chaining value so far. Only a whole number of blocks may have been
+  // absorbed: nothing is buffered.
+  const Sha256State& state() const;
 
   // One-shot convenience.
   static Sha256Digest Hash(std::span<const uint8_t> data);
@@ -35,7 +45,7 @@ class Sha256 {
  private:
   void ProcessBlock(const uint8_t* block);
 
-  uint32_t state_[8];
+  Sha256State state_;
   uint64_t total_bytes_;
   uint8_t buffer_[64];
   size_t buffer_len_;

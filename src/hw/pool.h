@@ -7,9 +7,9 @@
 // A ResourcePool owns all devices of one kind. Allocation requests carry
 // locality preferences and isolation constraints, and may be satisfied by
 // slices across several devices (except when `single_device` is required).
-// The pool keeps a signed-ledger-ready record of who holds what, which the
-// attestation layer snapshots to let users verify resource fulfillment
-// (paper sec. 4's open problem).
+// Each device keeps a ledger of what every tenant holds on it; the
+// attestation layer signs single rows of it (Device::AllocatedBy) to let
+// users verify resource fulfillment (paper sec. 4's open problem).
 
 #ifndef UDC_SRC_HW_POOL_H_
 #define UDC_SRC_HW_POOL_H_
@@ -69,8 +69,7 @@ struct AllocationConstraints {
   std::vector<DeviceId> avoid;
 };
 
-// A (device, tenant, amount) row of the pool's allocation ledger, used by
-// the attestation layer to build resource quotes.
+// A (device, tenant, amount) row of the pool's allocation ledger.
 struct LedgerEntry {
   DeviceId device;
   TenantId tenant;
@@ -133,7 +132,8 @@ class ResourcePool {
     return index_;
   }
 
-  // Snapshot of the ledger for attestation.
+  // Every row of the ledger, sorted by device then tenant: O(devices), for
+  // audits of the whole pool. A single row is Device::AllocatedBy.
   std::vector<LedgerEntry> LedgerSnapshot() const;
 
   std::string DebugString() const;

@@ -1,6 +1,7 @@
 #include "src/obs/breakdown.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/common/strings.h"
 
@@ -25,10 +26,16 @@ std::string LatencyBreakdown::Table() const {
 }
 
 LatencyBreakdown BreakdownFromSpans(const SpanTracer& tracer,
-                                    uint64_t trace_id) {
+                                    uint64_t root_span_id) {
   LatencyBreakdown b;
-  for (const Span& span : tracer.spans()) {
-    if (span.trace_id != trace_id || span.open) {
+  const Span* root = tracer.SpanById(root_span_id);
+  if (root == nullptr) {
+    return b;
+  }
+  // SpanById points into spans(), which is in open order.
+  const std::vector<Span>& all = tracer.spans();
+  for (const Span& span : std::span<const Span>(root, all.data() + all.size())) {
+    if (span.trace_id != root->trace_id || span.open) {
       continue;
     }
     const SimTime d = span.duration();

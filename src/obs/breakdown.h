@@ -31,11 +31,14 @@ struct LatencyBreakdown {
   std::string Table() const;
 };
 
-// Sums the closed spans of `trace_id` into components. Component sums can
-// exceed `total` when the DAG overlaps stages — they are per-component
-// serial totals, not a partition of the makespan.
+// Sums the closed spans of the trace rooted at `root_span_id` into
+// components; `total` is the root's duration. A trace's spans all open at or
+// after its root, so only the buffer from the root on is walked: the cost
+// follows the spans opened since the run began, not the tracer's size.
+// Component sums can exceed `total` when the DAG overlaps stages — they are
+// per-component serial totals, not a partition of the makespan.
 LatencyBreakdown BreakdownFromSpans(const SpanTracer& tracer,
-                                    uint64_t trace_id);
+                                    uint64_t root_span_id);
 
 }  // namespace udc
 

@@ -73,6 +73,54 @@ TEST(QuoteTest, ClaimMismatchDetected) {
   EXPECT_FALSE(verifier.VerifyClaim(q, ReplicationReport("S1", 8, 1)).ok());
 }
 
+TEST(QuoteTest, ParseResourceReportReadsTheAmount) {
+  for (const int64_t amount : {int64_t{0}, int64_t{2000}, int64_t{1} << 40}) {
+    EXPECT_EQ(ParseResourceReport(ResourceReport(12, "cpu", 3, amount))
+                  .value_or(-1),
+              amount);
+  }
+  EXPECT_FALSE(ParseResourceReport("replication object=S1 replica=7").ok());
+  EXPECT_FALSE(
+      ParseResourceReport(ResourceReport(12, "cpu", 3, 5) + " extra").ok());
+  EXPECT_FALSE(ParseResourceReport("resources device=12 amount=").ok());
+}
+
+TEST(QuoteTest, MemoizedSignerKeysStillRejectForgeries) {
+  const Key256 vendor = KeyFromString("vendor");
+  RootOfTrust rot(vendor, 7);
+  QuoteVerifier verifier(vendor);
+  for (int i = 1; i <= 3; ++i) {
+    const Quote q = rot.Sign(QuoteId(static_cast<uint64_t>(i)),
+                             QuoteSubject::kResources, SimTime(i), "claim");
+    ASSERT_TRUE(verifier.Verify(q).ok());
+  }
+  EXPECT_EQ(verifier.memoized_signers(), 1u);
+
+  // Signer 7's key is memoized; a flipped signature bit still fails.
+  const Quote valid =
+      rot.Sign(QuoteId(4), QuoteSubject::kResources, SimTime(4), "claim");
+  Quote flipped = valid;
+  flipped.signature[0] ^= 1;
+  EXPECT_EQ(verifier.Verify(flipped).code(), StatusCode::kVerificationFailed);
+
+  // A signer the vendor never provisioned: its key is not derived from the
+  // vendor root.
+  const RootOfTrust stranger(KeyFromString("not-the-vendor"), 9);
+  EXPECT_FALSE(verifier
+                   .Verify(stranger.Sign(QuoteId(5), QuoteSubject::kResources,
+                                         SimTime(5), "claim"))
+                   .ok());
+
+  // Forged signer ids never verify, so they never enter the memo.
+  for (uint64_t forged = 100; forged < 110; ++forged) {
+    Quote relabelled = valid;
+    relabelled.signer_device = forged;
+    EXPECT_FALSE(verifier.Verify(relabelled).ok());
+  }
+  EXPECT_EQ(verifier.memoized_signers(), 1u);
+  EXPECT_TRUE(verifier.Verify(valid).ok());
+}
+
 class AttestationServiceTest : public ::testing::Test {
  protected:
   AttestationServiceTest()
@@ -121,18 +169,22 @@ TEST_F(AttestationServiceTest, ResourceQuotesCoverLedger) {
   ASSERT_TRUE(alloc.ok());
   service_.ProvisionDevice(11);
 
-  const auto quotes = service_.QuoteResources(pool, TenantId(2));
-  ASSERT_TRUE(quotes.ok());
-  ASSERT_EQ(quotes->size(), 1u);
-  EXPECT_TRUE(verifier_.Verify((*quotes)[0]).ok());
-  EXPECT_TRUE(verifier_
-                  .VerifyClaim((*quotes)[0],
-                               ResourceReport(11, "gpu", 2, 2000))
+  const auto quote = service_.QuoteResource(pool, DeviceId(11), TenantId(2));
+  ASSERT_TRUE(quote.ok()) << quote.status().ToString();
+  EXPECT_EQ(quote->signer_device, 11u);
+  EXPECT_TRUE(verifier_.VerifyClaim(*quote, ResourceReport(11, "gpu", 2, 2000))
                   .ok());
-  // Another tenant's view is empty.
-  const auto other = service_.QuoteResources(pool, TenantId(9));
+  EXPECT_EQ(ParseResourceReport(quote->report).value_or(-1), 2000);
+  // Another tenant's row on the same device holds nothing.
+  const auto other = service_.QuoteResource(pool, DeviceId(11), TenantId(9));
   ASSERT_TRUE(other.ok());
-  EXPECT_TRUE(other->empty());
+  EXPECT_TRUE(
+      verifier_.VerifyClaim(*other, ResourceReport(11, "gpu", 9, 0)).ok());
+  // A device the pool does not own cannot be quoted.
+  EXPECT_EQ(service_.QuoteResource(pool, DeviceId(12), TenantId(2))
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(AttestationServiceTest, SoftwareQuoteBindsMeasurement) {

@@ -486,6 +486,44 @@ TEST_F(RuntimeTest, VerifierDetectsIsolationDowngrade) {
   }
 }
 
+TEST_F(RuntimeTest, VerifierDetectsShrunkLedgerRow) {
+  // Sabotage: the provider quietly takes back part of A4's CPU slice, so the
+  // device's own ledger row for the tenant falls one unit below the slice.
+  // The row still exists and still names the device.
+  const Placement* a4 = deployment_->PlacementOf(spec_->graph.IdOf("A4"));
+  const ResourceUnit* unit = deployment_->FindUnit(a4->unit);
+  ASSERT_FALSE(unit->allocations.empty());
+  const PoolAllocation& alloc = unit->allocations.front();
+  ASSERT_FALSE(alloc.slices.empty());
+  const AllocationSlice& slice = alloc.slices.front();
+  ASSERT_GT(slice.amount, 1);
+  Device* device =
+      deployment_->datacenter()->PoolById(alloc.pool)->FindDevice(slice.device);
+  ASSERT_NE(device, nullptr);
+  const int64_t taken = device->AllocatedBy(tenant_) - slice.amount + 1;
+  ASSERT_TRUE(device->Release(tenant_, taken).ok());
+  ASSERT_GT(device->AllocatedBy(tenant_), 0);
+
+  const auto report = cloud_->Verify(deployment_.get());
+  // Give the units back before anything else runs, teardown included.
+  ASSERT_TRUE(device->Allocate(tenant_, taken).ok());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->all_ok);
+  for (const auto& v : report->modules) {
+    if (v.name == "A4") {
+      EXPECT_TRUE(v.resources_checked);
+      EXPECT_FALSE(v.resources_ok);
+      EXPECT_NE(v.detail.find("quotes"), std::string::npos) << v.detail;
+    } else {
+      EXPECT_TRUE(v.AllChecksPassed()) << v.name << ": " << v.detail;
+    }
+  }
+  // With the row restored, the same deployment verifies again.
+  const auto restored = cloud_->Verify(deployment_.get());
+  ASSERT_TRUE(restored.ok());
+  EXPECT_TRUE(restored->all_ok) << restored->Table();
+}
+
 TEST_F(RuntimeTest, BillingScalesWithTimeAndPremiums) {
   BillingEngine billing(cloud_->sim(), cloud_->prices());
   const Bill hour = billing.BillFor(*deployment_, SimTime(0), SimTime::Hours(1));

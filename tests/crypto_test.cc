@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -68,9 +69,56 @@ TEST(Sha256Test, DigestEqualConstantScan) {
   EXPECT_FALSE(DigestEqual(a, b));
 }
 
-// RFC 4231 test case 2 (key "Jefe" is shorter than block; our API uses
-// fixed 32-byte keys, so we verify against a locally-computed reference of
-// the same construction instead: determinism + key separation).
+// A key shorter than 32 bytes, zero-padded into a Key256. HMAC zero-pads
+// short keys to the block size itself, so the MAC is the same as under the
+// unpadded key, and RFC 4231's expected values apply unchanged.
+Key256 ZeroPaddedKey(std::string_view bytes) {
+  Key256 key{};
+  std::copy(bytes.begin(), bytes.end(), key.begin());
+  return key;
+}
+
+TEST(HmacTest, Rfc4231TestCase1) {
+  const Key256 key = ZeroPaddedKey(std::string(20, '\x0b'));
+  EXPECT_EQ(DigestToHex(HmacSha256(key, "Hi There")),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  EXPECT_EQ(DigestToHex(HmacSha256Key(key).Mac("Hi There")),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+}
+
+TEST(HmacTest, Rfc4231TestCase2) {
+  const Key256 key = ZeroPaddedKey("Jefe");
+  EXPECT_EQ(DigestToHex(HmacSha256(key, "what do ya want for nothing?")),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+}
+
+// A reused HmacSha256Key agrees with the one-shot HMAC and with RFC 2104
+// spelled out over plain SHA-256, on both sides of every padding boundary.
+TEST(HmacTest, KeyScheduleMatchesOneShotAcrossBlockBoundaries) {
+  const Key256 key = KeyFromString("schedule");
+  const HmacSha256Key scheduled(key);
+  for (const size_t len : {0, 1, 55, 56, 63, 64, 65, 119, 120, 1000}) {
+    std::string msg(len, '\0');
+    for (size_t i = 0; i < len; ++i) {
+      msg[i] = static_cast<char>('a' + i % 26);
+    }
+    std::string ipad(64, '\x36');
+    std::string opad(64, '\x5c');
+    for (size_t i = 0; i < key.size(); ++i) {
+      ipad[i] = static_cast<char>(ipad[i] ^ key[i]);
+      opad[i] = static_cast<char>(opad[i] ^ key[i]);
+    }
+    const Sha256Digest inner = Sha256::Hash(ipad + msg);
+    const Sha256Digest reference = Sha256::Hash(
+        opad + std::string(inner.begin(), inner.end()));
+    EXPECT_EQ(DigestToHex(scheduled.Mac(msg)), DigestToHex(reference))
+        << "len=" << len;
+    EXPECT_EQ(DigestToHex(scheduled.Mac(msg)),
+              DigestToHex(HmacSha256(key, msg)))
+        << "len=" << len;
+  }
+}
+
 TEST(HmacTest, DeterministicAndKeySeparated) {
   const Key256 k1 = KeyFromString("key-one");
   const Key256 k2 = KeyFromString("key-two");

@@ -395,8 +395,7 @@ TEST(BreakdownTest, SumsComponentsFromOneTrace) {
   const uint64_t other = tracer.BeginAt(SimTime(0), "exec", "exec.compute");
   tracer.EndAt(other, SimTime::Hours(1));
 
-  const uint64_t trace_id = tracer.SpanById(root)->trace_id;
-  const LatencyBreakdown b = BreakdownFromSpans(tracer, trace_id);
+  const LatencyBreakdown b = BreakdownFromSpans(tracer, root);
   EXPECT_EQ(b.cold_start, SimTime::Millis(30));
   EXPECT_EQ(b.exec, SimTime::Millis(60));
   EXPECT_EQ(b.net, SimTime::Millis(10));
@@ -408,6 +407,73 @@ TEST(BreakdownTest, SumsComponentsFromOneTrace) {
   const std::string table = b.Table();
   EXPECT_NE(table.find("cold-start"), std::string::npos);
   EXPECT_NE(table.find("consensus"), std::string::npos);
+}
+
+// The walk starts at the root: spans of an earlier trace are skipped without
+// being read, and a later trace's spans interleaved with this one's are
+// filtered out. The result equals a sum over the whole buffer.
+TEST(BreakdownTest, WalkFromRootMatchesWholeBufferSum) {
+  SimTime now;
+  SpanTracer tracer([&now] { return now; });
+  const auto closed = [&tracer](std::string_view category,
+                                std::string_view name, SimTime start,
+                                SimTime end, uint64_t parent) {
+    const uint64_t id = tracer.BeginAt(start, std::string(category),
+                                       std::string(name), {}, parent);
+    tracer.EndAt(id, end);
+    return id;
+  };
+  // Trace A, entirely before the measured trace's root.
+  const uint64_t a = tracer.BeginAt(SimTime(0), "run", "run.invoke");
+  closed("exec", "exec.compute", SimTime(0), SimTime::Millis(500), a);
+  closed("net", "net.message", SimTime(0), SimTime::Millis(70), a);
+  tracer.EndAt(a, SimTime::Millis(500));
+  // Trace B, measured; trace C opens after B's root and interleaves.
+  const uint64_t b = tracer.BeginAt(SimTime::Millis(10), "run", "run.invoke");
+  const uint64_t c = tracer.BeginAt(SimTime::Millis(10), "run", "run.invoke");
+  for (int i = 0; i < 3; ++i) {
+    const SimTime t = SimTime::Millis(10 + 20 * i);
+    closed("exec", "exec.env_wait", t, t + SimTime::Millis(4), b);
+    closed("exec", "exec.env_wait", t, t + SimTime::Millis(9), c);
+    closed("exec", "exec.compute", t, t + SimTime::Millis(6), b);
+    closed("net", "net.input_transfer", t, t + SimTime::Millis(2), c);
+    closed("net", "net.input_transfer", t, t + SimTime::Millis(3), b);
+    closed("dist", "dist.output_commit", t, t + SimTime::Millis(1), b);
+    closed("exec", "exec.queue_wait", t, t + SimTime::Millis(5), c);
+  }
+  tracer.BeginAt(SimTime::Millis(60), "exec", "exec.compute", {}, b);  // open
+  tracer.EndAt(b, SimTime::Millis(80));
+  tracer.EndAt(c, SimTime::Millis(90));
+
+  const uint64_t trace = tracer.SpanById(b)->trace_id;
+  LatencyBreakdown want;
+  for (const Span& span : tracer.spans()) {
+    if (span.trace_id != trace || span.open) {
+      continue;
+    }
+    if (span.name == "exec.env_wait") {
+      want.cold_start += span.duration();
+    } else if (span.name == "exec.compute") {
+      want.exec += span.duration();
+    } else if (span.category == "net") {
+      want.net += span.duration();
+    } else if (span.category == "dist") {
+      want.consensus += span.duration();
+    } else if (span.name == "run.invoke") {
+      want.total = span.duration();
+    }
+  }
+  const LatencyBreakdown got = BreakdownFromSpans(tracer, b);
+  EXPECT_EQ(got.cold_start, want.cold_start);
+  EXPECT_EQ(got.exec, want.exec);
+  EXPECT_EQ(got.net, want.net);
+  EXPECT_EQ(got.consensus, want.consensus);
+  EXPECT_EQ(got.queue_wait, SimTime(0));
+  EXPECT_EQ(got.total, want.total);
+  EXPECT_EQ(got.cold_start, SimTime::Millis(12));
+  EXPECT_EQ(got.total, SimTime::Millis(70));
+  // An unknown root yields an empty breakdown.
+  EXPECT_EQ(BreakdownFromSpans(tracer, 0).accounted(), SimTime(0));
 }
 
 TEST(MetricsTest, LabelCardinalityBudgetFoldsIntoOverflowSeries) {
