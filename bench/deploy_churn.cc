@@ -1,15 +1,12 @@
 // Deploy-churn macro-benchmark: the control-plane hot path under load.
 //
 // Deploys and tears down ~1k microservice tenants against a ~10k-device
-// datacenter, once with the legacy linear placement scan and once with the
-// incremental free-capacity indexes, and reports deploys/sec, simulator
-// events/sec, and per-deploy placement-time percentiles. A sliding window
-// of live deployments keeps the pools fragmented the way long-running
-// churn does, so the allocator sees realistic free lists rather than a
-// pristine datacenter.
+// datacenter and reports deploys/sec, simulator events/sec, and per-deploy
+// placement-time percentiles. A sliding window of live deployments keeps
+// the pools fragmented the way long-running churn does, so the allocator
+// sees realistic free lists rather than a pristine datacenter.
 //
-// PR 5 adds transaction-focused phases on top of the linear/indexed
-// comparison:
+// PR 5 adds transaction-focused phases on top of the indexed churn:
 //   - batched (in-process): the same workload submitted through
 //     UdcCloud::DeployAll in fixed-size batches (demand resolution and rack
 //     scoring amortized per batch, one event-drain per batch instead of per
@@ -44,10 +41,10 @@
 //     on-cloud's SLO verdicts are machine-checked — a breach fails the run.
 //
 // The hierarchical control-plane PR adds:
-//   - scale-out: the cell-partitioned router (per-cell schedulers over
-//     partitioned capacity) versus the single global scheduler at
-//     datacenter scale — 40,000 racks / 840,000 devices / 400 cells, one
-//     million tenants churned through a live window. Gated at >= 3x the
+//   - scale-out: the router over 400 cells (per-cell schedulers over
+//     partitioned capacity) versus the same router over one unscoped cell
+//     at datacenter scale — 40,000 racks / 840,000 devices, one million
+//     tenants churned through a live window. Gated at >= 3x the one-cell
 //     baseline's aggregate deploys/sec (armed only at >= 100k devices), on
 //     byte-identical admit/reject decisions and pre-drain pool occupancy
 //     between the legs, and on the slo.sched.cell_place_p99 objective.
@@ -88,7 +85,6 @@ struct ChurnConfig {
   int racks = 480;        // 21 devices/rack -> 10,080 devices
   int deploys = 1000;     // tenants churned through the cloud
   int live_window = 64;   // deployments kept alive at any instant
-  bool indexed = true;    // placement via the free-capacity indexes
 };
 
 struct ChurnResult {
@@ -101,21 +97,13 @@ struct ChurnResult {
   udc::Histogram placement_us;
 };
 
-// One full churn run. The spec list is pre-generated so both modes place an
-// identical workload and spec generation stays out of the timed region.
+// One full churn run. The spec list is pre-generated so every phase places
+// an identical workload and spec generation stays out of the timed region.
 ChurnResult RunChurn(const ChurnConfig& config,
                      const std::vector<udc::AppSpec>& specs) {
   udc::UdcCloudConfig cloud_config;
   cloud_config.datacenter.racks = config.racks;
-  cloud_config.scheduler.use_placement_index = config.indexed;
   udc::UdcCloud cloud(cloud_config);
-  if (!config.indexed) {
-    for (int k = 0; k < udc::kNumDeviceKinds; ++k) {
-      cloud.datacenter()
-          .pool(static_cast<udc::DeviceKind>(k))
-          .set_use_index(false);
-    }
-  }
 
   ChurnResult result;
   result.devices =
@@ -189,7 +177,6 @@ ChurnResult RunBatchedChurn(const ChurnConfig& config, int batch_size,
                             const std::vector<udc::AppSpec>& specs) {
   udc::UdcCloudConfig cloud_config;
   cloud_config.datacenter.racks = config.racks;
-  cloud_config.scheduler.use_placement_index = true;
   udc::UdcCloud cloud(cloud_config);
 
   ChurnResult result;
@@ -279,7 +266,6 @@ struct FrontendEnv {
   explicit FrontendEnv(int racks) {
     udc::UdcCloudConfig cloud_config;
     cloud_config.datacenter.racks = racks;
-    cloud_config.scheduler.use_placement_index = true;
     cloud = std::make_unique<udc::UdcCloud>(cloud_config);
     const udc::TenantId tenant = cloud->RegisterTenant("rpc-churn");
     const udc::NodeId frontend_node =
@@ -467,7 +453,6 @@ ObsOverheadResult RunObsOverhead(int racks, int deploys, int window,
   const auto make_cloud = [&](bool obs_on) {
     udc::UdcCloudConfig cloud_config;
     cloud_config.datacenter.racks = racks;
-    cloud_config.scheduler.use_placement_index = true;
     cloud_config.scheduler.record_place_latency = obs_on;
     auto cloud = std::make_unique<udc::UdcCloud>(cloud_config);
     cloud->sim()->flight_recorder().set_enabled(obs_on);
@@ -641,7 +626,6 @@ AbortResult RunAbortChurn(int racks, int deploys,
                           const std::vector<udc::AppSpec>& specs) {
   udc::UdcCloudConfig cloud_config;
   cloud_config.datacenter.racks = racks;
-  cloud_config.scheduler.use_placement_index = true;
   udc::UdcCloud cloud(cloud_config);
 
   AbortResult result;
@@ -722,7 +706,6 @@ DecisionLeg RunDecisionLeg(const udc::EnvStoreConfig& store_config, int racks,
                            const std::vector<udc::AppSpec>& specs) {
   udc::UdcCloudConfig cloud_config;
   cloud_config.datacenter.racks = racks;
-  cloud_config.scheduler.use_placement_index = true;
   cloud_config.env_store = store_config;
   udc::UdcCloud cloud(cloud_config);
 
@@ -810,7 +793,6 @@ WarmStoreResult RunWarmStorePhase(int diff_racks, int diff_deploys,
   // warm credit while ~half the transactions roll back through it.
   udc::UdcCloudConfig cloud_config;
   cloud_config.datacenter.racks = 1;
-  cloud_config.scheduler.use_placement_index = true;
   cloud_config.env_store.enabled = true;
   cloud_config.env_store.share_across_tenants = true;
   udc::UdcCloud cloud(cloud_config);
@@ -885,7 +867,7 @@ double MeasureEmptyTxnUs(int iterations) {
   udc::UdcCloudConfig cloud_config;
   cloud_config.datacenter.racks = 2;
   udc::UdcCloud cloud(cloud_config);
-  udc::PlacementEngine& engine = cloud.scheduler().engine();
+  udc::PlacementEngine& engine = cloud.region_router()->engine();
 
   const double t0 = CpuSeconds();
   for (int i = 0; i < iterations; ++i) {
@@ -897,19 +879,21 @@ double MeasureEmptyTxnUs(int iterations) {
 
 // --- Scale-out phase: the hierarchical control plane at datacenter scale.
 //
-// One leg per control-plane shape — the legacy single scheduler over one
-// global index, and the cell-partitioned router over per-cell schedulers —
-// each churning the SAME deploy sequence (same specs, same order, same
-// live-window eviction) against its own cloud of identical geometry. The
-// full configuration registers >= 1M tenants over >= 100k devices; the
-// gate is aggregate deploys/sec >= 3x the single-scheduler baseline, armed
-// only at that scale (the smoke configuration runs the identical code but
-// is far too small for the baseline's O(racks) rack scan to hurt).
+// One leg per topology — the router over one unscoped cell (one global
+// index, the flat datacenter), and the router over per-cell schedulers on
+// a cell-partitioned index — each churning the SAME deploy sequence (same
+// specs, same order, same live-window eviction) against its own cloud of
+// identical geometry. The full configuration registers >= 1M tenants over
+// >= 100k devices; the gate is aggregate deploys/sec >= 3x the one-cell
+// baseline, armed only at that scale (the smoke configuration runs the
+// identical code but is far too small for the baseline's O(racks) rack
+// pick to hurt).
 //
 // The baseline doubles as a differential oracle: both legs must make
 // byte-identical per-deploy admit/reject decisions (FNV-1a hash over the
 // outcome stream) and end the churn with byte-identical per-pool allocated
-// totals. Per-cell placement p99 comes from the router's interned
+// totals. Placement p50/p99 come from the router's aggregate
+// sched.place_latency_us sketch, per-cell p99 from its per-cell
 // sched.cell_place_latency_us sketches, and the slo.sched.cell_place_p99
 // objective is machine-checked on the cells leg.
 
@@ -1026,7 +1010,6 @@ ScaleResult RunScalePhase(int racks, int cells, int deploys, int window,
   {
     udc::UdcCloudConfig config;
     config.datacenter.racks = racks;
-    config.scheduler.use_placement_index = true;
     config.scheduler.record_place_latency = true;
     udc::UdcCloud cloud(config);
     result.baseline = RunScaleLeg(cloud, deploys, window, specs);
@@ -1040,14 +1023,13 @@ ScaleResult RunScalePhase(int racks, int cells, int deploys, int window,
     udc::UdcCloudConfig config;
     config.datacenter.racks = racks;
     config.datacenter.cells = cells;
-    config.scheduler.use_placement_index = true;
     config.scheduler.record_place_latency = true;
     udc::UdcCloud cloud(config);
     {
       udc::SloSpec spec;
       spec.name = "slo.sched.cell_place_p99";
       spec.kind = udc::SloSpec::SourceKind::kHistogramQuantile;
-      spec.source = "sched.cell_place_latency_us";
+      spec.source = "sched.place_latency_us";
       spec.quantile = 0.99;
       spec.threshold = 500'000.0;  // sanity bound, not a tight budget
       spec.window = udc::SimTime::Hours(24);
@@ -1055,11 +1037,11 @@ ScaleResult RunScalePhase(int racks, int cells, int deploys, int window,
     }
     result.cells = RunScaleLeg(cloud, deploys, window, specs);
     if (const udc::MetricHistogram* h =
-            cloud.sim()->metrics().histogram("sched.cell_place_latency_us")) {
+            cloud.sim()->metrics().histogram("sched.place_latency_us")) {
       result.cells.p50_us = h->Quantile(0.5);
       result.cells.p99_us = h->Quantile(0.99);
     }
-    udc::CellRouter* router = cloud.cell_router();
+    udc::RegionRouter* router = cloud.region_router();
     for (int c = 0; c < router->cell_count(); ++c) {
       result.cell_deploys.push_back(router->CellDeploys(c));
       const udc::MetricHistogram* h = cloud.sim()->metrics().histogram(
@@ -1090,12 +1072,12 @@ ScaleResult RunScalePhase(int racks, int cells, int deploys, int window,
 
 // --- Federation phase: the region-partitioned control plane over a WAN.
 //
-// Three legs. The differential pair runs the SAME deploy sequence against
-// the cells-only router and against the region router with regions=1 over
-// identical geometry — the region layer collapsed to one region must make
-// byte-identical admit/reject decisions (FNV-1a over the outcome stream)
-// and end with byte-identical pool occupancy, the same contract the scale
-// phase holds between the single scheduler and the cell router. The
+// Three legs. The differential pair runs the SAME deploy sequence through
+// the router with regions=0 (all cells one region, region aspects ignored)
+// and with regions=1 over identical geometry — the region layer collapsed
+// to one region must make byte-identical admit/reject decisions (FNV-1a
+// over the outcome stream) and end with byte-identical pool occupancy, the
+// same contract the scale phase holds between one cell and many. The
 // federated leg then runs 4 regions over an asymmetric WAN link matrix
 // with deliberately skewed tenant demand (60% of deploys pinned to region
 // 0 via the dist region affinity aspect) and the content-addressed env
@@ -1112,7 +1094,7 @@ struct FederationResult {
   int cell_count = 0;
   int region_count = 0;
   int live_window = 0;
-  ScaleLeg cells_leg;    // cells-only oracle
+  ScaleLeg cells_leg;    // regions = 0 oracle
   ScaleLeg region1_leg;  // region router, regions = 1
   bool decisions_match = false;
   bool occupancy_match = false;
@@ -1179,12 +1161,11 @@ FederationResult RunFederationPhase(
   result.region_count = regions;
   result.live_window = window;
 
-  // Differential pair: cells-only vs regions=1, same sequence.
+  // Differential pair: regions=0 vs regions=1, same sequence.
   {
     udc::UdcCloudConfig config;
     config.datacenter.racks = racks;
     config.datacenter.cells = cells;
-    config.scheduler.use_placement_index = true;
     udc::UdcCloud cloud(config);
     result.cells_leg = RunScaleLeg(cloud, deploys, window, shared_specs);
   }
@@ -1193,7 +1174,6 @@ FederationResult RunFederationPhase(
     config.datacenter.racks = racks;
     config.datacenter.cells = cells;
     config.datacenter.regions = 1;
-    config.scheduler.use_placement_index = true;
     udc::UdcCloud cloud(config);
     result.region1_leg = RunScaleLeg(cloud, deploys, window, shared_specs);
   }
@@ -1209,7 +1189,6 @@ FederationResult RunFederationPhase(
   config.datacenter.racks = racks;
   config.datacenter.cells = cells;
   config.datacenter.regions = regions;
-  config.scheduler.use_placement_index = true;
   config.scheduler.record_place_latency = true;
   config.env_store.enabled = true;
   config.env_store.share_across_tenants = true;
@@ -1232,7 +1211,7 @@ FederationResult RunFederationPhase(
     udc::SloSpec spec;
     spec.name = "slo.sched.region_place_p99";
     spec.kind = udc::SloSpec::SourceKind::kHistogramQuantile;
-    spec.source = "sched.region_place_latency_us";
+    spec.source = "sched.place_latency_us";
     spec.quantile = 0.99;
     spec.threshold = 500'000.0;  // sanity bound, not a tight budget
     spec.window = udc::SimTime::Hours(24);
@@ -1340,8 +1319,8 @@ FederationResult RunFederationPhase(
   result.remote_starts = cloud.sim()->metrics().counter("exec.remote_starts");
   result.remote_hits = store->remote_hits();
   result.store_hits = store->hits();
-  if (const udc::MetricHistogram* h = cloud.sim()->metrics().histogram(
-          "sched.region_place_latency_us")) {
+  if (const udc::MetricHistogram* h =
+          cloud.sim()->metrics().histogram("sched.place_latency_us")) {
     result.region_place_p99_us = h->Quantile(0.99);
   }
   cloud.sim()->slos().EvaluateNow(cloud.sim()->now());
@@ -1357,7 +1336,7 @@ FederationResult RunFederationPhase(
 void PrintFederation(const FederationResult& f) {
   std::printf("federation: %d racks / %d cells / %d regions, window %d\n",
               f.racks, f.cell_count, f.region_count, f.live_window);
-  std::printf("  differential (cells vs regions=1): decisions %s "
+  std::printf("  differential (regions=0 vs regions=1): decisions %s "
               "(%016llx / %016llx), occupancy %s, drain %s/%s\n",
               f.decisions_match ? "match" : "DIVERGED",
               static_cast<unsigned long long>(f.cells_leg.decision_hash),
@@ -1387,8 +1366,8 @@ bool CheckFederationGates(const FederationResult& f) {
   bool ok = true;
   if (!f.decisions_match || !f.occupancy_match) {
     std::fprintf(stderr,
-                 "FAIL: region router with regions=1 diverged from the "
-                 "cells-only router (hashes %016llx / %016llx)\n",
+                 "FAIL: the router with regions=1 diverged from regions=0 "
+                 "(hashes %016llx / %016llx)\n",
                  static_cast<unsigned long long>(f.cells_leg.decision_hash),
                  static_cast<unsigned long long>(
                      f.region1_leg.decision_hash));
@@ -1513,7 +1492,7 @@ void PrintScale(const ScaleResult& s) {
               "window %d\n",
               s.racks, s.cells.devices, s.cell_count, s.cells.tenants,
               s.live_window);
-  std::printf("  baseline %8.1f deploys/s  p50=%.1fus p99=%.1fus  "
+  std::printf("  one cell %8.1f deploys/s  p50=%.1fus p99=%.1fus  "
               "(%lld ok, %lld failed, %.1fs)\n",
               s.baseline.deploys_per_sec, s.baseline.p50_us,
               s.baseline.p99_us, s.baseline.deploys, s.baseline.failures,
@@ -1576,7 +1555,7 @@ bool CheckScaleGates(const ScaleResult& s) {
   if (s.gate_armed && s.speedup < 3.0) {
     std::fprintf(stderr,
                  "FAIL: cell-partitioned control plane %.2fx the "
-                 "single-scheduler baseline at %lld devices, gate is 3x\n",
+                 "one-cell baseline at %lld devices, gate is 3x\n",
                  s.speedup, s.cells.devices);
     ok = false;
   }
@@ -1650,7 +1629,7 @@ void WriteScaleOnlyJson(bool smoke, const ScaleResult& scale) {
 }
 
 void WriteJson(const ChurnConfig& config, bool smoke,
-               const ChurnResult& linear, const ChurnResult& indexed,
+               const ChurnResult& indexed,
                const ChurnResult& batched, int batch_size,
                const AbortResult& abort, const WarmStoreResult& warm_store,
                double empty_txn_us, double overhead_pct,
@@ -1686,21 +1665,15 @@ void WriteJson(const ChurnConfig& config, bool smoke,
                config.racks, indexed.devices, config.deploys,
                config.live_window, udc::bench::HostCores(),
                smoke ? "true" : "false");
-  emit_mode("linear", linear);
-  std::fprintf(f, ",\n");
   emit_mode("indexed", indexed);
   std::fprintf(f, ",\n");
   emit_mode("batched", batched);
-  const double speedup = linear.deploys_per_sec > 0
-                             ? indexed.deploys_per_sec / linear.deploys_per_sec
-                             : 0;
   const double batched_speedup =
       indexed.deploys_per_sec > 0
           ? batched.deploys_per_sec / indexed.deploys_per_sec
           : 0;
-  std::fprintf(f, ",\n  \"speedup_deploys_per_sec\": %.2f,\n", speedup);
   std::fprintf(f,
-               "  \"txn\": {\n"
+               ",\n  \"txn\": {\n"
                "    \"batch_size\": %d,\n"
                "    \"batched_speedup_vs_indexed\": %.2f,\n"
                "    \"empty_txn_us\": %.3f,\n"
@@ -1793,7 +1766,7 @@ int main(int argc, char** argv) {
     config.live_window = 16;
   }
 
-  // Both modes place byte-identical workloads: same specs, same order.
+  // Every phase places byte-identical workloads: same specs, same order.
   udc::Rng spec_rng(0xC10DDu);
   std::vector<udc::AppSpec> specs;
   for (int i = 0; i < 16; ++i) {
@@ -1840,7 +1813,7 @@ int main(int argc, char** argv) {
   // Full scale: 40000 racks = 840,000 devices in 400 cells (100 racks /
   // 2,100 devices per cell), one million tenants churned through a live
   // window. The rack count sets the baseline's O(racks) per-pick cost; at
-  // this size the single scheduler's rack scan dwarfs the shared
+  // this size the one-cell rack pick dwarfs the shared
   // per-deploy floor (~30us of tenant/env/window bookkeeping both legs
   // pay), which is what the 3x aggregate gate is measuring. Smoke runs
   // the identical code a few thousand times smaller.
@@ -1891,21 +1864,8 @@ int main(int argc, char** argv) {
               config.racks, config.deploys, config.live_window,
               smoke ? " (smoke)" : "");
 
-  ChurnConfig linear_config = config;
-  linear_config.indexed = false;
-  const ChurnResult linear = RunChurn(linear_config, specs);
-  PrintResult("linear", linear);
-
   const ChurnResult indexed = RunChurn(config, specs);
   PrintResult("indexed", indexed);
-
-  if (linear.deploys != indexed.deploys || linear.failures != indexed.failures) {
-    std::fprintf(stderr,
-                 "FAIL: modes diverged (linear %lld/%lld, indexed %lld/%lld)\n",
-                 linear.deploys, linear.failures, indexed.deploys,
-                 indexed.failures);
-    return 1;
-  }
 
   const int batch_size = smoke ? 16 : 32;
   const ChurnResult batched = RunBatchedChurn(config, batch_size, specs);
@@ -1997,13 +1957,9 @@ int main(int argc, char** argv) {
       fed_abort_tail, shared_specs, specs, heavy_specs);
   PrintFederation(fed);
 
-  WriteJson(config, smoke, linear, indexed, batched, batch_size, abort,
-            warm_store, empty_txn_us, overhead_pct, rpc_single, rpc_batched,
-            rpc_speedup, obs, scale, fed);
-  if (linear.deploys_per_sec > 0) {
-    std::printf("speedup: %.2fx deploys/sec\n",
-                indexed.deploys_per_sec / linear.deploys_per_sec);
-  }
+  WriteJson(config, smoke, indexed, batched, batch_size, abort, warm_store,
+            empty_txn_us, overhead_pct, rpc_single, rpc_batched, rpc_speedup,
+            obs, scale, fed);
 
   // Transaction gates (see header comment). Failing any of them fails the
   // ctest that runs this benchmark.

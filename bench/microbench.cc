@@ -138,12 +138,9 @@ void BM_PoolAllocateRelease(benchmark::State& state) {
 BENCHMARK(BM_PoolAllocateRelease);
 
 void BM_PoolAllocateReleaseAtScale(benchmark::State& state) {
-  // range(0) devices across 16 racks; range(1) selects the linear scan (0)
-  // or the free-capacity indexes (1). The gap between the two is the whole
-  // point of the indexed allocator: per-allocation cost must not grow with
-  // the device count.
+  // range(0) devices across 16 racks. The point of the indexed allocator:
+  // per-allocation cost must not grow with the device count.
   const int devices = static_cast<int>(state.range(0));
-  const bool indexed = state.range(1) != 0;
   Topology topo;
   ResourcePool pool(PoolId(0), DeviceKind::kCpuBlade);
   const int racks = 16;
@@ -157,7 +154,6 @@ void BM_PoolAllocateReleaseAtScale(benchmark::State& state) {
         topo.AddNode(rack_ids[i % racks], NodeRole::kDevice),
         DeviceProfile::DefaultFor(DeviceKind::kCpuBlade)));
   }
-  pool.set_use_index(indexed);
   AllocationConstraints constraints;
   constraints.preferred_rack = 3;
   for (auto _ : state) {
@@ -167,11 +163,7 @@ void BM_PoolAllocateReleaseAtScale(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PoolAllocateReleaseAtScale)
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->Args({4096, 0})
-    ->Args({4096, 1});
+BENCHMARK(BM_PoolAllocateReleaseAtScale)->Arg(256)->Arg(4096);
 
 void BM_CounterIncrementString(benchmark::State& state) {
   // The string-addressed path: one transparent hash lookup per event.

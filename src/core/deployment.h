@@ -47,7 +47,7 @@ class Deployment {
  public:
   // `env_manager` / `attestation` are optional lifecycle hooks: when set,
   // Teardown also stops the units' environments and retires the attestation
-  // identities recorded via RecordProvisionedIdentity. The scheduler always
+  // identities recorded via RecordProvisionedIdentity. The router always
   // passes both.
   Deployment(TenantId tenant, AppSpec spec, DisaggregatedDatacenter* datacenter,
              SimTime deployed_at, EnvManager* env_manager = nullptr,

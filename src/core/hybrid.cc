@@ -38,7 +38,7 @@ Result<HybridDeployment> HybridDeployer::Deploy(TenantId tenant,
   // partial fallback aborts as one unit.
   DryRunProfiler profiler(&cloud_->datacenter(), &cloud_->prices());
   result.path = HybridPath::kIaas;
-  PlacementTxn txn = cloud_->scheduler().engine().Begin("hybrid_iaas");
+  PlacementTxn txn = cloud_->region_router()->engine().Begin("hybrid_iaas");
   for (const ModuleId module : spec.graph.ModuleIds()) {
     const Module* m = spec.graph.Find(module);
     const AspectSet aspects = spec.AspectsFor(module);

@@ -49,14 +49,14 @@ Status PlacementEngine::Release(const PoolAllocation& allocation) {
 void PlacementEngine::NoteClosed(const PlacementTxn& txn, bool committed) {
   sim_->metrics().Increment(committed ? txn_committed_ : txn_aborted_);
   sim_->metrics().Increment(txn_ops_staged_,
-                            static_cast<int64_t>(txn.staged_ops()));
+                            static_cast<int64_t>(txn.total_staged_ops()));
   if (txn.undone_ops_ > 0) {
     sim_->metrics().Increment(txn_ops_undone_,
                               static_cast<int64_t>(txn.undone_ops_));
   }
   if (txn.span_id_ != 0) {
     sim_->spans().AddLabel(txn.span_id_, "ops",
-                           StrFormat("%zu", txn.staged_ops()));
+                           StrFormat("%zu", txn.total_staged_ops()));
     if (!committed) {
       sim_->spans().AddLabel(txn.span_id_, "undone",
                              StrFormat("%zu", txn.undone_ops_));

@@ -12,7 +12,8 @@ PlacementTxn::PlacementTxn(PlacementEngine* engine, uint64_t span_id)
 
 PlacementTxn::PlacementTxn(PlacementTxn&& other) noexcept
     : engine_(other.engine_), span_id_(other.span_id_), state_(other.state_),
-      undone_ops_(other.undone_ops_), ops_(std::move(other.ops_)) {
+      undone_ops_(other.undone_ops_), total_staged_(other.total_staged_),
+      ops_(std::move(other.ops_)) {
   other.engine_ = nullptr;  // moved-from: destructor must not abort
   other.span_id_ = 0;
   other.ops_.clear();
@@ -43,7 +44,7 @@ Result<PoolAllocation> PlacementTxn::AllocateFrom(
   op.kind = Op::Kind::kAllocate;
   op.pool = pool;
   op.allocation = allocation;
-  ops_.push_back(std::move(op));
+  Stage(std::move(op));
   return allocation;
 }
 
@@ -59,7 +60,7 @@ Status PlacementTxn::Resize(ResourcePool* pool, PoolAllocation& allocation,
   op.undo = [pool, &allocation, delta, &topology] {
     (void)pool->Resize(allocation, -delta, topology);
   };
-  ops_.push_back(std::move(op));
+  Stage(std::move(op));
   return OkStatus();
 }
 
@@ -74,7 +75,7 @@ ExecEnvironment* PlacementTxn::Launch(
   Op op;
   op.kind = Op::Kind::kLaunch;
   op.env = env;
-  ops_.push_back(std::move(op));
+  Stage(std::move(op));
   return env;
 }
 
@@ -87,7 +88,7 @@ void PlacementTxn::Provision(uint64_t identity) {
   Op op;
   op.kind = Op::Kind::kProvision;
   op.identity = identity;
-  ops_.push_back(std::move(op));
+  Stage(std::move(op));
 }
 
 void PlacementTxn::StageUndo(std::function<void()> undo) {
@@ -95,7 +96,7 @@ void PlacementTxn::StageUndo(std::function<void()> undo) {
   Op op;
   op.kind = Op::Kind::kCustomUndo;
   op.undo = std::move(undo);
-  ops_.push_back(std::move(op));
+  Stage(std::move(op));
 }
 
 void PlacementTxn::StageRelease(PoolAllocation allocation) {
@@ -103,7 +104,7 @@ void PlacementTxn::StageRelease(PoolAllocation allocation) {
   Op op;
   op.kind = Op::Kind::kRelease;
   op.allocation = std::move(allocation);
-  ops_.push_back(std::move(op));
+  Stage(std::move(op));
 }
 
 void PlacementTxn::StageStop(ExecEnvironment* env, bool keep_warm) {
@@ -112,7 +113,7 @@ void PlacementTxn::StageStop(ExecEnvironment* env, bool keep_warm) {
   op.kind = Op::Kind::kStop;
   op.env = env;
   op.keep_warm = keep_warm;
-  ops_.push_back(std::move(op));
+  Stage(std::move(op));
 }
 
 Status PlacementTxn::Commit() {
@@ -142,6 +143,11 @@ Status PlacementTxn::Commit() {
   state_ = State::kCommitted;
   engine_->NoteClosed(*this, /*committed=*/true);
   return status;
+}
+
+void PlacementTxn::Stage(Op op) {
+  ops_.push_back(std::move(op));
+  ++total_staged_;
 }
 
 void PlacementTxn::UndoOp(Op& op) {

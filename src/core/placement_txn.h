@@ -102,7 +102,11 @@ class PlacementTxn {
   void AbortTo(size_t mark);
 
   State state() const { return state_; }
+  // Ops currently staged: the mark AbortTo takes. AbortTo shrinks it.
   size_t staged_ops() const { return ops_.size(); }
+  // Every op ever staged, including those AbortTo has since unwound — the
+  // count core.txn_ops_staged reports, so undone ops stay a subset of it.
+  size_t total_staged_ops() const { return total_staged_; }
 
  private:
   friend class PlacementEngine;
@@ -127,11 +131,13 @@ class PlacementTxn {
   };
 
   void UndoOp(Op& op);
+  void Stage(Op op);
 
   PlacementEngine* engine_;  // null after move-from
   uint64_t span_id_ = 0;     // the sched.txn span, closed by Commit/Abort
   State state_ = State::kOpen;
   size_t undone_ops_ = 0;
+  size_t total_staged_ = 0;
   std::vector<Op> ops_;
 };
 

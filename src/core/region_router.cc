@@ -1,8 +1,8 @@
 #include "src/core/region_router.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -12,9 +12,23 @@ namespace udc {
 
 namespace {
 
-// Same routing key as CellRouter: cpu-blade headroom tracks overall
-// pressure; specs dominated by another kind spill through the fallbacks.
+// Routing keys off cpu-blade headroom: every task DAG demands cpu, so the
+// cpu partition tracks overall pressure. Specs dominated by another kind
+// still land correctly — the home cell's rejection spills them through the
+// fallback ladder.
 constexpr DeviceKind kRoutingKind = DeviceKind::kCpuBlade;
+
+// Sorts `ids` by (free desc, id asc).
+void SortByFree(std::vector<int>& ids, const std::vector<int64_t>& free) {
+  std::sort(ids.begin(), ids.end(), [&free](int a, int b) {
+    const int64_t fa = free[static_cast<size_t>(a)];
+    const int64_t fb = free[static_cast<size_t>(b)];
+    if (fa != fb) {
+      return fa > fb;
+    }
+    return a < b;
+  });
+}
 
 }  // namespace
 
@@ -26,37 +40,48 @@ RegionRouter::RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
       engine_(sim, datacenter, env_manager, attestation),
       region_count_(datacenter->topology().region_count()),
       record_place_latency_(base.record_place_latency),
-      cross_region_deploys_(
-          sim->metrics().CounterSeries("sched.cross_region_deploys")),
-      region_fallbacks_(
-          sim->metrics().CounterSeries("sched.region_fallbacks")) {
+      cross_cell_deploys_(
+          sim->metrics().CounterSeries("sched.cross_cell_deploys")),
+      cell_fallbacks_(sim->metrics().CounterSeries("sched.cell_fallbacks")) {
   const Topology& topology = datacenter->topology();
-  const int cells = topology.cell_count();
-  assert(region_count_ > 0 && "RegionRouter requires a regioned topology");
-  assert(cells > 0 && "RegionRouter requires a cell-partitioned topology");
-  cells_.reserve(static_cast<size_t>(cells));
+  const bool partitioned = topology.cell_count() > 0;
+  const int cells = partitioned ? topology.cell_count() : 1;
+  if (record_place_latency_) {
+    // Sketch mode: the benches and the SLO engine window these series, and
+    // a bounded bucket array keeps million-deploy runs at fixed memory.
+    place_latency_us_ =
+        sim->metrics().EnableSketchHistogram("sched.place_latency_us");
+  }
   for (int c = 0; c < cells; ++c) {
     SchedulerConfig config = base;
-    config.cell = c;
-    // The cell schedulers never open their own deploy transactions (the
-    // router's engine owns those); routed latency is recorded here.
-    config.record_place_latency = false;
-    cells_.push_back(std::make_unique<UdcScheduler>(
-        sim, datacenter, fabric, env_manager, attestation, prices, config));
+    // An unpartitioned topology keeps its one scheduler unscoped: the flat
+    // datacenter's rack picks and pool requests.
+    config.cell = partitioned ? c : -1;
+    cells_.push_back(
+        std::make_unique<UdcScheduler>(sim, datacenter, fabric, prices,
+                                       config));
+    const std::string cell = StrFormat("%d", c);
+    cell_deploys_.push_back(
+        sim->metrics().CounterSeries("sched.cell_deploys", {{"cell", cell}}));
+    deploy_span_sets_.push_back(sim->spans().InternLabelSet(
+        region_count_ > 0
+            ? SpanLabels{{"region", StrFormat("%d", RegionOfCell(c))},
+                         {"cell", cell}}
+            : SpanLabels{{"cell", cell}}));
+    if (record_place_latency_) {
+      cell_place_latency_us_.push_back(sim->metrics().EnableSketchHistogram(
+          "sched.cell_place_latency_us", {{"cell", cell}}));
+    }
   }
-  region_deploys_.reserve(static_cast<size_t>(region_count_));
-  region_span_sets_.reserve(static_cast<size_t>(region_count_));
-  if (record_place_latency_) {
-    place_latency_us_ =
-        sim->metrics().EnableSketchHistogram("sched.region_place_latency_us");
-    region_place_latency_us_.reserve(static_cast<size_t>(region_count_));
+  if (region_count_ > 0) {
+    cross_region_deploys_ =
+        sim->metrics().CounterSeries("sched.cross_region_deploys");
+    region_fallbacks_ = sim->metrics().CounterSeries("sched.region_fallbacks");
   }
   for (int r = 0; r < region_count_; ++r) {
     const MetricLabels labels = {{"region", StrFormat("%d", r)}};
     region_deploys_.push_back(
         sim->metrics().CounterSeries("sched.region_deploys", labels));
-    region_span_sets_.push_back(
-        sim->spans().InternLabelSet({{"region", StrFormat("%d", r)}}));
     if (record_place_latency_) {
       region_place_latency_us_.push_back(sim->metrics().EnableSketchHistogram(
           "sched.region_place_latency_us", labels));
@@ -84,19 +109,50 @@ const std::vector<int64_t>& RegionRouter::CellFreeSummary(
       .cell_free();
 }
 
+int64_t RegionRouter::CellDeploys(int c) const {
+  return sim_->metrics().value(cell_deploys_[static_cast<size_t>(c)]);
+}
+
+int64_t RegionRouter::cross_cell_deploys() const {
+  return sim_->metrics().value(cross_cell_deploys_);
+}
+
+int64_t RegionRouter::cell_fallbacks() const {
+  return sim_->metrics().value(cell_fallbacks_);
+}
+
 int64_t RegionRouter::RegionDeploys(int r) const {
   return sim_->metrics().value(region_deploys_[static_cast<size_t>(r)]);
 }
 
 int64_t RegionRouter::cross_region_deploys() const {
-  return sim_->metrics().value(cross_region_deploys_);
+  return region_count_ > 0 ? sim_->metrics().value(cross_region_deploys_)
+                           : 0;
 }
 
 int64_t RegionRouter::region_fallbacks() const {
-  return sim_->metrics().value(region_fallbacks_);
+  return region_count_ > 0 ? sim_->metrics().value(region_fallbacks_) : 0;
+}
+
+int RegionRouter::CellBegin(int region) const {
+  return region_count_ > 0
+             ? datacenter_->topology().RegionCellBegin(region)
+             : 0;
+}
+
+int RegionRouter::CellEnd(int region) const {
+  return region_count_ > 0 ? datacenter_->topology().RegionCellEnd(region)
+                           : cell_count();
+}
+
+int RegionRouter::RegionOfCell(int cell) const {
+  return region_count_ > 0 ? datacenter_->topology().RegionOf(cell) : 0;
 }
 
 int RegionRouter::RouteRegion(const AppSpec& spec) const {
+  if (region_count_ == 0) {
+    return 0;
+  }
   // A declared affinity pins the home region (data sovereignty beats load
   // spreading); the first module in declaration order with one wins.
   for (const ModuleId module : spec.graph.ModuleIds()) {
@@ -118,10 +174,12 @@ int RegionRouter::RouteRegion(const AppSpec& spec) const {
 }
 
 int RegionRouter::RouteCellInRegion(int region) const {
-  const Topology& topology = datacenter_->topology();
+  const int begin = CellBegin(region);
+  const int end = CellEnd(region);
+  if (end - begin <= 1) {
+    return begin;  // one cell: no summary to consult
+  }
   const std::vector<int64_t>& free = CellFreeSummary(kRoutingKind);
-  const int begin = topology.RegionCellBegin(region);
-  const int end = topology.RegionCellEnd(region);
   int best = begin;
   for (int c = begin + 1; c < end; ++c) {
     if (static_cast<size_t>(c) < free.size() &&
@@ -135,38 +193,29 @@ int RegionRouter::RouteCellInRegion(int region) const {
 std::vector<int> RegionRouter::FallbackCells(int home_region, int home_cell,
                                              int affinity,
                                              int anti_affinity) const {
-  const Topology& topology = datacenter_->topology();
-  const std::vector<int64_t>& cell_free = CellFreeSummary(kRoutingKind);
-  const std::vector<int64_t>& region_free = RegionFreeSummary(kRoutingKind);
-
-  const auto cell_order = [&](std::vector<int>& cells) {
-    std::sort(cells.begin(), cells.end(), [&](int a, int b) {
-      const int64_t fa = cell_free[static_cast<size_t>(a)];
-      const int64_t fb = cell_free[static_cast<size_t>(b)];
-      if (fa != fb) {
-        return fa > fb;
-      }
-      return a < b;
-    });
-  };
   const auto admissible = [&](int region) {
     if (region == anti_affinity) {
       return false;
     }
     return affinity < 0 || region == affinity;
   };
-
-  std::vector<int> out;
-  out.reserve(static_cast<size_t>(topology.cell_count()));
-  // Home region first: the home cell's siblings by free capacity.
-  if (admissible(home_region)) {
-    for (int c = topology.RegionCellBegin(home_region);
-         c < topology.RegionCellEnd(home_region); ++c) {
+  const auto cells_of = [&](int region, std::vector<int>& out) {
+    std::vector<int> cells;
+    for (int c = CellBegin(region); c < CellEnd(region); ++c) {
       if (c != home_cell) {
-        out.push_back(c);
+        cells.push_back(c);
       }
     }
-    cell_order(out);
+    if (cells.size() > 1) {
+      SortByFree(cells, CellFreeSummary(kRoutingKind));
+    }
+    out.insert(out.end(), cells.begin(), cells.end());
+  };
+
+  std::vector<int> out;
+  // Home region first: the home cell's siblings by free capacity.
+  if (admissible(home_region)) {
+    cells_of(home_region, out);
   }
   // Remote regions by (free desc, region asc), each region's cells by
   // (free desc, cell asc).
@@ -176,35 +225,18 @@ std::vector<int> RegionRouter::FallbackCells(int home_region, int home_cell,
       regions.push_back(r);
     }
   }
-  std::sort(regions.begin(), regions.end(), [&](int a, int b) {
-    const int64_t fa = region_free[static_cast<size_t>(a)];
-    const int64_t fb = region_free[static_cast<size_t>(b)];
-    if (fa != fb) {
-      return fa > fb;
-    }
-    return a < b;
-  });
+  if (regions.size() > 1) {
+    SortByFree(regions, RegionFreeSummary(kRoutingKind));
+  }
   for (const int r : regions) {
-    std::vector<int> cells;
-    for (int c = topology.RegionCellBegin(r); c < topology.RegionCellEnd(r);
-         ++c) {
-      cells.push_back(c);
-    }
-    cell_order(cells);
-    out.insert(out.end(), cells.begin(), cells.end());
+    cells_of(r, out);
   }
   return out;
 }
 
-Result<std::unique_ptr<Deployment>> RegionRouter::Deploy(TenantId tenant,
-                                                         const AppSpec& spec) {
-  return DeployOneRouted(tenant, std::make_shared<const AppSpec>(spec),
-                         /*batch=*/nullptr);
-}
-
 Result<std::unique_ptr<Deployment>> RegionRouter::Deploy(
     TenantId tenant, std::shared_ptr<const AppSpec> spec) {
-  return DeployOneRouted(tenant, std::move(spec), /*batch=*/nullptr);
+  return DeployOne(tenant, std::move(spec), /*batch=*/nullptr);
 }
 
 std::vector<Result<std::unique_ptr<Deployment>>> RegionRouter::DeployAll(
@@ -219,22 +251,21 @@ std::vector<Result<std::unique_ptr<Deployment>>> RegionRouter::DeployAll(
   results.reserve(specs.size());
   for (const AppSpec* spec : specs) {
     results.push_back(
-        DeployOneRouted(tenant, std::make_shared<const AppSpec>(*spec),
-                        &batch));
+        DeployOne(tenant, std::make_shared<const AppSpec>(*spec), &batch));
   }
   return results;
 }
 
-Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
+Result<std::unique_ptr<Deployment>> RegionRouter::DeployOne(
     TenantId tenant, std::shared_ptr<const AppSpec> shared_spec,
     UdcScheduler::BatchContext* batch) {
   const AppSpec& spec = *shared_spec;
-  // Wall-clock routed-placement cost, observed on every exit path into the
-  // aggregate and home-region sketches (slo.sched.region_place_p99's
-  // source). Guarded like CellRouter's latency scope.
+  // Wall-clock placement cost, observed on every exit path into the
+  // aggregate sketch and the home cell's and home region's sketches.
+  // Guarded so runs without the flag never touch the host clock.
   struct LatencyScope {
     RegionRouter* router;
-    int home = -1;
+    int home_cell = -1;
     std::chrono::steady_clock::time_point start;
     explicit LatencyScope(RegionRouter* r) : router(r) {
       if (router->record_place_latency_) {
@@ -242,15 +273,23 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
       }
     }
     ~LatencyScope() {
-      if (router->record_place_latency_) {
-        const auto elapsed = std::chrono::steady_clock::now() - start;
-        const double us =
-            std::chrono::duration<double, std::micro>(elapsed).count();
-        router->sim_->metrics().Observe(router->place_latency_us_, us);
-        if (home >= 0) {
-          router->sim_->metrics().Observe(
-              router->region_place_latency_us_[static_cast<size_t>(home)], us);
-        }
+      if (!router->record_place_latency_) {
+        return;
+      }
+      const auto elapsed = std::chrono::steady_clock::now() - start;
+      const double us =
+          std::chrono::duration<double, std::micro>(elapsed).count();
+      MetricsRegistry& metrics = router->sim_->metrics();
+      metrics.Observe(router->place_latency_us_, us);
+      if (home_cell < 0) {
+        return;
+      }
+      metrics.Observe(
+          router->cell_place_latency_us_[static_cast<size_t>(home_cell)], us);
+      if (router->region_count_ > 0) {
+        metrics.Observe(router->region_place_latency_us_[static_cast<size_t>(
+                            router->RegionOfCell(home_cell))],
+                        us);
       }
     }
   } latency_scope(this);
@@ -260,31 +299,34 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
     UDC_RETURN_IF_ERROR(ValidateAspects(aspects));
   }
 
-  const Topology& topology = datacenter_->topology();
   const int home_region = RouteRegion(spec);
   const int home_cell = RouteCellInRegion(home_region);
-  latency_scope.home = home_region;
+  latency_scope.home_cell = home_cell;
 
-  uint64_t span_id = 0;
+  // The deploy span is the current scope until the deploy returns, so the
+  // txn span and every sched.place_* span nest under it in one trace. A
+  // batched deploy rides the enclosing sched.deploy_batch scope instead.
+  std::optional<ScopedSpan> span;
   if (batch == nullptr) {
-    span_id = sim_->spans().BeginWithSet(
-        "sched", "sched.deploy",
-        region_span_sets_[static_cast<size_t>(home_region)]);
+    span.emplace(&sim_->spans(), "sched", "sched.deploy",
+                 deploy_span_sets_[static_cast<size_t>(home_cell)]);
   }
   auto deployment = std::make_unique<Deployment>(
       tenant, std::move(shared_spec), datacenter_, sim_->now(),
       engine_.env_manager(), engine_.attestation());
   PlacementTxn txn = engine_.Begin("deploy");
+  bool spanned_cells = false;
   bool spanned_regions = false;
 
+  // On any failure: abort the transaction (undoing every staged
+  // allocation, launch and provision across all modules and cells), then
+  // abandon the partial deployment so its teardown does not double-release
+  // what the abort already returned.
   const auto fail = [&](Status status) -> Status {
     txn.Abort();
     deployment->Abandon();
     if (batch != nullptr) {
       batch->free_by_rack_valid.fill(false);
-    }
-    if (span_id != 0) {
-      sim_->spans().End(span_id);
     }
     return status;
   };
@@ -313,12 +355,16 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
   // AbortTo restores the free summaries exactly, so the ladder built after
   // the home attempt is the one that would have been built before it.
   const auto place = [&](ModuleId module, bool is_data) -> Status {
-    const AspectSet aspects = spec.AspectsFor(module);
-    int affinity = aspects.dist.region_affinity;
-    if (affinity >= region_count_) {
-      affinity = -1;  // out-of-range affinity cannot be honored; any region
+    int affinity = -1;
+    int anti_affinity = -1;
+    if (region_count_ > 0) {
+      const AspectSet aspects = spec.AspectsFor(module);
+      // An out-of-range affinity cannot be honored; any region will do.
+      if (aspects.dist.region_affinity < region_count_) {
+        affinity = aspects.dist.region_affinity;
+      }
+      anti_affinity = aspects.dist.region_anti_affinity;
     }
-    const int anti_affinity = aspects.dist.region_anti_affinity;
     const bool home_admissible =
         home_region != anti_affinity &&
         (affinity < 0 || affinity == home_region);
@@ -338,7 +384,9 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
     for (const int c : ladder) {
       status = attempt(c, module, is_data);
       if (status.ok()) {
-        if (topology.RegionOf(c) != home_region) {
+        spanned_cells = true;
+        sim_->metrics().Increment(cell_fallbacks_);
+        if (RegionOfCell(c) != home_region) {
           spanned_regions = true;
           sim_->metrics().Increment(region_fallbacks_);
         }
@@ -348,8 +396,8 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
     return status;  // the last candidate's rejection
   };
 
-  // Same admission order as UdcScheduler::DeployOne and CellRouter: data
-  // modules first, then tasks topologically.
+  // Data modules first (tasks want to land near their data), then tasks in
+  // topological order so DAG-neighbour locality can chain.
   for (const ModuleId data : spec.graph.DataIds()) {
     Status status = place(data, /*is_data=*/true);
     if (!status.ok()) {
@@ -366,24 +414,22 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOneRouted(
       return fail(std::move(status));
     }
   }
-  const Status committed = txn.Commit();
-  if (!committed.ok()) {
-    if (span_id != 0) {
-      sim_->spans().End(span_id);
-    }
-    return committed;
-  }
+  UDC_RETURN_IF_ERROR(txn.Commit());
 
-  sim_->metrics().Increment(region_deploys_[static_cast<size_t>(home_region)]);
-  if (spanned_regions) {
-    sim_->metrics().Increment(cross_region_deploys_);
+  sim_->metrics().Increment(cell_deploys_[static_cast<size_t>(home_cell)]);
+  if (spanned_cells) {
+    sim_->metrics().Increment(cross_cell_deploys_);
   }
-  if (span_id != 0) {
-    sim_->spans().End(span_id);
+  if (region_count_ > 0) {
+    sim_->metrics().Increment(
+        region_deploys_[static_cast<size_t>(home_region)]);
+    if (spanned_regions) {
+      sim_->metrics().Increment(cross_region_deploys_);
+    }
   }
   UDC_LOG(Info) << "deployed " << spec.graph.app_name() << " for tenant "
-                << tenant.value() << " in region " << home_region << " cell "
-                << home_cell << (spanned_regions ? " (+remote leg)" : "");
+                << tenant.value() << " in cell " << home_cell
+                << (spanned_cells ? " (+spill)" : "");
   return deployment;
 }
 

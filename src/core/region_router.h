@@ -1,29 +1,38 @@
-// Region federation: a region-level router above the cell hierarchy.
+// The region router: the one deploy path, for every topology.
 //
-// The topology's cells are partitioned into regions (Topology::
-// SetRegionCount); the region router is the top of the placement hierarchy
-// in a federated world:
+// Placement is hierarchical — region, then cell, then rack — and the
+// topology alone decides how far the hierarchy collapses:
 //
-//   * routes each deploy to a home region using the index's per-region
-//     healthy free totals (FreeCapacityIndex::region_free — maintained by
-//     the same commit/release deltas as the cell summaries, never by
-//     rescans), then to a home cell inside that region by the per-cell
-//     summaries;
-//   * honors region affinity/anti-affinity from the udcl dist aspect
-//     (`aspect m dist region=N` pins a module's candidate cells to region
-//     N; `avoid_region=N` strikes region N from its candidate list);
-//   * runs the whole deploy as ONE placement transaction. A module the
-//     home cell rejects unwinds its partial sub-plan with
-//     PlacementTxn::AbortTo and retries across the home region's other
-//     cells, then across the remaining regions in free-capacity order —
-//     a failed remote leg unwinds exactly, and a module no region admits
-//     aborts the full transaction in reverse staging order.
+//   * cells = 0: the router holds one cell whose UdcScheduler is unscoped
+//     (SchedulerConfig::cell = -1), so every rack pick, pool request and
+//     index walk is the flat datacenter's and the capacity index stays
+//     unpartitioned;
+//   * regions = 0: all cells form one region. Region aspects are ignored
+//     and no region series are interned.
 //
-// Determinism contract: with regions <= 1 the router's candidate order
-// degenerates to exactly CellRouter's (home cell = argmax cell_free, ties
-// low; fallbacks by free desc, cell asc), so the admit/reject stream is
-// hash-identical to the cells-only path — deploy_churn's federation phase
-// and tests/region_router_test.cc gate on it.
+// Each deploy runs as ONE placement transaction from the router's engine:
+//
+//   * the home region is the spec's region affinity (first module in
+//     declaration order that declares one), else the region with the most
+//     healthy free capacity by the index's delta-maintained per-region
+//     totals (FreeCapacityIndex::region_free — never rescans); the home
+//     cell is the freest cell inside it (cell_free). Ties go low;
+//   * modules are placed data first, then tasks in topological order, each
+//     through the home cell's scheduler. A module the home cell rejects
+//     unwinds its partial sub-plan with PlacementTxn::AbortTo and retries
+//     across the home region's other cells, then across the remaining
+//     regions in free-capacity order — `aspect m dist region=N` restricts
+//     the candidates to region N, `avoid_region=N` strikes region N;
+//   * a module no cell admits aborts the full transaction in reverse
+//     staging order, so a deploy whose legs span cells or regions keeps the
+//     single-transaction atomicity contract.
+//
+// Determinism contract: with one region the candidate order is the
+// cells-only order (home = argmax cell_free, fallbacks by free desc, cell
+// asc), and with one unscoped cell it is the flat scheduler's. Golden
+// hashes frozen from the retired flat loop and cells-only router
+// (tests/deploy_path_golden_test.cc) and the regions=1 differential
+// (tests/region_router_test.cc, deploy_churn's federation phase) gate it.
 
 #ifndef UDC_SRC_CORE_REGION_ROUTER_H_
 #define UDC_SRC_CORE_REGION_ROUTER_H_
@@ -31,6 +40,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/core/placement_engine.h"
 #include "src/core/scheduler.h"
 
 namespace udc {
@@ -38,44 +48,54 @@ namespace udc {
 class RegionRouter {
  public:
   // `base` is the per-cell scheduler configuration; its `cell` field is
-  // overwritten per instance. Requires a region-partitioned topology.
+  // overwritten per instance on a cell-partitioned topology.
   RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
                Fabric* fabric, EnvManager* env_manager,
                AttestationService* attestation, const PriceList* prices,
                SchedulerConfig base = SchedulerConfig());
 
-  // Routed deploy: picks a home region by free-capacity summary (or the
-  // spec's region affinity), a home cell inside it, and places the DAG
-  // through the per-cell schedulers inside one transaction, spilling
-  // modules outward (home cell -> home region -> other regions) only on
-  // rejection.
-  Result<std::unique_ptr<Deployment>> Deploy(TenantId tenant,
-                                             const AppSpec& spec);
+  // Realizes `spec` for `tenant`. On success the deployment holds every
+  // resource; on failure the transaction aborts and every partially
+  // acquired slice, launched environment and provisioned attestation
+  // identity is rolled back. The deployment references the caller's
+  // immutable spec, which must not change while it is deployed.
   Result<std::unique_ptr<Deployment>> Deploy(
       TenantId tenant, std::shared_ptr<const AppSpec> spec);
   // Batched deploys share one demand/rack-score cache across the batch
-  // (and across cells/regions). Results are positional.
+  // (and across cells and regions). Each spec commits or aborts its own
+  // transaction; results are positional.
   std::vector<Result<std::unique_ptr<Deployment>>> DeployAll(
       TenantId tenant, const std::vector<const AppSpec*>& specs);
 
+  // The topology's regions: 0 when it is not region-partitioned.
   int region_count() const { return region_count_; }
+  // The cells placed into: 1 (unscoped) when the topology has no cells.
   int cell_count() const { return static_cast<int>(cells_.size()); }
-  UdcScheduler& cell(int c) { return *cells_[static_cast<size_t>(c)]; }
   PlacementEngine& engine() { return engine_; }
 
   void SetSequencer(SwitchSequencer* sequencer);
 
   // Per-region / per-cell healthy free capacity of `kind` — the routing
-  // summaries (zero-copy views of the delta-maintained index vectors).
+  // summaries (zero-copy views of the delta-maintained index vectors;
+  // empty when the topology has no regions / cells).
   const std::vector<int64_t>& RegionFreeSummary(DeviceKind kind) const;
   const std::vector<int64_t>& CellFreeSummary(DeviceKind kind) const;
-  // Deploys homed to region `r` / deploys with a module outside the home
-  // region / module placements that left their home region.
+  // Deploys homed to cell `c` / deploys with a module outside the home cell
+  // / module placements outside the home cell. Counted in every topology.
+  int64_t CellDeploys(int c) const;
+  int64_t cross_cell_deploys() const;
+  int64_t cell_fallbacks() const;
+  // The same one level up. Without regions there is no `r` to ask about
+  // and the two totals read 0.
   int64_t RegionDeploys(int r) const;
   int64_t cross_region_deploys() const;
   int64_t region_fallbacks() const;
 
  private:
+  // The cells of `region`: [CellBegin, CellEnd), every cell when unregioned.
+  int CellBegin(int region) const;
+  int CellEnd(int region) const;
+  int RegionOfCell(int cell) const;
   // Home region: the region affinity of the first module, in declaration
   // order, that declares one; else the region with the most healthy free
   // capacity of the routing kind; ties to the lowest region.
@@ -90,7 +110,7 @@ class RegionRouter {
   std::vector<int> FallbackCells(int home_region, int home_cell,
                                  int affinity, int anti_affinity) const;
 
-  Result<std::unique_ptr<Deployment>> DeployOneRouted(
+  Result<std::unique_ptr<Deployment>> DeployOne(
       TenantId tenant, std::shared_ptr<const AppSpec> spec,
       UdcScheduler::BatchContext* batch);
 
@@ -101,17 +121,26 @@ class RegionRouter {
   int region_count_;
   bool record_place_latency_;
 
-  // Interned per-region series/labels: the router is on the per-deploy
-  // hot path, so nothing here formats strings per call.
+  // Interned series and span labels: the router is on the per-deploy hot
+  // path, so nothing here formats strings per call. The region series are
+  // only interned when the topology has regions.
+  std::vector<CounterHandle> cell_deploys_;
+  CounterHandle cross_cell_deploys_;
+  CounterHandle cell_fallbacks_;
   std::vector<CounterHandle> region_deploys_;
   CounterHandle cross_region_deploys_;
   CounterHandle region_fallbacks_;
-  std::vector<uint32_t> region_span_sets_;  // {{"region", r}} for sched.deploy
-  // Only interned when record_place_latency: aggregate + per-region
-  // sketches (the federation bench's slo.sched.region_place_p99 source).
+  // Per home cell: {{"cell", c}}, led by {"region", r} when regioned.
+  std::vector<uint32_t> deploy_span_sets_;
+  // Only interned when record_place_latency: the aggregate sketch plus the
+  // home cell's and home region's labelled sketches.
   HistogramHandle place_latency_us_;
+  std::vector<HistogramHandle> cell_place_latency_us_;
   std::vector<HistogramHandle> region_place_latency_us_;
 };
+
+// perfbench, frozen with the benchmark, spells the retired cells-only name.
+using CellRouter = RegionRouter;
 
 }  // namespace udc
 

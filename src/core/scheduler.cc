@@ -1,10 +1,7 @@
 #include "src/core/scheduler.h"
 
 #include <algorithm>
-#include <chrono>
-#include <optional>
 
-#include "src/common/logging.h"
 #include "src/common/strings.h"
 
 namespace udc {
@@ -47,13 +44,10 @@ ResourceKind DominantCompute(const ResourceVector& demand) {
 }  // namespace
 
 UdcScheduler::UdcScheduler(Simulation* sim, DisaggregatedDatacenter* datacenter,
-                           Fabric* fabric, EnvManager* env_manager,
-                           AttestationService* attestation,
-                           const PriceList* prices, SchedulerConfig config)
-    : sim_(sim), datacenter_(datacenter), fabric_(fabric),
-      env_manager_(env_manager), attestation_(attestation), prices_(prices),
-      config_(config), profiler_(datacenter, prices),
-      engine_(sim, datacenter, env_manager, attestation),
+                           Fabric* fabric, const PriceList* prices,
+                           SchedulerConfig config)
+    : sim_(sim), datacenter_(datacenter), fabric_(fabric), config_(config),
+      profiler_(datacenter, prices),
       tasks_placed_(sim->metrics().CounterSeries("core.tasks_placed")),
       data_placed_(sim->metrics().CounterSeries("core.data_placed")),
       modules_placed_task_(
@@ -63,14 +57,7 @@ UdcScheduler::UdcScheduler(Simulation* sim, DisaggregatedDatacenter* datacenter,
           sim->metrics().CounterSeries("sched.modules_placed",
                                        {{"kind", "data"}})),
       conflicts_resolved_(sim->metrics().CounterSeries(
-          "core.consistency_conflicts_resolved")) {
-  if (config_.record_place_latency) {
-    // Sketch mode: the obs-overhead bench and SLO engine window this series,
-    // and a bounded bucket array keeps million-deploy runs at fixed memory.
-    place_latency_us_ =
-        sim->metrics().EnableSketchHistogram("sched.place_latency_us");
-  }
-}
+          "core.consistency_conflicts_resolved")) {}
 
 int UdcScheduler::PickRack(const AppSpec& spec, ModuleId module,
                            const Deployment& deployment, ResourceKind dominant,
@@ -101,8 +88,7 @@ int UdcScheduler::PickRack(const AppSpec& spec, ModuleId module,
   const DeviceKind device_kind = DeviceKindFor(dominant);
   const ResourcePool& pool = datacenter_->pool(device_kind);
   const std::vector<int64_t>* free_per_rack = nullptr;
-  std::vector<int64_t> scratch;
-  if (batch != nullptr && config_.use_placement_index) {
+  if (batch != nullptr) {
     // Batched deploys score racks against a per-batch cache, kept current
     // by NoteBatchAllocation as slices land.
     const auto index = static_cast<size_t>(device_kind);
@@ -111,19 +97,9 @@ int UdcScheduler::PickRack(const AppSpec& spec, ModuleId module,
       batch->free_by_rack_valid[index] = true;
     }
     free_per_rack = &batch->free_by_rack[index];
-  } else if (config_.use_placement_index) {
+  } else {
     // Incremental per-rack totals, read in place (no per-module copy).
     free_per_rack = &pool.PlacementIndex(topology).rack_free_totals();
-  } else {
-    // Legacy full-pool scan, kept as the benchmark baseline.
-    scratch.assign(static_cast<size_t>(topology.rack_count()), 0);
-    for (const Device* d : pool.devices()) {
-      const int rack = topology.RackOf(d->node());
-      if (rack >= 0 && d->healthy()) {
-        scratch[static_cast<size_t>(rack)] += d->free_capacity();
-      }
-    }
-    free_per_rack = &scratch;
   }
   size_t r_begin = 0;
   size_t r_end = free_per_rack->size();
@@ -419,127 +395,12 @@ Status UdcScheduler::PlaceData(TenantId tenant, const AppSpec& spec,
   return OkStatus();
 }
 
-Result<std::unique_ptr<Deployment>> UdcScheduler::Deploy(TenantId tenant,
-                                                         const AppSpec& spec) {
-  return DeployOne(tenant, std::make_shared<const AppSpec>(spec),
-                   /*batch=*/nullptr);
-}
-
-Result<std::unique_ptr<Deployment>> UdcScheduler::Deploy(
-    TenantId tenant, std::shared_ptr<const AppSpec> spec) {
-  return DeployOne(tenant, std::move(spec), /*batch=*/nullptr);
-}
-
 Status UdcScheduler::PlaceModuleInTxn(TenantId tenant, const AppSpec& spec,
                                       ModuleId module, bool is_data,
                                       Deployment* deployment,
                                       PlacementTxn& txn, BatchContext* batch) {
   return is_data ? PlaceData(tenant, spec, module, deployment, txn, batch)
                  : PlaceTask(tenant, spec, module, deployment, txn, batch);
-}
-
-std::vector<Result<std::unique_ptr<Deployment>>> UdcScheduler::DeployAll(
-    TenantId tenant, const std::vector<const AppSpec*>& specs) {
-  ScopedSpan span = sim_->Scope(
-      "sched", "sched.deploy_batch",
-      {{"specs", StrFormat("%zu", specs.size())},
-       {"tenant", StrFormat("%llu",
-                            static_cast<unsigned long long>(tenant.value()))}});
-  BatchContext batch;
-  std::vector<Result<std::unique_ptr<Deployment>>> results;
-  results.reserve(specs.size());
-  for (const AppSpec* spec : specs) {
-    results.push_back(
-        DeployOne(tenant, std::make_shared<const AppSpec>(*spec), &batch));
-  }
-  return results;
-}
-
-Result<std::unique_ptr<Deployment>> UdcScheduler::DeployOne(
-    TenantId tenant, std::shared_ptr<const AppSpec> shared_spec,
-    BatchContext* batch) {
-  const AppSpec& spec = *shared_spec;
-  // Wall-clock (not sim-time) placement cost, observed on every exit path.
-  // Guarded so runs without the flag never touch the host clock.
-  struct LatencyScope {
-    UdcScheduler* sched;
-    std::chrono::steady_clock::time_point start;
-    explicit LatencyScope(UdcScheduler* s) : sched(s) {
-      if (sched->config_.record_place_latency) {
-        start = std::chrono::steady_clock::now();
-      }
-    }
-    ~LatencyScope() {
-      if (sched->config_.record_place_latency) {
-        const auto elapsed = std::chrono::steady_clock::now() - start;
-        sched->sim_->metrics().Observe(
-            sched->place_latency_us_,
-            std::chrono::duration<double, std::micro>(elapsed).count());
-      }
-    }
-  } latency_scope(this);
-  UDC_RETURN_IF_ERROR(spec.graph.Validate());
-  for (const auto& [module, aspects] : spec.aspects) {
-    UDC_RETURN_IF_ERROR(ValidateAspects(aspects));
-  }
-
-  // A batched deploy is already covered by the enclosing sched.deploy_batch
-  // span (and each transaction still gets its interned sched.txn span), so
-  // the per-deploy span — whose string labels are formatted per call — is
-  // only opened for single deploys.
-  std::optional<ScopedSpan> span;
-  if (batch == nullptr) {
-    span.emplace(sim_->Scope(
-        "sched", "sched.deploy",
-        {{"app", spec.graph.app_name()},
-         {"tenant",
-          StrFormat("%llu", static_cast<unsigned long long>(tenant.value()))}}));
-  }
-  auto deployment = std::make_unique<Deployment>(
-      tenant, std::move(shared_spec), datacenter_, sim_->now(), env_manager_,
-      attestation_);
-  PlacementTxn txn = engine_.Begin("deploy");
-
-  // On any failure: abort the transaction (undoing every staged allocation,
-  // launch and provision across all modules), then abandon the partial
-  // deployment so its teardown does not double-release what the abort
-  // already returned. A batch's cached rack capacities are stale after an
-  // abort (the cached debits were undone), so drop them.
-  const auto fail = [&](Status status) -> Status {
-    txn.Abort();
-    deployment->Abandon();
-    if (batch != nullptr) {
-      batch->free_by_rack_valid.fill(false);
-    }
-    return status;
-  };
-
-  // Data modules first (tasks want to land near their data), then tasks in
-  // topological order so DAG-neighbour locality can chain.
-  for (const ModuleId data : spec.graph.DataIds()) {
-    Status status =
-        PlaceData(tenant, spec, data, deployment.get(), txn, batch);
-    if (!status.ok()) {
-      return fail(std::move(status));
-    }
-  }
-  const auto topo = spec.graph.TopoOrder();
-  if (!topo.ok()) {
-    return fail(topo.status());
-  }
-  for (const ModuleId task : *topo) {
-    Status status =
-        PlaceTask(tenant, spec, task, deployment.get(), txn, batch);
-    if (!status.ok()) {
-      return fail(std::move(status));
-    }
-  }
-  UDC_RETURN_IF_ERROR(txn.Commit());
-
-  UDC_LOG(Info) << "deployed " << spec.graph.app_name() << " for tenant "
-                << tenant.value() << ": " << deployment->objects().size()
-                << " objects";
-  return deployment;
 }
 
 }  // namespace udc

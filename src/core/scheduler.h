@@ -5,11 +5,14 @@
 // application semantic aspect to decide the location(s) to execute a module
 // and initialize it with the resource amount as user specified."
 //
-// Deploy() walks the module DAG, resolves each module's demand through the
-// dry-run profiler, picks a rack with the locality hints, carves slices out
-// of the disaggregated pools, launches the execution environment the
-// exec-env aspect calls for, wires replicated stores for data modules, and
-// bundles everything into resource units + high-level objects.
+// A UdcScheduler places one module at a time into a placement transaction
+// the region router (region_router.h) owns: it resolves the module's demand
+// through the dry-run profiler, picks a rack with the locality hints,
+// carves slices out of the disaggregated pools, launches the execution
+// environment the exec-env aspect calls for, wires replicated stores for
+// data modules, and records the resource unit and high-level object on the
+// deployment. The router holds one scheduler per cell; on a flat datacenter
+// its single scheduler is unscoped (SchedulerConfig::cell = -1).
 
 #ifndef UDC_SRC_CORE_SCHEDULER_H_
 #define UDC_SRC_CORE_SCHEDULER_H_
@@ -19,9 +22,8 @@
 #include <memory>
 #include <vector>
 
-#include "src/attest/attestation_service.h"
 #include "src/core/deployment.h"
-#include "src/core/placement_engine.h"
+#include "src/core/placement_txn.h"
 #include "src/core/planner.h"
 #include "src/exec/env_manager.h"
 #include "src/net/fabric.h"
@@ -33,10 +35,6 @@ namespace udc {
 struct SchedulerConfig {
   // Ablation knob (bench E11): honour colocation/affinity hints.
   bool use_locality_hints = true;
-  // Rack pick backed by the pools' incremental free-capacity totals
-  // (O(racks)) instead of a full device scan per module (O(devices)).
-  // Off = the legacy scan, kept as the deploy-churn benchmark baseline.
-  bool use_placement_index = true;
   // Whether this deployment supports TEEs spanning GPUs/FPGAs (sec. 3.3
   // names Graviton-style hardware support as one option).
   bool tee_gpu_supported = false;
@@ -45,60 +43,35 @@ struct SchedulerConfig {
   // Replication protocol for data modules; kInNetwork uses the switch
   // sequencer when available.
   ReplicationProtocol replication_protocol = ReplicationProtocol::kPrimaryBackup;
-  // Record wall-clock (host) placement latency per deploy into the
-  // `sched.place_latency_us` histogram. Off by default: wall-clock values
-  // differ run to run, so the series would break the byte-identical
-  // exposition guarantee differential tests rely on. The series is only
-  // interned when this is set — even an empty histogram changes the
-  // exposition text.
+  // Record wall-clock (host) placement latency per deploy into the router's
+  // `sched.place_latency_us` sketch and its per-cell and per-region
+  // labelled sketches. Off by default: wall-clock values differ run to run,
+  // so the series would break the byte-identical exposition guarantee
+  // differential tests rely on. The series are only interned when this is
+  // set — even an empty histogram changes the exposition text.
   bool record_place_latency = false;
   // Scope this scheduler to one topology cell (control-plane shard): rack
   // picks scan only the cell's racks, locality hints outside the cell are
   // ignored, and every pool request carries strict_cell so placements never
-  // leave the capacity partition this scheduler owns. -1 = whole datacenter.
+  // leave the capacity partition this scheduler owns. -1 = whole datacenter
+  // (the router's one scheduler on an unpartitioned topology).
   int cell = -1;
 };
 
 class UdcScheduler {
  public:
   UdcScheduler(Simulation* sim, DisaggregatedDatacenter* datacenter,
-               Fabric* fabric, EnvManager* env_manager,
-               AttestationService* attestation, const PriceList* prices,
+               Fabric* fabric, const PriceList* prices,
                SchedulerConfig config = SchedulerConfig());
-
-  // Realizes `spec` for `tenant`. Every module placement runs inside one
-  // placement transaction: on success the deployment holds all resources;
-  // on failure the transaction aborts and every partially-acquired slice,
-  // launched environment and provisioned attestation identity is rolled
-  // back.
-  Result<std::unique_ptr<Deployment>> Deploy(TenantId tenant,
-                                             const AppSpec& spec);
-  // Shared-spec overload: the deployment references the caller's immutable
-  // spec instead of deep-copying it — the cheap path when one catalog spec
-  // is deployed for many tenants. The spec must not be mutated while any
-  // deployment references it.
-  Result<std::unique_ptr<Deployment>> Deploy(
-      TenantId tenant, std::shared_ptr<const AppSpec> spec);
-
-  // Batched deploy: realizes each spec for `tenant`, resolving module
-  // demands and scoring racks once per batch instead of once per deploy.
-  // Each spec commits or aborts its own transaction — the batch as a whole
-  // is not atomic; results are positional.
-  std::vector<Result<std::unique_ptr<Deployment>>> DeployAll(
-      TenantId tenant, const std::vector<const AppSpec*>& specs);
-
-  const SchedulerConfig& config() const { return config_; }
-  DryRunProfiler& profiler() { return profiler_; }
-  PlacementEngine& engine() { return engine_; }
 
   // Optional: attach a switch sequencer for in-network replication.
   void SetSequencer(SwitchSequencer* sequencer) { sequencer_ = sequencer; }
 
-  // Per-batch caches for DeployAll: rack free-capacity vectors per device
-  // kind (maintained incrementally as allocations land) and resolved module
-  // demands keyed by module identity (batches redeploy the same specs).
-  // Public so the cell router can share one context across cell schedulers
-  // (demand resolution is cell-independent; the rack debits are rack-exact).
+  // Per-batch caches for the router's DeployAll: rack free-capacity vectors
+  // per device kind (maintained incrementally as allocations land) and
+  // resolved module demands keyed by module identity (batches redeploy the
+  // same specs). One context is shared across the cell schedulers: demand
+  // resolution is cell-independent and the rack debits are rack-exact.
   struct BatchContext {
     std::array<std::vector<int64_t>, kNumDeviceKinds> free_by_rack;
     std::array<bool, kNumDeviceKinds> free_by_rack_valid{};
@@ -106,11 +79,10 @@ class UdcScheduler {
   };
 
   // Places one module of `spec` into an already-open transaction owned by
-  // the caller — the cell router's entry point for multi-cell admission.
-  // Stages allocations/launch/provisions into `txn` and records the module
-  // on `deployment` exactly like Deploy's per-module step. On failure the
-  // txn is left open with this module's partial sub-plan still staged; the
-  // caller unwinds it with PlacementTxn::AbortTo (or aborts the whole txn).
+  // the router. Stages allocations/launch/provisions into `txn` and records
+  // the module on `deployment`. On failure the txn is left open with this
+  // module's partial sub-plan still staged; the router unwinds it with
+  // PlacementTxn::AbortTo before trying another cell.
   Status PlaceModuleInTxn(TenantId tenant, const AppSpec& spec,
                           ModuleId module, bool is_data,
                           Deployment* deployment, PlacementTxn& txn,
@@ -132,9 +104,6 @@ class UdcScheduler {
                                    const ResourceAspect& aspect,
                                    BatchContext* batch);
 
-  Result<std::unique_ptr<Deployment>> DeployOne(
-      TenantId tenant, std::shared_ptr<const AppSpec> spec,
-      BatchContext* batch);
   Status PlaceTask(TenantId tenant, const AppSpec& spec, ModuleId module,
                    Deployment* deployment, PlacementTxn& txn,
                    BatchContext* batch);
@@ -145,12 +114,8 @@ class UdcScheduler {
   Simulation* sim_;
   DisaggregatedDatacenter* datacenter_;
   Fabric* fabric_;
-  EnvManager* env_manager_;
-  AttestationService* attestation_;
-  const PriceList* prices_;
   SchedulerConfig config_;
   DryRunProfiler profiler_;
-  PlacementEngine engine_;
   SwitchSequencer* sequencer_ = nullptr;
 
   // Interned metric series: placement happens per module per deploy, so the
@@ -161,8 +126,6 @@ class UdcScheduler {
   CounterHandle modules_placed_task_;
   CounterHandle modules_placed_data_;
   CounterHandle conflicts_resolved_;
-  // Only valid when config_.record_place_latency (see SchedulerConfig).
-  HistogramHandle place_latency_us_;
 };
 
 }  // namespace udc

@@ -1,8 +1,8 @@
 // UdcCloud: the top-level facade — "the cloud" a UDC user talks to.
 //
 // Assembles the full provider stack (simulation, disaggregated datacenter,
-// fabric, switch programs, environment manager, attestation, scheduler,
-// billing) behind a small API:
+// fabric, switch programs, environment manager, attestation, the region
+// router that places every deploy, billing) behind a small API:
 //
 //   UdcCloud cloud(UdcCloudConfig{});
 //   TenantId hospital = cloud.RegisterTenant("hospital");
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/core/billing.h"
-#include "src/core/cell_router.h"
 #include "src/core/region_router.h"
 #include "src/core/runtime.h"
 #include "src/core/scheduler.h"
@@ -59,9 +58,10 @@ class UdcCloud {
   TenantId RegisterTenant(const std::string& name);
   const std::string& TenantName(TenantId id) const;
 
-  // --- Deployment. With DatacenterConfig::cells > 0 deploys route through
-  // the hierarchical control plane (CellRouter over per-cell schedulers);
-  // otherwise the single scheduler places directly.
+  // --- Deployment. Every deploy goes through the region router, whatever
+  // the topology: a flat datacenter is one region of one cell (see
+  // region_router.h for how DatacenterConfig::cells and ::regions collapse
+  // the hierarchy).
   Result<std::unique_ptr<Deployment>> Deploy(TenantId tenant,
                                              const AppSpec& spec);
   // Shared-spec overload: the deployment references the caller's immutable
@@ -85,12 +85,10 @@ class UdcCloud {
   Fabric& fabric() { return fabric_; }
   EnvManager& envs() { return env_manager_; }
   AttestationService& attestation() { return attestation_; }
-  UdcScheduler& scheduler() { return scheduler_; }
-  // Non-null only when the datacenter is cell-partitioned.
-  CellRouter* cell_router() { return cell_router_.get(); }
-  // Non-null only when the datacenter is region-partitioned; when set it
-  // is the deploy entry point (above the cells path).
-  RegionRouter* region_router() { return region_router_.get(); }
+  // The deploy path; never null.
+  RegionRouter* region_router() { return &router_; }
+  // perfbench, frozen with the benchmark, spells the retired cells-only name.
+  CellRouter* cell_router() { return &router_; }
   BillingEngine& billing() { return billing_; }
   FailureInjector& failures() { return failure_injector_; }
   SwitchSequencer& sequencer() { return sequencer_; }
@@ -106,9 +104,7 @@ class UdcCloud {
   Key256 vendor_root_;
   AttestationService attestation_;
   PriceList prices_;
-  UdcScheduler scheduler_;
-  std::unique_ptr<CellRouter> cell_router_;  // only when cells > 0
-  std::unique_ptr<RegionRouter> region_router_;  // only when regions > 0
+  RegionRouter router_;
   BillingEngine billing_;
   FailureInjector failure_injector_;
   FulfillmentVerifier verifier_;

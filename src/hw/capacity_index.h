@@ -12,9 +12,10 @@
 //   * per-rack healthy free-capacity totals for the scheduler's rack pick.
 //
 // Devices notify the index from Allocate/Release/set_health, so every
-// update is O(log D) and placement queries never scan the pool. The pool's
-// linear-scan path (ResourcePool::RankCandidates) is kept as the reference
-// implementation; tests/hw_test.cc proves the two paths place identically.
+// update is O(log D) and placement queries never scan the pool. The retired
+// linear-scan allocator lives on in tests/linear_pool_allocator.h as the
+// reference implementation; tests/hw_test.cc proves the two place
+// identically.
 //
 // Rack membership needs a Topology, which the pool only sees at Allocate
 // time, so devices start in an "unassigned" bucket and AssignRacks moves

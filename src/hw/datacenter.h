@@ -38,11 +38,12 @@ struct DatacenterConfig {
   RackConfig rack;
   TopologyParams topology;
   // Partition racks into this many control-plane cells (contiguous rack
-  // ranges; see Topology::SetCellCount). 0 = unpartitioned single scheduler.
+  // ranges; see Topology::SetCellCount). 0 = unpartitioned: the router
+  // places through one unscoped cell over one global index.
   int cells = 0;
   // Partition cells into this many federation regions (contiguous cell
   // ranges; see Topology::SetRegionCount). 0 = single-region world: no WAN
-  // links, no region router, env store never goes remote.
+  // links, region aspects ignored, env store never goes remote.
   int regions = 0;
 };
 

@@ -117,13 +117,9 @@ class ResourcePool {
   // pick without a device scan.
   std::vector<int64_t> HealthyFreeByRack(const Topology& topology) const;
 
-  // Placement path selection. The indexed path (default) walks the
-  // incrementally-maintained free-capacity index in O(log D); the linear
-  // path re-ranks every device per request and is kept as the reference
-  // implementation (differential-tested in tests/hw_test.cc) and as the
-  // benchmark baseline.
-  void set_use_index(bool use_index) { use_index_ = use_index; }
-  bool use_index() const { return use_index_; }
+  // The incrementally-maintained free-capacity index every Allocate walks
+  // in O(log D). tests/linear_pool_allocator.h keeps the retired
+  // rank-every-device allocator as its differential oracle.
   const FreeCapacityIndex& index() const { return index_; }
   // The index with rack/cell membership resolved against `topology` — the
   // zero-copy read path for schedulers (rack_free_totals, cell_free).
@@ -139,14 +135,6 @@ class ResourcePool {
   std::string DebugString() const;
 
  private:
-  // Candidate ordering for an allocation attempt (linear reference path).
-  std::vector<Device*> RankCandidates(TenantId tenant,
-                                      const AllocationConstraints& constraints,
-                                      const Topology& topology);
-
-  Result<PoolAllocation> AllocateLinear(
-      TenantId tenant, int64_t amount,
-      const AllocationConstraints& constraints, const Topology& topology);
   Result<PoolAllocation> AllocateIndexed(
       TenantId tenant, int64_t amount,
       const AllocationConstraints& constraints, const Topology& topology);
@@ -160,7 +148,6 @@ class ResourcePool {
   // Mutable: rack assignment is resolved lazily on the first placement
   // query, which is logically const (cached derived state).
   mutable FreeCapacityIndex index_;
-  bool use_index_ = true;
 };
 
 }  // namespace udc

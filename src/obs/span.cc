@@ -201,6 +201,13 @@ ScopedSpan::ScopedSpan(SpanTracer* tracer, std::string category,
   tracer_->PushScope(id_);
 }
 
+ScopedSpan::ScopedSpan(SpanTracer* tracer, std::string_view category,
+                       std::string_view name, uint32_t label_set)
+    : tracer_(tracer),
+      id_(tracer->BeginWithSet(category, name, label_set)) {
+  tracer_->PushScope(id_);
+}
+
 ScopedSpan::ScopedSpan(ScopedSpan&& other) noexcept
     : tracer_(other.tracer_), id_(other.id_) {
   other.id_ = 0;

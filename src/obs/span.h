@@ -140,6 +140,10 @@ class ScopedSpan {
  public:
   ScopedSpan(SpanTracer* tracer, std::string category, std::string name,
              SpanLabels labels = {});
+  // Same, attaching a label set interned with SpanTracer::InternLabelSet:
+  // no per-span label construction.
+  ScopedSpan(SpanTracer* tracer, std::string_view category,
+             std::string_view name, uint32_t label_set);
   ScopedSpan(ScopedSpan&& other) noexcept;
   ScopedSpan& operator=(ScopedSpan&&) = delete;
   ScopedSpan(const ScopedSpan&) = delete;

@@ -1,18 +1,19 @@
-// Hierarchical control-plane tests: cell partitioning (topology mapping,
-// per-cell free summaries), the router's balanced home-cell choice,
-// cross-cell deploys that span cells inside one transaction, multi-cell
-// abort atomicity (snapshot pools/envs/attestation before and after, as in
-// placement_txn_test), PlacementTxn::AbortTo partial rollback, and a
-// randomized differential test asserting the cell-partitioned control
-// plane and the legacy single-index scheduler make byte-identical
-// admit/reject decisions and end with byte-identical pool occupancy on the
-// same deploy/teardown sequence.
+// Hierarchical control-plane tests at the cell level: cell partitioning
+// (topology mapping, per-cell free summaries), the router's balanced
+// home-cell choice, cross-cell deploys that span cells inside one
+// transaction, multi-cell abort atomicity (snapshot pools/envs/attestation
+// before and after, as in placement_txn_test), PlacementTxn::AbortTo
+// partial rollback, and a randomized differential test asserting the
+// router over two cells and the router over one unscoped cell (a flat
+// datacenter, one global index) make byte-identical admit/reject decisions
+// and end with byte-identical pool occupancy on the same deploy/teardown
+// sequence.
 //
 // The specs used here have uniform explicit demands (every task is exactly
 // a quarter of a cpu blade), so admission is count-based: whether a deploy
 // fits cannot depend on WHERE previous modules landed, only on how many
-// are live — which is what makes the legacy scheduler a differential
-// oracle for the router despite their different placement geometry.
+// are live — which is what makes the flat datacenter a differential oracle
+// for the cells despite their different placement geometry.
 
 #include <gtest/gtest.h>
 
@@ -55,7 +56,6 @@ UdcCloudConfig CellConfig(int racks, int cells) {
   UdcCloudConfig config;
   config.datacenter.racks = racks;
   config.datacenter.cells = cells;
-  config.scheduler.use_placement_index = true;
   return config;
 }
 
@@ -126,7 +126,7 @@ TEST(CapacityIndexCellsTest, CellFreeSummaryTracksCommitDeltas) {
 
 TEST(CellRouterTest, BalancesHomeCellsByFreeCapacity) {
   UdcCloud cloud(CellConfig(/*racks=*/4, /*cells=*/2));
-  ASSERT_NE(cloud.cell_router(), nullptr);
+  ASSERT_NE(cloud.region_router(), nullptr);
   const AppSpec spec = MakeUniformSpec("one", 1);
   std::vector<std::unique_ptr<Deployment>> live;
   for (int i = 0; i < 4; ++i) {
@@ -137,9 +137,9 @@ TEST(CellRouterTest, BalancesHomeCellsByFreeCapacity) {
     cloud.sim()->RunToCompletion();
   }
   // Equal capacity, equal demands: the router alternates home cells.
-  EXPECT_EQ(cloud.cell_router()->CellDeploys(0), 2);
-  EXPECT_EQ(cloud.cell_router()->CellDeploys(1), 2);
-  EXPECT_EQ(cloud.cell_router()->cross_cell_deploys(), 0);
+  EXPECT_EQ(cloud.region_router()->CellDeploys(0), 2);
+  EXPECT_EQ(cloud.region_router()->CellDeploys(1), 2);
+  EXPECT_EQ(cloud.region_router()->cross_cell_deploys(), 0);
 }
 
 // Fills a 2-cell cloud until each cell has exactly `free_slots_per_cell`
@@ -171,8 +171,8 @@ TEST(CellRouterTest, CrossCellDeploySpansCellsInOneTransaction) {
   auto deployment = cloud.Deploy(cloud.RegisterTenant("span"), spec);
   ASSERT_TRUE(deployment.ok());
   cloud.sim()->RunToCompletion();
-  EXPECT_EQ(cloud.cell_router()->cross_cell_deploys(), 1);
-  EXPECT_GE(cloud.cell_router()->cell_fallbacks(), 1);
+  EXPECT_EQ(cloud.region_router()->cross_cell_deploys(), 1);
+  EXPECT_GE(cloud.region_router()->cell_fallbacks(), 1);
   EXPECT_EQ(cloud.sim()->metrics().counter("core.txn_aborted"), 0);
 
   deployment->reset();
@@ -204,7 +204,7 @@ TEST(CellRouterTest, MultiCellAbortRestoresSnapshotState) {
   EXPECT_EQ(cloud.envs().live_count(), envs_before);
   EXPECT_EQ(cloud.attestation().provisioned_count(), attested_before);
   // The abort really staged work across cells before unwinding.
-  EXPECT_GE(cloud.cell_router()->cell_fallbacks(), 1);
+  EXPECT_GE(cloud.region_router()->cell_fallbacks(), 1);
   EXPECT_GE(cloud.sim()->metrics().counter("core.txn_aborted"), 1);
   EXPECT_EQ(cloud.sim()->metrics().counter("core.txn_committed"),
             committed_before);
@@ -238,7 +238,8 @@ TEST(PlacementTxnAbortToTest, UnwindsOnlyTheSuffixAfterTheMark) {
   EXPECT_EQ(dc.pool(DeviceKind::kCpuBlade).TotalAllocated(), 1000);
 }
 
-// --- The randomized differential: cells vs. legacy on one shared script.
+// --- The randomized differential: two cells vs. one unscoped cell on one
+// shared script.
 
 struct Action {
   bool deploy = false;
@@ -289,18 +290,18 @@ TEST(CellRouterDifferentialTest, MatchesLegacySchedulerDecisionForDecision) {
       script.push_back(Action{rng.NextUint64(100) < 70,
                               rng.NextUint64(1u << 30)});
     }
-    const LegOutcome legacy = RunLeg(/*cells=*/0, script, spec);
+    const LegOutcome flat = RunLeg(/*cells=*/0, script, spec);
     const LegOutcome cells = RunLeg(/*cells=*/2, script, spec);
 
-    ASSERT_EQ(legacy.decisions.size(), cells.decisions.size());
-    EXPECT_EQ(legacy.decisions, cells.decisions) << "seed " << seed;
-    EXPECT_EQ(legacy.occupancy, cells.occupancy) << "seed " << seed;
-    EXPECT_EQ(legacy.live_envs, cells.live_envs) << "seed " << seed;
+    ASSERT_EQ(flat.decisions.size(), cells.decisions.size());
+    EXPECT_EQ(flat.decisions, cells.decisions) << "seed " << seed;
+    EXPECT_EQ(flat.occupancy, cells.occupancy) << "seed " << seed;
+    EXPECT_EQ(flat.live_envs, cells.live_envs) << "seed " << seed;
     // The scripts are tuned to hit exhaustion: a run with no rejects would
     // be vacuous as a differential.
-    EXPECT_NE(std::find(legacy.decisions.begin(), legacy.decisions.end(),
+    EXPECT_NE(std::find(flat.decisions.begin(), flat.decisions.end(),
                         false),
-              legacy.decisions.end())
+              flat.decisions.end())
         << "seed " << seed << " never hit capacity";
   }
 }

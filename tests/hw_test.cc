@@ -11,6 +11,7 @@
 #include "src/hw/resource.h"
 #include "src/hw/server.h"
 #include "src/hw/topology.h"
+#include "tests/linear_pool_allocator.h"
 
 namespace udc {
 namespace {
@@ -422,15 +423,15 @@ TEST(FailureInjectorTest, PeriodicFailuresRespectHorizon) {
 
 // ---------------------------------------------------------------------------
 // Differential test: the indexed placement path must produce byte-identical
-// results to the linear-scan reference path under a long randomized
-// allocate / release / fail / recover schedule with every constraint kind.
+// results to the retired linear-scan allocator (tests/linear_pool_allocator.h)
+// under a long randomized allocate / release / fail / recover schedule with
+// every constraint kind.
 
 class PoolPair {
  public:
   PoolPair(int racks, int devices_per_rack, int64_t capacity)
       : indexed_(PoolId(0), DeviceKind::kCpuBlade),
         linear_(PoolId(0), DeviceKind::kCpuBlade) {
-    linear_.set_use_index(false);
     for (int r = 0; r < racks; ++r) {
       topo_.AddRack();
     }
@@ -455,7 +456,7 @@ class PoolPair {
   bool Allocate(TenantId tenant, int64_t amount,
                 const AllocationConstraints& c) {
     auto a = indexed_.Allocate(tenant, amount, c, topo_);
-    auto b = linear_.Allocate(tenant, amount, c, topo_);
+    auto b = LinearAllocate(linear_, tenant, amount, c, topo_);
     EXPECT_EQ(a.ok(), b.ok()) << "status divergence";
     if (!a.ok() || !b.ok()) {
       return false;

@@ -70,6 +70,31 @@ TEST_F(PlacementTxnTest, CommitKeepsAllocationsAndCountsOps) {
   EXPECT_EQ(sim_.metrics().counter("core.txn_ops_undone"), 0);
 }
 
+// A router that retries a module elsewhere unwinds the rejected attempt with
+// AbortTo before the txn closes. The unwound ops were still staged, so they
+// count as staged and the undone count stays a subset of the staged one.
+TEST_F(PlacementTxnTest, AbortToUnwoundOpsStayCountedAsStaged) {
+  PlacementTxn txn = engine_.Begin("test");
+  ASSERT_TRUE(txn.Allocate(DeviceKind::kCpuBlade, TenantId(1), 500,
+                           AllocationConstraints{})
+                  .ok());
+  const size_t mark = txn.staged_ops();
+  ASSERT_TRUE(txn.Allocate(DeviceKind::kCpuBlade, TenantId(1), 700,
+                           AllocationConstraints{})
+                  .ok());
+  txn.Provision(42);
+  txn.AbortTo(mark);
+  EXPECT_EQ(txn.staged_ops(), 1u);
+  EXPECT_TRUE(txn.Commit().ok());
+  EXPECT_EQ(CpuAllocated(), 500);
+  EXPECT_EQ(sim_.metrics().counter("core.txn_ops_staged"), 3);
+  EXPECT_EQ(sim_.metrics().counter("core.txn_ops_undone"), 2);
+  const Span* span = sim_.spans().Find("sched.txn");
+  ASSERT_NE(span, nullptr);
+  ASSERT_NE(span->Label("ops"), nullptr);
+  EXPECT_EQ(*span->Label("ops"), "3");
+}
+
 TEST_F(PlacementTxnTest, DestructorAbortsOpenTransaction) {
   {
     PlacementTxn txn = engine_.Begin("test");

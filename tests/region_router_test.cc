@@ -4,15 +4,15 @@
 // cross-region deploys that span regions inside one transaction,
 // multi-region abort atomicity, the env store's remote (cross-region) tier
 // with exact CancelLaunch refunds, a randomized differential asserting the
-// region-federated control plane with one region makes byte-identical
-// admit/reject decisions to the cell-partitioned router on the same
+// router with one region makes byte-identical admit/reject decisions to
+// the router on the same cells with no regions on the same
 // deploy/teardown sequence, and frozen hashes of where modules land under
 // 2-, 3- and 4-region churn with pins and avoids.
 //
 // As in cell_router_test, the specs have uniform explicit demands (every
 // task is exactly a quarter of a cpu blade), so admission is count-based
-// and the cells-only router is a differential oracle for the region
-// router despite their different placement geometry.
+// and the regions = 0 topology is a differential oracle for the regioned
+// one despite their different placement geometry.
 
 #include <gtest/gtest.h>
 
@@ -65,7 +65,6 @@ UdcCloudConfig RegionConfig(int racks, int cells, int regions) {
   config.datacenter.racks = racks;
   config.datacenter.cells = cells;
   config.datacenter.regions = regions;
-  config.scheduler.use_placement_index = true;
   return config;
 }
 
@@ -356,12 +355,12 @@ TEST(EnvStoreRegionsTest, RemoteFetchAndRefundAreExact) {
   sim.RunToCompletion();
 }
 
-// --- The randomized differential: regions=1 vs. the cells-only router on
-// one shared script. With a single region the region router's candidate
-// order degenerates to the cell router's exactly, so the two control
-// planes must produce an identical admit/reject stream (compared both
-// directly and as an FNV-1a hash, the form the federation bench gates on)
-// and identical final occupancy.
+// --- The randomized differential: regions=1 vs. regions=0 on one shared
+// script. With a single region the router's candidate order is the
+// cells-only order exactly, so the two topologies must produce an
+// identical admit/reject stream (compared both directly and as an FNV-1a
+// hash, the form the federation bench gates on) and identical final
+// occupancy.
 
 struct Action {
   bool deploy = false;

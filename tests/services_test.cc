@@ -471,6 +471,43 @@ TEST_F(ServiceTest, TraceRecordsControlPlaneEvents) {
   EXPECT_TRUE(cloud_->sim()->trace().Contains("repair", "A4"));
 }
 
+// The same parenting in every topology: whether the router places into one
+// unscoped cell, into cells, or into regions of cells, the deploy span is
+// the scope its txn span and every placement span open under — one trace
+// per deploy, not one per span.
+TEST(DeploySpanTest, PlacementSpansNestUnderTheDeployInEveryTopology) {
+  struct Shape {
+    int cells;
+    int regions;
+  };
+  for (const Shape shape : {Shape{0, 0}, Shape{2, 0}, Shape{2, 2}}) {
+    UdcCloudConfig config;
+    config.datacenter.racks = 4;
+    config.datacenter.cells = shape.cells;
+    config.datacenter.regions = shape.regions;
+    UdcCloud cloud(config);
+    auto deployment =
+        cloud.Deploy(cloud.RegisterTenant("hospital"), *MedicalAppSpec());
+    ASSERT_TRUE(deployment.ok());
+    const SpanTracer& spans = cloud.sim()->spans();
+    const Span* deploy = spans.Find("sched.deploy");
+    ASSERT_NE(deploy, nullptr);
+    EXPECT_NE(deploy->Label("cell"), nullptr);
+    EXPECT_EQ(deploy->Label("region") != nullptr, shape.regions > 0);
+    for (const char* name :
+         {"sched.txn", "sched.place_task", "sched.place_data"}) {
+      const Span* child = spans.Find(name);
+      ASSERT_NE(child, nullptr) << name;
+      EXPECT_EQ(child->parent_span_id, deploy->span_id)
+          << name << " cells=" << shape.cells
+          << " regions=" << shape.regions;
+      EXPECT_EQ(child->trace_id, deploy->trace_id)
+          << name << " cells=" << shape.cells
+          << " regions=" << shape.regions;
+    }
+  }
+}
+
 
 // --- UtilizationMonitor --------------------------------------------------
 

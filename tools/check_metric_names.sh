@@ -80,10 +80,12 @@ if [[ "$cat_found" -eq 0 ]]; then
   exit 1
 fi
 
-# Required series: the content-addressed env-store observability surface.
-# These names are load-bearing — benches gate on them and `udcctl slo`
-# registers slo.exec.warm_hit_ratio over the gauge — so renaming or
-# dropping any of them must fail this lint, not silently zero a dashboard.
+# Required series: the content-addressed env-store observability surface
+# and the router's cell and region series. These names are load-bearing —
+# benches gate on them, `udcctl slo` registers slo.exec.warm_hit_ratio over
+# the gauge, `udcctl cells`/`regions` and perfbench read the router's
+# counters and sketches — so renaming or dropping any of them must fail
+# this lint, not silently zero a dashboard.
 required_series=(
   exec.warm_hit_ratio
   exec.store_bytes
@@ -102,6 +104,11 @@ required_series=(
   sched.cross_region_deploys
   sched.region_fallbacks
   sched.region_place_latency_us
+  sched.cell_deploys
+  sched.cross_cell_deploys
+  sched.cell_fallbacks
+  sched.cell_place_latency_us
+  sched.place_latency_us
 )
 for series in "${required_series[@]}"; do
   if ! grep -rqF "\"$series\"" src; then
@@ -111,13 +118,15 @@ for series in "${required_series[@]}"; do
   fi
 done
 
-# Required SLO objectives that live outside src/: the federation bench
-# registers slo.sched.region_place_p99 over the region-place sketch and
-# gates on it — dropping the registration would silently un-gate the
-# region placement tail, so it is pinned here (bench/ is its home; src/
+# Required SLO objectives that live outside src/: deploy_churn's scale and
+# federation phases register slo.sched.cell_place_p99 and
+# slo.sched.region_place_p99 over the router's sched.place_latency_us
+# sketch and gate on them — dropping a registration would silently un-gate
+# a placement tail, so both are pinned here (bench/ is their home; src/
 # never registers SLOs itself).
 required_slos=(
   slo.sched.region_place_p99
+  slo.sched.cell_place_p99
 )
 for slo in "${required_slos[@]}"; do
   if ! grep -rqF "\"$slo\"" src bench tools; then

@@ -48,14 +48,13 @@ if [[ "${allowed:-0}" -eq 0 ]]; then
   exit 1
 fi
 
-# Hierarchical control plane: the cell- and region-router sources must
-# exist, be inside the scanned tree (so the offender grep above covers
-# them), and stage their mutations through PlacementTxn — a routing path
-# that stopped using the transaction would silently regrow hand-rolled
-# rollback.
+# Hierarchical control plane: the router (the one deploy path) and the
+# per-cell scheduler sources must exist, be inside the scanned tree (so the
+# offender grep above covers them), and stage their mutations through
+# PlacementTxn — a routing path that stopped using the transaction would
+# silently regrow hand-rolled rollback.
 txn_users=0
-txn_sources=(src/core/cell_router.cc src/core/region_router.cc
-             src/core/scheduler.cc)
+txn_sources=(src/core/region_router.cc src/core/scheduler.cc)
 for f in "${txn_sources[@]}"; do
   if [[ ! -f "$f" ]]; then
     echo "check_placement_txn.sh: expected control-plane source $f missing" >&2

@@ -287,7 +287,7 @@ int Cells(const std::string& text, int racks, int cells, int deploys) {
   config.datacenter.cells = cells;
   config.scheduler.record_place_latency = true;
   udc::UdcCloud cloud(config);
-  if (cloud.cell_router() == nullptr) {
+  if (cloud.datacenter().topology().cell_count() == 0) {
     std::fprintf(stderr, "cells: need at least 1 cell (got --cells %d)\n",
                  cells);
     return kExitUsage;
@@ -315,7 +315,7 @@ int Cells(const std::string& text, int racks, int cells, int deploys) {
     cloud.sim()->RunToCompletion();
   }
 
-  udc::CellRouter* router = cloud.cell_router();
+  udc::RegionRouter* router = cloud.region_router();
   const udc::Topology& topo = cloud.datacenter().topology();
   const udc::ResourcePool& cpu_pool =
       cloud.datacenter().pool(udc::DeviceKind::kCpuBlade);
@@ -393,7 +393,7 @@ int Regions(const std::string& text, int racks, int cells, int regions,
   config.env_store.share_across_tenants = true;
   config.scheduler.record_place_latency = true;
   udc::UdcCloud cloud(config);
-  if (cloud.region_router() == nullptr) {
+  if (cloud.datacenter().topology().region_count() == 0) {
     std::fprintf(stderr, "regions: need at least 1 region (got --regions %d)\n",
                  regions);
     return kExitUsage;
