@@ -7,15 +7,10 @@
 // sees realistic free lists rather than a pristine datacenter.
 //
 // PR 5 adds transaction-focused phases on top of the indexed churn:
-//   - batched (in-process): the same workload submitted through
-//     UdcCloud::DeployAll in fixed-size batches (demand resolution and rack
-//     scoring amortized per batch, one event-drain per batch instead of per
-//     deploy). Informational — placement is a small slice of deploy cost,
-//     so the in-process win is modest.
 //   - frontend RPC: the tenant-visible comparison — one "deploy" RPC per
 //     app versus one "deploy_batch" RPC per batch, identical udcl text.
 //     Batching amortizes parsing of repeated texts, per-request fabric
-//     traffic, and per-deploy frontend/scheduler spans; gated at >= 1.2x
+//     traffic, and per-deploy frontend spans; gated at >= 1.2x
 //     single-deploy RPC throughput. The modes run interleaved at batch
 //     granularity and the gate takes the median per-group CPU-time ratio,
 //     so drift and spikes on a contended host can't skew it.
@@ -41,7 +36,7 @@
 //     on-cloud's SLO verdicts are machine-checked — a breach fails the run.
 //
 // The hierarchical control-plane PR adds:
-//   - scale-out: the router over 400 cells (per-cell schedulers over
+//   - scale-out: the router over 400 cells (cell-scoped placement over
 //     partitioned capacity) versus the same router over one unscoped cell
 //     at datacenter scale — 40,000 racks / 840,000 devices, one million
 //     tenants churned through a live window. Gated at >= 3x the one-cell
@@ -170,71 +165,6 @@ ChurnResult RunChurn(const ChurnConfig& config,
   return result;
 }
 
-// Same churn, but submitted in fixed-size batches through DeployAll: one
-// tenant per batch, one event-drain per batch, per-deploy placement time
-// amortized over the batch.
-ChurnResult RunBatchedChurn(const ChurnConfig& config, int batch_size,
-                            const std::vector<udc::AppSpec>& specs) {
-  udc::UdcCloudConfig cloud_config;
-  cloud_config.datacenter.racks = config.racks;
-  udc::UdcCloud cloud(cloud_config);
-
-  ChurnResult result;
-  result.devices =
-      static_cast<long long>(cloud.datacenter().AllDevices().size());
-
-  std::deque<std::unique_ptr<udc::Deployment>> live;
-  const auto churn = [&] {
-    for (int base = 0; base < config.deploys; base += batch_size) {
-      const int count = std::min(batch_size, config.deploys - base);
-      const udc::TenantId tenant =
-          cloud.RegisterTenant("batch-" + std::to_string(base));
-      // Evict ahead of the batch so the live set peaks at the same window
-      // the single-deploy mode holds (window eviction there runs after
-      // every deploy, here once per batch).
-      while (static_cast<int>(live.size()) >
-             std::max(0, config.live_window - count)) {
-        live.pop_front();  // ~Deployment tears down envs and allocations
-      }
-      std::vector<const udc::AppSpec*> batch;
-      batch.reserve(count);
-      for (int i = 0; i < count; ++i) {
-        batch.push_back(&specs[(base + i) % specs.size()]);
-      }
-
-      const auto t0 = std::chrono::steady_clock::now();
-      auto deployed = cloud.DeployAll(tenant, batch);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double per_deploy_us =
-          std::chrono::duration<double, std::micro>(t1 - t0).count() / count;
-      for (auto& deployment : deployed) {
-        result.placement_us.Add(per_deploy_us);
-        if (!deployment.ok()) {
-          ++result.failures;
-          continue;
-        }
-        ++result.deploys;
-        live.push_back(std::move(*deployment));
-      }
-      cloud.sim()->RunToCompletion();
-    }
-    live.clear();
-    cloud.sim()->RunToCompletion();
-  };
-  const udc::bench::MeasureResult timed =
-      udc::bench::Measure(/*warmup_rounds=*/0, /*rounds=*/1, churn);
-
-  result.wall_seconds = timed.wall_seconds;
-  if (result.wall_seconds > 0) {
-    result.deploys_per_sec =
-        static_cast<double>(result.deploys) / result.wall_seconds;
-    result.events_per_sec =
-        static_cast<double>(cloud.sim()->events_executed()) /
-        result.wall_seconds;
-  }
-  return result;
-}
-
 struct RpcResult {
   long long deploys = 0;
   long long failures = 0;
@@ -321,8 +251,7 @@ struct FrontendEnv {
 // Deploy churn as a tenant actually experiences it: udcl text over the
 // frontend RPC path, one "deploy" call per app versus one "deploy_batch"
 // call per batch. Batching amortizes udcl parsing of repeated texts,
-// per-request fabric traffic, frontend spans and header handling, and the
-// per-deploy scheduler span.
+// per-request fabric traffic, frontend spans and header handling.
 //
 // The two modes run INTERLEAVED at batch granularity against separate
 // clouds: a group of batch_size single-deploy RPCs, then the equivalent
@@ -880,8 +809,8 @@ double MeasureEmptyTxnUs(int iterations) {
 // --- Scale-out phase: the hierarchical control plane at datacenter scale.
 //
 // One leg per topology — the router over one unscoped cell (one global
-// index, the flat datacenter), and the router over per-cell schedulers on
-// a cell-partitioned index — each churning the SAME deploy sequence (same
+// index, the flat datacenter), and the router placing cell-scoped on a
+// cell-partitioned index — each churning the SAME deploy sequence (same
 // specs, same order, same live-window eviction) against its own cloud of
 // identical geometry. The full configuration registers >= 1M tenants over
 // >= 100k devices; the gate is aggregate deploys/sec >= 3x the one-cell
@@ -1629,8 +1558,7 @@ void WriteScaleOnlyJson(bool smoke, const ScaleResult& scale) {
 }
 
 void WriteJson(const ChurnConfig& config, bool smoke,
-               const ChurnResult& indexed,
-               const ChurnResult& batched, int batch_size,
+               const ChurnResult& indexed, int batch_size,
                const AbortResult& abort, const WarmStoreResult& warm_store,
                double empty_txn_us, double overhead_pct,
                const RpcResult& rpc_single, const RpcResult& rpc_batched,
@@ -1666,16 +1594,9 @@ void WriteJson(const ChurnConfig& config, bool smoke,
                config.live_window, udc::bench::HostCores(),
                smoke ? "true" : "false");
   emit_mode("indexed", indexed);
-  std::fprintf(f, ",\n");
-  emit_mode("batched", batched);
-  const double batched_speedup =
-      indexed.deploys_per_sec > 0
-          ? batched.deploys_per_sec / indexed.deploys_per_sec
-          : 0;
   std::fprintf(f,
                ",\n  \"txn\": {\n"
                "    \"batch_size\": %d,\n"
-               "    \"batched_speedup_vs_indexed\": %.2f,\n"
                "    \"empty_txn_us\": %.3f,\n"
                "    \"overhead_pct_vs_indexed_p50\": %.2f,\n"
                "    \"frontend_single\": {\"deploys\": %lld, \"failures\": "
@@ -1688,7 +1609,7 @@ void WriteJson(const ChurnConfig& config, bool smoke,
                "\"txn_committed\": %lld, \"txn_aborted\": %lld, "
                "\"clean_after_drain\": %s}\n"
                "  }",
-               batch_size, batched_speedup, empty_txn_us, overhead_pct,
+               batch_size, empty_txn_us, overhead_pct,
                rpc_single.deploys, rpc_single.failures,
                rpc_single.cpu_seconds, rpc_single.deploys_per_sec,
                rpc_batched.deploys, rpc_batched.failures,
@@ -1867,20 +1788,10 @@ int main(int argc, char** argv) {
   const ChurnResult indexed = RunChurn(config, specs);
   PrintResult("indexed", indexed);
 
-  const int batch_size = smoke ? 16 : 32;
-  const ChurnResult batched = RunBatchedChurn(config, batch_size, specs);
-  PrintResult("batched", batched);
-  const double batched_speedup =
-      indexed.deploys_per_sec > 0
-          ? batched.deploys_per_sec / indexed.deploys_per_sec
-          : 0;
-  std::printf("batched vs indexed (in-process): %.2fx deploys/sec "
-              "(batch size %d)\n",
-              batched_speedup, batch_size);
-
   // The tenant-visible comparison: one deploy RPC per app versus one
   // deploy_batch RPC per batch, same udcl text, same frontend.
   const std::string udcl = udc::MedicalAppUdcl();
+  const int batch_size = smoke ? 16 : 32;
   const int rpc_deploys = smoke ? 320 : 640;
   const FrontendComparison frontend = RunFrontendComparison(
       config.racks, rpc_deploys, config.live_window, batch_size, udcl);
@@ -1957,7 +1868,7 @@ int main(int argc, char** argv) {
       fed_abort_tail, shared_specs, specs, heavy_specs);
   PrintFederation(fed);
 
-  WriteJson(config, smoke, indexed, batched, batch_size, abort, warm_store,
+  WriteJson(config, smoke, indexed, batch_size, abort, warm_store,
             empty_txn_us, overhead_pct, rpc_single, rpc_batched, rpc_speedup,
             obs, scale, fed);
 

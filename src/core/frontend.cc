@@ -53,6 +53,29 @@ Deployment* CloudFrontend::FindDeployment(uint64_t id) {
   return it == deployments_.end() ? nullptr : it->second.get();
 }
 
+Result<uint64_t> CloudFrontend::Admit(TenantId tenant,
+                                      std::shared_ptr<const AppSpec> spec) {
+  auto deployment = cloud_->Deploy(tenant, std::move(spec));
+  if (!deployment.ok()) {
+    return deployment.status();
+  }
+  const uint64_t id = next_id_++;
+  // Tenant-visible deploy latency in simulated time: accepted now, usable
+  // once the slowest module environment is up. Deterministic (no host
+  // clock), so always on; slo.frontend.deploy_latency_p99 windows it.
+  SimTime ready = cloud_->sim()->now();
+  for (const auto& [module, placement] : (*deployment)->placements()) {
+    ready = std::max(ready, placement.env_ready_at);
+  }
+  cloud_->sim()->metrics().Observe(
+      "frontend.deploy_latency_ms",
+      static_cast<double>((ready - cloud_->sim()->now()).millis()));
+  deployments_[id] = std::move(*deployment);
+  owners_[id] = tenant;
+  cloud_->sim()->metrics().IncrementCounter("frontend.deploys");
+  return id;
+}
+
 std::string CloudFrontend::HandleDeploy(const Message& msg) {
   uint64_t tenant = 0;
   std::string_view udcl;
@@ -68,26 +91,13 @@ std::string CloudFrontend::HandleDeploy(const Message& msg) {
     return "err:" + spec.status().ToString();
   }
   span.AddLabel("app", spec->graph.app_name());
-  auto deployment = cloud_->Deploy(TenantId(tenant), *spec);
-  if (!deployment.ok()) {
+  const Result<uint64_t> id = Admit(
+      TenantId(tenant), std::make_shared<const AppSpec>(*std::move(spec)));
+  if (!id.ok()) {
     span.AddLabel("error", "deploy");
-    return "err:" + deployment.status().ToString();
+    return "err:" + id.status().ToString();
   }
-  const uint64_t id = next_id_++;
-  // Tenant-visible deploy latency in simulated time: accepted now, usable
-  // once the slowest module environment is up. Deterministic (no host
-  // clock), so always on; slo.frontend.deploy_latency_p99 windows it.
-  SimTime ready = cloud_->sim()->now();
-  for (const auto& [module, placement] : (*deployment)->placements()) {
-    ready = std::max(ready, placement.env_ready_at);
-  }
-  cloud_->sim()->metrics().Observe(
-      "frontend.deploy_latency_ms",
-      static_cast<double>((ready - cloud_->sim()->now()).millis()));
-  deployments_[id] = std::move(*deployment);
-  owners_[id] = TenantId(tenant);
-  cloud_->sim()->metrics().IncrementCounter("frontend.deploys");
-  return StrFormat("ok:%llu", static_cast<unsigned long long>(id));
+  return StrFormat("ok:%llu", static_cast<unsigned long long>(*id));
 }
 
 std::string CloudFrontend::HandleDeployBatch(const Message& msg) {
@@ -101,66 +111,40 @@ std::string CloudFrontend::HandleDeployBatch(const Message& msg) {
       {{"tenant", StrFormat("%llu", static_cast<unsigned long long>(tenant))}});
 
   // The body is udcl texts separated by lines containing exactly "---".
-  std::vector<std::string_view> texts;
-  size_t start = 0;
-  while (start <= body.size()) {
-    size_t end = body.find("\n---\n", start);
-    if (end == std::string_view::npos) {
-      texts.push_back(body.substr(start));
-      break;
-    }
-    texts.push_back(body.substr(start, end - start));
-    start = end + 5;
-  }
-
-  // Parse each text, but only once per distinct text: replica batches repeat
-  // one spec N times, so dedup amortizes the parse across the batch. A spec
-  // that fails to parse keeps its slot ("x") so the response stays positional
-  // with the request.
-  std::vector<std::unique_ptr<AppSpec>> parsed_storage;
-  std::vector<const AppSpec*> parsed(texts.size(), nullptr);
-  std::vector<const AppSpec*> to_deploy;
-  std::map<std::string_view, const AppSpec*> by_text;
-  for (size_t i = 0; i < texts.size(); ++i) {
-    auto it = by_text.find(texts[i]);
-    if (it == by_text.end()) {
-      auto spec = ParseAppSpec(texts[i]);
-      const AppSpec* fresh = nullptr;
-      if (spec.ok()) {
-        parsed_storage.push_back(std::make_unique<AppSpec>(*std::move(spec)));
-        fresh = parsed_storage.back().get();
-      }
-      it = by_text.emplace(texts[i], fresh).first;
-    }
-    parsed[i] = it->second;
-    if (parsed[i] != nullptr) {
-      to_deploy.push_back(parsed[i]);
-    }
-  }
-  auto deployed = cloud_->DeployAll(TenantId(tenant), to_deploy);
-
+  // Each distinct text is parsed once — replica batches repeat one spec N
+  // times — and its deployments share that one immutable spec. Each spec is
+  // its own deploy; a text that fails to parse or deploy keeps its slot
+  // ("x") so the response stays positional with the request.
+  std::map<std::string_view, std::shared_ptr<const AppSpec>> by_text;
   std::string response = "ok:";
-  size_t deploy_index = 0;
-  for (size_t i = 0; i < texts.size(); ++i) {
-    if (i > 0) {
+  size_t specs = 0;
+  for (size_t start = 0; start <= body.size();) {
+    const size_t end = std::min(body.find("\n---\n", start), body.size());
+    const std::string_view text = body.substr(start, end - start);
+    start = end + 5;
+    if (specs++ > 0) {
       response += ",";
     }
-    if (parsed[i] == nullptr) {
+    auto it = by_text.find(text);
+    if (it == by_text.end()) {
+      auto spec = ParseAppSpec(text);
+      it = by_text
+               .emplace(text, spec.ok() ? std::make_shared<const AppSpec>(
+                                              *std::move(spec))
+                                        : nullptr)
+               .first;
+    }
+    if (it->second == nullptr) {
       response += "x";
       continue;
     }
-    auto& result = deployed[deploy_index++];
-    if (!result.ok()) {
-      response += "x";
-      continue;
-    }
-    const uint64_t id = next_id_++;
-    deployments_[id] = std::move(*result);
-    owners_[id] = TenantId(tenant);
-    response += StrFormat("%llu", static_cast<unsigned long long>(id));
+    const Result<uint64_t> id = Admit(TenantId(tenant), it->second);
+    response +=
+        id.ok() ? StrFormat("%llu", static_cast<unsigned long long>(*id))
+                : "x";
   }
   cloud_->sim()->metrics().IncrementCounter("frontend.batch_deploys");
-  span.AddLabel("specs", StrFormat("%zu", texts.size()));
+  span.AddLabel("specs", StrFormat("%zu", specs));
   return response;
 }
 

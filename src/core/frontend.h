@@ -6,8 +6,9 @@
 // RPC plane the paper's users would see.
 //
 //   methods: deploy (udcl text)        -> deployment id
-//            deploy_batch (udcl texts) -> deployment ids (one RPC, batched
-//                                         scheduling via DeployAll)
+//            deploy_batch (udcl texts) -> deployment ids, positional (one
+//                                         RPC; each distinct text parsed
+//                                         once, each spec its own deploy)
 //            verify:<id>               -> verification table
 //            bill:<id>                 -> current bill table
 //            teardown:<id>             -> releases everything
@@ -35,6 +36,10 @@ class CloudFrontend {
   Deployment* FindDeployment(uint64_t id);
 
  private:
+  // Deploys `spec` and admits the deployment: assigns its id, records the
+  // owner, observes frontend.deploy_latency_ms and counts frontend.deploys.
+  // Both deploy RPCs admit through here.
+  Result<uint64_t> Admit(TenantId tenant, std::shared_ptr<const AppSpec> spec);
   std::string HandleDeploy(const Message& msg);
   std::string HandleDeployBatch(const Message& msg);
   std::string HandleVerify(const Message& msg);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -35,31 +34,24 @@ void SortByFree(std::vector<int>& ids, const std::vector<int64_t>& free) {
 RegionRouter::RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
                            Fabric* fabric, EnvManager* env_manager,
                            AttestationService* attestation,
-                           const PriceList* prices, SchedulerConfig base)
+                           const PriceList* prices, SchedulerConfig config)
     : sim_(sim), datacenter_(datacenter),
       engine_(sim, datacenter, env_manager, attestation),
+      scheduler_(sim, datacenter, fabric, prices, config),
+      partitioned_(datacenter->topology().cell_count() > 0),
+      cell_count_(partitioned_ ? datacenter->topology().cell_count() : 1),
       region_count_(datacenter->topology().region_count()),
-      record_place_latency_(base.record_place_latency),
+      record_place_latency_(config.record_place_latency),
       cross_cell_deploys_(
           sim->metrics().CounterSeries("sched.cross_cell_deploys")),
       cell_fallbacks_(sim->metrics().CounterSeries("sched.cell_fallbacks")) {
-  const Topology& topology = datacenter->topology();
-  const bool partitioned = topology.cell_count() > 0;
-  const int cells = partitioned ? topology.cell_count() : 1;
   if (record_place_latency_) {
     // Sketch mode: the benches and the SLO engine window these series, and
     // a bounded bucket array keeps million-deploy runs at fixed memory.
     place_latency_us_ =
         sim->metrics().EnableSketchHistogram("sched.place_latency_us");
   }
-  for (int c = 0; c < cells; ++c) {
-    SchedulerConfig config = base;
-    // An unpartitioned topology keeps its one scheduler unscoped: the flat
-    // datacenter's rack picks and pool requests.
-    config.cell = partitioned ? c : -1;
-    cells_.push_back(
-        std::make_unique<UdcScheduler>(sim, datacenter, fabric, prices,
-                                       config));
+  for (int c = 0; c < cell_count_; ++c) {
     const std::string cell = StrFormat("%d", c);
     cell_deploys_.push_back(
         sim->metrics().CounterSeries("sched.cell_deploys", {{"cell", cell}}));
@@ -86,12 +78,6 @@ RegionRouter::RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
       region_place_latency_us_.push_back(sim->metrics().EnableSketchHistogram(
           "sched.region_place_latency_us", labels));
     }
-  }
-}
-
-void RegionRouter::SetSequencer(SwitchSequencer* sequencer) {
-  for (auto& cell : cells_) {
-    cell->SetSequencer(sequencer);
   }
 }
 
@@ -235,30 +221,7 @@ std::vector<int> RegionRouter::FallbackCells(int home_region, int home_cell,
 }
 
 Result<std::unique_ptr<Deployment>> RegionRouter::Deploy(
-    TenantId tenant, std::shared_ptr<const AppSpec> spec) {
-  return DeployOne(tenant, std::move(spec), /*batch=*/nullptr);
-}
-
-std::vector<Result<std::unique_ptr<Deployment>>> RegionRouter::DeployAll(
-    TenantId tenant, const std::vector<const AppSpec*>& specs) {
-  ScopedSpan span = sim_->Scope(
-      "sched", "sched.deploy_batch",
-      {{"specs", StrFormat("%zu", specs.size())},
-       {"tenant", StrFormat("%llu",
-                            static_cast<unsigned long long>(tenant.value()))}});
-  UdcScheduler::BatchContext batch;
-  std::vector<Result<std::unique_ptr<Deployment>>> results;
-  results.reserve(specs.size());
-  for (const AppSpec* spec : specs) {
-    results.push_back(
-        DeployOne(tenant, std::make_shared<const AppSpec>(*spec), &batch));
-  }
-  return results;
-}
-
-Result<std::unique_ptr<Deployment>> RegionRouter::DeployOne(
-    TenantId tenant, std::shared_ptr<const AppSpec> shared_spec,
-    UdcScheduler::BatchContext* batch) {
+    TenantId tenant, std::shared_ptr<const AppSpec> shared_spec) {
   const AppSpec& spec = *shared_spec;
   // Wall-clock placement cost, observed on every exit path into the
   // aggregate sketch and the home cell's and home region's sketches.
@@ -304,13 +267,9 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOne(
   latency_scope.home_cell = home_cell;
 
   // The deploy span is the current scope until the deploy returns, so the
-  // txn span and every sched.place_* span nest under it in one trace. A
-  // batched deploy rides the enclosing sched.deploy_batch scope instead.
-  std::optional<ScopedSpan> span;
-  if (batch == nullptr) {
-    span.emplace(&sim_->spans(), "sched", "sched.deploy",
-                 deploy_span_sets_[static_cast<size_t>(home_cell)]);
-  }
+  // txn span and every sched.place_* span nest under it in one trace.
+  ScopedSpan span(&sim_->spans(), "sched", "sched.deploy",
+                  deploy_span_sets_[static_cast<size_t>(home_cell)]);
   auto deployment = std::make_unique<Deployment>(
       tenant, std::move(shared_spec), datacenter_, sim_->now(),
       engine_.env_manager(), engine_.attestation());
@@ -325,9 +284,6 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOne(
   const auto fail = [&](Status status) -> Status {
     txn.Abort();
     deployment->Abandon();
-    if (batch != nullptr) {
-      batch->free_by_rack_valid.fill(false);
-    }
     return status;
   };
 
@@ -335,17 +291,16 @@ Result<std::unique_ptr<Deployment>> RegionRouter::DeployOne(
   // root txn; a rejection unwinds exactly that attempt's sub-plan (AbortTo)
   // before the next cell — earlier modules' staged sub-plans stay intact,
   // so the deploy remains one transaction even when its legs land in three
-  // regions.
+  // regions. The collapse rule: the placement is scoped to `c` on a
+  // cell-partitioned topology; otherwise the router's one cell is the whole
+  // datacenter and the call is unscoped (-1).
   const auto attempt = [&](int c, ModuleId module, bool is_data) -> Status {
     const size_t mark = txn.staged_ops();
-    Status status = cells_[static_cast<size_t>(c)]->PlaceModuleInTxn(
-        tenant, spec, module, is_data, deployment.get(), txn, batch);
+    Status status = scheduler_.PlaceModuleInTxn(
+        tenant, spec, module, is_data, partitioned_ ? c : -1,
+        deployment.get(), txn);
     if (!status.ok()) {
       txn.AbortTo(mark);
-      if (batch != nullptr) {
-        // The failed attempt's cached rack debits were just undone.
-        batch->free_by_rack_valid.fill(false);
-      }
     }
     return status;
   };

@@ -3,10 +3,11 @@
 // Placement is hierarchical — region, then cell, then rack — and the
 // topology alone decides how far the hierarchy collapses:
 //
-//   * cells = 0: the router holds one cell whose UdcScheduler is unscoped
-//     (SchedulerConfig::cell = -1), so every rack pick, pool request and
-//     index walk is the flat datacenter's and the capacity index stays
-//     unpartitioned;
+//   * cells = 0: the router routes into one cell, and every placement call
+//     it makes into its one scheduler passes cell -1 (unscoped), so every
+//     rack pick, pool request and index walk is the flat datacenter's and
+//     the capacity index stays unpartitioned. With cells, each call passes
+//     the cell it tries;
 //   * regions = 0: all cells form one region. Region aspects are ignored
 //     and no region series are interned.
 //
@@ -18,7 +19,7 @@
 //     totals (FreeCapacityIndex::region_free — never rescans); the home
 //     cell is the freest cell inside it (cell_free). Ties go low;
 //   * modules are placed data first, then tasks in topological order, each
-//     through the home cell's scheduler. A module the home cell rejects
+//     into the home cell. A module the home cell rejects
 //     unwinds its partial sub-plan with PlacementTxn::AbortTo and retries
 //     across the home region's other cells, then across the remaining
 //     regions in free-capacity order — `aspect m dist region=N` restricts
@@ -26,6 +27,10 @@
 //   * a module no cell admits aborts the full transaction in reverse
 //     staging order, so a deploy whose legs span cells or regions keeps the
 //     single-transaction atomicity contract.
+//
+// Deploy is the only way a deploy reaches placement; a batch of specs (the
+// frontend's deploy_batch RPC) is that many Deploy calls, each with its own
+// sched.deploy span and transaction.
 //
 // Determinism contract: with one region the candidate order is the
 // cells-only order (home = argmax cell_free, fallbacks by free desc, cell
@@ -47,12 +52,10 @@ namespace udc {
 
 class RegionRouter {
  public:
-  // `base` is the per-cell scheduler configuration; its `cell` field is
-  // overwritten per instance on a cell-partitioned topology.
   RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
                Fabric* fabric, EnvManager* env_manager,
                AttestationService* attestation, const PriceList* prices,
-               SchedulerConfig base = SchedulerConfig());
+               SchedulerConfig config = SchedulerConfig());
 
   // Realizes `spec` for `tenant`. On success the deployment holds every
   // resource; on failure the transaction aborts and every partially
@@ -61,19 +64,16 @@ class RegionRouter {
   // immutable spec, which must not change while it is deployed.
   Result<std::unique_ptr<Deployment>> Deploy(
       TenantId tenant, std::shared_ptr<const AppSpec> spec);
-  // Batched deploys share one demand/rack-score cache across the batch
-  // (and across cells and regions). Each spec commits or aborts its own
-  // transaction; results are positional.
-  std::vector<Result<std::unique_ptr<Deployment>>> DeployAll(
-      TenantId tenant, const std::vector<const AppSpec*>& specs);
 
   // The topology's regions: 0 when it is not region-partitioned.
   int region_count() const { return region_count_; }
   // The cells placed into: 1 (unscoped) when the topology has no cells.
-  int cell_count() const { return static_cast<int>(cells_.size()); }
+  int cell_count() const { return cell_count_; }
   PlacementEngine& engine() { return engine_; }
 
-  void SetSequencer(SwitchSequencer* sequencer);
+  void SetSequencer(SwitchSequencer* sequencer) {
+    scheduler_.SetSequencer(sequencer);
+  }
 
   // Per-region / per-cell healthy free capacity of `kind` — the routing
   // summaries (zero-copy views of the delta-maintained index vectors;
@@ -110,14 +110,12 @@ class RegionRouter {
   std::vector<int> FallbackCells(int home_region, int home_cell,
                                  int affinity, int anti_affinity) const;
 
-  Result<std::unique_ptr<Deployment>> DeployOne(
-      TenantId tenant, std::shared_ptr<const AppSpec> spec,
-      UdcScheduler::BatchContext* batch);
-
   Simulation* sim_;
   DisaggregatedDatacenter* datacenter_;
   PlacementEngine engine_;
-  std::vector<std::unique_ptr<UdcScheduler>> cells_;
+  UdcScheduler scheduler_;
+  bool partitioned_;  // the topology has cells
+  int cell_count_;
   int region_count_;
   bool record_place_latency_;
 

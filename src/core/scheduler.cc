@@ -59,15 +59,16 @@ UdcScheduler::UdcScheduler(Simulation* sim, DisaggregatedDatacenter* datacenter,
       conflicts_resolved_(sim->metrics().CounterSeries(
           "core.consistency_conflicts_resolved")) {}
 
-int UdcScheduler::PickRack(const AppSpec& spec, ModuleId module,
-                           const Deployment& deployment, ResourceKind dominant,
-                           BatchContext* batch) {
+int UdcScheduler::PickRack(const AppSpec& spec, ModuleId module, int cell,
+                           const Deployment& deployment,
+                           ResourceKind dominant) {
   const Topology& topology = datacenter_->topology();
   if (config_.use_locality_hints) {
-    // A cell scheduler only follows locality into racks it owns; a partner
-    // placed in another cell (cross-cell deploy) is not a usable hint.
+    // A cell-scoped pick only follows locality into the cell's racks; a
+    // partner placed in another cell (cross-cell deploy) is not a usable
+    // hint.
     const auto in_scope = [&](int rack) {
-      return config_.cell < 0 || topology.CellOf(rack) == config_.cell;
+      return cell < 0 || topology.CellOf(rack) == cell;
     };
     for (const ModuleId partner : spec.graph.LocalityPartners(module)) {
       const Placement* p = deployment.PlacementOf(partner);
@@ -83,92 +84,44 @@ int UdcScheduler::PickRack(const AppSpec& spec, ModuleId module,
       }
     }
   }
-  // Most free capacity of the dominant resource, over this scheduler's rack
+  // Most free capacity of the dominant resource, over the scope's rack
   // range: the whole datacenter, or just the cell's racks (O(racks/cells)).
-  const DeviceKind device_kind = DeviceKindFor(dominant);
-  const ResourcePool& pool = datacenter_->pool(device_kind);
-  const std::vector<int64_t>* free_per_rack = nullptr;
-  if (batch != nullptr) {
-    // Batched deploys score racks against a per-batch cache, kept current
-    // by NoteBatchAllocation as slices land.
-    const auto index = static_cast<size_t>(device_kind);
-    if (!batch->free_by_rack_valid[index]) {
-      batch->free_by_rack[index] = pool.HealthyFreeByRack(topology);
-      batch->free_by_rack_valid[index] = true;
-    }
-    free_per_rack = &batch->free_by_rack[index];
-  } else {
-    // Incremental per-rack totals, read in place (no per-module copy).
-    free_per_rack = &pool.PlacementIndex(topology).rack_free_totals();
-  }
+  // The index's incremental per-rack totals are read in place.
+  const ResourcePool& pool = datacenter_->pool(DeviceKindFor(dominant));
+  const std::vector<int64_t>& free_per_rack =
+      pool.PlacementIndex(topology).rack_free_totals();
   size_t r_begin = 0;
-  size_t r_end = free_per_rack->size();
-  if (config_.cell >= 0) {
-    r_begin = std::min(
-        static_cast<size_t>(topology.CellRackBegin(config_.cell)), r_end);
-    r_end = std::min(static_cast<size_t>(topology.CellRackEnd(config_.cell)),
-                     r_end);
+  size_t r_end = free_per_rack.size();
+  if (cell >= 0) {
+    r_begin =
+        std::min(static_cast<size_t>(topology.CellRackBegin(cell)), r_end);
+    r_end = std::min(static_cast<size_t>(topology.CellRackEnd(cell)), r_end);
   }
   if (r_begin >= r_end) {
-    return config_.cell >= 0 ? topology.CellRackBegin(config_.cell) : 0;
+    return cell >= 0 ? topology.CellRackBegin(cell) : 0;
   }
   size_t best = r_begin;
   for (size_t r = r_begin + 1; r < r_end; ++r) {
-    if ((*free_per_rack)[r] > (*free_per_rack)[best]) {
+    if (free_per_rack[r] > free_per_rack[best]) {
       best = r;
     }
   }
   return static_cast<int>(best);
 }
 
-void UdcScheduler::NoteBatchAllocation(BatchContext* batch, DeviceKind kind,
-                                       const PoolAllocation& allocation) {
-  if (batch == nullptr) {
-    return;
-  }
-  const auto index = static_cast<size_t>(kind);
-  if (!batch->free_by_rack_valid[index]) {
-    return;
-  }
-  std::vector<int64_t>& free_per_rack = batch->free_by_rack[index];
-  for (const AllocationSlice& slice : allocation.slices) {
-    const int rack = datacenter_->topology().RackOf(slice.node);
-    if (rack >= 0 && static_cast<size_t>(rack) < free_per_rack.size()) {
-      free_per_rack[static_cast<size_t>(rack)] -= slice.amount;
-    }
-  }
-}
-
-Result<ResolvedDemand> UdcScheduler::DemandFor(const Module& module,
-                                               const ResourceAspect& aspect,
-                                               BatchContext* batch) {
-  if (batch != nullptr) {
-    const auto it = batch->demands.find(&module);
-    if (it != batch->demands.end()) {
-      return it->second;
-    }
-  }
-  UDC_ASSIGN_OR_RETURN(ResolvedDemand resolved,
-                       ResolveDemand(module, aspect, profiler_));
-  if (batch != nullptr) {
-    batch->demands.emplace(&module, resolved);
-  }
-  return resolved;
-}
-
 Status UdcScheduler::PlaceTask(TenantId tenant, const AppSpec& spec,
-                               ModuleId module, Deployment* deployment,
-                               PlacementTxn& txn, BatchContext* batch) {
+                               ModuleId module, int cell,
+                               Deployment* deployment, PlacementTxn& txn) {
   const Module* m = spec.graph.Find(module);
   const AspectSet aspects = spec.AspectsFor(module);
   ScopedSpan span =
       sim_->Scope("sched", "sched.place_task", {{"module", m->name}});
 
   UDC_ASSIGN_OR_RETURN(ResolvedDemand resolved,
-                       DemandFor(*m, aspects.resource, batch));
+                       ResolveDemand(*m, aspects.resource, profiler_));
 
   const ResourceKind compute = DominantCompute(resolved.demand);
-  const int rack = PickRack(spec, module, *deployment, compute, batch);
+  const int rack = PickRack(spec, module, cell, *deployment, compute);
   const bool single_tenant =
       aspects.exec.tenancy == TenancyMode::kSingleTenant ||
       aspects.exec.isolation >= IsolationLevel::kStrong;
@@ -191,8 +144,8 @@ Status UdcScheduler::PlaceTask(TenantId tenant, const AppSpec& spec,
     }
     AllocationConstraints constraints;
     constraints.preferred_rack = rack;
-    if (config_.cell >= 0) {
-      constraints.preferred_cell = config_.cell;
+    if (cell >= 0) {
+      constraints.preferred_cell = cell;
       constraints.strict_cell = true;
     }
     constraints.single_device = IsComputeKind(kind);
@@ -202,7 +155,6 @@ Status UdcScheduler::PlaceTask(TenantId tenant, const AppSpec& spec,
     if (!alloc.ok()) {
       return alloc.status();
     }
-    NoteBatchAllocation(batch, device_kind, *alloc);
     unit.allocations.push_back(*std::move(alloc));
   }
 
@@ -282,15 +234,15 @@ Status UdcScheduler::PlaceTask(TenantId tenant, const AppSpec& spec,
 }
 
 Status UdcScheduler::PlaceData(TenantId tenant, const AppSpec& spec,
-                               ModuleId module, Deployment* deployment,
-                               PlacementTxn& txn, BatchContext* batch) {
+                               ModuleId module, int cell,
+                               Deployment* deployment, PlacementTxn& txn) {
   const Module* m = spec.graph.Find(module);
   const AspectSet aspects = spec.AspectsFor(module);
   ScopedSpan span =
       sim_->Scope("sched", "sched.place_data", {{"module", m->name}});
 
   UDC_ASSIGN_OR_RETURN(ResolvedDemand resolved,
-                       DemandFor(*m, aspects.resource, batch));
+                       ResolveDemand(*m, aspects.resource, profiler_));
   const ResourceKind medium = resolved.storage_medium;
   const int64_t size = resolved.demand.Get(medium);
   const int replicas = std::max(1, aspects.dist.replication_factor);
@@ -314,7 +266,7 @@ Status UdcScheduler::PlaceData(TenantId tenant, const AppSpec& spec,
     sim_->metrics().Increment(conflicts_resolved_);
   }
 
-  const int rack = PickRack(spec, module, *deployment, medium, batch);
+  const int rack = PickRack(spec, module, cell, *deployment, medium);
 
   ResourceUnit unit;
   unit.tenant = tenant;
@@ -329,8 +281,8 @@ Status UdcScheduler::PlaceData(TenantId tenant, const AppSpec& spec,
   std::vector<DeviceId> replica_devices;
   AllocationConstraints constraints;
   constraints.preferred_rack = rack;
-  if (config_.cell >= 0) {
-    constraints.preferred_cell = config_.cell;
+  if (cell >= 0) {
+    constraints.preferred_cell = cell;
     constraints.strict_cell = true;
   }
   constraints.single_device = true;
@@ -343,7 +295,6 @@ Status UdcScheduler::PlaceData(TenantId tenant, const AppSpec& spec,
     replica_nodes.push_back(alloc->slices.front().node);
     replica_devices.push_back(alloc->slices.front().device);
     constraints.avoid.push_back(alloc->slices.front().device);
-    NoteBatchAllocation(batch, device_kind, *alloc);
     unit.allocations.push_back(*std::move(alloc));
   }
 
@@ -396,11 +347,11 @@ Status UdcScheduler::PlaceData(TenantId tenant, const AppSpec& spec,
 }
 
 Status UdcScheduler::PlaceModuleInTxn(TenantId tenant, const AppSpec& spec,
-                                      ModuleId module, bool is_data,
+                                      ModuleId module, bool is_data, int cell,
                                       Deployment* deployment,
-                                      PlacementTxn& txn, BatchContext* batch) {
-  return is_data ? PlaceData(tenant, spec, module, deployment, txn, batch)
-                 : PlaceTask(tenant, spec, module, deployment, txn, batch);
+                                      PlacementTxn& txn) {
+  return is_data ? PlaceData(tenant, spec, module, cell, deployment, txn)
+                 : PlaceTask(tenant, spec, module, cell, deployment, txn);
 }
 
 }  // namespace udc

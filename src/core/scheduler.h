@@ -11,14 +11,12 @@
 // carves slices out of the disaggregated pools, launches the execution
 // environment the exec-env aspect calls for, wires replicated stores for
 // data modules, and records the resource unit and high-level object on the
-// deployment. The router holds one scheduler per cell; on a flat datacenter
-// its single scheduler is unscoped (SchedulerConfig::cell = -1).
+// deployment. The router holds one scheduler and names the cell each call
+// is scoped to; on a flat datacenter every call is unscoped (cell = -1).
 
 #ifndef UDC_SRC_CORE_SCHEDULER_H_
 #define UDC_SRC_CORE_SCHEDULER_H_
 
-#include <array>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -50,12 +48,6 @@ struct SchedulerConfig {
   // differential tests rely on. The series are only interned when this is
   // set — even an empty histogram changes the exposition text.
   bool record_place_latency = false;
-  // Scope this scheduler to one topology cell (control-plane shard): rack
-  // picks scan only the cell's racks, locality hints outside the cell are
-  // ignored, and every pool request carries strict_cell so placements never
-  // leave the capacity partition this scheduler owns. -1 = whole datacenter
-  // (the router's one scheduler on an unpartitioned topology).
-  int cell = -1;
 };
 
 class UdcScheduler {
@@ -67,49 +59,32 @@ class UdcScheduler {
   // Optional: attach a switch sequencer for in-network replication.
   void SetSequencer(SwitchSequencer* sequencer) { sequencer_ = sequencer; }
 
-  // Per-batch caches for the router's DeployAll: rack free-capacity vectors
-  // per device kind (maintained incrementally as allocations land) and
-  // resolved module demands keyed by module identity (batches redeploy the
-  // same specs). One context is shared across the cell schedulers: demand
-  // resolution is cell-independent and the rack debits are rack-exact.
-  struct BatchContext {
-    std::array<std::vector<int64_t>, kNumDeviceKinds> free_by_rack;
-    std::array<bool, kNumDeviceKinds> free_by_rack_valid{};
-    std::map<const Module*, ResolvedDemand> demands;
-  };
-
   // Places one module of `spec` into an already-open transaction owned by
   // the router. Stages allocations/launch/provisions into `txn` and records
   // the module on `deployment`. On failure the txn is left open with this
   // module's partial sub-plan still staged; the router unwinds it with
   // PlacementTxn::AbortTo before trying another cell.
+  //
+  // `cell` scopes the placement to one topology cell (control-plane
+  // shard): the rack pick scans only the cell's racks, locality hints
+  // outside the cell are ignored, and every pool request carries
+  // strict_cell so the placement never leaves the cell's capacity
+  // partition. -1 = the whole datacenter.
   Status PlaceModuleInTxn(TenantId tenant, const AppSpec& spec,
-                          ModuleId module, bool is_data,
-                          Deployment* deployment, PlacementTxn& txn,
-                          BatchContext* batch);
+                          ModuleId module, bool is_data, int cell,
+                          Deployment* deployment, PlacementTxn& txn);
 
  private:
-  // Picks the rack for `module`: the rack of an already-placed locality
-  // partner when hints are on, else the rack with the most free capacity of
-  // the module's dominant resource (served from `batch`'s cache when set).
-  int PickRack(const AppSpec& spec, ModuleId module,
-               const Deployment& deployment, ResourceKind dominant,
-               BatchContext* batch);
-  // Debits `allocation`'s slices from the batch's cached rack capacities so
-  // later deploys in the batch score racks against up-to-date numbers.
-  void NoteBatchAllocation(BatchContext* batch, DeviceKind kind,
-                           const PoolAllocation& allocation);
-  // ResolveDemand, cached per batch.
-  Result<ResolvedDemand> DemandFor(const Module& module,
-                                   const ResourceAspect& aspect,
-                                   BatchContext* batch);
+  // Picks the rack for `module` inside `cell`: the rack of an already-placed
+  // locality partner when hints are on, else the rack with the most free
+  // capacity of the module's dominant resource.
+  int PickRack(const AppSpec& spec, ModuleId module, int cell,
+               const Deployment& deployment, ResourceKind dominant);
 
   Status PlaceTask(TenantId tenant, const AppSpec& spec, ModuleId module,
-                   Deployment* deployment, PlacementTxn& txn,
-                   BatchContext* batch);
+                   int cell, Deployment* deployment, PlacementTxn& txn);
   Status PlaceData(TenantId tenant, const AppSpec& spec, ModuleId module,
-                   Deployment* deployment, PlacementTxn& txn,
-                   BatchContext* batch);
+                   int cell, Deployment* deployment, PlacementTxn& txn);
 
   Simulation* sim_;
   DisaggregatedDatacenter* datacenter_;

@@ -68,11 +68,6 @@ Result<std::unique_ptr<Deployment>> UdcCloud::Deploy(
   return router_.Deploy(tenant, std::move(spec));
 }
 
-std::vector<Result<std::unique_ptr<Deployment>>> UdcCloud::DeployAll(
-    TenantId tenant, const std::vector<const AppSpec*>& specs) {
-  return router_.DeployAll(tenant, specs);
-}
-
 Result<VerificationReport> UdcCloud::Verify(Deployment* deployment) {
   return verifier_.VerifyDeployment(deployment);
 }

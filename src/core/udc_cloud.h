@@ -58,10 +58,12 @@ class UdcCloud {
   TenantId RegisterTenant(const std::string& name);
   const std::string& TenantName(TenantId id) const;
 
-  // --- Deployment. Every deploy goes through the region router, whatever
-  // the topology: a flat datacenter is one region of one cell (see
-  // region_router.h for how DatacenterConfig::cells and ::regions collapse
-  // the hierarchy).
+  // --- Deployment. Every deploy goes through the region router's one
+  // Deploy call, whatever the topology: a flat datacenter is one region of
+  // one cell (see region_router.h for how DatacenterConfig::cells and
+  // ::regions collapse the hierarchy). A batch is that many calls.
+  //
+  // Copies `spec` into the deployment.
   Result<std::unique_ptr<Deployment>> Deploy(TenantId tenant,
                                              const AppSpec& spec);
   // Shared-spec overload: the deployment references the caller's immutable
@@ -70,11 +72,6 @@ class UdcCloud {
   // deployments reference it).
   Result<std::unique_ptr<Deployment>> Deploy(
       TenantId tenant, std::shared_ptr<const AppSpec> spec);
-  // Batched deploy: demands resolved and racks scored once per batch.
-  // Each spec commits/aborts its own placement transaction; results are
-  // positional.
-  std::vector<Result<std::unique_ptr<Deployment>>> DeployAll(
-      TenantId tenant, const std::vector<const AppSpec*>& specs);
 
   // --- Verification (user side: trusts only the vendor key).
   Result<VerificationReport> Verify(Deployment* deployment);

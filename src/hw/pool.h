@@ -52,8 +52,8 @@ struct AllocationConstraints {
   bool strict_rack = false;
 
   // Restrict to this topology cell (control-plane shard). Only meaningful
-  // with `strict_cell` on a cell-partitioned topology; a cell scheduler sets
-  // both so its placements never leave the capacity partition it owns.
+  // with `strict_cell` on a cell-partitioned topology; a cell-scoped
+  // placement sets both so it never leaves the cell's capacity partition.
   int preferred_cell = -1;
   bool strict_cell = false;
 

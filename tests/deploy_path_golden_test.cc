@@ -8,13 +8,18 @@
 // fixed tenant set is cycled and half the teardowns keep their
 // environments warm, so warm and cold starts both occur. The constants
 // were recorded while a flat datacenter still had its own scheduler loop
-// and the cells-only topology its own router; the one region router that
-// replaced both must land every module on the same rack and start it the
-// same way:
+// and the cells-only topology its own router, and batches had their own
+// entry point; the one region router Deploy call that replaced all three
+// must land every module on the same rack and start it the same way:
 //
 //   * flat:  cells = 0, single deploys;
 //   * cells: cells = 2, single deploys;
-//   * batch: cells = 0 and cells = 2, the same churn through DeployAll.
+//   * batch: cells = 0 and cells = 2, one tenant's deploys in runs of 3.
+//
+// Every leg runs twice: on the legacy (kind, tenant) warm pool, and on the
+// content-addressed env store with cross-tenant sharing off, which must
+// make the legacy pool's decisions — so the constants stay the oracle once
+// the legacy pool goes.
 
 #include <gtest/gtest.h>
 
@@ -59,14 +64,18 @@ struct GoldenRun {
 };
 
 // Seeded churn: each step either tears down a random live deployment
-// (keeping its environments warm on odd picks) or deploys `batch` specs
-// from the catalog — through Deploy when `batch` is 1, else through one
-// DeployAll call.
-GoldenRun RunChurn(int cells, int batch, uint64_t seed, int steps) {
+// (keeping its environments warm on odd picks) or deploys `batch`
+// consecutive catalog specs for one tenant. `store` swaps the legacy warm
+// pool for the env store with sharing off.
+GoldenRun RunChurn(int cells, int batch, bool store, uint64_t seed,
+                   int steps) {
   UdcCloudConfig config;
   config.datacenter.racks = 4;
   config.datacenter.cells = cells;
+  config.env_store.enabled = store;
+  config.env_store.share_across_tenants = false;
   UdcCloud cloud(config);
+  EXPECT_EQ(cloud.envs().store() != nullptr, store);
   const auto catalog = MixedCatalog();
   std::vector<TenantId> tenants;
   for (int t = 0; t < 5; ++t) {
@@ -105,16 +114,8 @@ GoldenRun RunChurn(int cells, int batch, uint64_t seed, int steps) {
     const uint64_t pick = rng.NextUint64(1u << 30);
     const TenantId tenant = tenants[pick % tenants.size()];
     if (rng.NextUint64(100) < 60 || live.empty()) {
-      if (batch == 1) {
-        record(cloud.Deploy(tenant, catalog[pick % catalog.size()]));
-      } else {
-        std::vector<const AppSpec*> specs;
-        for (int i = 0; i < batch; ++i) {
-          specs.push_back(catalog[(pick + i) % catalog.size()].get());
-        }
-        for (auto& deployment : cloud.DeployAll(tenant, specs)) {
-          record(std::move(deployment));
-        }
+      for (int i = 0; i < batch; ++i) {
+        record(cloud.Deploy(tenant, catalog[(pick + i) % catalog.size()]));
       }
     } else {
       const size_t victim = pick % live.size();
@@ -132,33 +133,35 @@ GoldenRun RunChurn(int cells, int batch, uint64_t seed, int steps) {
   return run;
 }
 
-void ExpectGolden(const GoldenRun& run, int cells, uint64_t golden) {
-  EXPECT_EQ(run.hash, golden) << "actual hash 0x" << std::hex << run.hash;
-  // Not vacuous: the churn hits capacity, reuses warm environments and,
-  // with cells, spills modules out of their home cell.
-  EXPECT_GT(run.admits, 50);
-  EXPECT_GT(run.rejects, 0);
-  EXPECT_GT(run.warm_starts, 0);
-  if (cells > 0) {
-    EXPECT_GT(run.cell_fallbacks, 0);
+// Runs the leg on both warm pools and checks each against `golden`.
+void ExpectGolden(int cells, int batch, uint64_t seed, int steps,
+                  uint64_t golden) {
+  for (const bool store : {false, true}) {
+    SCOPED_TRACE(store ? "env store, sharing off" : "legacy warm pool");
+    const GoldenRun run = RunChurn(cells, batch, store, seed, steps);
+    EXPECT_EQ(run.hash, golden) << "actual hash 0x" << std::hex << run.hash;
+    // Not vacuous: the churn hits capacity, reuses warm environments and,
+    // with cells, spills modules out of their home cell.
+    EXPECT_GT(run.admits, 50);
+    EXPECT_GT(run.rejects, 0);
+    EXPECT_GT(run.warm_starts, 0);
+    if (cells > 0) {
+      EXPECT_GT(run.cell_fallbacks, 0);
+    }
   }
 }
 
 TEST(DeployPathGoldenTest, FlatChurnMatchesFrozenHash) {
-  ExpectGolden(RunChurn(/*cells=*/0, /*batch=*/1, 0xF1A7u, 600), 0,
-               0x0dd2f60e07d558a7ull);
+  ExpectGolden(/*cells=*/0, /*batch=*/1, 0xF1A7u, 600, 0x0dd2f60e07d558a7ull);
 }
 
 TEST(DeployPathGoldenTest, CellsChurnMatchesFrozenHash) {
-  ExpectGolden(RunChurn(/*cells=*/2, /*batch=*/1, 0xCE115u, 600), 2,
-               0xd3c6d079188d896eull);
+  ExpectGolden(/*cells=*/2, /*batch=*/1, 0xCE115u, 600, 0xd3c6d079188d896eull);
 }
 
 TEST(DeployPathGoldenTest, BatchChurnMatchesFrozenHash) {
-  ExpectGolden(RunChurn(/*cells=*/0, /*batch=*/3, 0xBA7Cu, 300), 0,
-               0x9590f6cac9945674ull);
-  ExpectGolden(RunChurn(/*cells=*/2, /*batch=*/3, 0xBA7Cu, 300), 2,
-               0xb9145e7b42e58c17ull);
+  ExpectGolden(/*cells=*/0, /*batch=*/3, 0xBA7Cu, 300, 0x9590f6cac9945674ull);
+  ExpectGolden(/*cells=*/2, /*batch=*/3, 0xBA7Cu, 300, 0xb9145e7b42e58c17ull);
 }
 
 }  // namespace

@@ -331,36 +331,6 @@ TEST(DeployTxnTest, SharedDeviceIdentitiesSurviveOtherTeardown) {
   EXPECT_EQ(cloud.attestation().provisioned_count(), 0u);
 }
 
-TEST(DeployTxnTest, DeployAllReturnsPositionalResults) {
-  UdcCloudConfig config;
-  config.datacenter.racks = 2;
-  UdcCloud cloud(config);
-  const TenantId tenant = cloud.RegisterTenant("t");
-  Rng rng(11);
-  std::vector<AppSpec> specs;
-  for (int i = 0; i < 3; ++i) {
-    auto spec = GenerateMicroserviceApp(rng);
-    ASSERT_TRUE(spec.ok());
-    specs.push_back(*std::move(spec));
-  }
-  std::vector<const AppSpec*> spec_ptrs;
-  for (const AppSpec& s : specs) {
-    spec_ptrs.push_back(&s);
-  }
-
-  auto results = cloud.DeployAll(tenant, spec_ptrs);
-  ASSERT_EQ(results.size(), 3u);
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-    EXPECT_EQ((*results[i])->spec().graph.app_name(),
-              specs[i].graph.app_name());
-    for (const ModuleId id : specs[i].graph.ModuleIds()) {
-      EXPECT_NE((*results[i])->PlacementOf(id), nullptr);
-    }
-  }
-  EXPECT_EQ(cloud.sim()->metrics().counter("core.txn_committed"), 3);
-}
-
 // --- Randomized atomicity property test. -----------------------------------
 //
 // Everything a deploy can touch, snapshotted: pool aggregates and per-rack

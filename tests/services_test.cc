@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/core/actor_executor.h"
 #include "src/core/frontend.h"
 #include "src/core/hybrid.h"
@@ -643,6 +645,96 @@ TEST_F(FrontendTest, TenantIsolationOnDeploymentIds) {
 TEST_F(FrontendTest, UnknownDeploymentIdRejected) {
   const std::string response = Call(&TenantClient::Bill, 999);
   EXPECT_TRUE(StartsWith(response, "err:"));
+}
+
+// A batch whose first spec no device can hold (a2 asks for 9,000 cpus),
+// then a spec `b` that fits easily, an unparseable text and `b` again.
+// Each spec is its own deploy: the rejected one must leave nothing behind
+// that changes how the next one is placed.
+class FrontendBatchTest : public FrontendTest {
+ protected:
+  static constexpr const char* kTooBig =
+      "app a\ntask a1 work=1\ntask a2 work=1\nedge a1 -> a2\n"
+      "aspect a1 resource cpu=500m\naspect a2 resource cpu=9000000m\n";
+  static constexpr const char* kSmall =
+      "app b\ntask b1 work=1\ntask b2 work=1\nedge b1 -> b2\n"
+      "aspect b1 resource cpu=500m\naspect b2 resource cpu=500m\n";
+
+  // Sends the batch and returns its per-spec tokens.
+  std::vector<std::string> DeployBatch() {
+    std::string response;
+    client_->DeployBatch({kTooBig, kSmall, "not udcl", kSmall},
+                         [&](Result<std::string> r) {
+                           response = r.value_or("FAIL");
+                         });
+    cloud_->sim()->RunToCompletion();
+    EXPECT_TRUE(StartsWith(response, "ok:")) << response;
+    std::vector<std::string> tokens;
+    for (const std::string_view token :
+         SplitString(std::string_view(response).substr(3), ',')) {
+      tokens.emplace_back(token);
+    }
+    return tokens;
+  }
+};
+
+TEST_F(FrontendBatchTest, RejectedSpecDoesNotChangeTheNextSpecsPlacement) {
+  const std::vector<std::string> tokens = DeployBatch();
+  ASSERT_EQ(tokens.size(), 4u);
+  EXPECT_EQ(tokens[0], "x");
+  EXPECT_EQ(tokens[2], "x");
+  for (const size_t i : {size_t{1}, size_t{3}}) {
+    uint64_t id = 0;
+    EXPECT_TRUE(ParseUint64(tokens[i], &id)) << "slot " << i << ": "
+                                             << tokens[i];
+    EXPECT_NE(frontend_->FindDeployment(id), nullptr) << "slot " << i;
+  }
+  EXPECT_EQ(frontend_->live_deployments(), 2u);
+}
+
+TEST_F(FrontendBatchTest, BatchedDeploysFeedTheDeploySlo) {
+  DeployBatch();
+  const MetricsRegistry& metrics = cloud_->sim()->metrics();
+  const MetricHistogram* latency =
+      metrics.histogram("frontend.deploy_latency_ms");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), 2);
+  EXPECT_EQ(metrics.counter("frontend.deploys"), 2);
+  EXPECT_EQ(metrics.counter("frontend.batch_deploys"), 1);
+}
+
+TEST_F(FrontendBatchTest, EveryBatchedDeployOpensItsOwnDeploySpan) {
+  DeployBatch();
+  const SpanTracer& spans = cloud_->sim()->spans();
+  const Span* batch = spans.Find("frontend.deploy_batch");
+  ASSERT_NE(batch, nullptr);
+  // One sched.deploy per parsed spec, in submission order: a, b, b.
+  std::vector<const Span*> deploys;
+  for (const Span& span : spans.spans()) {
+    if (span.name == "sched.deploy") {
+      deploys.push_back(&span);
+    }
+  }
+  ASSERT_EQ(deploys.size(), 3u);
+  const std::vector<std::set<std::string>> want_modules = {
+      {"a1", "a2"}, {"b1", "b2"}, {"b1", "b2"}};
+  for (size_t i = 0; i < deploys.size(); ++i) {
+    EXPECT_EQ(deploys[i]->parent_span_id, batch->span_id) << "deploy " << i;
+    int txns = 0;
+    std::set<std::string> modules;
+    for (const Span& span : spans.spans()) {
+      if (span.parent_span_id != deploys[i]->span_id) {
+        continue;
+      }
+      if (span.name == "sched.txn") {
+        ++txns;
+      } else if (span.name == "sched.place_task") {
+        modules.insert(*span.Label("module"));
+      }
+    }
+    EXPECT_EQ(txns, 1) << "deploy " << i;
+    EXPECT_EQ(modules, want_modules[i]) << "deploy " << i;
+  }
 }
 
 }  // namespace

@@ -80,12 +80,14 @@ if [[ "$cat_found" -eq 0 ]]; then
   exit 1
 fi
 
-# Required series: the content-addressed env-store observability surface
-# and the router's cell and region series. These names are load-bearing —
-# benches gate on them, `udcctl slo` registers slo.exec.warm_hit_ratio over
-# the gauge, `udcctl cells`/`regions` and perfbench read the router's
-# counters and sketches — so renaming or dropping any of them must fail
-# this lint, not silently zero a dashboard.
+# Required series: the content-addressed env-store observability surface,
+# the router's cell and region series, and the frontend's deploy series.
+# These names are load-bearing — benches gate on them, `udcctl slo`
+# registers slo.exec.warm_hit_ratio over the gauge and
+# slo.frontend.deploy_latency_p99 over the frontend's latency series (which
+# every deploy RPC, single or batched, observes), `udcctl cells`/`regions`
+# and perfbench read the router's counters and sketches — so renaming or
+# dropping any of them must fail this lint, not silently zero a dashboard.
 required_series=(
   exec.warm_hit_ratio
   exec.store_bytes
@@ -109,6 +111,8 @@ required_series=(
   sched.cell_fallbacks
   sched.cell_place_latency_us
   sched.place_latency_us
+  frontend.deploy_latency_ms
+  frontend.deploys
 )
 for series in "${required_series[@]}"; do
   if ! grep -rqF "\"$series\"" src; then
@@ -121,12 +125,14 @@ done
 # Required SLO objectives that live outside src/: deploy_churn's scale and
 # federation phases register slo.sched.cell_place_p99 and
 # slo.sched.region_place_p99 over the router's sched.place_latency_us
-# sketch and gate on them — dropping a registration would silently un-gate
-# a placement tail, so both are pinned here (bench/ is their home; src/
-# never registers SLOs itself).
+# sketch and gate on them, and `udcctl slo` registers
+# slo.frontend.deploy_latency_p99 — dropping a registration would silently
+# un-gate a tail, so all three are pinned here (bench/ and tools/ are their
+# home; src/ never registers SLOs itself).
 required_slos=(
   slo.sched.region_place_p99
   slo.sched.cell_place_p99
+  slo.frontend.deploy_latency_p99
 )
 for slo in "${required_slos[@]}"; do
   if ! grep -rqF "\"$slo\"" src bench tools; then

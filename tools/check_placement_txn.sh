@@ -49,7 +49,7 @@ if [[ "${allowed:-0}" -eq 0 ]]; then
 fi
 
 # Hierarchical control plane: the router (the one deploy path) and the
-# per-cell scheduler sources must exist, be inside the scanned tree (so the
+# scheduler sources must exist, be inside the scanned tree (so the
 # offender grep above covers them), and stage their mutations through
 # PlacementTxn — a routing path that stopped using the transaction would
 # silently regrow hand-rolled rollback.
