@@ -4,7 +4,8 @@
 // environments, resource-ledger rows and replicas). This bench quantifies
 // what that costs as applications grow: quotes issued and verifier CPU time
 // per full-deployment verification, at 12..384 modules, plus the continuous
-// auditor's steady-state quote rate.
+// auditor's steady-state quote rate. It first prints which SHA-256
+// compression the process selected, since the verifier time depends on it.
 //
 // Gate (exit 1): at 384 modules a verification issues at most
 // kMaxQuotesPerModule quotes per module. Quote counts are deterministic,
@@ -16,6 +17,7 @@
 
 #include "src/core/auditor.h"
 #include "src/core/udc_cloud.h"
+#include "src/crypto/sha256.h"
 
 namespace {
 
@@ -57,7 +59,12 @@ udc::AppSpec MakeApp(int tasks) {
 }  // namespace
 
 int main() {
-  std::printf("E13 (ablation) — attestation & verification overhead at scale\n\n");
+  std::printf("E13 (ablation) — attestation & verification overhead at scale\n");
+  // The verifier's time is mostly SHA-256, so name the compression that ran.
+  std::printf("sha256 compression: %s\n\n",
+              udc::internal::Sha256UsesShaExtensions()
+                  ? "x86-64 SHA extensions"
+                  : "portable loop");
   std::printf("%-10s %12s %14s %16s %18s\n", "modules", "quotes", "verify ms",
               "quotes/module", "us per module");
 

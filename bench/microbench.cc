@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/aspects/spec_parser.h"
+#include "src/attest/quote.h"
 #include "src/crypto/cipher.h"
 #include "src/crypto/merkle.h"
 #include "src/crypto/sha256.h"
@@ -26,6 +27,29 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(1 << 20);
+
+// One resource quote signed by its device and checked by a user's verifier
+// that already holds the device's key: what each quote of a verify RPC
+// costs in hashing.
+void BM_QuoteSignVerify(benchmark::State& state) {
+  const Key256 vendor = KeyFromString("bench");
+  const RootOfTrust device(vendor, /*device_identity=*/12);
+  QuoteVerifier verifier(vendor);
+  const std::string report = ResourceReport(12, "cpu", 3, 2000);
+  if (!verifier.Verify(device.Sign(QuoteId(0), QuoteSubject::kResources,
+                                   SimTime(0), report))
+           .ok()) {
+    state.SkipWithError("warm-up quote did not verify");
+    return;
+  }
+  uint64_t id = 0;
+  for (auto _ : state) {
+    const Quote quote = device.Sign(QuoteId(++id), QuoteSubject::kResources,
+                                    SimTime(0), report);
+    benchmark::DoNotOptimize(verifier.VerifyClaim(quote, report));
+  }
+}
+BENCHMARK(BM_QuoteSignVerify);
 
 void BM_AeadSealOpen(benchmark::State& state) {
   const AeadCipher cipher(KeyFromString("bench"));

@@ -124,19 +124,26 @@ Status FulfillmentVerifier::CheckReplication(Deployment* deployment,
         StrFormat("only %zu replicas placed, %d declared",
                   placement.replica_devices.size(), declared));
   }
+  const std::vector<DeviceId>& devices = placement.replica_devices;
   int valid = 0;
-  for (const DeviceId device : placement.replica_devices) {
+  for (auto device = devices.begin(); device != devices.end(); ++device) {
+    // A device listed again holds the same copy: it counts once.
+    if (std::find(devices.begin(), device, *device) != device) {
+      continue;
+    }
     UDC_ASSIGN_OR_RETURN(const Quote quote,
-                         attestation_->QuoteReplica(device.value(),
+                         attestation_->QuoteReplica(device->value(),
                                                     placement.name,
                                                     deployment->tenant()));
     UDC_RETURN_IF_ERROR(verifier_.VerifyClaim(
-        quote, ReplicationReport(placement.name, device.value(),
+        quote, ReplicationReport(placement.name, device->value(),
                                  deployment->tenant().value())));
     ++valid;
   }
   if (valid < declared) {
-    return VerificationFailedError("insufficient valid replica quotes");
+    return VerificationFailedError(
+        StrFormat("%d distinct replica devices quoted, %d declared", valid,
+                  declared));
   }
   return OkStatus();
 }

@@ -10,7 +10,8 @@
 //   - resources: each device the module holds slices on signs the amount
 //     its own ledger records for the tenant, and that amount covers the
 //     slices (the paper's open problem, solved with device-local ledgers);
-//   - replication: one valid replica quote per declared replica.
+//   - replication: one valid replica quote from a distinct device per
+//     declared replica.
 
 #ifndef UDC_SRC_CORE_VERIFIER_H_
 #define UDC_SRC_CORE_VERIFIER_H_

@@ -1,7 +1,14 @@
 #include "src/crypto/sha256.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define UDC_SHA256_X86_64 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace udc {
 
@@ -22,7 +29,153 @@ constexpr uint32_t kRoundConstants[64] = {
 
 uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#if UDC_SHA256_X86_64
+
+// The portable loop's compression, done by sha256rnds2 (two rounds per
+// instruction) and sha256msg1/sha256msg2 (the message schedule, four words
+// at a time). sha256rnds2 keeps the state in two registers, ABEF and CDGH.
+__attribute__((target("sha,sse4.1,ssse3"))) void Sha256BlocksShaNi(
+    Sha256State& state, const uint8_t* data, size_t blocks) {
+  // Reverses the bytes of each 32-bit lane: message words are big-endian.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0])), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4])), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[g % 4] holds schedule words 4g..4g+3 when group g's rounds run.
+    // Both loops are unrolled in full, so w stays in registers and the
+    // conditions on g fold away.
+    __m128i w[4];
+#pragma GCC unroll 4
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+          byte_swap);
+    }
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      const __m128i wk = _mm_add_epi32(
+          w[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                        &kRoundConstants[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (g >= 3 && g < 15) {
+        // Words 4g+4..4g+7 from msg1's partial sums over words
+        // 4g-12..4g-8, words 4g-3..4g (alignr) and words 4g..4g+3.
+        __m128i& next = w[(g + 1) % 4];
+        next = _mm_add_epi32(next,
+                             _mm_alignr_epi8(w[g % 4], w[(g + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, w[g % 4]);
+      }
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      if (g >= 1 && g < 13) {
+        w[(g + 3) % 4] = _mm_sha256msg1_epu32(w[(g + 3) % 4], w[g % 4]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+// SHA (leaf 7, subleaf 0, EBX bit 29), SSE4.1 (leaf 1, ECX bit 19) and
+// SSSE3 (leaf 1, ECX bit 9): every instruction Sha256BlocksShaNi uses.
+bool CpuHasShaExtensions() {
+  unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx) || (ecx & bit_SSE4_1) == 0 ||
+      (ecx & bit_SSSE3) == 0) {
+    return false;
+  }
+  return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+         (ebx & bit_SHA) != 0;
+}
+
+#endif  // UDC_SHA256_X86_64
+
+using BlockFunction = void (*)(Sha256State&, const uint8_t*, size_t);
+
+BlockFunction SelectBlockFunction() {
+#if UDC_SHA256_X86_64
+  if (CpuHasShaExtensions()) {
+    return Sha256BlocksShaNi;
+  }
+#endif
+  return internal::Sha256BlocksPortable;
+}
+
+// The block function this process uses. A function-local static is set
+// exactly once, even when threads race to it, and before its first reader:
+// a namespace-scope one could be read first by another translation unit's
+// static initializer.
+BlockFunction Blocks() {
+  static const BlockFunction selected = SelectBlockFunction();
+  return selected;
+}
+
 }  // namespace
+
+namespace internal {
+
+void Sha256BlocksPortable(Sha256State& state, const uint8_t* data,
+                          size_t blocks) {
+  for (const uint8_t* block = data; blocks > 0; --blocks, block += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
+             (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
+             (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
+             static_cast<uint32_t>(block[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      const uint32_t ch = (e & f) ^ (~e & g);
+      const uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+bool Sha256UsesShaExtensions() { return Blocks() != Sha256BlocksPortable; }
+
+}  // namespace internal
 
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -44,50 +197,6 @@ const Sha256State& Sha256::state() const {
   return state_;
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const uint32_t ch = (e & f) ^ (~e & g);
-    const uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::Update(std::span<const uint8_t> data) {
   assert(!finalized_);
   total_bytes_ += data.size();
@@ -97,14 +206,16 @@ void Sha256::Update(std::span<const uint8_t> data) {
     std::memcpy(buffer_ + buffer_len_, data.data(), take);
     buffer_len_ += take;
     offset = take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
+    if (buffer_len_ < 64) {
+      return;
     }
+    Blocks()(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  while (offset + 64 <= data.size()) {
-    ProcessBlock(data.data() + offset);
-    offset += 64;
+  const size_t whole_blocks = (data.size() - offset) / 64;
+  if (whole_blocks > 0) {
+    Blocks()(state_, data.data() + offset, whole_blocks);
+    offset += whole_blocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_, data.data() + offset, data.size() - offset);
@@ -120,20 +231,21 @@ void Sha256::Update(std::string_view data) {
 Sha256Digest Sha256::Finalize() {
   assert(!finalized_);
   finalized_ = true;
-  const uint64_t bit_len = total_bytes_ * 8;
-
-  // Padding: 0x80, zeros, 64-bit big-endian length.
-  uint8_t pad[72] = {0x80};
-  const size_t pad_len =
-      (buffer_len_ < 56) ? (56 - buffer_len_) : (120 - buffer_len_);
-  finalized_ = false;  // allow the padding Updates
-  Update(std::span<const uint8_t>(pad, pad_len));
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_len >> (56 - i * 8));
+  // Padding: 0x80, zeros, 64-bit big-endian bit length. The 0x80 always
+  // fits, since a full buffer is compressed at once; the length takes a
+  // second block when fewer than 8 bytes are left after it.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    Blocks()(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  Update(std::span<const uint8_t>(len_be, 8));
-  finalized_ = true;
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  const uint64_t bit_len = total_bytes_ * 8;
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - i * 8));
+  }
+  Blocks()(state_, buffer_, 1);
 
   Sha256Digest out;
   for (int i = 0; i < 8; ++i) {

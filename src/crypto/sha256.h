@@ -3,6 +3,10 @@
 // A from-scratch, dependency-free implementation (FIPS 180-4). Used for
 // attestation measurements, Merkle trees, HMAC and key derivation. Verified
 // against the standard test vectors in tests/crypto_test.cc.
+//
+// Blocks are compressed by one of two functions, chosen once per process:
+// the x86-64 SHA extensions when the CPU reports them, and a portable loop
+// otherwise. Both produce the same bytes.
 
 #ifndef UDC_SRC_CRYPTO_SHA256_H_
 #define UDC_SRC_CRYPTO_SHA256_H_
@@ -43,8 +47,6 @@ class Sha256 {
   static Sha256Digest Hash(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   Sha256State state_;
   uint64_t total_bytes_;
   uint8_t buffer_[64];
@@ -57,6 +59,19 @@ std::string DigestToHex(const Sha256Digest& digest);
 
 // Constant-time-ish comparison (full scan regardless of mismatch position).
 bool DigestEqual(const Sha256Digest& a, const Sha256Digest& b);
+
+// Exposed for tests and benches; neither selects the path.
+namespace internal {
+
+// Compresses `blocks` consecutive 64-byte blocks at `data` into `state` with
+// the portable loop: the reference the accelerated path is tested against.
+void Sha256BlocksPortable(Sha256State& state, const uint8_t* data,
+                          size_t blocks);
+
+// Whether this process compresses with the CPU's SHA extensions.
+bool Sha256UsesShaExtensions();
+
+}  // namespace internal
 
 }  // namespace udc
 

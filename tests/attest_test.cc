@@ -28,6 +28,30 @@ TEST(MeasurementRegisterTest, SameSequenceSameValue) {
   EXPECT_TRUE(DigestEqual(a.value(), b.value()));
 }
 
+// The register's bytes are pinned, so a change to the compression or the
+// padding fails here even though the order and equality checks above hold.
+TEST(MeasurementRegisterTest, ValueAfterTwoExtendsIsPinned) {
+  MeasurementRegister reg;
+  reg.Extend("boot");
+  reg.Extend(Sha256::Hash("kernel"));
+  EXPECT_EQ(DigestToHex(reg.value()),
+            "e9b0febd6083e3bb1d5afc008059dea8c0c084a1796ac8cb30f1f6540ad2e0c4");
+}
+
+// A quote's bytes are pinned: a changed byte in the compression, the
+// padding, the device-key derivation or the rendering of the signature
+// preimage fails here, where a sign-then-verify round trip would pass. The
+// expected bytes agree with Python's hashlib and hmac over the same inputs.
+TEST(QuoteTest, ResourceQuoteBytesArePinned) {
+  const RootOfTrust rot(KeyFromString("vendor"), /*device_identity=*/12);
+  const Quote q = rot.Sign(QuoteId(3), QuoteSubject::kResources,
+                           SimTime::Millis(5), ResourceReport(12, "cpu", 3, 2000));
+  EXPECT_EQ(DigestToHex(q.report_digest),
+            "996bf677ce43154500660331f752cc15c37279222cab14c532c5d2dcd16d4df1");
+  EXPECT_EQ(DigestToHex(q.signature),
+            "5ab365d0997d0fcf9f9ac09520b800889326720a21c449a04f38b5cb55ed48cf");
+}
+
 TEST(QuoteTest, SignAndVerify) {
   const Key256 vendor = KeyFromString("vendor");
   RootOfTrust rot(vendor, /*device_identity=*/7);

@@ -524,6 +524,31 @@ TEST_F(RuntimeTest, VerifierDetectsShrunkLedgerRow) {
   EXPECT_TRUE(restored->all_ok) << restored->Table();
 }
 
+TEST_F(RuntimeTest, VerifierRejectsRepeatedReplicaDevice) {
+  // Sabotage: S1 declares replication=3, and the provider lists one device
+  // three times. That device's replica quote is valid, but it counts once.
+  Placement* s1 = deployment_->MutablePlacementOf(spec_->graph.IdOf("S1"));
+  ASSERT_NE(s1, nullptr);
+  ASSERT_EQ(s1->replica_devices.size(), 3u);
+  const std::vector<DeviceId> honest = s1->replica_devices;
+  s1->replica_devices.assign(honest.size(), honest.front());
+
+  const auto report = cloud_->Verify(deployment_.get());
+  // Put the honest list back before anything else runs, teardown included.
+  s1->replica_devices = honest;
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->all_ok);
+  for (const auto& v : report->modules) {
+    if (v.name == "S1") {
+      EXPECT_TRUE(v.replication_checked);
+      EXPECT_FALSE(v.replication_ok);
+      EXPECT_NE(v.detail.find("1 distinct"), std::string::npos) << v.detail;
+    } else {
+      EXPECT_TRUE(v.AllChecksPassed()) << v.name << ": " << v.detail;
+    }
+  }
+}
+
 TEST_F(RuntimeTest, BillingScalesWithTimeAndPremiums) {
   BillingEngine billing(cloud_->sim(), cloud_->prices());
   const Bill hour = billing.BillFor(*deployment_, SimTime(0), SimTime::Hours(1));

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/crypto/cipher.h"
@@ -58,6 +60,91 @@ TEST(Sha256Test, BoundaryLengths) {
     EXPECT_EQ(DigestToHex(incremental.Finalize()),
               DigestToHex(Sha256::Hash(msg)))
         << "len=" << len;
+  }
+}
+
+// SHA-256 of `message`, resumed from `state` after `absorbed` bytes, with
+// the padding spelled out and every block compressed by the portable loop.
+Sha256Digest PortableDigest(Sha256State state, uint64_t absorbed,
+                            std::string_view message) {
+  std::string padded(message);
+  padded.push_back('\x80');
+  while (padded.size() % 64 != 56) {
+    padded.push_back('\0');
+  }
+  const uint64_t bits = (absorbed + message.size()) * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<char>(bits >> shift));
+  }
+  internal::Sha256BlocksPortable(
+      state, reinterpret_cast<const uint8_t*>(padded.data()), padded.size() / 64);
+  Sha256Digest out;
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+// The SHA-extension compression against the portable one: every message
+// length from 0 to 1,100 bytes (each padding case, up to 17 blocks in one
+// call), random Update splits, and a hash resumed from a chaining value,
+// the way HMAC's key schedule enters. Elsewhere the vectors above already
+// run on the portable loop.
+TEST(Sha256Test, ShaExtensionsMatchPortableLoop) {
+  if (!internal::Sha256UsesShaExtensions()) {
+    GTEST_SKIP() << "the portable loop is in use: this CPU does not report "
+                    "the x86-64 SHA extensions with SSE4.1 and SSSE3";
+  }
+  std::mt19937_64 rng(17);
+  std::string message(1100, '\0');
+  for (char& c : message) {
+    c = static_cast<char>(rng());
+  }
+  const Sha256State initial = Sha256().state();
+  Sha256State keyed = initial;
+  internal::Sha256BlocksPortable(
+      keyed, reinterpret_cast<const uint8_t*>(message.data()), 1);
+  for (size_t len = 0; len <= message.size(); ++len) {
+    const std::string_view m(message.data(), len);
+    ASSERT_EQ(DigestToHex(Sha256::Hash(m)),
+              DigestToHex(PortableDigest(initial, 0, m)))
+        << "len=" << len;
+    Sha256 resumed(keyed, 64);
+    resumed.Update(m);
+    ASSERT_EQ(DigestToHex(resumed.Finalize()),
+              DigestToHex(PortableDigest(keyed, 64, m)))
+        << "resumed, len=" << len;
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string_view m(message.data(), rng() % (message.size() + 1));
+    Sha256 split;
+    for (size_t at = 0; at < m.size();) {
+      const size_t take = std::min<size_t>(rng() % 150, m.size() - at);
+      split.Update(m.substr(at, take));
+      at += take;
+    }
+    ASSERT_EQ(DigestToHex(split.Finalize()),
+              DigestToHex(PortableDigest(initial, 0, m)))
+        << "trial=" << trial << " len=" << m.size();
+  }
+}
+
+// The block function is chosen on first use. Each test runs in its own
+// process under ctest, so here that first use is a race between threads,
+// which the TSan build checks; every thread must get the same digest.
+TEST(Sha256Test, ThreadsRacingToFirstUseAgree) {
+  std::vector<std::string> digests(4);
+  std::vector<std::thread> threads;
+  for (std::string& digest : digests) {
+    threads.emplace_back(
+        [&digest] { digest = DigestToHex(Sha256::Hash("abc")); });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const std::string& digest : digests) {
+    EXPECT_EQ(digest,
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
   }
 }
 
@@ -136,6 +223,12 @@ TEST(HmacTest, DeriveKeyBindsLabel) {
   const Key256 b = DeriveKey(parent, "child-b");
   EXPECT_NE(a, b);
   EXPECT_EQ(a, DeriveKey(parent, "child-a"));
+}
+
+// Device keys are derived this way, so their bytes are pinned.
+TEST(HmacTest, DeriveKeyOutputIsPinned) {
+  EXPECT_EQ(DigestToHex(DeriveKey(KeyFromString("vendor"), "udc-device-12")),
+            "76be6529f2ce0bc43e1cf98638527c535306e535e1bcd308e5da74bb78e146b0");
 }
 
 TEST(AeadTest, RoundTrips) {
