@@ -56,7 +56,7 @@ aspect cnn exec isolation=medium
   extend(2000, 3.0, 5.0);    // cool-down
 
   udc::DagRuntime runtime(cloud.sim(), deployment->get());
-  udc::AdaptiveTuner tuner(cloud.sim(), deployment->get());
+  udc::AdaptiveTuner tuner(cloud.region_router(), deployment->get());
 
   std::printf("E14 (ablation) — adaptive feedback loop (tuner on)\n\n");
   std::printf("%-8s %10s %12s %12s %12s %10s\n", "window", "requests",

@@ -35,7 +35,7 @@ udc::Result<Outcome> RunConfig(bool locality, bool tuner_on) {
   udc::DagRuntime runtime(cloud.sim(), deployment.get());
   Outcome outcome;
   if (tuner_on) {
-    udc::AdaptiveTuner tuner(cloud.sim(), deployment.get());
+    udc::AdaptiveTuner tuner(cloud.region_router(), deployment.get());
     // Feedback phase: the runtime observes actual utilization; B-pipeline
     // modules are over-provisioned in this scenario (low utilization),
     // A-pipeline GPU stages run hot.

@@ -46,7 +46,7 @@ aspect cnn exec isolation=medium
 
   // UDC path: the deployed slice serves requests; the tuner watches load.
   udc::DagRuntime runtime(cloud.sim(), deployment->get());
-  udc::AdaptiveTuner tuner(cloud.sim(), deployment->get());
+  udc::AdaptiveTuner tuner(cloud.region_router(), deployment->get());
   auto stage = runtime.ComputeStage(spec->graph.IdOf("cnn"));
   if (!stage.ok()) {
     std::fprintf(stderr, "stage: %s\n", stage.status().ToString().c_str());

@@ -8,7 +8,7 @@
 // single-device request can use. The defragmenter measures fragmentation
 // and consolidates multi-slice allocations onto single devices when room
 // has opened up (each move is a data/state migration the provider pays
-// for — counted so benches can weigh the trade).
+// for — counted so benches can weigh the trade); the router picks new homes.
 
 #ifndef UDC_SRC_CORE_DEFRAG_H_
 #define UDC_SRC_CORE_DEFRAG_H_
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "src/core/deployment.h"
-#include "src/core/placement_engine.h"
+#include "src/core/region_router.h"
 #include "src/sim/simulation.h"
 
 namespace udc {
@@ -44,21 +44,21 @@ struct ConsolidationResult {
 
 class Defragmenter {
  public:
-  Defragmenter(Simulation* sim, Deployment* deployment);
+  Defragmenter(RegionRouter* router, Deployment* deployment);
 
   // Fragmentation of this deployment's allocations.
   FragmentationReport Measure() const;
 
   // Tries to re-home every multi-slice allocation onto one device in the
-  // same pool (preferring the unit's rack). Migration cost: moving the
-  // allocation's bytes (for byte kinds) or a fixed context-transfer charge
-  // (for compute kinds) across the fabric.
+  // same pool (preferring the unit's rack and its cell).
+  // Migration cost: moving the allocation's bytes (for byte kinds) or a
+  // fixed context-transfer charge (for compute kinds) across the fabric.
   Result<ConsolidationResult> Consolidate();
 
  private:
   Simulation* sim_;
+  RegionRouter* router_;
   Deployment* deployment_;
-  PlacementEngine engine_;
 };
 
 }  // namespace udc

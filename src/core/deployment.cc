@@ -1,24 +1,13 @@
 #include "src/core/deployment.h"
 
-#include "src/attest/attestation_service.h"
 #include "src/common/strings.h"
-#include "src/core/placement_engine.h"
-#include "src/exec/env_manager.h"
 
 namespace udc {
 
-Deployment::Deployment(TenantId tenant, AppSpec spec,
-                       DisaggregatedDatacenter* datacenter, SimTime deployed_at,
-                       EnvManager* env_manager, AttestationService* attestation)
-    : Deployment(tenant, std::make_shared<const AppSpec>(std::move(spec)),
-                 datacenter, deployed_at, env_manager, attestation) {}
-
 Deployment::Deployment(TenantId tenant, std::shared_ptr<const AppSpec> spec,
-                       DisaggregatedDatacenter* datacenter, SimTime deployed_at,
-                       EnvManager* env_manager, AttestationService* attestation)
-    : tenant_(tenant), spec_(std::move(spec)), datacenter_(datacenter),
-      deployed_at_(deployed_at), env_manager_(env_manager),
-      attestation_(attestation) {}
+                       PlacementEngine* engine, SimTime deployed_at)
+    : tenant_(tenant), spec_(std::move(spec)), engine_(engine),
+      deployed_at_(deployed_at) {}
 
 Deployment::~Deployment() { Teardown(); }
 
@@ -116,19 +105,17 @@ void Deployment::Teardown() {
   }
   torn_down_ = true;
   for (auto& unit : units_) {
-    if (env_manager_ != nullptr && unit->env != nullptr) {
-      (void)env_manager_->Stop(unit->env, /*keep_warm=*/false);
+    if (unit->env != nullptr) {
+      (void)engine_->env_manager()->Stop(unit->env, /*keep_warm=*/false);
       unit->env = nullptr;
     }
     for (PoolAllocation& alloc : unit->allocations) {
-      (void)ReleasePoolAllocation(datacenter_, alloc);
+      (void)ReleasePoolAllocation(datacenter(), alloc);
     }
     unit->allocations.clear();
   }
-  if (attestation_ != nullptr) {
-    for (uint64_t identity : provisioned_identities_) {
-      attestation_->RetireDevice(identity);
-    }
+  for (uint64_t identity : provisioned_identities_) {
+    engine_->attestation()->RetireDevice(identity);
   }
   provisioned_identities_.clear();
 }

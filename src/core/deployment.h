@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "src/aspects/spec_parser.h"
+#include "src/core/placement_engine.h"
 #include "src/core/resource_unit.h"
 #include "src/dist/replication.h"
-#include "src/hw/datacenter.h"
 
 namespace udc {
 
@@ -40,26 +40,15 @@ struct Placement {
   ConsistencyLevel effective_consistency = ConsistencyLevel::kEventual;
 };
 
-class AttestationService;
-class EnvManager;
-
 class Deployment {
  public:
-  // `env_manager` / `attestation` are optional lifecycle hooks: when set,
-  // Teardown also stops the units' environments and retires the attestation
-  // identities recorded via RecordProvisionedIdentity. The router always
-  // passes both.
-  Deployment(TenantId tenant, AppSpec spec, DisaggregatedDatacenter* datacenter,
-             SimTime deployed_at, EnvManager* env_manager = nullptr,
-             AttestationService* attestation = nullptr);
-  // Shared-spec overload: the deployment keeps a reference to the caller's
-  // immutable spec instead of deep-copying it. At 1M+ tenants deploying a
-  // catalog of app shapes, per-deployment spec copies dominate control-plane
-  // memory and a measurable slice of deploy latency.
+  // Built by the region router with its `engine`, which Teardown releases
+  // through. The deployment references the caller's immutable spec instead
+  // of deep-copying it: at 1M+ tenants deploying a catalog of app shapes,
+  // per-deployment spec copies dominate control-plane memory and a
+  // measurable slice of deploy latency.
   Deployment(TenantId tenant, std::shared_ptr<const AppSpec> spec,
-             DisaggregatedDatacenter* datacenter, SimTime deployed_at,
-             EnvManager* env_manager = nullptr,
-             AttestationService* attestation = nullptr);
+             PlacementEngine* engine, SimTime deployed_at);
   ~Deployment();
 
   Deployment(const Deployment&) = delete;
@@ -68,7 +57,7 @@ class Deployment {
   TenantId tenant() const { return tenant_; }
   const AppSpec& spec() const { return *spec_; }
   SimTime deployed_at() const { return deployed_at_; }
-  DisaggregatedDatacenter* datacenter() const { return datacenter_; }
+  DisaggregatedDatacenter* datacenter() const { return engine_->datacenter(); }
 
   // Mutators used by the scheduler while building the deployment.
   ResourceUnit& AddUnit(ResourceUnit unit);
@@ -95,9 +84,8 @@ class Deployment {
   // Resources held for one module.
   ResourceVector ResourcesOf(ModuleId module) const;
 
-  // Releases every pool allocation, stops the units' environments (when an
-  // EnvManager was supplied) and retires recorded attestation identities
-  // (when an AttestationService was supplied). Idempotent. Called by the
+  // Releases every pool allocation, stops the units' environments and
+  // retires recorded attestation identities. Idempotent. Called by the
   // destructor.
   void Teardown();
   // Marks the deployment torn down WITHOUT releasing anything: used after a
@@ -111,10 +99,8 @@ class Deployment {
  private:
   TenantId tenant_;
   std::shared_ptr<const AppSpec> spec_;
-  DisaggregatedDatacenter* datacenter_;
+  PlacementEngine* engine_;
   SimTime deployed_at_;
-  EnvManager* env_manager_;
-  AttestationService* attestation_;
   std::vector<uint64_t> provisioned_identities_;
   IdGenerator<ResourceUnitId> unit_ids_;
   IdGenerator<ObjectId> object_ids_;

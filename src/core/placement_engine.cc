@@ -42,10 +42,6 @@ PlacementTxn PlacementEngine::Begin(std::string_view purpose) {
   return PlacementTxn(this, span);
 }
 
-Status PlacementEngine::Release(const PoolAllocation& allocation) {
-  return ReleasePoolAllocation(datacenter_, allocation);
-}
-
 void PlacementEngine::NoteClosed(const PlacementTxn& txn, bool committed) {
   sim_->metrics().Increment(committed ? txn_committed_ : txn_aborted_);
   sim_->metrics().Increment(txn_ops_staged_,

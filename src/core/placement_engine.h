@@ -8,9 +8,8 @@
 // storms under pool pressure show up directly in the Prometheus and
 // Chrome-trace exports.
 //
-// Services that only mutate pools (defrag, tuner) construct an engine
-// without an env manager or attestation service; transactions then simply
-// have no launch/provision ops to stage.
+// The region router owns the one engine: deploys, repair, defrag and tuning
+// all open their transactions on RegionRouter::engine().
 
 #ifndef UDC_SRC_CORE_PLACEMENT_ENGINE_H_
 #define UDC_SRC_CORE_PLACEMENT_ENGINE_H_
@@ -30,16 +29,15 @@ namespace udc {
 // Releases `allocation` back to its owning pool, found by id. This is the
 // one non-transactional release path — deployment teardown and
 // failed-device cleanup, where the release is unconditional — and the
-// helper the engine itself releases through. Everything conditional goes
-// through PlacementTxn.
+// helper a committing transaction releases through. Everything conditional
+// goes through PlacementTxn.
 Status ReleasePoolAllocation(DisaggregatedDatacenter* datacenter,
                              const PoolAllocation& allocation);
 
 class PlacementEngine {
  public:
   PlacementEngine(Simulation* sim, DisaggregatedDatacenter* datacenter,
-                  EnvManager* env_manager = nullptr,
-                  AttestationService* attestation = nullptr);
+                  EnvManager* env_manager, AttestationService* attestation);
 
   PlacementEngine(const PlacementEngine&) = delete;
   PlacementEngine& operator=(const PlacementEngine&) = delete;
@@ -48,10 +46,6 @@ class PlacementEngine {
   // "repair_task", "defrag", ...); label sets are interned per purpose, so
   // the per-transaction span costs no label construction.
   PlacementTxn Begin(std::string_view purpose);
-
-  // Unconditional release (no transaction): the caller has already decided
-  // the allocation is gone (dead device, deployment teardown).
-  Status Release(const PoolAllocation& allocation);
 
   Simulation* sim() { return sim_; }
   DisaggregatedDatacenter* datacenter() { return datacenter_; }

@@ -28,14 +28,8 @@ PlacementTxn::~PlacementTxn() {
 Result<PoolAllocation> PlacementTxn::Allocate(
     DeviceKind kind, TenantId tenant, int64_t amount,
     const AllocationConstraints& constraints) {
-  return AllocateFrom(&engine_->datacenter()->pool(kind), tenant, amount,
-                      constraints);
-}
-
-Result<PoolAllocation> PlacementTxn::AllocateFrom(
-    ResourcePool* pool, TenantId tenant, int64_t amount,
-    const AllocationConstraints& constraints) {
   assert(state_ == State::kOpen);
+  ResourcePool* pool = &engine_->datacenter()->pool(kind);
   UDC_ASSIGN_OR_RETURN(
       PoolAllocation allocation,
       pool->Allocate(tenant, amount, constraints,
@@ -68,7 +62,6 @@ ExecEnvironment* PlacementTxn::Launch(
     TenantId tenant, NodeId node, const LaunchOptions& options,
     std::function<void(ExecEnvironment*)> on_ready) {
   assert(state_ == State::kOpen);
-  assert(engine_->env_manager() != nullptr);
   ExecEnvironment* env =
       engine_->env_manager()->Launch(tenant, node, options,
                                      std::move(on_ready));
@@ -81,9 +74,6 @@ ExecEnvironment* PlacementTxn::Launch(
 
 void PlacementTxn::Provision(uint64_t identity) {
   assert(state_ == State::kOpen);
-  if (engine_->attestation() == nullptr) {
-    return;
-  }
   engine_->attestation()->ProvisionDevice(identity);
   Op op;
   op.kind = Op::Kind::kProvision;

@@ -2,9 +2,9 @@
 //
 // Every control-plane service that mutates placement state — the scheduler,
 // the repair service, the defragmenter, the adaptive tuner, the hybrid
-// deployer — stages its mutations through a PlacementTxn instead of calling
-// the pools / env manager / attestation service directly. A transaction has
-// two phases:
+// deployer — stages its mutations through a PlacementTxn opened on the
+// region router's engine instead of calling the pools / env manager /
+// attestation service directly. A transaction has two phases:
 //
 //   Plan:    Allocate / Launch / Provision apply their side effect
 //            immediately and stage the inverse op; StageRelease / StageStop
@@ -54,10 +54,6 @@ class PlacementTxn {
   Result<PoolAllocation> Allocate(DeviceKind kind, TenantId tenant,
                                   int64_t amount,
                                   const AllocationConstraints& constraints);
-  // Same, against an explicit pool (repair and defrag already hold one).
-  Result<PoolAllocation> AllocateFrom(ResourcePool* pool, TenantId tenant,
-                                      int64_t amount,
-                                      const AllocationConstraints& constraints);
   // Grows/shrinks `allocation` in place; undone by the opposite resize.
   // `allocation` must outlive the transaction.
   Status Resize(ResourcePool* pool, PoolAllocation& allocation, int64_t delta);
@@ -69,8 +65,7 @@ class PlacementTxn {
                           const LaunchOptions& options,
                           std::function<void(ExecEnvironment*)> on_ready);
 
-  // Provisions an attestation identity; retired on abort. A no-op when the
-  // engine has no attestation service attached.
+  // Provisions an attestation identity; retired on abort.
   void Provision(uint64_t identity);
 
   // Arbitrary undo hook for resources the engine does not manage (the

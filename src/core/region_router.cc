@@ -17,6 +17,16 @@ namespace {
 // fallback ladder.
 constexpr DeviceKind kRoutingKind = DeviceKind::kCpuBlade;
 
+// Provisions the devices of `allocation`'s slices from `first` on, for
+// `deployment`'s teardown to retire, as the scheduler does for a deploy.
+void ProvisionSlices(PlacementTxn& txn, Deployment* deployment,
+                     const PoolAllocation& allocation, size_t first) {
+  for (size_t i = first; i < allocation.slices.size(); ++i) {
+    txn.Provision(allocation.slices[i].device.value());
+    deployment->RecordProvisionedIdentity(allocation.slices[i].device.value());
+  }
+}
+
 // Sorts `ids` by (free desc, id asc).
 void SortByFree(std::vector<int>& ids, const std::vector<int64_t>& free) {
   std::sort(ids.begin(), ids.end(), [&free](int a, int b) {
@@ -220,6 +230,79 @@ std::vector<int> RegionRouter::FallbackCells(int home_region, int home_cell,
   return out;
 }
 
+template <typename Attempt>
+Result<int> RegionRouter::PlaceOnLadder(const AppSpec& spec, ModuleId module,
+                                        int home_region, int home_cell,
+                                        Attempt&& attempt) const {
+  int affinity = -1;
+  int anti_affinity = -1;
+  if (region_count_ > 0) {
+    const AspectSet aspects = spec.AspectsFor(module);
+    // An out-of-range affinity cannot be honored; any region will do.
+    if (aspects.dist.region_affinity < region_count_) {
+      affinity = aspects.dist.region_affinity;
+    }
+    anti_affinity = aspects.dist.region_anti_affinity;
+  }
+  const bool home_admissible =
+      home_region != anti_affinity &&
+      (affinity < 0 || affinity == home_region);
+  Status status = OkStatus();
+  if (home_admissible) {
+    status = attempt(home_cell);
+    if (status.ok()) {
+      return home_cell;
+    }
+  }
+  // A rejected attempt leaves the free summaries as they were, so this is
+  // the ladder that would have been built before the home attempt.
+  const std::vector<int> ladder =
+      FallbackCells(home_region, home_cell, affinity, anti_affinity);
+  if (!home_admissible && ladder.empty()) {
+    return Status(InvalidArgumentError(
+        "region constraints leave no admissible region"));
+  }
+  for (const int c : ladder) {
+    status = attempt(c);
+    if (status.ok()) {
+      return c;
+    }
+  }
+  return status;  // the last candidate's rejection
+}
+
+Result<PoolAllocation> RegionRouter::Reallocate(
+    PlacementTxn& txn, Deployment* deployment, ModuleId module,
+    DeviceKind kind, int64_t amount, AllocationConstraints constraints) {
+  const int rack = constraints.preferred_rack;
+  const int home_cell = partitioned_ ? datacenter_->topology().CellOf(rack) : 0;
+  PoolAllocation allocation;
+  const auto attempt = [&](int c) -> Status {
+    constraints.cell = partitioned_ ? c : -1;
+    UDC_ASSIGN_OR_RETURN(allocation, txn.Allocate(kind, deployment->tenant(),
+                                                  amount, constraints));
+    return OkStatus();
+  };
+  UDC_RETURN_IF_ERROR(PlaceOnLadder(deployment->spec(), module,
+                                    RegionOfCell(home_cell), home_cell, attempt)
+                          .status());
+  ProvisionSlices(txn, deployment, allocation, 0);
+  return allocation;
+}
+
+Status RegionRouter::ResizeAllocation(PlacementTxn& txn, Deployment* deployment,
+                                      PoolAllocation& allocation,
+                                      int64_t delta) {
+  ResourcePool* pool = datacenter_->PoolById(allocation.pool);
+  if (pool == nullptr) {
+    return InternalError("allocation's pool not found");
+  }
+  const size_t held = allocation.slices.size();
+  UDC_RETURN_IF_ERROR(txn.Resize(pool, allocation, delta));
+  ProvisionSlices(txn, deployment, allocation, held);
+  return OkStatus();
+}
+
 Result<std::unique_ptr<Deployment>> RegionRouter::Deploy(
     TenantId tenant, std::shared_ptr<const AppSpec> shared_spec) {
   const AppSpec& spec = *shared_spec;
@@ -271,8 +354,7 @@ Result<std::unique_ptr<Deployment>> RegionRouter::Deploy(
   ScopedSpan span(&sim_->spans(), "sched", "sched.deploy",
                   deploy_span_sets_[static_cast<size_t>(home_cell)]);
   auto deployment = std::make_unique<Deployment>(
-      tenant, std::move(shared_spec), datacenter_, sim_->now(),
-      engine_.env_manager(), engine_.attestation());
+      tenant, std::move(shared_spec), &engine_, sim_->now());
   PlacementTxn txn = engine_.Begin("deploy");
   bool spanned_cells = false;
   bool spanned_regions = false;
@@ -307,48 +389,22 @@ Result<std::unique_ptr<Deployment>> RegionRouter::Deploy(
 
   // Places one module: the home cell first whenever the module may run in
   // the home region, then — only after a rejection — the fallback ladder.
-  // AbortTo restores the free summaries exactly, so the ladder built after
-  // the home attempt is the one that would have been built before it.
   const auto place = [&](ModuleId module, bool is_data) -> Status {
-    int affinity = -1;
-    int anti_affinity = -1;
-    if (region_count_ > 0) {
-      const AspectSet aspects = spec.AspectsFor(module);
-      // An out-of-range affinity cannot be honored; any region will do.
-      if (aspects.dist.region_affinity < region_count_) {
-        affinity = aspects.dist.region_affinity;
-      }
-      anti_affinity = aspects.dist.region_anti_affinity;
+    const Result<int> cell =
+        PlaceOnLadder(spec, module, home_region, home_cell,
+                      [&](int c) { return attempt(c, module, is_data); });
+    if (!cell.ok()) {
+      return cell.status();
     }
-    const bool home_admissible =
-        home_region != anti_affinity &&
-        (affinity < 0 || affinity == home_region);
-    Status status = OkStatus();
-    if (home_admissible) {
-      status = attempt(home_cell, module, is_data);
-      if (status.ok()) {
-        return status;
+    if (*cell != home_cell) {
+      spanned_cells = true;
+      sim_->metrics().Increment(cell_fallbacks_);
+      if (RegionOfCell(*cell) != home_region) {
+        spanned_regions = true;
+        sim_->metrics().Increment(region_fallbacks_);
       }
     }
-    const std::vector<int> ladder =
-        FallbackCells(home_region, home_cell, affinity, anti_affinity);
-    if (!home_admissible && ladder.empty()) {
-      return InvalidArgumentError(
-          "region constraints leave no admissible region");
-    }
-    for (const int c : ladder) {
-      status = attempt(c, module, is_data);
-      if (status.ok()) {
-        spanned_cells = true;
-        sim_->metrics().Increment(cell_fallbacks_);
-        if (RegionOfCell(c) != home_region) {
-          spanned_regions = true;
-          sim_->metrics().Increment(region_fallbacks_);
-        }
-        return status;
-      }
-    }
-    return status;  // the last candidate's rejection
+    return OkStatus();
   };
 
   // Data modules first (tasks want to land near their data), then tasks in

@@ -32,6 +32,10 @@
 // frontend's deploy_batch RPC) is that many Deploy calls, each with its own
 // sched.deploy span and transaction.
 //
+// Repair, defrag and tuning re-place through the same router: they open
+// their transactions on engine(), the only PlacementEngine, and take every
+// new device from Reallocate or ResizeAllocation.
+//
 // Determinism contract: with one region the candidate order is the
 // cells-only order (home = argmax cell_free, fallbacks by free desc, cell
 // asc), and with one unscoped cell it is the flat scheduler's. Golden
@@ -64,6 +68,18 @@ class RegionRouter {
   // immutable spec, which must not change while it is deployed.
   Result<std::unique_ptr<Deployment>> Deploy(
       TenantId tenant, std::shared_ptr<const AppSpec> spec);
+
+  // Stages a new allocation for `module` into `txn` the way Deploy places a
+  // module (the preferred rack's cell, then the region-aspect ladder), sets
+  // `constraints.cell` itself and provisions each new device on `deployment`.
+  Result<PoolAllocation> Reallocate(PlacementTxn& txn, Deployment* deployment,
+                                    ModuleId module, DeviceKind kind,
+                                    int64_t amount,
+                                    AllocationConstraints constraints);
+  // Resizes `allocation` in place (a spill stays in its cell, see
+  // ResourcePool::Resize) and provisions the devices it spilled onto.
+  Status ResizeAllocation(PlacementTxn& txn, Deployment* deployment,
+                          PoolAllocation& allocation, int64_t delta);
 
   // The topology's regions: 0 when it is not region-partitioned.
   int region_count() const { return region_count_; }
@@ -109,6 +125,13 @@ class RegionRouter {
   // a module affinity restricts the list to that region's cells.
   std::vector<int> FallbackCells(int home_region, int home_cell,
                                  int affinity, int anti_affinity) const;
+  // Runs `attempt(cell)` on the home cell, if `module`'s region aspects
+  // admit it, then on each fallback cell until one succeeds. Returns that
+  // cell, else the last rejection (InvalidArgument when none is admitted).
+  template <typename Attempt>
+  Result<int> PlaceOnLadder(const AppSpec& spec, ModuleId module,
+                            int home_region, int home_cell,
+                            Attempt&& attempt) const;
 
   Simulation* sim_;
   DisaggregatedDatacenter* datacenter_;

@@ -6,13 +6,10 @@
 
 namespace udc {
 
-RepairService::RepairService(Simulation* sim, Deployment* deployment,
-                             EnvManager* env_manager,
-                             CheckpointStore* checkpoints,
-                             AttestationService* attestation)
-    : sim_(sim), deployment_(deployment), env_manager_(env_manager),
-      checkpoints_(checkpoints),
-      engine_(sim, deployment->datacenter(), env_manager, attestation) {}
+RepairService::RepairService(RegionRouter* router, Deployment* deployment,
+                             CheckpointStore* checkpoints)
+    : sim_(router->engine().sim()), router_(router), deployment_(deployment),
+      checkpoints_(checkpoints) {}
 
 void RepairService::Attach(FailureInjector* injector) {
   injector->Subscribe([this](const FailureEvent& event) {
@@ -20,17 +17,6 @@ void RepairService::Attach(FailureInjector* injector) {
       (void)HandleDeviceFailure(event.device);
     }
   });
-}
-
-ResourcePool* RepairService::PoolOf(DeviceId device) {
-  for (int i = 0; i < kNumDeviceKinds; ++i) {
-    ResourcePool& pool =
-        deployment_->datacenter()->pool(static_cast<DeviceKind>(i));
-    if (pool.FindDevice(device) != nullptr) {
-      return &pool;
-    }
-  }
-  return nullptr;
 }
 
 int64_t RepairService::repairs_succeeded() const {
@@ -49,14 +35,13 @@ RepairAction RepairService::RepairTask(const Placement& placement,
   action.handling = aspects.dist.failure_handling;
 
   ResourceUnit* unit = deployment_->FindUnit(placement.unit);
-  ResourcePool* pool = PoolOf(failed);
-  if (unit == nullptr || pool == nullptr) {
-    action.detail = "unit or pool missing";
+  if (unit == nullptr) {
+    action.detail = "unit missing";
     return action;
   }
 
-  // Find the dead slice, release its siblings on the failed device, and
-  // re-acquire the same amount elsewhere in the same pool.
+  // Find the dead slice, release it, and re-acquire the same amount from
+  // the same pool through the router.
   for (PoolAllocation& alloc : unit->allocations) {
     for (AllocationSlice& slice : alloc.slices) {
       if (slice.device != failed) {
@@ -72,15 +57,17 @@ RepairAction RepairService::RepairTask(const Placement& placement,
       dead.kind = alloc.kind;
       dead.tenant = alloc.tenant;
       dead.slices.push_back(slice);
-      (void)engine_.Release(dead);
+      (void)ReleasePoolAllocation(deployment_->datacenter(), dead);
 
-      PlacementTxn txn = engine_.Begin("repair_task");
+      PlacementTxn txn = router_->engine().Begin("repair_task");
       AllocationConstraints constraints;
       constraints.preferred_rack = placement.rack;
       constraints.single_device = IsComputeKind(alloc.kind);
       constraints.avoid.push_back(failed);
-      auto replacement =
-          txn.AllocateFrom(pool, alloc.tenant, amount, constraints);
+      auto replacement = router_->Reallocate(
+          txn, deployment_, placement.module,
+          deployment_->datacenter()->PoolById(alloc.pool)->device_kind(),
+          amount, constraints);
       if (!replacement.ok()) {
         txn.Abort();
         slice.amount = 0;
@@ -90,10 +77,6 @@ RepairAction RepairService::RepairTask(const Placement& placement,
       }
       slice = replacement->slices.front();
       action.replacement_device = slice.device;
-      if (engine_.attestation() != nullptr) {
-        txn.Provision(slice.device.value());
-        deployment_->RecordProvisionedIdentity(slice.device.value());
-      }
 
       // Restart the environment on the new home (cold start) and charge
       // recovery for the lost work per the module's failure handling.
@@ -120,6 +103,9 @@ RepairAction RepairService::RepairTask(const Placement& placement,
         // launch the replacement through the transaction.
         txn.StageStop(unit->env);
         unit->env = txn.Launch(alloc.tenant, slice.node, options, nullptr);
+        // The new host's root of trust quotes the environment.
+        txn.Provision(slice.node.value());
+        deployment_->RecordProvisionedIdentity(slice.node.value());
         mutable_placement->env_ready_at = unit->env->ready_at();
       }
       (void)txn.Commit();
@@ -143,10 +129,9 @@ RepairAction RepairService::RepairData(Placement& placement, DeviceId failed) {
   action.handling = FailureHandling::kFailover;
 
   ReplicatedStore* store = deployment_->StoreOf(placement.module);
-  ResourcePool* pool = PoolOf(failed);
   ResourceUnit* unit = deployment_->FindUnit(placement.unit);
-  if (store == nullptr || pool == nullptr || unit == nullptr) {
-    action.detail = "store/pool/unit missing";
+  if (store == nullptr || unit == nullptr) {
+    action.detail = "store/unit missing";
     return action;
   }
 
@@ -173,15 +158,17 @@ RepairAction RepairService::RepairData(Placement& placement, DeviceId failed) {
       dead.kind = alloc.kind;
       dead.tenant = alloc.tenant;
       dead.slices.push_back(slice);
-      (void)engine_.Release(dead);
+      (void)ReleasePoolAllocation(deployment_->datacenter(), dead);
 
-      PlacementTxn txn = engine_.Begin("repair_data");
+      PlacementTxn txn = router_->engine().Begin("repair_data");
       AllocationConstraints constraints;
       constraints.preferred_rack = placement.rack;
       constraints.single_device = true;
       constraints.avoid = placement.replica_devices;
-      auto replacement =
-          txn.AllocateFrom(pool, alloc.tenant, amount, constraints);
+      auto replacement = router_->Reallocate(
+          txn, deployment_, placement.module,
+          deployment_->datacenter()->PoolById(alloc.pool)->device_kind(),
+          amount, constraints);
       if (!replacement.ok()) {
         txn.Abort();
         slice.amount = 0;
@@ -193,10 +180,6 @@ RepairAction RepairService::RepairData(Placement& placement, DeviceId failed) {
       action.replacement_device = slice.device;
       placement.replica_devices[replica_index] = slice.device;
       placement.replica_nodes[replica_index] = slice.node;
-      if (engine_.attestation() != nullptr) {
-        txn.Provision(slice.device.value());
-        deployment_->RecordProvisionedIdentity(slice.device.value());
-      }
       (void)txn.Commit();
 
       // Re-silvering: copy the data from a healthy replica over the fabric.

@@ -10,6 +10,9 @@
 //   data:   fail the replica in the module's store (readers fail over) and
 //           re-establish the declared replication factor on a new device.
 //
+// Replacements come from RegionRouter::Reallocate; the new device and a
+// relaunched environment's host are provisioned, so Verify still passes.
+//
 // Every action is recorded so tests and benches can audit recovery.
 
 #ifndef UDC_SRC_CORE_REPAIR_H_
@@ -19,10 +22,9 @@
 #include <vector>
 
 #include "src/core/deployment.h"
-#include "src/core/placement_engine.h"
+#include "src/core/region_router.h"
 #include "src/core/runtime.h"
 #include "src/dist/checkpoint.h"
-#include "src/exec/env_manager.h"
 #include "src/hw/failure.h"
 
 namespace udc {
@@ -40,11 +42,8 @@ struct RepairAction {
 
 class RepairService {
  public:
-  // `attestation` is optional: when set, replacement devices get attestation
-  // identities provisioned (and recorded on the deployment for teardown).
-  RepairService(Simulation* sim, Deployment* deployment,
-                EnvManager* env_manager, CheckpointStore* checkpoints,
-                AttestationService* attestation = nullptr);
+  RepairService(RegionRouter* router, Deployment* deployment,
+                CheckpointStore* checkpoints);
 
   // Subscribes to the injector; failures are handled as they fire.
   void Attach(FailureInjector* injector);
@@ -60,14 +59,10 @@ class RepairService {
   RepairAction RepairTask(const Placement& placement, DeviceId failed);
   RepairAction RepairData(Placement& placement, DeviceId failed);
 
-  // The pool owning `device`, or nullptr.
-  ResourcePool* PoolOf(DeviceId device);
-
   Simulation* sim_;
+  RegionRouter* router_;
   Deployment* deployment_;
-  EnvManager* env_manager_;
   CheckpointStore* checkpoints_;
-  PlacementEngine engine_;
   std::vector<RepairAction> history_;
 };
 

@@ -115,8 +115,10 @@ Result<StageStats> DagRuntime::ComputeStage(ModuleId module) const {
       const Bytes access(std::min(pm->data_size.bytes(),
                                   config_.data_access_size.bytes()));
       leg = store->PlanRead(placement->home, access).latency;
-      leg += CryptoTime(deployment_->spec().AspectsFor(pred).exec.protection,
-                        access);
+      if (leg < SimTime::Max()) {  // Max: no replica can serve the read
+        leg += CryptoTime(deployment_->spec().AspectsFor(pred).exec.protection,
+                          access);
+      }
     }
     // Decrypt/verify at this module's boundary when it requests protection.
     if (pm->kind == ModuleKind::kTask) {
@@ -145,11 +147,15 @@ Result<StageStats> DagRuntime::ComputeStage(ModuleId module) const {
       continue;
     }
     SimTime leg = store->PlanWrite(placement->home, m->output_size).latency;
-    leg += CryptoTime(deployment_->spec().AspectsFor(succ).exec.protection,
-                      m->output_size);
+    if (leg < SimTime::Max()) {  // Max: the write cannot commit
+      leg += CryptoTime(deployment_->spec().AspectsFor(succ).exec.protection,
+                        m->output_size);
+    }
     output = std::max(output, leg);
   }
-  output += CryptoTime(aspects.exec.protection, m->output_size);
+  if (output < SimTime::Max()) {
+    output += CryptoTime(aspects.exec.protection, m->output_size);
+  }
 
   stats.input_time = input;
   stats.compute_time = compute;

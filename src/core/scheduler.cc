@@ -144,10 +144,7 @@ Status UdcScheduler::PlaceTask(TenantId tenant, const AppSpec& spec,
     }
     AllocationConstraints constraints;
     constraints.preferred_rack = rack;
-    if (cell >= 0) {
-      constraints.preferred_cell = cell;
-      constraints.strict_cell = true;
-    }
+    constraints.cell = cell;
     constraints.single_device = IsComputeKind(kind);
     constraints.require_exclusive = single_tenant && IsComputeKind(kind);
     const DeviceKind device_kind = DeviceKindFor(kind);
@@ -281,10 +278,7 @@ Status UdcScheduler::PlaceData(TenantId tenant, const AppSpec& spec,
   std::vector<DeviceId> replica_devices;
   AllocationConstraints constraints;
   constraints.preferred_rack = rack;
-  if (cell >= 0) {
-    constraints.preferred_cell = cell;
-    constraints.strict_cell = true;
-  }
+  constraints.cell = cell;
   constraints.single_device = true;
   const DeviceKind device_kind = DeviceKindFor(medium);
   for (int r = 0; r < replicas; ++r) {

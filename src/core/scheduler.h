@@ -67,9 +67,9 @@ class UdcScheduler {
   //
   // `cell` scopes the placement to one topology cell (control-plane
   // shard): the rack pick scans only the cell's racks, locality hints
-  // outside the cell are ignored, and every pool request carries
-  // strict_cell so the placement never leaves the cell's capacity
-  // partition. -1 = the whole datacenter.
+  // outside the cell are ignored, and every pool request is scoped to the
+  // cell so the placement never leaves the cell's capacity partition.
+  // -1 = the whole datacenter.
   Status PlaceModuleInTxn(TenantId tenant, const AppSpec& spec,
                           ModuleId module, bool is_data, int cell,
                           Deployment* deployment, PlacementTxn& txn);

@@ -5,10 +5,10 @@
 
 namespace udc {
 
-AdaptiveTuner::AdaptiveTuner(Simulation* sim, Deployment* deployment,
+AdaptiveTuner::AdaptiveTuner(RegionRouter* router, Deployment* deployment,
                              TunerConfig config)
-    : sim_(sim), deployment_(deployment),
-      engine_(sim, deployment->datacenter()), config_(config) {}
+    : sim_(router->engine().sim()), router_(router), deployment_(deployment),
+      config_(config) {}
 
 double AdaptiveTuner::EwmaOf(ModuleId module) const {
   const auto it = state_.find(module);
@@ -39,13 +39,9 @@ Result<TunerAction> AdaptiveTuner::Resize(ModuleId module, double factor) {
     if (delta == 0) {
       return action;
     }
-    ResourcePool* resize_pool =
-        deployment_->datacenter()->PoolById(alloc.pool);
-    if (resize_pool == nullptr) {
-      return Status(InternalError("allocation's pool not found"));
-    }
-    PlacementTxn txn = engine_.Begin("tune");
-    const Status resized = txn.Resize(resize_pool, alloc, delta);
+    PlacementTxn txn = router_->engine().Begin("tune");
+    const Status resized =
+        router_->ResizeAllocation(txn, deployment_, alloc, delta);
     if (!resized.ok()) {
       txn.Abort();
       return resized;

@@ -6,7 +6,7 @@
 // hardware units, etc.) based on telemetry data collected at the run time."
 //
 // The tuner consumes per-module utilization observations, keeps an EWMA, and
-// resizes the module's compute slice through the pools when usage leaves the
+// resizes the module's compute slice through the router when usage leaves the
 // [low, high] band. Migration moves a module's compute to another rack when
 // its device is persistently saturated by co-tenants.
 
@@ -16,7 +16,7 @@
 #include <map>
 
 #include "src/core/deployment.h"
-#include "src/core/placement_engine.h"
+#include "src/core/region_router.h"
 #include "src/sim/simulation.h"
 
 namespace udc {
@@ -39,7 +39,7 @@ struct TunerAction {
 
 class AdaptiveTuner {
  public:
-  AdaptiveTuner(Simulation* sim, Deployment* deployment,
+  AdaptiveTuner(RegionRouter* router, Deployment* deployment,
                 TunerConfig config = TunerConfig());
 
   // Feeds one utilization sample (fraction of the allocated compute the
@@ -59,8 +59,8 @@ class AdaptiveTuner {
   Result<TunerAction> Resize(ModuleId module, double factor);
 
   Simulation* sim_;
+  RegionRouter* router_;
   Deployment* deployment_;
-  PlacementEngine engine_;
   TunerConfig config_;
   std::map<ModuleId, ModuleState> state_;
   int64_t resizes_ = 0;

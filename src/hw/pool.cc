@@ -92,6 +92,10 @@ Result<PoolAllocation> ResourcePool::AllocateIndexed(
 
   const int preferred = constraints.preferred_rack;
   const bool rack_only = constraints.strict_rack && preferred >= 0;
+  const int cell = constraints.cell;
+  if (cell < 0 && index_.partitioned()) {
+    return Status(InvalidArgumentError("cell-partitioned pool: name a cell"));
+  }
 
   // Health and free capacity > 0 are implied by free-list membership; only
   // the per-request filters remain.
@@ -109,45 +113,29 @@ Result<PoolAllocation> ResourcePool::AllocateIndexed(
     return true;
   };
 
-  const int preferred_cell = constraints.preferred_cell;
-  const bool cell_only = constraints.strict_cell && preferred_cell >= 0;
-
   // The canonical candidate order — preferred rack by (free, id), then the
   // remaining devices by (free, id) — falls out of walking the preferred
-  // rack's free-list and then the wider free-list(s) minus that rack. A
-  // cell-scoped request walks only its cell's list; an unscoped request on
-  // a partitioned index sweeps every cell list plus the rackless residual.
+  // rack's free-list and then the wider free-list minus that rack. The
+  // wider list is the request's cell's on a partitioned index, the global
+  // one otherwise; a preferred rack outside the cell is not walked.
   struct Phase {
     const FreeCapacityIndex::OrderedFreeList* list;
     bool skip_preferred;
   };
-  Phase inline_phases[2];
+  Phase phases[2];
   int num_phases = 0;
-  if (preferred >= 0) {
-    const auto* rack_list = index_.RackFreeList(preferred);
-    if (rack_list != nullptr) {
-      inline_phases[num_phases++] = Phase{rack_list, false};
-    }
+  const FreeCapacityIndex::OrderedFreeList* rack_list =
+      preferred >= 0 && (cell < 0 || topology.CellOf(preferred) == cell)
+          ? index_.RackFreeList(preferred)
+          : nullptr;
+  if (rack_list != nullptr) {
+    phases[num_phases++] = Phase{rack_list, false};
   }
-  const Phase* phases = inline_phases;
-  std::vector<Phase> sweep;  // partitioned, cell-unscoped (repair/defrag/tuner)
   if (!rack_only) {
-    if (cell_only) {
-      const auto* cell_list = index_.CellFreeList(preferred_cell);
-      if (cell_list != nullptr) {
-        inline_phases[num_phases++] = Phase{cell_list, preferred >= 0};
-      }
-    } else if (index_.partitioned()) {
-      sweep.assign(inline_phases, inline_phases + num_phases);
-      for (int c = 0; c < index_.cell_count(); ++c) {
-        sweep.push_back(Phase{index_.CellFreeList(c), preferred >= 0});
-      }
-      sweep.push_back(Phase{&index_.GlobalFreeList(), preferred >= 0});
-      phases = sweep.data();
-      num_phases = static_cast<int>(sweep.size());
-    } else {
-      inline_phases[num_phases++] =
-          Phase{&index_.GlobalFreeList(), preferred >= 0};
+    const auto* wide =
+        cell >= 0 ? index_.CellFreeList(cell) : &index_.GlobalFreeList();
+    if (wide != nullptr) {
+      phases[num_phases++] = Phase{wide, rack_list != nullptr};
     }
   }
 
@@ -285,7 +273,12 @@ Status ResourcePool::Resize(PoolAllocation& allocation, int64_t delta,
       }
     }
     if (remaining > 0) {
+      // The spill stays in the first slice's cell (-1 without cells).
       AllocationConstraints constraints;
+      if (!allocation.slices.empty()) {
+        constraints.cell =
+            index_.CellOf(FindDevice(allocation.slices.front().device));
+      }
       auto extra = Allocate(allocation.tenant, remaining, constraints, topology);
       if (!extra.ok()) {
         // Roll back the partial growth on existing slices.

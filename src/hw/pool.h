@@ -7,6 +7,8 @@
 // A ResourcePool owns all devices of one kind. Allocation requests carry
 // locality preferences and isolation constraints, and may be satisfied by
 // slices across several devices (except when `single_device` is required).
+// A cell-partitioned pool serves each request from its cell alone; which
+// cells to ask, in what order, is the region router's decision.
 // Each device keeps a ledger of what every tenant holds on it; the
 // attestation layer signs single rows of it (Device::AllocatedBy) to let
 // users verify resource fulfillment (paper sec. 4's open problem).
@@ -51,11 +53,9 @@ struct AllocationConstraints {
   int preferred_rack = -1;
   bool strict_rack = false;
 
-  // Restrict to this topology cell (control-plane shard). Only meaningful
-  // with `strict_cell` on a cell-partitioned topology; a cell-scoped
-  // placement sets both so it never leaves the cell's capacity partition.
-  int preferred_cell = -1;
-  bool strict_cell = false;
+  // Restrict to this topology cell (control-plane shard), not even leaving
+  // it for a preferred rack elsewhere; -1 = unscoped.
+  int cell = -1;
 
   // The allocation must land on exactly one device.
   bool single_device = false;
@@ -99,6 +99,7 @@ class ResourcePool {
   double HealthyUtilization() const;
 
   // Attempts to reserve `amount` units for `tenant` under `constraints`.
+  // InvalidArgument for an unscoped request on a cell-partitioned pool.
   Result<PoolAllocation> Allocate(TenantId tenant, int64_t amount,
                                   const AllocationConstraints& constraints,
                                   const Topology& topology);
@@ -108,8 +109,9 @@ class ResourcePool {
   Status Release(const PoolAllocation& allocation);
 
   // Grows (positive delta) or shrinks (negative delta) an allocation in
-  // place, preferring the devices it already occupies. Used by the adaptive
-  // tuner (paper sec. 3.2: "enlarging or shrinking the amount of resources").
+  // place, preferring the devices it already occupies (a spill stays in the
+  // first slice's cell). Used by the adaptive tuner (paper sec. 3.2:
+  // "enlarging or shrinking the amount of resources").
   Status Resize(PoolAllocation& allocation, int64_t delta,
                 const Topology& topology);
 

@@ -388,7 +388,7 @@ TEST_F(RuntimeTest, FailFractionValidated) {
 }
 
 TEST_F(RuntimeTest, TunerGrowsHotModules) {
-  AdaptiveTuner tuner(cloud_->sim(), deployment_.get());
+  AdaptiveTuner tuner(cloud_->region_router(), deployment_.get());
   const ModuleId a4 = spec_->graph.IdOf("A4");
   const int64_t before =
       deployment_->ResourcesOf(a4).Get(ResourceKind::kCpu);
@@ -402,7 +402,7 @@ TEST_F(RuntimeTest, TunerGrowsHotModules) {
 }
 
 TEST_F(RuntimeTest, TunerShrinksColdModules) {
-  AdaptiveTuner tuner(cloud_->sim(), deployment_.get());
+  AdaptiveTuner tuner(cloud_->region_router(), deployment_.get());
   const ModuleId b2 = spec_->graph.IdOf("B2");
   const int64_t before =
       deployment_->ResourcesOf(b2).Get(ResourceKind::kCpu);

@@ -291,6 +291,40 @@ TEST_F(PoolTest, ResizeGrowAndShrink) {
   EXPECT_FALSE(pool_.Resize(*alloc, -1000, topo_).ok());
 }
 
+// With the two racks in two cells, the pool serves only requests that name
+// their cell.
+TEST_F(PoolTest, PartitionedPoolRefusesUnscopedRequests) {
+  topo_.SetCellCount(2);
+  const auto refused =
+      pool_.Allocate(TenantId(1), 1000, AllocationConstraints{}, topo_);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  AllocationConstraints scoped;
+  scoped.cell = 1;
+  const auto alloc = pool_.Allocate(TenantId(1), 1000, scoped, topo_);
+  ASSERT_TRUE(alloc.ok());
+  EXPECT_EQ(topo_.CellOf(topo_.RackOf(alloc->slices[0].node)), 1);
+  EXPECT_EQ(pool_.TotalAllocated(), 1000);
+}
+
+// Growth that outgrows its devices spills only inside the allocation's
+// cell: cell 0 (devices 0 and 1) holds 64000 in all.
+TEST_F(PoolTest, ResizeSpillStaysInTheAllocationsCell) {
+  topo_.SetCellCount(2);
+  AllocationConstraints scoped;
+  scoped.cell = 0;
+  scoped.single_device = true;
+  auto alloc = pool_.Allocate(TenantId(1), 30000, scoped, topo_);
+  ASSERT_TRUE(alloc.ok());
+  EXPECT_FALSE(pool_.Resize(*alloc, 40000, topo_).ok());
+  EXPECT_EQ(pool_.TotalAllocated(), 30000);
+  ASSERT_TRUE(pool_.Resize(*alloc, 34000, topo_).ok());
+  EXPECT_EQ(alloc->total(), 64000);
+  for (const AllocationSlice& slice : alloc->slices) {
+    EXPECT_EQ(topo_.CellOf(topo_.RackOf(slice.node)), 0);
+  }
+}
+
 TEST_F(PoolTest, LedgerSnapshotListsHoldings) {
   AllocationConstraints c;
   auto a = pool_.Allocate(TenantId(1), 1000, c, topo_);
@@ -429,12 +463,13 @@ TEST(FailureInjectorTest, PeriodicFailuresRespectHorizon) {
 
 class PoolPair {
  public:
-  PoolPair(int racks, int devices_per_rack, int64_t capacity)
+  PoolPair(int racks, int devices_per_rack, int64_t capacity, int cells = 0)
       : indexed_(PoolId(0), DeviceKind::kCpuBlade),
         linear_(PoolId(0), DeviceKind::kCpuBlade) {
     for (int r = 0; r < racks; ++r) {
       topo_.AddRack();
     }
+    topo_.SetCellCount(cells);
     uint64_t id = 0;
     for (int r = 0; r < racks; ++r) {
       for (int d = 0; d < devices_per_rack; ++d) {
@@ -504,6 +539,7 @@ class PoolPair {
   }
 
   size_t live_count() const { return live_.size(); }
+  const PoolAllocation& last_indexed() const { return live_.back().first; }
   uint64_t device_count() const { return device_count_; }
   const Topology& topology() const { return topo_; }
 
@@ -515,21 +551,28 @@ class PoolPair {
   std::vector<std::pair<PoolAllocation, PoolAllocation>> live_;
 };
 
-TEST(PoolDifferentialTest, IndexedMatchesLinearUnderRandomizedChurn) {
-  PoolPair pair(/*racks=*/6, /*devices_per_rack=*/8, /*capacity=*/32000);
-  Rng rng(0xD1FFu);
+// 2000 steps of allocate / release / fail / recover with every constraint
+// kind. With `cells`, every request names a random cell, so its preferred
+// rack falls inside or outside the cell.
+void RunChurn(PoolPair& pair, uint64_t seed, int cells) {
+  const uint64_t racks =
+      static_cast<uint64_t>(pair.topology().rack_count());
+  Rng rng(seed);
   for (int step = 0; step < 2000; ++step) {
     const double roll = rng.NextDouble();
     if (roll < 0.55) {
       AllocationConstraints c;
       if (rng.NextBool(0.5)) {
-        c.preferred_rack = static_cast<int>(rng.NextUint64(6));
+        c.preferred_rack = static_cast<int>(rng.NextUint64(racks));
         c.strict_rack = rng.NextBool(0.2);
       }
       c.single_device = rng.NextBool(0.4);
       c.require_exclusive = rng.NextBool(0.15);
       if (rng.NextBool(0.2)) {
         c.avoid.push_back(DeviceId(rng.NextUint64(pair.device_count())));
+      }
+      if (cells > 0) {
+        c.cell = static_cast<int>(rng.NextUint64(cells));
       }
       const int64_t amount =
           c.single_device ? rng.NextInt64InRange(1, 24000)
@@ -551,6 +594,29 @@ TEST(PoolDifferentialTest, IndexedMatchesLinearUnderRandomizedChurn) {
     }
   }
   pair.CheckAggregates();
+}
+
+TEST(PoolDifferentialTest, IndexedMatchesLinearUnderRandomizedChurn) {
+  PoolPair pair(/*racks=*/6, /*devices_per_rack=*/8, /*capacity=*/32000);
+  RunChurn(pair, 0xD1FFu, /*cells=*/0);
+}
+
+TEST(PoolDifferentialTest, PartitionedIndexMatchesLinearUnderCellScopedChurn) {
+  PoolPair pair(/*racks=*/6, /*devices_per_rack=*/8, /*capacity=*/32000,
+                /*cells=*/3);
+  RunChurn(pair, 0xCE11u, /*cells=*/3);
+}
+
+// A cell-scoped request never leaves its cell, not even for a preferred
+// rack in another cell: racks 2 and 3 form cell 1, whose first device is 4.
+TEST(PoolDifferentialTest, CellScopeSkipsAPreferredRackInAnotherCell) {
+  PoolPair pair(/*racks=*/4, /*devices_per_rack=*/2, /*capacity=*/32000,
+                /*cells=*/2);
+  AllocationConstraints c;
+  c.preferred_rack = 0;
+  c.cell = 1;
+  ASSERT_TRUE(pair.Allocate(TenantId(1), 1000, c));
+  EXPECT_EQ(pair.last_indexed().slices.front().device, DeviceId(4));
 }
 
 TEST(PoolDifferentialTest, IndexTracksFailureAndRecovery) {

@@ -144,7 +144,7 @@ TEST_F(EndToEndTest, TunerReducesOverProvisionedBill) {
   const Bill before =
       cloud_->billing().BillFor(**deployment, SimTime(0), SimTime::Hours(1));
 
-  AdaptiveTuner tuner(cloud_->sim(), deployment->get());
+  AdaptiveTuner tuner(cloud_->region_router(), deployment->get());
   // Every task reports low utilization; the tuner shrinks them.
   for (const ModuleId task : spec_->graph.TaskIds()) {
     for (int i = 0; i < 4; ++i) {

@@ -35,8 +35,7 @@ std::vector<Device*> RankCandidates(ResourcePool& pool, TenantId tenant,
         rack != constraints.preferred_rack) {
       continue;
     }
-    if (constraints.strict_cell && constraints.preferred_cell >= 0 &&
-        topology.CellOf(rack) != constraints.preferred_cell) {
+    if (constraints.cell >= 0 && topology.CellOf(rack) != constraints.cell) {
       continue;
     }
     if (d->free_capacity() <= 0) {

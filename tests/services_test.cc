@@ -14,6 +14,7 @@
 #include "src/core/monitor.h"
 #include "src/core/repair.h"
 #include "src/core/runtime.h"
+#include "src/core/tuner.h"
 #include "src/common/strings.h"
 #include "src/aspects/spec_parser.h"
 #include "src/workload/medical.h"
@@ -40,11 +41,60 @@ class ServiceTest : public ::testing::Test {
   std::unique_ptr<Deployment> deployment_;
 };
 
+// The tenant's own check after a re-placement: every module passes, and a
+// failure names the module and what failed.
+void ExpectVerifies(UdcCloud& cloud, Deployment* deployment) {
+  const auto report = cloud.Verify(deployment);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  std::string failures;
+  for (const ModuleVerification& m : report->modules) {
+    if (!m.AllChecksPassed()) {
+      failures += m.name + ": " + m.detail + "\n";
+    }
+  }
+  EXPECT_TRUE(report->all_ok) << failures;
+}
+
+DeviceId CpuDeviceOf(const Deployment& deployment, ModuleId module) {
+  return deployment.FindUnit(deployment.PlacementOf(module)->unit)
+      ->PrimaryDevice(ResourceKind::kCpu);
+}
+
+// Takes all free capacity of every CPU blade in racks [begin, end) except
+// `keep`, for a tenant of its own.
+void FillCpuBlades(UdcCloud& cloud, int begin, int end, DeviceId keep) {
+  const Topology& topology = cloud.datacenter().topology();
+  ResourcePool& pool = cloud.datacenter().pool(DeviceKind::kCpuBlade);
+  for (const Device* d : pool.devices()) {
+    const int rack = topology.RackOf(d->node());
+    if (d->id() != keep && rack >= begin && rack < end &&
+        d->free_capacity() > 0) {
+      ASSERT_TRUE(pool.FindDevice(d->id())
+                      ->Allocate(TenantId(999), d->free_capacity())
+                      .ok());
+    }
+  }
+}
+
+// Fails `module`'s CPU blade and repairs it.
+std::vector<RepairAction> FailAndRepair(UdcCloud& cloud,
+                                        Deployment* deployment,
+                                        ModuleId module) {
+  const DeviceId victim = CpuDeviceOf(*deployment, module);
+  cloud.datacenter()
+      .pool(DeviceKind::kCpuBlade)
+      .FindDevice(victim)
+      ->set_health(DeviceHealth::kFailed);
+  CheckpointStore checkpoints;
+  RepairService repair(cloud.region_router(), deployment, &checkpoints);
+  return repair.HandleDeviceFailure(victim);
+}
+
 // --- RepairService -------------------------------------------------------
 
 TEST_F(ServiceTest, RepairReplacesFailedComputeDevice) {
   CheckpointStore checkpoints;
-  RepairService repair(cloud_->sim(), deployment_.get(), &cloud_->envs(),
+  RepairService repair(cloud_->region_router(), deployment_.get(),
                        &checkpoints);
 
   const Placement* a4 = deployment_->PlacementOf(spec_->graph.IdOf("A4"));
@@ -79,7 +129,7 @@ TEST_F(ServiceTest, RepairReplacesFailedComputeDevice) {
 
 TEST_F(ServiceTest, RepairRebuildsFailedReplica) {
   CheckpointStore checkpoints;
-  RepairService repair(cloud_->sim(), deployment_.get(), &cloud_->envs(),
+  RepairService repair(cloud_->region_router(), deployment_.get(),
                        &checkpoints);
 
   const ModuleId s1 = spec_->graph.IdOf("S1");
@@ -108,7 +158,7 @@ TEST_F(ServiceTest, RepairRebuildsFailedReplica) {
 
 TEST_F(ServiceTest, RepairAttachesToInjector) {
   CheckpointStore checkpoints;
-  RepairService repair(cloud_->sim(), deployment_.get(), &cloud_->envs(),
+  RepairService repair(cloud_->region_router(), deployment_.get(),
                        &checkpoints);
   repair.Attach(&cloud_->failures());
 
@@ -122,6 +172,117 @@ TEST_F(ServiceTest, RepairAttachesToInjector) {
 
   EXPECT_GE(repair.repairs_attempted(), 1);
   EXPECT_GE(repair.repairs_succeeded(), 1);
+}
+
+// A1, A4 and B1 share one single-tenant CPU blade. Repair moves all three to
+// one new blade and relaunches their environments there; the new host's
+// root of trust must quote those environments, as the old host's did.
+TEST_F(ServiceTest, RepairedDeploymentStillVerifies) {
+  std::set<std::string> moved;
+  std::set<DeviceId> targets;
+  for (const RepairAction& action : FailAndRepair(
+           *cloud_, deployment_.get(), spec_->graph.IdOf("A4"))) {
+    ASSERT_TRUE(action.success) << action.module_name << ": "
+                                << action.detail;
+    if (action.replacement_device.valid()) {
+      moved.insert(action.module_name);
+      targets.insert(action.replacement_device);
+    }
+  }
+  EXPECT_EQ(moved, (std::set<std::string>{"A1", "A4", "B1"}));
+  EXPECT_EQ(targets.size(), 1u);
+  ExpectVerifies(*cloud_, deployment_.get());
+  deployment_.reset();
+  EXPECT_EQ(cloud_->attestation().provisioned_count(), 0u);
+}
+
+// --- Re-placement keeps the hierarchy -------------------------------------
+
+constexpr const char* kPinnedTask =
+    "app pinned\ntask A work=100\naspect A resource cpu=8000m\n"
+    "aspect A dist region=1\n";
+
+// racks=8 in 4 cells in 2 regions: the region=1 task homes in rack 4
+// (cell 2). With cell 2 full, its repair belongs in cell 3 — the other
+// cell of region 1 — not in the first rack anywhere with room.
+TEST(RepairHierarchyTest, PinnedTaskIsRepairedIntoItsRegionsOtherCell) {
+  UdcCloudConfig config;
+  config.datacenter.racks = 8;
+  config.datacenter.cells = 4;
+  config.datacenter.regions = 2;
+  UdcCloud cloud(config);
+  auto spec = ParseAppSpec(kPinnedTask);
+  ASSERT_TRUE(spec.ok());
+  auto deployment = cloud.Deploy(cloud.RegisterTenant("t"), *spec);
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  const ModuleId a = spec->graph.IdOf("A");
+  const Topology& topology = cloud.datacenter().topology();
+  ASSERT_EQ((*deployment)->PlacementOf(a)->rack, 4);
+
+  FillCpuBlades(cloud, topology.CellRackBegin(2), topology.CellRackEnd(2),
+                CpuDeviceOf(**deployment, a));
+  const auto actions = FailAndRepair(cloud, deployment->get(), a);
+  ASSERT_EQ(actions.size(), 1u);
+  EXPECT_TRUE(actions[0].success) << actions[0].detail;
+  EXPECT_EQ(topology.CellOf((*deployment)->PlacementOf(a)->rack), 3);
+  ExpectVerifies(cloud, deployment->get());
+}
+
+// racks=4 in 2 cells in 2 regions: region 1 is one cell. With it full, the
+// pinned task's repair fails and the task stays in region 1.
+TEST(RepairHierarchyTest, PinnedTaskIsNotRepairedOutOfItsRegion) {
+  UdcCloudConfig config;
+  config.datacenter.racks = 4;
+  config.datacenter.cells = 2;
+  config.datacenter.regions = 2;
+  UdcCloud cloud(config);
+  auto spec = ParseAppSpec(kPinnedTask);
+  ASSERT_TRUE(spec.ok());
+  auto deployment = cloud.Deploy(cloud.RegisterTenant("t"), *spec);
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  const ModuleId a = spec->graph.IdOf("A");
+  const Topology& topology = cloud.datacenter().topology();
+  ASSERT_EQ(topology.RegionOfRack((*deployment)->PlacementOf(a)->rack), 1);
+
+  FillCpuBlades(cloud, topology.CellRackBegin(1), topology.CellRackEnd(1),
+                CpuDeviceOf(**deployment, a));
+  const auto actions = FailAndRepair(cloud, deployment->get(), a);
+  ASSERT_EQ(actions.size(), 1u);
+  EXPECT_FALSE(actions[0].success);
+  EXPECT_NE(actions[0].detail.find("no healthy replacement"),
+            std::string::npos)
+      << actions[0].detail;
+  EXPECT_EQ(topology.RegionOfRack((*deployment)->PlacementOf(a)->rack), 1);
+  EXPECT_EQ((*deployment)->ResourcesOf(a).Get(ResourceKind::kCpu), 0);
+}
+
+// racks=4 in 2 cells, no regions: a filler deploy takes cell 0's rack 0, so
+// the task homes in rack 2 (cell 1). With rack 2 full, the repair belongs in
+// rack 3 of the home cell, not in cell 0 next to the filler.
+TEST(RepairHierarchyTest, RepairTriesTheHomeCellBeforeOtherCells) {
+  UdcCloudConfig config;
+  config.datacenter.racks = 4;
+  config.datacenter.cells = 2;
+  UdcCloud cloud(config);
+  auto filler = ParseAppSpec(
+      "app filler\ntask F work=100\naspect F resource cpu=16000m\n");
+  auto spec = ParseAppSpec(
+      "app a\ntask A work=100\naspect A resource cpu=8000m\n");
+  ASSERT_TRUE(filler.ok());
+  ASSERT_TRUE(spec.ok());
+  auto filled = cloud.Deploy(cloud.RegisterTenant("f"), *filler);
+  ASSERT_TRUE(filled.ok()) << filled.status().ToString();
+  auto deployment = cloud.Deploy(cloud.RegisterTenant("t"), *spec);
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  const ModuleId a = spec->graph.IdOf("A");
+  ASSERT_EQ((*deployment)->PlacementOf(a)->rack, 2);
+
+  FillCpuBlades(cloud, 2, 3, CpuDeviceOf(**deployment, a));
+  const auto actions = FailAndRepair(cloud, deployment->get(), a);
+  ASSERT_EQ(actions.size(), 1u);
+  EXPECT_TRUE(actions[0].success) << actions[0].detail;
+  EXPECT_EQ((*deployment)->PlacementOf(a)->rack, 3);
+  ExpectVerifies(cloud, deployment->get());
 }
 
 
@@ -147,7 +308,7 @@ domain pair members=A,B
   ASSERT_TRUE(deployment.ok());
 
   CheckpointStore checkpoints;
-  RepairService repair(cloud.sim(), deployment->get(), &cloud.envs(),
+  RepairService repair(cloud.region_router(), deployment->get(),
                        &checkpoints);
 
   // Fail only A's device (ensure it is not shared with B by checking ids).
@@ -385,7 +546,7 @@ aspect big resource cpu=1000m dram=100GiB
   auto deployment = cloud.Deploy(tenant, *spec);
   ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
 
-  Defragmenter defrag(cloud.sim(), deployment->get());
+  Defragmenter defrag(cloud.region_router(), deployment->get());
   const FragmentationReport before = defrag.Measure();
   EXPECT_GE(before.fragmented, 1);
   EXPECT_GT(before.MeanSlices(), 1.0);
@@ -416,7 +577,7 @@ TEST(DefragTest, NoOpWhenUnfragmented) {
   ASSERT_TRUE(spec.ok());
   auto deployment = cloud.Deploy(tenant, *spec);
   ASSERT_TRUE(deployment.ok());
-  Defragmenter defrag(cloud.sim(), deployment->get());
+  Defragmenter defrag(cloud.region_router(), deployment->get());
   EXPECT_EQ(defrag.Measure().fragmented, 0);
   const auto result = defrag.Consolidate();
   ASSERT_TRUE(result.ok());
@@ -430,11 +591,76 @@ TEST(DefragTest, ConsolidateIsIdempotent) {
   auto spec = ParseAppSpec("app x\ntask t work=1\naspect t resource cpu=500m\n");
   auto deployment = cloud.Deploy(tenant, *spec);
   ASSERT_TRUE(deployment.ok());
-  Defragmenter defrag(cloud.sim(), deployment->get());
+  Defragmenter defrag(cloud.region_router(), deployment->get());
   ASSERT_TRUE(defrag.Consolidate().ok());
   const auto again = defrag.Consolidate();
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->moves, 0);
+}
+
+// MeasuresAndConsolidatesFragmentation's setup: the consolidated DRAM lands
+// on a module the deploy never used, whose root of trust must quote it.
+TEST(DefragTest, ConsolidatedDeploymentStillVerifies) {
+  UdcCloudConfig config;
+  config.datacenter.racks = 1;
+  config.datacenter.rack.dram_modules = 4;
+  UdcCloud cloud(config);
+  ResourcePool& dram = cloud.datacenter().pool(DeviceKind::kDramModule);
+  AllocationConstraints fill_constraints;
+  fill_constraints.single_device = true;
+  auto filler = dram.Allocate(TenantId(99), Bytes::GiB(200).bytes(),
+                              fill_constraints, cloud.datacenter().topology());
+  ASSERT_TRUE(filler.ok());
+  auto spec = ParseAppSpec(
+      "app frag\ntask big work=100\naspect big resource cpu=1000m "
+      "dram=100GiB\n");
+  ASSERT_TRUE(spec.ok());
+  auto deployment = cloud.Deploy(cloud.RegisterTenant("t"), *spec);
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  Defragmenter defrag(cloud.region_router(), deployment->get());
+  ASSERT_TRUE(dram.Release(*filler).ok());
+
+  const auto result = defrag.Consolidate();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->moves, 1);
+  ExpectVerifies(cloud, deployment->get());
+  deployment->reset();
+  EXPECT_EQ(cloud.attestation().provisioned_count(), 0u);
+}
+
+// --- AdaptiveTuner --------------------------------------------------------
+
+// 30000m on one 32-core blade grows by 1.5x to 45000m: the growth spills
+// onto a second blade, whose root of trust must quote it.
+TEST(TunerVerifyTest, GrowthSpilledOntoASecondBladeStillVerifies) {
+  UdcCloudConfig config;
+  config.datacenter.racks = 2;
+  UdcCloud cloud(config);
+  auto spec = ParseAppSpec(
+      "app grow\ntask big work=100\naspect big resource cpu=30000m\n");
+  ASSERT_TRUE(spec.ok());
+  auto deployment = cloud.Deploy(cloud.RegisterTenant("t"), *spec);
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  const ModuleId big = spec->graph.IdOf("big");
+  AdaptiveTuner tuner(cloud.region_router(), deployment->get());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(tuner.Observe(big, 0.99).ok());
+  }
+  EXPECT_EQ((*deployment)->ResourcesOf(big).Get(ResourceKind::kCpu), 45000);
+  const ResourceUnit* unit =
+      (*deployment)->FindUnit((*deployment)->PlacementOf(big)->unit);
+  std::set<DeviceId> blades;
+  for (const PoolAllocation& alloc : unit->allocations) {
+    for (const AllocationSlice& slice : alloc.slices) {
+      if (alloc.kind == ResourceKind::kCpu) {
+        blades.insert(slice.device);
+      }
+    }
+  }
+  EXPECT_EQ(blades.size(), 2u);
+  ExpectVerifies(cloud, deployment->get());
+  deployment->reset();
+  EXPECT_EQ(cloud.attestation().provisioned_count(), 0u);
 }
 
 // --- Trace integration ---------------------------------------------------
@@ -460,7 +686,7 @@ TEST_F(ServiceTest, TraceRecordsControlPlaneEvents) {
   EXPECT_TRUE(cloud_->sim()->trace().Contains("exec", "module=A4"));
 
   CheckpointStore checkpoints;
-  RepairService repair(cloud_->sim(), deployment_.get(), &cloud_->envs(),
+  RepairService repair(cloud_->region_router(), deployment_.get(),
                        &checkpoints);
   const Placement* a4 = deployment_->PlacementOf(spec_->graph.IdOf("A4"));
   const DeviceId victim =
@@ -514,7 +740,7 @@ TEST(DeploySpanTest, PlacementSpansNestUnderTheDeployInEveryTopology) {
 // --- UtilizationMonitor --------------------------------------------------
 
 TEST_F(ServiceTest, MonitorFlushesWindowsAndFeedsTuner) {
-  AdaptiveTuner tuner(cloud_->sim(), deployment_.get());
+  AdaptiveTuner tuner(cloud_->region_router(), deployment_.get());
   UtilizationMonitor monitor(cloud_->sim(), &tuner, SimTime::Minutes(10));
   const ModuleId a3 = spec_->graph.IdOf("A3");
   const int64_t before = deployment_->ResourcesOf(a3).Get(ResourceKind::kGpu);
