@@ -593,18 +593,23 @@ AbortResult RunAbortChurn(int racks, int deploys,
   return result;
 }
 
-// --- Warm-store phase: the content-addressed environment store under churn.
+// --- Warm-store phase: the environment store under churn.
 //
-// Two legs. The differential leg runs the same keep-warm churn twice — once
-// on the legacy (kind, tenant) pool, once on the store with cross-tenant
-// sharing disabled — and hashes every decision the env layer makes
-// (admit/reject, per-unit start mode, per-(kind, tenant) warm occupancy
-// after every step). The hashes must be byte-identical: sharing off, the
-// store IS the legacy pool. The abort leg then turns sharing on over the
-// same undersized one-rack datacenter the abort-heavy phase uses (~48% of
-// deploys abort on pool exhaustion) and checks exact rollback refunds — a
-// failed deploy leaves warm-slot totals and store refcounts untouched — and
-// a leak-free drain: zero live store refs once everything stops.
+// Two legs. The decision leg runs a keep-warm churn on the default store
+// (each tenant's own pool per kind) and hashes every decision the env layer
+// makes (admit/reject, per-unit start mode, per-(kind, tenant) warm
+// occupancy after every step). The hash is frozen: the retired (kind,
+// tenant) map and the sharing-off store both produced it, so the default
+// pool must keep making the map's decisions. The abort leg then turns
+// sharing on over the same undersized one-rack datacenter the abort-heavy
+// phase uses (~48% of deploys abort on pool exhaustion) and checks exact
+// rollback refunds — a failed deploy leaves warm-slot totals and store
+// refcounts untouched — and a leak-free drain: zero live store refs once
+// everything stops.
+
+// The decision leg's frozen hashes at smoke and at full size.
+constexpr uint64_t kWarmStoreHashSmoke = 0xa764581de04c4407ull;
+constexpr uint64_t kWarmStoreHashFull = 0xd517e486b32dab67ull;
 
 struct DecisionLeg {
   uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
@@ -613,9 +618,9 @@ struct DecisionLeg {
 };
 
 struct WarmStoreResult {
-  DecisionLeg legacy;
-  DecisionLeg oracle;
-  bool differential_ok = false;
+  DecisionLeg decisions;
+  uint64_t frozen_hash = 0;
+  bool decisions_ok = false;
 
   long long attempts = 0;
   long long deploys = 0;
@@ -630,12 +635,10 @@ struct WarmStoreResult {
   bool clean = false;
 };
 
-DecisionLeg RunDecisionLeg(const udc::EnvStoreConfig& store_config, int racks,
-                           int deploys, int window,
+DecisionLeg RunDecisionLeg(int racks, int deploys, int window,
                            const std::vector<udc::AppSpec>& specs) {
   udc::UdcCloudConfig cloud_config;
   cloud_config.datacenter.racks = racks;
-  cloud_config.env_store = store_config;
   udc::UdcCloud cloud(cloud_config);
 
   DecisionLeg leg;
@@ -643,7 +646,7 @@ DecisionLeg RunDecisionLeg(const udc::EnvStoreConfig& store_config, int racks,
     leg.hash = (leg.hash ^ v) * 1099511628211ull;
   };
   // A fixed tenant set cycled through, so (kind, tenant) warm pools are
-  // actually revisited and warm decisions happen in both legs.
+  // actually revisited and warm decisions happen.
   std::vector<udc::TenantId> tenants;
   for (int t = 0; t < 8; ++t) {
     tenants.push_back(cloud.RegisterTenant("store-" + std::to_string(t)));
@@ -699,30 +702,23 @@ DecisionLeg RunDecisionLeg(const udc::EnvStoreConfig& store_config, int racks,
 }
 
 WarmStoreResult RunWarmStorePhase(int diff_racks, int diff_deploys,
-                                  int diff_window, int abort_deploys,
+                                  int diff_window, uint64_t frozen_hash,
+                                  int abort_deploys,
                                   const std::vector<udc::AppSpec>& specs,
                                   const std::vector<udc::AppSpec>& heavy_specs) {
   WarmStoreResult result;
 
-  // Leg 1: the differential. Legacy pool vs store-with-sharing-off on the
-  // identical workload must hash identically.
-  udc::EnvStoreConfig legacy_config;  // enabled = false: legacy pool
-  result.legacy =
-      RunDecisionLeg(legacy_config, diff_racks, diff_deploys, diff_window, specs);
-  udc::EnvStoreConfig oracle_config;
-  oracle_config.enabled = true;
-  oracle_config.share_across_tenants = false;
-  result.oracle =
-      RunDecisionLeg(oracle_config, diff_racks, diff_deploys, diff_window, specs);
-  result.differential_ok = result.legacy.hash == result.oracle.hash &&
-                           result.legacy.deploys == result.oracle.deploys;
+  // Leg 1: the default pool's decisions against their frozen hash.
+  result.decisions =
+      RunDecisionLeg(diff_racks, diff_deploys, diff_window, specs);
+  result.frozen_hash = frozen_hash;
+  result.decisions_ok = result.decisions.hash == frozen_hash;
 
   // Leg 2: sharing on under abort churn. Undersized datacenter, oversized
   // apps, keep-warm teardowns on the failure path so the store carries real
   // warm credit while ~half the transactions roll back through it.
   udc::UdcCloudConfig cloud_config;
   cloud_config.datacenter.racks = 1;
-  cloud_config.env_store.enabled = true;
   cloud_config.env_store.share_across_tenants = true;
   udc::UdcCloud cloud(cloud_config);
   const udc::EnvStore* store = cloud.envs().store();
@@ -1119,7 +1115,6 @@ FederationResult RunFederationPhase(
   config.datacenter.cells = cells;
   config.datacenter.regions = regions;
   config.scheduler.record_place_latency = true;
-  config.env_store.enabled = true;
   config.env_store.share_across_tenants = true;
   udc::UdcCloud cloud(config);
   // Asymmetric link matrix: every directed pair gets its own latency and
@@ -1619,9 +1614,9 @@ void WriteJson(const ChurnConfig& config, bool smoke,
                abort.clean ? "true" : "false");
   std::fprintf(f,
                ",\n  \"warm_store\": {\n"
-               "    \"differential\": {\"legacy_hash\": \"%016llx\", "
-               "\"oracle_hash\": \"%016llx\", \"legacy_warm_starts\": %lld, "
-               "\"oracle_warm_starts\": %lld, \"identical\": %s},\n"
+               "    \"decisions\": {\"hash\": \"%016llx\", "
+               "\"frozen_hash\": \"%016llx\", \"warm_starts\": %lld, "
+               "\"matches_frozen\": %s},\n"
                "    \"abort_churn\": {\"attempts\": %lld, \"deploys\": %lld, "
                "\"aborts\": %lld, \"abort_fraction\": %.2f, "
                "\"refund_violations\": %lld, \"warm_hit_ratio\": %.3f, "
@@ -1629,10 +1624,10 @@ void WriteJson(const ChurnConfig& config, bool smoke,
                "\"evictions\": %lld, \"live_store_refs_after_drain\": %lld, "
                "\"clean_after_drain\": %s}\n"
                "  }",
-               static_cast<unsigned long long>(warm_store.legacy.hash),
-               static_cast<unsigned long long>(warm_store.oracle.hash),
-               warm_store.legacy.warm_starts, warm_store.oracle.warm_starts,
-               warm_store.differential_ok ? "true" : "false",
+               static_cast<unsigned long long>(warm_store.decisions.hash),
+               static_cast<unsigned long long>(warm_store.frozen_hash),
+               warm_store.decisions.warm_starts,
+               warm_store.decisions_ok ? "true" : "false",
                warm_store.attempts, warm_store.deploys, warm_store.aborts,
                warm_store.abort_fraction, warm_store.refund_violations,
                warm_store.warm_hit_ratio, warm_store.warm_starts,
@@ -1814,14 +1809,15 @@ int main(int argc, char** argv) {
 
   const WarmStoreResult warm_store = RunWarmStorePhase(
       /*diff_racks=*/smoke ? 24 : 96, /*diff_deploys=*/smoke ? 120 : 480,
-      /*diff_window=*/16, /*abort_deploys=*/smoke ? 60 : 400, specs,
-      heavy_specs);
-  std::printf("warm-store: differential %s (legacy %016llx / oracle %016llx, "
-              "%lld warm starts each leg)\n",
-              warm_store.differential_ok ? "identical" : "DIVERGED",
-              static_cast<unsigned long long>(warm_store.legacy.hash),
-              static_cast<unsigned long long>(warm_store.oracle.hash),
-              warm_store.oracle.warm_starts);
+      /*diff_window=*/16,
+      /*frozen_hash=*/smoke ? kWarmStoreHashSmoke : kWarmStoreHashFull,
+      /*abort_deploys=*/smoke ? 60 : 400, specs, heavy_specs);
+  std::printf("warm-store: decisions %s (%016llx, frozen %016llx, "
+              "%lld warm starts)\n",
+              warm_store.decisions_ok ? "match" : "DIVERGED",
+              static_cast<unsigned long long>(warm_store.decisions.hash),
+              static_cast<unsigned long long>(warm_store.frozen_hash),
+              warm_store.decisions.warm_starts);
   std::printf("warm-store abort churn: %lld attempts, %lld aborts (%.0f%%), "
               "%lld refund violations, hit ratio %.2f (%lld warm, %lld "
               "cross-tenant), drain %s (%lld live refs)\n",
@@ -1886,18 +1882,18 @@ int main(int argc, char** argv) {
                  abort.aborts, abort.txn_aborted);
     ok = false;
   }
-  if (!warm_store.differential_ok) {
+  if (!warm_store.decisions_ok) {
     std::fprintf(stderr,
-                 "FAIL: store with sharing off diverged from the legacy "
-                 "warm pool (legacy %016llx, oracle %016llx)\n",
-                 static_cast<unsigned long long>(warm_store.legacy.hash),
-                 static_cast<unsigned long long>(warm_store.oracle.hash));
+                 "FAIL: the default warm pool's decisions diverged from "
+                 "their frozen hash (%016llx, frozen %016llx)\n",
+                 static_cast<unsigned long long>(warm_store.decisions.hash),
+                 static_cast<unsigned long long>(warm_store.frozen_hash));
     ok = false;
   }
-  if (warm_store.legacy.warm_starts == 0) {
+  if (warm_store.decisions.warm_starts == 0) {
     std::fprintf(stderr,
-                 "FAIL: warm-store differential saw no warm starts — the "
-                 "legs never exercised the pools\n");
+                 "FAIL: warm-store decision leg saw no warm starts — it "
+                 "never exercised the pool\n");
     ok = false;
   }
   if (warm_store.aborts == 0 || warm_store.refund_violations > 0) {

@@ -98,6 +98,7 @@ RepairAction RepairService::RepairTask(const Placement& placement,
         LaunchOptions options;
         options.kind = unit->env->kind();
         options.tenancy = unit->env->tenancy();
+        options.image = placement.name;
         options.allow_warm = false;  // the warm pool died with the device
         // Stop the dead environment at commit (the old path leaked it) and
         // launch the replacement through the transaction.

@@ -36,9 +36,9 @@ struct UdcCloudConfig {
   DatacenterConfig datacenter;
   SchedulerConfig scheduler;
   BillingConfig billing;
-  // Content-addressed warm-environment store (src/exec/env_store.h).
-  // Disabled by default: the legacy (kind, tenant) pool is the
-  // differential oracle the store is gated against.
+  // The one warm pool (src/exec/env_store.h): each tenant's own per kind by
+  // default; `share_across_tenants` shares identical images' warm slots
+  // across tenants, racks and regions.
   EnvStoreConfig env_store;
   // Default WAN link between regions (applies only when
   // DatacenterConfig::regions > 0; per-link overrides via

@@ -6,16 +6,9 @@
 
 namespace udc {
 
-namespace {
-
-std::pair<int, uint64_t> WarmKey(EnvKind kind, TenantId tenant) {
-  return {static_cast<int>(kind), tenant.value()};
-}
-
-}  // namespace
-
 EnvManager::EnvManager(Simulation* sim, const EnvStoreConfig& store_config)
     : sim_(sim),
+      store_(&sim->metrics(), store_config),
       warm_starts_(sim->metrics().CounterSeries("exec.warm_starts")),
       cold_starts_(sim->metrics().CounterSeries("exec.cold_starts")),
       tepid_starts_(sim->metrics().CounterSeries("exec.tepid_starts")),
@@ -36,24 +29,18 @@ EnvManager::EnvManager(Simulation* sim, const EnvStoreConfig& store_config)
       start_latency_ms_(
           sim->metrics().HistogramSeries("exec.start_latency_ms")),
       warm_hit_ratio_(sim->metrics().GaugeSeries("exec.warm_hit_ratio")) {
-  if (store_config.enabled) {
-    store_ = std::make_unique<EnvStore>(&sim->metrics(), store_config);
-  }
   // No launches yet: a hit ratio of 1.0 is the vacuous truth and keeps the
   // SLO objective green until a cold start actually happens.
   sim_->metrics().Set(warm_hit_ratio_, 1.0);
 }
 
 void EnvManager::set_content_quote_hook(EnvStore::ContentLiveHook hook) {
-  if (store_ != nullptr) {
-    store_->set_content_live_hook(std::move(hook));
-  }
+  store_.set_content_live_hook(std::move(hook));
 }
 
 void EnvManager::set_topology(const Topology* topology) {
   topology_ = topology;
-  if (store_ == nullptr || topology == nullptr ||
-      topology->region_count() <= 0) {
+  if (topology == nullptr || topology->region_count() <= 0) {
     return;
   }
   // Region-partitioned world: hand the store its rack -> region map so a
@@ -64,13 +51,11 @@ void EnvManager::set_topology(const Topology* topology) {
     const int region = topology->RegionOfRack(r);
     rack_regions[static_cast<size_t>(r)] = region < 0 ? 0 : region;
   }
-  store_->set_rack_regions(std::move(rack_regions));
+  store_.set_rack_regions(std::move(rack_regions));
 }
 
 void EnvManager::set_wan_cost_hook(EnvStore::WanCostFn hook) {
-  if (store_ != nullptr) {
-    store_->set_wan_cost_hook(std::move(hook));
-  }
+  store_.set_wan_cost_hook(std::move(hook));
 }
 
 EnvProfile EnvManager::LaunchProfile(EnvKind kind,
@@ -80,10 +65,8 @@ EnvProfile EnvManager::LaunchProfile(EnvKind kind,
 }
 
 int EnvManager::RackForNode(NodeId node) const {
-  if (store_ == nullptr || !store_->config().share_across_tenants) {
-    return 0;  // oracle mode: rack-blind, like the legacy pool
-  }
-  if (topology_ == nullptr) {
+  // Sharing off, the store keeps one cache: skip the lookup.
+  if (topology_ == nullptr || !store_.config().share_across_tenants) {
     return 0;
   }
   const int rack = topology_->RackOf(node);
@@ -108,44 +91,26 @@ ExecEnvironment* EnvManager::Launch(
   const EnvProfile profile = LaunchProfile(options.kind, options);
   env->set_profile(profile);
   ExecEnvironment* raw = env.get();
-  envs_.emplace(id, std::move(env));
 
+  const Sha256Digest& digest =
+      store_.Intern(options.kind, options.tenancy, tenant, options.image,
+                    profile.memory_overhead);
+  const int rack = RackForNode(node);
+  const EnvStore::AcquireResult acq =
+      store_.AcquireForLaunch(digest, rack, tenant, options.allow_warm);
+  const EnvStartMode mode = acq.mode;
   SimTime start_latency = profile.cold_start;
-  EnvStartMode mode = EnvStartMode::kCold;
-  if (store_ != nullptr) {
-    const Sha256Digest& digest =
-        store_->Intern(options.kind, options.tenancy, tenant, options.image,
-                       profile.memory_overhead);
-    const int rack = RackForNode(node);
-    const EnvStore::AcquireResult acq =
-        store_->AcquireForLaunch(digest, rack, tenant, options.allow_warm);
-    mode = acq.mode;
-    if (mode == EnvStartMode::kWarm) {
-      start_latency = profile.warm_start;
-    } else if (mode == EnvStartMode::kTepid ||
-               mode == EnvStartMode::kRemote) {
-      start_latency = profile.warm_start + acq.fetch_latency;
-    }
-    if (mode != EnvStartMode::kCold && acq.slot_tenant != tenant.value()) {
-      ++cross_tenant_warm_starts_count_;
-      sim_->metrics().Increment(cross_tenant_warm_starts_);
-    }
-    records_.emplace(id, StoreRecord{digest, mode, acq.source_rack,
-                                     acq.slot_tenant, rack});
-  } else {
-    const auto key = WarmKey(options.kind, tenant);
-    auto warm_it = warm_slots_.find(key);
-    if (options.allow_warm && warm_it != warm_slots_.end() &&
-        warm_it->second > 0) {
-      // Erase exhausted entries: long-running churn across many (kind,
-      // tenant) pairs must not grow the map with permanent zero slots.
-      if (--warm_it->second == 0) {
-        warm_slots_.erase(warm_it);
-      }
-      start_latency = profile.warm_start;
-      mode = EnvStartMode::kWarm;
-    }
+  if (mode == EnvStartMode::kWarm) {
+    start_latency = profile.warm_start;
+  } else if (mode == EnvStartMode::kTepid || mode == EnvStartMode::kRemote) {
+    start_latency = profile.warm_start + acq.fetch_latency;
   }
+  if (mode != EnvStartMode::kCold && acq.slot_tenant != tenant.value()) {
+    ++cross_tenant_warm_starts_count_;
+    sim_->metrics().Increment(cross_tenant_warm_starts_);
+  }
+  envs_.emplace(id, LiveEnv{std::move(env), digest, acq.source_rack,
+                            acq.slot_tenant, rack});
 
   switch (mode) {
     case EnvStartMode::kWarm:
@@ -191,9 +156,9 @@ ExecEnvironment* EnvManager::Launch(
     if (it == envs_.end()) {
       return;  // stopped before it became ready
     }
-    it->second->set_state(EnvState::kReady);
+    it->second.env->set_state(EnvState::kReady);
     if (on_ready) {
-      on_ready(it->second.get());
+      on_ready(it->second.env.get());
     }
   });
   return raw;
@@ -201,44 +166,26 @@ ExecEnvironment* EnvManager::Launch(
 
 Status EnvManager::Stop(ExecEnvironment* env, bool keep_warm) {
   const auto it = envs_.find(env->id());
-  if (it == envs_.end() || it->second.get() != env) {
+  if (it == envs_.end() || it->second.env.get() != env) {
     return NotFoundError("environment not owned by this manager");
   }
-  if (store_ != nullptr) {
-    const auto rec = records_.find(env->id());
-    if (rec != records_.end()) {
-      store_->ReleaseEnv(rec->second.digest, rec->second.local_rack,
-                         env->tenant(), keep_warm);
-      records_.erase(rec);
-    }
-  } else if (keep_warm) {
-    ++warm_slots_[WarmKey(env->kind(), env->tenant())];
-  }
+  const LiveEnv& live = it->second;
+  store_.ReleaseEnv(live.digest, live.local_rack, env->tenant(), keep_warm);
   envs_.erase(it);  // reap: stopped environments are not retained
   return OkStatus();
 }
 
 Status EnvManager::CancelLaunch(ExecEnvironment* env) {
   const auto it = envs_.find(env->id());
-  if (it == envs_.end() || it->second.get() != env) {
+  if (it == envs_.end() || it->second.env.get() != env) {
     return NotFoundError("environment not owned by this manager");
   }
-  if (store_ != nullptr) {
-    const auto rec = records_.find(env->id());
-    if (rec != records_.end()) {
-      // The launch's slot (if any) goes back to the exact rack it was
-      // consumed from, with its original provenance: a rolled back deploy
-      // leaves the store exactly as it found it.
-      store_->RefundCancelled(rec->second.digest, rec->second.mode,
-                              rec->second.source_rack, rec->second.slot_tenant,
-                              rec->second.local_rack);
-      records_.erase(rec);
-    }
-  } else if (env->started_warm()) {
-    // The launch consumed a warm slot; cancelling returns it, so a rolled
-    // back deploy leaves the warm pool exactly as it found it.
-    ++warm_slots_[WarmKey(env->kind(), env->tenant())];
-  }
+  // The launch's slot (if any) goes back to the exact rack it was consumed
+  // from, with its original provenance: a rolled back deploy leaves the
+  // store exactly as it found it.
+  const LiveEnv& live = it->second;
+  store_.RefundCancelled(live.digest, env->start_mode(), live.source_rack,
+                         live.slot_tenant, live.local_rack);
   sim_->metrics().Increment(launches_cancelled_);
   envs_.erase(it);  // the pending ready event no-ops on the missing id
   return OkStatus();
@@ -251,29 +198,15 @@ void EnvManager::Prewarm(EnvKind kind, TenantId tenant, int count,
     return;
   }
   sim_->metrics().Increment(prewarmed_, count);
-  if (store_ != nullptr) {
-    const Sha256Digest& digest = store_->Intern(
-        kind, tenancy, tenant, image, EnvProfile::DefaultFor(kind).memory_overhead);
-    store_->Prewarm(digest, RackForNode(node), tenant, count);
-    return;
-  }
-  warm_slots_[WarmKey(kind, tenant)] += count;
+  const Sha256Digest& digest = store_.Intern(
+      kind, tenancy, tenant, image, EnvProfile::DefaultFor(kind).memory_overhead);
+  store_.Prewarm(digest, RackForNode(node), tenant, count);
 }
 
 int EnvManager::WarmSlots(EnvKind kind, TenantId tenant) const {
-  if (store_ != nullptr) {
-    return static_cast<int>(store_->TotalSlots(
-        store_->KeyDigest(kind, TenancyMode::kShared, tenant, "default")));
-  }
-  const auto it = warm_slots_.find(WarmKey(kind, tenant));
-  return it == warm_slots_.end() ? 0 : it->second;
-}
-
-size_t EnvManager::warm_slot_entries() const {
-  if (store_ != nullptr) {
-    return store_->live_contents();
-  }
-  return warm_slots_.size();
+  const Sha256Digest* digest =
+      store_.FindKey(kind, TenancyMode::kShared, tenant, "default");
+  return digest == nullptr ? 0 : static_cast<int>(store_.TotalSlots(*digest));
 }
 
 SimTime EnvManager::NextStartLatency(EnvKind kind, TenantId tenant,
@@ -285,23 +218,21 @@ SimTime EnvManager::NextStartLatency(EnvKind kind, TenantId tenant,
                                      const LaunchOptions& options,
                                      NodeId node) const {
   const EnvProfile profile = LaunchProfile(kind, options);
-  if (store_ != nullptr) {
-    const Sha256Digest digest =
-        store_->KeyDigest(kind, options.tenancy, tenant, options.image);
-    const EnvStore::PeekResult peek =
-        store_->Peek(digest, RackForNode(node), options.allow_warm);
-    switch (peek.mode) {
-      case EnvStartMode::kWarm:
-        return profile.warm_start;
-      case EnvStartMode::kTepid:
-      case EnvStartMode::kRemote:
-        return profile.warm_start + peek.fetch_latency;
-      case EnvStartMode::kCold:
-        return profile.cold_start;
-    }
+  const Sha256Digest* digest =
+      store_.FindKey(kind, options.tenancy, tenant, options.image);
+  if (digest == nullptr) {
+    return profile.cold_start;  // never interned: no slot anywhere
   }
-  if (options.allow_warm && WarmSlots(kind, tenant) > 0) {
-    return profile.warm_start;
+  const EnvStore::PeekResult peek =
+      store_.Peek(*digest, RackForNode(node), options.allow_warm);
+  switch (peek.mode) {
+    case EnvStartMode::kWarm:
+      return profile.warm_start;
+    case EnvStartMode::kTepid:
+    case EnvStartMode::kRemote:
+      return profile.warm_start + peek.fetch_latency;
+    case EnvStartMode::kCold:
+      break;
   }
   return profile.cold_start;
 }

@@ -1,23 +1,21 @@
 // Environment lifecycle manager.
 //
 // Launches execution environments on the simulation clock, charging cold or
-// warm start per the environment's profile. Two warm-pool backends:
-//
-//   - legacy (default): a per-(kind, tenant) slot map — the mitigation the
-//     paper implies for the cold-start challenge of fine-grained secure
-//     environments (bench E6 measures both paths). Kept as the
-//     differential oracle for the store.
-//   - content-addressed store (EnvStoreConfig::enabled): warm slots are
-//     banked against the SHA-256 content key of the image, in rack-local
-//     capacity-bounded caches — identical modules from different tenants
-//     share warm slots, a rack miss with a remote hit pays a "tepid"
-//     cross-rack fetch, and a global miss builds cold (see env_store.h).
+// warm start per the environment's profile. Warm slots — the mitigation the
+// paper implies for the cold-start challenge of fine-grained secure
+// environments (bench E6 measures it) — live in one pool, the EnvStore
+// (env_store.h). With EnvStoreConfig::share_across_tenants off (the
+// default) a slot is banked against (kind, tenant): each tenant's own pool
+// per kind, whose dead keys are reclaimed and which mints no image quote.
+// With it on, a slot is banked against the image's SHA-256 content key in
+// rack-local caches, so identical modules from different tenants share
+// warm slots, a rack miss with a remote hit pays a tepid (or, across
+// regions, a WAN-priced remote) fetch, and a global miss builds cold.
 
 #ifndef UDC_SRC_EXEC_ENV_MANAGER_H_
 #define UDC_SRC_EXEC_ENV_MANAGER_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,18 +53,16 @@ class EnvManager {
   EnvManager& operator=(const EnvManager&) = delete;
 
   // Rack mapping for the store's rack-local caches; without a topology all
-  // nodes share rack 0. Safe to leave unset in legacy mode. On a
-  // region-partitioned topology this also hands the store its rack ->
-  // region map, arming the cross-region remote tier.
+  // nodes share rack 0, and with sharing off the store keeps one cache
+  // anyway. On a region-partitioned topology this also hands the store its
+  // rack -> region map, arming the cross-region remote tier.
   void set_topology(const Topology* topology);
-  // Forwarded to the store (no-op in legacy mode): prices cross-region
-  // remote fetches over the caller's WAN model (UdcCloud wires the
-  // fabric's per-link params in).
+  // Forwarded to the store: prices cross-region remote fetches over the
+  // caller's WAN model (UdcCloud wires the fabric's per-link params in).
   void set_wan_cost_hook(EnvStore::WanCostFn hook);
-  // Forwarded to the store (no-op in legacy mode): fires on content
-  // refcount 0 <-> 1 transitions so the owner can mint/release
-  // content-bound attestation quotes without a dependency cycle onto
-  // src/attest.
+  // Forwarded to the store: with sharing on, fires on content refcount
+  // 0 <-> 1 transitions so the owner can mint/release content-bound
+  // attestation quotes without a dependency cycle onto src/attest.
   void set_content_quote_hook(EnvStore::ContentLiveHook hook);
 
   // Launches an environment for `tenant` on `node`. `on_ready` fires on the
@@ -78,53 +74,46 @@ class EnvManager {
                           std::function<void(ExecEnvironment*)> on_ready);
 
   // Stops and reaps the environment; when `keep_warm`, a warm slot is
-  // credited — against (kind, tenant) in legacy mode, against the content
-  // key on the environment's rack in store mode — so a future launch
-  // starts warm. The environment is destroyed — churn workloads
-  // (launch/stop per request) hold no dead environments. `env` is invalid
-  // after a successful Stop.
+  // credited against the launch's store key (on the environment's rack
+  // with sharing on) so a future launch starts warm. The environment is
+  // destroyed — churn workloads (launch/stop per request) hold no dead
+  // environments. `env` is invalid after a successful Stop.
   Status Stop(ExecEnvironment* env, bool keep_warm);
 
   // Undoes a Launch: reaps the environment and refunds the warm slot the
   // launch consumed (to the exact rack it came from, with its original
-  // provenance, in store mode), so cancelling restores the warm pool
-  // exactly. Used by placement transactions rolling back a deploy.
-  // `env` is invalid after a successful CancelLaunch.
+  // provenance), so cancelling restores the warm pool exactly. Used by
+  // placement transactions rolling back a deploy. `env` is invalid after a
+  // successful CancelLaunch.
   Status CancelLaunch(ExecEnvironment* env);
 
   // Pre-provisions `count` warm slots of `kind` for `tenant` (no time charge
   // at call site; real systems fill pools in the background). Counted into
-  // `exec.prewarmed` so bench hit-ratio math can discount free credits. In
-  // store mode the slots bank against the content key of `image` on
-  // `node`'s rack.
+  // `exec.prewarmed` so bench hit-ratio math can discount free credits. The
+  // slots bank against the store key of (kind, tenant, `image`, `tenancy`)
+  // on `node`'s rack.
   void Prewarm(EnvKind kind, TenantId tenant, int count,
                std::string_view image = "default",
                TenancyMode tenancy = TenancyMode::kShared,
                NodeId node = NodeId(0));
 
   size_t live_count() const { return envs_.size(); }
-  // Warm slots a launch of (kind, tenant) could consume. In store mode
-  // this resolves the default image's content key; content-specific counts
-  // come from store()->TotalSlots.
+  // Warm slots a launch of (kind, tenant) with the default image could
+  // consume; content-specific counts come from store()->TotalSlots.
   int WarmSlots(EnvKind kind, TenantId tenant) const;
-  // Distinct (kind, tenant) warm-pool entries currently held (legacy mode;
-  // store mode reports live contents). Exhausted entries are erased on the
-  // last warm launch, so churn across many pairs keeps this bounded by the
-  // live warm credit, not the history.
-  size_t warm_slot_entries() const;
 
   // Start latency the next Launch of (kind, tenant) would pay. Uses the
   // same profile resolution as Launch (see LaunchOptions::profile_override)
-  // and, in store mode, the same rack-tier decision Launch would make for
-  // `node` (warm on the local rack, tepid fetch from a remote one, cold).
+  // and the same rack-tier decision Launch would make for `node` (warm on
+  // the local rack, tepid or remote fetch from another one, cold).
   SimTime NextStartLatency(EnvKind kind, TenantId tenant,
                            const LaunchOptions& options) const;
   SimTime NextStartLatency(EnvKind kind, TenantId tenant,
                            const LaunchOptions& options, NodeId node) const;
 
-  // The content-addressed store, or nullptr in legacy mode.
-  EnvStore* store() { return store_.get(); }
-  const EnvStore* store() const { return store_.get(); }
+  // The warm pool; never null.
+  EnvStore* store() { return &store_; }
+  const EnvStore* store() const { return &store_; }
   // Warm/tepid starts over all starts so far (1.0 before any launch).
   double warm_hit_ratio() const;
   int64_t cross_tenant_warm_starts() const {
@@ -134,15 +123,14 @@ class EnvManager {
  private:
   // The cost profile a launch with `options` runs under.
   static EnvProfile LaunchProfile(EnvKind kind, const LaunchOptions& options);
-  // The store rack `node` maps to. Sharing-off mode collapses every node
-  // onto rack 0 so the oracle equivalence with the legacy pool holds on
-  // any topology.
+  // The store rack `node` maps to.
   int RackForNode(NodeId node) const;
 
-  // Store-mode provenance of one launch, consulted by Stop/CancelLaunch.
-  struct StoreRecord {
+  // A live environment and the store provenance of its launch, consulted
+  // by Stop/CancelLaunch.
+  struct LiveEnv {
+    std::unique_ptr<ExecEnvironment> env;
     Sha256Digest digest{};
-    EnvStartMode mode = EnvStartMode::kCold;
     int source_rack = -1;
     uint64_t slot_tenant = 0;
     int local_rack = 0;
@@ -150,13 +138,11 @@ class EnvManager {
 
   Simulation* sim_;
   const Topology* topology_ = nullptr;
-  std::unique_ptr<EnvStore> store_;  // null in legacy mode
+  EnvStore store_;
   uint64_t next_id_ = 0;
   // Keyed by environment id: O(1) reap on Stop, and the on_ready callback
   // can check liveness by id instead of risking a dangling pointer.
-  std::unordered_map<uint64_t, std::unique_ptr<ExecEnvironment>> envs_;
-  std::map<std::pair<int, uint64_t>, int> warm_slots_;  // (kind, tenant) -> n
-  std::unordered_map<uint64_t, StoreRecord> records_;   // store mode only
+  std::unordered_map<uint64_t, LiveEnv> envs_;
 
   int64_t total_starts_ = 0;
   int64_t warmish_starts_ = 0;  // warm + tepid

@@ -1,8 +1,7 @@
 #include "src/exec/env_store.h"
 
 #include <algorithm>
-
-#include "src/common/strings.h"
+#include <string>
 
 namespace udc {
 
@@ -14,48 +13,55 @@ EnvStore::EnvStore(MetricsRegistry* metrics, const EnvStoreConfig& config)
       bytes_deduped_metric_(metrics->CounterSeries("exec.store_bytes_deduped")) {
 }
 
+EnvStore::KeyFields EnvStore::Fields(EnvKind kind, TenancyMode tenancy,
+                                     TenantId tenant,
+                                     std::string_view image) const {
+  if (!config_.share_across_tenants) {
+    return {static_cast<int>(kind), 0, tenant.value(), {}};
+  }
+  return {static_cast<int>(kind), static_cast<int>(tenancy), 0, image};
+}
+
 Sha256Digest EnvStore::KeyDigest(EnvKind kind, TenancyMode tenancy,
                                  TenantId tenant,
                                  std::string_view image) const {
-  // With sharing off the key binds exactly (kind, tenant) — the legacy
-  // pool's granularity — so the store's decisions match it byte-for-byte.
-  // With sharing on the key binds the content (kind, tenancy, image) and
-  // deliberately omits the tenant: identical modules from different
-  // tenants collapse into one warm pool.
+  // With sharing off the key binds exactly (kind, tenant): one tenant's
+  // pool per kind. With sharing on the key binds the content (kind,
+  // tenancy, image) and deliberately omits the tenant: identical modules
+  // from different tenants collapse into one warm pool.
+  const std::string kind_field = std::to_string(static_cast<int>(kind));
   if (!config_.share_across_tenants) {
-    return Sha256::Hash(
-        StrFormat("env-pool kind=%d tenant=%llu", static_cast<int>(kind),
-                  static_cast<unsigned long long>(tenant.value())));
+    return Sha256::Hash("env-pool kind=" + kind_field +
+                        " tenant=" + std::to_string(tenant.value()));
   }
-  return Sha256::Hash(StrFormat(
-      "env-image kind=%d tenancy=%d image=%s", static_cast<int>(kind),
-      static_cast<int>(tenancy), std::string(image).c_str()));
+  return Sha256::Hash("env-image kind=" + kind_field + " tenancy=" +
+                      std::to_string(static_cast<int>(tenancy)) +
+                      " image=" + std::string(image));
 }
 
 const Sha256Digest& EnvStore::Intern(EnvKind kind, TenancyMode tenancy,
                                      TenantId tenant, std::string_view image,
                                      Bytes size) {
-  std::string manifest;
-  if (!config_.share_across_tenants) {
-    manifest =
-        StrFormat("env-pool kind=%d tenant=%llu", static_cast<int>(kind),
-                  static_cast<unsigned long long>(tenant.value()));
-  } else {
-    manifest = StrFormat("env-image kind=%d tenancy=%d image=%s",
-                         static_cast<int>(kind), static_cast<int>(tenancy),
-                         std::string(image).c_str());
-  }
-  auto it = intern_.find(manifest);
+  const KeyFields fields = Fields(kind, tenancy, tenant, image);
+  auto it = intern_.find(fields);
   if (it == intern_.end()) {
-    // First sight of this manifest: the only place the image is hashed.
-    const Sha256Digest digest = Sha256::Hash(manifest);
-    it = intern_.emplace(std::move(manifest), digest).first;
+    // First sight of this key: the only place it is hashed.
+    it = intern_.emplace(fields, KeyDigest(kind, tenancy, tenant, image))
+             .first;
   }
   GlobalEntry& global = contents_[it->second];
+  global.key = it;
   if (global.size.bytes() == 0) {
     global.size = size;
   }
   return it->second;
+}
+
+const Sha256Digest* EnvStore::FindKey(EnvKind kind, TenancyMode tenancy,
+                                      TenantId tenant,
+                                      std::string_view image) const {
+  const auto it = intern_.find(Fields(kind, tenancy, tenant, image));
+  return it == intern_.end() ? nullptr : &it->second;
 }
 
 EnvStore::RackCache& EnvStore::Rack(int rack) {
@@ -78,7 +84,7 @@ void EnvStore::BankSlot(GlobalEntry& global, int rack, RackEntry& entry,
   }
   entry.slot_tenants.push_back(tenant);
   ++global.warm_slots;
-  ++total_warm_slots_;
+  ++total_slots_;
 }
 
 uint64_t EnvStore::TakeSlot(GlobalEntry& global, int rack, RackEntry& entry) {
@@ -88,7 +94,7 @@ uint64_t EnvStore::TakeSlot(GlobalEntry& global, int rack, RackEntry& entry) {
     DropHolder(global, rack);
   }
   --global.warm_slots;
-  --total_warm_slots_;
+  --total_slots_;
   return tenant;
 }
 
@@ -156,6 +162,26 @@ void EnvStore::DropRef(const Sha256Digest& digest, GlobalEntry& global) {
   }
 }
 
+void EnvStore::ReclaimIfDead(const Sha256Digest& digest,
+                             const GlobalEntry& global) {
+  if (config_.share_across_tenants || global.refs > 0) {
+    return;
+  }
+  // Copied: `digest` may alias a key erased below.
+  const Sha256Digest dead = digest;
+  RackCache& cache = Rack(0);  // sharing off, the only cache
+  const auto entry = cache.entries.find(dead);
+  if (entry != cache.entries.end()) {
+    cache.resident = Bytes(cache.resident.bytes() - global.size.bytes());
+    resident_bytes_ = Bytes(resident_bytes_.bytes() - global.size.bytes());
+    metrics_->Set(store_bytes_gauge_,
+                  static_cast<double>(resident_bytes_.bytes()));
+    cache.entries.erase(entry);
+  }
+  intern_.erase(global.key);
+  contents_.erase(dead);
+}
+
 EnvStore::RackEntry& EnvStore::EnsureResident(int rack,
                                               const Sha256Digest& digest,
                                               GlobalEntry& global) {
@@ -174,8 +200,8 @@ EnvStore::RackEntry& EnvStore::EnsureResident(int rack,
   EvictIfNeeded(rack, digest);
   metrics_->Set(store_bytes_gauge_,
                 static_cast<double>(resident_bytes_.bytes()));
-  // try_emplace iterators survive EvictIfNeeded: std::map erase never
-  // invalidates other nodes, and the pinned digest is never the victim.
+  // try_emplace iterators survive EvictIfNeeded: erase invalidates only
+  // the erased node, and the pinned digest is never the victim.
   return it->second;
 }
 
@@ -210,13 +236,15 @@ void EnvStore::EvictIfNeeded(int rack, const Sha256Digest& pinned) {
       DropRef(victim->first, global);
     }
     global.warm_slots -= dropped;
-    total_warm_slots_ -= dropped;
+    total_slots_ -= dropped;
     cache.resident = Bytes(cache.resident.bytes() - global.size.bytes());
     resident_bytes_ = Bytes(resident_bytes_.bytes() - global.size.bytes());
     ++cache.evictions;
     ++evictions_;
     metrics_->Increment(evictions_metric_);
+    const Sha256Digest evicted = victim->first;
     cache.entries.erase(victim);
+    ReclaimIfDead(evicted, global);
   }
   metrics_->Set(store_bytes_gauge_,
                 static_cast<double>(resident_bytes_.bytes()));
@@ -351,6 +379,7 @@ void EnvStore::ReleaseEnv(const Sha256Digest& digest, int rack,
   }
   DropRef(digest, global);
   --live_env_refs_;
+  ReclaimIfDead(digest, global);
 }
 
 void EnvStore::RefundCancelled(const Sha256Digest& digest, EnvStartMode mode,
@@ -370,6 +399,7 @@ void EnvStore::RefundCancelled(const Sha256Digest& digest, EnvStartMode mode,
   }
   DropRef(digest, global);
   --live_env_refs_;
+  ReclaimIfDead(digest, global);
 }
 
 void EnvStore::Prewarm(const Sha256Digest& digest, int rack, TenantId tenant,
@@ -453,10 +483,10 @@ std::vector<EnvStore::ContentStats> EnvStore::TopByRefs(size_t n) const {
     }
     all.push_back(s);
   }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const ContentStats& a, const ContentStats& b) {
-                     return a.refs > b.refs;
-                   });
+  std::sort(all.begin(), all.end(),
+            [](const ContentStats& a, const ContentStats& b) {
+              return a.refs != b.refs ? a.refs > b.refs : a.digest < b.digest;
+            });
   if (all.size() > n) {
     all.resize(n);
   }

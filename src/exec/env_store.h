@@ -1,12 +1,10 @@
-// Content-addressed warm-environment store (ROADMAP item 2, paper C3).
+// Content-addressed warm-environment store (ROADMAP item 2, paper C3): the
+// one warm pool behind EnvManager.
 //
-// Environment images are keyed by the SHA-256 digest of their content
-// manifest, UnrealCloudDDC-style: identical images hash to the same key,
-// are stored once per rack cache, and warm slots are banked against the
-// *content* — so two tenants launching the same module share one warm
-// pool. The store layers rack-local caches (capacity-bounded, size-aware
-// LRU eviction) over a global content index; a launch resolves to one of
-// three tiers:
+// Warm slots are banked against a SHA-256 content key, UnrealCloudDDC-style:
+// identical keys are stored once per rack cache. The store layers rack-local
+// caches (capacity-bounded, size-aware LRU eviction) over a global content
+// index; a launch resolves to one of three tiers:
 //
 //   rack hit         -> warm start (slot on the local rack cache)
 //   same-region hit  -> "tepid" start (slot on another rack in the same
@@ -26,15 +24,20 @@
 // flag distinguishes a consuming fetch (FIFO bandwidth sharing + byte
 // accounting) from a pure Peek preview.
 //
-// Sharing mode is the differential bridge to the legacy (kind, tenant)
-// pool: with `share_across_tenants` off the content key binds exactly
-// (kind, tenant) and racks collapse to one cache, so every decision the
-// store makes is byte-identical to the legacy pool — tests and the
-// deploy_churn warm-store phase gate on that equivalence.
+// One setting, `share_across_tenants`, decides what a key names. Off (the
+// default), it binds (kind, tenant) and every rack maps to one cache: each
+// tenant's own pool per kind. A key nothing references any more (no live
+// environment, no banked slot) is then erased from the memo, the content
+// index and the cache at the end of the operation that dropped the last
+// reference (ReleaseEnv, RefundCancelled, an eviction), so churn over many
+// tenants keeps the store bounded by what is live. On, it binds the image
+// (kind, tenancy, image): tenants launching the same module share one warm
+// pool, racks and regions are real, and contents stay indexed.
 //
-// Determinism contract: all state lives in std::map keyed by digest,
-// eviction picks the lowest LRU tick, and a rack miss takes its slot from
-// the lowest-indexed other holder in the local region, else from the
+// Determinism contract: nothing depends on the iteration order of the
+// digest-keyed hash maps. Eviction picks the lowest (unique) LRU tick,
+// TopByRefs breaks ties by digest, and a rack miss takes its slot from the
+// lowest-indexed other holder in the local region, else from the
 // lowest-indexed holder in any other region. Each content keeps those
 // holders in an ordered set per region (GlobalEntry::holders), updated
 // whenever a rack's slot list turns empty or non-empty, so the pick is a
@@ -43,21 +46,26 @@
 // runs replay identically.
 //
 // Attestation binding: the owner (EnvManager via UdcCloud) installs a
-// content-live hook; the store fires it on 0 <-> 1 transitions of a
-// content's global refcount (live environments + warm slots), and the
-// hook acquires/releases a content-bound image quote in src/attest —
-// minted once per content, refcounted like RetireDevice.
+// content-live hook; with sharing on the store fires it on 0 <-> 1
+// transitions of a content's global refcount (live environments + warm
+// slots), and the hook acquires/releases a content-bound image quote in
+// src/attest — minted once per content, refcounted like RetireDevice. A
+// sharing-off key names a tenant's pool, not an image, so it mints no
+// image quote: a sharing-off store drops the hook.
 
 #ifndef UDC_SRC_EXEC_ENV_STORE_H_
 #define UDC_SRC_EXEC_ENV_STORE_H_
 
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -69,14 +77,15 @@
 namespace udc {
 
 struct EnvStoreConfig {
-  // Off: EnvManager keeps the legacy (kind, tenant) warm pool — the
-  // differential oracle every store mode is gated against.
+  // Has no effect: the store is always EnvManager's warm pool. Kept only
+  // because the frozen benchmark harness still writes it.
   bool enabled = false;
-  // On: the content key binds (kind, tenancy, image) and identical images
-  // from different tenants share warm slots. Off: the key binds exactly
-  // (kind, tenant) and all racks collapse into one cache, reproducing the
-  // legacy pool's decisions byte-for-byte.
-  bool share_across_tenants = true;
+  // Off (default): the key binds exactly (kind, tenant) and all racks
+  // collapse into one cache — each tenant's own warm pool per kind, with
+  // dead keys reclaimed. On: the key binds (kind, tenancy, image) and
+  // identical images from different tenants share warm slots across racks
+  // and regions.
+  bool share_across_tenants = false;
   // Per-rack cache budget for resident image bytes; 0 = unbounded.
   Bytes rack_cache_capacity;
   // Cross-rack warm-snapshot fetch model (the "tepid" tier): a fixed
@@ -129,25 +138,35 @@ class EnvStore {
   EnvStore& operator=(const EnvStore&) = delete;
 
   const EnvStoreConfig& config() const { return config_; }
+  // Sharing off, keys name tenants' pools, not images: no image quote is
+  // minted for them, so the hook is dropped.
   void set_content_live_hook(ContentLiveHook hook) {
-    content_live_hook_ = std::move(hook);
+    if (config_.share_across_tenants) {
+      content_live_hook_ = std::move(hook);
+    }
   }
   // Region federation: rack index -> region id. Unset (or empty) = one
   // region; the remote tier never fires and PR-9 behavior is unchanged.
   // Must run before any slot is banked: the holder index files each rack
   // under the region it had when its first slot arrived.
   void set_rack_regions(std::vector<int> rack_regions) {
-    assert(total_warm_slots_ == 0 && "set_rack_regions after slots exist");
+    assert(total_slots_ == 0 && "set_rack_regions after slots exist");
     rack_regions_ = std::move(rack_regions);
   }
   void set_wan_cost_hook(WanCostFn hook) { wan_cost_hook_ = std::move(hook); }
 
-  // Content key for a launch. Hashed once per distinct manifest (the
-  // digest is memoized); registers the image's size on first sight.
+  // Content key for a launch, memoized by the fields it binds and hashed
+  // (KeyDigest) on first sight only, when the image's size is registered.
+  // With sharing off the reference dies with the key's last reference.
   const Sha256Digest& Intern(EnvKind kind, TenancyMode tenancy,
                              TenantId tenant, std::string_view image,
                              Bytes size);
-  // Pure digest computation for const query paths (no memoization).
+  // The memoized key, or nullptr when it is not interned: then no slot of
+  // it exists anywhere.
+  const Sha256Digest* FindKey(EnvKind kind, TenancyMode tenancy,
+                              TenantId tenant, std::string_view image) const;
+  // Pure digest computation (no memoization): the only place a key's
+  // manifest is formatted.
   Sha256Digest KeyDigest(EnvKind kind, TenancyMode tenancy, TenantId tenant,
                          std::string_view image) const;
 
@@ -179,12 +198,12 @@ class EnvStore {
   int64_t SlotsOnRack(const Sha256Digest& digest, int rack) const;
   int64_t ContentRefs(const Sha256Digest& digest) const;
 
-  // Distinct content keys with a registered size.
+  // Distinct content keys indexed (with sharing off: the live ones).
   size_t distinct_contents() const { return contents_.size(); }
   // Content entries with refs > 0 (live envs or warm slots).
   size_t live_contents() const { return live_contents_; }
   int64_t live_env_refs() const { return live_env_refs_; }
-  int64_t total_warm_slots() const { return total_warm_slots_; }
+  int64_t total_warm_slots() const { return total_slots_; }
   Bytes resident_bytes() const { return resident_bytes_; }
   int64_t hits() const { return hits_; }
   int64_t tepid_hits() const { return tepid_hits_; }
@@ -220,7 +239,24 @@ class EnvStore {
   std::vector<ContentStats> TopByRefs(size_t n) const;
 
  private:
+  // (kind, tenancy, tenant, image): the fields a key binds; the ones the
+  // sharing mode leaves unbound stay zero or empty.
+  using InternMap = std::map<std::tuple<int, int, uint64_t, std::string>,
+                             Sha256Digest, std::less<>>;
+  using KeyFields = std::tuple<int, int, uint64_t, std::string_view>;
+  // A digest is uniformly distributed already: its first word hashes it.
+  struct DigestHash {
+    size_t operator()(const Sha256Digest& digest) const {
+      size_t word;
+      std::memcpy(&word, digest.data(), sizeof(word));
+      return word;
+    }
+  };
+  template <typename T>
+  using DigestMap = std::unordered_map<Sha256Digest, T, DigestHash>;
+
   struct GlobalEntry {
+    InternMap::iterator key;  // the memo entry naming this content
     Bytes size;
     int64_t refs = 0;        // live envs + warm slots, all racks
     int64_t warm_slots = 0;  // slots across all racks
@@ -235,7 +271,7 @@ class EnvStore {
   };
   struct RackCache {
     Bytes resident;
-    std::map<Sha256Digest, RackEntry> entries;  // presence == resident
+    DigestMap<RackEntry> entries;  // presence == resident
     int64_t hits = 0;
     int64_t tepid_hits = 0;
     int64_t remote_hits = 0;
@@ -243,6 +279,8 @@ class EnvStore {
     int64_t evictions = 0;
   };
 
+  KeyFields Fields(EnvKind kind, TenancyMode tenancy, TenantId tenant,
+                   std::string_view image) const;
   RackCache& Rack(int rack);
   // Banks / consumes one slot on `rack`'s entry, keeping the slot counters
   // and the content's holder index in step.
@@ -262,10 +300,17 @@ class EnvStore {
   void EvictIfNeeded(int rack, const Sha256Digest& pinned);
   void AddRef(const Sha256Digest& digest, GlobalEntry& global);
   void DropRef(const Sha256Digest& digest, GlobalEntry& global);
+  // Sharing off: erases a content nothing references any more from the
+  // memo, the index and its cache. Runs last in the operation that dropped
+  // the reference, when no caller still holds one into those maps.
+  void ReclaimIfDead(const Sha256Digest& digest, const GlobalEntry& global);
   void Touch(RackEntry& entry) { entry.lru_tick = ++lru_clock_; }
   SimTime FetchLatency(Bytes size) const;
-  // Index of `rack`'s cache in racks_ (negative racks share rack 0's).
-  static int RackIndex(int rack) { return rack < 0 ? 0 : rack; }
+  // Index of `rack`'s cache in racks_: negative racks share rack 0's, and
+  // with sharing off every rack does.
+  int RackIndex(int rack) const {
+    return rack < 0 || !config_.share_across_tenants ? 0 : rack;
+  }
   // The region `rack` belongs to; 0 when no region map is set.
   int RegionOfRack(int rack) const {
     return rack >= 0 && static_cast<size_t>(rack) < rack_regions_.size()
@@ -281,15 +326,15 @@ class EnvStore {
   WanCostFn wan_cost_hook_;
   std::vector<int> rack_regions_;  // empty = single region
 
-  std::map<Sha256Digest, GlobalEntry> contents_;
+  DigestMap<GlobalEntry> contents_;
   std::vector<RackCache> racks_;
-  // manifest string -> digest: identical images are hashed once.
-  std::map<std::string, Sha256Digest, std::less<>> intern_;
+  // Key fields -> digest: each key is hashed once while it is indexed.
+  InternMap intern_;
 
   uint64_t lru_clock_ = 0;
   size_t live_contents_ = 0;
   int64_t live_env_refs_ = 0;
-  int64_t total_warm_slots_ = 0;
+  int64_t total_slots_ = 0;
   Bytes resident_bytes_;
   int64_t hits_ = 0;
   int64_t tepid_hits_ = 0;

@@ -16,10 +16,9 @@
 //   * cells: cells = 2, single deploys;
 //   * batch: cells = 0 and cells = 2, one tenant's deploys in runs of 3.
 //
-// Every leg runs twice: on the legacy (kind, tenant) warm pool, and on the
-// content-addressed env store with cross-tenant sharing off, which must
-// make the legacy pool's decisions — so the constants stay the oracle once
-// the legacy pool goes.
+// The constants also froze the retired (kind, tenant) warm pool's start
+// decisions: the default env store, whose sharing-off keys replaced that
+// pool, must start every environment the same way.
 
 #include <gtest/gtest.h>
 
@@ -65,17 +64,12 @@ struct GoldenRun {
 
 // Seeded churn: each step either tears down a random live deployment
 // (keeping its environments warm on odd picks) or deploys `batch`
-// consecutive catalog specs for one tenant. `store` swaps the legacy warm
-// pool for the env store with sharing off.
-GoldenRun RunChurn(int cells, int batch, bool store, uint64_t seed,
-                   int steps) {
+// consecutive catalog specs for one tenant.
+GoldenRun RunChurn(int cells, int batch, uint64_t seed, int steps) {
   UdcCloudConfig config;
   config.datacenter.racks = 4;
   config.datacenter.cells = cells;
-  config.env_store.enabled = store;
-  config.env_store.share_across_tenants = false;
   UdcCloud cloud(config);
-  EXPECT_EQ(cloud.envs().store() != nullptr, store);
   const auto catalog = MixedCatalog();
   std::vector<TenantId> tenants;
   for (int t = 0; t < 5; ++t) {
@@ -133,21 +127,18 @@ GoldenRun RunChurn(int cells, int batch, bool store, uint64_t seed,
   return run;
 }
 
-// Runs the leg on both warm pools and checks each against `golden`.
+// Runs the leg and checks it against `golden`.
 void ExpectGolden(int cells, int batch, uint64_t seed, int steps,
                   uint64_t golden) {
-  for (const bool store : {false, true}) {
-    SCOPED_TRACE(store ? "env store, sharing off" : "legacy warm pool");
-    const GoldenRun run = RunChurn(cells, batch, store, seed, steps);
-    EXPECT_EQ(run.hash, golden) << "actual hash 0x" << std::hex << run.hash;
-    // Not vacuous: the churn hits capacity, reuses warm environments and,
-    // with cells, spills modules out of their home cell.
-    EXPECT_GT(run.admits, 50);
-    EXPECT_GT(run.rejects, 0);
-    EXPECT_GT(run.warm_starts, 0);
-    if (cells > 0) {
-      EXPECT_GT(run.cell_fallbacks, 0);
-    }
+  const GoldenRun run = RunChurn(cells, batch, seed, steps);
+  EXPECT_EQ(run.hash, golden) << "actual hash 0x" << std::hex << run.hash;
+  // Not vacuous: the churn hits capacity, reuses warm environments and,
+  // with cells, spills modules out of their home cell.
+  EXPECT_GT(run.admits, 50);
+  EXPECT_GT(run.rejects, 0);
+  EXPECT_GT(run.warm_starts, 0);
+  if (cells > 0) {
+    EXPECT_GT(run.cell_fallbacks, 0);
   }
 }
 

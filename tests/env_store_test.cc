@@ -1,8 +1,9 @@
 // Content-addressed warm-environment store (src/exec/env_store.h):
 // cross-tenant sharing, tepid cross-rack fetches, eviction under cache
-// pressure, exact rollback refunds, and two randomized differentials:
-// against the legacy (kind, tenant) pool, and the rack-miss source pick
-// against a brute-force scan of every rack.
+// pressure, exact rollback refunds, reclamation of dead tenant-scoped keys,
+// and two randomized differentials: sharing off against the retired
+// (kind, tenant) pool (tests/legacy_warm_pool.h), and the rack-miss source
+// pick against a brute-force scan of every rack.
 
 #include <gtest/gtest.h>
 
@@ -11,25 +12,21 @@
 
 #include "src/attest/attestation_service.h"
 #include "src/common/rng.h"
+#include "src/core/runtime.h"
+#include "src/core/udc_cloud.h"
 #include "src/exec/env_manager.h"
 #include "src/exec/env_store.h"
 #include "src/hw/topology.h"
 #include "src/sim/simulation.h"
+#include "src/workload/medical.h"
+#include "tests/legacy_warm_pool.h"
 
 namespace udc {
 namespace {
 
 EnvStoreConfig SharedStore() {
   EnvStoreConfig config;
-  config.enabled = true;
   config.share_across_tenants = true;
-  return config;
-}
-
-EnvStoreConfig OracleStore() {
-  EnvStoreConfig config;
-  config.enabled = true;
-  config.share_across_tenants = false;
   return config;
 }
 
@@ -51,8 +48,8 @@ TEST(EnvStoreTest, CrossTenantWarmSharingHits) {
   ASSERT_TRUE(manager.Stop(env, /*keep_warm=*/true).ok());
 
   // Tenant 2 launches the *identical* image: content-keyed sharing turns
-  // its cold start into a warm one — the legacy (kind, tenant) pool could
-  // never do this.
+  // its cold start into a warm one — a tenant-scoped pool (sharing off)
+  // could never do this.
   const SimTime before = sim.now();
   env = manager.Launch(TenantId(2), NodeId(1), options, nullptr);
   sim.RunToCompletion();
@@ -81,18 +78,60 @@ TEST(EnvStoreTest, DifferentImagesDoNotShareWarmSlots) {
 
 TEST(EnvStoreTest, SharingOffPreservesTenantScoping) {
   Simulation sim;
-  EnvManager manager(&sim, OracleStore());
+  EnvManager manager(&sim);  // sharing off is the default
   const auto options = Opts(EnvKind::kContainer, "same-image");
   ExecEnvironment* env = manager.Launch(TenantId(1), NodeId(1), options, nullptr);
   sim.RunToCompletion();
   ASSERT_TRUE(manager.Stop(env, /*keep_warm=*/true).ok());
 
   // Identical image, different tenant: with sharing off the key binds the
-  // tenant, so this must stay cold — exactly the legacy pool's decision.
+  // tenant, so this must stay cold — each tenant keeps its own pool.
   env = manager.Launch(TenantId(2), NodeId(1), options, nullptr);
   sim.RunToCompletion();
   EXPECT_EQ(env->start_mode(), EnvStartMode::kCold);
   EXPECT_EQ(manager.WarmSlots(EnvKind::kContainer, TenantId(1)), 1);
+}
+
+// The default cloud keeps each tenant's pool per kind. Such a key names a
+// pool, not an image, so it mints no image quote, and once nothing
+// references it — after a teardown or an aborted deploy — it is gone.
+TEST(EnvStoreTest, DefaultCloudMintsNoImageQuoteAndKeepsNoDeadKey) {
+  {
+    UdcCloudConfig config;
+    config.datacenter.racks = 4;
+    UdcCloud cloud(config);
+    const EnvStore& store = *cloud.envs().store();
+    auto deployment =
+        cloud.Deploy(cloud.RegisterTenant("hospital"), *MedicalAppSpec());
+    ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+    EXPECT_GT(store.distinct_contents(), 0u);
+    DagRuntime runtime(cloud.sim(), deployment->get());
+    ASSERT_TRUE(runtime.RunOnce().ok());
+    cloud.sim()->RunToCompletion();
+    deployment->reset();  // teardown
+    cloud.sim()->RunToCompletion();
+    EXPECT_EQ(cloud.attestation().image_quotes_minted(), 0u);
+    EXPECT_EQ(cloud.sim()->metrics().counter("attest.image_quotes_minted"), 0);
+    EXPECT_EQ(store.distinct_contents(), 0u);
+    EXPECT_EQ(store.PerRackStats().at(0).entries, 0u);
+  }
+  {
+    // No GPU anywhere: A2 and A3 cannot be placed, so the deploy aborts
+    // after launching the modules placed before them.
+    UdcCloudConfig config;
+    config.datacenter.racks = 1;
+    config.datacenter.rack.gpu_boards = 0;
+    UdcCloud cloud(config);
+    auto deployment =
+        cloud.Deploy(cloud.RegisterTenant("hospital"), *MedicalAppSpec());
+    ASSERT_FALSE(deployment.ok());
+    EXPECT_GT(cloud.sim()->metrics().counter("exec.launches_cancelled"), 0);
+    const EnvStore& store = *cloud.envs().store();
+    EXPECT_EQ(store.distinct_contents(), 0u);
+    EXPECT_EQ(store.live_env_refs(), 0);
+    EXPECT_EQ(store.PerRackStats().at(0).entries, 0u);
+    EXPECT_EQ(cloud.attestation().image_quotes_minted(), 0u);
+  }
 }
 
 TEST(EnvStoreTest, ContentQuoteMintedExactlyOncePerContent) {
@@ -305,14 +344,15 @@ TEST(EnvStoreTest, CancelLaunchRestoresStoreExactly) {
 }
 
 TEST(EnvStoreTest, PrewarmCountsIntoMetrics) {
-  // Legacy mode: the satellite fix — Prewarm used to bypass metrics.
+  // Sharing off: the satellite fix — Prewarm used to bypass metrics.
   {
     Simulation sim;
     EnvManager manager(&sim);
     manager.Prewarm(EnvKind::kContainer, TenantId(1), 3);
     EXPECT_EQ(sim.metrics().counter("exec.prewarmed"), 3);
+    EXPECT_EQ(manager.WarmSlots(EnvKind::kContainer, TenantId(1)), 3);
   }
-  // Store mode: same counter, and the slots bank against the content key.
+  // Sharing on: same counter, and the slots bank against the content key.
   {
     Simulation sim;
     EnvManager manager(&sim, SharedStore());
@@ -341,51 +381,55 @@ TEST(EnvStoreTest, WarmHitRatioGaugeTracksStarts) {
   EXPECT_EQ(manager.warm_hit_ratio(), 0.5);
 }
 
-// The differential the config flag exists for: with sharing off, the store
-// must make byte-identical start-latency decisions to the legacy
-// (kind, tenant) pool under a randomized launch/stop/cancel/prewarm mix.
+// Sharing off against the retired (kind, tenant) pool
+// (tests/legacy_warm_pool.h): under a randomized launch/stop/cancel/prewarm
+// mix the store must make the pool's start decisions — mode, ready time,
+// per-(kind, tenant) occupancy and the warm and cold counters — and, after
+// every op, hold no key that nothing references.
 TEST(EnvStoreDifferentialTest, SharingOffMatchesLegacyPoolAcrossSeeds) {
   const EnvKind kKinds[] = {EnvKind::kContainer, EnvKind::kLightweightVm,
                            EnvKind::kTeeEnclave};
   for (const uint64_t seed : {0xA11CEull, 0xB0Bull, 0xC0FFEEull}) {
-    Simulation legacy_sim;
-    EnvManager legacy(&legacy_sim);
-    Simulation store_sim;
-    EnvManager store(&store_sim, OracleStore());
+    LegacyWarmPool legacy;
+    Simulation sim;
+    EnvManager store(&sim);
+    const EnvStore& pool = *store.store();
 
     Rng rng(seed);
-    std::vector<std::pair<ExecEnvironment*, ExecEnvironment*>> live;
+    std::vector<ExecEnvironment*> live;
     for (int step = 0; step < 400; ++step) {
       const auto kind = kKinds[rng.NextUint64(3)];
       const TenantId tenant(1 + rng.NextUint64(4));
       const uint64_t op = rng.NextUint64(100);
       if (op < 45 || live.empty()) {
-        // Distinct images per step: oracle mode must ignore them, exactly
-        // like the legacy pool does.
+        // Distinct images and tenancies per step: sharing off must ignore
+        // them, exactly like the legacy pool does.
         LaunchOptions options =
             Opts(kind, "img-" + std::to_string(rng.NextUint64(5)));
-        const SimTime legacy_next =
-            legacy.NextStartLatency(kind, tenant, options);
-        const SimTime store_next = store.NextStartLatency(kind, tenant, options);
-        ASSERT_EQ(legacy_next, store_next) << "seed " << seed << " step " << step;
-        ExecEnvironment* le =
-            legacy.Launch(tenant, NodeId(1 + rng.NextUint64(8)), options,
-                          nullptr);
-        ExecEnvironment* se = store.Launch(tenant, le->node(), options, nullptr);
-        ASSERT_EQ(le->start_mode(), se->start_mode())
+        options.tenancy = rng.NextUint64(2) == 0
+                              ? TenancyMode::kShared
+                              : TenancyMode::kSingleTenant;
+        ASSERT_EQ(legacy.NextStartLatency(tenant, options),
+                  store.NextStartLatency(kind, tenant, options))
             << "seed " << seed << " step " << step;
-        ASSERT_EQ(le->ready_at(), se->ready_at());
-        live.emplace_back(le, se);
+        const LegacyWarmPool::Start expected = legacy.Launch(tenant, options);
+        ExecEnvironment* env = store.Launch(
+            tenant, NodeId(1 + rng.NextUint64(8)), options, nullptr);
+        ASSERT_EQ(env->start_mode(), expected.mode)
+            << "seed " << seed << " step " << step;
+        ASSERT_EQ(env->ready_at(), sim.now() + expected.latency);
+        live.push_back(env);
       } else if (op < 70) {
         const size_t idx = rng.NextUint64(live.size());
         const bool keep_warm = rng.NextUint64(2) == 0;
-        ASSERT_TRUE(legacy.Stop(live[idx].first, keep_warm).ok());
-        ASSERT_TRUE(store.Stop(live[idx].second, keep_warm).ok());
+        legacy.Stop(live[idx]->kind(), live[idx]->tenant(), keep_warm);
+        ASSERT_TRUE(store.Stop(live[idx], keep_warm).ok());
         live.erase(live.begin() + static_cast<long>(idx));
       } else if (op < 85) {
         const size_t idx = rng.NextUint64(live.size());
-        ASSERT_TRUE(legacy.CancelLaunch(live[idx].first).ok());
-        ASSERT_TRUE(store.CancelLaunch(live[idx].second).ok());
+        legacy.CancelLaunch(live[idx]->kind(), live[idx]->tenant(),
+                            live[idx]->started_warm());
+        ASSERT_TRUE(store.CancelLaunch(live[idx]).ok());
         live.erase(live.begin() + static_cast<long>(idx));
       } else {
         const int count = 1 + static_cast<int>(rng.NextUint64(3));
@@ -393,8 +437,7 @@ TEST(EnvStoreDifferentialTest, SharingOffMatchesLegacyPoolAcrossSeeds) {
         store.Prewarm(kind, tenant, count);
       }
       if (rng.NextUint64(4) == 0) {
-        legacy_sim.RunToCompletion();
-        store_sim.RunToCompletion();
+        sim.RunToCompletion();
       }
       // Occupancy must agree for every (kind, tenant) after every op.
       for (const EnvKind k : kKinds) {
@@ -404,18 +447,18 @@ TEST(EnvStoreDifferentialTest, SharingOffMatchesLegacyPoolAcrossSeeds) {
               << "seed " << seed << " step " << step;
         }
       }
-      ASSERT_EQ(legacy.live_count(), store.live_count());
+      // Reclamation: every key still indexed is referenced.
+      ASSERT_EQ(pool.distinct_contents(), pool.live_contents())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(store.live_count(), live.size());
     }
-    legacy_sim.RunToCompletion();
-    store_sim.RunToCompletion();
+    sim.RunToCompletion();
     // Identical decision streams end in identical metric totals.
-    EXPECT_EQ(legacy_sim.metrics().counter("exec.warm_starts"),
-              store_sim.metrics().counter("exec.warm_starts"));
-    EXPECT_EQ(legacy_sim.metrics().counter("exec.cold_starts"),
-              store_sim.metrics().counter("exec.cold_starts"));
-    EXPECT_EQ(store_sim.metrics().counter("exec.tepid_starts"), 0);
-    EXPECT_EQ(store.store()->live_env_refs(),
-              static_cast<int64_t>(store.live_count()));
+    EXPECT_EQ(sim.metrics().counter("exec.warm_starts"), legacy.warm_starts());
+    EXPECT_EQ(sim.metrics().counter("exec.cold_starts"), legacy.cold_starts());
+    EXPECT_GT(legacy.warm_starts(), 0);
+    EXPECT_EQ(sim.metrics().counter("exec.tepid_starts"), 0);
+    EXPECT_EQ(pool.live_env_refs(), static_cast<int64_t>(store.live_count()));
   }
 }
 

@@ -165,18 +165,21 @@ TEST_F(EnvManagerTest, ExhaustedWarmPoolEntriesAreErased) {
   LaunchOptions options;
   options.kind = EnvKind::kContainer;
   // Churn across many distinct tenants, banking one warm slot each and then
-  // consuming it: the warm-pool map must not retain a zero-credit entry per
-  // tenant ever seen.
+  // consuming it: the warm pool must not retain a zero-credit key per
+  // tenant ever seen — not in its content index, not in its cache.
+  const EnvStore& store = *manager_.store();
   for (uint64_t t = 1; t <= 50; ++t) {
     ExecEnvironment* env =
         manager_.Launch(TenantId(t), NodeId(1), options, nullptr);
     sim_.RunToCompletion();
     ASSERT_TRUE(manager_.Stop(env, /*keep_warm=*/true).ok());
-    EXPECT_EQ(manager_.warm_slot_entries(), 1u);
+    EXPECT_EQ(store.live_contents(), 1u);
     env = manager_.Launch(TenantId(t), NodeId(1), options, nullptr);
     sim_.RunToCompletion();
     ASSERT_TRUE(manager_.Stop(env, /*keep_warm=*/false).ok());
-    EXPECT_EQ(manager_.warm_slot_entries(), 0u);
+    EXPECT_EQ(store.live_contents(), 0u);
+    EXPECT_EQ(store.distinct_contents(), 0u);
+    EXPECT_EQ(store.PerRackStats().at(0).entries, 0u);
     EXPECT_EQ(manager_.WarmSlots(EnvKind::kContainer, TenantId(t)), 0);
   }
   EXPECT_EQ(sim_.metrics().counter("exec.warm_starts"), 50);

@@ -189,7 +189,6 @@ TEST(StoreTxnTest, AbortRestoresStoreRefcountsAndWarmCreditsExactly) {
   Simulation sim;
   DisaggregatedDatacenter dc(DatacenterConfig{.racks = 2});
   EnvStoreConfig store_config;
-  store_config.enabled = true;
   store_config.share_across_tenants = true;
   EnvManager envs(&sim, store_config);
   envs.set_topology(&dc.topology());
@@ -358,7 +357,7 @@ StateSnapshot Snapshot(UdcCloud& cloud) {
         pool.HealthyFreeByRack(cloud.datacenter().topology());
   }
   snap.live_envs = cloud.envs().live_count();
-  snap.warm_entries = cloud.envs().warm_slot_entries();
+  snap.warm_entries = cloud.envs().store()->live_contents();
   snap.provisioned = cloud.attestation().provisioned_count();
   return snap;
 }
@@ -417,13 +416,12 @@ TEST(PlacementAtomicityTest, GpuExhaustionAbortsClean) {
 }
 
 TEST(PlacementAtomicityTest, GpuExhaustionAbortsCleanWithStoreEnabled) {
-  // The same exhaustion scenario with the content-addressed store behind
-  // the env manager: aborts must additionally leave zero live store refs
-  // and release every content-bound image quote.
+  // The same exhaustion scenario with the store sharing warm slots across
+  // tenants: aborts must additionally leave zero live store refs and
+  // release every content-bound image quote.
   UdcCloudConfig config;
   config.datacenter.racks = 1;
   config.datacenter.rack.gpu_boards = 0;
-  config.env_store.enabled = true;
   config.env_store.share_across_tenants = true;
   UdcCloud cloud(config);
   RunAtomicityScenario(cloud, /*seed=*/21, MicroserviceConfig{.chain_length = 4},

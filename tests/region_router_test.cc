@@ -292,7 +292,6 @@ TEST(EnvStoreRegionsTest, RemoteFetchAndRefundAreExact) {
   topology.SetRegionCount(2);
 
   EnvStoreConfig store_config;
-  store_config.enabled = true;
   store_config.share_across_tenants = true;
   EnvManager manager(&sim, store_config);
   manager.set_topology(&topology);  // builds the rack -> region map

@@ -127,6 +127,27 @@ TEST_F(ServiceTest, RepairReplacesFailedComputeDevice) {
   EXPECT_TRUE(runtime.RunOnce().ok());
 }
 
+// The relaunched environment runs the module's image, as the deploy
+// launched it, so its measurement — what attestation binds — is unchanged.
+TEST_F(ServiceTest, RepairRelaunchesTheModulesImage) {
+  const ModuleId a4 = spec_->graph.IdOf("A4");
+  const ExecEnvironment* before =
+      deployment_->FindUnit(deployment_->PlacementOf(a4)->unit)->env;
+  ASSERT_NE(before, nullptr);
+  const Sha256Digest measurement = before->measurement();
+
+  bool repaired = false;
+  for (const RepairAction& action :
+       FailAndRepair(*cloud_, deployment_.get(), a4)) {
+    repaired |= action.module_name == "A4" && action.success;
+  }
+  ASSERT_TRUE(repaired);
+  const ExecEnvironment* after =
+      deployment_->FindUnit(deployment_->PlacementOf(a4)->unit)->env;
+  ASSERT_NE(after, nullptr);
+  EXPECT_TRUE(DigestEqual(after->measurement(), measurement));
+}
+
 TEST_F(ServiceTest, RepairRebuildsFailedReplica) {
   CheckpointStore checkpoints;
   RepairService repair(cloud_->region_router(), deployment_.get(),

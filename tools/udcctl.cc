@@ -85,8 +85,8 @@ int Usage() {
       "                            per-cell capacity/latency table\n"
       "                            (defaults: 8 racks, 2 cells, 8 deploys)\n"
       "  store [--racks N] [--tenants N] [--deploys N] [spec.udcl]\n"
-      "                            churn the spec through several tenants on\n"
-      "                            a store-enabled cloud and print the\n"
+      "                            churn the spec through several tenants,\n"
+      "                            sharing images across them, and print the\n"
       "                            content-addressed store's per-rack\n"
       "                            occupancy, hit/miss/eviction counts,\n"
       "                            dedupe factor and top contents by refs\n"
@@ -371,11 +371,11 @@ int Cells(const std::string& text, int racks, int cells, int deploys) {
 }
 
 // `udcctl regions`: the federated control plane made visible. Builds a
-// region-partitioned, store-enabled cloud and churns the spec with
-// deploys pinned to regions in phases: the first phase all lands in
-// region 0, later phases move to the remaining regions. Deployments
-// past a small live window are torn down keep-warm, so by the time a
-// later phase starts, its content is banked only in earlier regions —
+// region-partitioned cloud whose store shares images across tenants and
+// churns the spec with deploys pinned to regions in phases: the first
+// phase all lands in region 0, later phases move to the remaining regions.
+// Deployments past a small live window are torn down keep-warm, so by the
+// time a later phase starts, its content is banked only in earlier regions —
 // its first deploys pull it across the WAN (a remote start) and
 // replicate it into their own region, after which starts there are
 // served locally again. The table is the
@@ -389,7 +389,6 @@ int Regions(const std::string& text, int racks, int cells, int regions,
   config.datacenter.racks = racks;
   config.datacenter.cells = cells;
   config.datacenter.regions = regions;
-  config.env_store.enabled = true;
   config.env_store.share_across_tenants = true;
   config.scheduler.record_place_latency = true;
   udc::UdcCloud cloud(config);
@@ -540,15 +539,14 @@ int Regions(const std::string& text, int racks, int cells, int regions,
 }
 
 // `udcctl store`: the content-addressed warm-environment store made
-// visible. Builds a store-enabled cloud, churns the same spec through
-// several tenants (identical module images, so contents dedupe and warm
-// slots cross tenants), and prints the operator's view: per-rack cache
-// occupancy, hit/miss/eviction counts, the dedupe factor, and the top
-// contents by refcount.
+// visible. Builds a cloud whose store shares images across tenants, churns
+// the same spec through several tenants (identical module images, so
+// contents dedupe and warm slots cross tenants), and prints the operator's
+// view: per-rack cache occupancy, hit/miss/eviction counts, the dedupe
+// factor, and the top contents by refcount.
 int Store(const std::string& text, int racks, int tenants, int deploys) {
   udc::UdcCloudConfig config;
   config.datacenter.racks = racks;
-  config.env_store.enabled = true;
   config.env_store.share_across_tenants = true;
   udc::UdcCloud cloud(config);
 
