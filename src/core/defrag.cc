@@ -1,6 +1,6 @@
 #include "src/core/defrag.h"
 
-#include "src/common/strings.h"
+#include <string>
 
 namespace udc {
 
@@ -72,10 +72,10 @@ Result<ConsolidationResult> Defragmenter::Consolidate() {
         (void)txn.Commit();
         ++result.moves;
         sim_->metrics().IncrementCounter("defrag.moves");
-        const std::string kind(ResourceKindName(alloc.kind));
-        sim_->Trace("defrag", StrFormat("consolidated %lld %s onto one device",
-                                        static_cast<long long>(amount),
-                                        kind.c_str()));
+        // The move in the event log: a zero-length span at commit time.
+        (void)sim_->Scope("defrag", "defrag.consolidate",
+                          {{"kind", std::string(ResourceKindName(alloc.kind))},
+                           {"amount", std::to_string(amount)}});
       }
     }
   }

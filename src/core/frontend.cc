@@ -148,20 +148,28 @@ std::string CloudFrontend::HandleDeployBatch(const Message& msg) {
   return response;
 }
 
-std::string CloudFrontend::HandleVerify(const Message& msg) {
+std::string_view CloudFrontend::CheckOwnedRequest(const Message& msg,
+                                                  uint64_t* id) const {
   uint64_t tenant = 0;
   std::string_view rest;
-  uint64_t id = 0;
   if (!ParseHeader(msg.payload, &tenant, &rest) ||
-      !ParseDeploymentId(rest, &id)) {
+      !ParseDeploymentId(rest, id)) {
     return "err:malformed request";
   }
-  const auto owner = owners_.find(id);
+  const auto owner = owners_.find(*id);
   if (owner == owners_.end() || owner->second != TenantId(tenant)) {
     return "err:PERMISSION_DENIED: not your deployment";
   }
-  Deployment* deployment = FindDeployment(id);
-  auto report = cloud_->Verify(deployment);
+  return {};
+}
+
+std::string CloudFrontend::HandleVerify(const Message& msg) {
+  uint64_t id = 0;
+  if (const std::string_view error = CheckOwnedRequest(msg, &id);
+      !error.empty()) {
+    return std::string(error);
+  }
+  auto report = cloud_->Verify(FindDeployment(id));
   if (!report.ok()) {
     return "err:" + report.status().ToString();
   }
@@ -169,32 +177,20 @@ std::string CloudFrontend::HandleVerify(const Message& msg) {
 }
 
 std::string CloudFrontend::HandleBill(const Message& msg) {
-  uint64_t tenant = 0;
-  std::string_view rest;
   uint64_t id = 0;
-  if (!ParseHeader(msg.payload, &tenant, &rest) ||
-      !ParseDeploymentId(rest, &id)) {
-    return "err:malformed request";
-  }
-  const auto owner = owners_.find(id);
-  if (owner == owners_.end() || owner->second != TenantId(tenant)) {
-    return "err:PERMISSION_DENIED: not your deployment";
+  if (const std::string_view error = CheckOwnedRequest(msg, &id);
+      !error.empty()) {
+    return std::string(error);
   }
   const Bill bill = cloud_->billing().BillToNow(*FindDeployment(id));
   return "ok:" + bill.Table();
 }
 
 std::string CloudFrontend::HandleTeardown(const Message& msg) {
-  uint64_t tenant = 0;
-  std::string_view rest;
   uint64_t id = 0;
-  if (!ParseHeader(msg.payload, &tenant, &rest) ||
-      !ParseDeploymentId(rest, &id)) {
-    return "err:malformed request";
-  }
-  const auto owner = owners_.find(id);
-  if (owner == owners_.end() || owner->second != TenantId(tenant)) {
-    return "err:PERMISSION_DENIED: not your deployment";
+  if (const std::string_view error = CheckOwnedRequest(msg, &id);
+      !error.empty()) {
+    return std::string(error);
   }
   deployments_.erase(id);  // destructor releases every allocation
   owners_.erase(id);

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/core/udc_cloud.h"
 #include "src/net/rpc.h"
@@ -40,6 +41,10 @@ class CloudFrontend {
   // owner, observes frontend.deploy_latency_ms and counts frontend.deploys.
   // Both deploy RPCs admit through here.
   Result<uint64_t> Admit(TenantId tenant, std::shared_ptr<const AppSpec> spec);
+  // The check verify, bill and teardown share: parses "tenant=<t>\nid=<d>"
+  // into `*id` and checks that tenant t owns deployment d. Returns the error
+  // response to send, or an empty view when the request may proceed.
+  std::string_view CheckOwnedRequest(const Message& msg, uint64_t* id) const;
   std::string HandleDeploy(const Message& msg);
   std::string HandleDeployBatch(const Message& msg);
   std::string HandleVerify(const Message& msg);

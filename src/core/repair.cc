@@ -43,7 +43,8 @@ RepairAction RepairService::RepairTask(const Placement& placement,
   // Find the dead slice, release it, and re-acquire the same amount from
   // the same pool through the router.
   for (PoolAllocation& alloc : unit->allocations) {
-    for (AllocationSlice& slice : alloc.slices) {
+    for (size_t i = 0; i < alloc.slices.size(); ++i) {
+      AllocationSlice& slice = alloc.slices[i];
       if (slice.device != failed) {
         continue;
       }
@@ -75,16 +76,23 @@ RepairAction RepairService::RepairTask(const Placement& placement,
                         std::string(replacement.status().message());
         return action;
       }
-      slice = replacement->slices.front();
-      action.replacement_device = slice.device;
+      // A non-compute slice is not single-device, so the replacement may
+      // span several devices: every one of its slices takes the dead
+      // slice's place, or all but the first would leak.
+      const AllocationSlice first = replacement->slices.front();
+      slice = first;
+      alloc.slices.insert(alloc.slices.begin() + static_cast<ptrdiff_t>(i) + 1,
+                          replacement->slices.begin() + 1,
+                          replacement->slices.end());
+      action.replacement_device = first.device;
 
       // Restart the environment on the new home (cold start) and charge
       // recovery for the lost work per the module's failure handling.
       Placement* mutable_placement =
           deployment_->MutablePlacementOf(placement.module);
-      mutable_placement->home = slice.node;
+      mutable_placement->home = first.node;
       mutable_placement->rack =
-          deployment_->datacenter()->topology().RackOf(slice.node);
+          deployment_->datacenter()->topology().RackOf(first.node);
 
       DagRuntime runtime(sim_, deployment_);
       // Assume the failure caught the module mid-run at 50% progress.
@@ -103,10 +111,10 @@ RepairAction RepairService::RepairTask(const Placement& placement,
         // Stop the dead environment at commit (the old path leaked it) and
         // launch the replacement through the transaction.
         txn.StageStop(unit->env);
-        unit->env = txn.Launch(alloc.tenant, slice.node, options, nullptr);
+        unit->env = txn.Launch(alloc.tenant, first.node, options, nullptr);
         // The new host's root of trust quotes the environment.
-        txn.Provision(slice.node.value());
-        deployment_->RecordProvisionedIdentity(slice.node.value());
+        txn.Provision(first.node.value());
+        deployment_->RecordProvisionedIdentity(first.node.value());
         mutable_placement->env_ready_at = unit->env->ready_at();
       }
       (void)txn.Commit();
@@ -210,6 +218,14 @@ RepairAction RepairService::RepairData(Placement& placement, DeviceId failed) {
 
 std::vector<RepairAction> RepairService::HandleDeviceFailure(DeviceId device) {
   std::vector<RepairAction> actions;
+  // Every action runs under its own repair.module span (a repair's
+  // sched.txn span nests under it) and is labelled with how it ended.
+  const auto finish = [&](ScopedSpan& span, RepairAction action) {
+    span.AddLabel("outcome", action.success ? "repaired" : "failed");
+    span.AddLabel("detail", action.detail);
+    history_.push_back(action);
+    actions.push_back(std::move(action));
+  };
   std::vector<ModuleId> directly_affected;
   // Modules whose unit has a slice on `device`.
   for (const auto& [module, placement] : deployment_->placements()) {
@@ -230,15 +246,11 @@ std::vector<RepairAction> RepairService::HandleDeviceFailure(DeviceId device) {
     }
     directly_affected.push_back(module);
     Placement* mutable_placement = deployment_->MutablePlacementOf(module);
-    RepairAction action = placement.kind == ModuleKind::kTask
-                              ? RepairTask(*mutable_placement, device)
-                              : RepairData(*mutable_placement, device);
-    sim_->Trace("repair", StrFormat("%s module %s: %s",
-                                    action.success ? "repaired" : "FAILED",
-                                    action.module_name.c_str(),
-                                    action.detail.c_str()));
-    history_.push_back(action);
-    actions.push_back(std::move(action));
+    ScopedSpan span = sim_->Scope("repair", "repair.module",
+                                  {{"module", placement.name}});
+    finish(span, placement.kind == ModuleKind::kTask
+                     ? RepairTask(*mutable_placement, device)
+                     : RepairData(*mutable_placement, device));
   }
 
   // Co-failure (sec. 3.4): "code and data within a domain will fail as a
@@ -262,6 +274,8 @@ std::vector<RepairAction> RepairService::HandleDeviceFailure(DeviceId device) {
     if (placement == nullptr || placement->kind != ModuleKind::kTask) {
       continue;
     }
+    ScopedSpan span = sim_->Scope("repair", "repair.module",
+                                  {{"module", placement->name}});
     RepairAction action;
     action.module = member;
     action.module_name = placement->name;
@@ -280,8 +294,7 @@ std::vector<RepairAction> RepairService::HandleDeviceFailure(DeviceId device) {
     action.detail = "co-failure: domain '" +
                     (domain != nullptr ? domain->name : "?") + "'";
     sim_->metrics().IncrementCounter("repair.cofailures");
-    history_.push_back(action);
-    actions.push_back(std::move(action));
+    finish(span, std::move(action));
   }
   // Convergence for this failure event: the slowest recovery among every
   // triggered action (direct and co-failing). Sim-time, so deterministic —

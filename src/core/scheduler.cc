@@ -50,12 +50,6 @@ UdcScheduler::UdcScheduler(Simulation* sim, DisaggregatedDatacenter* datacenter,
       profiler_(datacenter, prices),
       tasks_placed_(sim->metrics().CounterSeries("core.tasks_placed")),
       data_placed_(sim->metrics().CounterSeries("core.data_placed")),
-      modules_placed_task_(
-          sim->metrics().CounterSeries("sched.modules_placed",
-                                       {{"kind", "task"}})),
-      modules_placed_data_(
-          sim->metrics().CounterSeries("sched.modules_placed",
-                                       {{"kind", "data"}})),
       conflicts_resolved_(sim->metrics().CounterSeries(
           "core.consistency_conflicts_resolved")) {}
 
@@ -223,7 +217,6 @@ Status UdcScheduler::PlaceTask(TenantId tenant, const AppSpec& spec,
   deployment->SetPlacement(std::move(placement));
 
   sim_->metrics().Increment(tasks_placed_);
-  sim_->metrics().Increment(modules_placed_task_);
   span.AddLabel("rack", StrFormat("%d", rack));
   span.AddLabel("env", std::string(EnvKindName(env_kind)));
   span.AddLabel("compute", std::string(ResourceKindName(compute)));
@@ -333,7 +326,6 @@ Status UdcScheduler::PlaceData(TenantId tenant, const AppSpec& spec,
   deployment->SetPlacement(std::move(placement));
 
   sim_->metrics().Increment(data_placed_);
-  sim_->metrics().Increment(modules_placed_data_);
   span.AddLabel("rack", StrFormat("%d", rack));
   span.AddLabel("replicas", StrFormat("%d", replicas));
   span.AddLabel("medium", std::string(ResourceKindName(medium)));

@@ -98,8 +98,6 @@ class UdcScheduler {
   // name+labels each time.
   CounterHandle tasks_placed_;
   CounterHandle data_placed_;
-  CounterHandle modules_placed_task_;
-  CounterHandle modules_placed_data_;
   CounterHandle conflicts_resolved_;
 };
 

@@ -60,16 +60,6 @@ void FlightRecorder::RecordSpan(SimTime start, SimTime end,
   CopyTruncated(rec->name, sizeof(rec->name), name);
 }
 
-void FlightRecorder::RecordTrace(SimTime at, std::string_view category,
-                                 std::string_view detail) {
-  Record* rec = Append(Record::kTrace, at);
-  if (rec == nullptr) {
-    return;
-  }
-  CopyTruncated(rec->category, sizeof(rec->category), category);
-  CopyTruncated(rec->name, sizeof(rec->name), detail);
-}
-
 void FlightRecorder::RecordEvent(SimTime at, std::string_view category,
                                  std::string_view detail) {
   Record* rec = Append(Record::kEvent, at);

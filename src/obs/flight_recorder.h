@@ -1,12 +1,14 @@
 // Always-on flight recorder: a fixed-size ring of recent observability
 // records.
 //
-// The simulator's full telemetry (SpanTracer, TraceRecorder) is unbounded
-// and export-at-the-end; a run that dies mid-flight leaves nothing behind.
-// The flight recorder is the post-mortem black box: every closed span and
-// trace line also lands in a small ring, overwriting the oldest record when
-// full. Records are fixed-width PODs — appending is a couple of stores, no
-// allocation after construction — so it stays on at near-zero cost.
+// The simulator's event log (the SpanTracer) is unbounded and
+// export-at-the-end; a run that dies mid-flight leaves nothing behind.
+// The flight recorder is the post-mortem black box: every closed span (fed
+// by Simulation through SpanTracer::set_on_end) and every event marker
+// (RecordEvent) also lands in a small ring, overwriting the oldest record
+// when full. Records are fixed-width PODs — appending is a couple of
+// stores, no allocation after construction — so it stays on at near-zero
+// cost.
 //
 // On a UDC_CHECK failure (via the crash-dump hooks in src/common/logging.h),
 // an SLO breach, or an explicit trigger, Dump() sorts the retained records
@@ -33,10 +35,9 @@ class FlightRecorder {
   struct Record {
     enum Kind : uint8_t {
       kSpan,   // closed span interval [start, time]
-      kTrace,  // legacy trace line at `time`
       kEvent,  // ad-hoc marker at `time` (SLO breach, explicit annotations)
     };
-    Kind kind = kTrace;
+    Kind kind = kEvent;
     uint64_t seq = 0;  // emission order; sort tiebreaker
     SimTime time;      // span end / event time — primary sort key
     SimTime start;     // span start (== time for non-spans)
@@ -59,8 +60,6 @@ class FlightRecorder {
 
   void RecordSpan(SimTime start, SimTime end, std::string_view category,
                   std::string_view name);
-  void RecordTrace(SimTime at, std::string_view category,
-                   std::string_view detail);
   void RecordEvent(SimTime at, std::string_view category,
                    std::string_view detail);
 

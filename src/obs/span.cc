@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/strings.h"
-
 namespace udc {
 
 const std::string* Span::Label(std::string_view key) const {
@@ -20,22 +18,6 @@ const std::string* Span::Label(std::string_view key) const {
     }
   }
   return nullptr;
-}
-
-std::string Span::Detail() const {
-  std::string out = name;
-  if (shared_labels != nullptr) {
-    for (const auto& [k, v] : *shared_labels) {
-      out += " " + k + "=" + v;
-    }
-  }
-  for (const auto& [k, v] : labels) {
-    out += " " + k + "=" + v;
-  }
-  if (!open) {
-    out += " dur=" + duration().ToString();
-  }
-  return out;
 }
 
 SpanTracer::SpanTracer(Clock clock) : clock_(std::move(clock)) {}
@@ -134,7 +116,6 @@ void SpanTracer::EndAt(uint64_t span_id, SimTime end) {
   }
   span->end = std::max(end, span->start);
   span->open = false;
-  closed_order_.push_back(span_id);
   if (on_end_) {
     on_end_(*span);
   }
@@ -158,11 +139,9 @@ uint64_t SpanTracer::CurrentScope() const {
 
 void SpanTracer::Clear() {
   spans_.clear();
-  closed_order_.clear();
   scope_stack_.clear();
   next_trace_id_ = 1;
   dropped_ = 0;
-  ++clears_;
 }
 
 std::vector<const Span*> SpanTracer::SpansInCategory(

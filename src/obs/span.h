@@ -1,10 +1,12 @@
 // Structured span tracing.
 //
 // A Span is a named, labeled interval on the simulated clock with causal
-// links (trace_id / parent_span_id), replacing the flat string blobs of the
-// legacy TraceRecorder at the major execution boundaries. Spans are the raw
-// material for the Chrome trace export (src/obs/chrome_trace.h) and the
-// per-run latency breakdown (src/obs/breakdown.h).
+// links (trace_id / parent_span_id). Spans are the simulator's one event
+// log: every layer, from placement and launch to repair and defrag, records
+// what it did as spans. They are the raw material for the Chrome trace
+// export (src/obs/chrome_trace.h), the per-run latency breakdown
+// (src/obs/breakdown.h) and, through the end sink, the flight recorder
+// (src/obs/flight_recorder.h).
 //
 // Two usage styles:
 //   * synchronous scopes — ScopedSpan (RAII); nested scopes parent
@@ -51,8 +53,6 @@ struct Span {
   SimTime duration() const { return end - start; }
   // The label value for `key` (shared labels first), or nullptr.
   const std::string* Label(std::string_view key) const;
-  // "name k=v k2=v2 dur=1.2ms" — the legacy-trace-compatible rendering.
-  std::string Detail() const;
 };
 
 class SpanTracer {
@@ -96,17 +96,9 @@ class SpanTracer {
   size_t size() const { return spans_.size(); }
   uint64_t dropped() const { return dropped_; }
   void Clear();
-  // Number of Clear() calls so far. A consumer holding a cursor into
-  // closed_order() restarts it whenever this changes.
-  uint64_t clears() const { return clears_; }
 
-  // Span ids in the order they closed. The per-close cost is one integer
-  // append; consumers that want a rendered view (e.g. the legacy-trace
-  // mirror) walk this list lazily instead of formatting on every End().
-  const std::vector<uint64_t>& closed_order() const { return closed_order_; }
-
-  // Invoked whenever a span closes. Prefer closed_order() + lazy rendering;
-  // an eager sink puts its cost on the tracing hot path.
+  // Invoked whenever a span closes (Simulation feeds its flight recorder
+  // here). The sink runs on the tracing hot path, so keep it cheap.
   void set_on_end(EndSink sink) { on_end_ = std::move(sink); }
   // Cap on retained spans; Begin drops (returns 0) past it.
   void set_max_spans(size_t n) { max_spans_ = n; }
@@ -126,12 +118,10 @@ class SpanTracer {
   // point straight at them. Deliberately not cleared by Clear().
   std::deque<SpanLabels> label_sets_;
   std::vector<Span> spans_;  // span_id == index + 1
-  std::vector<uint64_t> closed_order_;
   std::vector<uint64_t> scope_stack_;
   uint64_t next_trace_id_ = 1;
   size_t max_spans_ = 1 << 20;
   uint64_t dropped_ = 0;
-  uint64_t clears_ = 0;
 };
 
 // RAII span: opens on construction, pushes itself as the current scope, and

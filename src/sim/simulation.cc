@@ -62,21 +62,6 @@ void Simulation::OnSloBreach(const SloVerdict& verdict) {
   }
 }
 
-void Simulation::MirrorSpans() const {
-  if (mirrored_clears_ != spans_.clears()) {
-    // Cleared since the last walk: every span now listed closed after it.
-    mirrored_clears_ = spans_.clears();
-    mirrored_closed_ = 0;
-  }
-  const std::vector<uint64_t>& closed = spans_.closed_order();
-  for (; mirrored_closed_ < closed.size(); ++mirrored_closed_) {
-    const Span* span = spans_.SpanById(closed[mirrored_closed_]);
-    if (span != nullptr) {
-      trace_.Record(span->start, span->category, span->Detail());
-    }
-  }
-}
-
 SimTime Simulation::RunToCompletion() {
   while (!queue_.empty()) {
     // Advance the clock before dispatch so callbacks observe their own time.

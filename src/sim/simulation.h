@@ -3,6 +3,11 @@
 // Everything in the UDC substrate (fabric, devices, control plane, baselines)
 // runs on one Simulation instance, making an entire datacenter reproducible
 // from a single seed.
+//
+// The event log is the span tracer: every layer records what it did as
+// spans (src/obs/span.h), and each closed span also lands in the flight
+// recorder's ring. Point markers with no interval (an SLO breach, an
+// annotation) go straight to flight_recorder().RecordEvent.
 
 #ifndef UDC_SRC_SIM_SIMULATION_H_
 #define UDC_SRC_SIM_SIMULATION_H_
@@ -10,7 +15,6 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "src/common/rng.h"
@@ -20,7 +24,6 @@
 #include "src/obs/slo.h"
 #include "src/obs/span.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/trace.h"
 
 namespace udc {
 
@@ -35,19 +38,9 @@ class Simulation {
   Rng& rng() { return rng_; }
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  // Closed spans are mirrored into the legacy trace lazily, on access, so
-  // the span hot path never pays for string rendering (see MirrorSpans).
-  TraceRecorder& trace() {
-    MirrorSpans();
-    return trace_;
-  }
-  const TraceRecorder& trace() const {
-    MirrorSpans();
-    return trace_;
-  }
   SpanTracer& spans() { return spans_; }
   const SpanTracer& spans() const { return spans_; }
-  // Always-on black box: every closed span and trace line also lands in a
+  // Always-on black box: every closed span and event marker also lands in a
   // fixed-size ring (see src/obs/flight_recorder.h). Dumped on SLO breach
   // (set_breach_dump_path), UDC_CHECK failure (set_crash_dump_path), or
   // explicitly via flight_recorder().Dump(...).
@@ -72,16 +65,8 @@ class Simulation {
   // simulation's flight recorder to the path before aborting.
   void set_crash_dump_path(std::string path);
 
-  // Convenience: record a trace event at the current simulated time.
-  void Trace(std::string_view category, std::string_view detail) {
-    flight_recorder_.RecordTrace(now_, category, detail);
-    MirrorSpans();
-    trace_.Record(now_, category, detail);
-  }
-
   // Opens an RAII span at the current simulated time; nested scopes parent
-  // automatically. When the span closes it is mirrored into the legacy
-  // TraceRecorder as "category: name k=v ... dur=..".
+  // automatically.
   ScopedSpan Scope(std::string category, std::string name,
                    SpanLabels labels = {}) {
     return ScopedSpan(&spans_, std::move(category), std::move(name),
@@ -119,14 +104,6 @@ class Simulation {
   uint64_t events_executed() const { return events_executed_; }
 
  private:
-  // Renders every span closed since the last mirror into the legacy trace
-  // (as "category: name k=v ... dur=..." at the span's start time). Closed
-  // spans double as legacy trace events so string-based assertions and
-  // timeline dumps keep working on top of the structured layer, but the
-  // rendering cost is paid here — at read time — not per event. Every
-  // SpanTracer::Clear() restarts the walk at the first span closed after it.
-  void MirrorSpans() const;
-
   // Fired on an objective's OK/WARN -> BREACH transition (SloEngine wiring
   // set up in the constructor): annotates the flight ring and, when a dump
   // path is set, writes the black box out.
@@ -136,11 +113,6 @@ class Simulation {
   EventQueue queue_;
   Rng rng_;
   MetricsRegistry metrics_;
-  mutable TraceRecorder trace_;
-  // Mirror cursor into spans_.closed_order(), valid for the tracer's
-  // `mirrored_clears_`-th generation (see SpanTracer::clears()).
-  mutable size_t mirrored_closed_ = 0;
-  mutable uint64_t mirrored_clears_ = 0;
   SpanTracer spans_;
   FlightRecorder flight_recorder_;
   SloEngine slos_{&metrics_};

@@ -126,19 +126,6 @@ TEST_F(SpanTest, DropsBeyondCapAndCounts) {
   EXPECT_EQ(tracer_.size(), 2u);
 }
 
-TEST_F(SpanTest, DetailRendersLegacyTraceLine) {
-  now_ = SimTime::Millis(1);
-  const uint64_t id = tracer_.Begin("sched", "sched.place_task",
-                                    {{"module", "A2"}, {"rack", "0"}});
-  now_ = SimTime::Millis(3);
-  tracer_.End(id);
-  const std::string detail = tracer_.SpanById(id)->Detail();
-  EXPECT_NE(detail.find("sched.place_task"), std::string::npos);
-  EXPECT_NE(detail.find("module=A2"), std::string::npos);
-  EXPECT_NE(detail.find("rack=0"), std::string::npos);
-  EXPECT_NE(detail.find("dur="), std::string::npos);
-}
-
 TEST(HistogramTest, QuantilesOnKnownDistribution) {
   Histogram h;
   for (int i = 1; i <= 100; ++i) {
@@ -512,7 +499,7 @@ TEST(MetricsTest, LabelCardinalityBudgetFoldsIntoOverflowSeries) {
 TEST(FlightRecorderTest, RingWraparoundKeepsNewestRecords) {
   FlightRecorder rec(4);  // 4 slots
   for (int i = 0; i < 6; ++i) {
-    rec.RecordTrace(SimTime::Millis(i), "test", "line " + std::to_string(i));
+    rec.RecordEvent(SimTime::Millis(i), "test", "line " + std::to_string(i));
   }
   EXPECT_EQ(rec.total_recorded(), 6u);
   EXPECT_EQ(rec.retained(), 4u);
@@ -533,10 +520,10 @@ TEST(FlightRecorderTest, RecordsSortByTimeThenSeq) {
   FlightRecorder rec(8);
   // Emit out of time order (an analytic span closing before a later-dated
   // one), with two collisions on time disambiguated by emission seq.
-  rec.RecordTrace(SimTime::Millis(5), "test", "t5 first");
-  rec.RecordTrace(SimTime::Millis(7), "test", "t7 first");
+  rec.RecordEvent(SimTime::Millis(5), "test", "t5 first");
+  rec.RecordEvent(SimTime::Millis(7), "test", "t7 first");
   rec.RecordSpan(SimTime::Millis(1), SimTime::Millis(5), "test", "t5 second");
-  rec.RecordTrace(SimTime::Millis(3), "test", "t3");
+  rec.RecordEvent(SimTime::Millis(3), "test", "t3");
   rec.RecordEvent(SimTime::Millis(7), "test", "t7 second");
 
   const std::vector<FlightRecorder::Record> sorted = rec.SortedRecords();
@@ -551,7 +538,7 @@ TEST(FlightRecorderTest, RecordsSortByTimeThenSeq) {
 TEST(FlightRecorderTest, DisabledRecorderDropsAppends) {
   FlightRecorder rec(4);
   rec.set_enabled(false);
-  rec.RecordTrace(SimTime::Millis(1), "test", "dropped");
+  rec.RecordEvent(SimTime::Millis(1), "test", "dropped");
   EXPECT_EQ(rec.total_recorded(), 0u);
   EXPECT_EQ(rec.retained(), 0u);
   rec.set_enabled(true);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "src/core/actor_executor.h"
 #include "src/core/frontend.h"
@@ -16,6 +18,7 @@
 #include "src/core/runtime.h"
 #include "src/core/tuner.h"
 #include "src/common/strings.h"
+#include "src/obs/chrome_trace.h"
 #include "src/aspects/spec_parser.h"
 #include "src/workload/medical.h"
 
@@ -146,6 +149,54 @@ TEST_F(ServiceTest, RepairRelaunchesTheModulesImage) {
       deployment_->FindUnit(deployment_->PlacementOf(a4)->unit)->env;
   ASSERT_NE(after, nullptr);
   EXPECT_TRUE(DigestEqual(after->measurement(), measurement));
+}
+
+// A DRAM slice is not single-device, so its replacement may span several
+// modules: with every other DRAM module holding only half of A4's 2 GiB
+// free, it does. Repair must keep every slice of the replacement, so A4
+// still holds its whole demand and teardown returns every byte.
+TEST_F(ServiceTest, RepairKeepsEverySliceOfASpanningReplacement) {
+  const ModuleId a4 = spec_->graph.IdOf("A4");
+  const auto a4_unit = [&] {
+    return deployment_->FindUnit(deployment_->PlacementOf(a4)->unit);
+  };
+  const int64_t demand =
+      deployment_->ResourcesOf(a4).Get(ResourceKind::kDram);
+  ASSERT_EQ(demand, Bytes::GiB(2).bytes());
+  const DeviceId victim = a4_unit()->PrimaryDevice(ResourceKind::kDram);
+  ResourcePool& dram = cloud_->datacenter().pool(DeviceKind::kDramModule);
+  std::vector<std::pair<Device*, int64_t>> filler;
+  for (const Device* d : dram.devices()) {
+    const int64_t take = d->free_capacity() - demand / 2;
+    if (d->id() != victim && take > 0) {
+      Device* device = dram.FindDevice(d->id());
+      ASSERT_TRUE(device->Allocate(TenantId(999), take).ok());
+      filler.emplace_back(device, take);
+    }
+  }
+  dram.FindDevice(victim)->set_health(DeviceHealth::kFailed);
+  CheckpointStore checkpoints;
+  RepairService repair(cloud_->region_router(), deployment_.get(),
+                       &checkpoints);
+  for (const RepairAction& action : repair.HandleDeviceFailure(victim)) {
+    ASSERT_TRUE(action.success)
+        << action.module_name << ": " << action.detail;
+  }
+
+  size_t slices = 0;
+  for (const PoolAllocation& alloc : a4_unit()->allocations) {
+    if (alloc.kind == ResourceKind::kDram) {
+      slices += alloc.slices.size();
+    }
+  }
+  EXPECT_GT(slices, 1u);  // the replacement did span modules
+  EXPECT_EQ(deployment_->ResourcesOf(a4).Get(ResourceKind::kDram), demand);
+
+  deployment_.reset();
+  for (const auto& [device, amount] : filler) {
+    ASSERT_TRUE(device->Release(TenantId(999), amount).ok());
+  }
+  EXPECT_EQ(cloud_->datacenter().TotalAllocated().Get(ResourceKind::kDram), 0);
 }
 
 TEST_F(ServiceTest, RepairRebuildsFailedReplica) {
@@ -589,6 +640,24 @@ aspect big resource cpu=1000m dram=100GiB
   const int64_t held =
       (*deployment)->TotalResources().Get(ResourceKind::kDram);
   EXPECT_EQ(held, Bytes::GiB(100).bytes());
+
+  // Each move is one defrag.consolidate span, which reaches the Chrome
+  // export and the flight recorder.
+  const SpanTracer& spans = cloud.sim()->spans();
+  const std::vector<const Span*> moves = spans.SpansInCategory("defrag");
+  ASSERT_EQ(moves.size(), static_cast<size_t>(result->moves));
+  EXPECT_EQ(moves[0]->name, "defrag.consolidate");
+  ASSERT_NE(moves[0]->Label("kind"), nullptr);
+  EXPECT_EQ(*moves[0]->Label("kind"), "dram");
+  ASSERT_NE(moves[0]->Label("amount"), nullptr);
+  EXPECT_EQ(*moves[0]->Label("amount"),
+            std::to_string(Bytes::GiB(100).bytes()));
+  EXPECT_NE(ChromeTraceJson(spans, cloud.sim()->now())
+                .find("defrag.consolidate"),
+            std::string::npos);
+  EXPECT_NE(cloud.sim()->flight_recorder().ChromeTraceJson().find(
+                "defrag.consolidate"),
+            std::string::npos);
 }
 
 TEST(DefragTest, NoOpWhenUnfragmented) {
@@ -687,13 +756,10 @@ TEST(TunerVerifyTest, GrowthSpilledOntoASecondBladeStillVerifies) {
 // --- Trace integration ---------------------------------------------------
 
 TEST_F(ServiceTest, TraceRecordsControlPlaneEvents) {
-  // Deployment placed every module: the scheduler emitted placement spans
-  // (mirrored into the legacy trace as "name k=v" lines).
+  // Deployment placed every module: the scheduler emitted placement spans.
   const SpanTracer& spans = cloud_->sim()->spans();
   ASSERT_NE(spans.Find("sched.place_task", "module", "A2"), nullptr);
   ASSERT_NE(spans.Find("sched.place_data", "module", "S1"), nullptr);
-  EXPECT_TRUE(cloud_->sim()->trace().Contains("sched", "module=A2"));
-  EXPECT_TRUE(cloud_->sim()->trace().Contains("sched", "module=S1"));
   // Placement spans parent under the deploy span.
   const Span* place = spans.Find("sched.place_task", "module", "A2");
   const Span* deploy = spans.SpanById(place->parent_span_id);
@@ -704,7 +770,6 @@ TEST_F(ServiceTest, TraceRecordsControlPlaneEvents) {
   DagRuntime runtime(cloud_->sim(), deployment_.get());
   ASSERT_TRUE(runtime.RunOnce().ok());
   EXPECT_NE(spans.Find("exec.stage", "module", "A4"), nullptr);
-  EXPECT_TRUE(cloud_->sim()->trace().Contains("exec", "module=A4"));
 
   CheckpointStore checkpoints;
   RepairService repair(cloud_->region_router(), deployment_.get(),
@@ -716,8 +781,35 @@ TEST_F(ServiceTest, TraceRecordsControlPlaneEvents) {
       .pool(DeviceKind::kCpuBlade)
       .FindDevice(victim)
       ->set_health(DeviceHealth::kFailed);
-  (void)repair.HandleDeviceFailure(victim);
-  EXPECT_TRUE(cloud_->sim()->trace().Contains("repair", "A4"));
+  const size_t actions = repair.HandleDeviceFailure(victim).size();
+
+  // One repair.module span per action, labelled with how it ended.
+  EXPECT_EQ(spans.SpansInCategory("repair").size(), actions);
+  const Span* repaired = spans.Find("repair.module", "module", "A4");
+  ASSERT_NE(repaired, nullptr);
+  ASSERT_NE(repaired->Label("outcome"), nullptr);
+  EXPECT_EQ(*repaired->Label("outcome"), "repaired");
+  ASSERT_NE(repaired->Label("detail"), nullptr);
+  EXPECT_TRUE(StartsWith(*repaired->Label("detail"), "re-placed "))
+      << *repaired->Label("detail");
+  // The repair's transaction nests under the module's span.
+  const Span* txn = nullptr;
+  for (const Span& span : spans.spans()) {
+    if (span.name == "sched.txn" && span.parent_span_id == repaired->span_id) {
+      txn = &span;
+    }
+  }
+  ASSERT_NE(txn, nullptr);
+  ASSERT_NE(txn->Label("purpose"), nullptr);
+  EXPECT_EQ(*txn->Label("purpose"), "repair_task");
+  EXPECT_EQ(txn->trace_id, repaired->trace_id);
+  // The span reaches the Chrome export and, through the tracer's end sink,
+  // the flight recorder.
+  EXPECT_NE(ChromeTraceJson(spans, cloud_->sim()->now()).find("repair.module"),
+            std::string::npos);
+  EXPECT_NE(cloud_->sim()->flight_recorder().ChromeTraceJson().find(
+                "repair.module"),
+            std::string::npos);
 }
 
 // The same parenting in every topology: whether the router places into one
@@ -812,13 +904,18 @@ class FrontendTest : public ::testing::Test {
                                              tenant_);
   }
 
-  std::string Call(void (TenantClient::*method)(uint64_t,
-                                                std::function<void(Result<std::string>)>),
-                   uint64_t id) {
+  using Method = void (TenantClient::*)(
+      uint64_t, std::function<void(Result<std::string>)>);
+
+  // Calls `method` on deployment `id` as `client` (the fixture's tenant by
+  // default) and returns the response.
+  std::string Call(Method method, uint64_t id,
+                   TenantClient* client = nullptr) {
     std::string response;
-    (client_.get()->*method)(id, [&](Result<std::string> r) {
-      response = r.ok() ? *r : "rpc-error:" + r.status().ToString();
-    });
+    ((client != nullptr ? client : client_.get())->*method)(
+        id, [&](Result<std::string> r) {
+          response = r.ok() ? *r : "rpc-error:" + r.status().ToString();
+        });
     cloud_->sim()->RunToCompletion();
     return response;
   }
@@ -880,12 +977,11 @@ TEST_F(FrontendTest, TenantIsolationOnDeploymentIds) {
       cloud_->datacenter().topology().AddNode(0, NodeRole::kServer);
   TenantClient rival(cloud_->sim(), &cloud_->fabric(), rival_node,
                      frontend_->node(), other);
-  std::string response;
-  rival.Teardown(id, [&](Result<std::string> r) {
-    response = r.value_or("FAIL");
-  });
-  cloud_->sim()->RunToCompletion();
-  EXPECT_NE(response.find("PERMISSION_DENIED"), std::string::npos);
+  for (const Method method : {&TenantClient::Verify, &TenantClient::Bill,
+                              &TenantClient::Teardown}) {
+    EXPECT_EQ(Call(method, id, &rival),
+              "err:PERMISSION_DENIED: not your deployment");
+  }
   EXPECT_EQ(frontend_->live_deployments(), 1u);  // still alive
 }
 

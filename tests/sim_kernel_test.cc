@@ -248,17 +248,20 @@ TEST(KernelDifferentialTest, RandomScheduleCancelMatchesLegacyQueue) {
 // and byte for byte, what the legacy kernel (std::function queue with
 // hash-set cancellation) produced for it. The legacy kernel is retired; its
 // output on these two scenarios is frozen below as event counts and FNV-1a
-// 64 hashes of trace().Dump() and the Prometheus exposition, recorded while
-// both kernels still ran side by side and agreed.
+// 64 hashes of the span log (RenderSpans) and the Prometheus exposition.
+// The event counts and the exposition hashes were recorded while both
+// kernels still ran side by side and agreed. The span-log hashes replaced
+// hashes of the retired string trace's dump; they were recorded on the tree
+// that still had that trace, in a run where its hashes held too.
 struct ScenarioResult {
-  std::string trace;
+  std::string spans;
   std::string metrics;
   uint64_t events_executed = 0;
 };
 
 struct FrozenScenario {
   uint64_t events_executed;
-  const char* trace_fnv;
+  const char* spans_fnv;
   const char* metrics_fnv;
 };
 
@@ -271,11 +274,37 @@ std::string Fnv1aHex(std::string_view bytes) {
   return StrFormat("0x%016llx", static_cast<unsigned long long>(hash));
 }
 
+// Every span the scenario recorded, one line each: its id, parent and
+// trace, category, name, labels (the interned set first) and both ends in
+// simulated microseconds.
+std::string RenderSpans(const SpanTracer& tracer) {
+  std::string out;
+  for (const Span& span : tracer.spans()) {
+    out += StrFormat("%llu %llu %llu %s %s",
+                     static_cast<unsigned long long>(span.span_id),
+                     static_cast<unsigned long long>(span.parent_span_id),
+                     static_cast<unsigned long long>(span.trace_id),
+                     span.category.c_str(), span.name.c_str());
+    if (span.shared_labels != nullptr) {
+      for (const auto& [key, value] : *span.shared_labels) {
+        out += " " + key + "=" + value;
+      }
+    }
+    for (const auto& [key, value] : span.labels) {
+      out += " " + key + "=" + value;
+    }
+    out += StrFormat(" %lld %lld\n",
+                     static_cast<long long>(span.start.micros()),
+                     static_cast<long long>(span.end.micros()));
+  }
+  return out;
+}
+
 // String comparison, so a mismatch prints the actual hash ready to paste.
 void ExpectMatchesFrozen(const ScenarioResult& actual,
                          const FrozenScenario& frozen) {
   EXPECT_EQ(actual.events_executed, frozen.events_executed);
-  EXPECT_EQ(Fnv1aHex(actual.trace), frozen.trace_fnv) << actual.trace;
+  EXPECT_EQ(Fnv1aHex(actual.spans), frozen.spans_fnv) << actual.spans;
   EXPECT_EQ(Fnv1aHex(actual.metrics), frozen.metrics_fnv) << actual.metrics;
 }
 
@@ -291,7 +320,7 @@ ScenarioResult RunMedicalScenario() {
   EXPECT_TRUE(runtime.RunOnce().ok());
   cloud.sim()->RunUntil(SimTime::Minutes(10));
   ScenarioResult result;
-  result.trace = cloud.sim()->trace().Dump();
+  result.spans = RenderSpans(cloud.sim()->spans());
   result.metrics = PrometheusExposition(cloud.sim()->metrics());
   result.events_executed = cloud.sim()->events_executed();
   return result;
@@ -301,13 +330,15 @@ ScenarioResult RunMedicalScenario() {
 // the region router: only the deploy span's labels (`cell=0`) and the
 // router's three sched.cell_* series differ from the kernels' agreed
 // output, and the event count is the same 6. The metrics hash was
-// re-recorded once more when the env store became the only warm pool: a
-// default cloud now also publishes its three series (exec.store_bytes,
-// exec.evictions, exec.store_bytes_deduped); the event count and the trace
-// are unchanged.
+// re-recorded twice more. When the env store became the only warm pool, a
+// default cloud began to publish its three series (exec.store_bytes,
+// exec.evictions, exec.store_bytes_deduped). When the scheduler stopped
+// counting each placement twice, the two sched.modules_placed series went
+// (core.tasks_placed and core.data_placed carry the same counts). Neither
+// change moved the event count or the spans.
 TEST(KernelDifferentialTest, MedicalPipelineIsKernelInvariant) {
   ExpectMatchesFrozen(RunMedicalScenario(),
-                      {6, "0x9649d82e5dfa401e", "0x6990f8ca22f2ecb0"});
+                      {6, "0x2d42783dca8177f6", "0x13b943120d1bdb24"});
 }
 
 ScenarioResult RunReplicationScenario() {
@@ -344,7 +375,7 @@ ScenarioResult RunReplicationScenario() {
   sim.RunToCompletion();
   EXPECT_EQ(completed, 50);
   ScenarioResult result;
-  result.trace = sim.trace().Dump();
+  result.spans = RenderSpans(sim.spans());
   result.metrics = PrometheusExposition(sim.metrics());
   result.events_executed = sim.events_executed();
   return result;
@@ -352,7 +383,7 @@ ScenarioResult RunReplicationScenario() {
 
 TEST(KernelDifferentialTest, ReplicationUnderFailuresIsKernelInvariant) {
   ExpectMatchesFrozen(RunReplicationScenario(),
-                      {100, "0x536208006f0ca9ae", "0xb26cc81ada57d015"});
+                      {100, "0xf0689e169ac69da9", "0xb26cc81ada57d015"});
 }
 
 TEST(FabricFastPathTest, SetNodeUpDoesNotGrowDownMap) {

@@ -2,10 +2,9 @@
 
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/metrics.h"
 #include "src/sim/simulation.h"
-#include "src/sim/trace.h"
 
 namespace udc {
 namespace {
@@ -168,23 +167,6 @@ TEST(SimulationTest, StepExecutesOne) {
   EXPECT_FALSE(sim.Step());
 }
 
-// The trace mirror keeps a cursor into the tracer's closed-span list; a
-// Clear() must restart it, or spans closing after the clear (up to the old
-// cursor) never reach trace().
-TEST(SimulationTest, TraceMirrorsSpansClosedAfterClear) {
-  Simulation sim;
-  for (int i = 0; i < 3; ++i) {
-    sim.Scope("before", "span");
-  }
-  EXPECT_EQ(sim.trace().size(), 3u);
-  sim.spans().Clear();
-  for (int i = 0; i < 5; ++i) {
-    sim.Scope("after", "span");
-  }
-  EXPECT_EQ(sim.trace().EventsInCategory("before").size(), 3u);
-  EXPECT_EQ(sim.trace().EventsInCategory("after").size(), 5u);
-}
-
 TEST(SimulationTest, DeterministicWithSeed) {
   Simulation a(99);
   Simulation b(99);
@@ -224,18 +206,6 @@ TEST(MetricsTest, ReportListsEverything) {
   EXPECT_NE(report.find("a.count"), std::string::npos);
   EXPECT_NE(report.find("b.gauge"), std::string::npos);
   EXPECT_NE(report.find("c.hist"), std::string::npos);
-}
-
-TEST(TraceTest, RecordsAndFilters) {
-  TraceRecorder t;
-  t.Record(SimTime::Millis(1), "sched", "placed A1");
-  t.Record(SimTime::Millis(2), "net", "sent msg");
-  t.Record(SimTime::Millis(3), "sched", "placed A2");
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_EQ(t.EventsInCategory("sched").size(), 2u);
-  EXPECT_TRUE(t.Contains("sched", "A1"));
-  EXPECT_FALSE(t.Contains("net", "A1"));
-  EXPECT_NE(t.Dump().find("placed A2"), std::string::npos);
 }
 
 }  // namespace

@@ -408,7 +408,7 @@ TEST(SloSimulationTest, BreachDumpsFlightRecorderChromeTrace) {
 
   Simulation sim;
   sim.set_breach_dump_path(path);
-  sim.Trace("test", "deploy wave started");
+  sim.flight_recorder().RecordEvent(sim.now(), "test", "deploy wave started");
   {
     auto span = sim.Scope("test", "deploy_wave");
   }
@@ -440,7 +440,8 @@ TEST(SloSimulationDeathTest, CheckFailureWritesCrashDump) {
 
   Simulation sim;
   sim.set_crash_dump_path(path);
-  sim.Trace("test", "last words before the check");
+  sim.flight_recorder().RecordEvent(sim.now(), "test",
+                                    "last words before the check");
 
   // The death-test child inherits the registered crash hook via fork; the
   // hook runs before abort and the dump survives the child's death.

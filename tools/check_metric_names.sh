@@ -9,10 +9,15 @@
 #   - SLO objective names: any "slo.<...>" string literal must be
 #     slo.<layer>.<objective> (three dot-separated lowercase segments,
 #     e.g. "slo.sched.place_latency_p99").
-#   - Span categories: the literal first argument of Scope( / Begin( must
-#     be a bare lowercase word (^[a-z_][a-z0-9_.]*$) —
-#     categories become Chrome-trace pids and flight-recorder fields, so
-#     they stay short and greppable.
+#   - Span categories: the literal category of every call that opens a
+#     span — Scope, Begin, BeginAt, BeginWithSet and the ScopedSpan
+#     constructor, with its arguments on one line or wrapped over several —
+#     must be a bare lowercase word (^[a-z_][a-z0-9_.]*$). Categories
+#     become Chrome-trace pids and flight-recorder fields, so they stay
+#     short and greppable. Under src/, bench/ and tools/ the literal span
+#     name must also be <category>.noun_verb (e.g. "sched.place_task").
+#     A one-argument Begin is PlacementEngine::Begin(purpose), which opens
+#     a transaction, not a span: its purpose is a label value, not linted.
 #
 # Runs as a ctest (see tests/CMakeLists.txt) and in CI. Exit 0 when every
 # call site conforms, 1 otherwise (offenders listed on stderr).
@@ -58,25 +63,87 @@ done < <(grep -rnoE '"slo\.[^"]*"' \
            --exclude=check_metric_names.sh src tools bench tests \
          | sed -E 's/:"/:/; s/"$//')
 
-# Span categories: literal first argument of Scope(/Begin(.
+# Span openings. Prints `file<TAB>line<TAB>category<TAB>name` for every
+# call that opens a span with a literal category (`name` is empty when the
+# name is not a literal). Reads whole files, so a call whose arguments wrap
+# onto later lines is seen like any other; calls on comment lines are not.
+span_sites() {
+  perl -e '
+    use strict;
+    use warnings;
+    # The top-level arguments of the call whose "(" ends at $pos.
+    sub call_args {
+      my ($text, $pos) = @_;
+      my ($depth, $arg, @args) = (0, "");
+      while ($pos < length $text) {
+        my $c = substr($text, $pos, 1);
+        if ($c eq "\"" || $c eq "\x27") {  # string or char literal
+          my $end = $pos + 1;
+          while ($end < length $text && substr($text, $end, 1) ne $c) {
+            $end += substr($text, $end, 1) eq "\\" ? 2 : 1;
+          }
+          $arg .= substr($text, $pos, $end - $pos + 1);
+          $pos = $end + 1;
+          next;
+        }
+        if ($c =~ /[(\[{]/) {
+          $depth++;
+        } elsif ($c =~ /[)\]}]/) {
+          last if $depth-- == 0;
+        } elsif ($c eq "," && $depth == 0) {
+          push @args, $arg;
+          ($arg, $pos) = ("", $pos + 1);
+          next;
+        }
+        $arg .= $c;
+        $pos++;
+      }
+      push @args, $arg if $arg =~ /\S/;
+      s/^\s+|\s+$//g for @args;
+      return @args;
+    }
+    my $opening = qr/\b(ScopedSpan(?:\s+\w+)?|Scope|Begin|BeginAt|BeginWithSet)\s*\(/;
+    for my $file (@ARGV) {
+      open(my $fh, "<", $file) or die "$file: $!";
+      my $text = do { local $/; <$fh> };
+      close $fh;
+      while ($text =~ /$opening/g) {
+        my ($call, $start, $after) = ($1, $-[0], $+[0]);
+        my $line_start = rindex($text, "\n", $start) + 1;
+        next if substr($text, $line_start, $start - $line_start) =~ m{^\s*//};
+        my @args = call_args($text, $after);
+        next if $call eq "Begin" && @args == 1;  # a transaction purpose
+        # BeginAt leads with the start time, a constructor with the tracer.
+        my $at = ($call eq "BeginAt" || $call =~ /^ScopedSpan/) ? 1 : 0;
+        next unless @args > $at && $args[$at] =~ /^"([^"]*)"$/;
+        my $category = $1;
+        my $name = @args > $at + 1 && $args[$at + 1] =~ /^"([^"]*)"$/ ? $1 : "";
+        my $line = 1 + (substr($text, 0, $start) =~ tr/\n//);
+        print "$file\t$line\t$category\t$name\n";
+      }
+    }' "$@"
+}
+
 cat_found=0
-while IFS=: read -r file line name; do
+while IFS=$'\t' read -r file line category name; do
   cat_found=$((cat_found + 1))
-  if ! [[ "$name" =~ $category_pattern ]]; then
-    echo "bad span category: $file:$line: \"$name\"" >&2
+  if ! [[ "$category" =~ $category_pattern ]]; then
+    echo "bad span category: $file:$line: \"$category\"" >&2
+    bad=1
+  elif [[ "$file" != tests/* && -n "$name" &&
+          ! "$name" =~ ^"$category"\.[a-z][a-z0-9_]*$ ]]; then
+    echo "bad span name: $file:$line: \"$name\" (want $category.noun_verb)" >&2
     bad=1
   fi
-done < <(grep -rnoE '(->|\.)(Scope|Begin)\("[^"]*"' \
-           src tools bench tests \
-         | sed -E 's/:(->|\.)(Scope|Begin)\("/:/' \
-         | sed -E 's/"$//')
+done < <(span_sites $(find src tools bench tests -name '*.cc' -o -name '*.h' \
+                      | sort))
 
 if [[ "$slo_found" -eq 0 ]]; then
   echo "check_metric_names.sh: no SLO name literals found — grep broken?" >&2
   exit 1
 fi
 if [[ "$cat_found" -eq 0 ]]; then
-  echo "check_metric_names.sh: no span category literals found — grep broken?" >&2
+  echo "check_metric_names.sh: no span call sites found — perl broken?" >&2
   exit 1
 fi
 
@@ -144,10 +211,10 @@ done
 
 if [[ "$bad" -ne 0 ]]; then
   echo "names must match: metrics $pattern, SLOs $slo_pattern," \
-       "span categories $category_pattern" >&2
+       "span categories $category_pattern, span names <category>.noun_verb" >&2
   exit 1
 fi
 echo "check_metric_names.sh: $found metric + $slo_found slo +" \
-     "$cat_found span-category call sites OK," \
+     "$cat_found span call sites OK," \
      "${#required_series[@]} required series +" \
      "${#required_slos[@]} required SLOs present"
