@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/common/histogram.h"
 #include "src/core/runtime.h"
 #include "src/core/tuner.h"
 #include "src/core/udc_cloud.h"

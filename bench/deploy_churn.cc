@@ -854,16 +854,13 @@ struct ScaleResult {
   std::vector<double> cell_p99_us;      // per cell: placement p99
 };
 
-// One churn leg against an already-constructed cloud. Spans are bounded
-// (set_max_spans) so a million deploy spans cannot grow the trace buffer
-// unboundedly — identical setting in both legs, so the comparison is fair.
+// One churn leg against an already-constructed cloud.
 ScaleLeg RunScaleLeg(udc::UdcCloud& cloud, int deploys, int window,
                      const std::vector<std::shared_ptr<const udc::AppSpec>>&
                          specs) {
   ScaleLeg leg;
   leg.devices = static_cast<long long>(cloud.datacenter().AllDevices().size());
   leg.decision_hash = 1469598103934665603ull;  // FNV-1a offset basis
-  cloud.sim()->spans().set_max_spans(1 << 16);
 
   std::deque<std::unique_ptr<udc::Deployment>> live;
   const auto t0 = std::chrono::steady_clock::now();

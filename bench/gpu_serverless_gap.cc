@@ -12,6 +12,7 @@
 
 #include "src/baseline/faas.h"
 #include "src/baseline/iaas.h"
+#include "src/common/histogram.h"
 #include "src/core/runtime.h"
 #include "src/core/udc_cloud.h"
 #include "src/workload/inference.h"

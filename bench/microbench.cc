@@ -117,11 +117,9 @@ void BM_EventScheduleFire(benchmark::State& state) {
 BENCHMARK(BM_EventScheduleFire);
 
 // Fabric message throughput: interned type, pooled Message, inline delivery
-// closure. The span tracer is capped so the steady state measured here is
-// the long-run one (span budget exhausted, Begin returns the no-op id).
+// closure, and one traced net.message span per message.
 void BM_FabricMessageThroughput(benchmark::State& state) {
   Simulation sim;
-  sim.spans().set_max_spans(1 << 12);
   Topology topo;
   const int rack = topo.AddRack();
   const NodeId a = topo.AddNode(rack, NodeRole::kDevice);
@@ -242,17 +240,11 @@ void BM_SpanBeginEnd(benchmark::State& state) {
   // tracing layer adds to every instrumented event.
   SimTime now;
   SpanTracer tracer([&now] { return now; });
-  tracer.set_max_spans(1 << 26);
   for (auto _ : state) {
     now += SimTime::Micros(1);
     const uint64_t id =
         tracer.Begin("exec", "exec.task_run", {{"module", "A1"}});
     tracer.End(id);
-    if (tracer.size() > (1 << 20)) {
-      state.PauseTiming();
-      tracer.Clear();
-      state.ResumeTiming();
-    }
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -11,7 +11,9 @@
 // Every round executes the same events, so the measured phase must
 // reproduce fixed event, delivery and timer-fire counts; and the counting
 // allocator (bench_common.h) must see ZERO heap allocations once warm. The
-// benchmark exits non-zero if either fails.
+// event log stays live throughout: every delivered message closes one
+// net.message span, which must reach the flight recorder, and no span may
+// be dropped. The benchmark exits non-zero if any of these fails.
 //
 // Writes BENCH_simkernel.json (with host_cores) into the working
 // directory. `--smoke` runs a small configuration in well under a second;
@@ -50,6 +52,8 @@ struct KernelResult {
   double allocs_per_event = 0;
   long long messages_delivered = 0;
   long long timer_fires = 0;
+  long long recorder_records = 0;  // flight-recorder appends while measured
+  long long spans_dropped = 0;
 };
 
 // A tick that re-arms itself until its budget runs out: the classic
@@ -69,9 +73,6 @@ struct Ticker {
 
 KernelResult RunKernel(const KernelConfig& config) {
   udc::Simulation sim(/*seed=*/42);
-  // Small span budget: the warm-up exhausts it, so the measured phase runs
-  // in the long-lived regime where Begin() drops instead of recording.
-  sim.spans().set_max_spans(1 << 10);
 
   udc::Topology topo;
   const int rack = topo.AddRack();
@@ -123,11 +124,13 @@ KernelResult RunKernel(const KernelConfig& config) {
   long long delivered_before = 0;
   long long fires_before = 0;
   uint64_t events_before = 0;
+  uint64_t records_before = 0;
   const udc::bench::MeasureResult timed = udc::bench::Measure(
       config.warmup_rounds, config.rounds, run_round, [&] {
         delivered_before = delivered;
         fires_before = timer_fires;
         events_before = sim.events_executed();
+        records_before = sim.flight_recorder().total_recorded();
       });
 
   KernelResult result;
@@ -137,6 +140,9 @@ KernelResult RunKernel(const KernelConfig& config) {
   result.wall_seconds = timed.wall_seconds;
   result.messages_delivered = delivered - delivered_before;
   result.timer_fires = timer_fires - fires_before;
+  result.recorder_records = static_cast<long long>(
+      sim.flight_recorder().total_recorded() - records_before);
+  result.spans_dropped = static_cast<long long>(sim.spans().dropped());
   if (result.wall_seconds > 0) {
     result.events_per_sec =
         static_cast<double>(result.events) / result.wall_seconds;
@@ -151,9 +157,11 @@ KernelResult RunKernel(const KernelConfig& config) {
 void PrintResult(const KernelResult& r) {
   std::printf(
       "%12.0f events/s  %lld events in %.3fs  allocs/event=%.4f "
-      "(%lld allocs, %lld delivered, %lld timer fires)\n",
+      "(%lld allocs, %lld delivered, %lld timer fires, %lld recorder "
+      "records, %lld spans dropped)\n",
       r.events_per_sec, r.events, r.wall_seconds, r.allocs_per_event,
-      r.allocs, r.messages_delivered, r.timer_fires);
+      r.allocs, r.messages_delivered, r.timer_fires, r.recorder_records,
+      r.spans_dropped);
 }
 
 void WriteJson(const KernelConfig& config, bool smoke, const KernelResult& r) {
@@ -173,12 +181,15 @@ void WriteJson(const KernelConfig& config, bool smoke, const KernelResult& r) {
                "    \"allocs\": %lld,\n"
                "    \"allocs_per_event\": %.4f,\n"
                "    \"messages_delivered\": %lld,\n"
-               "    \"timer_fires\": %lld\n"
+               "    \"timer_fires\": %lld,\n"
+               "    \"recorder_records\": %lld,\n"
+               "    \"spans_dropped\": %lld\n"
                "  }\n}\n",
                config.rounds, config.warmup_rounds, config.hops, config.timers,
                config.ticks, udc::bench::HostCores(), smoke ? "true" : "false",
                r.events, r.wall_seconds, r.events_per_sec, r.allocs,
-               r.allocs_per_event, r.messages_delivered, r.timer_fires);
+               r.allocs_per_event, r.messages_delivered, r.timer_fires,
+               r.recorder_records, r.spans_dropped);
 }
 
 }  // namespace
@@ -214,6 +225,18 @@ int main(int argc, char** argv) {
                  result.events, result.messages_delivered, result.timer_fires,
                  config.expected_events, config.expected_delivered,
                  config.expected_timer_fires);
+    return 1;
+  }
+  // The log was live: one recorded span per delivered message, none lost.
+  // A silenced tracer would pass the allocation gate below by recording
+  // nothing.
+  if (result.recorder_records != result.messages_delivered ||
+      result.spans_dropped != 0) {
+    std::fprintf(stderr,
+                 "FAIL: the flight recorder took %lld records for %lld "
+                 "deliveries, with %lld spans dropped (expected equal, 0)\n",
+                 result.recorder_records, result.messages_delivered,
+                 result.spans_dropped);
     return 1;
   }
   // The headline invariant: after warm-up the kernel allocates nothing.

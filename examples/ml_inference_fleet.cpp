@@ -9,6 +9,7 @@
 
 #include "src/baseline/faas.h"
 #include "src/baseline/iaas.h"
+#include "src/common/histogram.h"
 #include "src/core/runtime.h"
 #include "src/core/tuner.h"
 #include "src/core/udc_cloud.h"

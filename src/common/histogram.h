@@ -1,7 +1,8 @@
 // Streaming histogram for latency / size distributions.
 //
-// Exact values are kept (this is a simulator; sample counts are modest), so
-// quantiles are exact. Used by the telemetry registry and the bench reporters.
+// Exact values are kept, so quantiles are exact and memory grows with the
+// sample count. Used by the bench reporters and as the oracle the registry's
+// bounded-memory SketchHistogram is tested against.
 
 #ifndef UDC_SRC_COMMON_HISTOGRAM_H_
 #define UDC_SRC_COMMON_HISTOGRAM_H_
@@ -37,8 +38,7 @@ class Histogram {
   // "n=100 mean=1.2 p50=1.1 p99=3.4 max=5.0"
   std::string Summary() const;
 
-  // Every recorded value, sorted ascending. Used to replay a series into a
-  // bounded-memory SketchHistogram when a registry switches modes.
+  // Every recorded value, sorted ascending; benches compare runs by it.
   const std::vector<double>& sorted_samples() const {
     SortIfNeeded();
     return samples_;

@@ -56,10 +56,8 @@ RegionRouter::RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
           sim->metrics().CounterSeries("sched.cross_cell_deploys")),
       cell_fallbacks_(sim->metrics().CounterSeries("sched.cell_fallbacks")) {
   if (record_place_latency_) {
-    // Sketch mode: the benches and the SLO engine window these series, and
-    // a bounded bucket array keeps million-deploy runs at fixed memory.
     place_latency_us_ =
-        sim->metrics().EnableSketchHistogram("sched.place_latency_us");
+        sim->metrics().HistogramSeries("sched.place_latency_us");
   }
   for (int c = 0; c < cell_count_; ++c) {
     const std::string cell = StrFormat("%d", c);
@@ -71,7 +69,7 @@ RegionRouter::RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
                          {"cell", cell}}
             : SpanLabels{{"cell", cell}}));
     if (record_place_latency_) {
-      cell_place_latency_us_.push_back(sim->metrics().EnableSketchHistogram(
+      cell_place_latency_us_.push_back(sim->metrics().HistogramSeries(
           "sched.cell_place_latency_us", {{"cell", cell}}));
     }
   }
@@ -85,7 +83,7 @@ RegionRouter::RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
     region_deploys_.push_back(
         sim->metrics().CounterSeries("sched.region_deploys", labels));
     if (record_place_latency_) {
-      region_place_latency_us_.push_back(sim->metrics().EnableSketchHistogram(
+      region_place_latency_us_.push_back(sim->metrics().HistogramSeries(
           "sched.region_place_latency_us", labels));
     }
   }

@@ -4,9 +4,11 @@
 // every module with a slice on it is repaired according to its distributed
 // aspect (paper sec. 3.4) —
 //
-//   tasks:  re-place the compute slice on a healthy device, restart the
-//           environment (cold), and charge re-execution or checkpoint
-//           restore for the in-flight work;
+//   tasks:  re-place the dead slice on a healthy device. A compute slice
+//           moves the module: its environment restarts (cold) on the new
+//           device's node, and re-execution or checkpoint restore is
+//           charged for the in-flight work. Any other slice (memory,
+//           storage) is swapped in place;
 //   data:   fail the replica in the module's store (readers fail over) and
 //           re-establish the declared replication factor on a new device.
 //

@@ -1,7 +1,6 @@
 #include "src/obs/breakdown.h"
 
 #include <algorithm>
-#include <span>
 
 #include "src/common/strings.h"
 
@@ -32,25 +31,27 @@ LatencyBreakdown BreakdownFromSpans(const SpanTracer& tracer,
   if (root == nullptr) {
     return b;
   }
-  // SpanById points into spans(), which is in open order.
-  const std::vector<Span>& all = tracer.spans();
-  for (const Span& span : std::span<const Span>(root, all.data() + all.size())) {
-    if (span.trace_id != root->trace_id || span.open) {
+  // Ids are issued in open order, so the trace's spans are the root's id
+  // and later ones.
+  for (uint64_t id = root_span_id; const Span* span = tracer.SpanById(id);
+       ++id) {
+    if (span->trace_id != root->trace_id || span->open) {
       continue;
     }
-    const SimTime d = span.duration();
-    if (span.name == "exec.queue_wait") {
+    const SimTime d = span->duration();
+    if (span->name == "exec.queue_wait") {
       b.queue_wait += d;
-    } else if (span.name == "exec.env_wait" || span.name == "exec.env_start") {
+    } else if (span->name == "exec.env_wait" ||
+               span->name == "exec.env_start") {
       b.cold_start += d;
-    } else if (span.name == "exec.compute" || span.name == "exec.task_run") {
+    } else if (span->name == "exec.compute" || span->name == "exec.task_run") {
       b.exec += d;
-    } else if (span.category == "net") {
+    } else if (span->category == "net") {
       b.net += d;
-    } else if (span.category == "dist") {
+    } else if (span->category == "dist") {
       b.consensus += d;
     }
-    if (span.parent_span_id == 0) {
+    if (span->parent_span_id == 0) {
       b.total = std::max(b.total, d);
     }
   }

@@ -33,8 +33,9 @@ struct LatencyBreakdown {
 
 // Sums the closed spans of the trace rooted at `root_span_id` into
 // components; `total` is the root's duration. A trace's spans all open at or
-// after its root, so only the buffer from the root on is walked: the cost
-// follows the spans opened since the run began, not the tracer's size.
+// after its root, so only the ids from the root's on are walked: the cost
+// follows the spans opened since the run began, not the tracer's size. An
+// overwritten root gives an empty breakdown.
 // Component sums can exceed `total` when the DAG overlaps stages — they are
 // per-component serial totals, not a partition of the makespan.
 LatencyBreakdown BreakdownFromSpans(const SpanTracer& tracer,

@@ -1,14 +1,14 @@
 // Always-on flight recorder: a fixed-size ring of recent observability
 // records.
 //
-// The simulator's event log (the SpanTracer) is unbounded and
-// export-at-the-end; a run that dies mid-flight leaves nothing behind.
-// The flight recorder is the post-mortem black box: every closed span (fed
-// by Simulation through SpanTracer::set_on_end) and every event marker
-// (RecordEvent) also lands in a small ring, overwriting the oldest record
-// when full. Records are fixed-width PODs — appending is a couple of
-// stores, no allocation after construction — so it stays on at near-zero
-// cost.
+// The simulator's event log (the SpanTracer) is a ring of full spans that
+// exports read at the end of a run; a run that dies mid-flight leaves
+// nothing behind. The flight recorder is the post-mortem black box: every
+// closed span (fed by Simulation through SpanTracer::set_on_end) and every
+// event marker (RecordEvent) also lands in a small ring, overwriting the
+// oldest record when full. Records are fixed-width PODs — appending is a
+// couple of stores, no allocation after construction — so it stays on at
+// near-zero cost.
 //
 // On a UDC_CHECK failure (via the crash-dump hooks in src/common/logging.h),
 // an SLO breach, or an explicit trigger, Dump() sorts the retained records

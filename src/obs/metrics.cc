@@ -37,18 +37,6 @@ uint32_t MetricsRegistry::Intern(std::deque<Series<T>>* store,
   return idx;
 }
 
-void MetricHistogram::EnableSketch(double relative_error) {
-  if (sketch_ != nullptr) {
-    return;
-  }
-  auto sketch = std::make_unique<SketchHistogram>(relative_error);
-  for (const double v : exact_.sorted_samples()) {
-    sketch->Add(v);
-  }
-  exact_.Clear();
-  sketch_ = std::move(sketch);
-}
-
 template <typename T>
 uint32_t MetricsRegistry::Intern(std::deque<Series<T>>* store,
                                  SeriesIndex* index, std::string_view name,
@@ -167,13 +155,6 @@ const MetricHistogram* MetricsRegistry::histogram(
     std::string_view name, const MetricLabels& labels) const {
   return labels.empty() ? histogram(name)
                         : histogram(MetricSeriesKey(name, labels));
-}
-
-HistogramHandle MetricsRegistry::EnableSketchHistogram(
-    std::string_view name, const MetricLabels& labels, double relative_error) {
-  const HistogramHandle h = HistogramSeries(name, labels);
-  histograms_[h.idx_].value.EnableSketch(relative_error);
-  return h;
 }
 
 std::map<std::string, int64_t, std::less<>> MetricsRegistry::CountersSorted()

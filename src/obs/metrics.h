@@ -31,14 +31,12 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "src/common/histogram.h"
 #include "src/common/sketch_histogram.h"
 
 namespace udc {
@@ -49,63 +47,9 @@ using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 // key labeled metrics are stored under.
 std::string MetricSeriesKey(std::string_view name, const MetricLabels& labels);
 
-// A histogram series: exact by default (every sample kept — the differential
-// oracle), switchable per-series to a bounded-memory SketchHistogram for
-// always-on telemetry (SLO windows, million-tenant scale-out). The accessor
-// surface matches Histogram, so exposition and assertions are mode-blind.
-class MetricHistogram {
- public:
-  void Add(double value) {
-    if (sketch_ != nullptr) {
-      sketch_->Add(value);
-    } else {
-      exact_.Add(value);
-    }
-  }
-
-  // Switches this series to sketch mode, replaying any samples recorded so
-  // far. Idempotent; a series never switches back (the exact samples are
-  // gone by design).
-  void EnableSketch(double relative_error = 0.01);
-  bool sketch_mode() const { return sketch_ != nullptr; }
-  // The underlying sketch, or nullptr in exact mode. The SLO engine snapshots
-  // these for sliding-window diffs.
-  const SketchHistogram* sketch() const { return sketch_.get(); }
-  const Histogram* exact() const {
-    return sketch_ != nullptr ? nullptr : &exact_;
-  }
-
-  int64_t count() const {
-    return sketch_ != nullptr ? sketch_->count() : exact_.count();
-  }
-  bool empty() const { return count() == 0; }
-  double Min() const { return sketch_ ? sketch_->Min() : exact_.Min(); }
-  double Max() const { return sketch_ ? sketch_->Max() : exact_.Max(); }
-  double Mean() const { return sketch_ ? sketch_->Mean() : exact_.Mean(); }
-  double Sum() const { return sketch_ ? sketch_->Sum() : exact_.Sum(); }
-  double Stddev() const {
-    return sketch_ ? sketch_->Stddev() : exact_.Stddev();
-  }
-  double Quantile(double q) const {
-    return sketch_ ? sketch_->Quantile(q) : exact_.Quantile(q);
-  }
-  double Median() const { return Quantile(0.5); }
-  double P99() const { return Quantile(0.99); }
-  std::string Summary() const {
-    return sketch_ ? sketch_->Summary() : exact_.Summary();
-  }
-
-  void Clear() {
-    exact_.Clear();
-    if (sketch_ != nullptr) {
-      sketch_->Clear();
-    }
-  }
-
- private:
-  Histogram exact_;
-  std::unique_ptr<SketchHistogram> sketch_;
-};
+// A histogram series is a bounded-memory sketch: about 25 KB however many
+// samples land, every quantile within 1% of the exact value.
+using MetricHistogram = SketchHistogram;
 
 class MetricsRegistry {
  public:
@@ -188,13 +132,6 @@ class MetricsRegistry {
   const MetricHistogram* histogram(std::string_view name) const;
   const MetricHistogram* histogram(std::string_view name,
                                    const MetricLabels& labels) const;
-
-  // Switches a histogram series (created if absent) to bounded-memory sketch
-  // mode; existing samples are replayed. The SLO engine calls this for its
-  // sources so sliding windows never retain raw samples.
-  HistogramHandle EnableSketchHistogram(std::string_view name,
-                                        const MetricLabels& labels = {},
-                                        double relative_error = 0.01);
 
   // --- Label-cardinality budget.
   //

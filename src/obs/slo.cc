@@ -24,10 +24,10 @@ void SloEngine::AddObjective(SloSpec spec) {
   Objective obj;
   switch (spec.kind) {
     case SloSpec::SourceKind::kHistogramQuantile:
-      // Sketch mode is what makes the sliding window affordable: each tick
-      // snapshots ~25KB of buckets instead of every sample, and the window
-      // distribution is a cumulative diff.
-      obj.hist = metrics_->EnableSketchHistogram(spec.source, spec.labels);
+      // Registry histograms are sketches, which is what makes the sliding
+      // window affordable: each tick snapshots ~25KB of buckets instead of
+      // every sample, and the window distribution is a cumulative diff.
+      obj.hist = metrics_->HistogramSeries(spec.source, spec.labels);
       break;
     case SloSpec::SourceKind::kCounterRate:
       obj.counter = metrics_->CounterSeries(spec.source, spec.labels);
@@ -58,10 +58,7 @@ double SloEngine::Measure(Objective* obj, SimTime now) {
   Snapshot snap;
   snap.at = now;
   if (spec.kind == SloSpec::SourceKind::kHistogramQuantile) {
-    const SketchHistogram* sketch = metrics_->value(obj->hist).sketch();
-    if (sketch != nullptr) {
-      snap.sketch = std::make_unique<SketchHistogram>(*sketch);
-    }
+    snap.sketch = std::make_unique<SketchHistogram>(metrics_->value(obj->hist));
   } else {
     snap.counter = metrics_->value(obj->counter);
   }
@@ -94,10 +91,7 @@ double SloEngine::Measure(Objective* obj, SimTime now) {
            (seconds > 0 ? seconds : 1.0);
   }
 
-  if (cur.sketch == nullptr) {
-    return 0.0;
-  }
-  if (&base == &cur || base.sketch == nullptr) {
+  if (&base == &cur) {
     return cur.sketch->Quantile(spec.quantile);
   }
   return cur.sketch->DiffSince(*base.sketch).Quantile(spec.quantile);

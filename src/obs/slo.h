@@ -18,9 +18,9 @@
 // The engine is driven by Tick(now) — from a kernel timer
 // (Simulation::ArmSloTicks), a bench loop, or a test. Each tick snapshots
 // the sources and evaluates every objective over [now - window, now]:
-// histogram sources are forced into bounded-memory sketch mode
-// (SketchHistogram) so the window distribution is a snapshot diff, never a
-// sample scan; counter sources diff cumulative values into a rate.
+// registry histograms are bounded-memory sketches (SketchHistogram), so the
+// window distribution is a snapshot diff, never a sample scan; counter
+// sources diff cumulative values into a rate.
 //
 // Verdicts carry a burn-rate state — OK, WARN (inside warn_ratio of the
 // threshold), BREACH — exported as `<name>` / `<name>.state` gauges through
@@ -98,8 +98,7 @@ class SloEngine {
   SloEngine(const SloEngine&) = delete;
   SloEngine& operator=(const SloEngine&) = delete;
 
-  // Registers an objective. Histogram sources switch to sketch mode here
-  // (creating the series if needed) so every later Observe lands bucketed.
+  // Registers an objective, creating its source series if needed.
   void AddObjective(SloSpec spec);
   size_t objective_count() const { return objectives_.size(); }
 

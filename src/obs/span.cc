@@ -20,20 +20,44 @@ const std::string* Span::Label(std::string_view key) const {
   return nullptr;
 }
 
-SpanTracer::SpanTracer(Clock clock) : clock_(std::move(clock)) {}
-
-Span* SpanTracer::Mutable(uint64_t span_id) {
-  if (span_id == 0 || span_id > spans_.size()) {
-    return nullptr;
-  }
-  return &spans_[span_id - 1];
+SpanTracer::SpanTracer(Clock clock) : clock_(std::move(clock)) {
+  slots_.reserve(kCapacity);
 }
 
 const Span* SpanTracer::SpanById(uint64_t span_id) const {
-  if (span_id == 0 || span_id > spans_.size()) {
+  if (span_id == 0 || span_id >= next_id_ ||
+      next_id_ - span_id > slots_.size()) {
     return nullptr;
   }
-  return &spans_[span_id - 1];
+  return &slots_[Slot(span_id)];
+}
+
+Span& SpanTracer::Claim(SimTime start, uint64_t parent) {
+  if (parent == 0) {
+    parent = CurrentScope();
+  }
+  // Read the parent before its slot can be the one reused.
+  const Span* parent_span = SpanById(parent);
+  const uint64_t trace_id =
+      parent_span != nullptr ? parent_span->trace_id : next_trace_id_++;
+  const uint64_t id = next_id_++;
+  Span* span;
+  if (slots_.size() < kCapacity) {
+    span = &slots_.emplace_back();
+  } else {
+    // Overwrite the oldest span in place, keeping its buffers.
+    span = &slots_[Slot(id)];
+    dropped_ += span->open ? 1 : 0;
+    span->labels.clear();
+    span->shared_labels = nullptr;
+    span->open = true;
+  }
+  span->trace_id = trace_id;
+  span->span_id = id;
+  span->parent_span_id = parent;
+  span->start = start;
+  span->end = start;
+  return *span;
 }
 
 uint64_t SpanTracer::Begin(std::string category, std::string name,
@@ -45,26 +69,11 @@ uint64_t SpanTracer::Begin(std::string category, std::string name,
 uint64_t SpanTracer::BeginAt(SimTime start, std::string category,
                              std::string name, SpanLabels labels,
                              uint64_t parent) {
-  if (spans_.size() >= max_spans_) {
-    ++dropped_;
-    return 0;
-  }
-  if (parent == 0) {
-    parent = CurrentScope();
-  }
-  Span span;
-  span.span_id = spans_.size() + 1;
-  span.parent_span_id = parent;
-  const Span* parent_span = SpanById(parent);
-  span.trace_id =
-      parent_span != nullptr ? parent_span->trace_id : next_trace_id_++;
+  Span& span = Claim(start, parent);
   span.category = std::move(category);
   span.name = std::move(name);
   span.labels = std::move(labels);
-  span.start = start;
-  span.end = start;
-  spans_.push_back(std::move(span));
-  return spans_.back().span_id;
+  return span.span_id;
 }
 
 uint32_t SpanTracer::InternLabelSet(SpanLabels labels) {
@@ -75,28 +84,13 @@ uint32_t SpanTracer::InternLabelSet(SpanLabels labels) {
 uint64_t SpanTracer::BeginWithSet(std::string_view category,
                                   std::string_view name, uint32_t label_set,
                                   uint64_t parent) {
-  if (spans_.size() >= max_spans_) {
-    ++dropped_;
-    return 0;
-  }
-  if (parent == 0) {
-    parent = CurrentScope();
-  }
-  Span span;
-  span.span_id = spans_.size() + 1;
-  span.parent_span_id = parent;
-  const Span* parent_span = SpanById(parent);
-  span.trace_id =
-      parent_span != nullptr ? parent_span->trace_id : next_trace_id_++;
+  Span& span = Claim(clock_(), parent);
   span.category.assign(category);
   span.name.assign(name);
   if (label_set != 0 && label_set <= label_sets_.size()) {
     span.shared_labels = &label_sets_[label_set - 1];
   }
-  span.start = clock_();
-  span.end = span.start;
-  spans_.push_back(std::move(span));
-  return spans_.back().span_id;
+  return span.span_id;
 }
 
 void SpanTracer::AddLabel(uint64_t span_id, std::string key,
@@ -138,8 +132,9 @@ uint64_t SpanTracer::CurrentScope() const {
 }
 
 void SpanTracer::Clear() {
-  spans_.clear();
+  slots_.clear();  // keeps the reservation
   scope_stack_.clear();
+  next_id_ = 1;
   next_trace_id_ = 1;
   dropped_ = 0;
 }
@@ -147,7 +142,7 @@ void SpanTracer::Clear() {
 std::vector<const Span*> SpanTracer::SpansInCategory(
     std::string_view category) const {
   std::vector<const Span*> out;
-  for (const Span& s : spans_) {
+  for (const Span& s : spans()) {
     if (s.category == category) {
       out.push_back(&s);
     }
@@ -157,7 +152,7 @@ std::vector<const Span*> SpanTracer::SpansInCategory(
 
 const Span* SpanTracer::Find(std::string_view name, std::string_view label_key,
                              std::string_view label_value) const {
-  for (const Span& s : spans_) {
+  for (const Span& s : spans()) {
     if (s.name != name) {
       continue;
     }

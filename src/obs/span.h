@@ -17,6 +17,11 @@
 // Analytic code (the DAG runtime computes stage times in closed form
 // without advancing the clock) can date spans explicitly with
 // BeginAt()/EndAt().
+//
+// The log is a fixed-capacity ring: its slots are reserved once, and past
+// kCapacity each new span overwrites the oldest in place, so the log never
+// goes silent and never grows. Span ids keep counting up; an overwritten
+// id reads as absent.
 
 #ifndef UDC_SRC_OBS_SPAN_H_
 #define UDC_SRC_OBS_SPAN_H_
@@ -24,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <ranges>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -60,6 +66,10 @@ class SpanTracer {
   using Clock = std::function<SimTime()>;
   using EndSink = std::function<void(const Span&)>;
 
+  // Spans retained: 9 MiB of 144-byte slots, about 21 MiB when full of a
+  // deploy-and-run workload's spans with their names and labels.
+  static constexpr size_t kCapacity = size_t{1} << 16;
+
   explicit SpanTracer(Clock clock);
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
@@ -67,7 +77,7 @@ class SpanTracer {
   // Opens a span starting at the clock's current time. The parent defaults
   // to the innermost open scope (see PushScope); pass `parent` to override.
   // Root spans start a fresh trace id; children inherit their parent's.
-  // Returns 0 (a no-op id) once the tracer is full.
+  // Never returns 0; at capacity the new span takes the oldest one's slot.
   uint64_t Begin(std::string category, std::string name,
                  SpanLabels labels = {}, uint64_t parent = 0);
   uint64_t BeginAt(SimTime start, std::string category, std::string name,
@@ -92,17 +102,23 @@ class SpanTracer {
   void PopScope(uint64_t span_id);
   uint64_t CurrentScope() const;
 
-  const std::vector<Span>& spans() const { return spans_; }
-  size_t size() const { return spans_.size(); }
+  // The retained spans, oldest first.
+  auto spans() const {
+    return std::views::iota(next_id_ - slots_.size(), next_id_) |
+           std::views::transform(
+               [this](uint64_t id) -> const Span& { return slots_[Slot(id)]; });
+  }
+  size_t size() const { return slots_.size(); }
+  // Spans overwritten while still open: their close is lost.
   uint64_t dropped() const { return dropped_; }
+  // Drops every span; ids and trace ids start again at 1.
   void Clear();
 
   // Invoked whenever a span closes (Simulation feeds its flight recorder
   // here). The sink runs on the tracing hot path, so keep it cheap.
   void set_on_end(EndSink sink) { on_end_ = std::move(sink); }
-  // Cap on retained spans; Begin drops (returns 0) past it.
-  void set_max_spans(size_t n) { max_spans_ = n; }
 
+  // The span, or nullptr when `span_id` is 0, not yet issued or overwritten.
   const Span* SpanById(uint64_t span_id) const;
   std::vector<const Span*> SpansInCategory(std::string_view category) const;
   // First span with `name`, optionally also matching one label.
@@ -110,17 +126,24 @@ class SpanTracer {
                    std::string_view label_value = {}) const;
 
  private:
-  Span* Mutable(uint64_t span_id);
+  static size_t Slot(uint64_t span_id) { return (span_id - 1) % kCapacity; }
+  // Takes the next id's slot and fills in its ids and times; the caller
+  // sets the names and labels.
+  Span& Claim(SimTime start, uint64_t parent);
+  Span* Mutable(uint64_t span_id) {
+    return const_cast<Span*>(SpanById(span_id));
+  }
 
   Clock clock_;
   EndSink on_end_;
   // Interned label sets; deque keeps element addresses stable so spans can
   // point straight at them. Deliberately not cleared by Clear().
   std::deque<SpanLabels> label_sets_;
-  std::vector<Span> spans_;  // span_id == index + 1
+  // The ring: reserved at kCapacity, filled in id order, then overwritten.
+  std::vector<Span> slots_;
   std::vector<uint64_t> scope_stack_;
+  uint64_t next_id_ = 1;
   uint64_t next_trace_id_ = 1;
-  size_t max_spans_ = 1 << 20;
   uint64_t dropped_ = 0;
 };
 

@@ -282,5 +282,41 @@ TEST_F(EndToEndTest, SyntheticTenantMixDeploysAtScale) {
   EXPECT_GT(cloud_->datacenter().MeanUtilization(), 0.0);
 }
 
+// The event log never goes silent: after 2^20 spans, far past the ring's
+// capacity, every deploy/run/teardown cycle still records each of its spans
+// in the flight recorder, and each run still has a trace and a breakdown.
+TEST(EventLogTest, KeepsRecordingPastTwoToTheTwentySpans) {
+  UdcCloud cloud;
+  SpanTracer& spans = cloud.sim()->spans();
+  const FlightRecorder& recorder = cloud.sim()->flight_recorder();
+  for (int i = 0; i < (1 << 20); ++i) {
+    spans.End(spans.Begin("test", "test.filler"));
+  }
+  const TenantId tenant = cloud.RegisterTenant("hospital");
+  const auto spec = MedicalAppSpec();
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    SCOPED_TRACE(cycle);
+    const uint64_t last_span = spans.spans().back().span_id;
+    const uint64_t recorded = recorder.total_recorded();
+
+    auto deployment = cloud.Deploy(tenant, *spec);
+    ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+    cloud.sim()->RunToCompletion();
+    DagRuntime runtime(cloud.sim(), deployment->get());
+    const auto report = runtime.RunOnce();
+    ASSERT_TRUE(report.ok());
+    deployment->reset();
+    cloud.sim()->RunToCompletion();
+
+    const uint64_t opened = spans.spans().back().span_id - last_span;
+    EXPECT_GT(opened, 0u);
+    EXPECT_EQ(recorder.total_recorded() - recorded, opened);
+    EXPECT_NE(report->trace_id, 0u);
+    EXPECT_GT(report->breakdown.exec, SimTime(0));
+    EXPECT_LE(spans.size(), SpanTracer::kCapacity);
+    EXPECT_EQ(spans.dropped(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace udc

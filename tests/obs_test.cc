@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/histogram.h"
 #include "src/obs/breakdown.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/chrome_trace.h"
@@ -113,17 +114,47 @@ TEST_F(SpanTest, OnEndSinkFiresOncePerSpan) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST_F(SpanTest, DropsBeyondCapAndCounts) {
-  tracer_.set_max_spans(2);
-  EXPECT_NE(tracer_.Begin("a", "a.x"), 0u);
-  EXPECT_NE(tracer_.Begin("a", "a.y"), 0u);
-  const uint64_t dropped = tracer_.Begin("a", "a.z");
-  EXPECT_EQ(dropped, 0u);
+// Past capacity each new span takes the oldest one's slot: the newest stay
+// findable, the overwritten ids read as absent, and every close still
+// reaches the sink, so closed spans never count as dropped. A span still
+// open when its slot is reused does: it loses its close, and its later End
+// and AddLabel touch nothing.
+TEST_F(SpanTest, EvictsOldestPastCapacity) {
+  constexpr uint64_t kCapacity = SpanTracer::kCapacity;
+  int fired = 0;
+  tracer_.set_on_end([&fired](const Span&) { ++fired; });
+  uint64_t last = 0;
+  for (uint64_t i = 0; i < kCapacity + 3; ++i) {
+    last = tracer_.Begin("a", "a.x");
+    ASSERT_EQ(last, i + 1);
+    tracer_.End(last);
+  }
+  EXPECT_EQ(fired, static_cast<int>(kCapacity + 3));
+  EXPECT_EQ(tracer_.dropped(), 0u);
+  EXPECT_EQ(tracer_.size(), kCapacity);
+  ASSERT_NE(tracer_.SpanById(last), nullptr);
+  EXPECT_EQ(tracer_.SpanById(last)->span_id, last);
+  ASSERT_NE(tracer_.SpanById(4), nullptr);
+  for (uint64_t id = 1; id <= 3; ++id) {
+    EXPECT_EQ(tracer_.SpanById(id), nullptr) << id;
+  }
+  // Iteration runs oldest first over the retained ids.
+  EXPECT_EQ(tracer_.spans().front().span_id, 4u);
+  EXPECT_EQ(tracer_.spans().back().span_id, last);
+
+  const uint64_t open = tracer_.Begin("a", "a.open");
+  for (uint64_t i = 0; i < kCapacity; ++i) {
+    tracer_.End(tracer_.Begin("a", "a.x"));
+  }
   EXPECT_EQ(tracer_.dropped(), 1u);
-  // Operations on the no-op id are safe.
-  tracer_.AddLabel(dropped, "k", "v");
-  tracer_.End(dropped);
-  EXPECT_EQ(tracer_.size(), 2u);
+  EXPECT_EQ(tracer_.SpanById(open), nullptr);
+  const Span* reused = tracer_.SpanById(open + kCapacity);
+  ASSERT_NE(reused, nullptr);
+  tracer_.AddLabel(open, "k", "v");
+  tracer_.End(open);
+  EXPECT_EQ(fired, static_cast<int>(2 * kCapacity + 3));
+  EXPECT_TRUE(reused->labels.empty());
+  EXPECT_EQ(reused->name, "a.x");
 }
 
 TEST(HistogramTest, QuantilesOnKnownDistribution) {
@@ -286,8 +317,6 @@ TEST(ExpositionTest, RendersCountersGaugesAndSummaries) {
             std::string::npos);
   EXPECT_NE(text.find("# TYPE udc_exec_cold_start_latency_ms summary"),
             std::string::npos);
-  EXPECT_NE(text.find("udc_exec_cold_start_latency_ms{quantile=\"0.5\"} 250"),
-            std::string::npos);
   EXPECT_NE(text.find("udc_exec_cold_start_latency_ms_sum 1000"),
             std::string::npos);
   EXPECT_NE(text.find("udc_exec_cold_start_latency_ms_count 4"),
@@ -311,27 +340,33 @@ TEST(ExpositionTest, JsonSnapshotEscapesAndReportsQuantiles) {
   EXPECT_NE(json.find("\"p99\": 5"), std::string::npos);
 }
 
+// Registry histograms are sketches. Both writers render one as a summary
+// whose quantiles are within the sketch's 1% error.
 TEST(ExpositionTest, SketchModeSeriesExportLikeExactOnes) {
   MetricsRegistry metrics;
-  metrics.EnableSketchHistogram("exec.cold_start_latency_ms");
   for (int i = 1; i <= 4; ++i) {
     metrics.Observe("exec.cold_start_latency_ms", 100.0 * i);
   }
-  // Both writers are mode-blind: a sketch-backed series renders as the
-  // same summary/quantile shape, within the sketch's 1% error.
+  // Sketch rank convention is nearest-rank: round(0.5 * 3) = rank 2 -> 300
+  // (the exact histogram would lerp to 250), within the 1% bucket error.
+  const auto value_after = [](const std::string& text,
+                              const std::string& needle) {
+    const size_t pos = text.find(needle);
+    EXPECT_NE(pos, std::string::npos) << needle;
+    return pos == std::string::npos
+               ? 0.0
+               : std::stod(text.substr(pos + needle.size()));
+  };
   const std::string text = PrometheusExposition(metrics);
   EXPECT_NE(text.find("# TYPE udc_exec_cold_start_latency_ms summary"),
             std::string::npos);
   EXPECT_NE(text.find("udc_exec_cold_start_latency_ms_count 4"),
             std::string::npos);
-  const std::string json = JsonSnapshot(metrics);
-  const std::string needle = "\"p50\": ";
-  const size_t pos = json.find(needle);
-  ASSERT_NE(pos, std::string::npos);
-  const double p50 = std::stod(json.substr(pos + needle.size()));
-  // Sketch rank convention is nearest-rank: round(0.5 * 3) = rank 2 -> 300
-  // (the exact histogram would lerp to 250), within the 1% bucket error.
-  EXPECT_NEAR(p50, 300.0, 0.012 * 300.0);
+  EXPECT_NEAR(
+      value_after(text, "udc_exec_cold_start_latency_ms{quantile=\"0.5\"} "),
+      300.0, 0.012 * 300.0);
+  EXPECT_NEAR(value_after(JsonSnapshot(metrics), "\"p50\": "), 300.0,
+              0.012 * 300.0);
 }
 
 TEST(ChromeTraceTest, EmitsCompleteEventsWithCausalArgs) {
@@ -461,6 +496,28 @@ TEST(BreakdownTest, WalkFromRootMatchesWholeBufferSum) {
   EXPECT_EQ(got.total, SimTime::Millis(70));
   // An unknown root yields an empty breakdown.
   EXPECT_EQ(BreakdownFromSpans(tracer, 0).accounted(), SimTime(0));
+}
+
+// Once the ring has reused a run's root slot, the run has no breakdown
+// left: it is empty, not summed from whatever now holds those slots.
+TEST(BreakdownTest, OverwrittenRootGivesEmptyBreakdown) {
+  SimTime now;
+  SpanTracer tracer([&now] { return now; });
+  const uint64_t root = tracer.BeginAt(SimTime(0), "run", "run.invoke");
+  const uint64_t compute =
+      tracer.BeginAt(SimTime(0), "exec", "exec.compute", {}, root);
+  tracer.EndAt(compute, SimTime::Millis(5));
+  tracer.EndAt(root, SimTime::Millis(5));
+  ASSERT_EQ(BreakdownFromSpans(tracer, root).exec, SimTime::Millis(5));
+
+  for (uint64_t i = 0; i < SpanTracer::kCapacity; ++i) {
+    tracer.EndAt(tracer.BeginAt(SimTime(0), "exec", "exec.compute"),
+                 SimTime::Millis(1));
+  }
+  ASSERT_EQ(tracer.SpanById(root), nullptr);
+  const LatencyBreakdown b = BreakdownFromSpans(tracer, root);
+  EXPECT_EQ(b.accounted(), SimTime(0));
+  EXPECT_EQ(b.total, SimTime(0));
 }
 
 TEST(MetricsTest, LabelCardinalityBudgetFoldsIntoOverflowSeries) {

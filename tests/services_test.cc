@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -197,6 +198,60 @@ TEST_F(ServiceTest, RepairKeepsEverySliceOfASpanningReplacement) {
     ASSERT_TRUE(device->Release(TenantId(999), amount).ok());
   }
   EXPECT_EQ(cloud_->datacenter().TotalAllocated().Get(ResourceKind::kDram), 0);
+}
+
+// A4's DRAM module also backs four other tasks' memory and data module S3.
+// Replacing it swaps their DRAM slices and nothing else: every task still
+// runs on its compute device's node, in the environment it had, and the
+// deployment verifies and tears down to nothing.
+TEST_F(ServiceTest, MemoryRepairLeavesTasksWithTheirCompute) {
+  std::map<ModuleId, const ExecEnvironment*> envs;
+  for (const auto& [module, placement] : deployment_->placements()) {
+    if (placement.kind == ModuleKind::kTask) {
+      envs[module] = deployment_->FindUnit(placement.unit)->env;
+    }
+  }
+  const DeviceId victim =
+      deployment_->FindUnit(deployment_->PlacementOf(spec_->graph.IdOf("A4"))
+                                ->unit)
+          ->PrimaryDevice(ResourceKind::kDram);
+  cloud_->datacenter()
+      .pool(DeviceKind::kDramModule)
+      .FindDevice(victim)
+      ->set_health(DeviceHealth::kFailed);
+  CheckpointStore checkpoints;
+  RepairService repair(cloud_->region_router(), deployment_.get(),
+                       &checkpoints);
+  std::set<std::string> repaired;
+  for (const RepairAction& action : repair.HandleDeviceFailure(victim)) {
+    ASSERT_TRUE(action.success)
+        << action.module_name << ": " << action.detail;
+    repaired.insert(action.module_name);
+  }
+  EXPECT_EQ(repaired,
+            (std::set<std::string>{"A1", "A2", "A3", "A4", "B1", "S3"}));
+
+  for (const auto& [module, env] : envs) {
+    const Placement* placement = deployment_->PlacementOf(module);
+    SCOPED_TRACE(placement->name);
+    const ResourceUnit* unit = deployment_->FindUnit(placement->unit);
+    NodeId compute;
+    for (const PoolAllocation& alloc : unit->allocations) {
+      if (IsComputeKind(alloc.kind) && !alloc.slices.empty()) {
+        compute = alloc.slices.front().node;
+      }
+    }
+    ASSERT_TRUE(compute.valid());
+    EXPECT_EQ(placement->home, compute);
+    EXPECT_EQ(unit->env, env);
+  }
+  ExpectVerifies(*cloud_, deployment_.get());
+
+  deployment_.reset();
+  cloud_->sim()->RunToCompletion();
+  EXPECT_TRUE(cloud_->datacenter().TotalAllocated().IsZero());
+  EXPECT_EQ(cloud_->envs().live_count(), 0u);
+  EXPECT_EQ(cloud_->attestation().provisioned_count(), 0u);
 }
 
 TEST_F(ServiceTest, RepairRebuildsFailedReplica) {

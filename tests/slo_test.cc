@@ -115,7 +115,7 @@ TEST(SketchDifferentialTest, LognormalSamplesWithinRelativeError) {
 }
 
 TEST(SketchDifferentialTest, AgreesWithExactHistogramQuantile) {
-  // The registry's exact Histogram lerps between neighboring ranks; on a
+  // The exact Histogram lerps between neighboring ranks; on a
   // dense stream the two conventions must still land within the sketch's
   // error bound plus the (tiny) neighbor gap.
   Rng rng(4);
@@ -211,10 +211,8 @@ TEST(SloEngineTest, HistogramWindowSlidesAndStatesTransition) {
   spec.window = SimTime::Seconds(10);
   engine.AddObjective(std::move(spec));
 
-  // Registering a histogram objective forces the source into sketch mode.
-  const MetricHistogram* series = metrics.histogram("test.latency_ms");
-  ASSERT_NE(series, nullptr);
-  EXPECT_TRUE(series->sketch_mode());
+  // Registering a histogram objective creates its source series.
+  ASSERT_NE(metrics.histogram("test.latency_ms"), nullptr);
 
   for (int i = 0; i < 200; ++i) {
     metrics.Observe("test.latency_ms", 50.0);

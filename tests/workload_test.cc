@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/common/histogram.h"
 #include "src/core/runtime.h"
 #include "src/core/udc_cloud.h"
 #include "src/workload/inference.h"

@@ -209,7 +209,7 @@ int Trace(const std::string& text, const std::string& out_path) {
     return kExitRuntime;
   }
   std::printf("wrote %zu spans to %s (open in chrome://tracing)\n",
-              cloud.sim()->spans().spans().size(), out_path.c_str());
+              cloud.sim()->spans().size(), out_path.c_str());
   return 0;
 }
 
@@ -265,8 +265,6 @@ void RegisterDefaultObjectives(udc::SloEngine* slos) {
 
 int Slo(const std::string& text) {
   udc::UdcCloud cloud;
-  // Register before the cycle so histogram sources are in sketch mode from
-  // the first Observe (AddObjective flips them).
   RegisterDefaultObjectives(&cloud.sim()->slos());
   const int rc = RunCycle(text, &cloud, /*verbose=*/false);
   if (rc != 0) {
