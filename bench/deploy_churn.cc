@@ -26,7 +26,8 @@
 //   - obs overhead: the same churn against two clouds — one with the flight
 //     recorder enabled, wall-clock placement latency recorded into a sketch
 //     histogram, and the SLO engine evaluating per block; one with all of it
-//     off. Blocks interleave (alternating which cloud goes first) and the
+//     off. Both clouds trace spans, so the gate does not price the span
+//     log. Blocks interleave (alternating which cloud goes first) and the
 //     gate is the placement p50 ratio, <= 1.03x, with a 1.5us absolute
 //     budget floor: always-on telemetry must cost no more than 3% of the
 //     placement hot path, or at worst 1.5us per deploy where the hot path
@@ -368,7 +369,10 @@ struct ObsOverheadResult {
 // The always-on claim, measured: identical churn against two clouds, one
 // with full observability (flight recorder on, wall-clock placement latency
 // into a sketch histogram, SLO engine ticking every block) and one with all
-// of it off. Blocks of one full spec cycle interleave — alternating which
+// of it off. make_cloud switches only the recorder and the placement-latency
+// sketch (the SLO objectives are armed on the first cloud alone); both
+// clouds record spans, so the ratio leaves out what the span log costs.
+// Blocks of one full spec cycle interleave — alternating which
 // cloud goes first, so neither mode systematically inherits the other's
 // warm caches — and both modes collect per-deploy placement times from
 // steady_clock windows around Deploy.

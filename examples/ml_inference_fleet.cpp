@@ -4,13 +4,12 @@
 // resizing the GPU slice as load changes. Compares against what the same
 // stream costs on FaaS (CPU-only) and an always-on IaaS GPU box.
 
-#include <algorithm>
 #include <cstdio>
 
 #include "src/baseline/faas.h"
 #include "src/baseline/iaas.h"
 #include "src/common/histogram.h"
-#include "src/core/runtime.h"
+#include "src/core/actor_executor.h"
 #include "src/core/tuner.h"
 #include "src/core/udc_cloud.h"
 #include "src/workload/inference.h"
@@ -45,48 +44,27 @@ aspect cnn exec isolation=medium
   std::printf("trace: %zu requests over %s\n", trace.size(),
               trace_config.horizon.ToString().c_str());
 
-  // UDC path: the deployed slice serves requests; the tuner watches load.
-  udc::DagRuntime runtime(cloud.sim(), deployment->get());
+  // UDC path: each request enters the actor executor at its arrival time and
+  // queues behind the slice while it is busy; the executor reports the
+  // slice's utilization to the tuner every window.
   udc::AdaptiveTuner tuner(cloud.region_router(), deployment->get());
-  auto stage = runtime.ComputeStage(spec->graph.IdOf("cnn"));
-  if (!stage.ok()) {
-    std::fprintf(stderr, "stage: %s\n", stage.status().ToString().c_str());
-    return 1;
-  }
-  udc::SimTime service_time = stage->compute_time;
+  udc::ActorExecutor executor(cloud.sim(), deployment->get(), tuner);
   udc::Histogram udc_latency;
-  udc::SimTime busy_until;
-  udc::SimTime window_start;
-  udc::SimTime window_busy;
   for (const udc::InferenceRequest& req : trace) {
-    // Queue behind the slice if it is busy (single-slice M/D/1-ish model).
-    const udc::SimTime start = std::max(req.arrival, busy_until);
-    const udc::SimTime service = service_time;
-    busy_until = start + service;
-    udc_latency.Add((busy_until - req.arrival).millis());
-    window_busy += service;
-    // Every 10 minutes, report utilization to the tuner.
-    if (req.arrival - window_start > udc::SimTime::Minutes(10)) {
-      const double util = std::min(
-          1.5, window_busy.seconds() /
-                   (req.arrival - window_start).seconds());
-      (void)tuner.Observe(spec->graph.IdOf("cnn"), util);
-      window_start = req.arrival;
-      window_busy = udc::SimTime(0);
-      // Slice size changes affect service time from here on.
-      const auto new_stage = runtime.ComputeStage(spec->graph.IdOf("cnn"));
-      if (new_stage.ok()) {
-        service_time = new_stage->compute_time;
-      }
-    }
+    cloud.sim()->At(req.arrival, [&executor, &udc_latency] {
+      executor.Submit([&udc_latency](const udc::InvocationResult& r) {
+        udc_latency.Add(r.latency().millis());
+      });
+    });
   }
+  cloud.sim()->RunUntil(trace_config.horizon);
+  const udc::Bill bill = cloud.billing().BillToNow(**deployment);
+  cloud.sim()->RunToCompletion();  // requests still queued at the horizon
   std::printf("\nUDC (fine-grained GPU slice + tuner):\n");
   std::printf("  latency  %s ms\n", udc_latency.Summary().c_str());
   std::printf("  tuner    %lld resizes, %lld migrations\n",
               static_cast<long long>(tuner.resizes()),
               static_cast<long long>(tuner.migrations()));
-  cloud.sim()->RunUntil(trace_config.horizon);
-  const udc::Bill bill = cloud.billing().BillToNow(**deployment);
   std::printf("  cost     %s for %s\n", bill.total.ToString().c_str(),
               trace_config.horizon.ToString().c_str());
 

@@ -17,12 +17,11 @@ ActorSystem::ActorSystem(Simulation* sim, const Topology* topology)
           sim->metrics().CounterSeries("actor.messages_dropped")),
       recoveries_metric_(sim->metrics().CounterSeries("actor.recoveries")) {}
 
-ActorId ActorSystem::Spawn(NodeId node, Behavior behavior, bool log_messages) {
+ActorId ActorSystem::Spawn(NodeId node, Behavior behavior) {
   const ActorId id = actor_ids_.Next();
   ActorRecord record;
   record.node = node;
   record.behavior = std::move(behavior);
-  record.log_messages = log_messages;
   actors_.emplace(id, std::move(record));
   return id;
 }
@@ -72,7 +71,7 @@ void ActorSystem::Deliver(ActorId to, ActorMessage msg, bool replay) {
   }
   ActorRecord& record = it->second;
   msg.delivered_at = sim_->now();
-  if (record.log_messages && !replay) {
+  if (!replay) {
     record.log.push_back(msg);
   }
   record.mailbox.push_back(std::move(msg));
@@ -126,10 +125,6 @@ Result<size_t> ActorSystem::Recover(ActorId actor, NodeId node) {
   if (record.state != ActorState::kDead) {
     return Status(FailedPreconditionError("actor is not dead"));
   }
-  if (!record.log_messages) {
-    return Status(FailedPreconditionError(
-        "actor was spawned without message logging; cannot replay"));
-  }
   record.node = node;
   record.state = ActorState::kIdle;
   const size_t replayed = record.log.size();
@@ -158,6 +153,13 @@ size_t ActorSystem::QueueDepth(ActorId actor) const {
 const std::vector<ActorMessage>* ActorSystem::LogOf(ActorId actor) const {
   const auto it = actors_.find(actor);
   return it == actors_.end() ? nullptr : &it->second.log;
+}
+
+void ActorSystem::EraseFromLogs(
+    const std::function<bool(const ActorMessage&)>& drop) {
+  for (auto& [id, record] : actors_) {
+    std::erase_if(record.log, drop);
+  }
 }
 
 }  // namespace udc

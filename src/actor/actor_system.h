@@ -7,8 +7,10 @@
 //
 // Actors are addressed by ActorId, live at a fabric node, and process one
 // message at a time in delivery order. Every delivered message is appended
-// to a per-actor durable log; RecoverActor replays the log into a fresh
-// incarnation, which is the fast-recovery path the paper describes.
+// to a per-actor durable log; Recover replays the log into a fresh
+// incarnation, which is the fast-recovery path the paper describes. The
+// owner bounds the logs with EraseFromLogs once messages can no longer be
+// needed by a replay.
 
 #ifndef UDC_SRC_ACTOR_ACTOR_SYSTEM_H_
 #define UDC_SRC_ACTOR_ACTOR_SYSTEM_H_
@@ -80,7 +82,7 @@ class ActorSystem {
   ActorSystem& operator=(const ActorSystem&) = delete;
 
   // Spawns an actor at `node`. The behavior runs once per delivered message.
-  ActorId Spawn(NodeId node, Behavior behavior, bool log_messages = true);
+  ActorId Spawn(NodeId node, Behavior behavior);
 
   // Sends from outside the actor world (e.g. a workload generator).
   void Inject(ActorId to, std::string name, std::string payload, Bytes size);
@@ -89,8 +91,8 @@ class ActorSystem {
   void Send(ActorId from, ActorId to, std::string name, std::string payload,
             Bytes size);
 
-  // Kills the actor: pending and future messages are dropped (but remain in
-  // the log if logging was enabled).
+  // Kills the actor: pending and future messages are dropped (delivered ones
+  // remain in its log).
   Status Kill(ActorId actor);
 
   // Re-incarnates a dead actor at `node` with the same behavior and replays
@@ -102,6 +104,9 @@ class ActorSystem {
   size_t QueueDepth(ActorId actor) const;
   const std::vector<ActorMessage>* LogOf(ActorId actor) const;
 
+  // Removes every logged message `drop` selects, from every actor's log.
+  void EraseFromLogs(const std::function<bool(const ActorMessage&)>& drop);
+
   uint64_t messages_processed() const { return messages_processed_; }
 
  private:
@@ -109,7 +114,6 @@ class ActorSystem {
     NodeId node;
     Behavior behavior;
     ActorState state = ActorState::kIdle;
-    bool log_messages = true;
     std::deque<ActorMessage> mailbox;
     std::vector<ActorMessage> log;
     bool draining = false;

@@ -1,4 +1,5 @@
-// Actor-based execution mode (paper sec. 3.1).
+// Actor-based execution mode (paper sec. 3.1), and the run-time telemetry
+// of the adaptive loop (sec. 3.2).
 //
 // The analytic DagRuntime computes one invocation's timing in closed form;
 // ActorExecutor instead *runs* the application: every task module becomes
@@ -7,17 +8,27 @@
 // queueing behaviour, message logs, and fast actor recovery the paper's
 // actor-framework proposal promises. Both modes share the same deployment,
 // so tests can cross-check them.
+//
+// The executor is also the one source of the tuner's input. At the end of
+// every kWindow of simulated time it feeds each task module's busy fraction
+// (the service time of the runs started in the window over its length) to
+// the AdaptiveTuner and to the gauge actor_exec.utilization{module=<name>};
+// after a resize, every run that starts later, queued ones included, uses
+// the new service time.
 
 #ifndef UDC_SRC_CORE_ACTOR_EXECUTOR_H_
 #define UDC_SRC_CORE_ACTOR_EXECUTOR_H_
 
 #include <functional>
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "src/actor/actor_system.h"
 #include "src/core/deployment.h"
 #include "src/core/runtime.h"
+#include "src/core/tuner.h"
 
 namespace udc {
 
@@ -30,18 +41,24 @@ struct InvocationResult {
 
 class ActorExecutor {
  public:
+  // Windows start at multiples of kWindow of simulated time. After a window
+  // with no run and no pending invocation the timer stops, so
+  // RunToCompletion returns.
+  static constexpr SimTime kWindow = SimTime::Minutes(15);
+
   // Spawns one actor per task module at its placement's node. The per-stage
   // service times come from the analytic model (compute + crypto), so both
-  // execution modes agree on a single unloaded invocation.
-  ActorExecutor(Simulation* sim, Deployment* deployment,
-                RuntimeConfig config = RuntimeConfig());
+  // execution modes agree on a single unloaded invocation. `tuner` must
+  // outlive the executor.
+  ActorExecutor(Simulation* sim, Deployment* deployment, AdaptiveTuner& tuner);
+  ~ActorExecutor();
 
   ActorExecutor(const ActorExecutor&) = delete;
   ActorExecutor& operator=(const ActorExecutor&) = delete;
 
-  // Submits one invocation at the current simulated time; `done` fires when
-  // every sink module has processed it. Run the simulation to completion
-  // (or until idle) to drain.
+  // Submits one invocation at the current simulated time; `done` (may be
+  // empty) fires when every sink module has processed it. Run the
+  // simulation to completion (or until idle) to drain.
   InvocationId Submit(std::function<void(const InvocationResult&)> done);
 
   ActorSystem& actors() { return actors_; }
@@ -54,28 +71,42 @@ class ActorExecutor {
   uint64_t completed() const { return completed_; }
 
  private:
+  struct TaskModule {
+    std::string name;
+    ActorId actor;
+    SimTime service_time;              // input + compute + output
+    std::vector<ModuleId> downstream;  // task successors, direct or via data
+    int upstream = 0;                  // distinct task predecessors
+    SimTime busy;                      // service started in the open window
+    GaugeHandle utilization;           // busy fraction of the last window
+  };
   struct PendingInvocation {
     SimTime submitted_at;
     std::function<void(const InvocationResult&)> done;
-    std::map<ModuleId, int> remaining_inputs;  // per module, inputs not yet seen
-    int sinks_remaining = 0;
+    // Per module, the upstream actors heard from (an invalid id for a
+    // source's trigger): a replayed or repeated input counts once.
+    std::map<ModuleId, std::set<ActorId>> inputs;
+    std::set<ModuleId> sinks_done;
   };
 
-  void WireModule(ModuleId module);
-  void OnSinkComplete(InvocationId invocation);
+  SimTime ServiceTimeOf(ModuleId module) const;
+  void OnMessage(ModuleId module, ActorContext& ctx, const ActorMessage& msg);
+  void OnRunDone(ModuleId module, uint64_t invocation);
+  void ArmWindow();
+  void CloseWindow();
 
   Simulation* sim_;
   Deployment* deployment_;
+  AdaptiveTuner& tuner_;
   DagRuntime analytic_;
   ActorSystem actors_;
   IdGenerator<InvocationId> invocation_ids_;
-  std::map<ModuleId, ActorId> actor_of_;
-  std::map<ModuleId, SimTime> service_time_;     // compute incl. overheads
-  std::map<ModuleId, int> input_degree_;         // task-predecessor count
-  std::vector<ModuleId> sources_;                // tasks with no task preds
-  std::vector<ModuleId> sinks_;                  // tasks with no task succs
+  std::map<ModuleId, TaskModule> modules_;
+  size_t sinks_ = 0;  // tasks with no task successors
   std::map<uint64_t, PendingInvocation> pending_;
   uint64_t completed_ = 0;
+  bool ran_in_window_ = false;
+  EventHandle window_timer_;  // valid while a window is open
   // Interned metric series for the per-invocation hot path.
   HistogramHandle queue_wait_ms_;
   CounterHandle completed_metric_;

@@ -7,6 +7,16 @@
 
 namespace udc {
 
+namespace {
+
+// MiB/s the crypto engine sustains for encryption and integrity each;
+// applied when a module's DataProtection requests them.
+constexpr double kCryptoMbps = 2200.0;
+// Per-invocation bytes read from each data module a task consumes.
+constexpr Bytes kDataAccessSize = Bytes::MiB(4);
+
+}  // namespace
+
 const StageStats* RunReport::StageOf(std::string_view name) const {
   for (const StageStats& s : stages) {
     if (s.name == name) {
@@ -34,13 +44,12 @@ std::string RunReport::Table() const {
   return out;
 }
 
-DagRuntime::DagRuntime(Simulation* sim, Deployment* deployment,
-                       RuntimeConfig config)
-    : sim_(sim), deployment_(deployment), config_(config) {}
+DagRuntime::DagRuntime(Simulation* sim, Deployment* deployment)
+    : sim_(sim), deployment_(deployment) {}
 
 SimTime DagRuntime::CryptoTime(const DataProtection& protection,
                                Bytes size) const {
-  if (!protection.any() || config_.crypto_mbps <= 0) {
+  if (!protection.any()) {
     return SimTime(0);
   }
   double passes = 0.0;
@@ -53,7 +62,7 @@ SimTime DagRuntime::CryptoTime(const DataProtection& protection,
   if (protection.replay_protection) {
     passes += 0.05;  // counter bookkeeping, nearly free
   }
-  const double micros = size.mib() / config_.crypto_mbps * 1e6 * passes;
+  const double micros = size.mib() / kCryptoMbps * 1e6 * passes;
   return SimTime(static_cast<int64_t>(std::llround(micros)));
 }
 
@@ -113,7 +122,7 @@ Result<StageStats> DagRuntime::ComputeStage(ModuleId module) const {
         continue;
       }
       const Bytes access(std::min(pm->data_size.bytes(),
-                                  config_.data_access_size.bytes()));
+                                  kDataAccessSize.bytes()));
       leg = store->PlanRead(placement->home, access).latency;
       if (leg < SimTime::Max()) {  // Max: no replica can serve the read
         leg += CryptoTime(deployment_->spec().AspectsFor(pred).exec.protection,

@@ -51,18 +51,9 @@ struct RunReport {
   std::string Table() const;
 };
 
-struct RuntimeConfig {
-  // Bytes/s the crypto engine sustains for encryption and integrity each;
-  // applied when a module's DataProtection requests them.
-  double crypto_mbps = 2200.0;
-  // Per-invocation bytes read from each data module a task consumes.
-  Bytes data_access_size = Bytes::MiB(4);
-};
-
 class DagRuntime {
  public:
-  DagRuntime(Simulation* sim, Deployment* deployment,
-             RuntimeConfig config = RuntimeConfig());
+  DagRuntime(Simulation* sim, Deployment* deployment);
 
   // Executes one invocation starting at the simulation's current time.
   Result<RunReport> RunOnce();
@@ -87,7 +78,6 @@ class DagRuntime {
 
   Simulation* sim_;
   Deployment* deployment_;
-  RuntimeConfig config_;
 };
 
 }  // namespace udc

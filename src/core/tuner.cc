@@ -5,19 +5,22 @@
 
 namespace udc {
 
-AdaptiveTuner::AdaptiveTuner(RegionRouter* router, Deployment* deployment,
-                             TunerConfig config)
-    : sim_(router->engine().sim()), router_(router), deployment_(deployment),
-      config_(config) {}
+namespace {
 
-double AdaptiveTuner::EwmaOf(ModuleId module) const {
-  const auto it = state_.find(module);
-  return it == state_.end() ? 0.0 : it->second.ewma;
-}
+constexpr double kLowWatermark = 0.30;   // shrink below this utilization
+constexpr double kHighWatermark = 0.85;  // grow above this
+constexpr double kEwmaAlpha = 0.3;
+constexpr double kGrowFactor = 1.5;
+constexpr double kShrinkFactor = 0.6;
+constexpr int64_t kMinComputeMilli = 250;
+constexpr int kObservationsBeforeActing = 3;
 
-Result<TunerAction> AdaptiveTuner::Resize(ModuleId module, double factor) {
-  TunerAction action;
-  action.module = module;
+}  // namespace
+
+AdaptiveTuner::AdaptiveTuner(RegionRouter* router, Deployment* deployment)
+    : sim_(router->engine().sim()), router_(router), deployment_(deployment) {}
+
+Result<int64_t> AdaptiveTuner::Resize(ModuleId module, double factor) {
   Placement* placement = deployment_->MutablePlacementOf(module);
   if (placement == nullptr || placement->kind != ModuleKind::kTask) {
     return Status(InvalidArgumentError("tuner acts on placed task modules"));
@@ -34,10 +37,10 @@ Result<TunerAction> AdaptiveTuner::Resize(ModuleId module, double factor) {
     const int64_t current = alloc.total();
     int64_t target = static_cast<int64_t>(
         std::llround(static_cast<double>(current) * factor));
-    target = std::max(target, config_.min_compute_milli);
+    target = std::max(target, kMinComputeMilli);
     const int64_t delta = target - current;
     if (delta == 0) {
-      return action;
+      return delta;
     }
     PlacementTxn txn = router_->engine().Begin("tune");
     const Status resized =
@@ -46,7 +49,6 @@ Result<TunerAction> AdaptiveTuner::Resize(ModuleId module, double factor) {
       txn.Abort();
       return resized;
     }
-    action.compute_delta_milli = delta;
     ++resizes_;
     sim_->metrics().IncrementCounter(delta > 0 ? "tuner.grows"
                                                : "tuner.shrinks");
@@ -57,48 +59,43 @@ Result<TunerAction> AdaptiveTuner::Resize(ModuleId module, double factor) {
       placement->home = new_home;
       placement->rack =
           deployment_->datacenter()->topology().RackOf(new_home);
-      action.migrated = true;
       ++migrations_;
       sim_->metrics().IncrementCounter("tuner.migrations");
     }
     (void)txn.Commit();
-    return action;
+    return delta;
   }
   return Status(FailedPreconditionError("module has no compute allocation"));
 }
 
-Result<TunerAction> AdaptiveTuner::Observe(ModuleId module,
-                                           double utilization) {
+Result<int64_t> AdaptiveTuner::Observe(ModuleId module, double utilization) {
   utilization = std::clamp(utilization, 0.0, 4.0);
   ModuleState& st = state_[module];
   if (st.samples == 0) {
     st.ewma = utilization;
   } else {
-    st.ewma = config_.ewma_alpha * utilization +
-              (1.0 - config_.ewma_alpha) * st.ewma;
+    st.ewma = kEwmaAlpha * utilization + (1.0 - kEwmaAlpha) * st.ewma;
   }
   ++st.samples;
 
-  TunerAction none;
-  none.module = module;
-  if (st.samples < config_.observations_before_acting) {
-    return none;
+  if (st.samples < kObservationsBeforeActing) {
+    return int64_t{0};
   }
-  if (st.ewma > config_.high_watermark) {
-    auto action = Resize(module, config_.grow_factor);
-    if (action.ok()) {
-      st.ewma = st.ewma / config_.grow_factor;  // expect relief
+  if (st.ewma > kHighWatermark) {
+    auto delta = Resize(module, kGrowFactor);
+    if (delta.ok()) {
+      st.ewma = st.ewma / kGrowFactor;  // expect relief
     }
-    return action;
+    return delta;
   }
-  if (st.ewma < config_.low_watermark) {
-    auto action = Resize(module, config_.shrink_factor);
-    if (action.ok()) {
-      st.ewma = std::min(1.0, st.ewma / config_.shrink_factor);
+  if (st.ewma < kLowWatermark) {
+    auto delta = Resize(module, kShrinkFactor);
+    if (delta.ok()) {
+      st.ewma = std::min(1.0, st.ewma / kShrinkFactor);
     }
-    return action;
+    return delta;
   }
-  return none;
+  return int64_t{0};
 }
 
 }  // namespace udc

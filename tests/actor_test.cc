@@ -97,13 +97,6 @@ TEST_F(ActorTest, RecoverRequiresDeadActor) {
   EXPECT_FALSE(system_->Recover(a, n0_).ok());
 }
 
-TEST_F(ActorTest, RecoverWithoutLoggingFails) {
-  const ActorId a = system_->Spawn(
-      n0_, [](ActorContext&, const ActorMessage&) {}, /*log_messages=*/false);
-  ASSERT_TRUE(system_->Kill(a).ok());
-  EXPECT_FALSE(system_->Recover(a, n0_).ok());
-}
-
 TEST_F(ActorTest, PipelineAcrossThreeActors) {
   std::string result;
   const ActorId third = system_->Spawn(n0_, [&](ActorContext&,

@@ -1,6 +1,6 @@
 // Tests for the control-plane services layered on the core: the repair
-// orchestrator, the actor-based executor, hybrid deployment, and the RPC
-// frontend.
+// orchestrator, the actor-based executor and the adaptive loop it feeds,
+// hybrid deployment, and the RPC frontend.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "src/core/hybrid.h"
 #include "src/core/auditor.h"
 #include "src/core/defrag.h"
-#include "src/core/monitor.h"
 #include "src/core/repair.h"
 #include "src/core/runtime.h"
 #include "src/core/tuner.h"
@@ -485,8 +484,36 @@ domain pair members=A,B
 
 // --- ActorExecutor -------------------------------------------------------
 
+// Runs of `module` the executor started, read from its exec.task_run spans.
+int TaskRuns(const Simulation& sim, std::string_view module) {
+  int runs = 0;
+  for (const Span& span : sim.spans().spans()) {
+    const std::string* label = span.Label("module");
+    if (span.name == "exec.task_run" && label != nullptr && *label == module) {
+      ++runs;
+    }
+  }
+  return runs;
+}
+
+// The busy fraction the executor published for `module` at the last close.
+double UtilizationOf(const Simulation& sim, const std::string& module) {
+  return sim.metrics().gauge("actor_exec.utilization", {{"module", module}});
+}
+
+// What the executor charges one run of `module`: the analytic stage time.
+SimTime ServiceTimeOf(const DagRuntime& analytic, ModuleId module) {
+  const auto stage = analytic.ComputeStage(module);
+  if (!stage.ok()) {
+    ADD_FAILURE() << stage.status().ToString();
+    return SimTime(0);
+  }
+  return stage->input_time + stage->compute_time + stage->output_time;
+}
+
 TEST_F(ServiceTest, ActorExecutionMatchesDagShape) {
-  ActorExecutor executor(cloud_->sim(), deployment_.get());
+  AdaptiveTuner tuner(cloud_->region_router(), deployment_.get());
+  ActorExecutor executor(cloud_->sim(), deployment_.get(), tuner);
   std::vector<InvocationResult> results;
   executor.Submit([&](const InvocationResult& r) { results.push_back(r); });
   cloud_->sim()->RunToCompletion();
@@ -504,7 +531,8 @@ TEST_F(ServiceTest, ActorExecutionMatchesDagShape) {
 }
 
 TEST_F(ServiceTest, ConcurrentInvocationsQueue) {
-  ActorExecutor executor(cloud_->sim(), deployment_.get());
+  AdaptiveTuner tuner(cloud_->region_router(), deployment_.get());
+  ActorExecutor executor(cloud_->sim(), deployment_.get(), tuner);
   std::vector<SimTime> latencies;
   for (int i = 0; i < 5; ++i) {
     executor.Submit([&](const InvocationResult& r) {
@@ -522,10 +550,13 @@ TEST_F(ServiceTest, ConcurrentInvocationsQueue) {
 }
 
 TEST_F(ServiceTest, ActorRecoveryReplaysLog) {
-  ActorExecutor executor(cloud_->sim(), deployment_.get());
+  AdaptiveTuner tuner(cloud_->region_router(), deployment_.get());
+  ActorExecutor executor(cloud_->sim(), deployment_.get(), tuner);
   int completions = 0;
   executor.Submit([&](const InvocationResult&) { ++completions; });
-  cloud_->sim()->RunToCompletion();
+  // Crash before the first window closes: until then A2's log still holds
+  // the completed invocation's message.
+  cloud_->sim()->RunUntil(ActorExecutor::kWindow / 2);
   EXPECT_EQ(completions, 1);
 
   const ModuleId a2 = spec_->graph.IdOf("A2");
@@ -535,6 +566,113 @@ TEST_F(ServiceTest, ActorRecoveryReplaysLog) {
   cloud_->sim()->RunToCompletion();
   // Replay of a completed invocation is ignored (no double completion).
   EXPECT_EQ(completions, 1);
+  // The window close dropped the messages of completed invocations, which
+  // here is all of them.
+  EXPECT_TRUE(executor.actors().LogOf(executor.ActorOf(a2))->empty());
+}
+
+// A4 joins A2 and A3. When it crashes after logging A2's input, the replay
+// must not count that input twice: A4 waits for A3, runs once, and the
+// invocation completes only after its other sink, B2, has run.
+TEST_F(ServiceTest, CrashedJoinWaitsForEveryInput) {
+  AdaptiveTuner tuner(cloud_->region_router(), deployment_.get());
+  ActorExecutor executor(cloud_->sim(), deployment_.get(), tuner);
+  std::vector<InvocationResult> results;
+  executor.Submit([&](const InvocationResult& r) { results.push_back(r); });
+
+  const ModuleId a4 = spec_->graph.IdOf("A4");
+  const std::vector<ActorMessage>* a4_log =
+      executor.actors().LogOf(executor.ActorOf(a4));
+  ASSERT_NE(a4_log, nullptr);
+  while (a4_log->empty() && cloud_->sim()->Step()) {
+  }
+  ASSERT_EQ(a4_log->size(), 1u);
+  EXPECT_EQ(a4_log->front().from, executor.ActorOf(spec_->graph.IdOf("A2")));
+  ASSERT_TRUE(executor.CrashAndRecover(a4).ok());
+  cloud_->sim()->RunToCompletion();
+
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(TaskRuns(*cloud_->sim(), "A4"), 1);
+  EXPECT_EQ(TaskRuns(*cloud_->sim(), "B2"), 1);
+  const Span* b2_run = cloud_->sim()->spans().Find("exec.task_run", "module",
+                                                   "B2");
+  ASSERT_NE(b2_run, nullptr);
+  EXPECT_EQ(results[0].completed_at, b2_run->end);
+}
+
+// A steady stream: after one window, every task's measured busy fraction is
+// the offered load, rate x service time.
+TEST_F(ServiceTest, ExecutorUtilizationIsRateTimesServiceTime) {
+  AdaptiveTuner tuner(cloud_->region_router(), deployment_.get());
+  ActorExecutor executor(cloud_->sim(), deployment_.get(), tuner);
+  constexpr double kRate = 5.0;  // invocations per second
+  const SimTime gap = SimTime::Millis(200);
+  for (SimTime t; t < ActorExecutor::kWindow; t += gap) {
+    cloud_->sim()->At(t, [&executor] { executor.Submit(nullptr); });
+  }
+  cloud_->sim()->RunUntil(ActorExecutor::kWindow);
+
+  DagRuntime analytic(cloud_->sim(), deployment_.get());
+  for (const ModuleId task : spec_->graph.TaskIds()) {
+    const std::string& name = spec_->graph.Find(task)->name;
+    const double offered = kRate * ServiceTimeOf(analytic, task).seconds();
+    EXPECT_NEAR(UtilizationOf(*cloud_->sim(), name), offered, 0.05 * offered)
+        << name;
+  }
+}
+
+// A module kept busy for three windows gets a larger slice through the
+// executor, and its next run is shorter.
+TEST(ExecutorTunerTest, HotModuleGrowsAndRunsFaster) {
+  UdcCloudConfig config;
+  config.datacenter.racks = 2;
+  UdcCloud cloud(config);
+  auto spec = ParseAppSpec(
+      "app hot\ntask cnn work=30000000 out=64KiB\n"
+      "aspect cnn resource gpu=250m dram=4GiB\n");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto deployment = cloud.Deploy(cloud.RegisterTenant("t"), *spec);
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  const ModuleId cnn = spec->graph.IdOf("cnn");
+  DagRuntime analytic(cloud.sim(), deployment->get());
+  const SimTime before = ServiceTimeOf(analytic, cnn);
+
+  AdaptiveTuner tuner(cloud.region_router(), deployment->get());
+  ActorExecutor executor(cloud.sim(), deployment->get(), tuner);
+  // One arrival per service time: the slice never idles.
+  for (SimTime t; t < ActorExecutor::kWindow * 3; t += before) {
+    cloud.sim()->At(t, [&executor] { executor.Submit(nullptr); });
+  }
+  for (int w = 1; w <= 3; ++w) {
+    cloud.sim()->RunUntil(ActorExecutor::kWindow * w);
+    EXPECT_GT(UtilizationOf(*cloud.sim(), "cnn"), 0.85) << "window " << w;
+  }
+  EXPECT_GT((*deployment)->ResourcesOf(cnn).Get(ResourceKind::kGpu), 250);
+  EXPECT_EQ(tuner.resizes(), 1);
+
+  cloud.sim()->RunUntil(ActorExecutor::kWindow * 3 + before);
+  std::vector<SimTime> latency;
+  executor.Submit([&](const InvocationResult& r) {
+    latency.push_back(r.latency());
+  });
+  cloud.sim()->RunToCompletion();
+  ASSERT_EQ(latency.size(), 1u);
+  EXPECT_LT(latency[0], before);
+  EXPECT_EQ(latency[0], ServiceTimeOf(analytic, cnn));
+}
+
+// The window timer stops after a window with no run and nothing pending,
+// so RunToCompletion returns.
+TEST_F(ServiceTest, ExecutorWindowTimerStopsWhenIdle) {
+  AdaptiveTuner tuner(cloud_->region_router(), deployment_.get());
+  ActorExecutor executor(cloud_->sim(), deployment_.get(), tuner);
+  const SimTime submitted = SimTime::Minutes(20);
+  cloud_->sim()->RunUntil(submitted);
+  executor.Submit(nullptr);
+  const SimTime end = cloud_->sim()->RunToCompletion();
+  EXPECT_EQ(executor.completed(), 1u);
+  EXPECT_GT(end, submitted);
+  EXPECT_LE(end, submitted + ActorExecutor::kWindow * 2);
 }
 
 // --- HybridDeployer ------------------------------------------------------
@@ -902,44 +1040,6 @@ TEST(DeploySpanTest, PlacementSpansNestUnderTheDeployInEveryTopology) {
           << " regions=" << shape.regions;
     }
   }
-}
-
-
-// --- UtilizationMonitor --------------------------------------------------
-
-TEST_F(ServiceTest, MonitorFlushesWindowsAndFeedsTuner) {
-  AdaptiveTuner tuner(cloud_->region_router(), deployment_.get());
-  UtilizationMonitor monitor(cloud_->sim(), &tuner, SimTime::Minutes(10));
-  const ModuleId a3 = spec_->graph.IdOf("A3");
-  const int64_t before = deployment_->ResourcesOf(a3).Get(ResourceKind::kGpu);
-
-  // A3 runs hot for an hour: ~95% busy per window.
-  for (int minute = 0; minute < 60; ++minute) {
-    cloud_->sim()->RunUntil(SimTime::Minutes(minute + 1));
-    monitor.ReportBusy(a3, Scale(SimTime::Minutes(1), 0.95));
-  }
-  monitor.Flush();
-  EXPECT_GE(monitor.windows_flushed(), 5);
-  EXPECT_GT(monitor.LastUtilization(a3), 0.9);
-  // The tuner grew the hot slice.
-  EXPECT_GT(deployment_->ResourcesOf(a3).Get(ResourceKind::kGpu), before);
-}
-
-TEST_F(ServiceTest, MonitorObserveOnlyModeNeedsNoTuner) {
-  UtilizationMonitor monitor(cloud_->sim(), nullptr, SimTime::Minutes(5));
-  const ModuleId b2 = spec_->graph.IdOf("B2");
-  cloud_->sim()->RunUntil(SimTime::Minutes(6));
-  monitor.ReportBusy(b2, SimTime::Minutes(1));
-  cloud_->sim()->RunUntil(SimTime::Minutes(12));
-  monitor.Flush();
-  EXPECT_GT(monitor.windows_flushed(), 0);
-  // Utilization lands in a per-module labeled gauge, not a shared series.
-  const MetricLabels b2_labels = {
-      {"module",
-       StrFormat("%llu", static_cast<unsigned long long>(b2.value()))}};
-  EXPECT_GT(cloud_->sim()->metrics().gauge("monitor.utilization", b2_labels),
-            0.0);
-  EXPECT_GT(cloud_->sim()->metrics().counter("monitor.windows_flushed"), 0);
 }
 
 // --- CloudFrontend -------------------------------------------------------
