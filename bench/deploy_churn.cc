@@ -23,11 +23,11 @@
 //     on the no-abort path.
 //
 // The observability PR adds:
-//   - obs overhead: the same churn against two clouds — one with the flight
-//     recorder enabled, wall-clock placement latency recorded into a sketch
-//     histogram, and the SLO engine evaluating per block; one with all of it
-//     off. Both clouds trace spans, so the gate does not price the span
-//     log. Blocks interleave (alternating which cloud goes first) and the
+//   - obs overhead: the same churn against two clouds — one with
+//     wall-clock placement latency recorded into a sketch histogram and the
+//     SLO engine evaluating per block; one with both off. Both clouds trace
+//     spans, and the flight recorder is a dump of that span log, so the
+//     gate prices neither. Blocks interleave (alternating which cloud goes first) and the
 //     gate is the placement p50 ratio, <= 1.03x, with a 1.5us absolute
 //     budget floor: always-on telemetry must cost no more than 3% of the
 //     placement hot path, or at worst 1.5us per deploy where the hot path
@@ -367,11 +367,11 @@ struct ObsOverheadResult {
 };
 
 // The always-on claim, measured: identical churn against two clouds, one
-// with full observability (flight recorder on, wall-clock placement latency
-// into a sketch histogram, SLO engine ticking every block) and one with all
-// of it off. make_cloud switches only the recorder and the placement-latency
-// sketch (the SLO objectives are armed on the first cloud alone); both
-// clouds record spans, so the ratio leaves out what the span log costs.
+// with wall-clock placement latency into a sketch histogram and the SLO
+// engine ticking every block, and one with both off. make_cloud switches
+// only the placement-latency sketch (the SLO objectives are armed on the
+// first cloud alone); both clouds record spans, which is all the flight
+// recorder dumps, so the ratio leaves out what the span log costs.
 // Blocks of one full spec cycle interleave — alternating which
 // cloud goes first, so neither mode systematically inherits the other's
 // warm caches — and both modes collect per-deploy placement times from
@@ -387,9 +387,7 @@ ObsOverheadResult RunObsOverhead(int racks, int deploys, int window,
     udc::UdcCloudConfig cloud_config;
     cloud_config.datacenter.racks = racks;
     cloud_config.scheduler.record_place_latency = obs_on;
-    auto cloud = std::make_unique<udc::UdcCloud>(cloud_config);
-    cloud->sim()->flight_recorder().set_enabled(obs_on);
-    return cloud;
+    return std::make_unique<udc::UdcCloud>(cloud_config);
   };
   auto cloud_on = make_cloud(true);
   auto cloud_off = make_cloud(false);

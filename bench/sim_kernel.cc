@@ -12,8 +12,8 @@
 // reproduce fixed event, delivery and timer-fire counts; and the counting
 // allocator (bench_common.h) must see ZERO heap allocations once warm. The
 // event log stays live throughout: every delivered message closes one
-// net.message span, which must reach the flight recorder, and no span may
-// be dropped. The benchmark exits non-zero if any of these fails.
+// net.message span, which the flight recorder counts, and no span may be
+// dropped. The benchmark exits non-zero if any of these fails.
 //
 // Writes BENCH_simkernel.json (with host_cores) into the working
 // directory. `--smoke` runs a small configuration in well under a second;
@@ -52,7 +52,7 @@ struct KernelResult {
   double allocs_per_event = 0;
   long long messages_delivered = 0;
   long long timer_fires = 0;
-  long long recorder_records = 0;  // flight-recorder appends while measured
+  long long recorder_records = 0;  // spans closed while measured
   long long spans_dropped = 0;
 };
 
@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
                  config.expected_timer_fires);
     return 1;
   }
-  // The log was live: one recorded span per delivered message, none lost.
+  // The log was live: one closed span per delivered message, none lost.
   // A silenced tracer would pass the allocation gate below by recording
   // nothing.
   if (result.recorder_records != result.messages_delivered ||

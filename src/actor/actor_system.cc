@@ -96,7 +96,7 @@ void ActorSystem::DrainMailbox(ActorId actor, ActorRecord& record) {
 
   const SimTime busy = ctx.work();
   // 16-byte capture: wakeups stay in the inline callback buffer.
-  sim_->After(busy, [this, actor] {
+  record.wakeup = sim_->After(busy, [this, actor] {
     auto it2 = actors_.find(actor);
     if (it2 == actors_.end() || it2->second.state == ActorState::kDead) {
       return;
@@ -113,6 +113,7 @@ Status ActorSystem::Kill(ActorId actor) {
   }
   it->second.state = ActorState::kDead;
   it->second.mailbox.clear();
+  sim_->Cancel(it->second.wakeup);
   return OkStatus();
 }
 

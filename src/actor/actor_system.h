@@ -117,6 +117,9 @@ class ActorSystem {
     std::deque<ActorMessage> mailbox;
     std::vector<ActorMessage> log;
     bool draining = false;
+    // The pending end-of-work wakeup; Kill cancels it so it cannot free a
+    // later incarnation mid-message.
+    EventHandle wakeup;
   };
 
   void Deliver(ActorId to, ActorMessage msg, bool replay);

@@ -61,7 +61,6 @@ struct ServerIdTag {};       // baseline monolithic server
 struct InstanceIdTag {};     // baseline VM/container instance
 struct QuoteIdTag {};        // attestation quote
 struct CheckpointIdTag {};
-struct DomainIdTag {};       // failure domain
 struct InvocationIdTag {};   // one execution of a task module
 
 using TenantId = TypedId<TenantIdTag>;
@@ -77,7 +76,6 @@ using ServerId = TypedId<ServerIdTag>;
 using InstanceId = TypedId<InstanceIdTag>;
 using QuoteId = TypedId<QuoteIdTag>;
 using CheckpointId = TypedId<CheckpointIdTag>;
-using DomainId = TypedId<DomainIdTag>;
 using InvocationId = TypedId<InvocationIdTag>;
 
 // Monotonic id generator; one per id space, owned by whichever registry

@@ -90,7 +90,7 @@ Result<int64_t> AdaptiveTuner::Observe(ModuleId module, double utilization) {
   }
   if (st.ewma < kLowWatermark) {
     auto delta = Resize(module, kShrinkFactor);
-    if (delta.ok()) {
+    if (delta.ok() && *delta != 0) {  // a no-op at the floor brings no relief
       st.ewma = std::min(1.0, st.ewma / kShrinkFactor);
     }
     return delta;

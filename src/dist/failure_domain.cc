@@ -30,55 +30,4 @@ bool ParseFailureHandling(std::string_view name, FailureHandling* out) {
   return false;
 }
 
-Result<DomainId> DomainManager::CreateDomain(std::string name,
-                                             int replication_factor,
-                                             FailureHandling handling) {
-  if (replication_factor < 1) {
-    return Status(InvalidArgumentError("replication factor must be >= 1"));
-  }
-  FailureDomain domain;
-  domain.id = ids_.Next();
-  domain.name = std::move(name);
-  domain.replication_factor = replication_factor;
-  domain.handling = handling;
-  domains_.push_back(std::move(domain));
-  return domains_.back().id;
-}
-
-Status DomainManager::AddModule(DomainId domain, ModuleId module) {
-  if (module_domain_.count(module) != 0) {
-    return AlreadyExistsError("module already assigned to a failure domain");
-  }
-  for (auto& d : domains_) {
-    if (d.id == domain) {
-      d.members.push_back(module);
-      module_domain_[module] = domain;
-      return OkStatus();
-    }
-  }
-  return NotFoundError("unknown failure domain");
-}
-
-const FailureDomain* DomainManager::Find(DomainId id) const {
-  for (const auto& d : domains_) {
-    if (d.id == id) {
-      return &d;
-    }
-  }
-  return nullptr;
-}
-
-const FailureDomain* DomainManager::DomainOf(ModuleId module) const {
-  const auto it = module_domain_.find(module);
-  return it == module_domain_.end() ? nullptr : Find(it->second);
-}
-
-std::vector<ModuleId> DomainManager::CoFailing(ModuleId module) const {
-  const FailureDomain* domain = DomainOf(module);
-  if (domain == nullptr) {
-    return {module};
-  }
-  return domain->members;
-}
-
 }  // namespace udc

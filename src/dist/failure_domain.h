@@ -2,19 +2,16 @@
 //
 // "Users (developers) can define the failure domains in their programs, with
 // the understanding that different domains could fail independently while
-// code and data within a domain will fail as a whole." Each domain carries a
-// replication factor and a handling policy (re-execute vs restore from a
-// user-defined checkpoint).
+// code and data within a domain will fail as a whole." The domains a user
+// declares live in the parsed spec (AppSpec::domains, DomainOf and
+// CoFailingWith in src/aspects/spec_parser.h); each module's dist aspect
+// names how its failures are handled (re-execute, restore from a
+// user-defined checkpoint, or fail over to a replica).
 
 #ifndef UDC_SRC_DIST_FAILURE_DOMAIN_H_
 #define UDC_SRC_DIST_FAILURE_DOMAIN_H_
 
-#include <string>
-#include <unordered_map>
-#include <vector>
-
-#include "src/common/ids.h"
-#include "src/common/status.h"
+#include <string_view>
 
 namespace udc {
 
@@ -26,38 +23,6 @@ enum class FailureHandling {
 
 std::string_view FailureHandlingName(FailureHandling handling);
 bool ParseFailureHandling(std::string_view name, FailureHandling* out);
-
-struct FailureDomain {
-  DomainId id;
-  std::string name;
-  std::vector<ModuleId> members;
-  int replication_factor = 1;
-  FailureHandling handling = FailureHandling::kReexecute;
-};
-
-// Registry enforcing that every module belongs to at most one domain.
-class DomainManager {
- public:
-  DomainManager() = default;
-
-  Result<DomainId> CreateDomain(std::string name, int replication_factor,
-                                FailureHandling handling);
-
-  Status AddModule(DomainId domain, ModuleId module);
-
-  const FailureDomain* Find(DomainId id) const;
-  const FailureDomain* DomainOf(ModuleId module) const;
-
-  // Modules co-failing with `module` (its domain members), itself included.
-  std::vector<ModuleId> CoFailing(ModuleId module) const;
-
-  size_t domain_count() const { return domains_.size(); }
-
- private:
-  IdGenerator<DomainId> ids_;
-  std::vector<FailureDomain> domains_;
-  std::unordered_map<ModuleId, DomainId> module_domain_;
-};
 
 }  // namespace udc
 

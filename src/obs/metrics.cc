@@ -44,25 +44,7 @@ uint32_t MetricsRegistry::Intern(std::deque<Series<T>>* store,
   if (labels.empty()) {
     return Intern(store, index, name);
   }
-  const std::string key = MetricSeriesKey(name, labels);
-  const auto it = index->find(key);
-  if (it != index->end()) {
-    return it->second;
-  }
-  // New labeled series: charge it against the per-name cardinality budget.
-  // Past the limit the event folds into the `name{overflow="true"}`
-  // aggregate — the first K label sets keep their own series (top-K by
-  // first touch), everything else stays bounded.
-  const auto counter =
-      labeled_series_per_name_.try_emplace(std::string(name), 0).first;
-  if (label_cardinality_limit_ > 0 &&
-      counter->second >= label_cardinality_limit_) {
-    ++overflowed_series_events_;
-    return Intern(store, index,
-                  MetricSeriesKey(name, {{"overflow", "true"}}));
-  }
-  ++counter->second;
-  return Intern(store, index, key);
+  return Intern(store, index, MetricSeriesKey(name, labels));
 }
 
 MetricsRegistry::CounterHandle MetricsRegistry::CounterSeries(
@@ -207,8 +189,6 @@ void MetricsRegistry::Clear() {
   counter_index_.clear();
   gauge_index_.clear();
   histogram_index_.clear();
-  labeled_series_per_name_.clear();
-  overflowed_series_events_ = 0;
 }
 
 }  // namespace udc

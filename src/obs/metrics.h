@@ -133,22 +133,6 @@ class MetricsRegistry {
   const MetricHistogram* histogram(std::string_view name,
                                    const MetricLabels& labels) const;
 
-  // --- Label-cardinality budget.
-  //
-  // At million-tenant scale an unbounded tenant label would mint a series
-  // per tenant. With a limit K > 0, only the first K distinct label sets of
-  // each base name get their own series; later label sets fold into a single
-  // `name{overflow="true"}` aggregate (top-K by first touch). 0 = unlimited
-  // (the default — differential tests rely on exact series layouts).
-  void SetLabelCardinalityLimit(size_t limit) {
-    label_cardinality_limit_ = limit;
-  }
-  size_t label_cardinality_limit() const { return label_cardinality_limit_; }
-  // Events that were folded into an overflow aggregate so far.
-  uint64_t overflowed_series_events() const {
-    return overflowed_series_events_;
-  }
-
   size_t counter_series_count() const { return counters_.size(); }
   size_t gauge_series_count() const { return gauges_.size(); }
   size_t histogram_series_count() const { return histograms_.size(); }
@@ -197,13 +181,6 @@ class MetricsRegistry {
   SeriesIndex counter_index_;
   SeriesIndex gauge_index_;
   SeriesIndex histogram_index_;
-
-  // Labeled-series count per base name (all stores share the budget; a name
-  // is one logical metric regardless of type).
-  std::unordered_map<std::string, size_t, TransparentHash, std::equal_to<>>
-      labeled_series_per_name_;
-  size_t label_cardinality_limit_ = 0;
-  uint64_t overflowed_series_events_ = 0;
 };
 
 // Handle types are spelled without the class qualifier at call sites.

@@ -5,7 +5,7 @@
 // log: every layer, from placement and launch to repair and defrag, records
 // what it did as spans. They are the raw material for the Chrome trace
 // export (src/obs/chrome_trace.h), the per-run latency breakdown
-// (src/obs/breakdown.h) and, through the end sink, the flight recorder
+// (src/obs/breakdown.h) and the flight recorder's dump
 // (src/obs/flight_recorder.h).
 //
 // Two usage styles:
@@ -64,7 +64,6 @@ struct Span {
 class SpanTracer {
  public:
   using Clock = std::function<SimTime()>;
-  using EndSink = std::function<void(const Span&)>;
 
   // Spans retained: 9 MiB of 144-byte slots, about 21 MiB when full of a
   // deploy-and-run workload's spans with their names and labels.
@@ -111,12 +110,10 @@ class SpanTracer {
   size_t size() const { return slots_.size(); }
   // Spans overwritten while still open: their close is lost.
   uint64_t dropped() const { return dropped_; }
+  // Spans closed since construction; Clear() does not reset it.
+  uint64_t closed() const { return closed_; }
   // Drops every span; ids and trace ids start again at 1.
   void Clear();
-
-  // Invoked whenever a span closes (Simulation feeds its flight recorder
-  // here). The sink runs on the tracing hot path, so keep it cheap.
-  void set_on_end(EndSink sink) { on_end_ = std::move(sink); }
 
   // The span, or nullptr when `span_id` is 0, not yet issued or overwritten.
   const Span* SpanById(uint64_t span_id) const;
@@ -135,7 +132,6 @@ class SpanTracer {
   }
 
   Clock clock_;
-  EndSink on_end_;
   // Interned label sets; deque keeps element addresses stable so spans can
   // point straight at them. Deliberately not cleared by Clear().
   std::deque<SpanLabels> label_sets_;
@@ -145,6 +141,7 @@ class SpanTracer {
   uint64_t next_id_ = 1;
   uint64_t next_trace_id_ = 1;
   uint64_t dropped_ = 0;
+  uint64_t closed_ = 0;
 };
 
 // RAII span: opens on construction, pushes itself as the current scope, and

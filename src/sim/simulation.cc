@@ -10,10 +10,6 @@ namespace udc {
 
 Simulation::Simulation(uint64_t seed)
     : now_(SimTime(0)), rng_(seed), spans_([this] { return now_; }) {
-  spans_.set_on_end([this](const Span& span) {
-    flight_recorder_.RecordSpan(span.start, span.end, span.category,
-                                span.name);
-  });
   slos_.set_on_breach([this](const SloVerdict& v) { OnSloBreach(v); });
 }
 
@@ -50,8 +46,9 @@ void Simulation::ArmSloTicks(SimTime period, SimTime until) {
 }
 
 void Simulation::OnSloBreach(const SloVerdict& verdict) {
-  flight_recorder_.RecordEvent(verdict.evaluated_at, "slo",
-                               verdict.name + " BREACH");
+  spans_.EndAt(spans_.BeginAt(verdict.evaluated_at, "obs", "obs.slo_breach",
+                              {{"objective", verdict.name}}),
+               verdict.evaluated_at);
   if (breach_dump_path_.empty()) {
     return;
   }

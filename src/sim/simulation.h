@@ -5,9 +5,8 @@
 // from a single seed.
 //
 // The event log is the span tracer: every layer records what it did as
-// spans (src/obs/span.h), and each closed span also lands in the flight
-// recorder's ring. Point markers with no interval (an SLO breach, an
-// annotation) go straight to flight_recorder().RecordEvent.
+// spans (src/obs/span.h), and the flight recorder dumps that log. A point
+// marker with no interval (an SLO breach) is a zero-length span.
 
 #ifndef UDC_SRC_SIM_SIMULATION_H_
 #define UDC_SRC_SIM_SIMULATION_H_
@@ -40,10 +39,10 @@ class Simulation {
   const MetricsRegistry& metrics() const { return metrics_; }
   SpanTracer& spans() { return spans_; }
   const SpanTracer& spans() const { return spans_; }
-  // Always-on black box: every closed span and event marker also lands in a
-  // fixed-size ring (see src/obs/flight_recorder.h). Dumped on SLO breach
-  // (set_breach_dump_path), UDC_CHECK failure (set_crash_dump_path), or
-  // explicitly via flight_recorder().Dump(...).
+  // Always-on black box: a dump of the span log (see
+  // src/obs/flight_recorder.h). Dumped on SLO breach (set_breach_dump_path),
+  // UDC_CHECK failure (set_crash_dump_path), or explicitly via
+  // flight_recorder().Dump(...).
   FlightRecorder& flight_recorder() { return flight_recorder_; }
   const FlightRecorder& flight_recorder() const { return flight_recorder_; }
   // Declarative objectives over this simulation's registry. Drive with
@@ -105,8 +104,8 @@ class Simulation {
 
  private:
   // Fired on an objective's OK/WARN -> BREACH transition (SloEngine wiring
-  // set up in the constructor): annotates the flight ring and, when a dump
-  // path is set, writes the black box out.
+  // set up in the constructor): records an obs.slo_breach span and, when a
+  // dump path is set, writes the black box out.
   void OnSloBreach(const SloVerdict& verdict);
 
   SimTime now_;
@@ -114,7 +113,7 @@ class Simulation {
   Rng rng_;
   MetricsRegistry metrics_;
   SpanTracer spans_;
-  FlightRecorder flight_recorder_;
+  FlightRecorder flight_recorder_{&spans_, &now_};
   SloEngine slos_{&metrics_};
   std::string breach_dump_path_;
   std::string crash_dump_path_;

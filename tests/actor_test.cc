@@ -92,6 +92,26 @@ TEST_F(ActorTest, RecoverReplaysLoggedMessages) {
   EXPECT_EQ(sim_.metrics().counter("actor.recoveries"), 1);
 }
 
+// A kill cancels the dead incarnation's pending wakeup, so it cannot free
+// the recovered actor mid-message: each replay still gets its full 10 ms.
+TEST_F(ActorTest, RecoveredActorIsNotWokenByItsDeadIncarnation) {
+  std::vector<SimTime> starts;
+  const ActorId a = system_->Spawn(n0_, [&](ActorContext& ctx,
+                                            const ActorMessage&) {
+    starts.push_back(ctx.now());
+    ctx.Work(SimTime::Millis(10));
+  });
+  system_->Inject(a, "m", "1", Bytes::B(1));
+  system_->Inject(a, "m", "2", Bytes::B(1));
+  sim_.At(SimTime::Millis(1), [&] {
+    ASSERT_TRUE(system_->Kill(a).ok());
+    ASSERT_TRUE(system_->Recover(a, n1_).ok());
+  });
+  sim_.RunToCompletion();
+  EXPECT_EQ(starts, (std::vector<SimTime>{SimTime(0), SimTime::Millis(1),
+                                          SimTime::Millis(11)}));
+}
+
 TEST_F(ActorTest, RecoverRequiresDeadActor) {
   const ActorId a = system_->Spawn(n0_, [](ActorContext&, const ActorMessage&) {});
   EXPECT_FALSE(system_->Recover(a, n0_).ok());

@@ -414,6 +414,37 @@ TEST_F(RuntimeTest, TunerShrinksColdModules) {
   EXPECT_GE(after, 250);  // floor respected
 }
 
+// A shrink at the 250m floor changes nothing, so it brings no relief to
+// expect: the average stays what the samples say, and a module that idled
+// at the floor grows only once its own samples cross the high watermark.
+TEST(TunerTest, NoOpShrinkAtTheFloorLeavesTheAverageAlone) {
+  UdcCloud cloud;
+  const TenantId tenant = cloud.RegisterTenant("t");
+  const auto spec =
+      ParseAppSpec("app x\ntask t work=1\naspect t resource cpu=250m\n");
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  auto deployment = cloud.Deploy(tenant, *spec);
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  const ModuleId task = spec->graph.IdOf("t");
+  const auto cpu = [&] {
+    return (*deployment)->ResourcesOf(task).Get(ResourceKind::kCpu);
+  };
+  ASSERT_EQ(cpu(), 250);
+
+  AdaptiveTuner tuner(cloud.region_router(), deployment->get());
+  for (int window = 0; window < 4; ++window) {
+    const auto delta = tuner.Observe(task, 0.18);
+    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+    EXPECT_EQ(*delta, 0);
+  }
+  // The average climbs 0.43, 0.60, 0.72, 0.80: under the 0.85 watermark.
+  for (int window = 0; window < 4; ++window) {
+    ASSERT_TRUE(tuner.Observe(task, 1.0).ok());
+  }
+  EXPECT_EQ(cpu(), 250);
+  EXPECT_EQ(tuner.resizes(), 0);
+}
+
 
 TEST_F(RuntimeTest, TeeGpuSupportEnablesEnclaveOnGpu) {
   // Graviton-style hardware support (sec. 3.3): with TEE-on-GPU available,

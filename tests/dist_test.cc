@@ -208,33 +208,6 @@ TEST_F(ReplicationTest, AllReplicasDownMeansUnavailable) {
   EXPECT_EQ(store.PlanWrite(client_, Bytes::KiB(1)).latency, SimTime::Max());
 }
 
-TEST(FailureDomainTest, ModulesCoFailWithinDomain) {
-  DomainManager manager;
-  const auto d = manager.CreateDomain("front", 2, FailureHandling::kReexecute);
-  ASSERT_TRUE(d.ok());
-  ASSERT_TRUE(manager.AddModule(*d, ModuleId(1)).ok());
-  ASSERT_TRUE(manager.AddModule(*d, ModuleId(2)).ok());
-  const auto cofail = manager.CoFailing(ModuleId(1));
-  EXPECT_EQ(cofail.size(), 2u);
-  EXPECT_EQ(manager.DomainOf(ModuleId(2))->name, "front");
-  // A module outside any domain co-fails only with itself.
-  EXPECT_EQ(manager.CoFailing(ModuleId(99)).size(), 1u);
-}
-
-TEST(FailureDomainTest, ModuleBelongsToOneDomain) {
-  DomainManager manager;
-  const auto d1 = manager.CreateDomain("a", 1, FailureHandling::kReexecute);
-  const auto d2 = manager.CreateDomain("b", 1, FailureHandling::kFailover);
-  ASSERT_TRUE(manager.AddModule(*d1, ModuleId(1)).ok());
-  EXPECT_EQ(manager.AddModule(*d2, ModuleId(1)).code(),
-            StatusCode::kAlreadyExists);
-}
-
-TEST(FailureDomainTest, InvalidReplicationRejected) {
-  DomainManager manager;
-  EXPECT_FALSE(manager.CreateDomain("x", 0, FailureHandling::kReexecute).ok());
-}
-
 TEST(CheckpointTest, SaveAndRestoreLatest) {
   CheckpointStore store;
   store.Save(ModuleId(1), SimTime::Millis(1), 10, {1, 2, 3});

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "src/baseline/iaas.h"
+#include "src/common/strings.h"
 #include "src/core/runtime.h"
 #include "src/core/tuner.h"
 #include "src/core/udc_cloud.h"
@@ -316,6 +322,72 @@ TEST(EventLogTest, KeepsRecordingPastTwoToTheTwentySpans) {
     EXPECT_LE(spans.size(), SpanTracer::kCapacity);
     EXPECT_EQ(spans.dropped(), 0u);
   }
+}
+
+// The line of a Chrome-trace dump that renders span `id` ("" when absent).
+std::string DumpedSpan(const std::string& dump, uint64_t id) {
+  const size_t at = dump.find(
+      StrFormat("\"span_id\": %llu,", static_cast<unsigned long long>(id)));
+  if (at == std::string::npos) {
+    return "";
+  }
+  const size_t begin = dump.rfind('\n', at) + 1;
+  return dump.substr(begin, dump.find('\n', at) - begin);
+}
+
+// The flight recorder's dump is the span log: a breach on a default cloud
+// writes every retained span with its ids and labels, the deploy's span
+// with the cell it landed in among them, and the breach as a span too.
+TEST(EventLogTest, BreachDumpIsTheSpanLog) {
+  const std::string path = ::testing::TempDir() + "event_log_breach.json";
+  std::remove(path.c_str());
+  std::remove((path + ".metrics.json").c_str());
+  UdcCloud cloud;
+  Simulation& sim = *cloud.sim();
+  sim.set_breach_dump_path(path);
+  auto deployment =
+      cloud.Deploy(cloud.RegisterTenant("hospital"), *MedicalAppSpec());
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  sim.RunToCompletion();
+
+  // Every start so far was cold, so a warm-hit floor breaches.
+  SloSpec slo;
+  slo.name = "slo.exec.warm_hit_floor";
+  slo.kind = SloSpec::SourceKind::kGauge;
+  slo.source = "exec.warm_hit_ratio";
+  slo.cmp = SloSpec::Cmp::kGe;
+  slo.threshold = 0.5;
+  sim.slos().AddObjective(std::move(slo));
+  sim.slos().EvaluateNow(sim.now());
+
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string dump = buf.str();
+  ASSERT_FALSE(dump.empty()) << "breach did not write " << path;
+
+  const Span* deploy = sim.spans().Find("sched.deploy");
+  ASSERT_NE(deploy, nullptr);
+  ASSERT_NE(deploy->Label("cell"), nullptr);
+  const std::string deploy_line = DumpedSpan(dump, deploy->span_id);
+  EXPECT_NE(deploy_line.find("\"name\": \"sched.deploy\""),
+            std::string::npos)
+      << deploy_line;
+  EXPECT_NE(deploy_line.find("\"cell\": \"" + *deploy->Label("cell") + "\""),
+            std::string::npos)
+      << deploy_line;
+  size_t dumped = 0;
+  for (const Span& span : sim.spans().spans()) {
+    dumped += DumpedSpan(dump, span.span_id).empty() ? 0 : 1;
+  }
+  EXPECT_EQ(dumped, sim.spans().size());
+
+  const Span* breach =
+      sim.spans().Find("obs.slo_breach", "objective", "slo.exec.warm_hit_floor");
+  ASSERT_NE(breach, nullptr);
+  EXPECT_EQ(breach->duration(), SimTime(0));
+  EXPECT_NE(DumpedSpan(dump, breach->span_id).find("\"obs.slo_breach\""),
+            std::string::npos);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include "src/common/histogram.h"
 #include "src/obs/breakdown.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/exposition.h"
 #include "src/obs/metrics.h"
@@ -106,30 +105,28 @@ TEST_F(SpanTest, ExplicitTimesAndEndClamp) {
 }
 
 TEST_F(SpanTest, OnEndSinkFiresOncePerSpan) {
-  int fired = 0;
-  tracer_.set_on_end([&fired](const Span&) { ++fired; });
   const uint64_t id = tracer_.Begin("exec", "exec.task_run");
   tracer_.End(id);
   tracer_.End(id);  // double-end is a no-op
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(tracer_.closed(), 1u);
+  tracer_.Clear();  // the count outlives the spans
+  EXPECT_EQ(tracer_.closed(), 1u);
 }
 
 // Past capacity each new span takes the oldest one's slot: the newest stay
 // findable, the overwritten ids read as absent, and every close still
-// reaches the sink, so closed spans never count as dropped. A span still
-// open when its slot is reused does: it loses its close, and its later End
-// and AddLabel touch nothing.
+// counts, so closed spans never count as dropped. A span still open when
+// its slot is reused does: it loses its close, and its later End and
+// AddLabel touch nothing.
 TEST_F(SpanTest, EvictsOldestPastCapacity) {
   constexpr uint64_t kCapacity = SpanTracer::kCapacity;
-  int fired = 0;
-  tracer_.set_on_end([&fired](const Span&) { ++fired; });
   uint64_t last = 0;
   for (uint64_t i = 0; i < kCapacity + 3; ++i) {
     last = tracer_.Begin("a", "a.x");
     ASSERT_EQ(last, i + 1);
     tracer_.End(last);
   }
-  EXPECT_EQ(fired, static_cast<int>(kCapacity + 3));
+  EXPECT_EQ(tracer_.closed(), kCapacity + 3);
   EXPECT_EQ(tracer_.dropped(), 0u);
   EXPECT_EQ(tracer_.size(), kCapacity);
   ASSERT_NE(tracer_.SpanById(last), nullptr);
@@ -152,7 +149,7 @@ TEST_F(SpanTest, EvictsOldestPastCapacity) {
   ASSERT_NE(reused, nullptr);
   tracer_.AddLabel(open, "k", "v");
   tracer_.End(open);
-  EXPECT_EQ(fired, static_cast<int>(2 * kCapacity + 3));
+  EXPECT_EQ(tracer_.closed(), 2 * kCapacity + 3);
   EXPECT_TRUE(reused->labels.empty());
   EXPECT_EQ(reused->name, "a.x");
 }
@@ -518,93 +515,6 @@ TEST(BreakdownTest, OverwrittenRootGivesEmptyBreakdown) {
   const LatencyBreakdown b = BreakdownFromSpans(tracer, root);
   EXPECT_EQ(b.accounted(), SimTime(0));
   EXPECT_EQ(b.total, SimTime(0));
-}
-
-TEST(MetricsTest, LabelCardinalityBudgetFoldsIntoOverflowSeries) {
-  MetricsRegistry metrics;
-  metrics.SetLabelCardinalityLimit(2);
-  for (int tenant = 0; tenant < 5; ++tenant) {
-    metrics.IncrementCounter("core.tenant_runs",
-                             {{"tenant", std::to_string(tenant)}});
-  }
-  // First two distinct label sets keep their own series; tenants 2..4 fold
-  // into the single overflow aggregate instead of minting series.
-  EXPECT_EQ(metrics.counter("core.tenant_runs", {{"tenant", "0"}}), 1);
-  EXPECT_EQ(metrics.counter("core.tenant_runs", {{"tenant", "1"}}), 1);
-  EXPECT_EQ(metrics.counter("core.tenant_runs", {{"overflow", "true"}}), 3);
-  EXPECT_EQ(metrics.overflowed_series_events(), 3u);
-
-  // Histograms share the same budget machinery, per base name.
-  for (int tenant = 0; tenant < 4; ++tenant) {
-    metrics.Observe("core.tenant_latency_ms",
-                    {{"tenant", std::to_string(tenant)}}, 10.0 * tenant);
-  }
-  const MetricHistogram* overflow =
-      metrics.histogram("core.tenant_latency_ms", {{"overflow", "true"}});
-  ASSERT_NE(overflow, nullptr);
-  EXPECT_EQ(overflow->count(), 2);
-  EXPECT_EQ(metrics.overflowed_series_events(), 5u);
-
-  // Unlabeled series and already-interned label sets are never folded.
-  metrics.IncrementCounter("core.tenant_runs");
-  metrics.IncrementCounter("core.tenant_runs", {{"tenant", "1"}});
-  EXPECT_EQ(metrics.counter("core.tenant_runs"), 1);
-  EXPECT_EQ(metrics.counter("core.tenant_runs", {{"tenant", "1"}}), 2);
-  EXPECT_EQ(metrics.overflowed_series_events(), 5u);
-}
-
-TEST(FlightRecorderTest, RingWraparoundKeepsNewestRecords) {
-  FlightRecorder rec(4);  // 4 slots
-  for (int i = 0; i < 6; ++i) {
-    rec.RecordEvent(SimTime::Millis(i), "test", "line " + std::to_string(i));
-  }
-  EXPECT_EQ(rec.total_recorded(), 6u);
-  EXPECT_EQ(rec.retained(), 4u);
-  EXPECT_EQ(rec.overwritten(), 2u);
-
-  const std::vector<FlightRecorder::Record> sorted = rec.SortedRecords();
-  ASSERT_EQ(sorted.size(), 4u);
-  // The two oldest records were overwritten; the survivors come out in
-  // emission order even though the ring's storage wrapped mid-way.
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    EXPECT_EQ(sorted[i].time, SimTime::Millis(2 + i));
-    EXPECT_EQ(std::string(sorted[i].name),
-              "line " + std::to_string(2 + i));
-  }
-}
-
-TEST(FlightRecorderTest, RecordsSortByTimeThenSeq) {
-  FlightRecorder rec(8);
-  // Emit out of time order (an analytic span closing before a later-dated
-  // one), with two collisions on time disambiguated by emission seq.
-  rec.RecordEvent(SimTime::Millis(5), "test", "t5 first");
-  rec.RecordEvent(SimTime::Millis(7), "test", "t7 first");
-  rec.RecordSpan(SimTime::Millis(1), SimTime::Millis(5), "test", "t5 second");
-  rec.RecordEvent(SimTime::Millis(3), "test", "t3");
-  rec.RecordEvent(SimTime::Millis(7), "test", "t7 second");
-
-  const std::vector<FlightRecorder::Record> sorted = rec.SortedRecords();
-  ASSERT_EQ(sorted.size(), 5u);
-  EXPECT_EQ(std::string(sorted[0].name), "t3");
-  EXPECT_EQ(std::string(sorted[1].name), "t5 first");
-  EXPECT_EQ(std::string(sorted[2].name), "t5 second");
-  EXPECT_EQ(std::string(sorted[3].name), "t7 first");
-  EXPECT_EQ(std::string(sorted[4].name), "t7 second");
-}
-
-TEST(FlightRecorderTest, DisabledRecorderDropsAppends) {
-  FlightRecorder rec(4);
-  rec.set_enabled(false);
-  rec.RecordEvent(SimTime::Millis(1), "test", "dropped");
-  EXPECT_EQ(rec.total_recorded(), 0u);
-  EXPECT_EQ(rec.retained(), 0u);
-  rec.set_enabled(true);
-  rec.RecordSpan(SimTime::Millis(1), SimTime::Millis(2), "test", "kept");
-  EXPECT_EQ(rec.retained(), 1u);
-  const std::string json = rec.ChromeTraceJson();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("kept"), std::string::npos);
-  EXPECT_EQ(json.find("dropped"), std::string::npos);
 }
 
 }  // namespace

@@ -406,9 +406,9 @@ TEST(SloSimulationTest, BreachDumpsFlightRecorderChromeTrace) {
 
   Simulation sim;
   sim.set_breach_dump_path(path);
-  sim.flight_recorder().RecordEvent(sim.now(), "test", "deploy wave started");
   {
-    auto span = sim.Scope("test", "deploy_wave");
+    auto span = sim.Scope("test", "deploy_wave",
+                          {{"marker", "deploy wave started"}});
   }
   SloSpec spec;
   spec.name = "slo.test.queue_depth";
@@ -426,6 +426,11 @@ TEST(SloSimulationTest, BreachDumpsFlightRecorderChromeTrace) {
   EXPECT_NE(trace.find("slo breach: slo.test.queue_depth"), std::string::npos);
   EXPECT_NE(trace.find("deploy wave started"), std::string::npos);
   EXPECT_NE(trace.find("deploy_wave"), std::string::npos);
+  // The breach itself is a zero-length span in the log the dump renders.
+  EXPECT_NE(sim.spans().Find("obs.slo_breach", "objective",
+                             "slo.test.queue_depth"),
+            nullptr);
+  EXPECT_NE(trace.find("obs.slo_breach"), std::string::npos);
 
   const std::string snapshot = ReadFile(path + ".metrics.json");
   ASSERT_FALSE(snapshot.empty());
@@ -438,8 +443,10 @@ TEST(SloSimulationDeathTest, CheckFailureWritesCrashDump) {
 
   Simulation sim;
   sim.set_crash_dump_path(path);
-  sim.flight_recorder().RecordEvent(sim.now(), "test",
-                                    "last words before the check");
+  {
+    auto span = sim.Scope("test", "last_words",
+                          {{"marker", "last words before the check"}});
+  }
 
   // The death-test child inherits the registered crash hook via fork; the
   // hook runs before abort and the dump survives the child's death.

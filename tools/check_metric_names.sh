@@ -5,7 +5,7 @@
 # GaugeSeries / HistogramSeries — must match ^[a-z_]+\.[a-z0-9_.]+$ —
 # a lowercase layer prefix, a dot, then lowercase/digit/underscore words.
 #
-# Also enforces the two namespaces the SLO/flight-recorder layer added:
+# Also enforces two more namespaces:
 #   - SLO objective names: any "slo.<...>" string literal must be
 #     slo.<layer>.<objective> (three dot-separated lowercase segments,
 #     e.g. "slo.sched.place_latency_p99").
@@ -13,8 +13,9 @@
 #     span — Scope, Begin, BeginAt, BeginWithSet and the ScopedSpan
 #     constructor, with its arguments on one line or wrapped over several —
 #     must be a bare lowercase word (^[a-z_][a-z0-9_.]*$). Categories
-#     become Chrome-trace pids and flight-recorder fields, so they stay
-#     short and greppable. Under src/, bench/ and tools/ the literal span
+#     become Chrome-trace lanes, in exports and flight-recorder dumps
+#     alike, so they stay short and greppable. Under src/, bench/ and
+#     tools/ the literal span
 #     name must also be <category>.noun_verb (e.g. "sched.place_task").
 #     A one-argument Begin is PlacementEngine::Begin(purpose), which opens
 #     a transaction, not a span: its purpose is a label value, not linted.

@@ -11,8 +11,9 @@
 //   udcctl slo      [spec.udcl]             run the cycle under the default
 //                                           SLO set, print the verdict table
 //   udcctl record dump --out <path> [spec.udcl]
-//                                           run the cycle, dump the flight
-//                                           recorder (Chrome trace + metrics
+//                                           run the cycle, dump the span log
+//                                           through the flight recorder
+//                                           (Chrome trace + metrics
 //                                           snapshot)
 //   udcctl regions [flags] [spec.udcl]      churn the spec through the
 //                                           region-federated control plane,
@@ -77,8 +78,10 @@ int Usage() {
       "                            table; exits 1 if any objective breached\n"
       "  record dump --out <path> [spec.udcl]\n"
       "                            run the cycle, dump the always-on flight\n"
-      "                            recorder: <path> gets the Chrome trace,\n"
-      "                            <path>.metrics.json the metrics snapshot\n"
+      "                            recorder: <path> gets the retained spans\n"
+      "                            as a Chrome trace (ids, labels, open\n"
+      "                            spans marked open), <path>.metrics.json\n"
+      "                            the metrics snapshot\n"
       "  cells [--racks N] [--cells N] [--deploys N] [spec.udcl]\n"
       "                            churn the spec through the cell-\n"
       "                            partitioned control plane and print the\n"
@@ -637,7 +640,7 @@ int RecordDump(const std::string& text, const std::string& out_path) {
     return kExitRuntime;
   }
   std::printf(
-      "wrote %zu flight-recorder records to %s (open in chrome://tracing)\n"
+      "wrote %zu spans to %s (open in chrome://tracing)\n"
       "wrote metrics snapshot to %s.metrics.json\n",
       cloud.sim()->flight_recorder().retained(), out_path.c_str(),
       out_path.c_str());
