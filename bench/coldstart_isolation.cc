@@ -129,7 +129,7 @@ FanOutResult RunKind(udc::EnvKind kind) {
     r.quotes_minted = attest.image_quotes_minted();
     r.bytes_deduped = mgr.store()->bytes_deduped();
     r.evictions = mgr.store()->evictions();
-    sim.slos().EvaluateNow(sim.now());
+    sim.slos().Tick(sim.now());
     r.slo_ok = sim.slos().AllOk();
   }
   r.store_amortization = r.all_cold.seconds() / r.store_on.seconds();

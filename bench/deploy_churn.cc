@@ -1,62 +1,53 @@
-// Deploy-churn macro-benchmark: the control-plane hot path under load.
+// Deploy-churn macro-benchmark: the control plane under churn, from one
+// datacenter's worth of tenants to a million.
 //
-// Deploys and tears down ~1k microservice tenants against a ~10k-device
-// datacenter and reports deploys/sec, simulator events/sec, and per-deploy
-// placement-time percentiles. A sliding window of live deployments keeps
-// the pools fragmented the way long-running churn does, so the allocator
-// sees realistic free lists rather than a pristine datacenter.
+// Every phase deploys seed-fixed microservice specs through a live window:
+// past it the oldest deployment is torn down, so placement always works
+// against fragmented free lists rather than a pristine datacenter. After
+// every in-process leg the cloud must be drained: pools empty, no live
+// environment, no provisioned attestation identity and no live env-store
+// ref. The phases and what fails the run:
+//   - indexed: 1,000 tenants over 480 racks (10,080 devices). Reports
+//     deploys/s, simulator events/s and per-deploy placement percentiles.
+//   - frontend RPC: one "deploy" RPC per app versus one "deploy_batch" RPC
+//     per batch, identical udcl text, interleaved at batch granularity. The
+//     median per-group CPU-time ratio must be >= 1.2x.
+//   - abort-heavy: a one-rack datacenter where about half the deploys abort
+//     on pool exhaustion. Aborts must happen and core.txn_aborted must
+//     count them.
+//   - warm store: the default pool's decisions (admit/reject, start modes,
+//     per-(kind, tenant) warm occupancy) must hash to a frozen value with
+//     warm starts seen. Then sharing on under abort churn: aborts must
+//     happen, and each must leave the store's warm slots and refs exactly
+//     as it found them.
+//   - txn overhead: an empty Begin+Commit must cost <= 5% of the indexed
+//     placement p50.
+//   - obs overhead: the same churn against a cloud with the place-latency
+//     sketch and SLO engine on and one with both off, blocks interleaved.
+//     The placement p50 ratio must be <= 1.03x or the paired delta
+//     <= 1.5us, the on cloud's SLOs must hold and its flight recorder must
+//     hold spans. Both clouds trace spans, so the gate does not price them.
+//   - scale: the router over 400 cells versus the same router over one
+//     unscoped cell, 1M tenants over 840,000 devices. Decisions and
+//     pre-drain occupancy must match, slo.sched.cell_place_p99 must hold,
+//     and the cells leg must reach >= 3x the one-cell deploys/s (armed at
+//     >= 100k devices).
+//   - federation: regions=0 versus regions=1 must match on decisions and
+//     occupancy. Then 4 regions over an asymmetric WAN, with skewed demand
+//     and a pinned abort tail, must abort, spill across regions and fetch
+//     over the WAN with zero refund violations, and hold
+//     slo.sched.region_place_p99.
 //
-// PR 5 adds transaction-focused phases on top of the indexed churn:
-//   - frontend RPC: the tenant-visible comparison — one "deploy" RPC per
-//     app versus one "deploy_batch" RPC per batch, identical udcl text.
-//     Batching amortizes parsing of repeated texts, per-request fabric
-//     traffic, and per-deploy frontend spans; gated at >= 1.2x
-//     single-deploy RPC throughput. The modes run interleaved at batch
-//     granularity and the gate takes the median per-group CPU-time ratio,
-//     so drift and spikes on a contended host can't skew it.
-//   - abort-heavy: a deliberately undersized datacenter where a large
-//     fraction of deploys hit pool exhaustion and the transaction aborts.
-//     After draining, pool aggregates, live environments and the
-//     attestation registry must all read zero — a leak fails the run.
-//   - txn overhead: the cost of an empty Begin+Commit, gated at <= 5% of
-//     the indexed placement p50 so the transaction wrapper stays invisible
-//     on the no-abort path.
-//
-// The observability PR adds:
-//   - obs overhead: the same churn against two clouds — one with
-//     wall-clock placement latency recorded into a sketch histogram and the
-//     SLO engine evaluating per block; one with both off. Both clouds trace
-//     spans, and the flight recorder is a dump of that span log, so the
-//     gate prices neither. Blocks interleave (alternating which cloud goes first) and the
-//     gate is the placement p50 ratio, <= 1.03x, with a 1.5us absolute
-//     budget floor: always-on telemetry must cost no more than 3% of the
-//     placement hot path, or at worst 1.5us per deploy where the hot path
-//     is so cheap that 3% of it sits under the clock's per-block noise
-//     floor (the smoke configuration). The per-block CPU
-//     ratio (which also absorbs the SLO tick) is reported unguarded. The
-//     on-cloud's SLO verdicts are machine-checked — a breach fails the run.
-//
-// The hierarchical control-plane PR adds:
-//   - scale-out: the router over 400 cells (cell-scoped placement over
-//     partitioned capacity) versus the same router over one unscoped cell
-//     at datacenter scale — 40,000 racks / 840,000 devices, one million
-//     tenants churned through a live window. Gated at >= 3x the one-cell
-//     baseline's aggregate deploys/sec (armed only at >= 100k devices), on
-//     byte-identical admit/reject decisions and pre-drain pool occupancy
-//     between the legs, and on the slo.sched.cell_place_p99 objective.
-//     Per-cell placement p99 lands in the JSON. `--scale-only` runs just
-//     this phase (the smoke-sized variant is its own ctest).
-//
-// Writes BENCH_hotpath.json into the working directory. `--smoke` runs a
-// small configuration in a few hundred milliseconds; the CI wires it up as
-// a ctest so the benchmark itself cannot rot.
+// Writes BENCH_hotpath.json into the working directory and exits 1 when a
+// gate fails. `--smoke` runs every phase a few thousand times smaller in
+// under a second; it is the deploy_churn_smoke ctest.
 
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <deque>
 #include <memory>
@@ -77,6 +68,135 @@
 
 namespace {
 
+// Process CPU time, not wall time, for the ratio gates: on a contended host
+// wall time charges whichever side runs while a neighbour steals the core.
+// The workload is single-threaded and deterministic, so CPU time measures
+// the same thing minus the scheduling noise.
+double CpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+double Median(std::vector<double> v) {
+  if (v.empty()) {
+    return 0.0;
+  }
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+udc::UdcCloudConfig Topology(int racks, int cells = 0, int regions = 0) {
+  udc::UdcCloudConfig config;
+  config.datacenter.racks = racks;
+  config.datacenter.cells = cells;
+  config.datacenter.regions = regions;
+  return config;
+}
+
+// A drained cloud holds nothing: every pool empty, no live environment, no
+// provisioned attestation identity and no live env-store ref. Warm slots
+// banked on purpose are credit, not leakage: every content ref left must be
+// backed by a slot, which live_env_refs() == 0 certifies.
+bool Drained(udc::UdcCloud& cloud) {
+  return cloud.datacenter().TotalAllocated() == udc::ResourceVector() &&
+         cloud.envs().live_count() == 0 &&
+         cloud.attestation().provisioned_count() == 0 &&
+         cloud.envs().store()->live_env_refs() == 0;
+}
+
+// The deployments a leg keeps alive, oldest first. Evicting one destroys
+// it, and Deployment::Teardown stops its environments cold and releases
+// its slices and identities. A keep-warm eviction stops the environments
+// with keep_warm first, so the store banks a warm slot for each.
+class LiveSet {
+ public:
+  explicit LiveSet(udc::UdcCloud& cloud) : cloud_(cloud) {}
+
+  void Add(std::unique_ptr<udc::Deployment> deployment) {
+    live_.push_back(std::move(deployment));
+  }
+
+  // Evicts the oldest deployment; a no-op when none is live.
+  void EvictOldest(bool keep_warm) {
+    if (live_.empty()) {
+      return;
+    }
+    if (keep_warm) {
+      for (udc::ResourceUnit* unit : live_.front()->units()) {
+        if (unit->env != nullptr) {
+          (void)cloud_.envs().Stop(unit->env, /*keep_warm=*/true);
+          unit->env = nullptr;
+        }
+      }
+    }
+    live_.pop_front();
+  }
+
+  // Evicts oldest first until at most `window` deployments are live.
+  void EvictPast(int window, bool keep_warm) {
+    while (static_cast<int>(live_.size()) > window) {
+      EvictOldest(keep_warm);
+    }
+  }
+
+  // Tears every deployment down, oldest first, and runs the simulation
+  // until it is idle.
+  void Drain() {
+    EvictPast(0, /*keep_warm=*/false);
+    cloud_.sim()->RunToCompletion();
+  }
+
+ private:
+  udc::UdcCloud& cloud_;
+  std::deque<std::unique_ptr<udc::Deployment>> live_;
+};
+
+// A generous p99 bound on the router's place-latency sketch: the check is
+// that telemetry reports sane numbers, not a tight budget.
+void AddPlaceP99Objective(udc::UdcCloud& cloud, const char* name) {
+  udc::SloSpec spec;
+  spec.name = name;
+  spec.kind = udc::SloSpec::SourceKind::kHistogramQuantile;
+  spec.source = "sched.place_latency_us";
+  spec.quantile = 0.99;
+  spec.threshold = 500'000.0;  // half a wall-clock second per placement
+  spec.window = udc::SimTime::Hours(24);
+  cloud.sim()->slos().AddObjective(std::move(spec));
+}
+
+struct SloOutcome {
+  bool ok = false;
+  std::string report;
+};
+
+// Evaluates the cloud's objectives once, at its current time.
+SloOutcome JudgeSlos(udc::UdcCloud& cloud) {
+  udc::SloEngine& slos = cloud.sim()->slos();
+  slos.Tick(cloud.sim()->now());
+  return {slos.AllOk(), slos.Report()};
+}
+
+// Deploys `spec` for `tenant`. A failed deploy's rollback must leave the
+// env store exactly as it found it, every warm slot it consumed refunded
+// and every content ref unwound; each miss counts in `*refund_violations`.
+udc::Result<std::unique_ptr<udc::Deployment>> DeployRefunding(
+    udc::UdcCloud& cloud, udc::TenantId tenant, const udc::AppSpec& spec,
+    long long* refund_violations) {
+  const udc::EnvStore* store = cloud.envs().store();
+  const int64_t slots_before = store->total_warm_slots();
+  const int64_t refs_before = store->live_env_refs();
+  auto deployment = cloud.Deploy(tenant, spec);
+  if (!deployment.ok() && (store->total_warm_slots() != slots_before ||
+                           store->live_env_refs() != refs_before)) {
+    ++*refund_violations;
+  }
+  return deployment;
+}
+
+// --- Indexed churn: the default path at datacenter scale.
+
 struct ChurnConfig {
   int racks = 480;        // 21 devices/rack -> 10,080 devices
   int deploys = 1000;     // tenants churned through the cloud
@@ -91,21 +211,20 @@ struct ChurnResult {
   long long failures = 0;
   long long devices = 0;
   udc::Histogram placement_us;
+  bool clean = false;
 };
 
 // One full churn run. The spec list is pre-generated so every phase places
 // an identical workload and spec generation stays out of the timed region.
 ChurnResult RunChurn(const ChurnConfig& config,
                      const std::vector<udc::AppSpec>& specs) {
-  udc::UdcCloudConfig cloud_config;
-  cloud_config.datacenter.racks = config.racks;
-  udc::UdcCloud cloud(cloud_config);
+  udc::UdcCloud cloud(Topology(config.racks));
 
   ChurnResult result;
   result.devices =
       static_cast<long long>(cloud.datacenter().AllDevices().size());
 
-  std::deque<std::unique_ptr<udc::Deployment>> live;
+  LiveSet live(cloud);
   const auto churn = [&] {
     for (int i = 0; i < config.deploys; ++i) {
       const udc::TenantId tenant =
@@ -122,33 +241,13 @@ ChurnResult RunChurn(const ChurnConfig& config,
         continue;
       }
       ++result.deploys;
-      live.push_back(std::move(*deployment));
+      live.Add(std::move(*deployment));
 
       // Let env starts and replication wiring fire before the next deploy.
       cloud.sim()->RunToCompletion();
-
-      while (static_cast<int>(live.size()) > config.live_window) {
-        std::unique_ptr<udc::Deployment>& oldest = live.front();
-        for (udc::ResourceUnit* unit : oldest->units()) {
-          if (unit->env != nullptr) {
-            (void)cloud.envs().Stop(unit->env, /*keep_warm=*/false);
-            unit->env = nullptr;
-          }
-        }
-        live.pop_front();  // destructor releases the pool allocations
-      }
+      live.EvictPast(config.live_window, /*keep_warm=*/false);
     }
-    // Drain: stop every environment still running, release every slice.
-    for (auto& deployment : live) {
-      for (udc::ResourceUnit* unit : deployment->units()) {
-        if (unit->env != nullptr) {
-          (void)cloud.envs().Stop(unit->env, /*keep_warm=*/false);
-          unit->env = nullptr;
-        }
-      }
-    }
-    live.clear();
-    cloud.sim()->RunToCompletion();
+    live.Drain();
   };
   // The shared harness wraps the single churn pass: churn has no warm/steady
   // split — fragmentation building up IS the workload.
@@ -163,8 +262,11 @@ ChurnResult RunChurn(const ChurnConfig& config,
         static_cast<double>(cloud.sim()->events_executed()) /
         result.wall_seconds;
   }
+  result.clean = Drained(cloud);
   return result;
 }
+
+// --- Frontend RPC: deploy versus deploy_batch, as a tenant drives them.
 
 struct RpcResult {
   long long deploys = 0;
@@ -177,27 +279,14 @@ struct FrontendComparison {
   RpcResult single;
   RpcResult batched;
   double speedup = 0;  // median over groups of single-cost / batched-cost
+  bool clean = false;  // both clouds drained
 };
-
-// Process CPU time, not wall time: the single/batched comparison is a tight
-// ratio gate, and on a contended host wall time charges whichever mode runs
-// while a neighbour steals the core. The workload is single-threaded and
-// deterministic, so CPU time measures the same thing minus the scheduling
-// noise.
-double CpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 // One frontend + tenant-client stack over its own cloud, driven entirely by
 // RPC the way a real tenant would drive it.
 struct FrontendEnv {
   explicit FrontendEnv(int racks) {
-    udc::UdcCloudConfig cloud_config;
-    cloud_config.datacenter.racks = racks;
-    cloud = std::make_unique<udc::UdcCloud>(cloud_config);
+    cloud = std::make_unique<udc::UdcCloud>(Topology(racks));
     const udc::TenantId tenant = cloud->RegisterTenant("rpc-churn");
     const udc::NodeId frontend_node =
         cloud->datacenter().topology().AddNode(0, udc::NodeRole::kServer);
@@ -309,28 +398,22 @@ FrontendComparison RunFrontendComparison(int racks, int deploys, int window,
   FrontendComparison comparison;
   comparison.single = single.result;
   comparison.batched = batched.result;
+  comparison.clean = Drained(*single.cloud) && Drained(*batched.cloud);
   // Discard the warmup group (cold code paths and allocator arenas), then
   // take medians: per-mode group cost for the throughput numbers, per-group
   // ratio for the gated speedup.
   const size_t skip = single_group_us.size() > 1 ? 1 : 0;
-  const auto median = [](std::vector<double> v) {
-    if (v.empty()) {
-      return 0.0;
-    }
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
   std::vector<double> ratios;
   for (size_t i = skip; i < single_group_us.size(); ++i) {
     if (batched_group_us[i] > 0) {
       ratios.push_back(single_group_us[i] / batched_group_us[i]);
     }
   }
-  comparison.speedup = median(ratios);
-  const double single_us = median(
+  comparison.speedup = Median(ratios);
+  const double single_us = Median(
       {single_group_us.begin() + static_cast<long>(skip), single_group_us.end()});
   const double batched_us =
-      median({batched_group_us.begin() + static_cast<long>(skip),
+      Median({batched_group_us.begin() + static_cast<long>(skip),
               batched_group_us.end()});
   if (single_us > 0) {
     comparison.single.deploys_per_sec = 1e6 / single_us;
@@ -340,6 +423,8 @@ FrontendComparison RunFrontendComparison(int racks, int deploys, int window,
   }
   return comparison;
 }
+
+// --- Obs overhead: always-on telemetry priced against the placement path.
 
 // The ratio gate alone is unsound at smoke scale: 3% of a ~20us placement
 // is under the per-block median noise floor (allocator arenas, icache,
@@ -362,20 +447,65 @@ struct ObsOverheadResult {
   double block_ratio = 0;   // median per-block CPU ratio incl. SLO ticks
   size_t recorder_retained = 0;
   uint64_t recorder_total = 0;
-  bool slo_ok = false;
-  std::string slo_report;
+  SloOutcome slo;
+  bool clean = false;  // both clouds drained
+};
+
+// One side of the obs comparison: its cloud, live set and placement times.
+struct ObsSide {
+  ObsSide(const udc::UdcCloudConfig& config, const char* prefix)
+      : cloud(config), live(cloud), prefix(prefix) {}
+
+  // Deploys `count` specs starting at `base`, draining events after each,
+  // records per-deploy CPU placement time (CPU, not wall: a preemption
+  // mid-deploy would otherwise charge this side for the neighbour's
+  // timeslice) and returns the block's CPU cost. Eviction runs outside the
+  // timed region (identical work on both sides).
+  double RunBlock(const std::vector<udc::AppSpec>& specs, int base, int count,
+                  int window) {
+    std::vector<udc::TenantId> tenants;
+    tenants.reserve(count);
+    for (int i = 0; i < count; ++i) {
+      tenants.push_back(
+          cloud.RegisterTenant(std::string(prefix) + std::to_string(base + i)));
+    }
+    block_us.clear();
+    const double c0 = CpuSeconds();
+    for (int i = 0; i < count; ++i) {
+      const double t0 = CpuSeconds();
+      auto deployment =
+          cloud.Deploy(tenants[i], specs[(base + i) % specs.size()]);
+      const double us = (CpuSeconds() - t0) * 1e6;
+      placement_us.Add(us);
+      block_us.push_back(us);
+      if (deployment.ok()) {
+        ++deployed;
+        live.Add(std::move(*deployment));
+      }
+      cloud.sim()->RunToCompletion();
+    }
+    const double cost = CpuSeconds() - c0;
+    live.EvictPast(window, /*keep_warm=*/false);
+    cloud.sim()->RunToCompletion();
+    return cost;
+  }
+
+  udc::UdcCloud cloud;
+  LiveSet live;
+  const char* prefix;
+  udc::Histogram placement_us;
+  std::vector<double> block_us;  // the last block's per-deploy times
+  long long deployed = 0;
 };
 
 // The always-on claim, measured: identical churn against two clouds, one
 // with wall-clock placement latency into a sketch histogram and the SLO
-// engine ticking every block, and one with both off. make_cloud switches
-// only the placement-latency sketch (the SLO objectives are armed on the
-// first cloud alone); both clouds record spans, which is all the flight
-// recorder dumps, so the ratio leaves out what the span log costs.
-// Blocks of one full spec cycle interleave — alternating which
-// cloud goes first, so neither mode systematically inherits the other's
-// warm caches — and both modes collect per-deploy placement times from
-// steady_clock windows around Deploy.
+// engine ticking every block, and one with both off. The SLO objectives
+// are armed on the instrumented cloud alone; both clouds record spans,
+// which is all the flight recorder dumps, so the ratio leaves out what the
+// span log costs. Blocks of one full spec cycle interleave — alternating which
+// cloud goes first, so neither side systematically inherits the other's
+// warm caches.
 //
 // The gated number is the placement p50 ratio: medians over the full paired
 // sample sets are stable to ~1-2% where per-block CPU totals swing ±5-7%
@@ -383,28 +513,16 @@ struct ObsOverheadResult {
 // SLO tick) is reported as context, not gated.
 ObsOverheadResult RunObsOverhead(int racks, int deploys, int window,
                                  const std::vector<udc::AppSpec>& specs) {
-  const auto make_cloud = [&](bool obs_on) {
-    udc::UdcCloudConfig cloud_config;
-    cloud_config.datacenter.racks = racks;
-    cloud_config.scheduler.record_place_latency = obs_on;
-    return std::make_unique<udc::UdcCloud>(cloud_config);
-  };
-  auto cloud_on = make_cloud(true);
-  auto cloud_off = make_cloud(false);
+  udc::UdcCloudConfig config = Topology(racks);
+  config.scheduler.record_place_latency = true;
+  ObsSide on(config, "on-");
+  config.scheduler.record_place_latency = false;
+  ObsSide off(config, "off-");
 
   // Machine-checked objectives on the instrumented cloud. Thresholds are
   // generous — the gate is "telemetry reports sane numbers", the tight
   // budget is the 1.03x cost ratio below.
-  {
-    udc::SloSpec spec;
-    spec.name = "slo.sched.place_latency_p99";
-    spec.kind = udc::SloSpec::SourceKind::kHistogramQuantile;
-    spec.source = "sched.place_latency_us";
-    spec.quantile = 0.99;
-    spec.threshold = 500'000.0;  // half a wall-clock second per placement
-    spec.window = udc::SimTime::Hours(24);
-    cloud_on->sim()->slos().AddObjective(std::move(spec));
-  }
+  AddPlaceP99Objective(on.cloud, "slo.sched.place_latency_p99");
   {
     udc::SloSpec spec;
     spec.name = "slo.sched.placement_throughput";
@@ -413,95 +531,32 @@ ObsOverheadResult RunObsOverhead(int racks, int deploys, int window,
     spec.cmp = udc::SloSpec::Cmp::kGe;
     spec.threshold = 1e-9;  // any forward progress at all
     spec.window = udc::SimTime::Hours(24);
-    cloud_on->sim()->slos().AddObjective(std::move(spec));
+    on.cloud.sim()->slos().AddObjective(std::move(spec));
   }
 
-  ObsOverheadResult result;
-  udc::Histogram on_us;
-  udc::Histogram off_us;
-  std::vector<double> block_ratios;   // per-block CPU-cost ratio
-  std::vector<double> p50_ratios;     // per-block placement-median ratio
-  std::vector<double> p50_deltas;     // per-block paired median delta, us
-  std::deque<std::unique_ptr<udc::Deployment>> live_on;
-  std::deque<std::unique_ptr<udc::Deployment>> live_off;
-
+  std::vector<double> block_ratios;  // per-block CPU-cost ratio
+  std::vector<double> p50_ratios;    // per-block placement-median ratio
+  std::vector<double> p50_deltas;    // per-block paired median delta, us
   const int block = static_cast<int>(specs.size());
-  const auto median = [](std::vector<double> v) {
-    if (v.empty()) {
-      return 0.0;
-    }
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  // One cloud's half of a block: deploy `count` specs, drain events, record
-  // per-deploy CPU placement time (CPU, not wall: a preemption mid-deploy
-  // would otherwise charge the victim mode for the neighbour's timeslice),
-  // return the block's CPU cost. Eviction runs outside the timed region
-  // (identical work in both modes). `block_samples` gets this block's
-  // per-deploy times for the paired per-block medians.
-  const auto run_block =
-      [&](udc::UdcCloud* cloud, std::deque<std::unique_ptr<udc::Deployment>>*
-              live, udc::Histogram* placement, std::vector<double>*
-              block_samples, long long* deployed, int base, int count,
-          const char* prefix) {
-        std::vector<udc::TenantId> tenants;
-        tenants.reserve(count);
-        for (int i = 0; i < count; ++i) {
-          tenants.push_back(cloud->RegisterTenant(
-              std::string(prefix) + std::to_string(base + i)));
-        }
-        block_samples->clear();
-        const double c0 = CpuSeconds();
-        for (int i = 0; i < count; ++i) {
-          const double t0 = CpuSeconds();
-          auto deployment = cloud->Deploy(tenants[i], specs[(base + i) %
-                                                            specs.size()]);
-          const double us = (CpuSeconds() - t0) * 1e6;
-          placement->Add(us);
-          block_samples->push_back(us);
-          if (deployment.ok()) {
-            ++*deployed;
-            live->push_back(std::move(*deployment));
-          }
-          cloud->sim()->RunToCompletion();
-        }
-        const double cost = CpuSeconds() - c0;
-        while (static_cast<int>(live->size()) > window) {
-          live->pop_front();
-        }
-        cloud->sim()->RunToCompletion();
-        return cost;
-      };
-
-  std::vector<double> on_samples;
-  std::vector<double> off_samples;
   int block_index = 0;
   for (int base = 0; base < deploys; base += block, ++block_index) {
     const int count = std::min(block, deploys - base);
-    const auto run_off = [&] {
-      return run_block(cloud_off.get(), &live_off, &off_us, &off_samples,
-                       &result.deploys_off, base, count, "off-");
-    };
     const auto run_on = [&] {
-      const double cost =
-          run_block(cloud_on.get(), &live_on, &on_us, &on_samples,
-                    &result.deploys_on, base, count, "on-");
+      const double cost = on.RunBlock(specs, base, count, window);
       // Evaluating the objectives is part of what "SLO engine active"
       // costs; it runs once per block, outside the per-deploy windows, so
       // it lands in the block CPU cost only.
       const double s0 = CpuSeconds();
-      cloud_on->sim()->slos().EvaluateNow(cloud_on->sim()->now());
+      on.cloud.sim()->slos().Tick(on.cloud.sim()->now());
       return cost + (CpuSeconds() - s0);
     };
-    // Alternate which cloud goes first so neither mode systematically runs
-    // with the other's warm caches.
     double off_cost, on_cost;
     if (block_index % 2 == 0) {
-      off_cost = run_off();
+      off_cost = off.RunBlock(specs, base, count, window);
       on_cost = run_on();
     } else {
       on_cost = run_on();
-      off_cost = run_off();
+      off_cost = off.RunBlock(specs, base, count, window);
     }
     if (block_index == 0) {
       continue;  // warmup block: cold allocator arenas, cold icache
@@ -509,35 +564,36 @@ ObsOverheadResult RunObsOverhead(int racks, int deploys, int window,
     if (off_cost > 0) {
       block_ratios.push_back(on_cost / off_cost);
     }
-    const double off_med = median(off_samples);
+    const double off_med = Median(off.block_us);
     if (off_med > 0) {
-      const double on_med = median(on_samples);
+      const double on_med = Median(on.block_us);
       p50_ratios.push_back(on_med / off_med);
       p50_deltas.push_back(on_med - off_med);
     }
   }
-  live_on.clear();
-  live_off.clear();
-  cloud_on->sim()->RunToCompletion();
-  cloud_off->sim()->RunToCompletion();
+  on.live.Drain();
+  off.live.Drain();
 
-  result.block_ratio = median(std::move(block_ratios));
+  ObsOverheadResult result;
+  result.deploys_on = on.deployed;
+  result.deploys_off = off.deployed;
+  result.block_ratio = Median(std::move(block_ratios));
   // The gated number: median over per-block paired placement-median ratios.
   // Each ratio compares medians of deploys that ran within microseconds of
   // each other, so host drift cancels; the outer median discards blocks
-  // where a burst of contention hit one mode only.
-  result.p50_ratio = median(std::move(p50_ratios));
-  result.p50_delta_us = median(std::move(p50_deltas));
-  result.p50_on_us = on_us.Quantile(0.5);
-  result.p50_off_us = off_us.Quantile(0.5);
-  cloud_on->sim()->slos().EvaluateNow(cloud_on->sim()->now());
-  result.slo_ok = cloud_on->sim()->slos().AllOk();
-  result.slo_report = cloud_on->sim()->slos().Report();
-  result.recorder_retained = cloud_on->sim()->flight_recorder().retained();
-  result.recorder_total =
-      cloud_on->sim()->flight_recorder().total_recorded();
+  // where a burst of contention hit one side only.
+  result.p50_ratio = Median(std::move(p50_ratios));
+  result.p50_delta_us = Median(std::move(p50_deltas));
+  result.p50_on_us = on.placement_us.Quantile(0.5);
+  result.p50_off_us = off.placement_us.Quantile(0.5);
+  result.slo = JudgeSlos(on.cloud);
+  result.recorder_retained = on.cloud.sim()->flight_recorder().retained();
+  result.recorder_total = on.cloud.sim()->flight_recorder().total_recorded();
+  result.clean = Drained(on.cloud) && Drained(off.cloud);
   return result;
 }
+
+// --- Abort-heavy: transactions rolled back on pool exhaustion.
 
 struct AbortResult {
   long long attempts = 0;
@@ -550,17 +606,13 @@ struct AbortResult {
 };
 
 // Drives deploys into a deliberately undersized datacenter so a large
-// fraction of transactions abort on pool exhaustion, then drains everything
-// and checks that nothing leaked: pool aggregates, live environments and
-// the attestation registry must all read zero.
+// fraction of transactions abort on pool exhaustion, then drains.
 AbortResult RunAbortChurn(int racks, int deploys,
                           const std::vector<udc::AppSpec>& specs) {
-  udc::UdcCloudConfig cloud_config;
-  cloud_config.datacenter.racks = racks;
-  udc::UdcCloud cloud(cloud_config);
+  udc::UdcCloud cloud(Topology(racks));
 
   AbortResult result;
-  std::deque<std::unique_ptr<udc::Deployment>> live;
+  LiveSet live(cloud);
   for (int i = 0; i < deploys; ++i) {
     const udc::TenantId tenant =
         cloud.RegisterTenant("abort-" + std::to_string(i));
@@ -568,19 +620,16 @@ AbortResult RunAbortChurn(int racks, int deploys,
     auto deployment = cloud.Deploy(tenant, specs[i % specs.size()]);
     if (deployment.ok()) {
       ++result.deploys;
-      live.push_back(std::move(*deployment));
+      live.Add(std::move(*deployment));
     } else {
       ++result.aborts;
       // Free a little capacity so the run keeps mixing commits and aborts
       // instead of failing every deploy once full.
-      if (!live.empty()) {
-        live.pop_front();
-      }
+      live.EvictOldest(/*keep_warm=*/false);
     }
     cloud.sim()->RunToCompletion();
   }
-  live.clear();
-  cloud.sim()->RunToCompletion();
+  live.Drain();
 
   result.abort_fraction =
       result.attempts > 0
@@ -588,10 +637,7 @@ AbortResult RunAbortChurn(int racks, int deploys,
           : 0;
   result.txn_committed = cloud.sim()->metrics().counter("core.txn_committed");
   result.txn_aborted = cloud.sim()->metrics().counter("core.txn_aborted");
-  result.clean =
-      cloud.datacenter().TotalAllocated() == udc::ResourceVector() &&
-      cloud.envs().live_count() == 0 &&
-      cloud.attestation().provisioned_count() == 0;
+  result.clean = Drained(cloud);
   return result;
 }
 
@@ -605,9 +651,8 @@ AbortResult RunAbortChurn(int racks, int deploys,
 // pool must keep making the map's decisions. The abort leg then turns
 // sharing on over the same undersized one-rack datacenter the abort-heavy
 // phase uses (~48% of deploys abort on pool exhaustion) and checks exact
-// rollback refunds — a failed deploy leaves warm-slot totals and store
-// refcounts untouched — and a leak-free drain: zero live store refs once
-// everything stops.
+// rollback refunds: a failed deploy leaves warm-slot totals and store
+// refcounts untouched.
 
 // The decision leg's frozen hashes at smoke and at full size.
 constexpr uint64_t kWarmStoreHashSmoke = 0xa764581de04c4407ull;
@@ -617,6 +662,7 @@ struct DecisionLeg {
   uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
   long long warm_starts = 0;
   long long deploys = 0;
+  bool clean = false;
 };
 
 struct WarmStoreResult {
@@ -639,9 +685,7 @@ struct WarmStoreResult {
 
 DecisionLeg RunDecisionLeg(int racks, int deploys, int window,
                            const std::vector<udc::AppSpec>& specs) {
-  udc::UdcCloudConfig cloud_config;
-  cloud_config.datacenter.racks = racks;
-  udc::UdcCloud cloud(cloud_config);
+  udc::UdcCloud cloud(Topology(racks));
 
   DecisionLeg leg;
   const auto mix = [&leg](uint64_t v) {
@@ -653,7 +697,7 @@ DecisionLeg RunDecisionLeg(int racks, int deploys, int window,
   for (int t = 0; t < 8; ++t) {
     tenants.push_back(cloud.RegisterTenant("store-" + std::to_string(t)));
   }
-  std::deque<std::unique_ptr<udc::Deployment>> live;
+  LiveSet live(cloud);
   const auto mix_occupancy = [&] {
     for (int k = 0; k < udc::kNumEnvKinds; ++k) {
       for (const udc::TenantId tenant : tenants) {
@@ -673,33 +717,17 @@ DecisionLeg RunDecisionLeg(int racks, int deploys, int window,
           mix(static_cast<uint64_t>(unit->env->start_mode()));
         }
       }
-      live.push_back(std::move(*deployment));
+      live.Add(std::move(*deployment));
     }
     cloud.sim()->RunToCompletion();
-    while (static_cast<int>(live.size()) > window) {
-      for (udc::ResourceUnit* unit : live.front()->units()) {
-        if (unit->env != nullptr) {
-          (void)cloud.envs().Stop(unit->env, /*keep_warm=*/true);
-          unit->env = nullptr;
-        }
-      }
-      live.pop_front();
-    }
+    live.EvictPast(window, /*keep_warm=*/true);
     mix_occupancy();
   }
-  for (auto& deployment : live) {
-    for (udc::ResourceUnit* unit : deployment->units()) {
-      if (unit->env != nullptr) {
-        (void)cloud.envs().Stop(unit->env, /*keep_warm=*/false);
-        unit->env = nullptr;
-      }
-    }
-  }
-  live.clear();
-  cloud.sim()->RunToCompletion();
+  live.Drain();
   mix(static_cast<uint64_t>(cloud.envs().live_count()));
   mix_occupancy();
   leg.warm_starts = cloud.sim()->metrics().counter("exec.warm_starts");
+  leg.clean = Drained(cloud);
   return leg;
 }
 
@@ -719,49 +747,30 @@ WarmStoreResult RunWarmStorePhase(int diff_racks, int diff_deploys,
   // Leg 2: sharing on under abort churn. Undersized datacenter, oversized
   // apps, keep-warm teardowns on the failure path so the store carries real
   // warm credit while ~half the transactions roll back through it.
-  udc::UdcCloudConfig cloud_config;
-  cloud_config.datacenter.racks = 1;
-  cloud_config.env_store.share_across_tenants = true;
-  udc::UdcCloud cloud(cloud_config);
-  const udc::EnvStore* store = cloud.envs().store();
+  udc::UdcCloudConfig config = Topology(/*racks=*/1);
+  config.env_store.share_across_tenants = true;
+  udc::UdcCloud cloud(config);
 
   std::vector<udc::TenantId> tenants;
   for (int t = 0; t < 4; ++t) {
     tenants.push_back(cloud.RegisterTenant("churn-" + std::to_string(t)));
   }
-  std::deque<std::unique_ptr<udc::Deployment>> live;
+  LiveSet live(cloud);
   for (int i = 0; i < abort_deploys; ++i) {
     ++result.attempts;
-    const int64_t slots_before = store->total_warm_slots();
-    const int64_t refs_before = store->live_env_refs();
-    auto deployment = cloud.Deploy(tenants[i % tenants.size()],
-                                   heavy_specs[i % heavy_specs.size()]);
+    auto deployment = DeployRefunding(cloud, tenants[i % tenants.size()],
+                                      heavy_specs[i % heavy_specs.size()],
+                                      &result.refund_violations);
     if (deployment.ok()) {
       ++result.deploys;
-      live.push_back(std::move(*deployment));
+      live.Add(std::move(*deployment));
     } else {
       ++result.aborts;
-      // Exact refund: the rolled-back deploy must be invisible to the
-      // store — every warm slot it consumed refunded to its source, every
-      // content ref unwound.
-      if (store->total_warm_slots() != slots_before ||
-          store->live_env_refs() != refs_before) {
-        ++result.refund_violations;
-      }
-      if (!live.empty()) {
-        for (udc::ResourceUnit* unit : live.front()->units()) {
-          if (unit->env != nullptr) {
-            (void)cloud.envs().Stop(unit->env, /*keep_warm=*/true);
-            unit->env = nullptr;
-          }
-        }
-        live.pop_front();
-      }
+      live.EvictOldest(/*keep_warm=*/true);
     }
     cloud.sim()->RunToCompletion();
   }
-  live.clear();
-  cloud.sim()->RunToCompletion();
+  live.Drain();
 
   result.abort_fraction =
       result.attempts > 0
@@ -772,16 +781,8 @@ WarmStoreResult RunWarmStorePhase(int diff_racks, int diff_deploys,
   result.cross_tenant_warm =
       cloud.sim()->metrics().counter("exec.cross_tenant_warm_starts");
   result.evictions = cloud.sim()->metrics().counter("exec.evictions");
-  result.live_store_refs_after_drain = store->live_env_refs();
-  // Leak-free drain: no live envs, no live store refs, no allocations, no
-  // provisioned identities. Warm slots banked on purpose are credit, not
-  // leakage — every remaining content ref must be backed by a warm slot,
-  // which live_env_refs() == 0 certifies.
-  result.clean =
-      cloud.datacenter().TotalAllocated() == udc::ResourceVector() &&
-      cloud.envs().live_count() == 0 &&
-      cloud.attestation().provisioned_count() == 0 &&
-      result.live_store_refs_after_drain == 0;
+  result.live_store_refs_after_drain = cloud.envs().store()->live_env_refs();
+  result.clean = Drained(cloud);
   return result;
 }
 
@@ -791,9 +792,7 @@ WarmStoreResult RunWarmStorePhase(int diff_racks, int diff_deploys,
 // p50, and under a parallel ctest run a neighbour stealing the core for a
 // few milliseconds mid-loop would otherwise inflate the numerator alone.
 double MeasureEmptyTxnUs(int iterations) {
-  udc::UdcCloudConfig cloud_config;
-  cloud_config.datacenter.racks = 2;
-  udc::UdcCloud cloud(cloud_config);
+  udc::UdcCloud cloud(Topology(/*racks=*/2));
   udc::PlacementEngine& engine = cloud.region_router()->engine();
 
   const double t0 = CpuSeconds();
@@ -834,9 +833,16 @@ struct ScaleLeg {
   uint64_t decision_hash = 0;  // FNV-1a over per-deploy ok/fail outcomes
   std::array<long long, udc::kNumDeviceKinds> allocated_pre_drain{};
   bool clean_after_drain = false;
-  double p50_us = 0;
+  double p50_us = 0;  // 0 unless the cloud records place latency
   double p99_us = 0;
 };
+
+// The differential contract between two legs of one deploy sequence: the
+// same admit/reject stream.
+bool SameDecisions(const ScaleLeg& a, const ScaleLeg& b) {
+  return a.decision_hash == b.decision_hash && a.deploys == b.deploys &&
+         a.failures == b.failures;
+}
 
 struct ScaleResult {
   int racks = 0;
@@ -848,8 +854,7 @@ struct ScaleResult {
   bool gate_armed = false;
   bool decisions_match = false;
   bool occupancy_match = false;
-  bool slo_ok = false;
-  std::string slo_report;
+  SloOutcome slo;
   long long cross_cell_deploys = 0;
   long long cell_fallbacks = 0;
   std::vector<long long> cell_deploys;  // per cell: deploys homed there
@@ -864,7 +869,7 @@ ScaleLeg RunScaleLeg(udc::UdcCloud& cloud, int deploys, int window,
   leg.devices = static_cast<long long>(cloud.datacenter().AllDevices().size());
   leg.decision_hash = 1469598103934665603ull;  // FNV-1a offset basis
 
-  std::deque<std::unique_ptr<udc::Deployment>> live;
+  LiveSet live(cloud);
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < deploys; ++i) {
     const udc::TenantId tenant =
@@ -875,20 +880,12 @@ ScaleLeg RunScaleLeg(udc::UdcCloud& cloud, int deploys, int window,
         (leg.decision_hash ^ (deployment.ok() ? 1u : 0u)) * 1099511628211ull;
     if (deployment.ok()) {
       ++leg.deploys;
-      live.push_back(std::move(*deployment));
+      live.Add(std::move(*deployment));
     } else {
       ++leg.failures;
     }
     cloud.sim()->RunToCompletion();
-    while (static_cast<int>(live.size()) > window) {
-      for (udc::ResourceUnit* unit : live.front()->units()) {
-        if (unit->env != nullptr) {
-          (void)cloud.envs().Stop(unit->env, /*keep_warm=*/false);
-          unit->env = nullptr;
-        }
-      }
-      live.pop_front();
-    }
+    live.EvictPast(window, /*keep_warm=*/false);
   }
   const auto t1 = std::chrono::steady_clock::now();
   leg.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -905,19 +902,13 @@ ScaleLeg RunScaleLeg(udc::UdcCloud& cloud, int deploys, int window,
             .TotalAllocated();
   }
 
-  for (auto& deployment : live) {
-    for (udc::ResourceUnit* unit : deployment->units()) {
-      if (unit->env != nullptr) {
-        (void)cloud.envs().Stop(unit->env, /*keep_warm=*/false);
-        unit->env = nullptr;
-      }
-    }
+  live.Drain();
+  leg.clean_after_drain = Drained(cloud);
+  if (const udc::MetricHistogram* h =
+          cloud.sim()->metrics().histogram("sched.place_latency_us")) {
+    leg.p50_us = h->Quantile(0.5);
+    leg.p99_us = h->Quantile(0.99);
   }
-  live.clear();
-  cloud.sim()->RunToCompletion();
-  leg.clean_after_drain =
-      cloud.datacenter().TotalAllocated() == udc::ResourceVector() &&
-      cloud.envs().live_count() == 0;
   return leg;
 }
 
@@ -930,41 +921,19 @@ ScaleResult RunScalePhase(int racks, int cells, int deploys, int window,
   result.live_window = window;
 
   // Legs run sequentially in their own scopes: at full scale each cloud
-  // models half a million devices, so only one lives at a time.
+  // models 840,000 devices, so only one lives at a time.
   {
-    udc::UdcCloudConfig config;
-    config.datacenter.racks = racks;
+    udc::UdcCloudConfig config = Topology(racks);
     config.scheduler.record_place_latency = true;
     udc::UdcCloud cloud(config);
     result.baseline = RunScaleLeg(cloud, deploys, window, specs);
-    if (const udc::MetricHistogram* h =
-            cloud.sim()->metrics().histogram("sched.place_latency_us")) {
-      result.baseline.p50_us = h->Quantile(0.5);
-      result.baseline.p99_us = h->Quantile(0.99);
-    }
   }
   {
-    udc::UdcCloudConfig config;
-    config.datacenter.racks = racks;
-    config.datacenter.cells = cells;
+    udc::UdcCloudConfig config = Topology(racks, cells);
     config.scheduler.record_place_latency = true;
     udc::UdcCloud cloud(config);
-    {
-      udc::SloSpec spec;
-      spec.name = "slo.sched.cell_place_p99";
-      spec.kind = udc::SloSpec::SourceKind::kHistogramQuantile;
-      spec.source = "sched.place_latency_us";
-      spec.quantile = 0.99;
-      spec.threshold = 500'000.0;  // sanity bound, not a tight budget
-      spec.window = udc::SimTime::Hours(24);
-      cloud.sim()->slos().AddObjective(std::move(spec));
-    }
+    AddPlaceP99Objective(cloud, "slo.sched.cell_place_p99");
     result.cells = RunScaleLeg(cloud, deploys, window, specs);
-    if (const udc::MetricHistogram* h =
-            cloud.sim()->metrics().histogram("sched.place_latency_us")) {
-      result.cells.p50_us = h->Quantile(0.5);
-      result.cells.p99_us = h->Quantile(0.99);
-    }
     udc::RegionRouter* router = cloud.region_router();
     for (int c = 0; c < router->cell_count(); ++c) {
       result.cell_deploys.push_back(router->CellDeploys(c));
@@ -975,9 +944,7 @@ ScaleResult RunScalePhase(int racks, int cells, int deploys, int window,
     }
     result.cross_cell_deploys = router->cross_cell_deploys();
     result.cell_fallbacks = router->cell_fallbacks();
-    cloud.sim()->slos().EvaluateNow(cloud.sim()->now());
-    result.slo_ok = cloud.sim()->slos().AllOk();
-    result.slo_report = cloud.sim()->slos().Report();
+    result.slo = JudgeSlos(cloud);
   }
 
   result.speedup = result.baseline.deploys_per_sec > 0
@@ -985,10 +952,7 @@ ScaleResult RunScalePhase(int racks, int cells, int deploys, int window,
                              result.baseline.deploys_per_sec
                        : 0;
   result.gate_armed = result.cells.devices >= 100'000;
-  result.decisions_match =
-      result.baseline.decision_hash == result.cells.decision_hash &&
-      result.baseline.deploys == result.cells.deploys &&
-      result.baseline.failures == result.cells.failures;
+  result.decisions_match = SameDecisions(result.baseline, result.cells);
   result.occupancy_match =
       result.baseline.allocated_pre_drain == result.cells.allocated_pre_drain;
   return result;
@@ -1009,9 +973,6 @@ ScaleResult RunScalePhase(int racks, int cells, int deploys, int window,
 // routed to the cold regions pull them back over the WAN (remote-tier
 // starts, pull-through replication), and a pinned abort tail exhausts the
 // hot region so rolled-back cross-region deploys exercise exact refunds.
-// Gates: differential identical, clean drains, zero refund violations,
-// WAN + remote tiers actually exercised, and the machine-checked
-// slo.sched.region_place_p99 objective.
 
 struct FederationResult {
   int racks = 0;
@@ -1035,35 +996,21 @@ struct FederationResult {
   long long wan_bytes = 0;
   long long remote_starts = 0;
   long long remote_hits = 0;
-  long long store_hits = 0;
   double region_place_p99_us = 0;
   bool fed_clean = false;
-  bool slo_ok = false;
-  std::string slo_report;
+  SloOutcome slo;
 };
 
-// A copy of `base` with every module pinned to `region` via the dist
-// aspect — modules without explicit aspects start from ProviderDefaults so
-// nothing else about their treatment changes.
-udc::AppSpec PinToRegion(const udc::AppSpec& base, int region) {
+// A copy of `base` with `modules` pinned to `region` via the dist aspect.
+// Modules without explicit aspects start from ProviderDefaults, so nothing
+// else about their treatment changes. Pinning only the data modules homes
+// the deploy on the region but leaves its tasks free to spill into other
+// regions when it runs out: the cross-region single-transaction path.
+udc::AppSpec PinToRegion(const udc::AppSpec& base,
+                         const std::vector<udc::ModuleId>& modules,
+                         int region) {
   udc::AppSpec pinned = base;
-  for (const udc::ModuleId m : pinned.graph.ModuleIds()) {
-    auto it = pinned.aspects.find(m);
-    if (it == pinned.aspects.end()) {
-      it = pinned.aspects.emplace(m, udc::ProviderDefaults()).first;
-    }
-    it->second.dist.region_affinity = region;
-  }
-  return pinned;
-}
-
-// Pins only the data modules to `region`. The router homes the deploy on
-// the first pinned module's region, but the tasks stay free to spill into
-// other regions when the home region runs out — the cross-region
-// single-transaction path.
-udc::AppSpec PinDataToRegion(const udc::AppSpec& base, int region) {
-  udc::AppSpec pinned = base;
-  for (const udc::ModuleId m : pinned.graph.DataIds()) {
+  for (const udc::ModuleId m : modules) {
     auto it = pinned.aspects.find(m);
     if (it == pinned.aspects.end()) {
       it = pinned.aspects.emplace(m, udc::ProviderDefaults()).first;
@@ -1087,32 +1034,19 @@ FederationResult RunFederationPhase(
 
   // Differential pair: regions=0 vs regions=1, same sequence.
   {
-    udc::UdcCloudConfig config;
-    config.datacenter.racks = racks;
-    config.datacenter.cells = cells;
-    udc::UdcCloud cloud(config);
+    udc::UdcCloud cloud(Topology(racks, cells));
     result.cells_leg = RunScaleLeg(cloud, deploys, window, shared_specs);
   }
   {
-    udc::UdcCloudConfig config;
-    config.datacenter.racks = racks;
-    config.datacenter.cells = cells;
-    config.datacenter.regions = 1;
-    udc::UdcCloud cloud(config);
+    udc::UdcCloud cloud(Topology(racks, cells, /*regions=*/1));
     result.region1_leg = RunScaleLeg(cloud, deploys, window, shared_specs);
   }
-  result.decisions_match =
-      result.cells_leg.decision_hash == result.region1_leg.decision_hash &&
-      result.cells_leg.deploys == result.region1_leg.deploys &&
-      result.cells_leg.failures == result.region1_leg.failures;
+  result.decisions_match = SameDecisions(result.cells_leg, result.region1_leg);
   result.occupancy_match = result.cells_leg.allocated_pre_drain ==
                            result.region1_leg.allocated_pre_drain;
 
   // Federated leg: N regions, asymmetric WAN, skewed demand, env store on.
-  udc::UdcCloudConfig config;
-  config.datacenter.racks = racks;
-  config.datacenter.cells = cells;
-  config.datacenter.regions = regions;
+  udc::UdcCloudConfig config = Topology(racks, cells, regions);
   config.scheduler.record_place_latency = true;
   config.env_store.share_across_tenants = true;
   udc::UdcCloud cloud(config);
@@ -1130,103 +1064,56 @@ FederationResult RunFederationPhase(
       cloud.fabric().SetWanLink(i, j, link);
     }
   }
-  {
-    udc::SloSpec spec;
-    spec.name = "slo.sched.region_place_p99";
-    spec.kind = udc::SloSpec::SourceKind::kHistogramQuantile;
-    spec.source = "sched.place_latency_us";
-    spec.quantile = 0.99;
-    spec.threshold = 500'000.0;  // sanity bound, not a tight budget
-    spec.window = udc::SimTime::Hours(24);
-    cloud.sim()->slos().AddObjective(std::move(spec));
-  }
-  const udc::EnvStore* store = cloud.envs().store();
+  AddPlaceP99Objective(cloud, "slo.sched.region_place_p99");
 
   std::vector<udc::AppSpec> pinned;
   pinned.reserve(specs.size());
   for (const udc::AppSpec& spec : specs) {
-    pinned.push_back(PinToRegion(spec, 0));
+    pinned.push_back(PinToRegion(spec, spec.graph.ModuleIds(), 0));
   }
 
-  const auto stop_front = [&](std::deque<std::unique_ptr<udc::Deployment>>*
-                                  live, bool keep_warm) {
-    for (udc::ResourceUnit* unit : live->front()->units()) {
-      if (unit->env != nullptr) {
-        (void)cloud.envs().Stop(unit->env, keep_warm);
-        unit->env = nullptr;
-      }
+  LiveSet live(cloud);
+  const auto deploy = [&](const std::string& tenant_name,
+                          const udc::AppSpec& spec) {
+    auto deployment = DeployRefunding(cloud, cloud.RegisterTenant(tenant_name),
+                                      spec, &result.refund_violations);
+    if (!deployment.ok()) {
+      ++result.fed_failures;
+      return false;
     }
-    live->pop_front();
+    ++result.fed_deploys;
+    live.Add(std::move(*deployment));
+    return true;
   };
-
-  std::deque<std::unique_ptr<udc::Deployment>> live;
   // Skewed churn: 60% of deploys pinned to region 0, the rest routed by
   // free capacity (which the skew pushes toward the other regions). Warm
   // teardowns bank content in whichever region served the deploy, so the
   // hot region accumulates warm images that cold-region launches then
   // fetch over the WAN.
   for (int i = 0; i < deploys; ++i) {
-    const udc::TenantId tenant =
-        cloud.RegisterTenant("fed-" + std::to_string(i));
-    const bool pin = i % 5 < 3;
-    const udc::AppSpec& spec =
-        pin ? pinned[static_cast<size_t>(i) % pinned.size()]
-            : specs[static_cast<size_t>(i) % specs.size()];
-    const int64_t slots_before = store->total_warm_slots();
-    const int64_t refs_before = store->live_env_refs();
-    auto deployment = cloud.Deploy(tenant, spec);
-    if (deployment.ok()) {
-      ++result.fed_deploys;
-      live.push_back(std::move(*deployment));
-    } else {
-      ++result.fed_failures;
-      if (store->total_warm_slots() != slots_before ||
-          store->live_env_refs() != refs_before) {
-        ++result.refund_violations;
-      }
-    }
+    const size_t slot = static_cast<size_t>(i) % specs.size();
+    deploy("fed-" + std::to_string(i), i % 5 < 3 ? pinned[slot] : specs[slot]);
     cloud.sim()->RunToCompletion();
-    while (static_cast<int>(live.size()) > window) {
-      stop_front(&live, /*keep_warm=*/true);
-    }
+    live.EvictPast(window, /*keep_warm=*/true);
   }
-  // Abort tail: oversized apps, alternating pinned to the (already hot)
-  // region 0 and unpinned. The pin strikes every other region from the
-  // candidate list, so exhaustion aborts the whole transaction — each
-  // rolled-back deploy must leave the store's warm slots and refcounts
-  // exactly as it found them. The unpinned ones fill the remaining
-  // regions until a deploy no longer fits its home region whole and its
-  // modules spill across the WAN (cross-region legs staged and unwound
-  // inside the same transaction).
+  // Abort tail: oversized apps, alternating whole-app and data-only pins to
+  // the (already hot) region 0. A whole-app pin strikes every other region
+  // from the candidate list, so exhaustion aborts the whole transaction —
+  // each rolled-back deploy must leave the store's warm slots and refcounts
+  // exactly as it found them. A data-only pin homes the deploy on region 0
+  // but lets its tasks spill across the WAN once the region is full
+  // (cross-region legs staged and unwound inside the same transaction).
   for (int i = 0; i < abort_tail; ++i) {
-    const udc::TenantId tenant =
-        cloud.RegisterTenant("fed-abort-" + std::to_string(i));
     const udc::AppSpec& base =
         heavy_specs[static_cast<size_t>(i) % heavy_specs.size()];
-    const udc::AppSpec heavy =
-        i % 2 == 0 ? PinToRegion(base, 0) : PinDataToRegion(base, 0);
-    const int64_t slots_before = store->total_warm_slots();
-    const int64_t refs_before = store->live_env_refs();
-    auto deployment = cloud.Deploy(tenant, heavy);
-    if (deployment.ok()) {
-      ++result.fed_deploys;
-      live.push_back(std::move(*deployment));
-    } else {
-      ++result.fed_failures;
-      if (store->total_warm_slots() != slots_before ||
-          store->live_env_refs() != refs_before) {
-        ++result.refund_violations;
-      }
-      if (!live.empty()) {
-        stop_front(&live, /*keep_warm=*/true);
-      }
+    const udc::AppSpec heavy = PinToRegion(
+        base, i % 2 == 0 ? base.graph.ModuleIds() : base.graph.DataIds(), 0);
+    if (!deploy("fed-abort-" + std::to_string(i), heavy)) {
+      live.EvictOldest(/*keep_warm=*/true);
     }
     cloud.sim()->RunToCompletion();
   }
-  while (!live.empty()) {
-    stop_front(&live, /*keep_warm=*/false);
-  }
-  cloud.sim()->RunToCompletion();
+  live.Drain();
 
   udc::RegionRouter* router = cloud.region_router();
   for (int r = 0; r < router->region_count(); ++r) {
@@ -1240,19 +1127,13 @@ FederationResult RunFederationPhase(
       static_cast<long long>(cloud.fabric().wan_messages_sent());
   result.wan_bytes = cloud.fabric().wan_bytes_sent();
   result.remote_starts = cloud.sim()->metrics().counter("exec.remote_starts");
-  result.remote_hits = store->remote_hits();
-  result.store_hits = store->hits();
+  result.remote_hits = cloud.envs().store()->remote_hits();
   if (const udc::MetricHistogram* h =
           cloud.sim()->metrics().histogram("sched.place_latency_us")) {
     result.region_place_p99_us = h->Quantile(0.99);
   }
-  cloud.sim()->slos().EvaluateNow(cloud.sim()->now());
-  result.slo_ok = cloud.sim()->slos().AllOk();
-  result.slo_report = cloud.sim()->slos().Report();
-  result.fed_clean =
-      cloud.datacenter().TotalAllocated() == udc::ResourceVector() &&
-      cloud.envs().live_count() == 0 &&
-      store->live_env_refs() == 0;
+  result.slo = JudgeSlos(cloud);
+  result.fed_clean = Drained(cloud);
   return result;
 }
 
@@ -1281,124 +1162,7 @@ void PrintFederation(const FederationResult& f) {
               f.wan_messages,
               static_cast<double>(f.wan_bytes) / (1024.0 * 1024.0),
               f.remote_starts, f.remote_hits, f.region_place_p99_us,
-              f.slo_ok ? "OK" : "BREACHED");
-}
-
-// Federation gates, shared by the full run and --federation-only.
-bool CheckFederationGates(const FederationResult& f) {
-  bool ok = true;
-  if (!f.decisions_match || !f.occupancy_match) {
-    std::fprintf(stderr,
-                 "FAIL: the router with regions=1 diverged from regions=0 "
-                 "(hashes %016llx / %016llx)\n",
-                 static_cast<unsigned long long>(f.cells_leg.decision_hash),
-                 static_cast<unsigned long long>(
-                     f.region1_leg.decision_hash));
-    ok = false;
-  }
-  if (!f.cells_leg.clean_after_drain || !f.region1_leg.clean_after_drain ||
-      !f.fed_clean) {
-    std::fprintf(stderr, "FAIL: federation phase leaked state after drain\n");
-    ok = false;
-  }
-  if (f.refund_violations > 0) {
-    std::fprintf(stderr,
-                 "FAIL: %lld cross-region refund violations — a rolled-back "
-                 "deploy moved the env store\n",
-                 f.refund_violations);
-    ok = false;
-  }
-  if (f.fed_failures == 0) {
-    std::fprintf(stderr,
-                 "FAIL: federation abort tail never aborted — refund "
-                 "exactness was not exercised\n");
-    ok = false;
-  }
-  if (f.cross_region_deploys == 0) {
-    std::fprintf(stderr,
-                 "FAIL: no deploy spanned regions — the cross-region "
-                 "single-transaction spill path was not exercised\n");
-    ok = false;
-  }
-  if (f.wan_messages == 0 || f.remote_starts == 0) {
-    std::fprintf(stderr,
-                 "FAIL: federation phase exercised no WAN traffic "
-                 "(transfers=%lld, remote starts=%lld)\n",
-                 f.wan_messages, f.remote_starts);
-    ok = false;
-  }
-  if (!f.slo_ok) {
-    std::fprintf(stderr,
-                 "FAIL: slo.sched.region_place_p99 breached during the "
-                 "federation phase\n%s",
-                 f.slo_report.c_str());
-    ok = false;
-  }
-  return ok;
-}
-
-// The "federation" section of BENCH_hotpath.json — emitted by the full
-// report and by --federation-only.
-void EmitFederationSection(FILE* f, const FederationResult& fed) {
-  std::fprintf(f,
-               "  \"federation\": {\n"
-               "    \"racks\": %d,\n"
-               "    \"cell_count\": %d,\n"
-               "    \"region_count\": %d,\n"
-               "    \"live_window\": %d,\n"
-               "    \"differential\": {\"cells_hash\": \"%016llx\", "
-               "\"region1_hash\": \"%016llx\", \"decisions_match\": %s, "
-               "\"occupancy_match\": %s},\n"
-               "    \"deploys\": %lld,\n"
-               "    \"failures\": %lld,\n"
-               "    \"refund_violations\": %lld,\n"
-               "    \"cross_region_deploys\": %lld,\n"
-               "    \"region_fallbacks\": %lld,\n"
-               "    \"wan_transfers\": %lld,\n"
-               "    \"wan_bytes\": %lld,\n"
-               "    \"remote_starts\": %lld,\n"
-               "    \"store_remote_hits\": %lld,\n"
-               "    \"region_place_p99_us\": %.2f,\n"
-               "    \"slo_region_place_p99_ok\": %s,\n"
-               "    \"clean_after_drain\": %s,\n"
-               "    \"per_region\": [",
-               fed.racks, fed.cell_count, fed.region_count, fed.live_window,
-               static_cast<unsigned long long>(fed.cells_leg.decision_hash),
-               static_cast<unsigned long long>(fed.region1_leg.decision_hash),
-               fed.decisions_match ? "true" : "false",
-               fed.occupancy_match ? "true" : "false", fed.fed_deploys,
-               fed.fed_failures, fed.refund_violations,
-               fed.cross_region_deploys, fed.region_fallbacks,
-               fed.wan_messages, fed.wan_bytes, fed.remote_starts,
-               fed.remote_hits, fed.region_place_p99_us,
-               fed.slo_ok ? "true" : "false",
-               fed.fed_clean ? "true" : "false");
-  for (size_t r = 0; r < fed.region_deploys.size(); ++r) {
-    std::fprintf(f,
-                 "%s\n      {\"region\": %zu, \"deploys\": %lld, "
-                 "\"wan_bytes_out\": %lld, \"wan_bytes_in\": %lld}",
-                 r == 0 ? "" : ",", r, fed.region_deploys[r],
-                 fed.wan_bytes_out[r], fed.wan_bytes_in[r]);
-  }
-  std::fprintf(f, "\n    ]\n  }");
-}
-
-// --federation-only report: header + federation section, same artifact
-// path as the full report.
-void WriteFederationOnlyJson(bool smoke, const FederationResult& fed) {
-  udc::bench::JsonFile json("BENCH_hotpath.json");
-  if (!json) {
-    return;
-  }
-  FILE* f = json.get();
-  std::fprintf(f,
-               "{\n  \"benchmark\": \"deploy_churn\",\n"
-               "  \"mode\": \"federation-only\",\n"
-               "  \"host_cores\": %d,\n"
-               "  \"smoke\": %s,\n",
-               udc::bench::HostCores(), smoke ? "true" : "false");
-  EmitFederationSection(f, fed);
-  std::fprintf(f, "\n}\n");
+              f.slo.ok ? "OK" : "BREACHED");
 }
 
 void PrintResult(const char* label, const ChurnResult& r) {
@@ -1441,64 +1205,138 @@ void PrintScale(const ScaleResult& s) {
               s.occupancy_match ? "match" : "DIVERGED",
               s.baseline.clean_after_drain ? "clean" : "DIRTY",
               s.cells.clean_after_drain ? "clean" : "DIRTY",
-              s.slo_ok ? "OK" : "BREACHED");
+              s.slo.ok ? "OK" : "BREACHED");
 }
 
-// Scale-phase gates, shared by the full run and --scale-only.
-bool CheckScaleGates(const ScaleResult& s) {
-  bool ok = true;
-  if (!s.decisions_match) {
-    std::fprintf(stderr,
-                 "FAIL: cell and baseline legs diverged on admit/reject "
-                 "decisions (baseline %lld/%lld hash %llx, cells %lld/%lld "
-                 "hash %llx)\n",
-                 s.baseline.deploys, s.baseline.failures,
-                 static_cast<unsigned long long>(s.baseline.decision_hash),
-                 s.cells.deploys, s.cells.failures,
-                 static_cast<unsigned long long>(s.cells.decision_hash));
-    ok = false;
-  }
-  if (!s.occupancy_match) {
-    std::fprintf(stderr,
-                 "FAIL: cell and baseline legs diverged on pre-drain pool "
-                 "occupancy\n");
-    ok = false;
-  }
-  if (!s.baseline.clean_after_drain || !s.cells.clean_after_drain) {
-    std::fprintf(stderr, "FAIL: scale phase leaked state after drain\n");
-    ok = false;
-  }
-  if (!s.slo_ok) {
-    std::fprintf(stderr,
-                 "FAIL: slo.sched.cell_place_p99 breached during the scale "
-                 "phase\n%s",
-                 s.slo_report.c_str());
-    ok = false;
-  }
-  if (s.gate_armed && s.speedup < 3.0) {
-    std::fprintf(stderr,
-                 "FAIL: cell-partitioned control plane %.2fx the "
-                 "one-cell baseline at %lld devices, gate is 3x\n",
-                 s.speedup, s.cells.devices);
-    ok = false;
-  }
-  return ok;
-}
+// Every phase's result, written once as BENCH_hotpath.json.
+struct Report {
+  bool smoke = false;
+  ChurnConfig config;
+  ChurnResult indexed;
+  int batch_size = 0;
+  FrontendComparison frontend;
+  AbortResult abort;
+  WarmStoreResult warm_store;
+  double empty_txn_us = 0;
+  double overhead_pct = 0;
+  ObsOverheadResult obs;
+  ScaleResult scale;
+  FederationResult fed;
+};
 
-// The "scale" section: what the CI artifact uploads and what the README
-// cites for the 1M-tenant claim. Emitted by both the full report and the
-// --scale-only report.
-void EmitScaleSection(FILE* f, const ScaleResult& s) {
-  auto emit_leg = [f](const char* name, const ScaleLeg& leg) {
+const char* Bool(bool b) { return b ? "true" : "false"; }
+
+void WriteJson(const Report& r) {
+  udc::bench::JsonFile json("BENCH_hotpath.json");
+  if (!json) {
+    return;
+  }
+  FILE* f = json.get();
+  const ChurnResult& indexed = r.indexed;
+  std::fprintf(f,
+               "{\n  \"benchmark\": \"deploy_churn\",\n"
+               "  \"config\": {\"racks\": %d, \"devices\": %lld, "
+               "\"deploys\": %d, \"live_window\": %d, \"host_cores\": %d, "
+               "\"smoke\": %s},\n",
+               r.config.racks, indexed.devices, r.config.deploys,
+               r.config.live_window, udc::bench::HostCores(), Bool(r.smoke));
+  std::fprintf(f,
+               "  \"indexed\": {\n"
+               "    \"deploys\": %lld,\n"
+               "    \"failures\": %lld,\n"
+               "    \"wall_seconds\": %.4f,\n"
+               "    \"deploys_per_sec\": %.2f,\n"
+               "    \"events_per_sec\": %.0f,\n"
+               "    \"placement_us\": {\"p50\": %.2f, \"p95\": %.2f, "
+               "\"p99\": %.2f, \"mean\": %.2f},\n"
+               "    \"clean_after_drain\": %s\n"
+               "  },\n",
+               indexed.deploys, indexed.failures, indexed.wall_seconds,
+               indexed.deploys_per_sec, indexed.events_per_sec,
+               indexed.placement_us.Quantile(0.5),
+               indexed.placement_us.Quantile(0.95),
+               indexed.placement_us.Quantile(0.99),
+               indexed.placement_us.Mean(), Bool(indexed.clean));
+  const RpcResult& single = r.frontend.single;
+  const RpcResult& batched = r.frontend.batched;
+  const AbortResult& abort = r.abort;
+  std::fprintf(f,
+               "  \"txn\": {\n"
+               "    \"batch_size\": %d,\n"
+               "    \"empty_txn_us\": %.3f,\n"
+               "    \"overhead_pct_vs_indexed_p50\": %.2f,\n"
+               "    \"frontend_single\": {\"deploys\": %lld, \"failures\": "
+               "%lld, \"cpu_seconds\": %.4f, \"deploys_per_sec\": %.2f},\n"
+               "    \"frontend_batched\": {\"deploys\": %lld, \"failures\": "
+               "%lld, \"cpu_seconds\": %.4f, \"deploys_per_sec\": %.2f},\n"
+               "    \"frontend_batched_speedup\": %.2f,\n"
+               "    \"frontend_clean_after_drain\": %s,\n"
+               "    \"abort_phase\": {\"attempts\": %lld, \"deploys\": %lld, "
+               "\"aborts\": %lld, \"abort_fraction\": %.2f, "
+               "\"txn_committed\": %lld, \"txn_aborted\": %lld, "
+               "\"clean_after_drain\": %s}\n"
+               "  },\n",
+               r.batch_size, r.empty_txn_us, r.overhead_pct, single.deploys,
+               single.failures, single.cpu_seconds, single.deploys_per_sec,
+               batched.deploys, batched.failures, batched.cpu_seconds,
+               batched.deploys_per_sec, r.frontend.speedup,
+               Bool(r.frontend.clean), abort.attempts,
+               abort.deploys, abort.aborts, abort.abort_fraction,
+               abort.txn_committed, abort.txn_aborted, Bool(abort.clean));
+  const WarmStoreResult& ws = r.warm_store;
+  std::fprintf(f,
+               "  \"warm_store\": {\n"
+               "    \"decisions\": {\"hash\": \"%016llx\", "
+               "\"frozen_hash\": \"%016llx\", \"warm_starts\": %lld, "
+               "\"matches_frozen\": %s, \"clean_after_drain\": %s},\n"
+               "    \"abort_churn\": {\"attempts\": %lld, \"deploys\": %lld, "
+               "\"aborts\": %lld, \"abort_fraction\": %.2f, "
+               "\"refund_violations\": %lld, \"warm_hit_ratio\": %.3f, "
+               "\"warm_starts\": %lld, \"cross_tenant_warm_starts\": %lld, "
+               "\"evictions\": %lld, \"live_store_refs_after_drain\": %lld, "
+               "\"clean_after_drain\": %s}\n"
+               "  },\n",
+               static_cast<unsigned long long>(ws.decisions.hash),
+               static_cast<unsigned long long>(ws.frozen_hash),
+               ws.decisions.warm_starts, Bool(ws.decisions_ok),
+               Bool(ws.decisions.clean), ws.attempts, ws.deploys, ws.aborts,
+               ws.abort_fraction, ws.refund_violations, ws.warm_hit_ratio,
+               ws.warm_starts, ws.cross_tenant_warm, ws.evictions,
+               ws.live_store_refs_after_drain, Bool(ws.clean));
+  const ObsOverheadResult& obs = r.obs;
+  std::fprintf(f,
+               "  \"obs_overhead\": {\n"
+               "    \"deploys_on\": %lld,\n"
+               "    \"deploys_off\": %lld,\n"
+               "    \"placement_p50_on_us\": %.2f,\n"
+               "    \"placement_p50_off_us\": %.2f,\n"
+               "    \"placement_p50_ratio\": %.4f,\n"
+               "    \"placement_p50_delta_us\": %.4f,\n"
+               "    \"gate_p50_ratio\": 1.03,\n"
+               "    \"gate_p50_delta_us\": %.1f,\n"
+               "    \"median_block_cost_ratio\": %.4f,\n"
+               "    \"recorder_retained\": %zu,\n"
+               "    \"recorder_total_recorded\": %llu,\n"
+               "    \"slo_all_ok\": %s,\n"
+               "    \"clean_after_drain\": %s\n"
+               "  },\n",
+               obs.deploys_on, obs.deploys_off, obs.p50_on_us, obs.p50_off_us,
+               obs.p50_ratio, obs.p50_delta_us, kObsAbsoluteBudgetUs,
+               obs.block_ratio, obs.recorder_retained,
+               static_cast<unsigned long long>(obs.recorder_total),
+               Bool(obs.slo.ok), Bool(obs.clean));
+
+  const ScaleResult& s = r.scale;
+  const auto emit_leg = [f](const char* name, const ScaleLeg& leg) {
     std::fprintf(f,
                  "    \"%s\": {\"deploys\": %lld, \"failures\": %lld, "
                  "\"tenants\": %lld, \"wall_seconds\": %.2f, "
                  "\"deploys_per_sec\": %.1f, \"placement_us\": "
                  "{\"p50\": %.2f, \"p99\": %.2f}, "
-                 "\"clean_after_drain\": %s}",
+                 "\"clean_after_drain\": %s},\n",
                  name, leg.deploys, leg.failures, leg.tenants,
                  leg.wall_seconds, leg.deploys_per_sec, leg.p50_us,
-                 leg.p99_us, leg.clean_after_drain ? "true" : "false");
+                 leg.p99_us, Bool(leg.clean_after_drain));
   };
   std::fprintf(f,
                "  \"scale\": {\n"
@@ -1508,10 +1346,9 @@ void EmitScaleSection(FILE* f, const ScaleResult& s) {
                "    \"live_window\": %d,\n",
                s.racks, s.cell_count, s.cells.devices, s.live_window);
   emit_leg("baseline", s.baseline);
-  std::fprintf(f, ",\n");
   emit_leg("cells", s.cells);
   std::fprintf(f,
-               ",\n    \"speedup_deploys_per_sec\": %.2f,\n"
+               "    \"speedup\": %.2f,\n"
                "    \"gate_speedup\": 3.0,\n"
                "    \"gate_armed\": %s,\n"
                "    \"decisions_match\": %s,\n"
@@ -1520,161 +1357,183 @@ void EmitScaleSection(FILE* f, const ScaleResult& s) {
                "    \"cross_cell_deploys\": %lld,\n"
                "    \"cell_fallbacks\": %lld,\n"
                "    \"per_cell\": [",
-               s.speedup, s.gate_armed ? "true" : "false",
-               s.decisions_match ? "true" : "false",
-               s.occupancy_match ? "true" : "false",
-               s.slo_ok ? "true" : "false", s.cross_cell_deploys,
+               s.speedup, Bool(s.gate_armed), Bool(s.decisions_match),
+               Bool(s.occupancy_match), Bool(s.slo.ok), s.cross_cell_deploys,
                s.cell_fallbacks);
   for (size_t c = 0; c < s.cell_p99_us.size(); ++c) {
     std::fprintf(f, "%s\n      {\"cell\": %zu, \"deploys\": %lld, "
                  "\"p99_us\": %.2f}",
                  c == 0 ? "" : ",", c, s.cell_deploys[c], s.cell_p99_us[c]);
   }
-  std::fprintf(f, "\n    ]\n  }");
-}
+  std::fprintf(f, "\n    ]\n  },\n");
 
-// --scale-only report: header + scale section. Same file name, so the CI
-// artifact path is identical no matter which mode produced it.
-void WriteScaleOnlyJson(bool smoke, const ScaleResult& scale) {
-  udc::bench::JsonFile json("BENCH_hotpath.json");
-  if (!json) {
-    return;
-  }
-  FILE* f = json.get();
+  const FederationResult& fed = r.fed;
   std::fprintf(f,
-               "{\n  \"benchmark\": \"deploy_churn\",\n"
-               "  \"mode\": \"scale-only\",\n"
-               "  \"host_cores\": %d,\n"
-               "  \"smoke\": %s,\n",
-               udc::bench::HostCores(), smoke ? "true" : "false");
-  EmitScaleSection(f, scale);
-  std::fprintf(f, "\n}\n");
-}
-
-void WriteJson(const ChurnConfig& config, bool smoke,
-               const ChurnResult& indexed, int batch_size,
-               const AbortResult& abort, const WarmStoreResult& warm_store,
-               double empty_txn_us, double overhead_pct,
-               const RpcResult& rpc_single, const RpcResult& rpc_batched,
-               double rpc_speedup, const ObsOverheadResult& obs,
-               const ScaleResult& scale, const FederationResult& fed) {
-  udc::bench::JsonFile json("BENCH_hotpath.json");
-  if (!json) {
-    return;
-  }
-  FILE* f = json.get();
-  auto emit_mode = [f](const char* name, const ChurnResult& r) {
+               "  \"federation\": {\n"
+               "    \"racks\": %d,\n"
+               "    \"cell_count\": %d,\n"
+               "    \"region_count\": %d,\n"
+               "    \"live_window\": %d,\n"
+               "    \"differential\": {\"cells_hash\": \"%016llx\", "
+               "\"region1_hash\": \"%016llx\", \"decisions_match\": %s, "
+               "\"occupancy_match\": %s},\n"
+               "    \"deploys\": %lld,\n"
+               "    \"failures\": %lld,\n"
+               "    \"refund_violations\": %lld,\n"
+               "    \"cross_region_deploys\": %lld,\n"
+               "    \"region_fallbacks\": %lld,\n"
+               "    \"wan_transfers\": %lld,\n"
+               "    \"wan_bytes\": %lld,\n"
+               "    \"remote_starts\": %lld,\n"
+               "    \"store_remote_hits\": %lld,\n"
+               "    \"region_place_p99_us\": %.2f,\n"
+               "    \"slo_region_place_p99_ok\": %s,\n"
+               "    \"clean_after_drain\": %s,\n"
+               "    \"per_region\": [",
+               fed.racks, fed.cell_count, fed.region_count, fed.live_window,
+               static_cast<unsigned long long>(fed.cells_leg.decision_hash),
+               static_cast<unsigned long long>(fed.region1_leg.decision_hash),
+               Bool(fed.decisions_match), Bool(fed.occupancy_match),
+               fed.fed_deploys, fed.fed_failures, fed.refund_violations,
+               fed.cross_region_deploys, fed.region_fallbacks,
+               fed.wan_messages, fed.wan_bytes, fed.remote_starts,
+               fed.remote_hits, fed.region_place_p99_us, Bool(fed.slo.ok),
+               Bool(fed.fed_clean));
+  for (size_t i = 0; i < fed.region_deploys.size(); ++i) {
     std::fprintf(f,
-                 "  \"%s\": {\n"
-                 "    \"deploys\": %lld,\n"
-                 "    \"failures\": %lld,\n"
-                 "    \"wall_seconds\": %.4f,\n"
-                 "    \"deploys_per_sec\": %.2f,\n"
-                 "    \"events_per_sec\": %.0f,\n"
-                 "    \"placement_us\": {\"p50\": %.2f, \"p95\": %.2f, "
-                 "\"p99\": %.2f, \"mean\": %.2f}\n"
-                 "  }",
-                 name, r.deploys, r.failures, r.wall_seconds,
-                 r.deploys_per_sec, r.events_per_sec,
-                 r.placement_us.Quantile(0.5), r.placement_us.Quantile(0.95),
-                 r.placement_us.Quantile(0.99), r.placement_us.Mean());
-  };
-  std::fprintf(f, "{\n  \"benchmark\": \"deploy_churn\",\n");
-  std::fprintf(f,
-               "  \"config\": {\"racks\": %d, \"devices\": %lld, "
-               "\"deploys\": %d, \"live_window\": %d, \"host_cores\": %d, "
-               "\"smoke\": %s},\n",
-               config.racks, indexed.devices, config.deploys,
-               config.live_window, udc::bench::HostCores(),
-               smoke ? "true" : "false");
-  emit_mode("indexed", indexed);
-  std::fprintf(f,
-               ",\n  \"txn\": {\n"
-               "    \"batch_size\": %d,\n"
-               "    \"empty_txn_us\": %.3f,\n"
-               "    \"overhead_pct_vs_indexed_p50\": %.2f,\n"
-               "    \"frontend_single\": {\"deploys\": %lld, \"failures\": "
-               "%lld, \"cpu_seconds\": %.4f, \"deploys_per_sec\": %.2f},\n"
-               "    \"frontend_batched\": {\"deploys\": %lld, \"failures\": "
-               "%lld, \"cpu_seconds\": %.4f, \"deploys_per_sec\": %.2f},\n"
-               "    \"frontend_batched_speedup\": %.2f,\n"
-               "    \"abort_phase\": {\"attempts\": %lld, \"deploys\": %lld, "
-               "\"aborts\": %lld, \"abort_fraction\": %.2f, "
-               "\"txn_committed\": %lld, \"txn_aborted\": %lld, "
-               "\"clean_after_drain\": %s}\n"
-               "  }",
-               batch_size, empty_txn_us, overhead_pct,
-               rpc_single.deploys, rpc_single.failures,
-               rpc_single.cpu_seconds, rpc_single.deploys_per_sec,
-               rpc_batched.deploys, rpc_batched.failures,
-               rpc_batched.cpu_seconds, rpc_batched.deploys_per_sec,
-               rpc_speedup, abort.attempts, abort.deploys, abort.aborts,
-               abort.abort_fraction, abort.txn_committed, abort.txn_aborted,
-               abort.clean ? "true" : "false");
-  std::fprintf(f,
-               ",\n  \"warm_store\": {\n"
-               "    \"decisions\": {\"hash\": \"%016llx\", "
-               "\"frozen_hash\": \"%016llx\", \"warm_starts\": %lld, "
-               "\"matches_frozen\": %s},\n"
-               "    \"abort_churn\": {\"attempts\": %lld, \"deploys\": %lld, "
-               "\"aborts\": %lld, \"abort_fraction\": %.2f, "
-               "\"refund_violations\": %lld, \"warm_hit_ratio\": %.3f, "
-               "\"warm_starts\": %lld, \"cross_tenant_warm_starts\": %lld, "
-               "\"evictions\": %lld, \"live_store_refs_after_drain\": %lld, "
-               "\"clean_after_drain\": %s}\n"
-               "  }",
-               static_cast<unsigned long long>(warm_store.decisions.hash),
-               static_cast<unsigned long long>(warm_store.frozen_hash),
-               warm_store.decisions.warm_starts,
-               warm_store.decisions_ok ? "true" : "false",
-               warm_store.attempts, warm_store.deploys, warm_store.aborts,
-               warm_store.abort_fraction, warm_store.refund_violations,
-               warm_store.warm_hit_ratio, warm_store.warm_starts,
-               warm_store.cross_tenant_warm, warm_store.evictions,
-               warm_store.live_store_refs_after_drain,
-               warm_store.clean ? "true" : "false");
-  std::fprintf(f,
-               ",\n  \"obs_overhead\": {\n"
-               "    \"deploys_on\": %lld,\n"
-               "    \"deploys_off\": %lld,\n"
-               "    \"placement_p50_on_us\": %.2f,\n"
-               "    \"placement_p50_off_us\": %.2f,\n"
-               "    \"placement_p50_ratio\": %.4f,\n"
-               "    \"placement_p50_delta_us\": %.4f,\n"
-               "    \"gate_p50_ratio\": 1.03,\n"
-               "    \"gate_p50_delta_us\": 1.5,\n"
-               "    \"median_block_cost_ratio\": %.4f,\n"
-               "    \"recorder_retained\": %zu,\n"
-               "    \"recorder_total_recorded\": %llu,\n"
-               "    \"slo_all_ok\": %s\n"
-               "  },\n",
-               obs.deploys_on, obs.deploys_off, obs.p50_on_us, obs.p50_off_us,
-               obs.p50_ratio, obs.p50_delta_us, obs.block_ratio,
-               obs.recorder_retained,
-               static_cast<unsigned long long>(obs.recorder_total),
-               obs.slo_ok ? "true" : "false");
-  EmitScaleSection(f, scale);
-  std::fprintf(f, ",\n");
-  EmitFederationSection(f, fed);
-  std::fprintf(f, "\n}\n");
+                 "%s\n      {\"region\": %zu, \"deploys\": %lld, "
+                 "\"wan_bytes_out\": %lld, \"wan_bytes_in\": %lld}",
+                 i == 0 ? "" : ",", i, fed.region_deploys[i],
+                 fed.wan_bytes_out[i], fed.wan_bytes_in[i]);
+  }
+  std::fprintf(f, "\n    ]\n  }\n}\n");
+}
+
+// One gate: when `pass` is false, prints "FAIL: " and the message to stderr
+// and clears `*ok`.
+__attribute__((format(printf, 3, 4))) void Gate(bool pass, bool* ok,
+                                                const char* format, ...) {
+  if (pass) {
+    return;
+  }
+  *ok = false;
+  std::fputs("FAIL: ", stderr);
+  va_list args;
+  va_start(args, format);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
+}
+
+// Every gate of every phase (see the header comment); true when all pass.
+bool CheckGates(const Report& r) {
+  bool ok = true;
+  Gate(r.indexed.clean, &ok, "indexed churn leaked state after drain\n");
+  Gate(r.frontend.clean, &ok,
+       "frontend RPC phase leaked state after drain\n");
+  Gate(r.frontend.speedup >= 1.2, &ok,
+       "batched deploy RPCs %.2fx single-deploy RPCs, gate is 1.2x\n",
+       r.frontend.speedup);
+
+  const AbortResult& abort = r.abort;
+  Gate(abort.clean, &ok, "abort-heavy phase leaked state\n");
+  Gate(abort.aborts != 0 && abort.txn_aborted >= abort.aborts, &ok,
+       "abort-heavy phase did not exercise aborts (aborts=%lld, "
+       "core.txn_aborted=%lld)\n",
+       abort.aborts, abort.txn_aborted);
+
+  const WarmStoreResult& ws = r.warm_store;
+  Gate(ws.decisions_ok, &ok,
+       "the default warm pool's decisions diverged from their frozen hash "
+       "(%016llx, frozen %016llx)\n",
+       static_cast<unsigned long long>(ws.decisions.hash),
+       static_cast<unsigned long long>(ws.frozen_hash));
+  Gate(ws.decisions.warm_starts != 0, &ok,
+       "warm-store decision leg saw no warm starts — it never exercised the "
+       "pool\n");
+  Gate(ws.decisions.clean, &ok,
+       "warm-store decision leg leaked state after drain\n");
+  Gate(ws.aborts != 0 && ws.refund_violations == 0, &ok,
+       "warm-store abort churn (aborts=%lld, refund violations=%lld, want "
+       "aborts>0 and violations=0)\n",
+       ws.aborts, ws.refund_violations);
+  Gate(ws.clean, &ok,
+       "warm-store abort churn leaked state after drain (%lld live store "
+       "refs)\n",
+       ws.live_store_refs_after_drain);
+
+  Gate(r.overhead_pct <= 5.0, &ok,
+       "empty-txn overhead %.2f%% of placement p50, gate is 5%%\n",
+       r.overhead_pct);
+
+  const ObsOverheadResult& obs = r.obs;
+  Gate(obs.p50_ratio <= 1.03 || obs.p50_delta_us <= kObsAbsoluteBudgetUs,
+       &ok,
+       "placement p50 with observability on is %.3fx (+%.2fus) over the off "
+       "configuration, gate is 1.03x with a %.1fus absolute budget\n",
+       obs.p50_ratio, obs.p50_delta_us, kObsAbsoluteBudgetUs);
+  Gate(obs.slo.ok, &ok,
+       "an SLO objective breached during the obs overhead phase\n%s",
+       obs.slo.report.c_str());
+  Gate(obs.recorder_total != 0, &ok,
+       "flight recorder captured nothing in the on mode\n");
+  Gate(obs.clean, &ok, "obs overhead phase leaked state after drain\n");
+
+  const ScaleResult& s = r.scale;
+  Gate(s.decisions_match, &ok,
+       "cell and baseline legs diverged on admit/reject decisions (baseline "
+       "%lld/%lld hash %llx, cells %lld/%lld hash %llx)\n",
+       s.baseline.deploys, s.baseline.failures,
+       static_cast<unsigned long long>(s.baseline.decision_hash),
+       s.cells.deploys, s.cells.failures,
+       static_cast<unsigned long long>(s.cells.decision_hash));
+  Gate(s.occupancy_match, &ok,
+       "cell and baseline legs diverged on pre-drain pool occupancy\n");
+  Gate(s.baseline.clean_after_drain && s.cells.clean_after_drain, &ok,
+       "scale phase leaked state after drain\n");
+  Gate(s.slo.ok, &ok,
+       "the scale phase breached slo.sched.cell_place_p99\n%s",
+       s.slo.report.c_str());
+  Gate(!s.gate_armed || s.speedup >= 3.0, &ok,
+       "cell-partitioned control plane %.2fx the one-cell baseline at %lld "
+       "devices, gate is 3x\n",
+       s.speedup, s.cells.devices);
+
+  const FederationResult& f = r.fed;
+  Gate(f.decisions_match && f.occupancy_match, &ok,
+       "the router with regions=1 diverged from regions=0 (hashes %016llx / "
+       "%016llx)\n",
+       static_cast<unsigned long long>(f.cells_leg.decision_hash),
+       static_cast<unsigned long long>(f.region1_leg.decision_hash));
+  Gate(f.cells_leg.clean_after_drain && f.region1_leg.clean_after_drain &&
+           f.fed_clean,
+       &ok, "federation phase leaked state after drain\n");
+  Gate(f.refund_violations == 0, &ok,
+       "%lld cross-region refund violations — a rolled-back deploy moved the "
+       "env store\n",
+       f.refund_violations);
+  Gate(f.fed_failures != 0, &ok,
+       "federation abort tail never aborted — refund exactness was not "
+       "exercised\n");
+  Gate(f.cross_region_deploys != 0, &ok,
+       "no deploy spanned regions — the cross-region single-transaction "
+       "spill path was not exercised\n");
+  Gate(f.wan_messages != 0 && f.remote_starts != 0, &ok,
+       "federation phase exercised no WAN traffic (transfers=%lld, remote "
+       "starts=%lld)\n",
+       f.wan_messages, f.remote_starts);
+  Gate(f.slo.ok, &ok,
+       "the federation phase breached slo.sched.region_place_p99\n%s",
+       f.slo.report.c_str());
+  return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = udc::bench::ParseSmokeFlag(argc, argv);
-  bool scale_only = false;
-  bool federation_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale-only") == 0) {
-      scale_only = true;
-    }
-    if (std::strcmp(argv[i], "--federation-only") == 0) {
-      federation_only = true;
-    }
-  }
-
-  ChurnConfig config;
+  Report report;
+  report.smoke = udc::bench::ParseSmokeFlag(argc, argv);
+  const bool smoke = report.smoke;
+  ChurnConfig& config = report.config;
   if (smoke) {
     config.racks = 96;
     config.deploys = 160;
@@ -1699,8 +1558,7 @@ int main(int argc, char** argv) {
 
   // The abort phases want scarcity, not headroom: deliberately oversized
   // apps so a steady fraction of placements hit pool exhaustion
-  // mid-transaction. Generated here (before any mode dispatch) so every
-  // mode sees identical specs from the shared RNG stream.
+  // mid-transaction. Drawn from the same RNG stream right after `specs`.
   std::vector<udc::AppSpec> heavy_specs;
   for (int i = 0; i < 8; ++i) {
     udc::MicroserviceConfig ms;
@@ -1717,100 +1575,52 @@ int main(int argc, char** argv) {
     heavy_specs.push_back(std::move(*spec));
   }
 
-  // The scale phase deploys one immutable catalog spec per slot via the
-  // shared-spec overload — at a million deploys the per-deploy AppSpec copy
-  // would dominate the very path being measured.
+  // The scale and federation differentials deploy one immutable catalog
+  // spec per slot via the shared-spec overload — at a million deploys the
+  // per-deploy AppSpec copy would dominate the very path being measured.
   std::vector<std::shared_ptr<const udc::AppSpec>> shared_specs;
   shared_specs.reserve(specs.size());
   for (const udc::AppSpec& spec : specs) {
     shared_specs.push_back(std::make_shared<const udc::AppSpec>(spec));
-  }
-  // Full scale: 40000 racks = 840,000 devices in 400 cells (100 racks /
-  // 2,100 devices per cell), one million tenants churned through a live
-  // window. The rack count sets the baseline's O(racks) per-pick cost; at
-  // this size the one-cell rack pick dwarfs the shared
-  // per-deploy floor (~30us of tenant/env/window bookkeeping both legs
-  // pay), which is what the 3x aggregate gate is measuring. Smoke runs
-  // the identical code a few thousand times smaller.
-  const int scale_racks = smoke ? 240 : 40000;
-  const int scale_cells = smoke ? 8 : 400;
-  const int scale_deploys = smoke ? 1200 : 1'000'000;
-  const int scale_window = smoke ? 64 : 512;
-
-  // Federation geometry is deliberately small per region (4 racks each at
-  // smoke size): the phase measures correctness under scarcity — skew,
-  // spills, WAN fetches, aborts — not throughput.
-  const int fed_racks = smoke ? 16 : 32;
-  const int fed_cells = 8;
-  const int fed_regions = 4;
-  const int fed_deploys = smoke ? 240 : 2000;
-  const int fed_window = smoke ? 24 : 64;
-  // Sized to overrun the pinned region (4 racks) and keep mixing commits
-  // and aborts once it is full.
-  const int fed_abort_tail = smoke ? 160 : 400;
-
-  if (federation_only) {
-    std::printf("deploy_churn --federation-only: %d racks, %d cells, "
-                "%d regions, %d deploys, window %d%s\n",
-                fed_racks, fed_cells, fed_regions, fed_deploys, fed_window,
-                smoke ? " (smoke)" : "");
-    const FederationResult fed = RunFederationPhase(
-        fed_racks, fed_cells, fed_regions, fed_deploys, fed_window,
-        fed_abort_tail, shared_specs, specs, heavy_specs);
-    PrintFederation(fed);
-    WriteFederationOnlyJson(smoke, fed);
-    return CheckFederationGates(fed) ? 0 : 1;
-  }
-
-  if (scale_only) {
-    std::printf("deploy_churn --scale-only: %d racks, %d cells, %d deploys, "
-                "window %d%s\n",
-                scale_racks, scale_cells, scale_deploys, scale_window,
-                smoke ? " (smoke)" : "");
-    const ScaleResult scale = RunScalePhase(scale_racks, scale_cells,
-                                            scale_deploys, scale_window,
-                                            shared_specs);
-    PrintScale(scale);
-    WriteScaleOnlyJson(smoke, scale);
-    return CheckScaleGates(scale) ? 0 : 1;
   }
 
   std::printf("deploy_churn: %d racks, %d deploys, window %d%s\n",
               config.racks, config.deploys, config.live_window,
               smoke ? " (smoke)" : "");
 
-  const ChurnResult indexed = RunChurn(config, specs);
+  report.indexed = RunChurn(config, specs);
+  const ChurnResult& indexed = report.indexed;
   PrintResult("indexed", indexed);
 
   // The tenant-visible comparison: one deploy RPC per app versus one
   // deploy_batch RPC per batch, same udcl text, same frontend.
-  const std::string udcl = udc::MedicalAppUdcl();
-  const int batch_size = smoke ? 16 : 32;
+  report.batch_size = smoke ? 16 : 32;
   const int rpc_deploys = smoke ? 320 : 640;
-  const FrontendComparison frontend = RunFrontendComparison(
-      config.racks, rpc_deploys, config.live_window, batch_size, udcl);
-  const RpcResult& rpc_single = frontend.single;
-  const RpcResult& rpc_batched = frontend.batched;
-  const double rpc_speedup = frontend.speedup;
+  report.frontend =
+      RunFrontendComparison(config.racks, rpc_deploys, config.live_window,
+                            report.batch_size, udc::MedicalAppUdcl());
+  const FrontendComparison& frontend = report.frontend;
   std::printf("frontend: single %.1f deploys/s (%lld ok, %lld failed), "
               "batched %.1f deploys/s (%lld ok, %lld failed) -> %.2fx\n",
-              rpc_single.deploys_per_sec, rpc_single.deploys,
-              rpc_single.failures, rpc_batched.deploys_per_sec,
-              rpc_batched.deploys, rpc_batched.failures, rpc_speedup);
+              frontend.single.deploys_per_sec, frontend.single.deploys,
+              frontend.single.failures, frontend.batched.deploys_per_sec,
+              frontend.batched.deploys, frontend.batched.failures,
+              frontend.speedup);
 
-  const AbortResult abort =
-      RunAbortChurn(/*racks=*/1, smoke ? 60 : 400, heavy_specs);
+  report.abort = RunAbortChurn(/*racks=*/1, smoke ? 60 : 400, heavy_specs);
+  const AbortResult& abort = report.abort;
   std::printf("abort-heavy: %lld attempts, %lld deploys, %lld aborts "
               "(%.0f%%), txn committed=%lld aborted=%lld, drain %s\n",
               abort.attempts, abort.deploys, abort.aborts,
               abort.abort_fraction * 100, abort.txn_committed,
               abort.txn_aborted, abort.clean ? "clean" : "DIRTY");
 
-  const WarmStoreResult warm_store = RunWarmStorePhase(
+  report.warm_store = RunWarmStorePhase(
       /*diff_racks=*/smoke ? 24 : 96, /*diff_deploys=*/smoke ? 120 : 480,
       /*diff_window=*/16,
       /*frozen_hash=*/smoke ? kWarmStoreHashSmoke : kWarmStoreHashFull,
       /*abort_deploys=*/smoke ? 60 : 400, specs, heavy_specs);
+  const WarmStoreResult& warm_store = report.warm_store;
   std::printf("warm-store: decisions %s (%016llx, frozen %016llx, "
               "%lld warm starts)\n",
               warm_store.decisions_ok ? "match" : "DIVERGED",
@@ -1827,13 +1637,13 @@ int main(int argc, char** argv) {
               warm_store.clean ? "clean" : "DIRTY",
               warm_store.live_store_refs_after_drain);
 
-  const double empty_txn_us = MeasureEmptyTxnUs(smoke ? 20000 : 200000);
+  report.empty_txn_us = MeasureEmptyTxnUs(smoke ? 20000 : 200000);
   const double indexed_p50 = indexed.placement_us.Quantile(0.5);
-  const double overhead_pct =
-      indexed_p50 > 0 ? 100.0 * empty_txn_us / indexed_p50 : 0;
+  report.overhead_pct =
+      indexed_p50 > 0 ? 100.0 * report.empty_txn_us / indexed_p50 : 0;
   std::printf("txn overhead: %.3fus per empty txn = %.2f%% of indexed "
               "placement p50 (%.1fus)\n",
-              empty_txn_us, overhead_pct, indexed_p50);
+              report.empty_txn_us, report.overhead_pct, indexed_p50);
 
   // At smoke size the gated number is a median over per-block paired
   // deltas, and 160 deploys only yield 9 post-warmup blocks — few enough
@@ -1841,8 +1651,9 @@ int main(int argc, char** argv) {
   // the obs phase 4x longer at smoke (still ~100ms for both clouds) so
   // the median sits on ~39 blocks; at full size the phase is already long.
   const int obs_deploys = smoke ? config.deploys * 4 : config.deploys;
-  const ObsOverheadResult obs = RunObsOverhead(
-      config.racks, obs_deploys, config.live_window, specs);
+  report.obs = RunObsOverhead(config.racks, obs_deploys, config.live_window,
+                              specs);
+  const ObsOverheadResult& obs = report.obs;
   std::printf("obs overhead: p50 on=%.1fus off=%.1fus -> %.3fx "
               "(gate 1.03x or %+.2fus vs budget %.1fus), "
               "block cost %.3fx, recorder retained %zu/%llu, SLOs %s\n",
@@ -1850,103 +1661,36 @@ int main(int argc, char** argv) {
               kObsAbsoluteBudgetUs, obs.block_ratio,
               obs.recorder_retained,
               static_cast<unsigned long long>(obs.recorder_total),
-              obs.slo_ok ? "OK" : "BREACHED");
-  std::printf("%s", obs.slo_report.c_str());
+              obs.slo.ok ? "OK" : "BREACHED");
+  std::printf("%s", obs.slo.report.c_str());
 
-  const ScaleResult scale = RunScalePhase(scale_racks, scale_cells,
-                                          scale_deploys, scale_window,
-                                          shared_specs);
-  PrintScale(scale);
+  // Full scale: 40000 racks = 840,000 devices in 400 cells (100 racks /
+  // 2,100 devices per cell), one million tenants churned through a live
+  // window. The rack count sets the baseline's O(racks) per-pick cost; at
+  // this size the one-cell rack pick dwarfs the shared per-deploy floor
+  // (~30us of tenant/env/window bookkeeping both legs pay), which is what
+  // the 3x aggregate gate is measuring. Smoke runs the identical code a
+  // few thousand times smaller.
+  report.scale = RunScalePhase(
+      /*racks=*/smoke ? 240 : 40000, /*cells=*/smoke ? 8 : 400,
+      /*deploys=*/smoke ? 1200 : 1'000'000, /*window=*/smoke ? 64 : 512,
+      shared_specs);
+  PrintScale(report.scale);
 
-  const FederationResult fed = RunFederationPhase(
-      fed_racks, fed_cells, fed_regions, fed_deploys, fed_window,
-      fed_abort_tail, shared_specs, specs, heavy_specs);
-  PrintFederation(fed);
+  // Federation geometry is deliberately small per region (4 racks each at
+  // smoke size): the phase measures correctness under scarcity — skew,
+  // spills, WAN fetches, aborts — not throughput. The abort tail is sized
+  // to overrun the pinned region and keep mixing commits and aborts once
+  // it is full.
+  report.fed = RunFederationPhase(
+      /*racks=*/smoke ? 16 : 32, /*cells=*/8, /*regions=*/4,
+      /*deploys=*/smoke ? 240 : 2000, /*window=*/smoke ? 24 : 64,
+      /*abort_tail=*/smoke ? 160 : 400, shared_specs, specs, heavy_specs);
+  PrintFederation(report.fed);
 
-  WriteJson(config, smoke, indexed, batch_size, abort, warm_store,
-            empty_txn_us, overhead_pct, rpc_single, rpc_batched, rpc_speedup,
-            obs, scale, fed);
+  WriteJson(report);
 
-  // Transaction gates (see header comment). Failing any of them fails the
-  // ctest that runs this benchmark.
-  bool ok = true;
-  if (!abort.clean) {
-    std::fprintf(stderr, "FAIL: abort-heavy phase leaked state\n");
-    ok = false;
-  }
-  if (abort.aborts == 0 || abort.txn_aborted < abort.aborts) {
-    std::fprintf(stderr,
-                 "FAIL: abort-heavy phase did not exercise aborts "
-                 "(aborts=%lld, core.txn_aborted=%lld)\n",
-                 abort.aborts, abort.txn_aborted);
-    ok = false;
-  }
-  if (!warm_store.decisions_ok) {
-    std::fprintf(stderr,
-                 "FAIL: the default warm pool's decisions diverged from "
-                 "their frozen hash (%016llx, frozen %016llx)\n",
-                 static_cast<unsigned long long>(warm_store.decisions.hash),
-                 static_cast<unsigned long long>(warm_store.frozen_hash));
-    ok = false;
-  }
-  if (warm_store.decisions.warm_starts == 0) {
-    std::fprintf(stderr,
-                 "FAIL: warm-store decision leg saw no warm starts — it "
-                 "never exercised the pool\n");
-    ok = false;
-  }
-  if (warm_store.aborts == 0 || warm_store.refund_violations > 0) {
-    std::fprintf(stderr,
-                 "FAIL: warm-store abort churn (aborts=%lld, refund "
-                 "violations=%lld, want aborts>0 and violations=0)\n",
-                 warm_store.aborts, warm_store.refund_violations);
-    ok = false;
-  }
-  if (!warm_store.clean) {
-    std::fprintf(stderr,
-                 "FAIL: warm-store abort churn leaked state after drain "
-                 "(%lld live store refs)\n",
-                 warm_store.live_store_refs_after_drain);
-    ok = false;
-  }
-  if (rpc_speedup < 1.2) {
-    std::fprintf(stderr,
-                 "FAIL: batched deploy RPCs %.2fx single-deploy RPCs, "
-                 "gate is 1.2x\n",
-                 rpc_speedup);
-    ok = false;
-  }
-  if (overhead_pct > 5.0) {
-    std::fprintf(stderr,
-                 "FAIL: empty-txn overhead %.2f%% of placement p50, "
-                 "gate is 5%%\n",
-                 overhead_pct);
-    ok = false;
-  }
-  if (obs.p50_ratio > 1.03 && obs.p50_delta_us > kObsAbsoluteBudgetUs) {
-    std::fprintf(stderr,
-                 "FAIL: placement p50 with observability on is %.3fx "
-                 "(+%.2fus) over the off configuration, gate is 1.03x with "
-                 "a %.1fus absolute budget\n",
-                 obs.p50_ratio, obs.p50_delta_us, kObsAbsoluteBudgetUs);
-    ok = false;
-  }
-  if (!obs.slo_ok) {
-    std::fprintf(stderr, "FAIL: an SLO objective breached during the obs "
-                         "overhead phase\n%s",
-                 obs.slo_report.c_str());
-    ok = false;
-  }
-  if (obs.recorder_total == 0) {
-    std::fprintf(stderr,
-                 "FAIL: flight recorder captured nothing in the on mode\n");
-    ok = false;
-  }
-  if (!CheckScaleGates(scale)) {
-    ok = false;
-  }
-  if (!CheckFederationGates(fed)) {
-    ok = false;
-  }
-  return ok ? 0 : 1;
+  // Failing any gate fails the run, and with it the deploy_churn_smoke
+  // ctest.
+  return CheckGates(report) ? 0 : 1;
 }

@@ -1,5 +1,7 @@
 #include "src/core/billing.h"
 
+#include <utility>
+
 #include "src/common/strings.h"
 
 namespace udc {
@@ -16,10 +18,9 @@ std::string Bill::Table() const {
   return out;
 }
 
-BillingEngine::BillingEngine(Simulation* sim, PriceList base_prices,
+BillingEngine::BillingEngine(Simulation* sim, PriceList prices,
                              BillingConfig config)
-    : sim_(sim), prices_(base_prices.ScaledBy(config.unit_price_multiplier)),
-      config_(config) {}
+    : sim_(sim), prices_(std::move(prices)), config_(config) {}
 
 Bill BillingEngine::BillFor(const Deployment& deployment, SimTime from,
                             SimTime to) const {

@@ -35,8 +35,6 @@ struct Bill {
 };
 
 struct BillingConfig {
-  // Multiplier over the base on-demand unit prices (bench E10 sweeps this).
-  double unit_price_multiplier = 1.0;
   // Surcharge factor applied to resources held with exclusive tenancy.
   double exclusivity_surcharge = 0.25;
   // Flat per-replica-GiB-hour factor relative to the medium's base price.
@@ -45,10 +43,8 @@ struct BillingConfig {
 
 class BillingEngine {
  public:
-  BillingEngine(Simulation* sim, PriceList base_prices,
+  BillingEngine(Simulation* sim, PriceList prices,
                 BillingConfig config = BillingConfig());
-
-  const PriceList& effective_prices() const { return prices_; }
 
   // Prices everything `deployment` holds for the window [from, to].
   Bill BillFor(const Deployment& deployment, SimTime from, SimTime to) const;

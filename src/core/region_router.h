@@ -87,10 +87,6 @@ class RegionRouter {
   int cell_count() const { return cell_count_; }
   PlacementEngine& engine() { return engine_; }
 
-  void SetSequencer(SwitchSequencer* sequencer) {
-    scheduler_.SetSequencer(sequencer);
-  }
-
   // Per-region / per-cell healthy free capacity of `kind` — the routing
   // summaries (zero-copy views of the delta-maintained index vectors;
   // empty when the topology has no regions / cells).

@@ -295,13 +295,13 @@ Status UdcScheduler::PlaceData(TenantId tenant, const AppSpec& spec,
 
   ReplicationConfig repl_config;
   repl_config.replication_factor = replicas;
-  repl_config.protocol = config_.replication_protocol;
+  repl_config.protocol = ReplicationProtocol::kPrimaryBackup;
   repl_config.consistency = resolution.level;
   repl_config.preference = aspects.dist.preference;
   deployment->AddStore(
       module, std::make_unique<ReplicatedStore>(
                   sim_, fabric_, &datacenter_->topology(), m->name,
-                  replica_nodes, repl_config, sequencer_));
+                  replica_nodes, repl_config));
   txn.StageUndo([deployment, module] { deployment->RemoveStore(module); });
 
   HighLevelObject object;

@@ -25,7 +25,6 @@
 #include "src/core/planner.h"
 #include "src/exec/env_manager.h"
 #include "src/net/fabric.h"
-#include "src/net/switch_programs.h"
 #include "src/obs/metrics.h"
 
 namespace udc {
@@ -38,9 +37,6 @@ struct SchedulerConfig {
   bool tee_gpu_supported = false;
   // How conflicting consistency specs are settled (sec. 3.4).
   ConflictPolicy conflict_policy = ConflictPolicy::kStrictestWins;
-  // Replication protocol for data modules; kInNetwork uses the switch
-  // sequencer when available.
-  ReplicationProtocol replication_protocol = ReplicationProtocol::kPrimaryBackup;
   // Record wall-clock (host) placement latency per deploy into the router's
   // `sched.place_latency_us` sketch and its per-cell and per-region
   // labelled sketches. Off by default: wall-clock values differ run to run,
@@ -55,9 +51,6 @@ class UdcScheduler {
   UdcScheduler(Simulation* sim, DisaggregatedDatacenter* datacenter,
                Fabric* fabric, const PriceList* prices,
                SchedulerConfig config = SchedulerConfig());
-
-  // Optional: attach a switch sequencer for in-network replication.
-  void SetSequencer(SwitchSequencer* sequencer) { sequencer_ = sequencer; }
 
   // Places one module of `spec` into an already-open transaction owned by
   // the router. Stages allocations/launch/provisions into `txn` and records
@@ -91,7 +84,6 @@ class UdcScheduler {
   Fabric* fabric_;
   SchedulerConfig config_;
   DryRunProfiler profiler_;
-  SwitchSequencer* sequencer_ = nullptr;
 
   // Interned metric series: placement happens per module per deploy, so the
   // counters are bumped through pre-resolved handles instead of re-hashing

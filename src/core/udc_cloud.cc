@@ -1,14 +1,21 @@
 #include "src/core/udc_cloud.h"
 
+#include <string_view>
+
 namespace udc {
+namespace {
+
+// Seeds the vendor's root key, which every quote chains to.
+constexpr std::string_view kVendorKeySeed = "udc-vendor-root-v1";
+
+}  // namespace
 
 UdcCloud::UdcCloud(const UdcCloudConfig& config)
     : sim_(config.seed),
       datacenter_(config.datacenter),
       fabric_(&sim_, &datacenter_.topology()),
-      sequencer_(&sim_, &fabric_, datacenter_.topology().AggSwitch()),
       env_manager_(&sim_, config.env_store),
-      vendor_root_(KeyFromString(config.vendor_key_seed)),
+      vendor_root_(KeyFromString(kVendorKeySeed)),
       attestation_(&sim_, vendor_root_),
       prices_(PriceList::DefaultOnDemand()),
       router_(&sim_, &datacenter_, &fabric_, &env_manager_, &attestation_,
@@ -16,7 +23,6 @@ UdcCloud::UdcCloud(const UdcCloudConfig& config)
       billing_(&sim_, prices_, config.billing),
       failure_injector_(&sim_),
       verifier_(&sim_, vendor_root_, &attestation_) {
-  router_.SetSequencer(&sequencer_);
   env_manager_.set_topology(&datacenter_.topology());
   // Bind content-addressed images to attestation: the store's content
   // refcount transitions drive once-per-content image quotes (exec cannot

@@ -1,8 +1,8 @@
 // UdcCloud: the top-level facade — "the cloud" a UDC user talks to.
 //
 // Assembles the full provider stack (simulation, disaggregated datacenter,
-// fabric, switch programs, environment manager, attestation, the region
-// router that places every deploy, billing) behind a small API:
+// fabric, environment manager, attestation, the region router that places
+// every deploy, billing) behind a small API:
 //
 //   UdcCloud cloud(UdcCloudConfig{});
 //   TenantId hospital = cloud.RegisterTenant("hospital");
@@ -44,7 +44,6 @@ struct UdcCloudConfig {
   // DatacenterConfig::regions > 0; per-link overrides via
   // fabric().SetWanLink). Asymmetric routes get their params per direction.
   WanLinkParams wan;
-  std::string vendor_key_seed = "udc-vendor-root-v1";
 };
 
 class UdcCloud {
@@ -88,7 +87,6 @@ class UdcCloud {
   CellRouter* cell_router() { return &router_; }
   BillingEngine& billing() { return billing_; }
   FailureInjector& failures() { return failure_injector_; }
-  SwitchSequencer& sequencer() { return sequencer_; }
   const PriceList& prices() const { return prices_; }
   const Key256& vendor_root() const { return vendor_root_; }
 
@@ -96,7 +94,6 @@ class UdcCloud {
   Simulation sim_;
   DisaggregatedDatacenter datacenter_;
   Fabric fabric_;
-  SwitchSequencer sequencer_;
   EnvManager env_manager_;
   Key256 vendor_root_;
   AttestationService attestation_;

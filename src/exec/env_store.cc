@@ -4,6 +4,27 @@
 #include <string>
 
 namespace udc {
+namespace {
+
+// Cross-rack warm-snapshot fetch model (the "tepid" tier): a fixed setup
+// cost plus image size over the fabric's rack-to-rack bandwidth.
+constexpr SimTime kFetchBase = SimTime::Millis(2);
+constexpr double kFetchGibPerS = 8.0;
+// Cross-region fetch fallback pricing (the "remote" tier), used only when no
+// wan-cost hook is installed: a WAN setup cost plus image size over a
+// WAN-grade bandwidth. The hook (UdcCloud wires it to the fabric's per-link
+// WAN model) supersedes these.
+constexpr SimTime kWanFetchBase = SimTime::Millis(40);
+constexpr double kWanGibPerS = 1.0;
+
+SimTime TransferLatency(SimTime base, double gib_per_s, Bytes size) {
+  const double bytes_per_us = gib_per_s * 1024.0 * 1024.0 * 1024.0 / 1e6;
+  const auto transfer_us = static_cast<int64_t>(
+      static_cast<double>(size.bytes()) / bytes_per_us);
+  return base + SimTime::Micros(transfer_us);
+}
+
+}  // namespace
 
 EnvStore::EnvStore(MetricsRegistry* metrics, const EnvStoreConfig& config)
     : metrics_(metrics),
@@ -125,11 +146,7 @@ int EnvStore::SlotSource(const GlobalEntry& global, int rack) const {
 }
 
 SimTime EnvStore::FetchLatency(Bytes size) const {
-  const double bytes_per_us =
-      config_.fetch_gib_per_s * 1024.0 * 1024.0 * 1024.0 / 1e6;
-  const auto transfer_us = static_cast<int64_t>(
-      static_cast<double>(size.bytes()) / bytes_per_us);
-  return config_.fetch_base + SimTime::Micros(transfer_us);
+  return TransferLatency(kFetchBase, kFetchGibPerS, size);
 }
 
 SimTime EnvStore::WanFetchLatency(int src_region, int dst_region, Bytes size,
@@ -137,11 +154,7 @@ SimTime EnvStore::WanFetchLatency(int src_region, int dst_region, Bytes size,
   if (wan_cost_hook_) {
     return wan_cost_hook_(src_region, dst_region, size, commit);
   }
-  const double bytes_per_us =
-      config_.wan_gib_per_s * 1024.0 * 1024.0 * 1024.0 / 1e6;
-  const auto transfer_us = static_cast<int64_t>(
-      static_cast<double>(size.bytes()) / bytes_per_us);
-  return config_.wan_fetch_base + SimTime::Micros(transfer_us);
+  return TransferLatency(kWanFetchBase, kWanGibPerS, size);
 }
 
 void EnvStore::AddRef(const Sha256Digest& digest, GlobalEntry& global) {

@@ -88,16 +88,6 @@ struct EnvStoreConfig {
   bool share_across_tenants = false;
   // Per-rack cache budget for resident image bytes; 0 = unbounded.
   Bytes rack_cache_capacity;
-  // Cross-rack warm-snapshot fetch model (the "tepid" tier): a fixed
-  // setup cost plus image size over the fabric's rack-to-rack bandwidth.
-  SimTime fetch_base = SimTime::Millis(2);
-  double fetch_gib_per_s = 8.0;
-  // Cross-region fetch fallback pricing (the "remote" tier), used only
-  // when no wan-cost hook is installed: a WAN setup cost plus image size
-  // over a WAN-grade bandwidth. The hook (UdcCloud wires it to the
-  // fabric's per-link WAN model) supersedes these.
-  SimTime wan_fetch_base = SimTime::Millis(40);
-  double wan_gib_per_s = 1.0;
 };
 
 class EnvStore {

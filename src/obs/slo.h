@@ -107,9 +107,6 @@ class SloEngine {
   // `<name>` and `<name>.state` gauges and fires on_breach on OK/WARN ->
   // BREACH transitions.
   void Tick(SimTime now);
-  // Alias for call sites that evaluate once at a known point (benches,
-  // udcctl) rather than on a timer cadence.
-  void EvaluateNow(SimTime now) { Tick(now); }
 
   const std::vector<SloVerdict>& verdicts() const { return verdicts_; }
   // Verdict by objective name, or nullptr.

@@ -46,7 +46,7 @@ class Simulation {
   FlightRecorder& flight_recorder() { return flight_recorder_; }
   const FlightRecorder& flight_recorder() const { return flight_recorder_; }
   // Declarative objectives over this simulation's registry. Drive with
-  // ArmSloTicks (kernel timers) or slos().EvaluateNow(now()).
+  // ArmSloTicks (kernel timers) or slos().Tick(now()).
   SloEngine& slos() { return slos_; }
   const SloEngine& slos() const { return slos_; }
 

@@ -589,10 +589,8 @@ TEST_F(RuntimeTest, BillingScalesWithTimeAndPremiums) {
               2.0 * static_cast<double>(hour.total.micro_usd()),
               static_cast<double>(hour.total.micro_usd()) * 0.01);
   EXPECT_EQ(hour.lines.size(), 10u);
-  // The multiplier raises the bill proportionally.
-  BillingConfig pricier;
-  pricier.unit_price_multiplier = 1.3;
-  BillingEngine expensive(cloud_->sim(), cloud_->prices(), pricier);
+  // A pricier list raises the bill.
+  BillingEngine expensive(cloud_->sim(), cloud_->prices().ScaledBy(1.3));
   const Bill dearer =
       expensive.BillFor(*deployment_, SimTime(0), SimTime::Hours(1));
   EXPECT_GT(dearer.total, hour.total);

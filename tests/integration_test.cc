@@ -358,7 +358,7 @@ TEST(EventLogTest, BreachDumpIsTheSpanLog) {
   slo.cmp = SloSpec::Cmp::kGe;
   slo.threshold = 0.5;
   sim.slos().AddObjective(std::move(slo));
-  sim.slos().EvaluateNow(sim.now());
+  sim.slos().Tick(sim.now());
 
   std::ifstream in(path);
   std::stringstream buf;

@@ -417,7 +417,7 @@ TEST(SloSimulationTest, BreachDumpsFlightRecorderChromeTrace) {
   spec.threshold = 10.0;
   sim.slos().AddObjective(std::move(spec));
   sim.metrics().SetGauge("test.queue_depth", 99.0);
-  sim.slos().EvaluateNow(sim.now());
+  sim.slos().Tick(sim.now());
 
   // The transition into BREACH must leave a loadable black box behind.
   const std::string trace = ReadFile(path);

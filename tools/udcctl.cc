@@ -217,7 +217,7 @@ int Trace(const std::string& text, const std::string& out_path) {
 }
 
 // The built-in objective set `udcctl slo` judges a run against. Windows span
-// the whole run (EvaluateNow at the end); thresholds are generous — the
+// the whole run (one Tick at the end); thresholds are generous — the
 // point of the CLI gate is "did anything go badly wrong", the tight
 // per-layer budgets live in the benches.
 void RegisterDefaultObjectives(udc::SloEngine* slos) {
@@ -273,7 +273,7 @@ int Slo(const std::string& text) {
   if (rc != 0) {
     return rc;
   }
-  cloud.sim()->slos().EvaluateNow(cloud.sim()->now());
+  cloud.sim()->slos().Tick(cloud.sim()->now());
   std::printf("%s", cloud.sim()->slos().Report().c_str());
   return cloud.sim()->slos().AllOk() ? 0 : kExitRuntime;
 }
