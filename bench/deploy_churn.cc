@@ -28,8 +28,8 @@
 //     <= 1.5us, the on cloud's SLOs must hold and its flight recorder must
 //     hold spans. Both clouds trace spans, so the gate does not price them.
 //   - scale: the router over 400 cells versus the same router over one
-//     unscoped cell, 1M tenants over 840,000 devices. Decisions and
-//     pre-drain occupancy must match, slo.sched.cell_place_p99 must hold,
+//     cell holding every rack, 1M tenants over 840,000 devices. Decisions
+//     and pre-drain occupancy must match, slo.sched.cell_place_p99 must hold,
 //     and the cells leg must reach >= 3x the one-cell deploys/s (armed at
 //     >= 100k devices).
 //   - federation: regions=0 versus regions=1 must match on decisions and
@@ -805,9 +805,9 @@ double MeasureEmptyTxnUs(int iterations) {
 
 // --- Scale-out phase: the hierarchical control plane at datacenter scale.
 //
-// One leg per topology — the router over one unscoped cell (one global
-// index, the flat datacenter), and the router placing cell-scoped on a
-// cell-partitioned index — each churning the SAME deploy sequence (same
+// One leg per topology — the router over one cell holding every rack (the
+// flat datacenter, whose rack pick ranks every rack), and the router over
+// many cells — each churning the SAME deploy sequence (same
 // specs, same order, same live-window eviction) against its own cloud of
 // identical geometry. The full configuration registers >= 1M tenants over
 // >= 100k devices; the gate is aggregate deploys/sec >= 3x the one-cell

@@ -142,7 +142,7 @@ BENCHMARK(BM_FabricMessageThroughput);
 void BM_PoolAllocateRelease(benchmark::State& state) {
   Topology topo;
   const int rack = topo.AddRack();
-  ResourcePool pool(PoolId(0), DeviceKind::kCpuBlade);
+  ResourcePool pool(PoolId(0), DeviceKind::kCpuBlade, topo);
   for (int i = 0; i < 32; ++i) {
     pool.AddDevice(std::make_unique<Device>(
         DeviceId(static_cast<uint64_t>(i)), DeviceKind::kCpuBlade, 32000,
@@ -151,7 +151,7 @@ void BM_PoolAllocateRelease(benchmark::State& state) {
   }
   AllocationConstraints constraints;
   for (auto _ : state) {
-    auto alloc = pool.Allocate(TenantId(1), 2500, constraints, topo);
+    auto alloc = pool.Allocate(TenantId(1), 2500, constraints);
     benchmark::DoNotOptimize(alloc);
     (void)pool.Release(*alloc);
   }
@@ -164,12 +164,12 @@ void BM_PoolAllocateReleaseAtScale(benchmark::State& state) {
   // per-allocation cost must not grow with the device count.
   const int devices = static_cast<int>(state.range(0));
   Topology topo;
-  ResourcePool pool(PoolId(0), DeviceKind::kCpuBlade);
   const int racks = 16;
   std::vector<int> rack_ids;
   for (int r = 0; r < racks; ++r) {
     rack_ids.push_back(topo.AddRack());
   }
+  ResourcePool pool(PoolId(0), DeviceKind::kCpuBlade, topo);
   for (int i = 0; i < devices; ++i) {
     pool.AddDevice(std::make_unique<Device>(
         DeviceId(static_cast<uint64_t>(i)), DeviceKind::kCpuBlade, 32000,
@@ -179,7 +179,7 @@ void BM_PoolAllocateReleaseAtScale(benchmark::State& state) {
   AllocationConstraints constraints;
   constraints.preferred_rack = 3;
   for (auto _ : state) {
-    auto alloc = pool.Allocate(TenantId(1), 2500, constraints, topo);
+    auto alloc = pool.Allocate(TenantId(1), 2500, constraints);
     benchmark::DoNotOptimize(alloc);
     (void)pool.Release(*alloc);
   }

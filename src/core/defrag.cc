@@ -26,6 +26,7 @@ Result<ConsolidationResult> Defragmenter::Consolidate() {
   ConsolidationResult result;
   // Units in creation order, each with the module it backs.
   for (const HighLevelObject& object : deployment_->objects()) {
+    const Placement* placement = deployment_->PlacementOf(object.module);
     for (const ResourceUnitId unit_id : object.units) {
       ResourceUnit* unit = deployment_->FindUnit(unit_id);
       for (PoolAllocation& alloc : unit->allocations) {
@@ -44,7 +45,7 @@ Result<ConsolidationResult> Defragmenter::Consolidate() {
         // Try a single-device home, avoiding the devices the allocation
         // already occupies so the new slice does not race its own release.
         AllocationConstraints constraints;
-        constraints.preferred_rack = unit->home_rack;
+        constraints.preferred_rack = placement->rack;
         constraints.single_device = true;
         for (const AllocationSlice& slice : alloc.slices) {
           constraints.avoid.push_back(slice.device);
@@ -69,6 +70,10 @@ Result<ConsolidationResult> Defragmenter::Consolidate() {
         }
         txn.StageRelease(alloc);  // old slices, freed at commit
         alloc = *std::move(replacement);
+        if (IsComputeKind(alloc.kind)) {
+          // The module runs where its compute is: it moves too.
+          router_->RehomeTask(txn, deployment_, object.module, target);
+        }
         (void)txn.Commit();
         ++result.moves;
         sim_->metrics().IncrementCounter("defrag.moves");

@@ -50,7 +50,9 @@ class Defragmenter {
   FragmentationReport Measure() const;
 
   // Tries to re-home every multi-slice allocation onto one device in the
-  // same pool (preferring the unit's rack and its cell).
+  // same pool (preferring the module's current rack and its cell). A moved
+  // compute allocation moves its module: home, rack and environment follow
+  // it (RegionRouter::RehomeTask).
   // Migration cost: moving the allocation's bytes (for byte kinds) or a
   // fixed context-transfer charge (for compute kinds) across the fabric.
   Result<ConsolidationResult> Consolidate();

@@ -30,10 +30,8 @@ Result<PoolAllocation> PlacementTxn::Allocate(
     const AllocationConstraints& constraints) {
   assert(state_ == State::kOpen);
   ResourcePool* pool = &engine_->datacenter()->pool(kind);
-  UDC_ASSIGN_OR_RETURN(
-      PoolAllocation allocation,
-      pool->Allocate(tenant, amount, constraints,
-                     engine_->datacenter()->topology()));
+  UDC_ASSIGN_OR_RETURN(PoolAllocation allocation,
+                       pool->Allocate(tenant, amount, constraints));
   Op op;
   op.kind = Op::Kind::kAllocate;
   op.pool = pool;
@@ -45,14 +43,13 @@ Result<PoolAllocation> PlacementTxn::Allocate(
 Status PlacementTxn::Resize(ResourcePool* pool, PoolAllocation& allocation,
                             int64_t delta) {
   assert(state_ == State::kOpen);
-  const Topology& topology = engine_->datacenter()->topology();
-  UDC_RETURN_IF_ERROR(pool->Resize(allocation, delta, topology));
+  UDC_RETURN_IF_ERROR(pool->Resize(allocation, delta));
   Op op;
   op.kind = Op::Kind::kCustomUndo;
   // Best-effort inverse: a grow shrinks back to at least the original
   // amount; undoing a shrink re-acquires from the devices still held.
-  op.undo = [pool, &allocation, delta, &topology] {
-    (void)pool->Resize(allocation, -delta, topology);
+  op.undo = [pool, &allocation, delta] {
+    (void)pool->Resize(allocation, -delta);
   };
   Stage(std::move(op));
   return OkStatus();

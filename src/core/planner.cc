@@ -46,13 +46,13 @@ Result<ProfileResult> DryRunProfiler::ProfileOn(const Module& module,
     return Status(
         NotFoundError("no devices of the requested kind in this datacenter"));
   }
-  const Device* device = pool.devices().front();
+  const Device& device = *pool.devices().front();
 
   ProfileResult result;
   result.compute = compute;
   result.demand.Set(compute, 1000);  // one whole unit for the dry run
   result.demand.Set(ResourceKind::kDram, WorkingSetOf(module).bytes());
-  result.estimated_time = device->ComputeTime(module.work_units, 1000);
+  result.estimated_time = device.ComputeTime(module.work_units, 1000);
   if (result.estimated_time == SimTime::Max()) {
     return Status(FailedPreconditionError(
         "device kind has no compute capability for this module"));

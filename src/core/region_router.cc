@@ -48,8 +48,7 @@ RegionRouter::RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
     : sim_(sim), datacenter_(datacenter),
       engine_(sim, datacenter, env_manager, attestation),
       scheduler_(sim, datacenter, fabric, prices, config),
-      partitioned_(datacenter->topology().cell_count() > 0),
-      cell_count_(partitioned_ ? datacenter->topology().cell_count() : 1),
+      cell_count_(datacenter->topology().cell_count()),
       region_count_(datacenter->topology().region_count()),
       record_place_latency_(config.record_place_latency),
       cross_cell_deploys_(
@@ -91,16 +90,12 @@ RegionRouter::RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
 
 const std::vector<int64_t>& RegionRouter::RegionFreeSummary(
     DeviceKind kind) const {
-  return datacenter_->pool(kind)
-      .PlacementIndex(datacenter_->topology())
-      .region_free();
+  return datacenter_->pool(kind).index().region_free();
 }
 
 const std::vector<int64_t>& RegionRouter::CellFreeSummary(
     DeviceKind kind) const {
-  return datacenter_->pool(kind)
-      .PlacementIndex(datacenter_->topology())
-      .cell_free();
+  return datacenter_->pool(kind).index().cell_free();
 }
 
 int64_t RegionRouter::CellDeploys(int c) const {
@@ -272,11 +267,11 @@ Result<int> RegionRouter::PlaceOnLadder(const AppSpec& spec, ModuleId module,
 Result<PoolAllocation> RegionRouter::Reallocate(
     PlacementTxn& txn, Deployment* deployment, ModuleId module,
     DeviceKind kind, int64_t amount, AllocationConstraints constraints) {
-  const int rack = constraints.preferred_rack;
-  const int home_cell = partitioned_ ? datacenter_->topology().CellOf(rack) : 0;
+  const int home_cell =
+      datacenter_->topology().CellOf(constraints.preferred_rack);
   PoolAllocation allocation;
   const auto attempt = [&](int c) -> Status {
-    constraints.cell = partitioned_ ? c : -1;
+    constraints.cell = c;
     UDC_ASSIGN_OR_RETURN(allocation, txn.Allocate(kind, deployment->tenant(),
                                                   amount, constraints));
     return OkStatus();
@@ -299,6 +294,28 @@ Status RegionRouter::ResizeAllocation(PlacementTxn& txn, Deployment* deployment,
   UDC_RETURN_IF_ERROR(txn.Resize(pool, allocation, delta));
   ProvisionSlices(txn, deployment, allocation, held);
   return OkStatus();
+}
+
+void RegionRouter::RehomeTask(PlacementTxn& txn, Deployment* deployment,
+                              ModuleId module, NodeId node) {
+  Placement* placement = deployment->MutablePlacementOf(module);
+  placement->home = node;
+  placement->rack = datacenter_->topology().RackOf(node);
+  ResourceUnit* unit = deployment->FindUnit(placement->unit);
+  if (unit->env == nullptr) {
+    return;
+  }
+  LaunchOptions options;
+  options.kind = unit->env->kind();
+  options.tenancy = unit->env->tenancy();
+  options.image = placement->name;
+  options.allow_warm = false;  // a repair's warm slot died with its device
+  txn.StageStop(unit->env);
+  unit->env = txn.Launch(deployment->tenant(), node, options, nullptr);
+  // The new host's root of trust quotes the environment.
+  txn.Provision(node.value());
+  deployment->RecordProvisionedIdentity(node.value());
+  placement->env_ready_at = unit->env->ready_at();
 }
 
 Result<std::unique_ptr<Deployment>> RegionRouter::Deploy(
@@ -371,14 +388,11 @@ Result<std::unique_ptr<Deployment>> RegionRouter::Deploy(
   // root txn; a rejection unwinds exactly that attempt's sub-plan (AbortTo)
   // before the next cell — earlier modules' staged sub-plans stay intact,
   // so the deploy remains one transaction even when its legs land in three
-  // regions. The collapse rule: the placement is scoped to `c` on a
-  // cell-partitioned topology; otherwise the router's one cell is the whole
-  // datacenter and the call is unscoped (-1).
+  // regions.
   const auto attempt = [&](int c, ModuleId module, bool is_data) -> Status {
     const size_t mark = txn.staged_ops();
-    Status status = scheduler_.PlaceModuleInTxn(
-        tenant, spec, module, is_data, partitioned_ ? c : -1,
-        deployment.get(), txn);
+    Status status = scheduler_.PlaceModuleInTxn(tenant, spec, module, is_data,
+                                                c, deployment.get(), txn);
     if (!status.ok()) {
       txn.AbortTo(mark);
     }

@@ -3,11 +3,9 @@
 // Placement is hierarchical — region, then cell, then rack — and the
 // topology alone decides how far the hierarchy collapses:
 //
-//   * cells = 0: the router routes into one cell, and every placement call
-//     it makes into its one scheduler passes cell -1 (unscoped), so every
-//     rack pick, pool request and index walk is the flat datacenter's and
-//     the capacity index stays unpartitioned. With cells, each call passes
-//     the cell it tries;
+//   * cells = 0 or 1: the topology is one cell holding every rack. Every
+//     placement call names the cell it tries, so a flat datacenter's rack
+//     picks, pool requests and index walks are cell 0's;
 //   * regions = 0: all cells form one region. Region aspects are ignored
 //     and no region series are interned.
 //
@@ -38,7 +36,7 @@
 //
 // Determinism contract: with one region the candidate order is the
 // cells-only order (home = argmax cell_free, fallbacks by free desc, cell
-// asc), and with one unscoped cell it is the flat scheduler's. Golden
+// asc), and with one cell it is the flat scheduler's. Golden
 // hashes frozen from the retired flat loop and cells-only router
 // (tests/deploy_path_golden_test.cc) and the regions=1 differential
 // (tests/region_router_test.cc, deploy_churn's federation phase) gate it.
@@ -80,16 +78,23 @@ class RegionRouter {
   // ResourcePool::Resize) and provisions the devices it spilled onto.
   Status ResizeAllocation(PlacementTxn& txn, Deployment* deployment,
                           PoolAllocation& allocation, int64_t delta);
+  // Moves task `module` to `node`, where its compute slice now is: sets the
+  // placement's home and rack, and restarts its environment there through
+  // `txn` — the old one stops at commit, the new one starts cold under the
+  // module's image, and the new host is provisioned so Verify still quotes
+  // it. Repair and defrag take this step whenever they move a compute slice.
+  void RehomeTask(PlacementTxn& txn, Deployment* deployment, ModuleId module,
+                  NodeId node);
 
-  // The topology's regions: 0 when it is not region-partitioned.
+  // The topology's regions: 0 when it has none.
   int region_count() const { return region_count_; }
-  // The cells placed into: 1 (unscoped) when the topology has no cells.
+  // The topology's cells: 1 when it was not split into cells.
   int cell_count() const { return cell_count_; }
   PlacementEngine& engine() { return engine_; }
 
   // Per-region / per-cell healthy free capacity of `kind` — the routing
-  // summaries (zero-copy views of the delta-maintained index vectors;
-  // empty when the topology has no regions / cells).
+  // summaries (zero-copy views of the delta-maintained index vectors; the
+  // region summary is empty when the topology has no regions).
   const std::vector<int64_t>& RegionFreeSummary(DeviceKind kind) const;
   const std::vector<int64_t>& CellFreeSummary(DeviceKind kind) const;
   // Deploys homed to cell `c` / deploys with a module outside the home cell
@@ -133,7 +138,6 @@ class RegionRouter {
   DisaggregatedDatacenter* datacenter_;
   PlacementEngine engine_;
   UdcScheduler scheduler_;
-  bool partitioned_;  // the topology has cells
   int cell_count_;
   int region_count_;
   bool record_place_latency_;

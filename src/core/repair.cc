@@ -91,12 +91,7 @@ RepairAction RepairService::RepairTask(const Placement& placement,
       if (IsComputeKind(alloc.kind)) {
         // Restart the environment on the new home (cold start) and charge
         // recovery for the lost work per the module's failure handling.
-        Placement* mutable_placement =
-            deployment_->MutablePlacementOf(placement.module);
-        mutable_placement->home = first.node;
-        mutable_placement->rack =
-            deployment_->datacenter()->topology().RackOf(first.node);
-
+        router_->RehomeTask(txn, deployment_, placement.module, first.node);
         DagRuntime runtime(sim_, deployment_);
         // Assume the failure caught the module mid-run at 50% progress.
         auto recovery = runtime.SimulateFailure(
@@ -106,21 +101,6 @@ RepairAction RepairService::RepairTask(const Placement& placement,
             recovery.ok()
                 ? *recovery
                 : EnvProfile::DefaultFor(placement.env_kind).cold_start;
-        if (unit->env != nullptr) {
-          LaunchOptions options;
-          options.kind = unit->env->kind();
-          options.tenancy = unit->env->tenancy();
-          options.image = placement.name;
-          options.allow_warm = false;  // the warm pool died with the device
-          // Stop the dead environment at commit (the old path leaked it)
-          // and launch the replacement through the transaction.
-          txn.StageStop(unit->env);
-          unit->env = txn.Launch(alloc.tenant, first.node, options, nullptr);
-          // The new host's root of trust quotes the environment.
-          txn.Provision(first.node.value());
-          deployment_->RecordProvisionedIdentity(first.node.value());
-          mutable_placement->env_ready_at = unit->env->ready_at();
-        }
       }
       (void)txn.Commit();
       action.success = true;

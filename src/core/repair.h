@@ -12,8 +12,9 @@
 //   data:   fail the replica in the module's store (readers fail over) and
 //           re-establish the declared replication factor on a new device.
 //
-// Replacements come from RegionRouter::Reallocate; the new device and a
-// relaunched environment's host are provisioned, so Verify still passes.
+// Replacements come from RegionRouter::Reallocate, and a moved task is
+// relaunched by RegionRouter::RehomeTask; the new device and the relaunched
+// environment's host are provisioned, so Verify still passes.
 //
 // Every action is recorded so tests and benches can audit recovery.
 

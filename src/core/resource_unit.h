@@ -21,16 +21,9 @@
 
 namespace udc {
 
-// The distributed-API shim bundled into a resource unit: the pieces of the
-// dist aspect the unit enforces locally.
-struct DistShim {
-  int replication_factor = 1;
-  ConsistencyLevel consistency = ConsistencyLevel::kEventual;
-  bool checkpoint_enabled = false;
-};
-
-// One self-sustained low-level unit: device slices + exec environment +
-// distributed shim. Owned by a Deployment.
+// One self-sustained low-level unit: device slices + exec environment.
+// Owned by a Deployment; where its module runs is the module's Placement
+// (home and rack), kept in that one place.
 struct ResourceUnit {
   ResourceUnitId id;
   TenantId tenant;
@@ -38,10 +31,6 @@ struct ResourceUnit {
   std::vector<PoolAllocation> allocations;
   // The environment running on the unit (null for pure data units).
   ExecEnvironment* env = nullptr;
-  DistShim shim;
-  // Home node: the node of the unit's primary compute (or storage) slice.
-  NodeId home;
-  int home_rack = -1;
 
   // Summed resources across all slices.
   ResourceVector TotalResources() const;

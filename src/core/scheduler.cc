@@ -58,49 +58,43 @@ int UdcScheduler::PickRack(const AppSpec& spec, ModuleId module, int cell,
                            ResourceKind dominant) {
   const Topology& topology = datacenter_->topology();
   if (config_.use_locality_hints) {
-    // A cell-scoped pick only follows locality into the cell's racks; a
-    // partner placed in another cell (cross-cell deploy) is not a usable
-    // hint.
+    // The pick only follows locality into the cell's racks; a partner
+    // placed in another cell (cross-cell deploy) is not a usable hint.
     const auto in_scope = [&](int rack) {
-      return cell < 0 || topology.CellOf(rack) == cell;
+      return topology.CellOf(rack) == cell;
     };
     for (const ModuleId partner : spec.graph.LocalityPartners(module)) {
       const Placement* p = deployment.PlacementOf(partner);
-      if (p != nullptr && p->rack >= 0 && in_scope(p->rack)) {
+      if (p != nullptr && in_scope(p->rack)) {
         return p->rack;
       }
     }
     // Second-order locality: a placed DAG neighbour.
     for (const ModuleId pred : spec.graph.Predecessors(module)) {
       const Placement* p = deployment.PlacementOf(pred);
-      if (p != nullptr && p->rack >= 0 && in_scope(p->rack)) {
+      if (p != nullptr && in_scope(p->rack)) {
         return p->rack;
       }
     }
   }
-  // Most free capacity of the dominant resource, over the scope's rack
-  // range: the whole datacenter, or just the cell's racks (O(racks/cells)).
-  // The index's incremental per-rack totals are read in place.
-  const ResourcePool& pool = datacenter_->pool(DeviceKindFor(dominant));
+  // Most free capacity of the dominant resource over the cell's racks
+  // (O(racks/cells)). The index's incremental per-rack totals are read in
+  // place.
   const std::vector<int64_t>& free_per_rack =
-      pool.PlacementIndex(topology).rack_free_totals();
-  size_t r_begin = 0;
-  size_t r_end = free_per_rack.size();
-  if (cell >= 0) {
-    r_begin =
-        std::min(static_cast<size_t>(topology.CellRackBegin(cell)), r_end);
-    r_end = std::min(static_cast<size_t>(topology.CellRackEnd(cell)), r_end);
-  }
+      datacenter_->pool(DeviceKindFor(dominant)).index().rack_free_totals();
+  const int r_begin = topology.CellRackBegin(cell);
+  const int r_end = topology.CellRackEnd(cell);
   if (r_begin >= r_end) {
-    return cell >= 0 ? topology.CellRackBegin(cell) : 0;
+    return r_begin;
   }
-  size_t best = r_begin;
-  for (size_t r = r_begin + 1; r < r_end; ++r) {
-    if (free_per_rack[r] > free_per_rack[best]) {
+  int best = r_begin;
+  for (int r = r_begin + 1; r < r_end; ++r) {
+    if (free_per_rack[static_cast<size_t>(r)] >
+        free_per_rack[static_cast<size_t>(best)]) {
       best = r;
     }
   }
-  return static_cast<int>(best);
+  return best;
 }
 
 Status UdcScheduler::PlaceTask(TenantId tenant, const AppSpec& spec,
@@ -122,10 +116,6 @@ Status UdcScheduler::PlaceTask(TenantId tenant, const AppSpec& spec,
 
   ResourceUnit unit;
   unit.tenant = tenant;
-  unit.home_rack = rack;
-  unit.shim.replication_factor = aspects.dist.replication_factor;
-  unit.shim.consistency = aspects.dist.consistency;
-  unit.shim.checkpoint_enabled = aspects.dist.checkpoint;
 
   // Stage each demand component through the transaction: a failure aborts
   // the whole deploy's transaction in the caller, releasing every slice
@@ -193,7 +183,6 @@ Status UdcScheduler::PlaceTask(TenantId tenant, const AppSpec& spec,
   deployment->RecordProvisionedIdentity(home.value());
 
   unit.env = env;
-  unit.home = home;
   ResourceUnit& stored = deployment->AddUnit(std::move(unit));
 
   HighLevelObject object;
@@ -260,9 +249,6 @@ Status UdcScheduler::PlaceData(TenantId tenant, const AppSpec& spec,
 
   ResourceUnit unit;
   unit.tenant = tenant;
-  unit.home_rack = rack;
-  unit.shim.replication_factor = replicas;
-  unit.shim.consistency = resolution.level;
 
   // One single-device allocation per replica, on distinct devices. A
   // failure aborts the deploy's transaction in the caller, releasing every
@@ -290,7 +276,6 @@ Status UdcScheduler::PlaceData(TenantId tenant, const AppSpec& spec,
     deployment->RecordProvisionedIdentity(device.value());
   }
 
-  unit.home = replica_nodes.front();
   ResourceUnit& stored = deployment->AddUnit(std::move(unit));
 
   ReplicationConfig repl_config;

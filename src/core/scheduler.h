@@ -12,7 +12,7 @@
 // environment the exec-env aspect calls for, wires replicated stores for
 // data modules, and records the resource unit and high-level object on the
 // deployment. The router holds one scheduler and names the cell each call
-// is scoped to; on a flat datacenter every call is unscoped (cell = -1).
+// is scoped to; a flat datacenter is one cell, so its calls name cell 0.
 
 #ifndef UDC_SRC_CORE_SCHEDULER_H_
 #define UDC_SRC_CORE_SCHEDULER_H_
@@ -62,7 +62,6 @@ class UdcScheduler {
   // shard): the rack pick scans only the cell's racks, locality hints
   // outside the cell are ignored, and every pool request is scoped to the
   // cell so the placement never leaves the cell's capacity partition.
-  // -1 = the whole datacenter.
   Status PlaceModuleInTxn(TenantId tenant, const AppSpec& spec,
                           ModuleId module, bool is_data, int cell,
                           Deployment* deployment, PlacementTxn& txn);

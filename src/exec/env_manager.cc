@@ -43,7 +43,7 @@ void EnvManager::set_topology(const Topology* topology) {
   if (topology == nullptr || topology->region_count() <= 0) {
     return;
   }
-  // Region-partitioned world: hand the store its rack -> region map so a
+  // A world of regions: hand the store its rack -> region map so a
   // rack miss distinguishes same-region (tepid) from cross-region (remote)
   // sources.
   std::vector<int> rack_regions(static_cast<size_t>(topology->rack_count()));
@@ -74,11 +74,19 @@ int EnvManager::RackForNode(NodeId node) const {
 }
 
 double EnvManager::warm_hit_ratio() const {
-  if (total_starts_ == 0) {
+  const MetricsRegistry& metrics = sim_->metrics();
+  const int64_t warmish = metrics.value(warm_starts_) +
+                          metrics.value(tepid_starts_) +
+                          metrics.value(remote_starts_);
+  const int64_t total = warmish + metrics.value(cold_starts_);
+  if (total == 0) {
     return 1.0;
   }
-  return static_cast<double>(warmish_starts_) /
-         static_cast<double>(total_starts_);
+  return static_cast<double>(warmish) / static_cast<double>(total);
+}
+
+int64_t EnvManager::cross_tenant_warm_starts() const {
+  return sim_->metrics().value(cross_tenant_warm_starts_);
 }
 
 ExecEnvironment* EnvManager::Launch(
@@ -106,7 +114,6 @@ ExecEnvironment* EnvManager::Launch(
     start_latency = profile.warm_start + acq.fetch_latency;
   }
   if (mode != EnvStartMode::kCold && acq.slot_tenant != tenant.value()) {
-    ++cross_tenant_warm_starts_count_;
     sim_->metrics().Increment(cross_tenant_warm_starts_);
   }
   envs_.emplace(id, LiveEnv{std::move(env), digest, acq.source_rack,
@@ -132,10 +139,6 @@ ExecEnvironment* EnvManager::Launch(
       break;
   }
   sim_->metrics().Observe(start_latency_ms_, start_latency.millis());
-  ++total_starts_;
-  if (mode != EnvStartMode::kCold) {
-    ++warmish_starts_;
-  }
   sim_->metrics().Set(warm_hit_ratio_, warm_hit_ratio());
   raw->set_start_mode(mode);
 

@@ -54,7 +54,7 @@ class EnvManager {
 
   // Rack mapping for the store's rack-local caches; without a topology all
   // nodes share rack 0, and with sharing off the store keeps one cache
-  // anyway. On a region-partitioned topology this also hands the store its
+  // anyway. On a topology with regions this also hands the store its
   // rack -> region map, arming the cross-region remote tier.
   void set_topology(const Topology* topology);
   // Forwarded to the store: prices cross-region remote fetches over the
@@ -114,11 +114,10 @@ class EnvManager {
   // The warm pool; never null.
   EnvStore* store() { return &store_; }
   const EnvStore* store() const { return &store_; }
-  // Warm/tepid starts over all starts so far (1.0 before any launch).
+  // Warm/tepid/remote starts over all starts so far (1.0 before any
+  // launch), read from the exec.*_starts series.
   double warm_hit_ratio() const;
-  int64_t cross_tenant_warm_starts() const {
-    return cross_tenant_warm_starts_count_;
-  }
+  int64_t cross_tenant_warm_starts() const;
 
  private:
   // The cost profile a launch with `options` runs under.
@@ -143,10 +142,6 @@ class EnvManager {
   // Keyed by environment id: O(1) reap on Stop, and the on_ready callback
   // can check liveness by id instead of risking a dangling pointer.
   std::unordered_map<uint64_t, LiveEnv> envs_;
-
-  int64_t total_starts_ = 0;
-  int64_t warmish_starts_ = 0;  // warm + tepid
-  int64_t cross_tenant_warm_starts_count_ = 0;
 
   // Interned metric series for the per-launch hot path.
   CounterHandle warm_starts_;

@@ -1,72 +1,44 @@
 #include "src/hw/capacity_index.h"
 
-#include <algorithm>
+#include <cassert>
 
 namespace udc {
 
+FreeCapacityIndex::FreeCapacityIndex(const Topology& topology)
+    : topology_(topology),
+      per_rack_(static_cast<size_t>(topology.rack_count())),
+      per_cell_(static_cast<size_t>(topology.cell_count())),
+      rack_free_(static_cast<size_t>(topology.rack_count()), 0),
+      cell_free_(static_cast<size_t>(topology.cell_count()), 0),
+      region_free_(static_cast<size_t>(topology.region_count()), 0) {}
+
 void FreeCapacityIndex::Attach(Device* device) {
-  DeviceState& state = states_[device];
-  state.rack = -1;
+  DeviceState& state = states_.emplace_back();
+  state.rack = topology_.RackOf(device->node());
+  state.cell = topology_.CellOf(state.rack);
+  state.region = topology_.RegionOf(state.cell);
+  assert(state.rack >= 0 &&
+         static_cast<size_t>(state.rack) < per_rack_.size() &&
+         static_cast<size_t>(state.cell) < per_cell_.size() &&
+         "a pooled device sits in a rack of the layout the index was built on");
   state.healthy = device->healthy();
-  state.rack_list = &per_rack_[-1];
-  ++unassigned_;
   total_capacity_ += device->capacity();
   total_allocated_ += device->allocated();
   if (state.healthy) {
     healthy_capacity_ += device->capacity();
     healthy_allocated_ += device->allocated();
+    AddFree(state, device->free_capacity());
   }
   List(device, state);
   device->set_capacity_index(this);
   device->set_index_state(&state);
 }
 
-void FreeCapacityIndex::AssignRacks(const Topology& topology) {
-  if (unassigned_ == 0) {
-    return;
-  }
-  if (static_cast<int>(rack_free_.size()) < topology.rack_count()) {
-    rack_free_.resize(topology.rack_count(), 0);
-  }
-  if (topology.cell_count() > cell_count_) {
-    cell_count_ = topology.cell_count();
-    per_cell_.resize(cell_count_);
-    cell_free_.resize(cell_count_, 0);
-  }
-  if (topology.region_count() > region_count_) {
-    region_count_ = topology.region_count();
-    region_free_.resize(region_count_, 0);
-  }
-  for (auto& [device, state] : states_) {
-    if (state.rack != -1) {
-      continue;
-    }
-    const int rack = topology.RackOf(device->node());
-    --unassigned_;
-    if (rack < 0) {
-      // Not in this topology: leave it in the rack -1 bucket; it can never
-      // match a preferred rack, exactly like the linear path's RackOf == -1.
-      state.rack = -2;  // assigned, but rackless
-      continue;
-    }
-    Unlist(device, state);
-    state.rack = rack;
-    state.cell = topology.CellOf(rack);
-    state.region = topology.RegionOf(state.cell);
-    state.rack_list = &per_rack_[rack];
-    if (rack >= static_cast<int>(rack_free_.size())) {
-      rack_free_.resize(rack + 1, 0);
-    }
-    if (state.healthy) {
-      rack_free_[rack] += device->free_capacity();
-      if (state.cell >= 0) {
-        cell_free_[state.cell] += device->free_capacity();
-      }
-      if (state.region >= 0) {
-        region_free_[state.region] += device->free_capacity();
-      }
-    }
-    List(device, state);
+void FreeCapacityIndex::AddFree(const DeviceState& state, int64_t delta) {
+  rack_free_[static_cast<size_t>(state.rack)] += delta;
+  cell_free_[static_cast<size_t>(state.cell)] += delta;
+  if (state.region >= 0) {
+    region_free_[static_cast<size_t>(state.region)] += delta;
   }
 }
 
@@ -101,23 +73,13 @@ void FreeCapacityIndex::OnFreeChanged(Device* device, int64_t old_free) {
   total_allocated_ -= delta;
   if (state.healthy) {
     healthy_allocated_ -= delta;
-    if (state.rack >= 0) {
-      rack_free_[state.rack] += delta;
-    }
-    if (state.cell >= 0) {
-      cell_free_[state.cell] += delta;
-    }
-    if (state.region >= 0) {
-      region_free_[state.region] += delta;
-    }
+    AddFree(state, delta);
   }
   if (state.listed && free > 0) {
     // Stays on the same two lists with a new key: relink in place.
     const Entry old_entry{state.listed_free, device->id().value(), device};
-    RelinkEntry(*state.rack_list, old_entry, free);
-    RelinkEntry(state.cell >= 0 ? per_cell_[static_cast<size_t>(state.cell)]
-                                : global_,
-                old_entry, free);
+    RelinkEntry(per_rack_[static_cast<size_t>(state.rack)], old_entry, free);
+    RelinkEntry(per_cell_[static_cast<size_t>(state.cell)], old_entry, free);
     state.listed_free = free;
     return;
   }
@@ -139,15 +101,7 @@ void FreeCapacityIndex::OnHealthChanged(Device* device) {
   const int64_t sign = healthy ? 1 : -1;
   healthy_capacity_ += sign * device->capacity();
   healthy_allocated_ += sign * device->allocated();
-  if (state.rack >= 0) {
-    rack_free_[state.rack] += sign * device->free_capacity();
-  }
-  if (state.cell >= 0) {
-    cell_free_[state.cell] += sign * device->free_capacity();
-  }
-  if (state.region >= 0) {
-    region_free_[state.region] += sign * device->free_capacity();
-  }
+  AddFree(state, sign * device->free_capacity());
   if (healthy) {
     List(device, state);
   } else {
@@ -157,21 +111,20 @@ void FreeCapacityIndex::OnHealthChanged(Device* device) {
 
 const FreeCapacityIndex::OrderedFreeList* FreeCapacityIndex::RackFreeList(
     int rack) const {
-  const auto it = per_rack_.find(rack);
-  return it == per_rack_.end() ? nullptr : &it->second;
+  if (rack < 0 || static_cast<size_t>(rack) >= per_rack_.size()) {
+    return nullptr;
+  }
+  return &per_rack_[static_cast<size_t>(rack)];
 }
 
 int FreeCapacityIndex::RackOf(const Device* device) const {
   const DeviceState* state = StateOf(device);
-  if (state == nullptr || state->rack < 0) {
-    return -1;
-  }
-  return state->rack;
+  return state == nullptr ? -1 : state->rack;
 }
 
 const FreeCapacityIndex::OrderedFreeList* FreeCapacityIndex::CellFreeList(
     int cell) const {
-  if (cell < 0 || cell >= cell_count_) {
+  if (cell < 0 || static_cast<size_t>(cell) >= per_cell_.size()) {
     return nullptr;
   }
   return &per_cell_[static_cast<size_t>(cell)];
@@ -187,29 +140,14 @@ int FreeCapacityIndex::RegionOf(const Device* device) const {
   return state == nullptr ? -1 : state->region;
 }
 
-std::vector<int64_t> FreeCapacityIndex::HealthyFreeByRack(
-    int rack_count) const {
-  std::vector<int64_t> out(rack_count, 0);
-  const size_t n =
-      std::min(static_cast<size_t>(rack_count), rack_free_.size());
-  for (size_t r = 0; r < n; ++r) {
-    out[r] = rack_free_[r];
-  }
-  return out;
-}
-
 void FreeCapacityIndex::List(Device* device, DeviceState& state) {
   const int64_t free = device->free_capacity();
   if (!state.healthy || free <= 0) {
     return;
   }
   const Entry entry{free, device->id().value(), device};
-  state.rack_list->insert(entry);
-  if (state.cell >= 0) {
-    per_cell_[static_cast<size_t>(state.cell)].insert(entry);
-  } else {
-    global_.insert(entry);
-  }
+  per_rack_[static_cast<size_t>(state.rack)].insert(entry);
+  per_cell_[static_cast<size_t>(state.cell)].insert(entry);
   state.listed = true;
   state.listed_free = free;
 }
@@ -219,14 +157,8 @@ void FreeCapacityIndex::Unlist(Device* device, DeviceState& state) {
     return;
   }
   const Entry entry{state.listed_free, device->id().value(), device};
-  // Emptied lists are kept (not erased) so RackFreeList pointers held
-  // across allocation mutations stay valid.
-  state.rack_list->erase(entry);
-  if (state.cell >= 0) {
-    per_cell_[static_cast<size_t>(state.cell)].erase(entry);
-  } else {
-    global_.erase(entry);
-  }
+  per_rack_[static_cast<size_t>(state.rack)].erase(entry);
+  per_cell_[static_cast<size_t>(state.cell)].erase(entry);
   state.listed = false;
 }
 

@@ -6,44 +6,55 @@
 
 namespace udc {
 
+namespace {
+
+// Calls `fn(kind, capacity)` once per device of one rack, in device id
+// order.
+template <typename Fn>
+void ForEachRackDevice(const RackConfig& c, Fn&& fn) {
+  const auto add = [&fn](DeviceKind kind, int count, int64_t capacity) {
+    for (int i = 0; i < count; ++i) {
+      fn(kind, capacity);
+    }
+  };
+  add(DeviceKind::kCpuBlade, c.cpu_blades, 32 * 1000);
+  add(DeviceKind::kGpuBoard, c.gpu_boards, 4 * 1000);
+  add(DeviceKind::kFpgaCard, c.fpga_cards, 2 * 1000);
+  add(DeviceKind::kDramModule, c.dram_modules, Bytes::GiB(256).bytes());
+  add(DeviceKind::kNvmModule, c.nvm_modules, Bytes::GiB(512).bytes());
+  add(DeviceKind::kSsdDrive, c.ssd_drives, Bytes::GiB(4096).bytes());
+  add(DeviceKind::kHddDrive, c.hdd_drives, Bytes::GiB(16384).bytes());
+  add(DeviceKind::kSocUnit, c.soc_units, 4 * 1000);
+}
+
+}  // namespace
+
 DisaggregatedDatacenter::DisaggregatedDatacenter(const DatacenterConfig& config)
     : topology_(config.topology) {
-  for (int i = 0; i < kNumDeviceKinds; ++i) {
-    pools_[static_cast<size_t>(i)] = std::make_unique<ResourcePool>(
-        pool_ids_.Next(), static_cast<DeviceKind>(i));
-  }
+  // The layout is fixed before any device exists, so each pool files its
+  // devices under their rack, cell and region once. Node ids are drawn rack
+  // by rack (its ToR, then its devices) and device ids in the same order.
+  std::vector<NodeId> nodes;
   for (int r = 0; r < config.racks; ++r) {
     const int rack = topology_.AddRack();
-    PopulateRack(rack, config.rack);
+    ForEachRackDevice(config.rack, [&](DeviceKind, int64_t) {
+      nodes.push_back(topology_.AddNode(rack, NodeRole::kDevice));
+    });
   }
   topology_.SetCellCount(config.cells);
   topology_.SetRegionCount(config.regions);
-}
-
-void DisaggregatedDatacenter::AddDevices(int rack, DeviceKind kind, int count,
-                                         int64_t capacity_each) {
-  for (int i = 0; i < count; ++i) {
-    const NodeId node = topology_.AddNode(rack, NodeRole::kDevice);
-    auto device =
-        std::make_unique<Device>(device_ids_.Next(), kind, capacity_each, node,
-                                 DeviceProfile::DefaultFor(kind));
-    pool(kind).AddDevice(std::move(device));
+  for (int i = 0; i < kNumDeviceKinds; ++i) {
+    pools_[static_cast<size_t>(i)] = std::make_unique<ResourcePool>(
+        pool_ids_.Next(), static_cast<DeviceKind>(i), topology_);
   }
-}
-
-void DisaggregatedDatacenter::PopulateRack(int rack, const RackConfig& c) {
-  AddDevices(rack, DeviceKind::kCpuBlade, c.cpu_blades, 32 * 1000);
-  AddDevices(rack, DeviceKind::kGpuBoard, c.gpu_boards, 4 * 1000);
-  AddDevices(rack, DeviceKind::kFpgaCard, c.fpga_cards, 2 * 1000);
-  AddDevices(rack, DeviceKind::kDramModule, c.dram_modules,
-             Bytes::GiB(256).bytes());
-  AddDevices(rack, DeviceKind::kNvmModule, c.nvm_modules,
-             Bytes::GiB(512).bytes());
-  AddDevices(rack, DeviceKind::kSsdDrive, c.ssd_drives,
-             Bytes::GiB(4096).bytes());
-  AddDevices(rack, DeviceKind::kHddDrive, c.hdd_drives,
-             Bytes::GiB(16384).bytes());
-  AddDevices(rack, DeviceKind::kSocUnit, c.soc_units, 4 * 1000);
+  size_t next = 0;
+  for (int r = 0; r < config.racks; ++r) {
+    ForEachRackDevice(config.rack, [&](DeviceKind kind, int64_t capacity) {
+      pool(kind).AddDevice(std::make_unique<Device>(
+          device_ids_.Next(), kind, capacity, nodes[next++],
+          DeviceProfile::DefaultFor(kind)));
+    });
+  }
 }
 
 ResourcePool& DisaggregatedDatacenter::pool(DeviceKind kind) {
@@ -72,9 +83,9 @@ const ResourcePool* DisaggregatedDatacenter::PoolById(PoolId id) const {
 
 std::vector<Device*> DisaggregatedDatacenter::AllDevices() {
   std::vector<Device*> out;
-  for (auto& p : pools_) {
-    for (const Device* d : p->devices()) {
-      out.push_back(p->FindDevice(d->id()));
+  for (const auto& p : pools_) {
+    for (const auto& d : p->devices()) {
+      out.push_back(d.get());
     }
   }
   return out;

@@ -1,8 +1,10 @@
 // Datacenter assembly: topology + device pools (+ optional server fleet).
 //
 // `DisaggregatedDatacenter` is the hardware substrate UDC schedules onto;
-// its builder lays out racks of network-attached devices. A server fleet can
-// be attached for the baselines and hybrid deployments.
+// its constructor lays out racks of network-attached devices, fixes the
+// rack/cell/region layout, and only then fills the pools, so every device is
+// filed under its rack, cell and region once. A server fleet can be attached
+// for the baselines and hybrid deployments.
 
 #ifndef UDC_SRC_HW_DATACENTER_H_
 #define UDC_SRC_HW_DATACENTER_H_
@@ -38,8 +40,8 @@ struct DatacenterConfig {
   RackConfig rack;
   TopologyParams topology;
   // Partition racks into this many control-plane cells (contiguous rack
-  // ranges; see Topology::SetCellCount). 0 = unpartitioned: the router
-  // places through one unscoped cell over one global index.
+  // ranges; see Topology::SetCellCount). 0 and 1 both mean one cell holding
+  // every rack, which the router places into like any other cell.
   int cells = 0;
   // Partition cells into this many federation regions (contiguous cell
   // ranges; see Topology::SetRegionCount). 0 = single-region world: no WAN
@@ -81,9 +83,6 @@ class DisaggregatedDatacenter {
   IdGenerator<DeviceId> device_ids_;
   IdGenerator<PoolId> pool_ids_;
   std::array<std::unique_ptr<ResourcePool>, kNumDeviceKinds> pools_;
-
-  void PopulateRack(int rack, const RackConfig& config);
-  void AddDevices(int rack, DeviceKind kind, int count, int64_t capacity_each);
 };
 
 // A fleet of monolithic servers on its own topology (baselines) or sharing

@@ -15,7 +15,9 @@ int64_t PoolAllocation::total() const {
   return sum;
 }
 
-ResourcePool::ResourcePool(PoolId id, DeviceKind kind) : id_(id), kind_(kind) {}
+ResourcePool::ResourcePool(PoolId id, DeviceKind kind,
+                           const Topology& topology)
+    : id_(id), kind_(kind), index_(topology) {}
 
 void ResourcePool::AddDevice(std::unique_ptr<Device> device) {
   assert(device->kind() == kind_);
@@ -32,15 +34,6 @@ Device* ResourcePool::FindDevice(DeviceId id) {
 const Device* ResourcePool::FindDevice(DeviceId id) const {
   const auto it = devices_by_id_.find(id.value());
   return it == devices_by_id_.end() ? nullptr : it->second;
-}
-
-std::vector<const Device*> ResourcePool::devices() const {
-  std::vector<const Device*> out;
-  out.reserve(devices_.size());
-  for (const auto& d : devices_) {
-    out.push_back(d.get());
-  }
-  return out;
 }
 
 // The pool-level aggregates are maintained incrementally by the index, so
@@ -65,25 +58,20 @@ double ResourcePool::HealthyUtilization() const {
                         static_cast<double>(cap);
 }
 
-std::vector<int64_t> ResourcePool::HealthyFreeByRack(
-    const Topology& topology) const {
-  index_.AssignRacks(topology);
-  return index_.HealthyFreeByRack(topology.rack_count());
-}
-
 Result<PoolAllocation> ResourcePool::Allocate(
-    TenantId tenant, int64_t amount, const AllocationConstraints& constraints,
-    const Topology& topology) {
+    TenantId tenant, int64_t amount,
+    const AllocationConstraints& constraints) {
   if (amount <= 0) {
     return Status(InvalidArgumentError("pool allocation must be positive"));
   }
-  return AllocateIndexed(tenant, amount, constraints, topology);
-}
-
-Result<PoolAllocation> ResourcePool::AllocateIndexed(
-    TenantId tenant, int64_t amount, const AllocationConstraints& constraints,
-    const Topology& topology) {
-  index_.AssignRacks(topology);
+  const int cell = constraints.cell;
+  const FreeCapacityIndex::OrderedFreeList* cell_list =
+      index_.CellFreeList(cell);
+  if (cell_list == nullptr) {
+    return Status(InvalidArgumentError(
+        StrFormat("pool %s: the topology has no cell %d",
+                  std::string(DeviceKindName(kind_)).c_str(), cell)));
+  }
 
   PoolAllocation result;
   result.pool = id_;
@@ -92,10 +80,6 @@ Result<PoolAllocation> ResourcePool::AllocateIndexed(
 
   const int preferred = constraints.preferred_rack;
   const bool rack_only = constraints.strict_rack && preferred >= 0;
-  const int cell = constraints.cell;
-  if (cell < 0 && index_.partitioned()) {
-    return Status(InvalidArgumentError("cell-partitioned pool: name a cell"));
-  }
 
   // Health and free capacity > 0 are implied by free-list membership; only
   // the per-request filters remain.
@@ -114,10 +98,9 @@ Result<PoolAllocation> ResourcePool::AllocateIndexed(
   };
 
   // The canonical candidate order — preferred rack by (free, id), then the
-  // remaining devices by (free, id) — falls out of walking the preferred
-  // rack's free-list and then the wider free-list minus that rack. The
-  // wider list is the request's cell's on a partitioned index, the global
-  // one otherwise; a preferred rack outside the cell is not walked.
+  // cell's remaining devices by (free, id) — falls out of walking the
+  // preferred rack's free-list and then the cell's free-list minus that
+  // rack. A preferred rack outside the cell is not walked.
   struct Phase {
     const FreeCapacityIndex::OrderedFreeList* list;
     bool skip_preferred;
@@ -125,26 +108,28 @@ Result<PoolAllocation> ResourcePool::AllocateIndexed(
   Phase phases[2];
   int num_phases = 0;
   const FreeCapacityIndex::OrderedFreeList* rack_list =
-      preferred >= 0 && (cell < 0 || topology.CellOf(preferred) == cell)
+      index_.topology().CellOf(preferred) == cell
           ? index_.RackFreeList(preferred)
           : nullptr;
   if (rack_list != nullptr) {
     phases[num_phases++] = Phase{rack_list, false};
   }
   if (!rack_only) {
-    const auto* wide =
-        cell >= 0 ? index_.CellFreeList(cell) : &index_.GlobalFreeList();
-    if (wide != nullptr) {
-      phases[num_phases++] = Phase{wide, rack_list != nullptr};
-    }
+    phases[num_phases++] = Phase{cell_list, rack_list != nullptr};
   }
 
   if (constraints.single_device) {
     for (int p = 0; p < num_phases; ++p) {
       // First fit in (free, id) order == first entry at or above `amount`
-      // that passes the filters.
-      const FreeCapacityIndex::Entry seek{amount, 0, nullptr};
+      // that passes the filters. A list whose freest device is too small
+      // is skipped in O(1): lower_bound would walk the tree's right spine,
+      // which filing devices in id order leaves about twice as deep as a
+      // balanced path, once per cell a too-large request is offered to.
       const auto& list = *phases[p].list;
+      if (list.empty() || list.rbegin()->free < amount) {
+        continue;
+      }
+      const FreeCapacityIndex::Entry seek{amount, 0, nullptr};
       for (auto it = list.lower_bound(seek); it != list.end(); ++it) {
         Device* d = it->device;
         if (phases[p].skip_preferred && index_.RackOf(d) == preferred) {
@@ -242,8 +227,7 @@ Status ResourcePool::Release(const PoolAllocation& allocation) {
   return first_error;
 }
 
-Status ResourcePool::Resize(PoolAllocation& allocation, int64_t delta,
-                            const Topology& topology) {
+Status ResourcePool::Resize(PoolAllocation& allocation, int64_t delta) {
   if (delta == 0) {
     return OkStatus();
   }
@@ -273,13 +257,13 @@ Status ResourcePool::Resize(PoolAllocation& allocation, int64_t delta,
       }
     }
     if (remaining > 0) {
-      // The spill stays in the first slice's cell (-1 without cells).
+      // The spill stays in the first slice's cell.
       AllocationConstraints constraints;
       if (!allocation.slices.empty()) {
         constraints.cell =
             index_.CellOf(FindDevice(allocation.slices.front().device));
       }
-      auto extra = Allocate(allocation.tenant, remaining, constraints, topology);
+      auto extra = Allocate(allocation.tenant, remaining, constraints);
       if (!extra.ok()) {
         // Roll back the partial growth on existing slices.
         for (auto& [slice, amount] : grown) {

@@ -7,8 +7,9 @@
 // A ResourcePool owns all devices of one kind. Allocation requests carry
 // locality preferences and isolation constraints, and may be satisfied by
 // slices across several devices (except when `single_device` is required).
-// A cell-partitioned pool serves each request from its cell alone; which
-// cells to ask, in what order, is the region router's decision.
+// Every request names a topology cell and is served from that cell alone (a
+// topology without cells is one cell); which cells to ask, in what order,
+// is the region router's decision.
 // Each device keeps a ledger of what every tenant holds on it; the
 // attestation layer signs single rows of it (Device::AllocatedBy) to let
 // users verify resource fulfillment (paper sec. 4's open problem).
@@ -54,8 +55,9 @@ struct AllocationConstraints {
   bool strict_rack = false;
 
   // Restrict to this topology cell (control-plane shard), not even leaving
-  // it for a preferred rack elsewhere; -1 = unscoped.
-  int cell = -1;
+  // it for a preferred rack elsewhere. Cell 0 of a topology without cells
+  // holds every rack.
+  int cell = 0;
 
   // The allocation must land on exactly one device.
   bool single_device = false;
@@ -78,19 +80,25 @@ struct LedgerEntry {
 
 class ResourcePool {
  public:
-  ResourcePool(PoolId id, DeviceKind kind);
+  // `topology`'s rack/cell/region layout must be final: the pool's index
+  // files each device under its rack, cell and region once, in AddDevice.
+  ResourcePool(PoolId id, DeviceKind kind, const Topology& topology);
 
   PoolId id() const { return id_; }
   DeviceKind device_kind() const { return kind_; }
   ResourceKind resource_kind() const { return DeviceResourceKind(kind_); }
 
-  // Transfers ownership of a device into the pool.
+  // Transfers ownership of a device into the pool. Its node must sit in a
+  // rack of the pool's topology.
   void AddDevice(std::unique_ptr<Device> device);
 
   size_t device_count() const { return devices_.size(); }
   Device* FindDevice(DeviceId id);
   const Device* FindDevice(DeviceId id) const;
-  std::vector<const Device*> devices() const;
+  // Every device, in the order added.
+  const std::vector<std::unique_ptr<Device>>& devices() const {
+    return devices_;
+  }
 
   int64_t TotalCapacity() const;
   int64_t TotalAllocated() const;
@@ -99,10 +107,9 @@ class ResourcePool {
   double HealthyUtilization() const;
 
   // Attempts to reserve `amount` units for `tenant` under `constraints`.
-  // InvalidArgument for an unscoped request on a cell-partitioned pool.
+  // InvalidArgument for a cell the topology does not have.
   Result<PoolAllocation> Allocate(TenantId tenant, int64_t amount,
-                                  const AllocationConstraints& constraints,
-                                  const Topology& topology);
+                                  const AllocationConstraints& constraints);
 
   // Releases every slice of `allocation`. Exclusive marks placed by this
   // allocation are cleared when the tenant no longer holds the device.
@@ -112,23 +119,14 @@ class ResourcePool {
   // place, preferring the devices it already occupies (a spill stays in the
   // first slice's cell). Used by the adaptive tuner (paper sec. 3.2:
   // "enlarging or shrinking the amount of resources").
-  Status Resize(PoolAllocation& allocation, int64_t delta,
-                const Topology& topology);
-
-  // Healthy free capacity per rack, O(racks). Feeds the scheduler's rack
-  // pick without a device scan.
-  std::vector<int64_t> HealthyFreeByRack(const Topology& topology) const;
+  Status Resize(PoolAllocation& allocation, int64_t delta);
 
   // The incrementally-maintained free-capacity index every Allocate walks
-  // in O(log D). tests/linear_pool_allocator.h keeps the retired
-  // rank-every-device allocator as its differential oracle.
+  // in O(log D), and the zero-copy read path for the scheduler and router
+  // (rack_free_totals, cell_free, region_free).
+  // tests/linear_pool_allocator.h keeps the retired rank-every-device
+  // allocator as its differential oracle.
   const FreeCapacityIndex& index() const { return index_; }
-  // The index with rack/cell membership resolved against `topology` — the
-  // zero-copy read path for schedulers (rack_free_totals, cell_free).
-  const FreeCapacityIndex& PlacementIndex(const Topology& topology) const {
-    index_.AssignRacks(topology);
-    return index_;
-  }
 
   // Every row of the ledger, sorted by device then tenant: O(devices), for
   // audits of the whole pool. A single row is Device::AllocatedBy.
@@ -137,19 +135,13 @@ class ResourcePool {
   std::string DebugString() const;
 
  private:
-  Result<PoolAllocation> AllocateIndexed(
-      TenantId tenant, int64_t amount,
-      const AllocationConstraints& constraints, const Topology& topology);
-
   PoolId id_;
   DeviceKind kind_;
   std::vector<std::unique_ptr<Device>> devices_;
   // O(1) release/lookup path (FindDevice was a linear scan, which made
   // datacenter-wide sweeps quadratic at 100k+ devices).
   std::unordered_map<uint64_t, Device*> devices_by_id_;
-  // Mutable: rack assignment is resolved lazily on the first placement
-  // query, which is logically const (cached derived state).
-  mutable FreeCapacityIndex index_;
+  FreeCapacityIndex index_;
 };
 
 }  // namespace udc

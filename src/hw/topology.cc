@@ -1,5 +1,6 @@
 #include "src/hw/topology.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -17,27 +18,24 @@ int Topology::AddRack() {
   const NodeId tor = node_ids_.Next();
   nodes_[tor] = NodeInfo{rack, NodeRole::kTorSwitch};
   rack_tor_.push_back(tor);
+  if (cell_count_ == 1) {
+    cell_size_ = rack_count();  // the one cell holds every rack
+  }
   return rack;
 }
 
 void Topology::SetCellCount(int cells) {
-  if (cells <= 0 || rack_count() == 0) {
-    cell_count_ = 0;
-    cell_size_ = 0;
-    return;
-  }
-  if (cells > rack_count()) {
-    cells = rack_count();
-  }
+  cells = std::clamp(cells, 1, std::max(rack_count(), 1));
   cell_size_ = (rack_count() + cells - 1) / cells;
-  cell_count_ = (rack_count() + cell_size_ - 1) / cell_size_;
+  cell_count_ =
+      cell_size_ == 0 ? 1 : (rack_count() + cell_size_ - 1) / cell_size_;
   if (region_count_ > 0) {
     SetRegionCount(region_count_);  // re-clamp to the new cell count
   }
 }
 
 void Topology::SetRegionCount(int regions) {
-  if (regions <= 0 || cell_count_ == 0) {
+  if (regions <= 0) {
     region_count_ = 0;
     region_size_ = 0;
     return;

@@ -43,15 +43,18 @@ class Topology {
 
   // Partitions the racks into `cells` contiguous groups (cell c owns racks
   // [c * cell_size, (c + 1) * cell_size)). Cells are the control-plane
-  // sharding unit: each cell gets its own scheduler over a private
-  // FreeCapacityIndex partition. Call after all racks exist; cells <= 0
-  // disables partitioning. Clamped to rack_count so every cell is non-empty.
+  // sharding unit: every placement names one, and each pool's
+  // FreeCapacityIndex keeps one free-list per cell. A topology is one cell
+  // holding every rack until this is called with cells > 1; cells <= 1
+  // restores that. Clamped to rack_count so every cell is non-empty. Call
+  // after all racks exist and before any pool files a device: pools file
+  // each device under its rack, cell and region once.
   void SetCellCount(int cells);
-  int cell_count() const { return cell_count_; }
+  int cell_count() const { return cell_count_; }  // >= 1
   int cell_size() const { return cell_size_; }  // racks per cell (last may be short)
-  // Cell owning `rack`; -1 when unpartitioned or rack is out of range.
+  // Cell owning `rack`; -1 when rack is out of range.
   int CellOf(int rack) const {
-    if (cell_count_ <= 0 || rack < 0 || rack >= rack_count()) {
+    if (rack < 0 || rack >= rack_count()) {
       return -1;
     }
     return rack / cell_size_;
@@ -68,19 +71,20 @@ class Topology {
   // partitioning contract one level up: regions are the federation unit —
   // each region gets its own router leg, WAN links price traffic between
   // them, and the env store replicates content across them. Call after
-  // SetCellCount; regions <= 0 disables partitioning. Clamped to
-  // cell_count so every region is non-empty.
+  // SetCellCount; regions <= 0 disables partitioning (one cell with
+  // regions = 1 is one region). Clamped to cell_count so every region is
+  // non-empty.
   void SetRegionCount(int regions);
   int region_count() const { return region_count_; }
   int region_size() const { return region_size_; }  // cells per region
-  // Region owning `cell`; -1 when unpartitioned or cell is out of range.
+  // Region owning `cell`; -1 without regions or when cell is out of range.
   int RegionOf(int cell) const {
     if (region_count_ <= 0 || cell < 0 || cell >= cell_count_) {
       return -1;
     }
     return cell / region_size_;
   }
-  // Region owning `rack` (via its cell); -1 when unpartitioned.
+  // Region owning `rack` (via its cell); -1 without regions.
   int RegionOfRack(int rack) const { return RegionOf(CellOf(rack)); }
   // First cell of `region` and one past its last cell.
   int RegionCellBegin(int region) const { return region * region_size_; }
@@ -122,8 +126,8 @@ class Topology {
   };
 
   TopologyParams params_;
-  int cell_count_ = 0;
-  int cell_size_ = 0;
+  int cell_count_ = 1;
+  int cell_size_ = 0;  // every rack while there is one cell
   int region_count_ = 0;
   int region_size_ = 0;
   IdGenerator<NodeId> node_ids_;

@@ -52,6 +52,34 @@ int64_t Fabric::wan_bytes_in(int region) const {
   return region >= 0 && region < wan_regions_ ? wan_bytes_in_[region] : 0;
 }
 
+uint64_t Fabric::wan_messages_sent() const {
+  return wan_regions_ > 0 ? static_cast<uint64_t>(
+                                sim_->metrics().value(wan_messages_metric_))
+                          : 0;
+}
+
+int64_t Fabric::wan_bytes_sent() const {
+  return wan_regions_ > 0 ? sim_->metrics().value(wan_bytes_metric_) : 0;
+}
+
+uint64_t Fabric::messages_sent() const {
+  return static_cast<uint64_t>(sim_->metrics().value(messages_sent_metric_));
+}
+
+uint64_t Fabric::messages_delivered() const {
+  return static_cast<uint64_t>(
+      sim_->metrics().value(messages_delivered_metric_));
+}
+
+uint64_t Fabric::messages_dropped() const {
+  return static_cast<uint64_t>(
+      sim_->metrics().value(messages_dropped_metric_));
+}
+
+int64_t Fabric::bytes_sent() const {
+  return sim_->metrics().value(bytes_sent_metric_);
+}
+
 SimTime Fabric::WanTransferTime(int src_region, int dst_region, Bytes size) {
   assert(src_region >= 0 && src_region < wan_regions_);
   assert(dst_region >= 0 && dst_region < wan_regions_);
@@ -70,8 +98,6 @@ SimTime Fabric::WanTransferTime(int src_region, int dst_region, Bytes size) {
   const SimTime queue = start - now;
   wan_bytes_out_[src_region] += size.bytes();
   wan_bytes_in_[dst_region] += size.bytes();
-  ++wan_messages_sent_;
-  wan_bytes_sent_ += size.bytes();
   sim_->metrics().Increment(wan_messages_metric_);
   sim_->metrics().Increment(wan_bytes_metric_, size.bytes());
   sim_->metrics().Observe(wan_queue_metric_,
@@ -159,8 +185,6 @@ MessageId Fabric::Send(NodeId from, NodeId to, std::string_view type,
                        std::string payload, Bytes size, uint64_t tag,
                        int64_t tag2) {
   const MessageId id = message_ids_.Next();
-  ++messages_sent_;
-  bytes_sent_ += size.bytes();
   sim_->metrics().Increment(messages_sent_metric_);
   sim_->metrics().Increment(bytes_sent_metric_, size.bytes());
 
@@ -202,7 +226,6 @@ MessageId Fabric::Send(NodeId from, NodeId to, std::string_view type,
 void Fabric::Deliver(Message* msg, uint64_t span) {
   const auto it = handlers_.find(msg->to);
   if (!IsNodeUp(msg->to) || it == handlers_.end()) {
-    ++messages_dropped_;
     sim_->metrics().Increment(messages_dropped_metric_);
     sim_->spans().AddLabel(span, "dropped", "true");
     sim_->spans().End(span);
@@ -210,7 +233,6 @@ void Fabric::Deliver(Message* msg, uint64_t span) {
     return;
   }
   msg->delivered_at = sim_->now();
-  ++messages_delivered_;
   sim_->metrics().Increment(messages_delivered_metric_);
   sim_->spans().End(span);
   it->second(*msg);

@@ -99,8 +99,9 @@ class Fabric {
   // Per-region WAN byte accounting (for udcctl regions and benches).
   int64_t wan_bytes_out(int region) const;
   int64_t wan_bytes_in(int region) const;
-  uint64_t wan_messages_sent() const { return wan_messages_sent_; }
-  int64_t wan_bytes_sent() const { return wan_bytes_sent_; }
+  // WAN totals, read from the net.wan_* series (0 while unconfigured).
+  uint64_t wan_messages_sent() const;
+  int64_t wan_bytes_sent() const;
 
   // Registers the message handler for `node`; replaces any previous one.
   void Bind(NodeId node, Handler handler);
@@ -120,10 +121,11 @@ class Fabric {
                  std::string payload, Bytes size, uint64_t tag = 0,
                  int64_t tag2 = 0);
 
-  uint64_t messages_sent() const { return messages_sent_; }
-  uint64_t messages_delivered() const { return messages_delivered_; }
-  uint64_t messages_dropped() const { return messages_dropped_; }
-  int64_t bytes_sent() const { return bytes_sent_; }
+  // Totals, read from the net.* series the fabric counts into.
+  uint64_t messages_sent() const;
+  uint64_t messages_delivered() const;
+  uint64_t messages_dropped() const;
+  int64_t bytes_sent() const;
 
   // Introspection for tests/benches.
   size_t down_node_count() const { return down_.size(); }
@@ -181,10 +183,6 @@ class Fabric {
   CounterHandle bytes_sent_metric_;
   CounterHandle messages_delivered_metric_;
   CounterHandle messages_dropped_metric_;
-  uint64_t messages_sent_ = 0;
-  uint64_t messages_delivered_ = 0;
-  uint64_t messages_dropped_ = 0;
-  int64_t bytes_sent_ = 0;
   // WAN link model; sized regions^2 when configured (regions is small —
   // single digits — so the dense matrix is cheap and O(1) to index).
   int wan_regions_ = 0;
@@ -194,8 +192,6 @@ class Fabric {
   CounterHandle wan_messages_metric_;
   CounterHandle wan_bytes_metric_;
   HistogramHandle wan_queue_metric_;
-  uint64_t wan_messages_sent_ = 0;
-  int64_t wan_bytes_sent_ = 0;
 };
 
 }  // namespace udc

@@ -33,7 +33,6 @@ void SloEngine::AddObjective(SloSpec spec) {
       obj.counter = metrics_->CounterSeries(spec.source, spec.labels);
       break;
     case SloSpec::SourceKind::kGauge:
-    case SloSpec::SourceKind::kProbe:
       break;
   }
   obj.measured_gauge = metrics_->GaugeSeries(spec.name);
@@ -47,8 +46,6 @@ double SloEngine::Measure(Objective* obj, SimTime now) {
   switch (spec.kind) {
     case SloSpec::SourceKind::kGauge:
       return metrics_->gauge(spec.source, spec.labels);
-    case SloSpec::SourceKind::kProbe:
-      return spec.probe ? spec.probe() : 0.0;
     default:
       break;
   }

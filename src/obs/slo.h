@@ -3,8 +3,8 @@
 // The paper's runtime "collects the feedback and performs adaptive
 // optimizations" (Design Principle 1); SLOs are the feedback channel's
 // judgement layer. An objective names a measurement source — a histogram
-// quantile, a counter rate, a gauge, or an arbitrary probe — a comparison
-// against a threshold, and a window:
+// quantile, a counter rate or a gauge — a comparison against a threshold,
+// and a window:
 //
 //   SloSpec spec;
 //   spec.name = "slo.sched.place_latency_p99";
@@ -61,7 +61,6 @@ struct SloSpec {
     kHistogramQuantile,  // Quantile(`quantile`) of `source` over the window
     kCounterRate,        // events/sec of counter `source` over the window
     kGauge,              // instantaneous value of gauge `source`
-    kProbe,              // instantaneous value of `probe()`
   };
   enum class Cmp {
     kLe,  // healthy while measured <= threshold
@@ -71,10 +70,9 @@ struct SloSpec {
   // `slo.<layer>.<objective>` (tools/check_metric_names.sh enforces it).
   std::string name;
   SourceKind kind = SourceKind::kHistogramQuantile;
-  std::string source;    // metric name for registry-backed kinds
+  std::string source;    // metric name of the source series
   MetricLabels labels;   // label set of the source series
   double quantile = 0.99;
-  std::function<double()> probe;  // kProbe only
   Cmp cmp = Cmp::kLe;
   double threshold = 0.0;
   SimTime window = SimTime::Seconds(10);

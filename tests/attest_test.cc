@@ -183,13 +183,13 @@ TEST_F(AttestationServiceTest, NonAttestableSharedEnvRefused) {
 TEST_F(AttestationServiceTest, ResourceQuotesCoverLedger) {
   Topology topo;
   const int rack = topo.AddRack();
-  ResourcePool pool(PoolId(0), DeviceKind::kGpuBoard);
+  ResourcePool pool(PoolId(0), DeviceKind::kGpuBoard, topo);
   pool.AddDevice(std::make_unique<Device>(
       DeviceId(11), DeviceKind::kGpuBoard, 4000,
       topo.AddNode(rack, NodeRole::kDevice),
       DeviceProfile::DefaultFor(DeviceKind::kGpuBoard)));
   AllocationConstraints constraints;
-  auto alloc = pool.Allocate(TenantId(2), 2000, constraints, topo);
+  auto alloc = pool.Allocate(TenantId(2), 2000, constraints);
   ASSERT_TRUE(alloc.ok());
   service_.ProvisionDevice(11);
 

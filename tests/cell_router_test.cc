@@ -4,8 +4,8 @@
 // transaction, multi-cell abort atomicity (snapshot pools/envs/attestation
 // before and after, as in placement_txn_test), PlacementTxn::AbortTo
 // partial rollback, and a randomized differential test asserting the
-// router over two cells and the router over one unscoped cell (a flat
-// datacenter, one global index) make byte-identical admit/reject decisions
+// router over two cells and the router over one cell holding every rack (a
+// flat datacenter) make byte-identical admit/reject decisions
 // and end with byte-identical pool occupancy on the same deploy/teardown
 // sequence.
 //
@@ -71,8 +71,10 @@ PoolOccupancy OccupancyOf(UdcCloud& cloud) {
 }
 
 TEST(TopologyCellsTest, SetCellCountPartitionsRacksContiguously) {
-  DisaggregatedDatacenter dc(DatacenterConfig{.racks = 7});
-  Topology& topo = dc.topology();
+  Topology topo;
+  for (int r = 0; r < 7; ++r) {
+    topo.AddRack();
+  }
   topo.SetCellCount(3);
   ASSERT_EQ(topo.cell_count(), 3);
   // Every rack maps to exactly one cell, cells are contiguous and
@@ -93,18 +95,44 @@ TEST(TopologyCellsTest, SetCellCountPartitionsRacksContiguously) {
   for (int c = 0; c < 3; ++c) {
     EXPECT_GT(racks_per_cell[static_cast<size_t>(c)], 0);
   }
-  // Out of range / unpartitioned.
+  // Out of range.
   EXPECT_EQ(topo.CellOf(-1), -1);
   EXPECT_EQ(topo.CellOf(7), -1);
+}
+
+// Without SetCellCount a topology is one cell holding every rack, racks
+// added later included, and cells = 0 and 1 both mean that one cell. It has
+// no regions until asked for; one cell is then one region.
+TEST(TopologyCellsTest, WithoutCellsOneCellHoldsEveryRack) {
+  Topology topo;
+  for (int r = 0; r < 3; ++r) {
+    topo.AddRack();
+  }
+  EXPECT_EQ(topo.cell_count(), 1);
+  topo.AddRack();
+  for (int rack = 0; rack < 4; ++rack) {
+    EXPECT_EQ(topo.CellOf(rack), 0) << rack;
+  }
+  EXPECT_EQ(topo.CellRackBegin(0), 0);
+  EXPECT_EQ(topo.CellRackEnd(0), 4);
+  EXPECT_EQ(topo.CellOf(4), -1);
+  for (const int cells : {0, 1}) {
+    topo.SetCellCount(cells);
+    EXPECT_EQ(topo.cell_count(), 1) << cells;
+    EXPECT_EQ(topo.CellOf(3), 0) << cells;
+    EXPECT_EQ(topo.CellRackEnd(0), 4) << cells;
+  }
+  EXPECT_EQ(topo.region_count(), 0);
+  EXPECT_EQ(topo.RegionOfRack(0), -1);
+  topo.SetRegionCount(1);
+  EXPECT_EQ(topo.region_count(), 1);
+  EXPECT_EQ(topo.RegionOfRack(3), 0);
 }
 
 TEST(CapacityIndexCellsTest, CellFreeSummaryTracksCommitDeltas) {
   UdcCloud cloud(CellConfig(/*racks=*/4, /*cells=*/2));
   const auto& cell_free =
-      cloud.datacenter()
-          .pool(DeviceKind::kCpuBlade)
-          .PlacementIndex(cloud.datacenter().topology())
-          .cell_free();
+      cloud.datacenter().pool(DeviceKind::kCpuBlade).index().cell_free();
   ASSERT_EQ(cell_free.size(), 2u);
   // 2 racks x 4 blades x 32000 millicores per cell, all free and healthy.
   EXPECT_EQ(cell_free[0], 2 * 4 * 32000);
@@ -238,8 +266,8 @@ TEST(PlacementTxnAbortToTest, UnwindsOnlyTheSuffixAfterTheMark) {
   EXPECT_EQ(dc.pool(DeviceKind::kCpuBlade).TotalAllocated(), 1000);
 }
 
-// --- The randomized differential: two cells vs. one unscoped cell on one
-// shared script.
+// --- The randomized differential: two cells vs. one cell on one shared
+// script.
 
 struct Action {
   bool deploy = false;

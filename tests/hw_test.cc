@@ -187,28 +187,41 @@ TEST(TopologyTest, TransferTimeGrowsWithSize) {
             topo.TransferTime(a, b, Bytes::MiB(100)));
 }
 
-class PoolTest : public ::testing::Test {
- protected:
-  PoolTest() : pool_(PoolId(0), DeviceKind::kCpuBlade) {
-    r0_ = topo_.AddRack();
-    r1_ = topo_.AddRack();
+// Two racks of two 32-core blades (devices 0 and 1 in rack 0, 2 and 3 in
+// rack 1), the racks split into `cells` cells before the blades are filed.
+struct TwoRackPool {
+  explicit TwoRackPool(int cells)
+      : topo(TwoRacks(cells)), pool(PoolId(0), DeviceKind::kCpuBlade, topo) {
     for (int i = 0; i < 4; ++i) {
-      const int rack = i < 2 ? r0_ : r1_;
-      pool_.AddDevice(std::make_unique<Device>(
+      pool.AddDevice(std::make_unique<Device>(
           DeviceId(static_cast<uint64_t>(i)), DeviceKind::kCpuBlade, 32000,
-          topo_.AddNode(rack, NodeRole::kDevice),
+          topo.AddNode(i < 2 ? 0 : 1, NodeRole::kDevice),
           DeviceProfile::DefaultFor(DeviceKind::kCpuBlade)));
     }
   }
-  Topology topo_;
-  int r0_ = 0;
-  int r1_ = 0;
-  ResourcePool pool_;
+  static Topology TwoRacks(int cells) {
+    Topology topo;
+    topo.AddRack();
+    topo.AddRack();
+    topo.SetCellCount(cells);
+    return topo;
+  }
+  Topology topo;
+  ResourcePool pool;
+};
+
+class PoolTest : public ::testing::Test {
+ protected:
+  TwoRackPool two_racks_{/*cells=*/1};
+  Topology& topo_ = two_racks_.topo;
+  ResourcePool& pool_ = two_racks_.pool;
+  const int r0_ = 0;
+  const int r1_ = 1;
 };
 
 TEST_F(PoolTest, ExactAllocation) {
   AllocationConstraints c;
-  auto alloc = pool_.Allocate(TenantId(1), 5000, c, topo_);
+  auto alloc = pool_.Allocate(TenantId(1), 5000, c);
   ASSERT_TRUE(alloc.ok());
   EXPECT_EQ(alloc->total(), 5000);
   EXPECT_EQ(alloc->kind, ResourceKind::kCpu);
@@ -219,7 +232,7 @@ TEST_F(PoolTest, ExactAllocation) {
 
 TEST_F(PoolTest, SpillsAcrossDevices) {
   AllocationConstraints c;
-  auto alloc = pool_.Allocate(TenantId(1), 100000, c, topo_);  // > one device
+  auto alloc = pool_.Allocate(TenantId(1), 100000, c);  // > one device
   ASSERT_TRUE(alloc.ok());
   EXPECT_GT(alloc->slices.size(), 1u);
   EXPECT_EQ(alloc->total(), 100000);
@@ -228,14 +241,14 @@ TEST_F(PoolTest, SpillsAcrossDevices) {
 TEST_F(PoolTest, SingleDeviceConstraintRejectsSpill) {
   AllocationConstraints c;
   c.single_device = true;
-  EXPECT_FALSE(pool_.Allocate(TenantId(1), 33000, c, topo_).ok());
-  EXPECT_TRUE(pool_.Allocate(TenantId(1), 32000, c, topo_).ok());
+  EXPECT_FALSE(pool_.Allocate(TenantId(1), 33000, c).ok());
+  EXPECT_TRUE(pool_.Allocate(TenantId(1), 32000, c).ok());
 }
 
 TEST_F(PoolTest, PrefersRequestedRack) {
   AllocationConstraints c;
   c.preferred_rack = r1_;
-  auto alloc = pool_.Allocate(TenantId(1), 1000, c, topo_);
+  auto alloc = pool_.Allocate(TenantId(1), 1000, c);
   ASSERT_TRUE(alloc.ok());
   EXPECT_EQ(topo_.RackOf(alloc->slices[0].node), r1_);
 }
@@ -245,24 +258,24 @@ TEST_F(PoolTest, StrictRackFailsWhenFull) {
   strict.preferred_rack = r0_;
   strict.strict_rack = true;
   // Fill rack 0 (2 devices x 32000).
-  ASSERT_TRUE(pool_.Allocate(TenantId(1), 64000, strict, topo_).ok());
-  EXPECT_FALSE(pool_.Allocate(TenantId(1), 1000, strict, topo_).ok());
+  ASSERT_TRUE(pool_.Allocate(TenantId(1), 64000, strict).ok());
+  EXPECT_FALSE(pool_.Allocate(TenantId(1), 1000, strict).ok());
   // Non-strict falls through to rack 1.
   AllocationConstraints soft;
   soft.preferred_rack = r0_;
-  EXPECT_TRUE(pool_.Allocate(TenantId(1), 1000, soft, topo_).ok());
+  EXPECT_TRUE(pool_.Allocate(TenantId(1), 1000, soft).ok());
 }
 
 TEST_F(PoolTest, ExclusiveAllocationIsSingleTenant) {
   AllocationConstraints c;
   c.require_exclusive = true;
   c.single_device = true;
-  auto a = pool_.Allocate(TenantId(1), 1000, c, topo_);
+  auto a = pool_.Allocate(TenantId(1), 1000, c);
   ASSERT_TRUE(a.ok());
   // Another tenant cannot use that device even though capacity remains.
   AllocationConstraints c2;
   c2.single_device = true;
-  auto b = pool_.Allocate(TenantId(2), 32000, c2, topo_);
+  auto b = pool_.Allocate(TenantId(2), 32000, c2);
   ASSERT_TRUE(b.ok());
   EXPECT_NE(a->slices[0].device, b->slices[0].device);
   // Releasing clears exclusivity.
@@ -273,62 +286,75 @@ TEST_F(PoolTest, ExclusiveAllocationIsSingleTenant) {
 
 TEST_F(PoolTest, RollsBackOnShortage) {
   AllocationConstraints c;
-  EXPECT_FALSE(pool_.Allocate(TenantId(1), 200000, c, topo_).ok());
+  EXPECT_FALSE(pool_.Allocate(TenantId(1), 200000, c).ok());
   EXPECT_EQ(pool_.TotalAllocated(), 0);  // nothing leaked
 }
 
 TEST_F(PoolTest, ResizeGrowAndShrink) {
   AllocationConstraints c;
-  auto alloc = pool_.Allocate(TenantId(1), 4000, c, topo_);
+  auto alloc = pool_.Allocate(TenantId(1), 4000, c);
   ASSERT_TRUE(alloc.ok());
-  ASSERT_TRUE(pool_.Resize(*alloc, 2000, topo_).ok());
+  ASSERT_TRUE(pool_.Resize(*alloc, 2000).ok());
   EXPECT_EQ(alloc->total(), 6000);
   EXPECT_EQ(pool_.TotalAllocated(), 6000);
-  ASSERT_TRUE(pool_.Resize(*alloc, -5000, topo_).ok());
+  ASSERT_TRUE(pool_.Resize(*alloc, -5000).ok());
   EXPECT_EQ(alloc->total(), 1000);
   EXPECT_EQ(pool_.TotalAllocated(), 1000);
   // Shrinking to zero is rejected.
-  EXPECT_FALSE(pool_.Resize(*alloc, -1000, topo_).ok());
+  EXPECT_FALSE(pool_.Resize(*alloc, -1000).ok());
 }
 
-// With the two racks in two cells, the pool serves only requests that name
-// their cell.
-TEST_F(PoolTest, PartitionedPoolRefusesUnscopedRequests) {
-  topo_.SetCellCount(2);
-  const auto refused =
-      pool_.Allocate(TenantId(1), 1000, AllocationConstraints{}, topo_);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+// Every request names a cell: one the topology lacks is refused, and a
+// cell's request lands in that cell.
+TEST_F(PoolTest, RequestNamingACellTheTopologyLacksIsRefused) {
+  TwoRackPool celled(/*cells=*/2);
+  AllocationConstraints missing;
+  missing.cell = 2;
+  for (ResourcePool* pool : {&pool_, &celled.pool}) {
+    const auto refused = pool->Allocate(TenantId(1), 1000, missing);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  }
+  missing.cell = -1;
+  EXPECT_EQ(celled.pool.Allocate(TenantId(1), 1000, missing).status().code(),
+            StatusCode::kInvalidArgument);
+  // Without cells the topology is one cell, so cell 1 is missing too.
+  missing.cell = 1;
+  EXPECT_EQ(pool_.Allocate(TenantId(1), 1000, missing).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool_.TotalAllocated(), 0);
+  EXPECT_EQ(celled.pool.TotalAllocated(), 0);
+
   AllocationConstraints scoped;
   scoped.cell = 1;
-  const auto alloc = pool_.Allocate(TenantId(1), 1000, scoped, topo_);
+  const auto alloc = celled.pool.Allocate(TenantId(1), 1000, scoped);
   ASSERT_TRUE(alloc.ok());
-  EXPECT_EQ(topo_.CellOf(topo_.RackOf(alloc->slices[0].node)), 1);
-  EXPECT_EQ(pool_.TotalAllocated(), 1000);
+  EXPECT_EQ(celled.topo.CellOf(celled.topo.RackOf(alloc->slices[0].node)), 1);
+  EXPECT_EQ(celled.pool.TotalAllocated(), 1000);
 }
 
 // Growth that outgrows its devices spills only inside the allocation's
 // cell: cell 0 (devices 0 and 1) holds 64000 in all.
 TEST_F(PoolTest, ResizeSpillStaysInTheAllocationsCell) {
-  topo_.SetCellCount(2);
+  TwoRackPool celled(/*cells=*/2);
   AllocationConstraints scoped;
   scoped.cell = 0;
   scoped.single_device = true;
-  auto alloc = pool_.Allocate(TenantId(1), 30000, scoped, topo_);
+  auto alloc = celled.pool.Allocate(TenantId(1), 30000, scoped);
   ASSERT_TRUE(alloc.ok());
-  EXPECT_FALSE(pool_.Resize(*alloc, 40000, topo_).ok());
-  EXPECT_EQ(pool_.TotalAllocated(), 30000);
-  ASSERT_TRUE(pool_.Resize(*alloc, 34000, topo_).ok());
+  EXPECT_FALSE(celled.pool.Resize(*alloc, 40000).ok());
+  EXPECT_EQ(celled.pool.TotalAllocated(), 30000);
+  ASSERT_TRUE(celled.pool.Resize(*alloc, 34000).ok());
   EXPECT_EQ(alloc->total(), 64000);
   for (const AllocationSlice& slice : alloc->slices) {
-    EXPECT_EQ(topo_.CellOf(topo_.RackOf(slice.node)), 0);
+    EXPECT_EQ(celled.topo.CellOf(celled.topo.RackOf(slice.node)), 0);
   }
 }
 
 TEST_F(PoolTest, LedgerSnapshotListsHoldings) {
   AllocationConstraints c;
-  auto a = pool_.Allocate(TenantId(1), 1000, c, topo_);
-  auto b = pool_.Allocate(TenantId(2), 2000, c, topo_);
+  auto a = pool_.Allocate(TenantId(1), 1000, c);
+  auto b = pool_.Allocate(TenantId(2), 2000, c);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   const auto ledger = pool_.LedgerSnapshot();
@@ -349,10 +375,10 @@ TEST_F(PoolTest, LedgerSnapshotListsHoldings) {
 TEST_F(PoolTest, AvoidListSkipsDevices) {
   AllocationConstraints c;
   c.single_device = true;
-  auto first = pool_.Allocate(TenantId(1), 1000, c, topo_);
+  auto first = pool_.Allocate(TenantId(1), 1000, c);
   ASSERT_TRUE(first.ok());
   c.avoid.push_back(first->slices[0].device);
-  auto second = pool_.Allocate(TenantId(1), 1000, c, topo_);
+  auto second = pool_.Allocate(TenantId(1), 1000, c);
   ASSERT_TRUE(second.ok());
   EXPECT_NE(second->slices[0].device, first->slices[0].device);
 }
@@ -401,6 +427,34 @@ TEST(TopologyTest, SwitchSitsOnThePath) {
   const NodeId tor = topo.TorSwitch(r0);
   EXPECT_EQ(topo.BaseLatency(a, tor) * 2, topo.BaseLatency(a, b));
   EXPECT_EQ(topo.BaseLatency(a, tor), topo.BaseLatency(tor, b));
+}
+
+// The datacenter fixes its layout before it creates devices, so every
+// device is filed under its rack and cell at construction, before any
+// placement query; a flat datacenter is one cell holding them all.
+TEST(DatacenterTest, FilesEveryDeviceUnderItsRackAndCellAtConstruction) {
+  for (const int cells : {0, 2}) {
+    SCOPED_TRACE(cells);
+    DatacenterConfig config;
+    config.racks = 4;
+    config.cells = cells;
+    DisaggregatedDatacenter dc(config);
+    const Topology& topo = dc.topology();
+    const ResourcePool& pool = dc.pool(DeviceKind::kCpuBlade);
+    const FreeCapacityIndex& index = pool.index();
+    ASSERT_EQ(index.rack_free_totals().size(), 4u);
+    ASSERT_EQ(index.cell_free().size(), cells == 0 ? 1u : 2u);
+    for (const auto& d : pool.devices()) {
+      const int rack = topo.RackOf(d->node());
+      EXPECT_EQ(index.RackOf(d.get()), rack);
+      EXPECT_EQ(index.CellOf(d.get()), topo.CellOf(rack));
+      EXPECT_EQ(index.rack_free_totals()[static_cast<size_t>(rack)],
+                4 * 32000);
+    }
+    ASSERT_NE(index.CellFreeList(0), nullptr);
+    EXPECT_EQ(index.CellFreeList(0)->size(), cells == 0 ? 16u : 8u);
+    EXPECT_EQ(index.cell_free()[0], cells == 0 ? 16 * 32000 : 8 * 32000);
+  }
 }
 
 TEST(DatacenterTest, AllDevicesCoversEveryPool) {
@@ -464,12 +518,9 @@ TEST(FailureInjectorTest, PeriodicFailuresRespectHorizon) {
 class PoolPair {
  public:
   PoolPair(int racks, int devices_per_rack, int64_t capacity, int cells = 0)
-      : indexed_(PoolId(0), DeviceKind::kCpuBlade),
-        linear_(PoolId(0), DeviceKind::kCpuBlade) {
-    for (int r = 0; r < racks; ++r) {
-      topo_.AddRack();
-    }
-    topo_.SetCellCount(cells);
+      : topo_(Racks(racks, cells)),
+        indexed_(PoolId(0), DeviceKind::kCpuBlade, topo_),
+        linear_(PoolId(0), DeviceKind::kCpuBlade, topo_) {
     uint64_t id = 0;
     for (int r = 0; r < racks; ++r) {
       for (int d = 0; d < devices_per_rack; ++d) {
@@ -490,7 +541,7 @@ class PoolPair {
   // Returns the allocation pair on success for later release.
   bool Allocate(TenantId tenant, int64_t amount,
                 const AllocationConstraints& c) {
-    auto a = indexed_.Allocate(tenant, amount, c, topo_);
+    auto a = indexed_.Allocate(tenant, amount, c);
     auto b = LinearAllocate(linear_, tenant, amount, c, topo_);
     EXPECT_EQ(a.ok(), b.ok()) << "status divergence";
     if (!a.ok() || !b.ok()) {
@@ -526,10 +577,11 @@ class PoolPair {
     EXPECT_DOUBLE_EQ(indexed_.HealthyUtilization(),
                      linear_.HealthyUtilization());
     // Per-rack totals from the index must equal a fresh device scan.
-    const std::vector<int64_t> from_index = indexed_.HealthyFreeByRack(topo_);
+    const std::vector<int64_t>& from_index =
+        indexed_.index().rack_free_totals();
     std::vector<int64_t> scanned(
         static_cast<size_t>(topo_.rack_count()), 0);
-    for (const Device* d : indexed_.devices()) {
+    for (const auto& d : indexed_.devices()) {
       const int rack = topo_.RackOf(d->node());
       if (rack >= 0 && d->healthy()) {
         scanned[static_cast<size_t>(rack)] += d->free_capacity();
@@ -544,6 +596,15 @@ class PoolPair {
   const Topology& topology() const { return topo_; }
 
  private:
+  static Topology Racks(int racks, int cells) {
+    Topology topo;
+    for (int r = 0; r < racks; ++r) {
+      topo.AddRack();
+    }
+    topo.SetCellCount(cells);
+    return topo;
+  }
+
   Topology topo_;
   ResourcePool indexed_;
   ResourcePool linear_;

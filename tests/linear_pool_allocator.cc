@@ -15,8 +15,8 @@ std::vector<Device*> RankCandidates(ResourcePool& pool, TenantId tenant,
                                     const AllocationConstraints& constraints,
                                     const Topology& topology) {
   std::vector<Device*> candidates;
-  for (const Device* device : pool.devices()) {
-    Device* d = pool.FindDevice(device->id());
+  for (const auto& device : pool.devices()) {
+    Device* d = device.get();
     if (!d->healthy()) {
       continue;
     }
@@ -35,7 +35,8 @@ std::vector<Device*> RankCandidates(ResourcePool& pool, TenantId tenant,
         rack != constraints.preferred_rack) {
       continue;
     }
-    if (constraints.cell >= 0 && topology.CellOf(rack) != constraints.cell) {
+    // Every request names a cell; without cells, cell 0 holds every rack.
+    if (topology.CellOf(rack) != constraints.cell) {
       continue;
     }
     if (d->free_capacity() <= 0) {
@@ -73,6 +74,9 @@ Result<PoolAllocation> LinearAllocate(ResourcePool& pool, TenantId tenant,
                                       const Topology& topology) {
   if (amount <= 0) {
     return Status(InvalidArgumentError("pool allocation must be positive"));
+  }
+  if (constraints.cell < 0 || constraints.cell >= topology.cell_count()) {
+    return Status(InvalidArgumentError("the topology has no such cell"));
   }
   std::vector<Device*> candidates =
       RankCandidates(pool, tenant, constraints, topology);

@@ -354,7 +354,7 @@ StateSnapshot Snapshot(UdcCloud& cloud) {
     const ResourcePool& pool = cloud.datacenter().pool(kind);
     snap.allocated[static_cast<size_t>(i)] = pool.TotalAllocated();
     snap.free_by_rack[static_cast<size_t>(i)] =
-        pool.HealthyFreeByRack(cloud.datacenter().topology());
+        pool.index().rack_free_totals();
   }
   snap.live_envs = cloud.envs().live_count();
   snap.warm_entries = cloud.envs().store()->live_contents();

@@ -25,7 +25,7 @@ TEST_P(SeededTest, PoolConservationUnderRandomOps) {
   Topology topo;
   const int r0 = topo.AddRack();
   const int r1 = topo.AddRack();
-  ResourcePool pool(PoolId(0), DeviceKind::kCpuBlade);
+  ResourcePool pool(PoolId(0), DeviceKind::kCpuBlade, topo);
   for (int i = 0; i < 6; ++i) {
     pool.AddDevice(std::make_unique<Device>(
         DeviceId(static_cast<uint64_t>(i)), DeviceKind::kCpuBlade, 32000,
@@ -44,8 +44,7 @@ TEST_P(SeededTest, PoolConservationUnderRandomOps) {
       c.require_exclusive = rng.NextBool(0.1);
       c.preferred_rack = rng.NextBool(0.5) ? static_cast<int>(rng.NextUint64(2)) : -1;
       const int64_t amount = 1 + static_cast<int64_t>(rng.NextUint64(20000));
-      auto alloc = pool.Allocate(
-          TenantId(rng.NextUint64(4)), amount, c, topo);
+      auto alloc = pool.Allocate(TenantId(rng.NextUint64(4)), amount, c);
       if (alloc.ok()) {
         expected_allocated += amount;
         live.push_back(*std::move(alloc));
@@ -61,7 +60,7 @@ TEST_P(SeededTest, PoolConservationUnderRandomOps) {
       const int64_t delta =
           rng.NextInt64InRange(-(before - 1), 4000);
       if (delta != 0) {
-        const Status s = pool.Resize(live[idx], delta, topo);
+        const Status s = pool.Resize(live[idx], delta);
         if (s.ok()) {
           expected_allocated += live[idx].total() - before;
         }
@@ -88,7 +87,7 @@ TEST_P(SeededTest, ExclusivityIsNeverViolated) {
   Rng rng(GetParam() + 1000);
   Topology topo;
   const int rack = topo.AddRack();
-  ResourcePool pool(PoolId(0), DeviceKind::kGpuBoard);
+  ResourcePool pool(PoolId(0), DeviceKind::kGpuBoard, topo);
   for (int i = 0; i < 4; ++i) {
     pool.AddDevice(std::make_unique<Device>(
         DeviceId(static_cast<uint64_t>(i)), DeviceKind::kGpuBoard, 4000,
@@ -102,7 +101,7 @@ TEST_P(SeededTest, ExclusivityIsNeverViolated) {
       c.require_exclusive = rng.NextBool(0.5);
       auto alloc = pool.Allocate(TenantId(rng.NextUint64(3)),
                                  1 + static_cast<int64_t>(rng.NextUint64(3000)),
-                                 c, topo);
+                                 c);
       if (alloc.ok()) {
         live.push_back(*std::move(alloc));
       }
@@ -111,7 +110,7 @@ TEST_P(SeededTest, ExclusivityIsNeverViolated) {
       ASSERT_TRUE(pool.Release(live[idx]).ok());
       live.erase(live.begin() + static_cast<long>(idx));
     }
-    for (const Device* d : pool.devices()) {
+    for (const auto& d : pool.devices()) {
       if (d->exclusive()) {
         ASSERT_LE(d->tenant_count(), 1u);
         if (d->tenant_count() == 1) {

@@ -80,8 +80,10 @@ PoolOccupancy OccupancyOf(UdcCloud& cloud) {
 }
 
 TEST(TopologyRegionsTest, SetRegionCountPartitionsCellsContiguously) {
-  DisaggregatedDatacenter dc(DatacenterConfig{.racks = 10});
-  Topology& topo = dc.topology();
+  Topology topo;
+  for (int r = 0; r < 10; ++r) {
+    topo.AddRack();
+  }
   topo.SetCellCount(5);
   topo.SetRegionCount(3);
   ASSERT_EQ(topo.region_count(), 3);

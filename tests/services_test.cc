@@ -68,13 +68,11 @@ DeviceId CpuDeviceOf(const Deployment& deployment, ModuleId module) {
 void FillCpuBlades(UdcCloud& cloud, int begin, int end, DeviceId keep) {
   const Topology& topology = cloud.datacenter().topology();
   ResourcePool& pool = cloud.datacenter().pool(DeviceKind::kCpuBlade);
-  for (const Device* d : pool.devices()) {
+  for (const auto& d : pool.devices()) {
     const int rack = topology.RackOf(d->node());
     if (d->id() != keep && rack >= begin && rack < end &&
         d->free_capacity() > 0) {
-      ASSERT_TRUE(pool.FindDevice(d->id())
-                      ->Allocate(TenantId(999), d->free_capacity())
-                      .ok());
+      ASSERT_TRUE(d->Allocate(TenantId(999), d->free_capacity()).ok());
     }
   }
 }
@@ -166,12 +164,11 @@ TEST_F(ServiceTest, RepairKeepsEverySliceOfASpanningReplacement) {
   const DeviceId victim = a4_unit()->PrimaryDevice(ResourceKind::kDram);
   ResourcePool& dram = cloud_->datacenter().pool(DeviceKind::kDramModule);
   std::vector<std::pair<Device*, int64_t>> filler;
-  for (const Device* d : dram.devices()) {
+  for (const auto& d : dram.devices()) {
     const int64_t take = d->free_capacity() - demand / 2;
     if (d->id() != victim && take > 0) {
-      Device* device = dram.FindDevice(d->id());
-      ASSERT_TRUE(device->Allocate(TenantId(999), take).ok());
-      filler.emplace_back(device, take);
+      ASSERT_TRUE(d->Allocate(TenantId(999), take).ok());
+      filler.emplace_back(d.get(), take);
     }
   }
   dram.FindDevice(victim)->set_health(DeviceHealth::kFailed);
@@ -797,8 +794,7 @@ TEST(DefragTest, MeasuresAndConsolidatesFragmentation) {
   auto filler = cloud.datacenter()
                     .pool(DeviceKind::kDramModule)
                     .Allocate(TenantId(99), Bytes::GiB(200).bytes(),
-                              fill_constraints,
-                              cloud.datacenter().topology());
+                              fill_constraints);
   ASSERT_TRUE(filler.ok());
   // Every module now has at most 256 free except one with 56: a 300 GiB ask
   // must fragment (256 + 44).
@@ -889,7 +885,7 @@ TEST(DefragTest, ConsolidatedDeploymentStillVerifies) {
   AllocationConstraints fill_constraints;
   fill_constraints.single_device = true;
   auto filler = dram.Allocate(TenantId(99), Bytes::GiB(200).bytes(),
-                              fill_constraints, cloud.datacenter().topology());
+                              fill_constraints);
   ASSERT_TRUE(filler.ok());
   auto spec = ParseAppSpec(
       "app frag\ntask big work=100\naspect big resource cpu=1000m "
@@ -906,6 +902,115 @@ TEST(DefragTest, ConsolidatedDeploymentStillVerifies) {
   ExpectVerifies(cloud, deployment->get());
   deployment->reset();
   EXPECT_EQ(cloud.attestation().provisioned_count(), 0u);
+}
+
+// A tuner grow spills an 8-core task from its filled blade onto a second
+// one; with the filler gone, consolidation moves the compute onto one fresh
+// blade. The task moves with it: every task's home is its compute slice's
+// node and its environment runs there, the deployment verifies, and
+// teardown leaves nothing allocated, launched or provisioned.
+TEST(DefragTest, ConsolidatedComputeMovesItsTask) {
+  UdcCloudConfig config;
+  config.datacenter.racks = 2;
+  UdcCloud cloud(config);
+  auto spec = ParseAppSpec(
+      "app grow\ntask big work=100\naspect big resource cpu=8000m\n");
+  ASSERT_TRUE(spec.ok());
+  auto deployment = cloud.Deploy(cloud.RegisterTenant("t"), *spec);
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  Deployment* d = deployment->get();
+  const ModuleId big = spec->graph.IdOf("big");
+  const NodeId deployed_home = d->PlacementOf(big)->home;
+  Device* blade = cloud.datacenter()
+                      .pool(DeviceKind::kCpuBlade)
+                      .FindDevice(CpuDeviceOf(*d, big));
+  const int64_t filler = blade->free_capacity();
+  ASSERT_TRUE(blade->Allocate(TenantId(999), filler).ok());
+  AdaptiveTuner tuner(cloud.region_router(), d);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(tuner.Observe(big, 0.99).ok());
+  }
+  ASSERT_EQ(d->ResourcesOf(big).Get(ResourceKind::kCpu), 12000);
+  ASSERT_TRUE(blade->Release(TenantId(999), filler).ok());
+
+  Defragmenter defrag(cloud.region_router(), d);
+  ASSERT_EQ(defrag.Measure().fragmented, 1);
+  const auto result = defrag.Consolidate();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->moves, 1);
+  EXPECT_EQ(defrag.Measure().fragmented, 0);
+
+  const Topology& topology = cloud.datacenter().topology();
+  for (const auto& [module, placement] : d->placements()) {
+    SCOPED_TRACE(placement.name);
+    const ResourceUnit* unit = d->FindUnit(placement.unit);
+    NodeId compute;
+    for (const PoolAllocation& alloc : unit->allocations) {
+      if (alloc.kind == placement.compute_kind) {
+        compute = alloc.slices.front().node;
+      }
+    }
+    EXPECT_EQ(placement.home, compute);
+    EXPECT_EQ(placement.rack, topology.RackOf(compute));
+    ASSERT_NE(unit->env, nullptr);
+    EXPECT_EQ(unit->env->node(), compute);
+  }
+  EXPECT_NE(d->PlacementOf(big)->home, deployed_home);  // it did move
+  ExpectVerifies(cloud, d);
+
+  deployment->reset();
+  cloud.sim()->RunToCompletion();
+  EXPECT_TRUE(cloud.datacenter().TotalAllocated().IsZero());
+  EXPECT_EQ(cloud.envs().live_count(), 0u);
+  EXPECT_EQ(cloud.attestation().provisioned_count(), 0u);
+}
+
+// A compute repair moves a task into the other rack; consolidating its
+// fragmented DRAM then lands in the rack the task runs in now, not the one
+// it was deployed into.
+TEST(DefragTest, ConsolidationPrefersTheTasksCurrentRack) {
+  UdcCloudConfig config;
+  config.datacenter.racks = 2;
+  UdcCloud cloud(config);
+  // 60 GiB free on every DRAM module, so a 100 GiB ask spans two.
+  ResourcePool& dram = cloud.datacenter().pool(DeviceKind::kDramModule);
+  for (const auto& module : dram.devices()) {
+    ASSERT_TRUE(module->Allocate(TenantId(99), Bytes::GiB(196).bytes()).ok());
+  }
+  auto spec = ParseAppSpec(
+      "app frag\ntask big work=100\naspect big resource cpu=1000m "
+      "dram=100GiB\n");
+  ASSERT_TRUE(spec.ok());
+  auto deployment = cloud.Deploy(cloud.RegisterTenant("t"), *spec);
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  Deployment* d = deployment->get();
+  const ModuleId big = spec->graph.IdOf("big");
+  for (const auto& module : dram.devices()) {
+    ASSERT_TRUE(module->Release(TenantId(99), Bytes::GiB(196).bytes()).ok());
+  }
+  ASSERT_EQ(d->PlacementOf(big)->rack, 0);
+
+  // Rack 0 has no blade left, so the repair moves the task to rack 1.
+  FillCpuBlades(cloud, 0, 1, DeviceId::Invalid());
+  for (const RepairAction& action : FailAndRepair(cloud, d, big)) {
+    ASSERT_TRUE(action.success) << action.detail;
+  }
+  ASSERT_EQ(d->PlacementOf(big)->rack, 1);
+
+  Defragmenter defrag(cloud.region_router(), d);
+  ASSERT_EQ(defrag.Measure().fragmented, 1);
+  const auto result = defrag.Consolidate();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->moves, 1);
+  const ResourceUnit* unit = d->FindUnit(d->PlacementOf(big)->unit);
+  for (const PoolAllocation& alloc : unit->allocations) {
+    if (alloc.kind == ResourceKind::kDram) {
+      ASSERT_EQ(alloc.slices.size(), 1u);
+      EXPECT_EQ(cloud.datacenter().topology().RackOf(alloc.slices[0].node),
+                1);
+    }
+  }
+  ExpectVerifies(cloud, d);
 }
 
 // --- AdaptiveTuner --------------------------------------------------------
@@ -999,7 +1104,7 @@ TEST_F(ServiceTest, TraceRecordsControlPlaneEvents) {
 }
 
 // The same parenting in every topology: whether the router places into one
-// unscoped cell, into cells, or into regions of cells, the deploy span is
+// cell, into cells, or into regions of cells, the deploy span is
 // the scope its txn span and every placement span open under — one trace
 // per deploy, not one per span.
 TEST(DeploySpanTest, PlacementSpansNestUnderTheDeployInEveryTopology) {

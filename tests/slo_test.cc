@@ -322,33 +322,33 @@ TEST(SloEngineTest, OnBreachFiresOncePerTransition) {
   EXPECT_EQ(breaches, 2);
 }
 
-TEST(SloEngineTest, ProbeObjectiveAndReport) {
+TEST(SloEngineTest, ReportNamesABreachedObjective) {
   MetricsRegistry metrics;
   SloEngine engine(&metrics);
-  double probed = 10.0;
   SloSpec spec;
-  spec.name = "slo.test.probe_value";
-  spec.kind = SloSpec::SourceKind::kProbe;
-  spec.probe = [&probed] { return probed; };
+  spec.name = "slo.test.queue_depth";
+  spec.kind = SloSpec::SourceKind::kGauge;
+  spec.source = "test.queue_depth";
   spec.threshold = 100.0;
   engine.AddObjective(std::move(spec));
 
+  metrics.SetGauge("test.queue_depth", 10.0);
   engine.Tick(SimTime::Seconds(1));
-  const SloVerdict* v = engine.Find("slo.test.probe_value");
+  const SloVerdict* v = engine.Find("slo.test.queue_depth");
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->measured, 10.0);
   EXPECT_EQ(v->state, SloState::kOk);
 
-  probed = 250.0;
+  metrics.SetGauge("test.queue_depth", 250.0);
   engine.Tick(SimTime::Seconds(2));
-  v = engine.Find("slo.test.probe_value");
+  v = engine.Find("slo.test.queue_depth");
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->measured, 250.0);
   EXPECT_EQ(v->state, SloState::kBreach);
   EXPECT_EQ(engine.worst_state(), SloState::kBreach);
 
   const std::string report = engine.Report();
-  EXPECT_NE(report.find("slo.test.probe_value"), std::string::npos);
+  EXPECT_NE(report.find("slo.test.queue_depth"), std::string::npos);
   EXPECT_NE(report.find("BREACH"), std::string::npos);
   EXPECT_NE(report.find("(breached)"), std::string::npos);
 }

@@ -279,7 +279,7 @@ int Slo(const std::string& text) {
 }
 
 // `udcctl cells`: the hierarchical control plane made visible. Builds a
-// cell-partitioned cloud, churns the spec through the router, and prints a
+// cloud of `cells` cells, churns the spec through the router, and prints a
 // per-cell capacity/latency table — the operator's view of how the router
 // spread the load and what each cell's placement tail looks like.
 int Cells(const std::string& text, int racks, int cells, int deploys) {
@@ -288,11 +288,6 @@ int Cells(const std::string& text, int racks, int cells, int deploys) {
   config.datacenter.cells = cells;
   config.scheduler.record_place_latency = true;
   udc::UdcCloud cloud(config);
-  if (cloud.datacenter().topology().cell_count() == 0) {
-    std::fprintf(stderr, "cells: need at least 1 cell (got --cells %d)\n",
-                 cells);
-    return kExitUsage;
-  }
 
   const auto spec = udc::ParseAppSpec(text);
   if (!spec.ok()) {
@@ -318,9 +313,8 @@ int Cells(const std::string& text, int racks, int cells, int deploys) {
 
   udc::RegionRouter* router = cloud.region_router();
   const udc::Topology& topo = cloud.datacenter().topology();
-  const udc::ResourcePool& cpu_pool =
-      cloud.datacenter().pool(udc::DeviceKind::kCpuBlade);
-  const udc::FreeCapacityIndex& index = cpu_pool.PlacementIndex(topo);
+  const udc::FreeCapacityIndex& index =
+      cloud.datacenter().pool(udc::DeviceKind::kCpuBlade).index();
   const std::vector<int64_t>& free =
       router->CellFreeSummary(udc::DeviceKind::kCpuBlade);
 
@@ -331,10 +325,7 @@ int Cells(const std::string& text, int racks, int cells, int deploys) {
     if (device->kind() != udc::DeviceKind::kCpuBlade) {
       continue;
     }
-    const int cell = index.CellOf(device);
-    if (cell >= 0) {
-      capacity[static_cast<size_t>(cell)] += device->capacity();
-    }
+    capacity[static_cast<size_t>(index.CellOf(device))] += device->capacity();
   }
 
   std::printf("%d cells over %d racks (%zu devices), %d deploys (%d ok, "
@@ -452,9 +443,8 @@ int Regions(const std::string& text, int racks, int cells, int regions,
   cloud.sim()->RunToCompletion();
 
   const udc::Topology& topo = cloud.datacenter().topology();
-  const udc::ResourcePool& cpu_pool =
-      cloud.datacenter().pool(udc::DeviceKind::kCpuBlade);
-  const udc::FreeCapacityIndex& index = cpu_pool.PlacementIndex(topo);
+  const udc::FreeCapacityIndex& index =
+      cloud.datacenter().pool(udc::DeviceKind::kCpuBlade).index();
   const std::vector<int64_t>& free =
       router->RegionFreeSummary(udc::DeviceKind::kCpuBlade);
 
@@ -466,11 +456,8 @@ int Regions(const std::string& text, int racks, int cells, int regions,
     if (device->kind() != udc::DeviceKind::kCpuBlade) {
       continue;
     }
-    const int cell = index.CellOf(device);
-    const int region = topo.RegionOf(cell);
-    if (region >= 0) {
-      capacity[static_cast<size_t>(region)] += device->capacity();
-    }
+    capacity[static_cast<size_t>(index.RegionOf(device))] +=
+        device->capacity();
   }
   // Remote fetches aggregated onto the region that did the fetching.
   const udc::EnvStore* store = cloud.envs().store();
