@@ -9,9 +9,12 @@
 // ref. The phases and what fails the run:
 //   - indexed: 1,000 tenants over 480 racks (10,080 devices). Reports
 //     deploys/s, simulator events/s and per-deploy placement percentiles.
-//   - frontend RPC: one "deploy" RPC per app versus one "deploy_batch" RPC
-//     per batch, identical udcl text, interleaved at batch granularity. The
-//     median per-group CPU-time ratio must be >= 1.2x.
+//   - frontend RPC: "deploy" RPCs of one repeated udcl text, which the
+//     frontend's spec cache parses once, versus deploy RPCs of texts no
+//     earlier deploy sent (the same text plus a comment line), interleaved
+//     in groups. The median per-group CPU-time ratio (fresh over repeat)
+//     must be >= 1.2x, the repeat leg must miss the cache exactly once, the
+//     fresh leg must never hit it, and both must admit every deploy.
 //   - abort-heavy: a one-rack datacenter where about half the deploys abort
 //     on pool exhaustion. Aborts must happen and core.txn_aborted must
 //     count them.
@@ -266,19 +269,21 @@ ChurnResult RunChurn(const ChurnConfig& config,
   return result;
 }
 
-// --- Frontend RPC: deploy versus deploy_batch, as a tenant drives them.
+// --- Frontend RPC: a repeated udcl text versus a fresh one.
 
 struct RpcResult {
   long long deploys = 0;
   long long failures = 0;
   double cpu_seconds = 0;
   double deploys_per_sec = 0;
+  long long spec_cache_hits = 0;  // the frontend's counters after the leg
+  long long spec_cache_misses = 0;
 };
 
 struct FrontendComparison {
-  RpcResult single;
-  RpcResult batched;
-  double speedup = 0;  // median over groups of single-cost / batched-cost
+  RpcResult repeat;
+  RpcResult fresh;
+  double speedup = 0;  // median over groups of fresh-cost / repeat-cost
   bool clean = false;  // both clouds drained
 };
 
@@ -297,29 +302,33 @@ struct FrontendEnv {
         cloud->sim(), &cloud->fabric(), client_node, frontend_node, tenant);
   }
 
-  // Parses a deploy/deploy_batch response: "ok:" then comma-separated
-  // deployment ids, with "x" marking a failed slot.
-  void Record(const udc::Result<std::string>& r) {
-    if (!r.ok() || r->rfind("ok:", 0) != 0) {
-      ++result.failures;
-      return;
+  // Sends one deploy RPC per text, evicting down to `window` after each,
+  // and records the group's CPU time per deploy. Only the deploy RPCs and
+  // the event drain they trigger are timed: the evictions keep the live
+  // sets of both legs equal but are the same work on both, so timing them
+  // would only dilute the ratio.
+  void TimedGroup(const std::vector<std::string>& texts, int window) {
+    double seconds = 0;
+    for (const std::string& text : texts) {
+      const double t0 = CpuSeconds();
+      client->Deploy(text, [this](udc::Result<std::string> r) { Record(r); });
+      cloud->sim()->RunToCompletion();
+      seconds += CpuSeconds() - t0;
+      EvictTo(window);
     }
-    const std::string_view ids = std::string_view(*r).substr(3);
-    size_t start = 0;
-    while (start <= ids.size()) {
-      size_t end = ids.find(',', start);
-      if (end == std::string_view::npos) {
-        end = ids.size();
-      }
-      const std::string_view token = ids.substr(start, end - start);
-      uint64_t id = 0;
-      if (udc::ParseUint64(token, &id)) {
-        ++result.deploys;
-        live.push_back(id);
-      } else {
-        ++result.failures;
-      }
-      start = end + 1;
+    group_us.push_back(seconds * 1e6 / static_cast<double>(texts.size()));
+    result.cpu_seconds += seconds;
+  }
+
+  // Parses a deploy response: "ok:" then the deployment id.
+  void Record(const udc::Result<std::string>& r) {
+    uint64_t id = 0;
+    if (r.ok() && r->rfind("ok:", 0) == 0 &&
+        udc::ParseUint64(std::string_view(*r).substr(3), &id)) {
+      ++result.deploys;
+      live.push_back(id);
+    } else {
+      ++result.failures;
     }
   }
 
@@ -331,96 +340,73 @@ struct FrontendEnv {
     }
   }
 
+  // Tears every deployment down, reads the spec cache's counters and
+  // takes the median group cost past the first `skip` groups.
+  void Finish(size_t skip) {
+    EvictTo(0);
+    cloud->sim()->RunToCompletion();
+    const udc::MetricsRegistry& metrics = cloud->sim()->metrics();
+    result.spec_cache_hits = metrics.counter("frontend.spec_cache_hits");
+    result.spec_cache_misses = metrics.counter("frontend.spec_cache_misses");
+    const double us = Median(
+        {group_us.begin() + static_cast<long>(skip), group_us.end()});
+    result.deploys_per_sec = us > 0 ? 1e6 / us : 0;
+  }
+
   std::unique_ptr<udc::UdcCloud> cloud;
   std::unique_ptr<udc::CloudFrontend> frontend;
   std::unique_ptr<udc::TenantClient> client;
   std::deque<uint64_t> live;
+  std::vector<double> group_us;  // CPU time per deploy, one per group
   RpcResult result;
 };
 
 // Deploy churn as a tenant actually experiences it: udcl text over the
-// frontend RPC path, one "deploy" call per app versus one "deploy_batch"
-// call per batch. Batching amortizes udcl parsing of repeated texts,
-// per-request fabric traffic, frontend spans and header handling.
+// frontend's one deploy RPC, against two identical clouds. The repeat leg
+// sends the same text every time, so every deploy after the first finds
+// its spec in the frontend's spec cache. The fresh leg sends a text no
+// earlier deploy sent (the same text plus a "# deploy <k>" comment line,
+// built outside the timed region), so every deploy misses and parses: the
+// same spec and the same placements, plus the parse.
 //
-// The two modes run INTERLEAVED at batch granularity against separate
-// clouds: a group of batch_size single-deploy RPCs, then the equivalent
-// deploy_batch RPC, and so on. Adjacent-in-time groups see the same CPU
-// frequency and cache pressure, so the per-group cost ratio cancels drift
-// that would otherwise swamp a tight ratio gate on a busy host; the
-// reported speedup is the median of those per-group ratios (the first
-// warmup group is discarded). Only the deploy RPCs (and the event drain
-// they trigger) are timed — teardown evictions keep the live set
-// comparable between modes but are identical per-deploy work, so including
-// them would only dilute the ratio.
+// The two legs run INTERLEAVED in groups of group_size deploys. Adjacent-
+// in-time groups see the same CPU frequency and cache pressure, so the
+// per-group cost ratio cancels drift that would otherwise swamp a tight
+// ratio gate on a busy host; the reported speedup is the median of those
+// per-group ratios (the first warmup group is discarded).
 FrontendComparison RunFrontendComparison(int racks, int deploys, int window,
-                                         int batch_size,
+                                         int group_size,
                                          const std::string& udcl_text) {
-  FrontendEnv single(racks);
-  FrontendEnv batched(racks);
-
-  std::vector<double> single_group_us;
-  std::vector<double> batched_group_us;
-  for (int base = 0; base < deploys; base += batch_size) {
-    const int count = std::min(batch_size, deploys - base);
-
-    double single_s = 0;
+  FrontendEnv repeat(racks);
+  FrontendEnv fresh(racks);
+  for (int base = 0; base < deploys; base += group_size) {
+    const int count = std::min(group_size, deploys - base);
+    std::vector<std::string> fresh_texts;
     for (int i = 0; i < count; ++i) {
-      const double t0 = CpuSeconds();
-      single.client->Deploy(
-          udcl_text, [&](udc::Result<std::string> r) { single.Record(r); });
-      single.cloud->sim()->RunToCompletion();
-      single_s += CpuSeconds() - t0;
-      single.EvictTo(window);
+      fresh_texts.push_back(
+          udc::StrFormat("%s\n# deploy %d\n", udcl_text.c_str(), base + i));
     }
-    single_group_us.push_back(single_s * 1e6 / count);
-    single.result.cpu_seconds += single_s;
-
-    batched.EvictTo(std::max(0, window - count));
-    const double t0 = CpuSeconds();
-    {
-      // Building the batch payload (N copies of the text) is part of what a
-      // batching client pays, so it stays inside the timed region.
-      const std::vector<std::string> texts(count, udcl_text);
-      batched.client->DeployBatch(
-          texts, [&](udc::Result<std::string> r) { batched.Record(r); });
-      batched.cloud->sim()->RunToCompletion();
-    }
-    const double batched_s = CpuSeconds() - t0;
-    batched_group_us.push_back(batched_s * 1e6 / count);
-    batched.result.cpu_seconds += batched_s;
+    repeat.TimedGroup(std::vector<std::string>(count, udcl_text), window);
+    fresh.TimedGroup(fresh_texts, window);
   }
-  single.EvictTo(0);
-  single.cloud->sim()->RunToCompletion();
-  batched.EvictTo(0);
-  batched.cloud->sim()->RunToCompletion();
+  // Discard the warmup group (cold code paths and allocator arenas), then
+  // take medians: per-leg group cost for the throughput numbers, per-group
+  // ratio for the gated speedup.
+  const size_t skip = repeat.group_us.size() > 1 ? 1 : 0;
+  repeat.Finish(skip);
+  fresh.Finish(skip);
 
   FrontendComparison comparison;
-  comparison.single = single.result;
-  comparison.batched = batched.result;
-  comparison.clean = Drained(*single.cloud) && Drained(*batched.cloud);
-  // Discard the warmup group (cold code paths and allocator arenas), then
-  // take medians: per-mode group cost for the throughput numbers, per-group
-  // ratio for the gated speedup.
-  const size_t skip = single_group_us.size() > 1 ? 1 : 0;
+  comparison.repeat = repeat.result;
+  comparison.fresh = fresh.result;
+  comparison.clean = Drained(*repeat.cloud) && Drained(*fresh.cloud);
   std::vector<double> ratios;
-  for (size_t i = skip; i < single_group_us.size(); ++i) {
-    if (batched_group_us[i] > 0) {
-      ratios.push_back(single_group_us[i] / batched_group_us[i]);
+  for (size_t i = skip; i < repeat.group_us.size(); ++i) {
+    if (repeat.group_us[i] > 0) {
+      ratios.push_back(fresh.group_us[i] / repeat.group_us[i]);
     }
   }
   comparison.speedup = Median(ratios);
-  const double single_us = Median(
-      {single_group_us.begin() + static_cast<long>(skip), single_group_us.end()});
-  const double batched_us =
-      Median({batched_group_us.begin() + static_cast<long>(skip),
-              batched_group_us.end()});
-  if (single_us > 0) {
-    comparison.single.deploys_per_sec = 1e6 / single_us;
-  }
-  if (batched_us > 0) {
-    comparison.batched.deploys_per_sec = 1e6 / batched_us;
-  }
   return comparison;
 }
 
@@ -1213,7 +1199,7 @@ struct Report {
   bool smoke = false;
   ChurnConfig config;
   ChurnResult indexed;
-  int batch_size = 0;
+  int group_size = 0;
   FrontendComparison frontend;
   AbortResult abort;
   WarmStoreResult warm_store;
@@ -1257,29 +1243,33 @@ void WriteJson(const Report& r) {
                indexed.placement_us.Quantile(0.95),
                indexed.placement_us.Quantile(0.99),
                indexed.placement_us.Mean(), Bool(indexed.clean));
-  const RpcResult& single = r.frontend.single;
-  const RpcResult& batched = r.frontend.batched;
+  const RpcResult& repeat = r.frontend.repeat;
+  const RpcResult& fresh = r.frontend.fresh;
   const AbortResult& abort = r.abort;
   std::fprintf(f,
                "  \"txn\": {\n"
-               "    \"batch_size\": %d,\n"
+               "    \"group_size\": %d,\n"
                "    \"empty_txn_us\": %.3f,\n"
                "    \"overhead_pct_vs_indexed_p50\": %.2f,\n"
-               "    \"frontend_single\": {\"deploys\": %lld, \"failures\": "
-               "%lld, \"cpu_seconds\": %.4f, \"deploys_per_sec\": %.2f},\n"
-               "    \"frontend_batched\": {\"deploys\": %lld, \"failures\": "
-               "%lld, \"cpu_seconds\": %.4f, \"deploys_per_sec\": %.2f},\n"
-               "    \"frontend_batched_speedup\": %.2f,\n"
+               "    \"frontend_repeat\": {\"deploys\": %lld, \"failures\": "
+               "%lld, \"cpu_seconds\": %.4f, \"deploys_per_sec\": %.2f, "
+               "\"spec_cache_hits\": %lld, \"spec_cache_misses\": %lld},\n"
+               "    \"frontend_fresh\": {\"deploys\": %lld, \"failures\": "
+               "%lld, \"cpu_seconds\": %.4f, \"deploys_per_sec\": %.2f, "
+               "\"spec_cache_hits\": %lld, \"spec_cache_misses\": %lld},\n"
+               "    \"frontend_repeat_speedup\": %.2f,\n"
                "    \"frontend_clean_after_drain\": %s,\n"
                "    \"abort_phase\": {\"attempts\": %lld, \"deploys\": %lld, "
                "\"aborts\": %lld, \"abort_fraction\": %.2f, "
                "\"txn_committed\": %lld, \"txn_aborted\": %lld, "
                "\"clean_after_drain\": %s}\n"
                "  },\n",
-               r.batch_size, r.empty_txn_us, r.overhead_pct, single.deploys,
-               single.failures, single.cpu_seconds, single.deploys_per_sec,
-               batched.deploys, batched.failures, batched.cpu_seconds,
-               batched.deploys_per_sec, r.frontend.speedup,
+               r.group_size, r.empty_txn_us, r.overhead_pct, repeat.deploys,
+               repeat.failures, repeat.cpu_seconds, repeat.deploys_per_sec,
+               repeat.spec_cache_hits, repeat.spec_cache_misses,
+               fresh.deploys, fresh.failures, fresh.cpu_seconds,
+               fresh.deploys_per_sec, fresh.spec_cache_hits,
+               fresh.spec_cache_misses, r.frontend.speedup,
                Bool(r.frontend.clean), abort.attempts,
                abort.deploys, abort.aborts, abort.abort_fraction,
                abort.txn_committed, abort.txn_aborted, Bool(abort.clean));
@@ -1431,8 +1421,22 @@ bool CheckGates(const Report& r) {
   Gate(r.frontend.clean, &ok,
        "frontend RPC phase leaked state after drain\n");
   Gate(r.frontend.speedup >= 1.2, &ok,
-       "batched deploy RPCs %.2fx single-deploy RPCs, gate is 1.2x\n",
+       "repeated-text deploy RPCs %.2fx fresh-text deploy RPCs, gate is "
+       "1.2x\n",
        r.frontend.speedup);
+  const RpcResult& repeat = r.frontend.repeat;
+  const RpcResult& fresh = r.frontend.fresh;
+  Gate(repeat.failures == 0 && fresh.failures == 0 &&
+           repeat.spec_cache_misses == 1 &&
+           repeat.spec_cache_hits == repeat.deploys - 1 &&
+           fresh.spec_cache_hits == 0 &&
+           fresh.spec_cache_misses == fresh.deploys,
+       &ok, "frontend legs: repeat %lld ok, %lld failed, %lld/%lld "
+       "spec-cache hits/misses (want one miss); fresh %lld ok, %lld failed, "
+       "%lld/%lld (want no hit)\n",
+       repeat.deploys, repeat.failures, repeat.spec_cache_hits,
+       repeat.spec_cache_misses, fresh.deploys, fresh.failures,
+       fresh.spec_cache_hits, fresh.spec_cache_misses);
 
   const AbortResult& abort = r.abort;
   Gate(abort.clean, &ok, "abort-heavy phase leaked state\n");
@@ -1592,20 +1596,23 @@ int main(int argc, char** argv) {
   const ChurnResult& indexed = report.indexed;
   PrintResult("indexed", indexed);
 
-  // The tenant-visible comparison: one deploy RPC per app versus one
-  // deploy_batch RPC per batch, same udcl text, same frontend.
-  report.batch_size = smoke ? 16 : 32;
+  // The tenant-visible comparison: deploy RPCs of one repeated udcl text
+  // versus deploy RPCs of texts never sent before, same frontend.
+  report.group_size = smoke ? 16 : 32;
   const int rpc_deploys = smoke ? 320 : 640;
   report.frontend =
       RunFrontendComparison(config.racks, rpc_deploys, config.live_window,
-                            report.batch_size, udc::MedicalAppUdcl());
+                            report.group_size, udc::MedicalAppUdcl());
   const FrontendComparison& frontend = report.frontend;
-  std::printf("frontend: single %.1f deploys/s (%lld ok, %lld failed), "
-              "batched %.1f deploys/s (%lld ok, %lld failed) -> %.2fx\n",
-              frontend.single.deploys_per_sec, frontend.single.deploys,
-              frontend.single.failures, frontend.batched.deploys_per_sec,
-              frontend.batched.deploys, frontend.batched.failures,
-              frontend.speedup);
+  std::printf("frontend: repeat %.1f deploys/s (%lld ok, %lld failed, "
+              "%lld/%lld spec-cache hits/misses), fresh %.1f deploys/s "
+              "(%lld ok, %lld failed, %lld/%lld) -> %.2fx\n",
+              frontend.repeat.deploys_per_sec, frontend.repeat.deploys,
+              frontend.repeat.failures, frontend.repeat.spec_cache_hits,
+              frontend.repeat.spec_cache_misses,
+              frontend.fresh.deploys_per_sec, frontend.fresh.deploys,
+              frontend.fresh.failures, frontend.fresh.spec_cache_hits,
+              frontend.fresh.spec_cache_misses, frontend.speedup);
 
   report.abort = RunAbortChurn(/*racks=*/1, smoke ? 60 : 400, heavy_specs);
   const AbortResult& abort = report.abort;

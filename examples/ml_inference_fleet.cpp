@@ -62,9 +62,8 @@ aspect cnn exec isolation=medium
   cloud.sim()->RunToCompletion();  // requests still queued at the horizon
   std::printf("\nUDC (fine-grained GPU slice + tuner):\n");
   std::printf("  latency  %s ms\n", udc_latency.Summary().c_str());
-  std::printf("  tuner    %lld resizes, %lld migrations\n",
-              static_cast<long long>(tuner.resizes()),
-              static_cast<long long>(tuner.migrations()));
+  std::printf("  tuner    %lld resizes\n",
+              static_cast<long long>(tuner.resizes()));
   std::printf("  cost     %s for %s\n", bill.total.ToString().c_str(),
               trace_config.horizon.ToString().c_str());
 

@@ -1,7 +1,6 @@
 #include "src/core/frontend.h"
 
 #include <algorithm>
-#include <map>
 
 #include "src/common/strings.h"
 
@@ -38,10 +37,15 @@ bool ParseDeploymentId(std::string_view rest, uint64_t* id) {
 }  // namespace
 
 CloudFrontend::CloudFrontend(UdcCloud* cloud, NodeId node)
-    : cloud_(cloud), endpoint_(cloud->sim(), &cloud->fabric(), node) {
+    : cloud_(cloud), endpoint_(cloud->sim(), &cloud->fabric(), node),
+      deploys_(cloud->sim()->metrics().CounterSeries("frontend.deploys")),
+      deploy_latency_ms_(cloud->sim()->metrics().HistogramSeries(
+          "frontend.deploy_latency_ms")),
+      spec_cache_hits_(
+          cloud->sim()->metrics().CounterSeries("frontend.spec_cache_hits")),
+      spec_cache_misses_(cloud->sim()->metrics().CounterSeries(
+          "frontend.spec_cache_misses")) {
   endpoint_.Serve("deploy", [this](const Message& m) { return HandleDeploy(m); });
-  endpoint_.Serve("deploy_batch",
-                  [this](const Message& m) { return HandleDeployBatch(m); });
   endpoint_.Serve("verify", [this](const Message& m) { return HandleVerify(m); });
   endpoint_.Serve("bill", [this](const Message& m) { return HandleBill(m); });
   endpoint_.Serve("teardown",
@@ -68,12 +72,44 @@ Result<uint64_t> CloudFrontend::Admit(TenantId tenant,
     ready = std::max(ready, placement.env_ready_at);
   }
   cloud_->sim()->metrics().Observe(
-      "frontend.deploy_latency_ms",
+      deploy_latency_ms_,
       static_cast<double>((ready - cloud_->sim()->now()).millis()));
   deployments_[id] = std::move(*deployment);
   owners_[id] = tenant;
-  cloud_->sim()->metrics().IncrementCounter("frontend.deploys");
+  cloud_->sim()->metrics().Increment(deploys_);
   return id;
+}
+
+Result<std::shared_ptr<const AppSpec>> CloudFrontend::LookupSpec(
+    std::string_view udcl) {
+  MetricsRegistry& metrics = cloud_->sim()->metrics();
+  const Sha256Digest digest = Sha256::Hash(udcl);
+  if (const auto it = spec_index_.find(digest); it != spec_index_.end()) {
+    spec_lru_.splice(spec_lru_.begin(), spec_lru_, it->second);
+    metrics.Increment(spec_cache_hits_);
+    return it->second->spec;
+  }
+  metrics.Increment(spec_cache_misses_);
+  auto parsed = ParseAppSpec(udcl);
+  if (!parsed.ok()) {
+    return parsed.status();
+  }
+  // Parsing reads nothing but the text, so a spec that placement rejects
+  // stays cached like any other.
+  auto spec = std::make_shared<const AppSpec>(*std::move(parsed));
+  const size_t charge = std::max(udcl.size(), kSpecMinChargeBytes);
+  spec_lru_.push_front(CachedSpec{digest, charge, spec});
+  spec_index_.emplace(digest, spec_lru_.begin());
+  spec_cache_bytes_ += charge;
+  // Past the budget the least recently used specs go, even this one if its
+  // text alone is larger. A deployment holding an evicted spec keeps it.
+  while (spec_cache_bytes_ > kSpecCacheBytes) {
+    const CachedSpec& oldest = spec_lru_.back();
+    spec_cache_bytes_ -= oldest.charge;
+    spec_index_.erase(oldest.digest);
+    spec_lru_.pop_back();
+  }
+  return spec;
 }
 
 std::string CloudFrontend::HandleDeploy(const Message& msg) {
@@ -85,67 +121,18 @@ std::string CloudFrontend::HandleDeploy(const Message& msg) {
   ScopedSpan span = cloud_->sim()->Scope(
       "frontend", "frontend.deploy",
       {{"tenant", StrFormat("%llu", static_cast<unsigned long long>(tenant))}});
-  auto spec = ParseAppSpec(udcl);
+  auto spec = LookupSpec(udcl);
   if (!spec.ok()) {
     span.AddLabel("error", "parse");
     return "err:" + spec.status().ToString();
   }
-  span.AddLabel("app", spec->graph.app_name());
-  const Result<uint64_t> id = Admit(
-      TenantId(tenant), std::make_shared<const AppSpec>(*std::move(spec)));
+  span.AddLabel("app", (*spec)->graph.app_name());
+  const Result<uint64_t> id = Admit(TenantId(tenant), *std::move(spec));
   if (!id.ok()) {
     span.AddLabel("error", "deploy");
     return "err:" + id.status().ToString();
   }
   return StrFormat("ok:%llu", static_cast<unsigned long long>(*id));
-}
-
-std::string CloudFrontend::HandleDeployBatch(const Message& msg) {
-  uint64_t tenant = 0;
-  std::string_view body;
-  if (!ParseHeader(msg.payload, &tenant, &body)) {
-    return "err:malformed request";
-  }
-  ScopedSpan span = cloud_->sim()->Scope(
-      "frontend", "frontend.deploy_batch",
-      {{"tenant", StrFormat("%llu", static_cast<unsigned long long>(tenant))}});
-
-  // The body is udcl texts separated by lines containing exactly "---".
-  // Each distinct text is parsed once — replica batches repeat one spec N
-  // times — and its deployments share that one immutable spec. Each spec is
-  // its own deploy; a text that fails to parse or deploy keeps its slot
-  // ("x") so the response stays positional with the request.
-  std::map<std::string_view, std::shared_ptr<const AppSpec>> by_text;
-  std::string response = "ok:";
-  size_t specs = 0;
-  for (size_t start = 0; start <= body.size();) {
-    const size_t end = std::min(body.find("\n---\n", start), body.size());
-    const std::string_view text = body.substr(start, end - start);
-    start = end + 5;
-    if (specs++ > 0) {
-      response += ",";
-    }
-    auto it = by_text.find(text);
-    if (it == by_text.end()) {
-      auto spec = ParseAppSpec(text);
-      it = by_text
-               .emplace(text, spec.ok() ? std::make_shared<const AppSpec>(
-                                              *std::move(spec))
-                                        : nullptr)
-               .first;
-    }
-    if (it->second == nullptr) {
-      response += "x";
-      continue;
-    }
-    const Result<uint64_t> id = Admit(TenantId(tenant), it->second);
-    response +=
-        id.ok() ? StrFormat("%llu", static_cast<unsigned long long>(*id))
-                : "x";
-  }
-  cloud_->sim()->metrics().IncrementCounter("frontend.batch_deploys");
-  span.AddLabel("specs", StrFormat("%zu", specs));
-  return response;
 }
 
 std::string_view CloudFrontend::CheckOwnedRequest(const Message& msg,
@@ -208,22 +195,6 @@ void TenantClient::Deploy(const std::string& udcl_text,
       udcl_text;
   endpoint_.Call(frontend_, "deploy", payload,
                  Bytes(static_cast<int64_t>(payload.size())), Bytes::KiB(1),
-                 SimTime::Seconds(5), std::move(done));
-}
-
-void TenantClient::DeployBatch(
-    const std::vector<std::string>& udcl_texts,
-    std::function<void(Result<std::string>)> done) {
-  std::string payload = StrFormat(
-      "tenant=%llu\n", static_cast<unsigned long long>(tenant_.value()));
-  for (size_t i = 0; i < udcl_texts.size(); ++i) {
-    if (i > 0) {
-      payload += "\n---\n";
-    }
-    payload += udcl_texts[i];
-  }
-  endpoint_.Call(frontend_, "deploy_batch", payload,
-                 Bytes(static_cast<int64_t>(payload.size())), Bytes::KiB(4),
                  SimTime::Seconds(5), std::move(done));
 }
 

@@ -26,9 +26,10 @@
 //     staging order, so a deploy whose legs span cells or regions keeps the
 //     single-transaction atomicity contract.
 //
-// Deploy is the only way a deploy reaches placement; a batch of specs (the
-// frontend's deploy_batch RPC) is that many Deploy calls, each with its own
-// sched.deploy span and transaction.
+// Deploy is the only way a deploy reaches placement: each call has its own
+// sched.deploy span and transaction. The frontend's deploy RPC is one
+// Deploy call, with a spec that every deployment of the same udcl text
+// shares.
 //
 // Repair, defrag and tuning re-place through the same router: they open
 // their transactions on engine(), the only PlacementEngine, and take every

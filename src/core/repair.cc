@@ -86,12 +86,16 @@ RepairAction RepairService::RepairTask(const Placement& placement,
                           replacement->slices.end());
       action.replacement_device = first.device;
 
-      // A module runs where its compute is, so only a dead compute slice
-      // moves it. Any other slice is swapped in place.
-      if (IsComputeKind(alloc.kind)) {
-        // Restart the environment on the new home (cold start) and charge
-        // recovery for the lost work per the module's failure handling.
+      // A module runs where its compute is: its home is the first slice of
+      // its compute allocation, so only that slice's death moves it, with a
+      // cold restart on the new home. Any other slice is swapped in place:
+      // a tuner's spill slice, or the CPU slice beside a GPU task's compute.
+      if (alloc.kind == placement.compute_kind && i == 0) {
         router_->RehomeTask(txn, deployment_, placement.module, first.node);
+      }
+      if (IsComputeKind(alloc.kind)) {
+        // Charge recovery for the lost work per the module's failure
+        // handling.
         DagRuntime runtime(sim_, deployment_);
         // Assume the failure caught the module mid-run at 50% progress.
         auto recovery = runtime.SimulateFailure(

@@ -52,16 +52,6 @@ Result<int64_t> AdaptiveTuner::Resize(ModuleId module, double factor) {
     ++resizes_;
     sim_->metrics().IncrementCounter(delta > 0 ? "tuner.grows"
                                                : "tuner.shrinks");
-    // Resizing may have added slices on other devices: migration in the
-    // paper's sense when the primary device changed rack.
-    const NodeId new_home = alloc.slices.front().node;
-    if (new_home != placement->home) {
-      placement->home = new_home;
-      placement->rack =
-          deployment_->datacenter()->topology().RackOf(new_home);
-      ++migrations_;
-      sim_->metrics().IncrementCounter("tuner.migrations");
-    }
     (void)txn.Commit();
     return delta;
   }

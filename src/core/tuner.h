@@ -7,9 +7,15 @@
 //
 // The tuner consumes per-module utilization observations, keeps an EWMA, and
 // resizes the module's compute slice through the router when usage leaves the
-// [0.30, 0.85] band. Migration moves a module's compute to another rack when
-// its device is persistently saturated by co-tenants. The observations come
-// from the ActorExecutor, which measures each module's busy fraction.
+// [0.30, 0.85] band. A grow the module's devices cannot hold spills onto new
+// devices in its cell, appended after the first slice; a shrink trims from
+// the last slice back and never empties the allocation. So a resize never
+// moves a first slice that holds resources, where the module's home and
+// environment are: the tuner resizes in place, and moving a module is left
+// to repair and defrag (RegionRouter::RehomeTask). (A shrink does erase a
+// first slice left empty by a repair that found no replacement.) The
+// observations come from the ActorExecutor, which measures each module's
+// busy fraction.
 
 #ifndef UDC_SRC_CORE_TUNER_H_
 #define UDC_SRC_CORE_TUNER_H_
@@ -32,7 +38,6 @@ class AdaptiveTuner {
   Result<int64_t> Observe(ModuleId module, double utilization);
 
   int64_t resizes() const { return resizes_; }
-  int64_t migrations() const { return migrations_; }
 
  private:
   struct ModuleState {
@@ -47,7 +52,6 @@ class AdaptiveTuner {
   Deployment* deployment_;
   std::map<ModuleId, ModuleState> state_;
   int64_t resizes_ = 0;
-  int64_t migrations_ = 0;
 };
 
 }  // namespace udc

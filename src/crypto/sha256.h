@@ -12,7 +12,9 @@
 #define UDC_SRC_CRYPTO_SHA256_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -52,6 +54,16 @@ class Sha256 {
   uint8_t buffer_[64];
   size_t buffer_len_;
   bool finalized_;
+};
+
+// Hashes a digest for containers keyed by content: a digest is uniformly
+// distributed already, so its first word is the hash.
+struct Sha256DigestHash {
+  size_t operator()(const Sha256Digest& digest) const {
+    size_t word;
+    std::memcpy(&word, digest.data(), sizeof(word));
+    return word;
+  }
 };
 
 // Lowercase hex rendering of a digest.

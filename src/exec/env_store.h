@@ -58,7 +58,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <set>
@@ -234,16 +233,8 @@ class EnvStore {
   using InternMap = std::map<std::tuple<int, int, uint64_t, std::string>,
                              Sha256Digest, std::less<>>;
   using KeyFields = std::tuple<int, int, uint64_t, std::string_view>;
-  // A digest is uniformly distributed already: its first word hashes it.
-  struct DigestHash {
-    size_t operator()(const Sha256Digest& digest) const {
-      size_t word;
-      std::memcpy(&word, digest.data(), sizeof(word));
-      return word;
-    }
-  };
   template <typename T>
-  using DigestMap = std::unordered_map<Sha256Digest, T, DigestHash>;
+  using DigestMap = std::unordered_map<Sha256Digest, T, Sha256DigestHash>;
 
   struct GlobalEntry {
     InternMap::iterator key;  // the memo entry naming this content

@@ -1243,12 +1243,11 @@ TEST_F(FrontendTest, UnknownDeploymentIdRejected) {
   EXPECT_TRUE(StartsWith(response, "err:"));
 }
 
-// A batch whose first spec no device can hold (a2 asks for 9,000 cpus),
-// then a spec `b` that fits easily, an unparseable text and `b` again.
-// Each spec is its own deploy: the rejected one must leave nothing behind
-// that changes how the next one is placed.
-class FrontendBatchTest : public FrontendTest {
+// The frontend's spec cache, seen through single deploy RPCs: the
+// counters, the shared AppSpec and what stays deployable after eviction.
+class FrontendSpecCacheTest : public FrontendTest {
  protected:
+  // a2 asks for 9,000 cpus, more than any device holds.
   static constexpr const char* kTooBig =
       "app a\ntask a1 work=1\ntask a2 work=1\nedge a1 -> a2\n"
       "aspect a1 resource cpu=500m\naspect a2 resource cpu=9000000m\n";
@@ -1256,81 +1255,147 @@ class FrontendBatchTest : public FrontendTest {
       "app b\ntask b1 work=1\ntask b2 work=1\nedge b1 -> b2\n"
       "aspect b1 resource cpu=500m\naspect b2 resource cpu=500m\n";
 
-  // Sends the batch and returns its per-spec tokens.
-  std::vector<std::string> DeployBatch() {
+  // Sends one deploy RPC as `client` (the fixture's tenant by default) and
+  // returns the deployment id, or "x" when the frontend answered an error.
+  std::string Deploy(const std::string& udcl, TenantClient* client = nullptr) {
     std::string response;
-    client_->DeployBatch({kTooBig, kSmall, "not udcl", kSmall},
-                         [&](Result<std::string> r) {
-                           response = r.value_or("FAIL");
-                         });
+    (client != nullptr ? client : client_.get())
+        ->Deploy(udcl, [&](Result<std::string> r) {
+          response = r.value_or("FAIL");
+        });
     cloud_->sim()->RunToCompletion();
-    EXPECT_TRUE(StartsWith(response, "ok:")) << response;
-    std::vector<std::string> tokens;
-    for (const std::string_view token :
-         SplitString(std::string_view(response).substr(3), ',')) {
-      tokens.emplace_back(token);
+    if (StartsWith(response, "ok:")) {
+      return response.substr(3);
     }
-    return tokens;
+    EXPECT_TRUE(StartsWith(response, "err:")) << response;
+    return "x";
+  }
+
+  uint64_t Id(const std::string& token) {
+    uint64_t id = 0;
+    EXPECT_TRUE(ParseUint64(token, &id)) << token;
+    return id;
+  }
+
+  Deployment* Find(const std::string& token) {
+    return frontend_->FindDeployment(Id(token));
+  }
+
+  int64_t Hits() const {
+    return cloud_->sim()->metrics().counter("frontend.spec_cache_hits");
+  }
+  int64_t Misses() const {
+    return cloud_->sim()->metrics().counter("frontend.spec_cache_misses");
   }
 };
 
-TEST_F(FrontendBatchTest, RejectedSpecDoesNotChangeTheNextSpecsPlacement) {
-  const std::vector<std::string> tokens = DeployBatch();
-  ASSERT_EQ(tokens.size(), 4u);
+// A spec no device can hold, then one that fits, an unparseable text and
+// the fitting one again, each its own deploy RPC. The rejected spec must
+// leave nothing behind that changes how the next one is placed, and both
+// deployments of the fitting text share its one cached spec.
+TEST_F(FrontendSpecCacheTest, RejectedSpecDoesNotChangeTheNextSpecsPlacement) {
+  const std::vector<std::string> tokens = {
+      Deploy(kTooBig), Deploy(kSmall), Deploy("not udcl"), Deploy(kSmall)};
   EXPECT_EQ(tokens[0], "x");
   EXPECT_EQ(tokens[2], "x");
-  for (const size_t i : {size_t{1}, size_t{3}}) {
-    uint64_t id = 0;
-    EXPECT_TRUE(ParseUint64(tokens[i], &id)) << "slot " << i << ": "
-                                             << tokens[i];
-    EXPECT_NE(frontend_->FindDeployment(id), nullptr) << "slot " << i;
-  }
+  Deployment* first = Find(tokens[1]);
+  Deployment* second = Find(tokens[3]);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(&first->spec(), &second->spec());
   EXPECT_EQ(frontend_->live_deployments(), 2u);
-}
 
-TEST_F(FrontendBatchTest, BatchedDeploysFeedTheDeploySlo) {
-  DeployBatch();
+  // Every admitted deploy feeds the deploy SLO's series; the rejected and
+  // unparseable ones do not.
   const MetricsRegistry& metrics = cloud_->sim()->metrics();
   const MetricHistogram* latency =
       metrics.histogram("frontend.deploy_latency_ms");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count(), 2);
   EXPECT_EQ(metrics.counter("frontend.deploys"), 2);
-  EXPECT_EQ(metrics.counter("frontend.batch_deploys"), 1);
+  // kTooBig parsed, so it stays cached though placement rejected it.
+  EXPECT_EQ(Misses(), 3);
+  EXPECT_EQ(Hits(), 1);
+  EXPECT_EQ(frontend_->cached_specs(), 2u);
 }
 
-TEST_F(FrontendBatchTest, EveryBatchedDeployOpensItsOwnDeploySpan) {
-  DeployBatch();
-  const SpanTracer& spans = cloud_->sim()->spans();
-  const Span* batch = spans.Find("frontend.deploy_batch");
-  ASSERT_NE(batch, nullptr);
-  // One sched.deploy per parsed spec, in submission order: a, b, b.
-  std::vector<const Span*> deploys;
-  for (const Span& span : spans.spans()) {
-    if (span.name == "sched.deploy") {
-      deploys.push_back(&span);
-    }
-  }
-  ASSERT_EQ(deploys.size(), 3u);
-  const std::vector<std::set<std::string>> want_modules = {
-      {"a1", "a2"}, {"b1", "b2"}, {"b1", "b2"}};
-  for (size_t i = 0; i < deploys.size(); ++i) {
-    EXPECT_EQ(deploys[i]->parent_span_id, batch->span_id) << "deploy " << i;
-    int txns = 0;
-    std::set<std::string> modules;
-    for (const Span& span : spans.spans()) {
-      if (span.parent_span_id != deploys[i]->span_id) {
-        continue;
-      }
-      if (span.name == "sched.txn") {
-        ++txns;
-      } else if (span.name == "sched.place_task") {
-        modules.insert(*span.Label("module"));
-      }
-    }
-    EXPECT_EQ(txns, 1) << "deploy " << i;
-    EXPECT_EQ(modules, want_modules[i]) << "deploy " << i;
-  }
+TEST_F(FrontendSpecCacheTest, ChangedTextNeverHitsAStaleEntry) {
+  std::string changed = kSmall;
+  const std::string from = "aspect b2 resource cpu=500m";
+  changed.replace(changed.find(from), from.size(),
+                  "aspect b2 resource cpu=1500m");
+  Deployment* original = Find(Deploy(kSmall));
+  Deployment* edited = Find(Deploy(changed));
+  ASSERT_NE(original, nullptr);
+  ASSERT_NE(edited, nullptr);
+  EXPECT_EQ(Misses(), 2);
+  EXPECT_EQ(Hits(), 0);
+  const auto cpu_of_b2 = [](const Deployment* d) {
+    return d->ResourcesOf(d->spec().graph.FindByName("b2")->id)
+        .Get(ResourceKind::kCpu);
+  };
+  EXPECT_EQ(cpu_of_b2(original), 500);
+  EXPECT_EQ(cpu_of_b2(edited), 1500);
+}
+
+TEST_F(FrontendSpecCacheTest, ParseFailureIsNotCached) {
+  EXPECT_EQ(Deploy("not udcl"), "x");
+  EXPECT_EQ(Deploy("not udcl"), "x");
+  EXPECT_EQ(Misses(), 2);
+  EXPECT_EQ(Hits(), 0);
+  EXPECT_EQ(frontend_->cached_specs(), 0u);
+}
+
+// Three texts of a third of the budget each: the third one pushes the
+// cache past its budget, and the entry that goes is the one used least
+// recently, not the one cached first.
+TEST_F(FrontendSpecCacheTest, BudgetEvictsTheLeastRecentlyUsedSpec) {
+  const auto padded = [](char fill) {
+    return std::string(kSmall) + "# " +
+           std::string(CloudFrontend::kSpecCacheBytes / 3, fill) + "\n";
+  };
+  const std::string a = padded('a');
+  const std::string b = padded('b');
+  const std::string c = padded('c');
+  const std::string first_a = Deploy(a);
+  const std::string first_b = Deploy(b);
+  Deploy(a);  // a is now the most recently used
+  EXPECT_EQ(Hits(), 1);
+  Deploy(c);  // over budget: b goes
+  EXPECT_EQ(frontend_->cached_specs(), 2u);
+  EXPECT_EQ(Misses(), 3);
+  Deploy(a);
+  EXPECT_EQ(Hits(), 2);
+  Deploy(b);
+  EXPECT_EQ(Misses(), 4);
+  EXPECT_EQ(frontend_->live_deployments(), 6u);
+
+  // The first deployment of b outlived its cache entry and still holds its
+  // spec: it verifies and tears down like any other.
+  const std::string verify = Call(&TenantClient::Verify, Id(first_b));
+  EXPECT_NE(verify.find("ALL PASS"), std::string::npos) << verify;
+  EXPECT_EQ(Call(&TenantClient::Teardown, Id(first_b)), "ok:released");
+  EXPECT_EQ(frontend_->live_deployments(), 5u);
+}
+
+TEST_F(FrontendSpecCacheTest, TenantsDeployingOneTextShareOneSpec) {
+  const TenantId other = cloud_->RegisterTenant("clinic");
+  const NodeId other_node =
+      cloud_->datacenter().topology().AddNode(0, NodeRole::kServer);
+  TenantClient clinic(cloud_->sim(), &cloud_->fabric(), other_node,
+                      frontend_->node(), other);
+  const std::string mine = Deploy(MedicalAppUdcl());
+  const std::string theirs = Deploy(MedicalAppUdcl(), &clinic);
+  Deployment* a = Find(mine);
+  Deployment* b = Find(theirs);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(&a->spec(), &b->spec());
+  EXPECT_EQ(Hits(), 1);
+
+  EXPECT_EQ(Call(&TenantClient::Teardown, Id(mine)), "ok:released");
+  const std::string verify = Call(&TenantClient::Verify, Id(theirs), &clinic);
+  EXPECT_NE(verify.find("ALL PASS"), std::string::npos) << verify;
 }
 
 }  // namespace

@@ -149,12 +149,13 @@ if [[ "$cat_found" -eq 0 ]]; then
 fi
 
 # Required series: the content-addressed env-store observability surface,
-# the router's cell and region series, and the frontend's deploy series.
-# These names are load-bearing — benches gate on them, `udcctl slo`
-# registers slo.exec.warm_hit_ratio over the gauge and
+# the router's cell and region series, and the frontend's deploy and
+# spec-cache series. These names are load-bearing — benches gate on them,
+# `udcctl slo` registers slo.exec.warm_hit_ratio over the gauge and
 # slo.frontend.deploy_latency_p99 over the frontend's latency series (which
-# every deploy RPC, single or batched, observes), `udcctl cells`/`regions`
-# and perfbench read the router's counters and sketches — so renaming or
+# every admitted deploy RPC observes), `udcctl cells`/`regions` and
+# perfbench read the router's counters and sketches, and deploy_churn's
+# frontend phase gates on the spec cache's hits and misses — so renaming or
 # dropping any of them must fail this lint, not silently zero a dashboard.
 required_series=(
   exec.warm_hit_ratio
@@ -181,6 +182,8 @@ required_series=(
   sched.place_latency_us
   frontend.deploy_latency_ms
   frontend.deploys
+  frontend.spec_cache_hits
+  frontend.spec_cache_misses
 )
 for series in "${required_series[@]}"; do
   if ! grep -rqF "\"$series\"" src; then
