@@ -35,10 +35,10 @@
 //     and pre-drain occupancy must match, slo.sched.cell_place_p99 must hold,
 //     and the cells leg must reach >= 3x the one-cell deploys/s (armed at
 //     >= 100k devices).
-//   - federation: regions=0 versus regions=1 must match on decisions and
-//     occupancy. Then 4 regions over an asymmetric WAN, with skewed demand
-//     and a pinned abort tail, must abort, spill across regions and fetch
-//     over the WAN with zero refund violations, and hold
+//   - federation: one region must keep the frozen decision hash and
+//     pre-drain occupancy. Then 4 regions over an asymmetric WAN, with
+//     skewed demand and a pinned abort tail, must abort, spill across
+//     regions and fetch over the WAN with zero refund violations, and hold
 //     slo.sched.region_place_p99.
 //
 // Writes BENCH_hotpath.json into the working directory and exits 1 when a
@@ -946,27 +946,39 @@ ScaleResult RunScalePhase(int racks, int cells, int deploys, int window,
 
 // --- Federation phase: the region-partitioned control plane over a WAN.
 //
-// Three legs. The differential pair runs the SAME deploy sequence through
-// the router with regions=0 (all cells one region, region aspects ignored)
-// and with regions=1 over identical geometry — the region layer collapsed
-// to one region must make byte-identical admit/reject decisions (FNV-1a
-// over the outcome stream) and end with byte-identical pool occupancy, the
-// same contract the scale phase holds between one cell and many. The
-// federated leg then runs 4 regions over an asymmetric WAN link matrix
-// with deliberately skewed tenant demand (60% of deploys pinned to region
-// 0 via the dist region affinity aspect) and the content-addressed env
-// store on: keep-warm churn banks warm images in the hot region, deploys
+// Two legs. The one-region leg is a scale-phase leg over the federated
+// leg's racks and cells, all in one region. Its admit/reject hash (FNV-1a
+// over the outcome stream) and pre-drain pool occupancy are frozen: a
+// topology without regions produced them while it was a configuration of
+// its own, and regions = 1 matched it byte for byte. The federated leg
+// then runs 4 regions over an asymmetric WAN link matrix with
+// deliberately skewed tenant demand (60% of deploys pinned to region 0 via
+// the dist region affinity aspect) and the content-addressed env store
+// on: keep-warm churn banks warm images in the hot region, deploys
 // routed to the cold regions pull them back over the WAN (remote-tier
 // starts, pull-through replication), and a pinned abort tail exhausts the
 // hot region so rolled-back cross-region deploys exercise exact refunds.
+
+// The one-region leg's frozen decision hash and pre-drain occupancy (per
+// device kind), at smoke and at full size.
+struct FrozenLeg {
+  uint64_t hash;
+  std::array<long long, udc::kNumDeviceKinds> occupancy;
+};
+constexpr FrozenLeg kOneRegionSmoke = {
+    0x60b9425578cfdfb3ull,
+    {158738, 0, 0, 173425033216, 0, 1958505086976, 0, 0}};
+constexpr FrozenLeg kOneRegionFull = {
+    0x17379969961fd513ull,
+    {428440, 0, 0, 460412944384, 0, 5222680231936, 0, 0}};
 
 struct FederationResult {
   int racks = 0;
   int cell_count = 0;
   int region_count = 0;
   int live_window = 0;
-  ScaleLeg cells_leg;    // regions = 0 oracle
-  ScaleLeg region1_leg;  // region router, regions = 1
+  ScaleLeg one_region_leg;
+  FrozenLeg frozen{};
   bool decisions_match = false;
   bool occupancy_match = false;
 
@@ -1008,7 +1020,7 @@ udc::AppSpec PinToRegion(const udc::AppSpec& base,
 
 FederationResult RunFederationPhase(
     int racks, int cells, int regions, int deploys, int window,
-    int abort_tail,
+    int abort_tail, const FrozenLeg& frozen,
     const std::vector<std::shared_ptr<const udc::AppSpec>>& shared_specs,
     const std::vector<udc::AppSpec>& specs,
     const std::vector<udc::AppSpec>& heavy_specs) {
@@ -1017,19 +1029,15 @@ FederationResult RunFederationPhase(
   result.cell_count = cells;
   result.region_count = regions;
   result.live_window = window;
+  result.frozen = frozen;
 
-  // Differential pair: regions=0 vs regions=1, same sequence.
   {
     udc::UdcCloud cloud(Topology(racks, cells));
-    result.cells_leg = RunScaleLeg(cloud, deploys, window, shared_specs);
+    result.one_region_leg = RunScaleLeg(cloud, deploys, window, shared_specs);
   }
-  {
-    udc::UdcCloud cloud(Topology(racks, cells, /*regions=*/1));
-    result.region1_leg = RunScaleLeg(cloud, deploys, window, shared_specs);
-  }
-  result.decisions_match = SameDecisions(result.cells_leg, result.region1_leg);
-  result.occupancy_match = result.cells_leg.allocated_pre_drain ==
-                           result.region1_leg.allocated_pre_drain;
+  result.decisions_match = result.one_region_leg.decision_hash == frozen.hash;
+  result.occupancy_match =
+      result.one_region_leg.allocated_pre_drain == frozen.occupancy;
 
   // Federated leg: N regions, asymmetric WAN, skewed demand, env store on.
   udc::UdcCloudConfig config = Topology(racks, cells, regions);
@@ -1126,14 +1134,13 @@ FederationResult RunFederationPhase(
 void PrintFederation(const FederationResult& f) {
   std::printf("federation: %d racks / %d cells / %d regions, window %d\n",
               f.racks, f.cell_count, f.region_count, f.live_window);
-  std::printf("  differential (regions=0 vs regions=1): decisions %s "
-              "(%016llx / %016llx), occupancy %s, drain %s/%s\n",
+  std::printf("  one region: decisions %s (%016llx, frozen %016llx), "
+              "occupancy %s, drain %s\n",
               f.decisions_match ? "match" : "DIVERGED",
-              static_cast<unsigned long long>(f.cells_leg.decision_hash),
-              static_cast<unsigned long long>(f.region1_leg.decision_hash),
+              static_cast<unsigned long long>(f.one_region_leg.decision_hash),
+              static_cast<unsigned long long>(f.frozen.hash),
               f.occupancy_match ? "match" : "DIVERGED",
-              f.cells_leg.clean_after_drain ? "clean" : "DIRTY",
-              f.region1_leg.clean_after_drain ? "clean" : "DIRTY");
+              f.one_region_leg.clean_after_drain ? "clean" : "DIRTY");
   std::printf("  federated: %lld deploys / %lld failed, %lld cross-region, "
               "%lld module spills, %lld refund violations, drain %s\n",
               f.fed_deploys, f.fed_failures, f.cross_region_deploys,
@@ -1364,8 +1371,8 @@ void WriteJson(const Report& r) {
                "    \"cell_count\": %d,\n"
                "    \"region_count\": %d,\n"
                "    \"live_window\": %d,\n"
-               "    \"differential\": {\"cells_hash\": \"%016llx\", "
-               "\"region1_hash\": \"%016llx\", \"decisions_match\": %s, "
+               "    \"one_region\": {\"hash\": \"%016llx\", "
+               "\"frozen_hash\": \"%016llx\", \"decisions_match\": %s, "
                "\"occupancy_match\": %s},\n"
                "    \"deploys\": %lld,\n"
                "    \"failures\": %lld,\n"
@@ -1381,8 +1388,9 @@ void WriteJson(const Report& r) {
                "    \"clean_after_drain\": %s,\n"
                "    \"per_region\": [",
                fed.racks, fed.cell_count, fed.region_count, fed.live_window,
-               static_cast<unsigned long long>(fed.cells_leg.decision_hash),
-               static_cast<unsigned long long>(fed.region1_leg.decision_hash),
+               static_cast<unsigned long long>(
+                   fed.one_region_leg.decision_hash),
+               static_cast<unsigned long long>(fed.frozen.hash),
                Bool(fed.decisions_match), Bool(fed.occupancy_match),
                fed.fed_deploys, fed.fed_failures, fed.refund_violations,
                fed.cross_region_deploys, fed.region_fallbacks,
@@ -1504,13 +1512,12 @@ bool CheckGates(const Report& r) {
 
   const FederationResult& f = r.fed;
   Gate(f.decisions_match && f.occupancy_match, &ok,
-       "the router with regions=1 diverged from regions=0 (hashes %016llx / "
-       "%016llx)\n",
-       static_cast<unsigned long long>(f.cells_leg.decision_hash),
-       static_cast<unsigned long long>(f.region1_leg.decision_hash));
-  Gate(f.cells_leg.clean_after_drain && f.region1_leg.clean_after_drain &&
-           f.fed_clean,
-       &ok, "federation phase leaked state after drain\n");
+       "the one-region leg moved off its frozen decisions (hash %016llx, "
+       "frozen %016llx) or pre-drain occupancy\n",
+       static_cast<unsigned long long>(f.one_region_leg.decision_hash),
+       static_cast<unsigned long long>(f.frozen.hash));
+  Gate(f.one_region_leg.clean_after_drain && f.fed_clean, &ok,
+       "federation phase leaked state after drain\n");
   Gate(f.refund_violations == 0, &ok,
        "%lld cross-region refund violations — a rolled-back deploy moved the "
        "env store\n",
@@ -1579,9 +1586,10 @@ int main(int argc, char** argv) {
     heavy_specs.push_back(std::move(*spec));
   }
 
-  // The scale and federation differentials deploy one immutable catalog
-  // spec per slot via the shared-spec overload — at a million deploys the
-  // per-deploy AppSpec copy would dominate the very path being measured.
+  // The scale differential and the one-region leg deploy one immutable
+  // catalog spec per slot via the shared-spec overload — at a million
+  // deploys the per-deploy AppSpec copy would dominate the very path being
+  // measured.
   std::vector<std::shared_ptr<const udc::AppSpec>> shared_specs;
   shared_specs.reserve(specs.size());
   for (const udc::AppSpec& spec : specs) {
@@ -1692,7 +1700,9 @@ int main(int argc, char** argv) {
   report.fed = RunFederationPhase(
       /*racks=*/smoke ? 16 : 32, /*cells=*/8, /*regions=*/4,
       /*deploys=*/smoke ? 240 : 2000, /*window=*/smoke ? 24 : 64,
-      /*abort_tail=*/smoke ? 160 : 400, shared_specs, specs, heavy_specs);
+      /*abort_tail=*/smoke ? 160 : 400,
+      /*frozen=*/smoke ? kOneRegionSmoke : kOneRegionFull, shared_specs, specs,
+      heavy_specs);
   PrintFederation(report.fed);
 
   WriteJson(report);

@@ -1,8 +1,12 @@
 // Event-triggered ML inference on UDC (the paper's claim-C4 scenario):
 // a GPU-sliced, fine-grained deployment handles a bursty request stream,
-// with warm pools hiding environment start latency and the adaptive tuner
-// resizing the GPU slice as load changes. Compares against what the same
-// stream costs on FaaS (CPU-only) and an always-on IaaS GPU box.
+// with warm pools hiding environment start latency. The adaptive tuner
+// watches the slice but never resizes it here: each request takes about
+// 3.2 ms of the 250m slice, so its utilization stays far under the tuner's
+// 0.30 low watermark, and the slice already sits at the tuner's 250m
+// floor. The small slice, not tuning, is what makes the stream cheap.
+// Compares against what the same stream costs on FaaS (CPU-only) and an
+// always-on IaaS GPU box.
 
 #include <cstdio>
 
@@ -62,8 +66,11 @@ aspect cnn exec isolation=medium
   cloud.sim()->RunToCompletion();  // requests still queued at the horizon
   std::printf("\nUDC (fine-grained GPU slice + tuner):\n");
   std::printf("  latency  %s ms\n", udc_latency.Summary().c_str());
-  std::printf("  tuner    %lld resizes\n",
-              static_cast<long long>(tuner.resizes()));
+  const udc::ModuleId cnn = spec->graph.IdOf("cnn");
+  std::printf("  tuner    %lld resizes, gpu slice %lldm\n",
+              static_cast<long long>(tuner.resizes()),
+              static_cast<long long>((*deployment)->ResourcesOf(cnn).Get(
+                  udc::ResourceKind::kGpu)));
   std::printf("  cost     %s for %s\n", bill.total.ToString().c_str(),
               trace_config.horizon.ToString().c_str());
 

@@ -83,7 +83,7 @@ struct DistAspect {
   // Region federation steering (spec: `aspect m dist region=N` /
   // `avoid_region=N`): pin the module's placement to one federation region,
   // or forbid one (data-sovereignty / blast-radius separation). -1 = none.
-  // Ignored in single-region worlds.
+  // Not read on a topology of one region, which has nothing to steer.
   int region_affinity = -1;
   int region_anti_affinity = -1;
 

@@ -45,11 +45,11 @@ RegionRouter::RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
                            Fabric* fabric, EnvManager* env_manager,
                            AttestationService* attestation,
                            const PriceList* prices, SchedulerConfig config)
-    : sim_(sim), datacenter_(datacenter),
+    : sim_(sim), datacenter_(datacenter), topology_(datacenter->topology()),
       engine_(sim, datacenter, env_manager, attestation),
       scheduler_(sim, datacenter, fabric, prices, config),
-      cell_count_(datacenter->topology().cell_count()),
-      region_count_(datacenter->topology().region_count()),
+      cell_count_(topology_.cell_count()),
+      region_count_(topology_.region_count()),
       record_place_latency_(config.record_place_latency),
       cross_cell_deploys_(
           sim->metrics().CounterSeries("sched.cross_cell_deploys")),
@@ -63,20 +63,15 @@ RegionRouter::RegionRouter(Simulation* sim, DisaggregatedDatacenter* datacenter,
     cell_deploys_.push_back(
         sim->metrics().CounterSeries("sched.cell_deploys", {{"cell", cell}}));
     deploy_span_sets_.push_back(sim->spans().InternLabelSet(
-        region_count_ > 0
-            ? SpanLabels{{"region", StrFormat("%d", RegionOfCell(c))},
-                         {"cell", cell}}
-            : SpanLabels{{"cell", cell}}));
+        {{"region", StrFormat("%d", topology_.RegionOf(c))}, {"cell", cell}}));
     if (record_place_latency_) {
       cell_place_latency_us_.push_back(sim->metrics().HistogramSeries(
           "sched.cell_place_latency_us", {{"cell", cell}}));
     }
   }
-  if (region_count_ > 0) {
-    cross_region_deploys_ =
-        sim->metrics().CounterSeries("sched.cross_region_deploys");
-    region_fallbacks_ = sim->metrics().CounterSeries("sched.region_fallbacks");
-  }
+  cross_region_deploys_ =
+      sim->metrics().CounterSeries("sched.cross_region_deploys");
+  region_fallbacks_ = sim->metrics().CounterSeries("sched.region_fallbacks");
   for (int r = 0; r < region_count_; ++r) {
     const MetricLabels labels = {{"region", StrFormat("%d", r)}};
     region_deploys_.push_back(
@@ -115,32 +110,16 @@ int64_t RegionRouter::RegionDeploys(int r) const {
 }
 
 int64_t RegionRouter::cross_region_deploys() const {
-  return region_count_ > 0 ? sim_->metrics().value(cross_region_deploys_)
-                           : 0;
+  return sim_->metrics().value(cross_region_deploys_);
 }
 
 int64_t RegionRouter::region_fallbacks() const {
-  return region_count_ > 0 ? sim_->metrics().value(region_fallbacks_) : 0;
-}
-
-int RegionRouter::CellBegin(int region) const {
-  return region_count_ > 0
-             ? datacenter_->topology().RegionCellBegin(region)
-             : 0;
-}
-
-int RegionRouter::CellEnd(int region) const {
-  return region_count_ > 0 ? datacenter_->topology().RegionCellEnd(region)
-                           : cell_count();
-}
-
-int RegionRouter::RegionOfCell(int cell) const {
-  return region_count_ > 0 ? datacenter_->topology().RegionOf(cell) : 0;
+  return sim_->metrics().value(region_fallbacks_);
 }
 
 int RegionRouter::RouteRegion(const AppSpec& spec) const {
-  if (region_count_ == 0) {
-    return 0;
+  if (region_count_ == 1) {
+    return 0;  // one region: nothing to route
   }
   // A declared affinity pins the home region (data sovereignty beats load
   // spreading); the first module in declaration order with one wins.
@@ -163,8 +142,8 @@ int RegionRouter::RouteRegion(const AppSpec& spec) const {
 }
 
 int RegionRouter::RouteCellInRegion(int region) const {
-  const int begin = CellBegin(region);
-  const int end = CellEnd(region);
+  const int begin = topology_.RegionCellBegin(region);
+  const int end = topology_.RegionCellEnd(region);
   if (end - begin <= 1) {
     return begin;  // one cell: no summary to consult
   }
@@ -190,7 +169,8 @@ std::vector<int> RegionRouter::FallbackCells(int home_region, int home_cell,
   };
   const auto cells_of = [&](int region, std::vector<int>& out) {
     std::vector<int> cells;
-    for (int c = CellBegin(region); c < CellEnd(region); ++c) {
+    for (int c = topology_.RegionCellBegin(region);
+         c < topology_.RegionCellEnd(region); ++c) {
       if (c != home_cell) {
         cells.push_back(c);
       }
@@ -229,7 +209,7 @@ Result<int> RegionRouter::PlaceOnLadder(const AppSpec& spec, ModuleId module,
                                         Attempt&& attempt) const {
   int affinity = -1;
   int anti_affinity = -1;
-  if (region_count_ > 0) {
+  if (region_count_ > 1) {  // one region: nothing to steer
     const AspectSet aspects = spec.AspectsFor(module);
     // An out-of-range affinity cannot be honored; any region will do.
     if (aspects.dist.region_affinity < region_count_) {
@@ -267,8 +247,7 @@ Result<int> RegionRouter::PlaceOnLadder(const AppSpec& spec, ModuleId module,
 Result<PoolAllocation> RegionRouter::Reallocate(
     PlacementTxn& txn, Deployment* deployment, ModuleId module,
     DeviceKind kind, int64_t amount, AllocationConstraints constraints) {
-  const int home_cell =
-      datacenter_->topology().CellOf(constraints.preferred_rack);
+  const int home_cell = topology_.CellOf(constraints.preferred_rack);
   PoolAllocation allocation;
   const auto attempt = [&](int c) -> Status {
     constraints.cell = c;
@@ -277,7 +256,8 @@ Result<PoolAllocation> RegionRouter::Reallocate(
     return OkStatus();
   };
   UDC_RETURN_IF_ERROR(PlaceOnLadder(deployment->spec(), module,
-                                    RegionOfCell(home_cell), home_cell, attempt)
+                                    topology_.RegionOf(home_cell), home_cell,
+                                    attempt)
                           .status());
   ProvisionSlices(txn, deployment, allocation, 0);
   return allocation;
@@ -300,7 +280,7 @@ void RegionRouter::RehomeTask(PlacementTxn& txn, Deployment* deployment,
                               ModuleId module, NodeId node) {
   Placement* placement = deployment->MutablePlacementOf(module);
   placement->home = node;
-  placement->rack = datacenter_->topology().RackOf(node);
+  placement->rack = topology_.RackOf(node);
   ResourceUnit* unit = deployment->FindUnit(placement->unit);
   if (unit->env == nullptr) {
     return;
@@ -347,11 +327,9 @@ Result<std::unique_ptr<Deployment>> RegionRouter::Deploy(
       }
       metrics.Observe(
           router->cell_place_latency_us_[static_cast<size_t>(home_cell)], us);
-      if (router->region_count_ > 0) {
-        metrics.Observe(router->region_place_latency_us_[static_cast<size_t>(
-                            router->RegionOfCell(home_cell))],
-                        us);
-      }
+      metrics.Observe(router->region_place_latency_us_[static_cast<size_t>(
+                          router->topology_.RegionOf(home_cell))],
+                      us);
     }
   } latency_scope(this);
 
@@ -411,7 +389,7 @@ Result<std::unique_ptr<Deployment>> RegionRouter::Deploy(
     if (*cell != home_cell) {
       spanned_cells = true;
       sim_->metrics().Increment(cell_fallbacks_);
-      if (RegionOfCell(*cell) != home_region) {
+      if (topology_.RegionOf(*cell) != home_region) {
         spanned_regions = true;
         sim_->metrics().Increment(region_fallbacks_);
       }
@@ -440,15 +418,12 @@ Result<std::unique_ptr<Deployment>> RegionRouter::Deploy(
   UDC_RETURN_IF_ERROR(txn.Commit());
 
   sim_->metrics().Increment(cell_deploys_[static_cast<size_t>(home_cell)]);
+  sim_->metrics().Increment(region_deploys_[static_cast<size_t>(home_region)]);
   if (spanned_cells) {
     sim_->metrics().Increment(cross_cell_deploys_);
   }
-  if (region_count_ > 0) {
-    sim_->metrics().Increment(
-        region_deploys_[static_cast<size_t>(home_region)]);
-    if (spanned_regions) {
-      sim_->metrics().Increment(cross_region_deploys_);
-    }
+  if (spanned_regions) {
+    sim_->metrics().Increment(cross_region_deploys_);
   }
   UDC_LOG(Info) << "deployed " << spec.graph.app_name() << " for tenant "
                 << tenant.value() << " in cell " << home_cell

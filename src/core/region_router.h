@@ -6,8 +6,9 @@
 //   * cells = 0 or 1: the topology is one cell holding every rack. Every
 //     placement call names the cell it tries, so a flat datacenter's rack
 //     picks, pool requests and index walks are cell 0's;
-//   * regions = 0: all cells form one region. Region aspects are ignored
-//     and no region series are interned.
+//   * regions = 0 or 1: the topology is one region holding every cell. Its
+//     series and span labels are region 0's, but it has nothing to route
+//     or steer: the home region is 0 and region aspects are not read.
 //
 // Each deploy runs as ONE placement transaction from the router's engine:
 //
@@ -37,10 +38,11 @@
 //
 // Determinism contract: with one region the candidate order is the
 // cells-only order (home = argmax cell_free, fallbacks by free desc, cell
-// asc), and with one cell it is the flat scheduler's. Golden
-// hashes frozen from the retired flat loop and cells-only router
-// (tests/deploy_path_golden_test.cc) and the regions=1 differential
-// (tests/region_router_test.cc, deploy_churn's federation phase) gate it.
+// asc), and with one cell it is the flat scheduler's. Golden hashes gate
+// it: frozen from the retired flat loop and cells-only router
+// (tests/deploy_path_golden_test.cc), and from the retired region-less
+// topology, which the one region must still match
+// (RegionRouterDifferentialTest, deploy_churn's federation phase).
 
 #ifndef UDC_SRC_CORE_REGION_ROUTER_H_
 #define UDC_SRC_CORE_REGION_ROUTER_H_
@@ -87,15 +89,14 @@ class RegionRouter {
   void RehomeTask(PlacementTxn& txn, Deployment* deployment, ModuleId module,
                   NodeId node);
 
-  // The topology's regions: 0 when it has none.
+  // The topology's regions: 1 when it was not split into regions.
   int region_count() const { return region_count_; }
   // The topology's cells: 1 when it was not split into cells.
   int cell_count() const { return cell_count_; }
   PlacementEngine& engine() { return engine_; }
 
   // Per-region / per-cell healthy free capacity of `kind` — the routing
-  // summaries (zero-copy views of the delta-maintained index vectors; the
-  // region summary is empty when the topology has no regions).
+  // summaries (zero-copy views of the delta-maintained index vectors).
   const std::vector<int64_t>& RegionFreeSummary(DeviceKind kind) const;
   const std::vector<int64_t>& CellFreeSummary(DeviceKind kind) const;
   // Deploys homed to cell `c` / deploys with a module outside the home cell
@@ -103,17 +104,12 @@ class RegionRouter {
   int64_t CellDeploys(int c) const;
   int64_t cross_cell_deploys() const;
   int64_t cell_fallbacks() const;
-  // The same one level up. Without regions there is no `r` to ask about
-  // and the two totals read 0.
+  // The same one level up, also counted in every topology.
   int64_t RegionDeploys(int r) const;
   int64_t cross_region_deploys() const;
   int64_t region_fallbacks() const;
 
  private:
-  // The cells of `region`: [CellBegin, CellEnd), every cell when unregioned.
-  int CellBegin(int region) const;
-  int CellEnd(int region) const;
-  int RegionOfCell(int cell) const;
   // Home region: the region affinity of the first module, in declaration
   // order, that declares one; else the region with the most healthy free
   // capacity of the routing kind; ties to the lowest region.
@@ -137,6 +133,7 @@ class RegionRouter {
 
   Simulation* sim_;
   DisaggregatedDatacenter* datacenter_;
+  const Topology& topology_;
   PlacementEngine engine_;
   UdcScheduler scheduler_;
   int cell_count_;
@@ -144,15 +141,14 @@ class RegionRouter {
   bool record_place_latency_;
 
   // Interned series and span labels: the router is on the per-deploy hot
-  // path, so nothing here formats strings per call. The region series are
-  // only interned when the topology has regions.
+  // path, so nothing here formats strings per call.
   std::vector<CounterHandle> cell_deploys_;
   CounterHandle cross_cell_deploys_;
   CounterHandle cell_fallbacks_;
   std::vector<CounterHandle> region_deploys_;
   CounterHandle cross_region_deploys_;
   CounterHandle region_fallbacks_;
-  // Per home cell: {{"cell", c}}, led by {"region", r} when regioned.
+  // Per home cell: {{"region", r}, {"cell", c}}.
   std::vector<uint32_t> deploy_span_sets_;
   // Only interned when record_place_latency: the aggregate sketch plus the
   // home cell's and home region's labelled sketches.

@@ -34,6 +34,14 @@ Result<int64_t> AdaptiveTuner::Resize(ModuleId module, double factor) {
     if (alloc.kind != compute) {
       continue;
     }
+    if (alloc.slices.empty() || alloc.slices.front().amount == 0) {
+      // A repair found no healthy replacement for the first slice: home and
+      // environment are still on the dead device's node, so the task is
+      // down until a repair succeeds, and a resize would move its compute
+      // away from them.
+      return Status(FailedPreconditionError(
+          "task is down: its compute slice found no replacement"));
+    }
     const int64_t current = alloc.total();
     int64_t target = static_cast<int64_t>(
         std::llround(static_cast<double>(current) * factor));

@@ -10,12 +10,12 @@
 // [0.30, 0.85] band. A grow the module's devices cannot hold spills onto new
 // devices in its cell, appended after the first slice; a shrink trims from
 // the last slice back and never empties the allocation. So a resize never
-// moves a first slice that holds resources, where the module's home and
-// environment are: the tuner resizes in place, and moving a module is left
-// to repair and defrag (RegionRouter::RehomeTask). (A shrink does erase a
-// first slice left empty by a repair that found no replacement.) The
-// observations come from the ActorExecutor, which measures each module's
-// busy fraction.
+// moves the first slice, where the module's home and environment are: the
+// tuner resizes in place, and moving a module is left to repair and defrag
+// (RegionRouter::RehomeTask). A task whose first slice a repair emptied
+// (no healthy replacement) is down, and the tuner refuses to resize it
+// until a repair succeeds. The observations come from the ActorExecutor,
+// which measures each module's busy fraction.
 
 #ifndef UDC_SRC_CORE_TUNER_H_
 #define UDC_SRC_CORE_TUNER_H_

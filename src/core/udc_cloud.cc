@@ -35,20 +35,20 @@ UdcCloud::UdcCloud(const UdcCloudConfig& config)
           attestation_.ReleaseImageQuote(digest);
         }
       });
-  if (datacenter_.topology().region_count() > 0) {
-    // Region federation: WAN links between every region pair and
-    // WAN-priced cross-region env fetches. The env store's remote tier
-    // prices through the fabric's per-link model; a committing fetch shares
-    // FIFO bandwidth and accounts bytes, a Peek preview stays pure.
-    fabric_.ConfigureWan(config.wan);
-    env_manager_.set_wan_cost_hook(
-        [this](int src_region, int dst_region, Bytes size, bool commit) {
-          if (commit) {
-            return fabric_.WanTransferTime(src_region, dst_region, size);
-          }
-          return fabric_.WanPrice(src_region, dst_region, size);
-        });
-  }
+  // Region federation: default WAN links between every region pair (per
+  // link overrides via fabric().SetWanLink; asymmetric routes get their
+  // params per direction) and WAN-priced cross-region env fetches. The env
+  // store's remote tier prices through the fabric's per-link model; a
+  // committing fetch shares FIFO bandwidth and accounts bytes, a Peek
+  // preview stays pure. One region has no cross-region traffic to price.
+  fabric_.ConfigureWan(WanLinkParams());
+  env_manager_.set_wan_cost_hook(
+      [this](int src_region, int dst_region, Bytes size, bool commit) {
+        if (commit) {
+          return fabric_.WanTransferTime(src_region, dst_region, size);
+        }
+        return fabric_.WanPrice(src_region, dst_region, size);
+      });
 }
 
 TenantId UdcCloud::RegisterTenant(const std::string& name) {

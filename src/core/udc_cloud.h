@@ -40,10 +40,6 @@ struct UdcCloudConfig {
   // default; `share_across_tenants` shares identical images' warm slots
   // across tenants, racks and regions.
   EnvStoreConfig env_store;
-  // Default WAN link between regions (applies only when
-  // DatacenterConfig::regions > 0; per-link overrides via
-  // fabric().SetWanLink). Asymmetric routes get their params per direction.
-  WanLinkParams wan;
 };
 
 class UdcCloud {

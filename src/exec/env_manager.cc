@@ -40,28 +40,20 @@ void EnvManager::set_content_quote_hook(EnvStore::ContentLiveHook hook) {
 
 void EnvManager::set_topology(const Topology* topology) {
   topology_ = topology;
-  if (topology == nullptr || topology->region_count() <= 0) {
+  if (topology == nullptr) {
     return;
   }
-  // A world of regions: hand the store its rack -> region map so a
-  // rack miss distinguishes same-region (tepid) from cross-region (remote)
-  // sources.
+  // Hand the store its rack -> region map so a rack miss distinguishes
+  // same-region (tepid) from cross-region (remote) sources.
   std::vector<int> rack_regions(static_cast<size_t>(topology->rack_count()));
   for (int r = 0; r < topology->rack_count(); ++r) {
-    const int region = topology->RegionOfRack(r);
-    rack_regions[static_cast<size_t>(r)] = region < 0 ? 0 : region;
+    rack_regions[static_cast<size_t>(r)] = topology->RegionOfRack(r);
   }
   store_.set_rack_regions(std::move(rack_regions));
 }
 
 void EnvManager::set_wan_cost_hook(EnvStore::WanCostFn hook) {
   store_.set_wan_cost_hook(std::move(hook));
-}
-
-EnvProfile EnvManager::LaunchProfile(EnvKind kind,
-                                     const LaunchOptions& options) {
-  return options.profile_override.has_value() ? *options.profile_override
-                                              : EnvProfile::DefaultFor(kind);
 }
 
 int EnvManager::RackForNode(NodeId node) const {
@@ -96,7 +88,7 @@ ExecEnvironment* EnvManager::Launch(
   auto env = std::make_unique<ExecEnvironment>(id, options.kind,
                                                options.tenancy, tenant, node);
   env->SetImage(options.image);
-  const EnvProfile profile = LaunchProfile(options.kind, options);
+  const EnvProfile profile = EnvProfile::DefaultFor(options.kind);
   env->set_profile(profile);
   ExecEnvironment* raw = env.get();
 
@@ -220,7 +212,7 @@ SimTime EnvManager::NextStartLatency(EnvKind kind, TenantId tenant,
 SimTime EnvManager::NextStartLatency(EnvKind kind, TenantId tenant,
                                      const LaunchOptions& options,
                                      NodeId node) const {
-  const EnvProfile profile = LaunchProfile(kind, options);
+  const EnvProfile profile = EnvProfile::DefaultFor(kind);
   const Sha256Digest* digest =
       store_.FindKey(kind, options.tenancy, tenant, options.image);
   if (digest == nullptr) {

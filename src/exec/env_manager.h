@@ -17,7 +17,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -37,11 +36,6 @@ struct LaunchOptions {
   std::string image = "default";
   // When true and a warm slot exists, start warm; otherwise cold.
   bool allow_warm = true;
-  // Replaces the kind's default cost profile (e.g. a tenant-tuned image
-  // with a faster cold start). Launch and NextStartLatency both read the
-  // profile through this option, so planner estimates always match the
-  // latency the launched environment actually pays.
-  std::optional<EnvProfile> profile_override;
 };
 
 class EnvManager {
@@ -54,8 +48,9 @@ class EnvManager {
 
   // Rack mapping for the store's rack-local caches; without a topology all
   // nodes share rack 0, and with sharing off the store keeps one cache
-  // anyway. On a topology with regions this also hands the store its
-  // rack -> region map, arming the cross-region remote tier.
+  // anyway. This also hands the store the topology's rack -> region map,
+  // which arms the cross-region remote tier when there are regions to
+  // fetch from.
   void set_topology(const Topology* topology);
   // Forwarded to the store: prices cross-region remote fetches over the
   // caller's WAN model (UdcCloud wires the fabric's per-link params in).
@@ -103,9 +98,9 @@ class EnvManager {
   int WarmSlots(EnvKind kind, TenantId tenant) const;
 
   // Start latency the next Launch of (kind, tenant) would pay. Uses the
-  // same profile resolution as Launch (see LaunchOptions::profile_override)
-  // and the same rack-tier decision Launch would make for `node` (warm on
-  // the local rack, tepid or remote fetch from another one, cold).
+  // kind's cost profile, as Launch does, and the same rack-tier decision
+  // Launch would make for `node` (warm on the local rack, tepid or remote
+  // fetch from another one, cold).
   SimTime NextStartLatency(EnvKind kind, TenantId tenant,
                            const LaunchOptions& options) const;
   SimTime NextStartLatency(EnvKind kind, TenantId tenant,
@@ -120,8 +115,6 @@ class EnvManager {
   int64_t cross_tenant_warm_starts() const;
 
  private:
-  // The cost profile a launch with `options` runs under.
-  static EnvProfile LaunchProfile(EnvKind kind, const LaunchOptions& options);
   // The store rack `node` maps to.
   int RackForNode(NodeId node) const;
 

@@ -37,9 +37,7 @@ void FreeCapacityIndex::Attach(Device* device) {
 void FreeCapacityIndex::AddFree(const DeviceState& state, int64_t delta) {
   rack_free_[static_cast<size_t>(state.rack)] += delta;
   cell_free_[static_cast<size_t>(state.cell)] += delta;
-  if (state.region >= 0) {
-    region_free_[static_cast<size_t>(state.region)] += delta;
-  }
+  region_free_[static_cast<size_t>(state.region)] += delta;
 }
 
 namespace {

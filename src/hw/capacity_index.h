@@ -16,10 +16,11 @@
 // layout is fixed before the first device is added: Attach files each
 // device under its rack, cell and region once. A topology without cells is
 // one cell holding every rack, so cell 0's free-list is then the whole
-// pool's. Devices notify the index from Allocate/Release/set_health, so
-// every update is O(log D) and placement queries never scan the pool. The
-// retired linear-scan allocator lives on in tests/linear_pool_allocator.h
-// as the reference implementation; tests/hw_test.cc proves the two place
+// pool's, and one without regions is one region holding every cell.
+// Devices notify the index from Allocate/Release/set_health, so every
+// update is O(log D) and placement queries never scan the pool. The retired
+// linear-scan allocator lives on in tests/linear_pool_allocator.h as the
+// reference implementation; tests/hw_test.cc proves the two place
 // identically.
 
 #ifndef UDC_SRC_HW_CAPACITY_INDEX_H_
@@ -92,7 +93,7 @@ class FreeCapacityIndex {
   const std::vector<int64_t>& cell_free() const { return cell_free_; }
 
   // --- Regions ------------------------------------------------------------
-  // The region a tracked device belongs to (-1 when unregioned).
+  // The region a tracked device belongs to (-1 when untracked).
   int RegionOf(const Device* device) const;
   // Healthy free capacity per region — the region router's summary, one
   // level above cell_free(): maintained by the same deltas, never rescans.
@@ -113,7 +114,7 @@ class FreeCapacityIndex {
   struct DeviceState {
     int rack = 0;
     int cell = 0;
-    int region = -1;     // -1 = no region (unregioned topology)
+    int region = 0;
     bool listed = false; // present in the free-lists (healthy && free > 0)
     int64_t listed_free = 0;  // the free value the listing was keyed with
     bool healthy = true;

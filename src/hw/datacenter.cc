@@ -29,8 +29,8 @@ void ForEachRackDevice(const RackConfig& c, Fn&& fn) {
 
 }  // namespace
 
-DisaggregatedDatacenter::DisaggregatedDatacenter(const DatacenterConfig& config)
-    : topology_(config.topology) {
+DisaggregatedDatacenter::DisaggregatedDatacenter(
+    const DatacenterConfig& config) {
   // The layout is fixed before any device exists, so each pool files its
   // devices under their rack, cell and region once. Node ids are drawn rack
   // by rack (its ToR, then its devices) and device ids in the same order.

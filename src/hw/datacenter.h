@@ -38,14 +38,15 @@ struct RackConfig {
 struct DatacenterConfig {
   int racks = 4;
   RackConfig rack;
-  TopologyParams topology;
   // Partition racks into this many control-plane cells (contiguous rack
   // ranges; see Topology::SetCellCount). 0 and 1 both mean one cell holding
   // every rack, which the router places into like any other cell.
   int cells = 0;
   // Partition cells into this many federation regions (contiguous cell
-  // ranges; see Topology::SetRegionCount). 0 = single-region world: no WAN
-  // links, region aspects ignored, env store never goes remote.
+  // ranges; see Topology::SetRegionCount). 0 and 1 both mean one region
+  // holding every cell: it has nothing to route, steer or fetch over the
+  // WAN, so region aspects are not read and the env store never goes
+  // remote.
   int regions = 0;
 };
 

@@ -8,15 +8,26 @@
 
 namespace udc {
 
-Topology::Topology(TopologyParams params) : params_(params) {
+namespace {
+
+// Propagation: endpoint->ToR->endpoint, and across racks via the
+// aggregation switch.
+constexpr SimTime kIntraRackLatency = SimTime::Micros(2);
+constexpr SimTime kInterRackLatency = SimTime::Micros(6);
+constexpr double kIntraRackBwMbps = 12500.0;  // 100 Gbit/s in MiB/s
+constexpr double kInterRackBwMbps = 5000.0;   // 40 Gbit/s in MiB/s
+
+}  // namespace
+
+Topology::Topology() {
   agg_switch_ = node_ids_.Next();
-  nodes_[agg_switch_] = NodeInfo{-1, NodeRole::kAggSwitch};
+  nodes_.push_back(NodeInfo{-1, NodeRole::kAggSwitch});
 }
 
 int Topology::AddRack() {
   const int rack = static_cast<int>(rack_tor_.size());
   const NodeId tor = node_ids_.Next();
-  nodes_[tor] = NodeInfo{rack, NodeRole::kTorSwitch};
+  nodes_.push_back(NodeInfo{rack, NodeRole::kTorSwitch});
   rack_tor_.push_back(tor);
   if (cell_count_ == 1) {
     cell_size_ = rack_count();  // the one cell holds every rack
@@ -29,20 +40,11 @@ void Topology::SetCellCount(int cells) {
   cell_size_ = (rack_count() + cells - 1) / cells;
   cell_count_ =
       cell_size_ == 0 ? 1 : (rack_count() + cell_size_ - 1) / cell_size_;
-  if (region_count_ > 0) {
-    SetRegionCount(region_count_);  // re-clamp to the new cell count
-  }
+  SetRegionCount(region_count_);  // re-clamp to the new cell count
 }
 
 void Topology::SetRegionCount(int regions) {
-  if (regions <= 0) {
-    region_count_ = 0;
-    region_size_ = 0;
-    return;
-  }
-  if (regions > cell_count_) {
-    regions = cell_count_;
-  }
+  regions = std::clamp(regions, 1, cell_count_);
   region_size_ = (cell_count_ + regions - 1) / regions;
   region_count_ = (cell_count_ + region_size_ - 1) / region_size_;
 }
@@ -50,26 +52,13 @@ void Topology::SetRegionCount(int regions) {
 NodeId Topology::AddNode(int rack, NodeRole role) {
   assert(rack >= 0 && rack < rack_count());
   const NodeId id = node_ids_.Next();
-  nodes_[id] = NodeInfo{rack, role};
+  nodes_.push_back(NodeInfo{rack, role});
   return id;
 }
 
 NodeId Topology::TorSwitch(int rack) const {
   assert(rack >= 0 && rack < rack_count());
   return rack_tor_[static_cast<size_t>(rack)];
-}
-
-bool Topology::Contains(NodeId node) const { return nodes_.count(node) > 0; }
-
-int Topology::RackOf(NodeId node) const {
-  const auto it = nodes_.find(node);
-  return it == nodes_.end() ? -1 : it->second.rack;
-}
-
-NodeRole Topology::RoleOf(NodeId node) const {
-  const auto it = nodes_.find(node);
-  assert(it != nodes_.end());
-  return it->second.role;
 }
 
 int Topology::Distance(NodeId a, NodeId b) const {
@@ -89,8 +78,7 @@ SimTime Topology::BaseLatency(NodeId a, NodeId b) const {
   if (dist == 0) {
     return SimTime(0);
   }
-  SimTime base =
-      dist == 1 ? params_.intra_rack_latency : params_.inter_rack_latency;
+  SimTime base = dist == 1 ? kIntraRackLatency : kInterRackLatency;
   // Switches sit on the path: endpoint->switch traverses only half of the
   // endpoint->endpoint route (this is what makes in-network programs pay
   // less than an extra full hop, sec. 3.4).
@@ -109,8 +97,7 @@ SimTime Topology::TransferTime(NodeId a, NodeId b, Bytes size) const {
   if (dist == 0) {
     return SimTime(0);
   }
-  const double bw =
-      dist == 1 ? params_.intra_rack_bw_mbps : params_.inter_rack_bw_mbps;
+  const double bw = dist == 1 ? kIntraRackBwMbps : kInterRackBwMbps;
   const double serialization_us = size.mib() / bw * 1e6;
   return BaseLatency(a, b) +
          SimTime(static_cast<int64_t>(std::llround(serialization_us)));

@@ -9,8 +9,8 @@
 #ifndef UDC_SRC_HW_TOPOLOGY_H_
 #define UDC_SRC_HW_TOPOLOGY_H_
 
+#include <cassert>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -26,16 +26,9 @@ enum class NodeRole {
   kAggSwitch,  // aggregation switch (programmable)
 };
 
-struct TopologyParams {
-  SimTime intra_rack_latency = SimTime::Micros(2);   // endpoint->ToR->endpoint
-  SimTime inter_rack_latency = SimTime::Micros(6);   // via aggregation switch
-  double intra_rack_bw_mbps = 12500.0;               // 100 Gbit/s in MiB/s
-  double inter_rack_bw_mbps = 5000.0;                // 40 Gbit/s in MiB/s
-};
-
 class Topology {
  public:
-  explicit Topology(TopologyParams params = TopologyParams());
+  Topology();
 
   // Creates a rack (with its ToR switch node) and returns its index.
   int AddRack();
@@ -70,21 +63,22 @@ class Topology {
   // cells [r * region_size, (r + 1) * region_size)), mirroring the cell
   // partitioning contract one level up: regions are the federation unit —
   // each region gets its own router leg, WAN links price traffic between
-  // them, and the env store replicates content across them. Call after
-  // SetCellCount; regions <= 0 disables partitioning (one cell with
-  // regions = 1 is one region). Clamped to cell_count so every region is
-  // non-empty.
+  // them, and the env store replicates content across them. A topology is
+  // one region holding every cell until this is called with regions > 1;
+  // regions <= 1 restores that. Clamped to cell_count so every region is
+  // non-empty. Call after SetCellCount (which keeps the region count,
+  // re-clamped) and before any pool files a device.
   void SetRegionCount(int regions);
-  int region_count() const { return region_count_; }
+  int region_count() const { return region_count_; }  // >= 1
   int region_size() const { return region_size_; }  // cells per region
-  // Region owning `cell`; -1 without regions or when cell is out of range.
+  // Region owning `cell`; -1 when cell is out of range.
   int RegionOf(int cell) const {
-    if (region_count_ <= 0 || cell < 0 || cell >= cell_count_) {
+    if (cell < 0 || cell >= cell_count_) {
       return -1;
     }
     return cell / region_size_;
   }
-  // Region owning `rack` (via its cell); -1 without regions.
+  // Region owning `rack` (via its cell); -1 when rack is out of range.
   int RegionOfRack(int rack) const { return RegionOf(CellOf(rack)); }
   // First cell of `region` and one past its last cell.
   int RegionCellBegin(int region) const { return region * region_size_; }
@@ -100,9 +94,16 @@ class Topology {
   NodeId TorSwitch(int rack) const;
   NodeId AggSwitch() const { return agg_switch_; }
 
-  bool Contains(NodeId node) const;
-  int RackOf(NodeId node) const;  // -1 for the aggregation switch / unknown
-  NodeRole RoleOf(NodeId node) const;
+  // Node ids are dense from 0, so these are bounds-checked loads.
+  bool Contains(NodeId node) const { return node.value() < nodes_.size(); }
+  // -1 for the aggregation switch / unknown.
+  int RackOf(NodeId node) const {
+    return Contains(node) ? nodes_[node.value()].rack : -1;
+  }
+  NodeRole RoleOf(NodeId node) const {
+    assert(Contains(node));
+    return nodes_[node.value()].role;
+  }
   size_t node_count() const { return nodes_.size(); }
 
   // Hop distance: 0 same node, 1 same rack, 2 across racks.
@@ -115,8 +116,6 @@ class Topology {
   // Propagation-only latency between two nodes.
   SimTime BaseLatency(NodeId a, NodeId b) const;
 
-  const TopologyParams& params() const { return params_; }
-
   std::string DebugString() const;
 
  private:
@@ -125,13 +124,12 @@ class Topology {
     NodeRole role;
   };
 
-  TopologyParams params_;
   int cell_count_ = 1;
   int cell_size_ = 0;  // every rack while there is one cell
-  int region_count_ = 0;
-  int region_size_ = 0;
+  int region_count_ = 1;
+  int region_size_ = 1;  // every cell while there is one region
   IdGenerator<NodeId> node_ids_;
-  std::unordered_map<NodeId, NodeInfo> nodes_;
+  std::vector<NodeInfo> nodes_;  // indexed by NodeId
   std::vector<NodeId> rack_tor_;
   NodeId agg_switch_;
 };

@@ -18,7 +18,6 @@ Fabric::Fabric(Simulation* sim, const Topology* topology)
 
 void Fabric::ConfigureWan(const WanLinkParams& default_link) {
   const int regions = topology_->region_count();
-  assert(regions > 0 && "ConfigureWan needs a regioned topology");
   wan_regions_ = regions;
   wan_links_.assign(static_cast<size_t>(regions) * regions,
                     WanLinkState{default_link, SimTime()});
@@ -215,7 +214,7 @@ MessageId Fabric::Send(NodeId from, NodeId to, std::string_view type,
           : sim_->spans().Begin("net", "net.message", {{"type", msg->type}});
 
   SimTime delay = topology_->TransferTime(from, to, size);
-  if (wan_regions_ > 0) {
+  if (wan_regions_ > 1) {
     delay = delay + WanExtraDelay(from, to, size);
   }
   // 24-byte capture: stays in InlineCallback's inline buffer.

@@ -74,14 +74,14 @@ class Fabric {
 
   // --- WAN link model (region federation) ------------------------------
   //
-  // ConfigureWan arms the cross-region path: sends whose endpoints live in
-  // different topology regions pay a WAN delay on top of the intra-DC
-  // transfer time. Intra-region sends are byte-for-byte unchanged — the
-  // WAN branch is a single integer compare when unconfigured.
+  // ConfigureWan links every pair of the topology's regions: sends whose
+  // endpoints live in different regions pay a WAN delay on top of the
+  // intra-DC transfer time. Intra-region sends are byte-for-byte unchanged,
+  // and with one region (or unconfigured) the WAN branch is a single
+  // integer compare.
   void ConfigureWan(const WanLinkParams& default_link);
   // Overrides one directed link; ConfigureWan must have run first.
   void SetWanLink(int src_region, int dst_region, const WanLinkParams& link);
-  bool wan_configured() const { return wan_regions_ > 0; }
   const WanLinkParams& WanLink(int src_region, int dst_region) const;
 
   // One-way completion time for `size` bytes over the directed WAN link,

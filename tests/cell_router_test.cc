@@ -101,8 +101,8 @@ TEST(TopologyCellsTest, SetCellCountPartitionsRacksContiguously) {
 }
 
 // Without SetCellCount a topology is one cell holding every rack, racks
-// added later included, and cells = 0 and 1 both mean that one cell. It has
-// no regions until asked for; one cell is then one region.
+// added later included, and cells = 0 and 1 both mean that one cell. That
+// cell is the one region's.
 TEST(TopologyCellsTest, WithoutCellsOneCellHoldsEveryRack) {
   Topology topo;
   for (int r = 0; r < 3; ++r) {
@@ -122,10 +122,8 @@ TEST(TopologyCellsTest, WithoutCellsOneCellHoldsEveryRack) {
     EXPECT_EQ(topo.CellOf(3), 0) << cells;
     EXPECT_EQ(topo.CellRackEnd(0), 4) << cells;
   }
-  EXPECT_EQ(topo.region_count(), 0);
-  EXPECT_EQ(topo.RegionOfRack(0), -1);
-  topo.SetRegionCount(1);
   EXPECT_EQ(topo.region_count(), 1);
+  EXPECT_EQ(topo.RegionOfRack(0), 0);
   EXPECT_EQ(topo.RegionOfRack(3), 0);
 }
 

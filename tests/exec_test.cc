@@ -208,32 +208,5 @@ TEST_F(EnvManagerTest, NextStartLatencyPredicts) {
             EnvProfile::DefaultFor(EnvKind::kContainer).warm_start);
 }
 
-TEST_F(EnvManagerTest, NextStartLatencyMatchesLaunchUnderProfileOverride) {
-  EnvProfile custom = EnvProfile::DefaultFor(EnvKind::kContainer);
-  custom.cold_start = SimTime::Millis(1234);
-  custom.warm_start = SimTime::Millis(7);
-  LaunchOptions options;
-  options.kind = EnvKind::kContainer;
-  options.profile_override = custom;
-
-  // Cold path: the estimate must equal the latency the launch then pays.
-  const SimTime predicted_cold =
-      manager_.NextStartLatency(EnvKind::kContainer, TenantId(1), options);
-  ExecEnvironment* env =
-      manager_.Launch(TenantId(1), NodeId(1), options, nullptr);
-  EXPECT_EQ(env->ready_at(), sim_.now() + predicted_cold);
-  EXPECT_EQ(predicted_cold, custom.cold_start);
-  sim_.RunToCompletion();
-  ASSERT_TRUE(manager_.Stop(env, /*keep_warm=*/true).ok());
-
-  // Warm path: same agreement once a slot is banked.
-  const SimTime predicted_warm =
-      manager_.NextStartLatency(EnvKind::kContainer, TenantId(1), options);
-  const SimTime before = sim_.now();
-  env = manager_.Launch(TenantId(1), NodeId(1), options, nullptr);
-  EXPECT_EQ(env->ready_at(), before + predicted_warm);
-  EXPECT_EQ(predicted_warm, custom.warm_start);
-}
-
 }  // namespace
 }  // namespace udc

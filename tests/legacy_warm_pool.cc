@@ -8,17 +8,11 @@ std::pair<int, uint64_t> Key(EnvKind kind, TenantId tenant) {
   return {static_cast<int>(kind), tenant.value()};
 }
 
-EnvProfile ProfileOf(const LaunchOptions& options) {
-  return options.profile_override.has_value()
-             ? *options.profile_override
-             : EnvProfile::DefaultFor(options.kind);
-}
-
 }  // namespace
 
 LegacyWarmPool::Start LegacyWarmPool::Launch(TenantId tenant,
                                              const LaunchOptions& options) {
-  const EnvProfile profile = ProfileOf(options);
+  const EnvProfile profile = EnvProfile::DefaultFor(options.kind);
   const auto it = slots_.find(Key(options.kind, tenant));
   if (options.allow_warm && it != slots_.end()) {
     if (--it->second == 0) {
@@ -33,7 +27,7 @@ LegacyWarmPool::Start LegacyWarmPool::Launch(TenantId tenant,
 
 SimTime LegacyWarmPool::NextStartLatency(TenantId tenant,
                                          const LaunchOptions& options) const {
-  const EnvProfile profile = ProfileOf(options);
+  const EnvProfile profile = EnvProfile::DefaultFor(options.kind);
   return options.allow_warm && WarmSlots(options.kind, tenant) > 0
              ? profile.warm_start
              : profile.cold_start;

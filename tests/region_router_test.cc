@@ -3,16 +3,14 @@
 // the region-affinity aspect (the home region follows declaration order),
 // cross-region deploys that span regions inside one transaction,
 // multi-region abort atomicity, the env store's remote (cross-region) tier
-// with exact CancelLaunch refunds, a randomized differential asserting the
-// router with one region makes byte-identical admit/reject decisions to
-// the router on the same cells with no regions on the same
-// deploy/teardown sequence, and frozen hashes of where modules land under
-// 2-, 3- and 4-region churn with pins and avoids.
+// with exact CancelLaunch refunds, one region (regions = 0 and 1 alike)
+// holding every cell and steering nothing, frozen hashes of the
+// admit/reject decisions one region makes on seeded deploy/teardown
+// scripts, and frozen hashes of where modules land under 2-, 3- and
+// 4-region churn with pins and avoids.
 //
 // As in cell_router_test, the specs have uniform explicit demands (every
-// task is exactly a quarter of a cpu blade), so admission is count-based
-// and the regions = 0 topology is a differential oracle for the regioned
-// one despite their different placement geometry.
+// task is exactly a quarter of a cpu blade), so admission is count-based.
 
 #include <gtest/gtest.h>
 
@@ -111,9 +109,73 @@ TEST(TopologyRegionsTest, SetRegionCountPartitionsCellsContiguously) {
   for (int rack = 0; rack < topo.rack_count(); ++rack) {
     EXPECT_EQ(topo.RegionOfRack(rack), topo.RegionOf(topo.CellOf(rack)));
   }
-  // Out of range / unpartitioned.
+  // Out of range.
   EXPECT_EQ(topo.RegionOf(-1), -1);
   EXPECT_EQ(topo.RegionOf(topo.cell_count()), -1);
+}
+
+// Without SetRegionCount a topology is one region holding every cell, and
+// regions = 0 and 1 both mean that one region, as cells = 0 and 1 mean one
+// cell: every cell, rack and pooled device has region 0.
+TEST(TopologyRegionsTest, WithoutRegionsOneRegionHoldsEveryCell) {
+  Topology topo;
+  for (int r = 0; r < 6; ++r) {
+    topo.AddRack();
+  }
+  EXPECT_EQ(topo.region_count(), 1);
+  topo.SetCellCount(3);
+  EXPECT_EQ(topo.region_count(), 1);
+  for (const int regions : {0, 1}) {
+    topo.SetRegionCount(regions);
+    EXPECT_EQ(topo.region_count(), 1) << regions;
+    EXPECT_EQ(topo.RegionCellBegin(0), 0) << regions;
+    EXPECT_EQ(topo.RegionCellEnd(0), 3) << regions;
+    for (int rack = 0; rack < topo.rack_count(); ++rack) {
+      EXPECT_EQ(topo.RegionOfRack(rack), 0) << regions << ", rack " << rack;
+    }
+  }
+  EXPECT_EQ(topo.RegionOfRack(topo.rack_count()), -1);
+  // Asking for one region after three restores the one region.
+  topo.SetRegionCount(3);
+  EXPECT_EQ(topo.region_count(), 3);
+  topo.SetRegionCount(0);
+  EXPECT_EQ(topo.region_count(), 1);
+  EXPECT_EQ(topo.RegionCellEnd(0), 3);
+
+  for (const int regions : {0, 1}) {
+    DisaggregatedDatacenter datacenter(
+        RegionConfig(/*racks=*/4, /*cells=*/2, regions).datacenter);
+    const ResourcePool& pool = datacenter.pool(DeviceKind::kCpuBlade);
+    const FreeCapacityIndex& index = pool.index();
+    ASSERT_EQ(index.region_free().size(), 1u) << regions;
+    EXPECT_EQ(index.region_free()[0],
+              index.cell_free()[0] + index.cell_free()[1])
+        << regions;
+    for (const auto& device : pool.devices()) {
+      EXPECT_EQ(index.RegionOf(device.get()), 0) << regions;
+    }
+  }
+}
+
+// One region has nothing to steer, so regions = 0 and 1 are one
+// configuration: both admit a module that avoids region 0, as a topology
+// never split into regions always has, and count the deploy in region 0.
+TEST(RegionRouterTest, OneRegionAdmitsAModuleAvoidingRegionZero) {
+  AppSpec spec = MakeUniformSpec("avoid", 2);
+  for (auto& [id, aspects] : spec.aspects) {
+    aspects.dist.region_anti_affinity = 0;
+  }
+  for (const int regions : {0, 1}) {
+    UdcCloud cloud(RegionConfig(/*racks=*/4, /*cells=*/2, regions));
+    RegionRouter* router = cloud.region_router();
+    ASSERT_EQ(router->region_count(), 1) << regions;
+    auto deployment = cloud.Deploy(cloud.RegisterTenant("t"), spec);
+    ASSERT_TRUE(deployment.ok())
+        << "regions " << regions << ": " << deployment.status().ToString();
+    EXPECT_EQ(router->RegionDeploys(0), 1) << regions;
+    EXPECT_EQ(router->cross_region_deploys(), 0) << regions;
+    EXPECT_EQ(router->region_fallbacks(), 0) << regions;
+  }
 }
 
 TEST(RegionRouterTest, RegionFreeSummaryTracksCommitDeltas) {
@@ -356,12 +418,14 @@ TEST(EnvStoreRegionsTest, RemoteFetchAndRefundAreExact) {
   sim.RunToCompletion();
 }
 
-// --- The randomized differential: regions=1 vs. regions=0 on one shared
-// script. With a single region the router's candidate order is the
-// cells-only order exactly, so the two topologies must produce an
-// identical admit/reject stream (compared both directly and as an FNV-1a
-// hash, the form the federation bench gates on) and identical final
-// occupancy.
+// --- One region against the retired region-less topology: seeded
+// deploy/teardown scripts on one region of two cells. While a topology
+// without regions was a configuration of its own, regions = 1 made the
+// same admit/reject stream and ended with the same occupancy and live
+// environments on every script. The constants are those, recorded then:
+// the stream's FNV-1a hash (the form the federation bench gates on), its
+// length, and the live tasks (each holds 8000m of cpu and 64 MiB of DRAM
+// and runs one environment).
 
 struct Action {
   bool deploy = false;
@@ -383,9 +447,9 @@ uint64_t Fnv1a(const std::vector<bool>& decisions) {
   return hash;
 }
 
-LegOutcome RunLeg(int regions, const std::vector<Action>& script,
+LegOutcome RunLeg(const std::vector<Action>& script,
                   const std::shared_ptr<const AppSpec>& spec) {
-  UdcCloud cloud(RegionConfig(/*racks=*/4, /*cells=*/2, regions));
+  UdcCloud cloud(RegionConfig(/*racks=*/4, /*cells=*/2, /*regions=*/1));
   LegOutcome outcome;
   std::vector<std::unique_ptr<Deployment>> live;
   int tenant = 0;
@@ -409,33 +473,46 @@ LegOutcome RunLeg(int regions, const std::vector<Action>& script,
 }
 
 TEST(RegionRouterDifferentialTest, OneRegionMatchesCellsOnlyRouter) {
+  struct Frozen {
+    uint64_t seed;
+    uint64_t hash;
+    size_t deploys;
+    int64_t live_tasks;
+  };
   // 4 racks = 64 quarter-blade slots; 2-task deploys saturate at 32 live,
   // and the 70/30 deploy/teardown mix keeps the run bouncing off the
   // capacity ceiling, so both admits and rejects are exercised heavily.
   const auto spec =
       std::make_shared<const AppSpec>(MakeUniformSpec("diff", 2));
-  for (const uint64_t seed : {0x12E610ull, 0xFEDE8ull, 0x0AB5ull}) {
-    Rng rng(seed);
+  for (const Frozen& frozen :
+       {Frozen{0x12E610ull, 0x98ba7f2b90ae8bccull, 268, 62},
+        Frozen{0xFEDE8ull, 0xd682ac5511bd30dbull, 271, 62},
+        Frozen{0x0AB5ull, 0x0aacc0c06314c87full, 294, 60}}) {
+    Rng rng(frozen.seed);
     std::vector<Action> script;
     for (int i = 0; i < 400; ++i) {
       script.push_back(Action{rng.NextUint64(100) < 70,
                               rng.NextUint64(1u << 30)});
     }
-    const LegOutcome cells = RunLeg(/*regions=*/0, script, spec);
-    const LegOutcome regioned = RunLeg(/*regions=*/1, script, spec);
+    const LegOutcome leg = RunLeg(script, spec);
 
-    ASSERT_EQ(cells.decisions.size(), regioned.decisions.size());
-    EXPECT_EQ(Fnv1a(cells.decisions), Fnv1a(regioned.decisions))
-        << "seed " << seed;
-    EXPECT_EQ(cells.decisions, regioned.decisions) << "seed " << seed;
-    EXPECT_EQ(cells.occupancy, regioned.occupancy) << "seed " << seed;
-    EXPECT_EQ(cells.live_envs, regioned.live_envs) << "seed " << seed;
+    EXPECT_EQ(leg.decisions.size(), frozen.deploys) << "seed " << frozen.seed;
+    EXPECT_EQ(Fnv1a(leg.decisions), frozen.hash)
+        << "seed " << frozen.seed << ": actual hash 0x" << std::hex
+        << Fnv1a(leg.decisions);
+    PoolOccupancy occupancy{};
+    occupancy[static_cast<size_t>(DeviceKind::kCpuBlade)] =
+        frozen.live_tasks * 8000;
+    occupancy[static_cast<size_t>(DeviceKind::kDramModule)] =
+        frozen.live_tasks * Bytes::MiB(64).bytes();
+    EXPECT_EQ(leg.occupancy, occupancy) << "seed " << frozen.seed;
+    EXPECT_EQ(leg.live_envs, static_cast<size_t>(frozen.live_tasks))
+        << "seed " << frozen.seed;
     // The scripts are tuned to hit exhaustion: a run with no rejects
     // would be vacuous as a differential.
-    EXPECT_NE(std::find(cells.decisions.begin(), cells.decisions.end(),
-                        false),
-              cells.decisions.end())
-        << "seed " << seed << " never hit capacity";
+    EXPECT_NE(std::find(leg.decisions.begin(), leg.decisions.end(), false),
+              leg.decisions.end())
+        << "seed " << frozen.seed << " never hit capacity";
   }
 }
 

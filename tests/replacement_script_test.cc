@@ -8,7 +8,9 @@
 // operator would:
 //
 //   * every deployment's own verification passes (FulfillmentVerifier);
-//   * no module with a region aspect has a slice outside its regions;
+//   * with two regions, no module with a region aspect has a slice outside
+//     its regions (one region has nothing to steer, so its aspects are not
+//     read);
 //   * every task's home is the node of its compute allocation's first
 //     slice, and its environment runs on that node;
 //   * each pool's allocated total is the sum over the live units' slices.
@@ -168,8 +170,8 @@ class ReplacementScript {
               cloud_.datacenter().PoolById(alloc.pool);
           for (const AllocationSlice& slice : alloc.slices) {
             held[static_cast<size_t>(pool->device_kind())] += slice.amount;
-            if (topology.region_count() == 0) {
-              continue;
+            if (topology.region_count() == 1) {
+              continue;  // one region has nothing to steer: aspects unread
             }
             const int region =
                 topology.RegionOfRack(topology.RackOf(slice.node));

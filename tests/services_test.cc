@@ -1048,6 +1048,66 @@ TEST(TunerVerifyTest, GrowthSpilledOntoASecondBladeStillVerifies) {
   EXPECT_EQ(cloud.attestation().provisioned_count(), 0u);
 }
 
+// A repair that finds no healthy replacement leaves the task's first
+// compute slice empty on the dead blade, where its home and environment
+// stay: the task is down. The tuner refuses to resize it. Otherwise a grow
+// would spill its compute onto a healthy blade and the next shrink would
+// erase the empty slice, leaving the compute on one node while home and
+// environment name the dead one.
+TEST(TunerVerifyTest, TaskARepairLeftWithoutComputeIsNotResized) {
+  UdcCloudConfig config;
+  config.datacenter.racks = 1;
+  UdcCloud cloud(config);
+  auto spec =
+      ParseAppSpec("app down\ntask t work=100\naspect t resource cpu=1000m\n");
+  ASSERT_TRUE(spec.ok());
+  auto deployment = cloud.Deploy(cloud.RegisterTenant("t"), *spec);
+  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+  const ModuleId t = spec->graph.IdOf("t");
+  const DeviceId victim = CpuDeviceOf(**deployment, t);
+  ResourcePool& blades = cloud.datacenter().pool(DeviceKind::kCpuBlade);
+  for (const auto& blade : blades.devices()) {
+    blade->set_health(DeviceHealth::kFailed);
+  }
+  CheckpointStore checkpoints;
+  RepairService repair(cloud.region_router(), deployment->get(),
+                       &checkpoints);
+  const std::vector<RepairAction> actions = repair.HandleDeviceFailure(victim);
+  ASSERT_EQ(actions.size(), 1u);
+  EXPECT_FALSE(actions[0].success);
+  for (const auto& blade : blades.devices()) {
+    if (blade->id() != victim) {
+      blade->set_health(DeviceHealth::kHealthy);
+    }
+  }
+
+  // Hot windows that would grow a live task twice, then idle ones that
+  // would shrink it.
+  AdaptiveTuner tuner(cloud.region_router(), deployment->get());
+  int refused = 0;
+  for (const double utilization : {0.99, 0.99, 0.99, 0.99, 0.99, 0.99, 0.0,
+                                   0.0}) {
+    const Result<int64_t> delta = tuner.Observe(t, utilization);
+    if (!delta.ok()) {
+      EXPECT_EQ(delta.status().code(), StatusCode::kFailedPrecondition);
+      ++refused;
+    }
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_EQ(tuner.resizes(), 0);
+  const Placement* placement = (*deployment)->PlacementOf(t);
+  const ResourceUnit* unit = (*deployment)->FindUnit(placement->unit);
+  for (const PoolAllocation& alloc : unit->allocations) {
+    if (alloc.kind == placement->compute_kind) {
+      ASSERT_FALSE(alloc.slices.empty());
+      EXPECT_EQ(alloc.slices.front().node, placement->home)
+          << "home is not the first compute slice's node";
+    }
+  }
+  ASSERT_NE(unit->env, nullptr);
+  EXPECT_EQ(unit->env->node(), placement->home);
+}
+
 // --- Trace integration ---------------------------------------------------
 
 TEST_F(ServiceTest, TraceRecordsControlPlaneEvents) {
@@ -1125,7 +1185,7 @@ TEST(DeploySpanTest, PlacementSpansNestUnderTheDeployInEveryTopology) {
     const Span* deploy = spans.Find("sched.deploy");
     ASSERT_NE(deploy, nullptr);
     EXPECT_NE(deploy->Label("cell"), nullptr);
-    EXPECT_EQ(deploy->Label("region") != nullptr, shape.regions > 0);
+    EXPECT_NE(deploy->Label("region"), nullptr);
     for (const char* name :
          {"sched.txn", "sched.place_task", "sched.place_data"}) {
       const Span* child = spans.Find(name);

@@ -28,6 +28,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <fstream>
 #include <memory>
@@ -101,7 +102,7 @@ int Usage() {
       "                            print the per-region capacity, deploy,\n"
       "                            WAN-traffic and store-replication table\n"
       "                            (defaults: 8 racks, 4 cells, 2 regions,\n"
-      "                            12 deploys)\n"
+      "                            12 deploys; 0 cells or regions mean 1)\n"
       "\n"
       "omitting [spec.udcl] uses the embedded medical app\n"
       "\n"
@@ -384,11 +385,6 @@ int Regions(const std::string& text, int racks, int cells, int regions,
   config.env_store.share_across_tenants = true;
   config.scheduler.record_place_latency = true;
   udc::UdcCloud cloud(config);
-  if (cloud.datacenter().topology().region_count() == 0) {
-    std::fprintf(stderr, "regions: need at least 1 region (got --regions %d)\n",
-                 regions);
-    return kExitUsage;
-  }
 
   const auto spec = udc::ParseAppSpec(text);
   if (!spec.ok()) {
@@ -463,10 +459,7 @@ int Regions(const std::string& text, int racks, int cells, int regions,
   const udc::EnvStore* store = cloud.envs().store();
   std::vector<int64_t> remote(static_cast<size_t>(router->region_count()), 0);
   for (const udc::EnvStore::RackStats& r : store->PerRackStats()) {
-    const int region = topo.RegionOfRack(r.rack);
-    if (region >= 0) {
-      remote[static_cast<size_t>(region)] += r.remote_hits;
-    }
+    remote[static_cast<size_t>(topo.RegionOfRack(r.rack))] += r.remote_hits;
   }
 
   std::printf("%d regions over %d cells / %d racks (%zu devices), %d deploys "
@@ -705,8 +698,12 @@ int main(int argc, char** argv) {
       if ((arg == "--racks" || arg == "--cells" || arg == "--regions" ||
            arg == "--deploys") &&
           i + 1 < argc) {
-        const int value = std::atoi(argv[++i]);
-        if (value <= 0) {
+        const char* raw = argv[++i];
+        const int value = std::atoi(raw);
+        // 0 and 1 cells (or regions) both mean one; text that is not a
+        // number also reads as 0, and is refused.
+        const bool count = arg == "--cells" || arg == "--regions";
+        if (value < 1 && !(count && std::strcmp(raw, "0") == 0)) {
           return Usage();
         }
         (arg == "--racks"     ? racks
