@@ -1,6 +1,8 @@
 #include "src/attest/quote.h"
 
+#include <algorithm>
 #include <charconv>
+#include <concepts>
 #include <cstring>
 
 #include "src/common/strings.h"
@@ -9,21 +11,64 @@ namespace udc {
 
 namespace {
 
+// Canonical text is written without printf: decimals through std::to_chars
+// and digests through a hex table, the same bytes as the %d, %llu, %lld and
+// DigestToHex renderings. Each piece bounds its own length, so a text is
+// written into one buffer sized for its longest rendering.
+constexpr size_t kMaxDecimalChars = 20;  // UINT64_MAX, or INT64_MIN with '-'
+constexpr size_t kHexDigestChars = 2 * std::tuple_size_v<Sha256Digest>;
+
+size_t Longest(std::string_view text) { return text.size(); }
+size_t Longest(std::integral auto) { return kMaxDecimalChars; }
+size_t Longest(const Sha256Digest&) { return kHexDigestChars; }
+
+char* Put(char* out, std::string_view text) {
+  return std::copy(text.begin(), text.end(), out);
+}
+
+char* Put(char* out, std::integral auto value) {
+  return std::to_chars(out, out + kMaxDecimalChars, value).ptr;
+}
+
+char* Put(char* out, const Sha256Digest& digest) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const uint8_t byte : digest) {
+    *out++ = kHex[byte >> 4];
+    *out++ = kHex[byte & 0xf];
+  }
+  return out;
+}
+
+// Writes `pieces` in order from `out`; returns the end of the text.
+template <typename... Pieces>
+char* PutAll(char* out, const Pieces&... pieces) {
+  ((out = Put(out, pieces)), ...);
+  return out;
+}
+
+template <typename... Pieces>
+std::string Render(const Pieces&... pieces) {
+  std::string out((Longest(pieces) + ...), '\0');
+  out.resize(static_cast<size_t>(PutAll(out.data(), pieces...) - out.data()));
+  return out;
+}
+
 Key256 DeviceKeyFor(const Key256& vendor_root, uint64_t device_identity) {
-  return DeriveKey(vendor_root,
-                   StrFormat("udc-device-%llu",
-                             static_cast<unsigned long long>(device_identity)));
+  return DeriveKey(vendor_root, Render("udc-device-", device_identity));
 }
 
 Sha256Digest SignatureOver(const HmacSha256Key& device_key,
                            const Quote& quote) {
-  std::string bound = StrFormat(
-      "subject=%d signer=%llu issued=%lld digest=%s",
-      static_cast<int>(quote.subject),
-      static_cast<unsigned long long>(quote.signer_device),
-      static_cast<long long>(quote.issued_at.micros()),
-      DigestToHex(quote.report_digest).c_str());
-  return device_key.Mac(bound);
+  // "subject=<n> signer=<id> issued=<us> digest=<hex>": four 8-byte field
+  // names, three decimals and the digest, on the stack.
+  char preimage[4 * 8 + 3 * kMaxDecimalChars + kHexDigestChars];
+  const char* end = PutAll(preimage, "subject=",
+                           static_cast<int>(quote.subject), " signer=",
+                           quote.signer_device, " issued=",
+                           quote.issued_at.micros(), " digest=",
+                           quote.report_digest);
+  return device_key.Mac(
+      std::string_view(preimage, static_cast<size_t>(end - preimage)));
 }
 
 }  // namespace
@@ -95,20 +140,14 @@ Status QuoteVerifier::VerifyClaim(const Quote& quote,
 std::string EnvironmentReport(const Sha256Digest& env_measurement,
                               std::string_view isolation_level,
                               std::string_view tenancy, uint64_t tenant) {
-  return StrFormat("env measurement=%s isolation=%s tenancy=%s tenant=%llu",
-                   DigestToHex(env_measurement).c_str(),
-                   std::string(isolation_level).c_str(),
-                   std::string(tenancy).c_str(),
-                   static_cast<unsigned long long>(tenant));
+  return Render("env measurement=", env_measurement, " isolation=",
+                isolation_level, " tenancy=", tenancy, " tenant=", tenant);
 }
 
 std::string ResourceReport(uint64_t device, std::string_view resource_kind,
                            uint64_t tenant, int64_t amount) {
-  return StrFormat("resources device=%llu kind=%s tenant=%llu amount=%lld",
-                   static_cast<unsigned long long>(device),
-                   std::string(resource_kind).c_str(),
-                   static_cast<unsigned long long>(tenant),
-                   static_cast<long long>(amount));
+  return Render("resources device=", device, " kind=", resource_kind,
+                " tenant=", tenant, " amount=", amount);
 }
 
 Result<int64_t> ParseResourceReport(std::string_view report) {
@@ -129,24 +168,19 @@ Result<int64_t> ParseResourceReport(std::string_view report) {
 
 std::string ReplicationReport(std::string_view object, uint64_t replica_device,
                               uint64_t tenant) {
-  return StrFormat("replication object=%s replica=%llu tenant=%llu",
-                   std::string(object).c_str(),
-                   static_cast<unsigned long long>(replica_device),
-                   static_cast<unsigned long long>(tenant));
+  return Render("replication object=", object, " replica=", replica_device,
+                " tenant=", tenant);
 }
 
 std::string SoftwareReport(const Sha256Digest& code_measurement,
                            std::string_view module_name) {
-  return StrFormat("software module=%s measurement=%s",
-                   std::string(module_name).c_str(),
-                   DigestToHex(code_measurement).c_str());
+  return Render("software module=", module_name, " measurement=",
+                code_measurement);
 }
 
 std::string ImageReport(const Sha256Digest& image_digest,
                         uint64_t size_bytes) {
-  return StrFormat("image digest=%s size=%llu",
-                   DigestToHex(image_digest).c_str(),
-                   static_cast<unsigned long long>(size_bytes));
+  return Render("image digest=", image_digest, " size=", size_bytes);
 }
 
 }  // namespace udc

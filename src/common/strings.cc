@@ -94,14 +94,19 @@ bool ParseDouble(std::string_view s, double* out) {
 }
 
 std::string StrFormat(const char* fmt, ...) {
+  // Most results fit the stack buffer, so printf runs once; a longer one is
+  // formatted again straight into the string.
+  char buffer[256];
   va_list args;
   va_start(args, fmt);
   va_list args_copy;
   va_copy(args_copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  const int needed = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
   va_end(args);
   std::string out;
-  if (needed > 0) {
+  if (needed > 0 && static_cast<size_t>(needed) < sizeof(buffer)) {
+    out.assign(buffer, static_cast<size_t>(needed));
+  } else if (needed > 0) {
     out.resize(static_cast<size_t>(needed));
     std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
   }

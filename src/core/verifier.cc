@@ -55,63 +55,76 @@ Status FulfillmentVerifier::CheckEnvironment(Deployment* deployment,
   return OkStatus();
 }
 
+FulfillmentVerifier::Holdings FulfillmentVerifier::HoldingsOf(
+    Deployment* deployment) {
+  Holdings holdings;
+  for (const ResourceUnit* unit : deployment->units()) {
+    for (const PoolAllocation& alloc : unit->allocations) {
+      for (const AllocationSlice& slice : alloc.slices) {
+        holdings[{alloc.pool, slice.device}].amount += slice.amount;
+      }
+    }
+  }
+  return holdings;
+}
+
 Status FulfillmentVerifier::CheckResources(Deployment* deployment,
                                            const Placement& placement,
-                                           const AspectSet& aspects) {
+                                           Holdings* holdings) {
   const ResourceUnit* unit = deployment->FindUnit(placement.unit);
   if (unit == nullptr) {
     return FailedPreconditionError("no resource unit");
   }
-  // For each device an allocation holds slices on, fetch that device's
-  // signed ledger row for this tenant and check the quoted amount covers
-  // the allocation's slices there. The row may aggregate this tenant's
-  // other units on the device, so it must be at least, not equal to, the
-  // slices.
+  // The module passes when every device its slices sit on passes. Each
+  // device is quoted the first time any module asks, and its verdict holds
+  // for every module with slices there.
   for (const PoolAllocation& alloc : unit->allocations) {
-    const ResourcePool* pool = deployment->datacenter()->PoolById(alloc.pool);
-    if (pool == nullptr) {
-      return FailedPreconditionError("allocation names an unknown pool");
-    }
-    const std::string_view kind = ResourceKindName(pool->resource_kind());
-    // The allocation's holding per device: slices on one device add up.
-    std::vector<AllocationSlice> held;
     for (const AllocationSlice& slice : alloc.slices) {
-      const auto same = std::find_if(
-          held.begin(), held.end(),
-          [&slice](const AllocationSlice& h) { return h.device == slice.device; });
-      if (same == held.end()) {
-        held.push_back(slice);
-      } else {
-        same->amount += slice.amount;
+      DeviceHolding& holding = (*holdings)[{alloc.pool, slice.device}];
+      if (!holding.verdict.has_value()) {
+        holding.verdict =
+            CheckHolding(deployment, alloc.pool, slice.device, holding.amount);
       }
-    }
-    for (const AllocationSlice& holding : held) {
-      const DeviceId device = holding.device;
-      UDC_ASSIGN_OR_RETURN(
-          const Quote quote,
-          attestation_->QuoteResource(*pool, device, deployment->tenant()));
-      UDC_ASSIGN_OR_RETURN(const int64_t quoted,
-                           ParseResourceReport(quote.report));
-      if (quote.signer_device != device.value()) {
-        return VerificationFailedError("resource quote signed by another device");
-      }
-      // The claim is re-rendered from what the user knows (device, kind,
-      // tenant) plus the quoted amount, so only the amount is taken on
-      // the quote's word, and then checked against the holding.
-      UDC_RETURN_IF_ERROR(verifier_.VerifyClaim(
-          quote, ResourceReport(device.value(), kind,
-                                deployment->tenant().value(), quoted)));
-      if (quoted < holding.amount) {
-        return VerificationFailedError(StrFormat(
-            "device %llu quotes %lld of %lld %s",
-            static_cast<unsigned long long>(device.value()),
-            static_cast<long long>(quoted),
-            static_cast<long long>(holding.amount),
-            std::string(kind).c_str()));
+      if (!holding.verdict->ok()) {
+        return *holding.verdict;
       }
     }
   }
-  (void)aspects;
+  return OkStatus();
+}
+
+Status FulfillmentVerifier::CheckHolding(Deployment* deployment,
+                                         PoolId pool_id, DeviceId device,
+                                         int64_t held) {
+  const ResourcePool* pool = deployment->datacenter()->PoolById(pool_id);
+  if (pool == nullptr) {
+    return FailedPreconditionError("allocation names an unknown pool");
+  }
+  const std::string_view kind = ResourceKindName(pool->resource_kind());
+  // The device's signed ledger row for this tenant must cover everything
+  // the deployment holds there. The row may also count the tenant's other
+  // deployments on the device, so it must be at least, not equal to, the
+  // holding.
+  UDC_ASSIGN_OR_RETURN(
+      const Quote quote,
+      attestation_->QuoteResource(*pool, device, deployment->tenant()));
+  UDC_ASSIGN_OR_RETURN(const int64_t quoted, ParseResourceReport(quote.report));
+  if (quote.signer_device != device.value()) {
+    return VerificationFailedError("resource quote signed by another device");
+  }
+  // The claim is re-rendered from what the user knows (device, kind,
+  // tenant) plus the quoted amount, so only the amount is taken on the
+  // quote's word, and then checked against the holding.
+  UDC_RETURN_IF_ERROR(verifier_.VerifyClaim(
+      quote, ResourceReport(device.value(), kind, deployment->tenant().value(),
+                            quoted)));
+  if (quoted < held) {
+    return VerificationFailedError(StrFormat(
+        "device %llu quotes %lld of the %lld %s the deployment holds there",
+        static_cast<unsigned long long>(device.value()),
+        static_cast<long long>(quoted), static_cast<long long>(held),
+        std::string(kind).c_str()));
+  }
   return OkStatus();
 }
 
@@ -148,8 +161,9 @@ Status FulfillmentVerifier::CheckReplication(Deployment* deployment,
   return OkStatus();
 }
 
-Result<ModuleVerification> FulfillmentVerifier::VerifyModule(
-    Deployment* deployment, ModuleId module) {
+Result<ModuleVerification> FulfillmentVerifier::Check(Deployment* deployment,
+                                                      ModuleId module,
+                                                      Holdings* holdings) {
   const Placement* placement = deployment->PlacementOf(module);
   if (placement == nullptr) {
     return Status(NotFoundError("module has no placement"));
@@ -159,50 +173,46 @@ Result<ModuleVerification> FulfillmentVerifier::VerifyModule(
   ModuleVerification v;
   v.module = module;
   v.name = placement->name;
-
-  if (placement->kind == ModuleKind::kTask) {
-    // Environment verification is only possible (and only promised by the
-    // paper) for user-verifiable isolation levels.
-    if (aspects.exec.defined && UserVerifiable(aspects.exec.isolation)) {
-      v.env_checked = true;
-      const Status s = CheckEnvironment(deployment, *placement, aspects);
-      v.env_ok = s.ok();
-      if (!s.ok()) {
-        v.detail += s.ToString() + "; ";
-      }
+  const auto record = [&v](const Status& s, bool* ok) {
+    *ok = s.ok();
+    if (!s.ok()) {
+      v.detail += s.ToString() + "; ";
     }
-    v.resources_checked = true;
-    const Status rs = CheckResources(deployment, *placement, aspects);
-    v.resources_ok = rs.ok();
-    if (!rs.ok()) {
-      v.detail += rs.ToString() + "; ";
-    }
-  } else {
-    v.resources_checked = true;
-    const Status rs = CheckResources(deployment, *placement, aspects);
-    v.resources_ok = rs.ok();
-    if (!rs.ok()) {
-      v.detail += rs.ToString() + "; ";
-    }
-    if (aspects.dist.defined && aspects.dist.replication_factor > 1) {
-      v.replication_checked = true;
-      const Status ps = CheckReplication(deployment, *placement, aspects);
-      v.replication_ok = ps.ok();
-      if (!ps.ok()) {
-        v.detail += ps.ToString() + "; ";
-      }
-    }
+  };
+  const bool task = placement->kind == ModuleKind::kTask;
+  // Environment verification is only possible (and only promised by the
+  // paper) for user-verifiable isolation levels.
+  if (task && aspects.exec.defined && UserVerifiable(aspects.exec.isolation)) {
+    v.env_checked = true;
+    record(CheckEnvironment(deployment, *placement, aspects), &v.env_ok);
   }
-  sim_->metrics().IncrementCounter("verify.modules_checked");
+  v.resources_checked = true;
+  record(CheckResources(deployment, *placement, holdings), &v.resources_ok);
+  if (!task && aspects.dist.defined && aspects.dist.replication_factor > 1) {
+    v.replication_checked = true;
+    record(CheckReplication(deployment, *placement, aspects),
+           &v.replication_ok);
+  }
+  if (!modules_checked_.valid()) {
+    modules_checked_ = sim_->metrics().CounterSeries("verify.modules_checked");
+  }
+  sim_->metrics().Increment(modules_checked_);
   return v;
+}
+
+Result<ModuleVerification> FulfillmentVerifier::VerifyModule(
+    Deployment* deployment, ModuleId module) {
+  Holdings holdings = HoldingsOf(deployment);
+  return Check(deployment, module, &holdings);
 }
 
 Result<VerificationReport> FulfillmentVerifier::VerifyDeployment(
     Deployment* deployment) {
+  Holdings holdings = HoldingsOf(deployment);
   VerificationReport report;
   for (const ModuleId module : deployment->spec().graph.ModuleIds()) {
     UDC_ASSIGN_OR_RETURN(ModuleVerification v,
-                         VerifyModule(deployment, module));
+                         Check(deployment, module, &holdings));
     report.all_ok = report.all_ok && v.AllChecksPassed();
     report.modules.push_back(std::move(v));
   }

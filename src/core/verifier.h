@@ -7,16 +7,22 @@
 // The verifier holds only the vendor root key. For each module it checks:
 //   - environment: the quoted measurement/isolation/tenancy matches the
 //     exec-env aspect (only for user-verifiable isolation levels);
-//   - resources: each device the module holds slices on signs the amount
-//     its own ledger records for the tenant, and that amount covers the
-//     slices (the paper's open problem, solved with device-local ledgers);
+//   - resources: one quote per device the deployment holds slices on,
+//     covering all of it. The deployment's slices on a device are summed
+//     across its modules, the device signs the amount its own ledger
+//     records for the tenant, and that amount must cover the sum (the
+//     paper's open problem, solved with device-local ledgers). A module's
+//     resources pass when every device its slices sit on does;
 //   - replication: one valid replica quote from a distinct device per
 //     declared replica.
 
 #ifndef UDC_SRC_CORE_VERIFIER_H_
 #define UDC_SRC_CORE_VERIFIER_H_
 
+#include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/attest/attestation_service.h"
@@ -58,21 +64,39 @@ class FulfillmentVerifier {
   // Verifies every module of the deployment against its aspects.
   Result<VerificationReport> VerifyDeployment(Deployment* deployment);
 
-  // Individual checks (used by tests and by VerifyDeployment).
+  // Verifies one module, as the continuous auditor does. Its devices are
+  // checked against everything the deployment holds on them, the rule
+  // VerifyDeployment applies; only the module's own devices are quoted.
   Result<ModuleVerification> VerifyModule(Deployment* deployment,
                                           ModuleId module);
 
  private:
+  // What the deployment holds on one device, summed over the slices of all
+  // its modules, and the device's verdict once quoted.
+  struct DeviceHolding {
+    int64_t amount = 0;
+    std::optional<Status> verdict;
+  };
+  using Holdings = std::map<std::pair<PoolId, DeviceId>, DeviceHolding>;
+
+  static Holdings HoldingsOf(Deployment* deployment);
+  Result<ModuleVerification> Check(Deployment* deployment, ModuleId module,
+                                   Holdings* holdings);
   Status CheckEnvironment(Deployment* deployment, const Placement& placement,
                           const AspectSet& aspects);
   Status CheckResources(Deployment* deployment, const Placement& placement,
-                        const AspectSet& aspects);
+                        Holdings* holdings);
+  Status CheckHolding(Deployment* deployment, PoolId pool_id, DeviceId device,
+                      int64_t held);
   Status CheckReplication(Deployment* deployment, const Placement& placement,
                           const AspectSet& aspects);
 
   Simulation* sim_;
   QuoteVerifier verifier_;
   AttestationService* attestation_;
+  // Interned on the first check, so a cloud that never verifies publishes
+  // no verify series.
+  CounterHandle modules_checked_;
 };
 
 }  // namespace udc

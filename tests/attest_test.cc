@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/attest/attestation_service.h"
 #include "src/attest/quote.h"
 #include "src/hw/pool.h"
@@ -50,6 +52,25 @@ TEST(QuoteTest, ResourceQuoteBytesArePinned) {
             "996bf677ce43154500660331f752cc15c37279222cab14c532c5d2dcd16d4df1");
   EXPECT_EQ(DigestToHex(q.signature),
             "5ab365d0997d0fcf9f9ac09520b800889326720a21c449a04f38b5cb55ed48cf");
+}
+
+// The widest preimage: the image store's signer id ~0, an issue time of
+// 19 digits and an image report with a 20-digit size, so every decimal of
+// the signature preimage and the report is written at full width. Recorded
+// when both were still rendered with printf.
+TEST(QuoteTest, WidestQuoteBytesArePinned) {
+  const RootOfTrust rot(KeyFromString("vendor"), ~uint64_t{0});
+  const Quote q = rot.Sign(
+      QuoteId(9), QuoteSubject::kImage,
+      SimTime(std::numeric_limits<int64_t>::max() - 1),
+      ImageReport(Sha256::Hash("image"), std::numeric_limits<uint64_t>::max()));
+  EXPECT_EQ(q.report,
+            "image digest=6105d6cc76af400325e94d588ce511be5bfdbb73b437dc51eca4"
+            "3917d7a43e3d size=18446744073709551615");
+  EXPECT_EQ(DigestToHex(q.report_digest),
+            "fab8fc2ed878f2ed3976602e991ce6271df0a0646e3a817582d7bda8bac375ca");
+  EXPECT_EQ(DigestToHex(q.signature),
+            "912f502ee16433d62a553d8b0a79d7c7d174d6bd597d835b5d0ddc8a3d19f1f3");
 }
 
 TEST(QuoteTest, SignAndVerify) {

@@ -144,6 +144,14 @@ TEST(StringsTest, ParseDouble) {
 TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 3, "x"), "3-x");
   EXPECT_EQ(StrFormat("%s", std::string(300, 'a').c_str()).size(), 300u);
+  // Results on either side of the 256-byte stack buffer StrFormat formats
+  // into first. The last bytes come from an argument, so a result cut at
+  // the buffer or formatted again from spent arguments would show.
+  for (const size_t size : {size_t{255}, size_t{256}, size_t{257}}) {
+    const std::string body(size - 2, 'a');
+    EXPECT_EQ(StrFormat("%s-%d", body.c_str(), 7), body + "-7") << size;
+  }
+  EXPECT_EQ(StrFormat("%s", ""), "");
 }
 
 TEST(HistogramTest, BasicStats) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "src/core/billing.h"
 #include "src/core/planner.h"
 #include "src/core/runtime.h"
@@ -318,8 +321,65 @@ class RuntimeTest : public DeployTest {
     deployment_ = std::move(*deployment);
     runtime_ = std::make_unique<DagRuntime>(cloud_->sim(), deployment_.get());
   }
+
+  // What each module of the deployment holds on `device` of `pool`, by
+  // module name; modules with no slice there are absent.
+  std::map<std::string, int64_t> HoldersOf(PoolId pool, DeviceId device) const {
+    std::map<std::string, int64_t> holders;
+    for (const auto& [module, placement] : deployment_->placements()) {
+      const ResourceUnit* unit = deployment_->FindUnit(placement.unit);
+      for (const PoolAllocation& alloc : unit->allocations) {
+        for (const AllocationSlice& slice : alloc.slices) {
+          if (alloc.pool == pool && slice.device == device) {
+            holders[placement.name] += slice.amount;
+          }
+        }
+      }
+    }
+    return holders;
+  }
+
+  // Sabotage: on the first device, in placement order, that two or more
+  // modules hold slices on (in the medical app A1, A4 and B1 share a CPU
+  // blade), the provider lowers the tenant's row to the largest of their
+  // holdings. The row covers each module's slices but not their sum.
+  // Returns the modules holding slices there; TearDown() gives the units
+  // back before the deployment is torn down.
+  void LowerSharedRow(std::map<std::string, int64_t>* holders) {
+    for (const auto& [module, placement] : deployment_->placements()) {
+      for (const PoolAllocation& alloc :
+           deployment_->FindUnit(placement.unit)->allocations) {
+        for (const AllocationSlice& slice : alloc.slices) {
+          *holders = HoldersOf(alloc.pool, slice.device);
+          if (holders->size() < 2) {
+            continue;
+          }
+          int64_t largest = 0;
+          for (const auto& [name, amount] : *holders) {
+            largest = std::max(largest, amount);
+          }
+          lowered_ = deployment_->datacenter()->PoolById(alloc.pool)->FindDevice(
+              slice.device);
+          ASSERT_NE(lowered_, nullptr);
+          taken_ = lowered_->AllocatedBy(tenant_) - largest;
+          ASSERT_GT(taken_, 0);
+          ASSERT_TRUE(lowered_->Release(tenant_, taken_).ok());
+          return;
+        }
+      }
+    }
+    FAIL() << "no device holds slices of two modules";
+  }
+  void TearDown() override {
+    if (lowered_ != nullptr) {
+      EXPECT_TRUE(lowered_->Allocate(tenant_, taken_).ok());
+    }
+  }
+
   std::unique_ptr<Deployment> deployment_;
   std::unique_ptr<DagRuntime> runtime_;
+  Device* lowered_ = nullptr;
+  int64_t taken_ = 0;
 };
 
 TEST_F(RuntimeTest, RunOnceProducesOrderedStages) {
@@ -520,7 +580,9 @@ TEST_F(RuntimeTest, VerifierDetectsIsolationDowngrade) {
 TEST_F(RuntimeTest, VerifierDetectsShrunkLedgerRow) {
   // Sabotage: the provider quietly takes back part of A4's CPU slice, so the
   // device's own ledger row for the tenant falls one unit below the slice.
-  // The row still exists and still names the device.
+  // The row still exists and still names the device. The row must cover
+  // everything the deployment holds on the device, so every module with
+  // slices there fails, not only A4.
   const Placement* a4 = deployment_->PlacementOf(spec_->graph.IdOf("A4"));
   const ResourceUnit* unit = deployment_->FindUnit(a4->unit);
   ASSERT_FALSE(unit->allocations.empty());
@@ -528,6 +590,9 @@ TEST_F(RuntimeTest, VerifierDetectsShrunkLedgerRow) {
   ASSERT_FALSE(alloc.slices.empty());
   const AllocationSlice& slice = alloc.slices.front();
   ASSERT_GT(slice.amount, 1);
+  const std::map<std::string, int64_t> holders =
+      HoldersOf(alloc.pool, slice.device);
+  ASSERT_TRUE(holders.contains("A4"));
   Device* device =
       deployment_->datacenter()->PoolById(alloc.pool)->FindDevice(slice.device);
   ASSERT_NE(device, nullptr);
@@ -541,9 +606,9 @@ TEST_F(RuntimeTest, VerifierDetectsShrunkLedgerRow) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report->all_ok);
   for (const auto& v : report->modules) {
-    if (v.name == "A4") {
-      EXPECT_TRUE(v.resources_checked);
-      EXPECT_FALSE(v.resources_ok);
+    if (holders.contains(v.name)) {
+      EXPECT_TRUE(v.resources_checked) << v.name;
+      EXPECT_FALSE(v.resources_ok) << v.name;
       EXPECT_NE(v.detail.find("quotes"), std::string::npos) << v.detail;
     } else {
       EXPECT_TRUE(v.AllChecksPassed()) << v.name << ": " << v.detail;
@@ -553,6 +618,88 @@ TEST_F(RuntimeTest, VerifierDetectsShrunkLedgerRow) {
   const auto restored = cloud_->Verify(deployment_.get());
   ASSERT_TRUE(restored.ok());
   EXPECT_TRUE(restored->all_ok) << restored->Table();
+}
+
+// The row on a device several modules share covers each module's slices
+// but not their sum, so every one of them fails.
+TEST_F(RuntimeTest, VerifierCatchesARowShortOfTheDeploymentsTotalOnADevice) {
+  std::map<std::string, int64_t> holders;
+  ASSERT_NO_FATAL_FAILURE(LowerSharedRow(&holders));
+  const auto report = cloud_->Verify(deployment_.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->all_ok) << report->Table();
+  size_t failed = 0;
+  for (const auto& v : report->modules) {
+    if (holders.contains(v.name)) {
+      ++failed;
+      EXPECT_FALSE(v.resources_ok) << v.name;
+      EXPECT_NE(v.detail.find("the deployment holds there"), std::string::npos)
+          << v.detail;
+    } else {
+      EXPECT_TRUE(v.AllChecksPassed()) << v.name << ": " << v.detail;
+    }
+  }
+  EXPECT_EQ(failed, holders.size());
+}
+
+// The same sabotage through VerifyModule, the continuous auditor's path:
+// each module is checked against the deployment's whole holding on its
+// devices, not against its own slices alone.
+TEST_F(RuntimeTest, VerifyModuleCatchesARowShortOfTheDeploymentsTotalOnADevice) {
+  std::map<std::string, int64_t> holders;
+  ASSERT_NO_FATAL_FAILURE(LowerSharedRow(&holders));
+  FulfillmentVerifier verifier(cloud_->sim(), cloud_->vendor_root(),
+                               &cloud_->attestation());
+  std::map<std::string, bool> resources_ok;
+  for (const auto& [module, placement] : deployment_->placements()) {
+    const auto v = verifier.VerifyModule(deployment_.get(), module);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    resources_ok[placement.name] = v->resources_ok;
+  }
+  for (const auto& [name, ok] : resources_ok) {
+    EXPECT_EQ(ok, !holders.contains(name)) << name;
+  }
+}
+
+// One resource quote per device the deployment holds slices on, however
+// many of its modules share the device, plus one environment quote per
+// verifiable task and one replica quote per distinct replica device.
+TEST_F(RuntimeTest, VerifierQuotesEachDeviceTheDeploymentHoldsOnce) {
+  std::set<std::pair<PoolId, DeviceId>> devices;
+  size_t device_per_allocation = 0;  // what quoting per allocation would ask
+  size_t environments = 0;
+  size_t replicas = 0;
+  for (const auto& [module, placement] : deployment_->placements()) {
+    const AspectSet aspects = spec_->AspectsFor(module);
+    for (const PoolAllocation& alloc :
+         deployment_->FindUnit(placement.unit)->allocations) {
+      std::set<DeviceId> in_allocation;
+      for (const AllocationSlice& slice : alloc.slices) {
+        devices.emplace(alloc.pool, slice.device);
+        in_allocation.insert(slice.device);
+      }
+      device_per_allocation += in_allocation.size();
+    }
+    if (placement.kind == ModuleKind::kTask && aspects.exec.defined &&
+        UserVerifiable(aspects.exec.isolation)) {
+      ++environments;
+    }
+    if (placement.kind == ModuleKind::kData && aspects.dist.defined &&
+        aspects.dist.replication_factor > 1) {
+      replicas += std::set<DeviceId>(placement.replica_devices.begin(),
+                                     placement.replica_devices.end())
+                      .size();
+    }
+  }
+  // The medical app's modules share devices, so the two rules differ here.
+  ASSERT_GT(device_per_allocation, devices.size());
+
+  const uint64_t before = cloud_->attestation().quotes_issued();
+  const auto report = cloud_->Verify(deployment_.get());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->all_ok) << report->Table();
+  EXPECT_EQ(cloud_->attestation().quotes_issued() - before,
+            devices.size() + environments + replicas);
 }
 
 TEST_F(RuntimeTest, VerifierRejectsRepeatedReplicaDevice) {
